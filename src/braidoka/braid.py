@@ -9,9 +9,12 @@ end position, and sigma_i maps to the adjacent transposition (i, i+1).
 The normal form is the classical left Garside form Delta^p . A_1 ... A_k
 with each A_j a permutation braid (neither trivial nor Delta) and each
 consecutive pair left-weighted: the starting set of A_{j+1} is contained in
-the finishing set of A_j.  Inverse letters enter through the identity
-sigma_i^-1 = Delta^-1 (Delta sigma_i^-1), whose second factor is a
-permutation braid.
+the finishing set of A_j.  It is computed by right insertion of
+permutation-braid runs of the word, with one-step left-weighting of
+adjacent pairs through meets of permutation braids (see `normal_form`;
+Elrifai-Morton, Algorithms for positive braids, 1994; Epstein et al., Word
+Processing in Groups, ch. 9).  Inverse letters enter through the identity
+s^-1 = Delta^-1 (Delta s^-1), whose second factor is a permutation braid.
 """
 
 from __future__ import annotations
@@ -194,16 +197,8 @@ def conjugate_linking_tuple3(t: tuple[int, int, int], w: BraidWord) -> tuple[int
 # ---------------------------------------------------------------------------
 
 
-def _w0(n: int) -> Permutation:
-    return Permutation(tuple(range(n, 0, -1)))
-
-
 # the normal-form inner loop works on raw image tuples (p[i-1] = image of i)
 # to stay off the validating constructor
-
-
-def _t_then(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(q[x - 1] for x in p)
 
 
 def _t_inv(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -224,35 +219,70 @@ def _t_finishing_set(p: tuple[int, ...]) -> set[int]:
     return {i for i in range(1, len(p)) if pi[i - 1] > pi[i]}
 
 
-def _t_swap_values(p: tuple[int, ...], i: int) -> tuple[int, ...]:
-    """p followed by sigma_i: swap the values i, i+1 in the one-line form."""
-    return tuple(i + 1 if x == i else (i if x == i + 1 else x) for x in p)
-
-
-def _t_swap_positions(p: tuple[int, ...], i: int) -> tuple[int, ...]:
-    """sigma_i followed by p: swap the entries at positions i, i+1."""
-    q = list(p)
-    q[i - 1], q[i] = q[i], q[i - 1]
-    return tuple(q)
-
-
 def _t_tau(p: tuple[int, ...]) -> tuple[int, ...]:
     """Conjugation by Delta: flip both positions and values."""
     n = len(p)
     return tuple(n + 1 - p[n - 1 - i] for i in range(n))
 
 
-def _t_slide(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
-    """Move prefix letters of b across to a until (a, b) is left-weighted."""
-    changed = False
-    while True:
-        need = _t_starting_set(b) - _t_finishing_set(a)
-        if not need:
-            return a, b, changed
-        i = min(need)
-        a = _t_swap_values(a, i)
-        b = _t_swap_positions(b, i)
-        changed = True
+def _t_runs(letters: tuple[int, ...], n: int) -> list[tuple[bool, tuple[int, ...]]]:
+    """Split a word into maximal same-sign runs whose letters, read as a
+    positive word, form a permutation braid (no two strands cross twice).
+    Each run comes as (positive, permutation of its letters)."""
+    runs: list[tuple[bool, tuple[int, ...]]] = []
+    strand = list(range(1, n + 1))  # strand[p-1] = strand at position p
+    positive = True
+    for k, let in enumerate(letters):
+        i = abs(let)
+        if k and ((let > 0) != positive or strand[i - 1] > strand[i]):
+            runs.append((positive, _t_inv(tuple(strand))))
+            strand = list(range(1, n + 1))
+        positive = let > 0
+        strand[i - 1], strand[i] = strand[i], strand[i - 1]
+    if letters:
+        runs.append((positive, _t_inv(tuple(strand))))
+    return runs
+
+
+def _t_meet(u: tuple[int, ...], v: tuple[int, ...]) -> list[int]:
+    """The greatest common prefix m of the permutation braids u and v,
+    returned as the one-line form of m^-1.
+
+    Prefix order is inclusion of inversion sets, so the non-inversions of m
+    are the transitive closure of those of u and v together.  Row i is a
+    bitmask of the j > i (0-based) with m(i) < m(j); rows are closed from
+    the last position down, and each position is inserted into the list of
+    later positions sorted by image, where its rank is the number of later
+    positions it is inverted with.
+    """
+    n = len(u)
+    rows = [0] * n
+    for p in (u, v):
+        seen = 0
+        for i in _t_inv(p)[::-1]:  # positions by decreasing image
+            rows[i - 1] |= seen >> i << i
+            seen |= 1 << (i - 1)
+    order: list[int] = []
+    for i in range(n - 1, -1, -1):
+        row = todo = rows[i]
+        while todo:
+            low = todo & -todo
+            later = rows[low.bit_length() - 1]
+            row |= later
+            todo &= ~(later | low)
+        rows[i] = row
+        order.insert(n - 1 - i - row.bit_count(), i + 1)
+    return order
+
+
+def _t_left_weight(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Make the pair (a, b) left-weighted in one step: move m = (a^-1 Delta)
+    meet b from the front of b onto the end of a."""
+    n = len(a)
+    complement = tuple(n + 1 - x for x in _t_inv(a))
+    m_inv = _t_meet(complement, b)
+    m = _t_inv(m_inv)
+    return tuple(m[x - 1] for x in a), tuple(b[x - 1] for x in m_inv)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -309,19 +339,32 @@ def _perm_to_letters(p: Permutation) -> list[int]:
 
 
 def normal_form(b: BraidWord) -> GarsideNormalForm:
+    """The left normal form Delta^p A_1 ... A_k of b.
+
+    The word is cut into maximal same-sign runs that are permutation
+    braids.  A positive run is one factor; a negative run s^-1 is
+    Delta^-1 (Delta s^-1), a Delta^-1 marker and a factor.  The markers move
+    to the front through the tau automorphism.  The factors are then
+    appended one at a time (right insertion); after each append the pairs
+    from the right end leftwards are left-weighted in one step each, by
+    moving the meet of (A_j^-1 Delta) and A_{j+1} from A_{j+1} onto A_j,
+    stopping at the first pair that is already left-weighted or whose left
+    factor is Delta (Elrifai-Morton, Algorithms for positive braids, 1994;
+    Epstein et al., Word Processing in Groups, ch. 9).  With k factors this
+    is O(k^2) meets of O(n^2) bit operations each.
+    """
     n = b.strands
     w0 = tuple(range(n, 0, -1))
     ident = tuple(range(1, n + 1))
 
     factors: list[tuple[int, ...]] = []
     dpows: list[int] = []
-    for let in b.letters:
-        i = abs(let)
-        if let > 0:
-            factors.append(_t_swap_values(ident, i))
+    for positive, p in _t_runs(b.letters, n):
+        if positive:
+            factors.append(p)
             dpows.append(0)
         else:
-            factors.append(_t_swap_values(w0, i))  # permutation of Delta sigma_i^-1
+            factors.append(p[::-1])  # permutation of Delta s^-1: w0 followed by p
             dpows.append(-1)
 
     # migrate the Delta^-1 markers to the front through the tau automorphism
@@ -331,29 +374,25 @@ def normal_form(b: BraidWord) -> GarsideNormalForm:
             factors[k] = _t_tau(factors[k])
         power += dpows[k]
 
-    factors = [f for f in factors if f != ident]
-
-    # local sliding to the unique left-weighted form
-    guard = 4 * (len(factors) + 2) ** 2 + 16
-    for _ in range(guard):
-        changed = False
-        k = 0
-        while k < len(factors) - 1:
-            a, bb = factors[k], factors[k + 1]
-            if a != w0:
-                a, bb, moved = _t_slide(a, bb)
-                if moved:
-                    changed = True
-                    factors[k] = a
-                    if bb == ident:
-                        del factors[k + 1]
-                        continue
-                    factors[k + 1] = bb
-            k += 1
-        if not changed:
-            break
-    else:
-        raise InternalInconsistency("normal form rewriting did not stabilize")
+    # right insertion; only the appended factor can become trivial, because
+    # the pairs left of it were left-weighted before the append
+    out: list[tuple[int, ...]] = []
+    for f in factors:
+        if f == ident:
+            continue
+        out.append(f)
+        k = len(out) - 1
+        while k and out[k - 1] != w0:
+            a, bb = _t_left_weight(out[k - 1], out[k])
+            if a == out[k - 1]:
+                break
+            out[k - 1] = a
+            if bb == ident:
+                del out[k]
+            else:
+                out[k] = bb
+            k -= 1
+    factors = out
 
     while factors and factors[0] == w0:
         factors.pop(0)

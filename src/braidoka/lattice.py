@@ -5,9 +5,12 @@ The elliptic sums are square-cutoff lattice sums (|n|, |m| <= R of the
 regularized terms).  A single cutoff carries a systematic bias of order
 1/R^2 from the incomplete w^-4 shell; evaluating at R, R/2, R/4 and
 combining with weights (32, -12, 1)/21 cancels the 1/R^2 and 1/R^3 terms,
-leaving a tail of order 1/R^4.  This keeps the half-period identities
-(e1 + e2 + e3 = 0, the cubic differential equation, lattice invariance)
-well below 1e-6 at the default radius.
+leaving a tail of order 1/R^4.  Measured at the default radius for
+0.8 <= Im tau <= 2: |e1 + e2 + e3| stays near 1e-7 and lattice invariance
+holds to about 2e-7 relative.  The normalized residual of the cubic
+differential equation (`ode_residual`) is about 1e-8 at generic points but
+grows near zeta = (1 + tau)/2, where wp' vanishes: it reaches 2.4e-5 at
+tau = i and 2.8e-5 at tau = 0.8i, both with zeta = (1 + tau)/2 + 0.01.
 """
 
 from __future__ import annotations
