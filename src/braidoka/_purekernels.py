@@ -38,6 +38,26 @@ def mat_inv(m):
     return (d, -b, -c, a)
 
 
+def e0_screen_matrices(m1, m2, mirrored: bool) -> tuple[int, int]:
+    """Zero-entropy screen of the E0 classes of e1 -> m1, e2 -> m2.
+
+    The classes are, in order, (e1, e2, e2 e1^-1, e2 e1^-2, [e1, e2]), or
+    (e1, e2, e1 e2^-1, e1 e2^-2, [e1, e2]) when mirrored.  Returns
+    (index, trace) of the first class whose image has |trace| > 2, with a
+    1-based index, or (0, 0) when all five pass.
+    """
+    x, y = (m1, m2) if mirrored else (m2, m1)
+    yi = mat_inv(y)
+    x_yi = mat_mul(x, yi)
+    for index, m in enumerate((m1, m2, x_yi, mat_mul(x_yi, yi)), start=1):
+        t = m[0] + m[3]
+        if abs(t) > 2:
+            return index, t
+    comm = mat_mul(mat_mul(m1, m2), mat_inv(mat_mul(m2, m1)))
+    t = comm[0] + comm[3]
+    return (5, t) if abs(t) > 2 else (0, 0)
+
+
 def e0_screen(l1, l2) -> int:
     """Zero-entropy screen of the five test classes of a pair of B_3 words.
 
@@ -45,23 +65,7 @@ def e0_screen(l1, l2) -> int:
     1-based index of the first failing class in the order
     (e1, e2, e2 e1^-1, e2 e1^-2, [e1, e2]).
     """
-    m1 = theta_abcd(l1)
-    m2 = theta_abcd(l2)
-    if abs(m1[0] + m1[3]) > 2:
-        return 1
-    if abs(m2[0] + m2[3]) > 2:
-        return 2
-    m1i = mat_inv(m1)
-    m21 = mat_mul(m2, m1i)
-    if abs(m21[0] + m21[3]) > 2:
-        return 3
-    m211 = mat_mul(m21, m1i)
-    if abs(m211[0] + m211[3]) > 2:
-        return 4
-    comm = mat_mul(mat_mul(m1, m2), mat_mul(m1i, mat_inv(m2)))
-    if abs(comm[0] + comm[3]) > 2:
-        return 5
-    return 0
+    return e0_screen_matrices(theta_abcd(l1), theta_abcd(l2), False)[0]
 
 
 def sweep3_stats(maxlen: int) -> dict:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import __version__, lattice
@@ -119,7 +118,7 @@ def cmd_conj(args) -> int:
 
 
 def cmd_scan_commutators(args) -> int:
-    rep = zero_entropy_commutator_scan(args.maxlen, jobs=args.jobs)
+    rep = zero_entropy_commutator_scan(args.maxlen)
     _emit(rep.as_dict(), args.out)
     return OK
 
@@ -233,11 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", help="also write the JSON payload to this file")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized scans (reproducible output)")
-        p.add_argument("--jobs", type=int,
-                       default=int(os.environ.get("BRAID_OKA_JOBS", "1")),
-                       help="parallel workers for scans")
 
     def braidp(p):
         p.add_argument("--braid", required=True, help="word like '1 -2 1'")
@@ -308,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default="1,0", help="complex as re,im")
     p.add_argument("--tau", required=True, help="complex as re,im")
     p.add_argument("--radius", type=int, default=lattice.DEFAULT_RADIUS)
-    p.add_argument("--json", action="store_true", help="JSON output (the default)")
     p.add_argument("--csv", action="store_true")
     p.add_argument("--path-end", help="trace tau linearly to this re,im value")
     p.add_argument("--path-steps", type=int, default=16)

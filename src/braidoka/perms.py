@@ -75,11 +75,12 @@ class Permutation:
         return Permutation(tuple(out))
 
     def __pow__(self, k: int) -> "Permutation":
-        result = Permutation.identity(self.n)
-        base = self if k >= 0 else self.inv()
-        for _ in range(abs(k)):
-            result = result.then(base)
-        return result
+        """Each cycle rotated by k mod its length: O(n) for any k."""
+        images = [0] * self.n
+        for cyc in self.cycles(include_fixed=True):
+            for i, x in enumerate(cyc):
+                images[x - 1] = cyc[(i + k) % len(cyc)]
+        return Permutation(tuple(images))
 
     def is_identity(self) -> bool:
         return all(img == i for i, img in enumerate(self.images, start=1))

@@ -60,10 +60,16 @@ class SL2Matrix:
         return SL2Matrix(-self.a, -self.b, -self.c, -self.d)
 
     def __pow__(self, k: int) -> "SL2Matrix":
+        """Square-and-multiply: O(log |k|) products."""
         result = I
         base = self if k >= 0 else self.inv()
-        for _ in range(abs(k)):
-            result = result * base
+        k = abs(k)
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
         return result
 
     def conjugated_by(self, g: "SL2Matrix") -> "SL2Matrix":

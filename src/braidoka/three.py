@@ -12,13 +12,13 @@ trichotomy needs no floating-point tolerance.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import math
 from typing import Literal, Optional
 
 from . import _backend
-from .braid import BraidWord, braid_eq, commutator, exponent_sum, permutation
+from ._purekernels import mat_inv, mat_mul
+from .braid import BraidWord, braid_eq, exponent_sum
 from .errors import (
     InternalInconsistency,
     ResourceLimit,
@@ -42,6 +42,11 @@ PSEUDO_ANOSOV = "pseudoAnosov"
 
 # log((3 + sqrt 5)/2): smallest nonzero entropy among 3-braids, at |trace| 3
 MIN_PA_ENTROPY = math.log((3 + math.sqrt(5)) / 2)
+
+# largest zero_entropy_commutator_scan input: maxlen 7 takes about 0.5 s
+# (pure Python, 2-core VM); maxlen 8 would list 1.43M word pairs, about
+# 265 MB of report, after a 3.2 s image pass
+SCAN_MAXLEN = 7
 
 
 def log_spectral_radius(trace: int) -> float:
@@ -222,30 +227,13 @@ def _reduced_words3(maxlen: int) -> list[tuple[int, ...]]:
         frontier = nxt
     return words
 
-_SCAN_WORDS: list[tuple[int, ...]] = []
-_SCAN_POS: dict[tuple[int, ...], int] = {}
+
+def _is_pure(m) -> bool:
+    """theta(b) = I mod 2, i.e. b is a pure braid (its S_3 image is trivial)."""
+    return m[1] % 2 == 0 and m[2] % 2 == 0
 
 
-def _scan_chunk(args: tuple[int, int]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    lo, hi = args
-    from . import _purekernels as K
-
-    words = _SCAN_WORDS
-    mats = [K.theta_abcd(w) for w in words]
-    found = []
-    for i in range(lo, hi):
-        w1, m1 = words[i], mats[i]
-        m1i = K.mat_inv(m1)
-        for w2, m2 in zip(words, mats):
-            comm = K.mat_mul(K.mat_mul(m1, m2), K.mat_mul(m1i, K.mat_inv(m2)))
-            if comm == (1, 0, 0, 1):
-                continue  # commuting pair
-            if abs(comm[0] + comm[3]) <= 2:
-                found.append((w1, w2))
-    return found
-
-
-def zero_entropy_commutator_scan(maxlen: int, jobs: int = 1) -> CommutatorScanReport:
+def zero_entropy_commutator_scan(maxlen: int) -> CommutatorScanReport:
     """Find pairs (b1, b2) whose commutator is nontrivial yet has entropy
     zero, among all reduced words of length <= maxlen.
 
@@ -256,45 +244,64 @@ def zero_entropy_commutator_scan(maxlen: int, jobs: int = 1) -> CommutatorScanRe
     entropy zero, then either braid being pure, or b2*b1^-1 and b2*b1^-2
     both having entropy zero, would force the commutator to be trivial.  A
     found pair meeting those hypotheses raises TheoremContradiction.
-    """
-    if maxlen > 10:
-        raise ResourceLimit("commutator scan is limited to maxlen <= 10")
-    words = _reduced_words3(maxlen)
 
-    _set_scan_words(words)
-    if jobs > 1:
-        chunk = (len(words) + jobs - 1) // jobs
-        ranges = [(i, min(i + chunk, len(words))) for i in range(0, len(words), chunk)]
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=jobs, initializer=_set_scan_words, initargs=(words,)
-        ) as ex:
-            raw = [p for part in ex.map(_scan_chunk, ranges) for p in part]
-    else:
-        raw = _scan_chunk((0, len(words)))
-    raw.sort()
+    Every field of a pair depends only on m1 = theta(b1) and m2 = theta(b2),
+    so the words are grouped by theta image and each pair of images is
+    tested once.  The commutator has exponent sum 0 and the kernel of theta
+    is <Delta^4>, of exponent sum 12, so the commutator is trivial exactly
+    when m1 and m2 commute.  b is pure exactly when theta(b) = I mod 2,
+    because theta mod 2 induces S_3 = SL(2,F_2) on the quotient by the pure
+    braids.
+    """
+    if maxlen > SCAN_MAXLEN:
+        raise ResourceLimit(f"commutator scan is limited to maxlen <= {SCAN_MAXLEN}")
+    words = _reduced_words3(maxlen)
+    groups: dict[tuple[int, int, int, int], list[tuple[int, ...]]] = {}
+    for w in words:
+        groups.setdefault(_backend.theta_abcd(w), []).append(w)
+    images = list(groups)
+
+    # tr[m1, m2] from the Fricke identity (Goldman, Trace coordinates on
+    # Fricke spaces, 2009): t1^2 + t2^2 + t12^2 - t1 t2 t12 - 2, with t12 the
+    # trace of m1 m2; [m1, m2] and [m2, m1] are inverse, so one test covers
+    # both orders
+    found = []  # (m1, m2, commutator trace) for each ordered pair of images
+    traces = [m[0] + m[3] for m in images]
+    for i, m1 in enumerate(images):
+        a, b, c, d = m1
+        t1 = traces[i]
+        for j in range(i + 1, len(images)):
+            m2 = images[j]
+            t2 = traces[j]
+            t12 = a * m2[0] + b * m2[2] + c * m2[1] + d * m2[3]
+            t = t1 * t1 + t2 * t2 + t12 * t12 - t1 * t2 * t12 - 2
+            if abs(t) <= 2 and mat_mul(m1, m2) != mat_mul(m2, m1):
+                found += [(m1, m2, t), (m2, m1, t)]
 
     pairs = []
-    for w1, w2 in raw:
-        b1, b2 = BraidWord(3, w1), BraidWord(3, w2)
-        comm = commutator(b1, b2)
-        hb1, hb2 = entropy3(b1), entropy3(b2)
-        b1_pure = permutation(b1).is_identity()
-        b2_pure = permutation(b2).is_identity()
-        h1 = entropy3(b2 * b1.inv())
-        h2 = entropy3(b2 * b1.inv() ** 2)
+    offending = []
+    for m1, m2, t in found:
+        m1i = mat_inv(m1)
+        m21i = mat_mul(m2, m1i)
+        m21ii = mat_mul(m21i, m1i)
+        hb1 = log_spectral_radius(m1[0] + m1[3])
+        hb2 = log_spectral_radius(m2[0] + m2[3])
+        h1 = log_spectral_radius(m21i[0] + m21i[3])
+        h2 = log_spectral_radius(m21ii[0] + m21ii[3])
+        b1_pure, b2_pure = _is_pure(m1), _is_pure(m2)
         if hb1 == 0.0 and hb2 == 0.0:
             if b1_pure or b2_pure or (h1 == 0.0 and h2 == 0.0):
-                raise TheoremContradiction(
-                    f"pair {w1}, {w2} satisfies the corollary hypotheses "
-                    "but has a nontrivial commutator"
-                )
-        pairs.append(
-            CommutatorPair(w1, w2, theta(comm).trace, hb1, hb2, b1_pure, b2_pure, h1, h2)
+                offending.append((min(groups[m1]), min(groups[m2])))
+        pairs += [
+            CommutatorPair(w1, w2, t, hb1, hb2, b1_pure, b2_pure, h1, h2)
+            for w1 in groups[m1]
+            for w2 in groups[m2]
+        ]
+    if offending:
+        w1, w2 = min(offending)
+        raise TheoremContradiction(
+            f"pair {w1}, {w2} satisfies the corollary hypotheses "
+            "but has a nontrivial commutator"
         )
+    pairs.sort(key=lambda p: (p.b1, p.b2))
     return CommutatorScanReport(maxlen, len(words), tuple(pairs))
-
-
-def _set_scan_words(words: list[tuple[int, ...]]) -> None:
-    global _SCAN_WORDS, _SCAN_POS
-    _SCAN_WORDS = words
-    _SCAN_POS = {w: i for i, w in enumerate(words)}

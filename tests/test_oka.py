@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from braidoka import _purekernels
 from braidoka.braid import BraidWord, delta
 from braidoka.errors import (
     DegenerateSignature,
+    StrandMismatch,
     WrongSignature,
     WrongTarget,
 )
@@ -33,6 +35,7 @@ from braidoka.oka import (
     oka3_decide_both,
 )
 from braidoka.words import FreeWord, commutator, free_conjugate
+from e0_reference import oka3_decide_reference
 
 a1, a2 = FreeWord.gen(1), FreeWord.gen(2)
 
@@ -117,6 +120,59 @@ class TestOka3:
             assert isinstance(r, Oka3Classified)
             passing += 1
         assert passing == 300
+
+
+def _outcome(decide, hom, mirrored):
+    try:
+        return decide(hom, mirrored)
+    except Exception as exc:  # the exception is part of the compared outcome
+        return type(exc), str(exc)
+
+
+def _random_b3(rng, maxlen):
+    return BraidWord(3, tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, maxlen))))
+
+
+def _model_pair(rng):
+    """Two commuting images from one abelian model, conjugated by one word."""
+    model = rng.randrange(3)
+    if model == 0:
+        s12 = BraidWord.parse("1 2", 3)
+        b1, b2 = s12 ** rng.randint(-5, 5), s12 ** rng.randint(-5, 5)
+    elif model == 1:
+        b1, b2 = delta(3) ** rng.randint(-3, 3), delta(3) ** rng.randint(-3, 3)
+    else:
+        b1, b2 = (BraidWord.sigma(3, 1, rng.choice((-1, 1)) * rng.randint(1, 6))
+                  * delta(3) ** (2 * rng.randint(-1, 1)) for _ in range(2))
+    u = _random_b3(rng, 5)
+    return u * b1 * u.inv(), u * b2 * u.inv()
+
+
+class TestOka3Parity:
+    """oka3_decide on theta images against the braid-word reference."""
+
+    def test_matches_reference(self):
+        rng = random.Random(31)
+        seen = set()
+        for _ in range(1500):
+            b1, b2 = _model_pair(rng) if rng.random() < 0.5 else (
+                _random_b3(rng, 8), _random_b3(rng, 8))
+            hom = hom11(b1, b2)
+            for mirrored in (False, True):
+                got = _outcome(oka3_decide, hom, mirrored)
+                assert got == _outcome(oka3_decide_reference, hom, mirrored), (b1, b2, mirrored)
+                seen.add(got.type_ if isinstance(got, Oka3Classified)
+                         else e0_set(mirrored).index(got.witness) + 1)
+            ref = oka3_decide_reference(hom)
+            index = e0_set().index(ref.witness) + 1 if isinstance(ref, Oka3Violation) else 0
+            assert _purekernels.e0_screen(b1.letters, b2.letters) == index
+        assert seen == {1, 2, 3, 4, 5, PERIODIC_SIGMA12, PERIODIC_DELTA, REDUCIBLE_SIGMA1_DELTA2}
+
+    def test_strand_mismatch(self):
+        b4 = BraidWord.parse("1 3", 4)
+        for hom in (hom11(b4, delta(3)), hom11(delta(3), b4)):
+            with pytest.raises(StrandMismatch):
+                oka3_decide(hom)
 
 
 class TestEPrime:

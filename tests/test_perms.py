@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -27,6 +28,23 @@ def test_basics():
     assert Permutation.parse(3, "(1 2 3)") == p
     assert Permutation.parse(4, "()").is_identity()
     assert Permutation.transposition(3, 1).images == (2, 1, 3)
+
+
+def test_power_matches_repeated_product():
+    for p in map(Permutation, itertools.permutations(range(1, 6))):
+        step = Permutation.identity(5)
+        for k in range(13):
+            assert p**k == step and p**-k == step.inv()
+            step = step.then(p)
+
+
+def test_huge_power():
+    # (1 2 3)(4 5 6 7 8) has order 15 and 10**12 = 10 mod 15
+    p = cyc(8, (1, 2, 3), (4, 5, 6, 7, 8))
+    t0 = time.perf_counter()
+    assert p ** 10**12 == p**10 == cyc(8, (1, 2, 3))
+    assert p ** -(10**12) == p**5
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_then_is_word_order():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -17,6 +18,7 @@ from braidoka.sl2z import (
     SL2Matrix,
     L,
     R,
+    T,
     matrix_class,
     parabolic_normal_form,
     rl_factorization,
@@ -163,9 +165,19 @@ class TestConjugacy:
         # all pairs of theta images of words of length <= 6, against a
         # conjugator ball of word length <= 10: conjugation by a word is a
         # chain of generator conjugations, so the depth-10 orbit BFS gives
-        # exactly the conjugates by words of length <= 10
+        # exactly the conjugates by words of length <= 10.  The BFS runs on
+        # entry tuples: x -> g x g^-1 is linear in the entries of x, and
+        # each map below is one generator's conjugation written out
         mats = braid_matrices(6)
-        gens = [A, A.inv(), B, B.inv()]
+        conjugations = [
+            lambda a, b, c, d: (a + c, b + d - a - c, c, d - c),  # A x A^-1
+            lambda a, b, c, d: (a - c, a + b - c - d, c, c + d),  # A^-1 x A
+            lambda a, b, c, d: (a + b, b, c + d - a - b, d - b),  # B x B^-1
+            lambda a, b, c, d: (a - b, b, a - b + c - d, b + d),  # B^-1 x B
+        ]
+        x = SL2Matrix(2, 3, 5, 8)
+        for f, g in zip(conjugations, [A, A.inv(), B, B.inv()]):
+            assert f(*x.entries()) == (g * x * g.inv()).entries()
 
         def orbit10(m):
             seen = {m}
@@ -173,19 +185,37 @@ class TestConjugacy:
             for _ in range(10):
                 new = []
                 for x in frontier:
-                    for g in gens:
-                        y = g * x * g.inv()
+                    for f in conjugations:
+                        y = f(*x)
                         if y not in seen:
                             seen.add(y)
                             new.append(y)
                 frontier = new
             return seen
 
-        mat_set = set(mats)
+        entries = {m.entries() for m in mats}
         for m in mats:
-            reachable = orbit10(m) & mat_set
+            reachable = orbit10(m.entries()) & entries
             for n in mats:
-                assert sl2z_conjugate(m, n) == (n in reachable), (m, n)
+                assert sl2z_conjugate(m, n) == (n.entries() in reachable), (m, n)
+
+    def test_power_matches_repeated_product(self):
+        assert T ** 10**12 == SL2Matrix(1, 10**12, 0, 1)
+        for m in (theta(w3("1 -2")), theta(w3("1 2")), theta(w3("2 2 -1"))):
+            step = I
+            for k in range(20):
+                assert m**k == step and m**-k == step.inv()
+                step = step * m
+
+    @pytest.mark.parametrize("m", [SL2Matrix(0, -1, 1, 1), SL2Matrix(2, 1, 1, 1)],
+                             ids=["elliptic", "hyperbolic"])
+    def test_huge_shift_conjugator(self, m):
+        # the reductions shift by T^-n with n as large as the entries; with
+        # k-step powers an elliptic shift of 1e6 took 4.2 s, linear in n
+        g = T ** 10**12
+        t0 = time.perf_counter()
+        assert sl2z_conjugate(m, g * m * g.inv())
+        assert time.perf_counter() - t0 < 0.5
 
 
 class TestRLFactorization:

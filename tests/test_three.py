@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from braidoka.braid import BraidWord, delta, enumerate_words, exponent_sum, permutation
 from braidoka.errors import ResourceLimit, WrongStrandCount
@@ -11,6 +12,7 @@ from braidoka.three import (
     PSEUDO_ANOSOV,
     PERIODIC,
     REDUCIBLE,
+    SCAN_MAXLEN,
     classify3,
     centralizer_check,
     conformal_module3,
@@ -19,6 +21,7 @@ from braidoka.three import (
     log_spectral_radius,
     zero_entropy_commutator_scan,
 )
+from e0_reference import zero_entropy_commutator_scan_reference
 
 
 def w3(text):
@@ -172,12 +175,44 @@ class TestCommutatorScan:
                 assert not p.b1_pure and not p.b2_pure
                 assert p.entropy_b2b1inv > 0 or p.entropy_b2b1inv2 > 0
 
-    def test_parallel_agrees(self):
-        assert (
-            zero_entropy_commutator_scan(2, jobs=3).pairs
-            == zero_entropy_commutator_scan(2).pairs
-        )
+    @pytest.mark.parametrize("maxlen", range(0, 6))
+    def test_matches_reference(self, maxlen):
+        assert zero_entropy_commutator_scan(maxlen) == zero_entropy_commutator_scan_reference(maxlen)
 
     def test_resource_guard(self):
         with pytest.raises(ResourceLimit):
             zero_entropy_commutator_scan(11)
+
+    def test_limit_is_feasible(self):
+        # the bound itself runs in about 0.5 s on a 2-core VM (Python 3.11),
+        # one more letter would report 1.43M word pairs
+        rep = zero_entropy_commutator_scan(SCAN_MAXLEN)
+        assert rep.words_scanned == 2 * (3**SCAN_MAXLEN - 1)
+        with pytest.raises(ResourceLimit):
+            zero_entropy_commutator_scan(SCAN_MAXLEN + 1)
+
+
+b3_words = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=30).map(
+    lambda letters: BraidWord(3, tuple(letters))
+)
+
+
+class TestThetaQuotientProperties:
+    """The facts that let the E0 decision and the scan work on theta alone."""
+
+    @given(b3_words)
+    def test_pure_iff_theta_is_identity_mod_2(self, b):
+        mod2 = tuple(x % 2 for x in theta(b).entries())
+        assert permutation(b).is_identity() == (mod2 == (1, 0, 0, 1))
+
+    @given(b3_words)
+    def test_three_cycle_iff_odd_trace(self, b):
+        assert permutation(b).is_n_cycle() == (theta(b).trace % 2 == 1)
+
+    @given(b3_words, b3_words)
+    def test_classify3_conjugation_invariant(self, b, u):
+        assert classify3(u * b * u.inv()) == classify3(b)
+
+    @given(b3_words, b3_words)
+    def test_conj3_finds_conjugates(self, b, u):
+        assert conj3(b, u * b * u.inv())
