@@ -1,23 +1,20 @@
 """Kernel selection: compiled extension when available, pure Python otherwise.
 
-Set BRAID_OKA_PURE=1 to force the pure path (used by the benchmark and the
-backend parity tests).  The compiled theta kernels work in int64 and are only
-safe up to 60 letters (entries of a k-letter product are bounded by
-2^(k-1)); longer words are routed to the arbitrary-precision pure kernel.
+The compiled theta kernels work in int64 and are only safe up to 60 letters
+(entries of a k-letter product are bounded by 2^(k-1)); longer words are
+routed to the arbitrary-precision pure kernel.  The Weierstrass row series
+has one implementation, re-exported here.
 """
 
 from __future__ import annotations
 
-import os
-
 from . import _purekernels as _pure
+from ._purekernels import wp_prime_sum, wp_sum  # noqa: F401
 
-_compiled = None
-if not os.environ.get("BRAID_OKA_PURE"):
-    try:
-        from . import _kernels as _compiled  # type: ignore[no-redef]
-    except ImportError:
-        _compiled = None
+try:
+    from . import _kernels as _compiled
+except ImportError:
+    _compiled = None
 
 HAVE_COMPILED = _compiled is not None
 BACKEND = "compiled" if HAVE_COMPILED else "pure"
@@ -41,15 +38,3 @@ def sweep3_stats(maxlen: int) -> dict:
     if _compiled is not None and maxlen <= _INT64_SAFE_LETTERS:
         return _compiled.sweep3_stats(maxlen)
     return _pure.sweep3_stats(maxlen)
-
-
-def wp_sum(z: complex, tau: complex, radius: int) -> complex:
-    if _compiled is not None:
-        return _compiled.wp_sum(z, tau, radius)
-    return _pure.wp_sum(z, tau, radius)
-
-
-def wp_prime_sum(z: complex, tau: complex, radius: int) -> complex:
-    if _compiled is not None:
-        return _compiled.wp_prime_sum(z, tau, radius)
-    return _pure.wp_prime_sum(z, tau, radius)

@@ -1,13 +1,15 @@
 """Pure-Python kernels for the hot loops.
 
-Mirrors the interface of the compiled module `_kernels`; `_backend` picks
-whichever is importable.  Matrix entries are Python ints, so there is no
+The theta, E0 and sweep kernels mirror the compiled module `_kernels`, and
+`_backend` picks whichever is importable; the Weierstrass kernels have no
+compiled counterpart.  Matrix entries are Python ints, so there is no
 overflow concern on this path.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import cmath
+import math
 
 # theta(sigma_1) and theta(sigma_2) in SL(2,Z), plus inverses, keyed by letter
 _THETA = {
@@ -16,6 +18,8 @@ _THETA = {
     2: (1, 0, -1, 1),
     -2: (1, 0, 1, 1),
 }
+
+_TWO_PI_I = 2j * math.pi
 
 
 def theta_abcd(letters) -> tuple[int, int, int, int]:
@@ -121,18 +125,63 @@ def sweep3_stats(maxlen: int) -> dict:
     return stats
 
 
+def _exp_and_complement(z: complex) -> tuple[complex, complex]:
+    """x = exp(2 pi i z) and 1 - x, for Im z >= 0.
+
+    With 2 pi z = a + i b, 1 - x = -expm1(-b) + 2 e^-b sin^2(a/2) - i e^-b sin a:
+    two nonnegative real terms and no cancellation, so x / (1 - x)^2 stays
+    accurate to rounding as z approaches the pole at 0.
+    """
+    a, b = 2 * math.pi * z.real, 2 * math.pi * z.imag
+    r = math.exp(-b)
+    x = complex(r * math.cos(a), r * math.sin(a))
+    return x, complex(-math.expm1(-b) + 2 * r * math.sin(a / 2) ** 2, -x.imag)
+
+
 def wp_sum(z: complex, tau: complex, radius: int) -> complex:
-    """Square-cutoff Weierstrass sum: 1/z^2 + sum over |n|,|m| <= R of the
-    regularized terms 1/(z-w)^2 - 1/w^2."""
-    r = np.arange(-radius, radius + 1)
-    n, m = np.meshgrid(r, r, indexing="ij")
-    w = (n + m * tau)[~((n == 0) & (m == 0))]
-    return complex(1.0 / z**2 + np.sum(1.0 / (z - w) ** 2 - 1.0 / w**2))
+    """Weierstrass function of Z + tau Z at z, summed row by row.
+
+    Each lattice row sums in closed form, sum_m 1/(u - m)^2 = pi^2 csc^2(pi u),
+    so with rows n and -n paired
+        wp(z) = pi^2 csc^2(pi z) - pi^2/3 + sum_{1 <= n <= radius}
+                [pi^2 csc^2(pi(z + n tau)) + pi^2 csc^2(pi(n tau - z))
+                 - 2 pi^2 csc^2(pi n tau)].
+    With x = exp(2 pi i u), pi^2 csc^2(pi u) = -4 pi^2 x / (1 - x)^2, and
+    each row multiplies the three x by q = exp(2 pi i tau).  Expects
+    |Im z| < Im tau, which `lattice._reduce_cell` provides.
+    """
+    if z.imag < 0:
+        z = -z  # wp is even; now |x| <= 1 in every term
+    q = cmath.exp(_TWO_PI_I * tau)
+    a = cmath.exp(_TWO_PI_I * (z + tau))
+    b = cmath.exp(_TWO_PI_I * (tau - z))
+    c = q
+    rows = 0j
+    for _ in range(radius):
+        rows += a / (1 - a) ** 2 + b / (1 - b) ** 2 - 2 * c / (1 - c) ** 2
+        a *= q
+        b *= q
+        c *= q
+    x, y = _exp_and_complement(z)
+    return -4 * math.pi**2 * (x / y**2 + rows) - math.pi**2 / 3
 
 
 def wp_prime_sum(z: complex, tau: complex, radius: int) -> complex:
-    """Square-cutoff sum of -2/(z-w)^3 over the lattice box (including 0)."""
-    r = np.arange(-radius, radius + 1)
-    n, m = np.meshgrid(r, r, indexing="ij")
-    w = (n + m * tau).ravel()
-    return complex(np.sum(-2.0 / (z - w) ** 3))
+    """Derivative of `wp_sum`, the same row series over rows |n| <= radius.
+
+    Row by row, d/du pi^2 csc^2(pi u) = -2 pi^3 csc^2(pi u) cot(pi u), which
+    is -8 i pi^3 x (1 + x) / (1 - x)^3 in x = exp(2 pi i u); it is odd in u,
+    so rows n and -n contribute its values at z + n tau and -(n tau - z).
+    """
+    if z.imag < 0:
+        return -wp_prime_sum(-z, tau, radius)  # wp' is odd
+    q = cmath.exp(_TWO_PI_I * tau)
+    a = cmath.exp(_TWO_PI_I * (z + tau))
+    b = cmath.exp(_TWO_PI_I * (tau - z))
+    rows = 0j
+    for _ in range(radius):
+        rows += a * (1 + a) / (1 - a) ** 3 - b * (1 + b) / (1 - b) ** 3
+        a *= q
+        b *= q
+    x, y = _exp_and_complement(z)
+    return -8j * math.pi**3 * (x * (1 + x) / y**3 + rows)

