@@ -10,8 +10,6 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-import numpy as np
-
 from .errors import (
     DegreeTooSmall,
     NonConvergence,
@@ -80,6 +78,8 @@ def resultant(p: Sequence[Number], q: Sequence[Number]) -> Number:
     mat = _sylvester(p, q)
     if all(isinstance(x, (int, Fraction)) for row in mat for x in row):
         return _det_exact(mat)
+    import numpy as np  # deferred: only float input needs numpy
+
     return complex(np.linalg.det(np.array(mat, dtype=complex)))
 
 
@@ -172,6 +172,8 @@ def discriminant_index(
     Principal-branch argument increments are accumulated; the sample count
     doubles until every step is below pi/2, which pins the winding count.
     """
+    import numpy as np  # deferred to keep numpy off the import path
+
     if samples < 16:
         raise ValueError("need at least 16 samples")
     n = samples

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from braidoka.cli import main
 
@@ -153,3 +157,16 @@ def test_usage_error(capsys):
     assert code == 1
     code = main(["eq", "--a", "1", "--b", "1 2 3 4"])  # inferred strand mismatch
     assert code == 1
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy costs about 0.2 s per CLI call; only the float paths of
+    # `families` import it, on first use
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, braidoka, braidoka.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
