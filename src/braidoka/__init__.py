@@ -2,7 +2,7 @@
 classification, entropy and conformal module, Gromov-Oka decision
 procedures, and numerical Weierstrass branch loci."""
 
-from ._backend import BACKEND, HAVE_COMPILED
+from ._backend import BACKEND
 from .braid import (
     BraidWord,
     GarsideNormalForm,

@@ -1,11 +1,9 @@
 """Pure-Python kernels for the hot loops.
 
-The theta and E0 kernels mirror the compiled module `_kernels`, and
-`_backend` picks whichever is importable.  The sweep returns what the
-compiled word-by-word enumeration returns but counts words per distinct
-theta state instead of visiting them.  The Weierstrass kernels have no
-compiled counterpart.  Matrix entries are Python ints, so there is no
-overflow concern on this path.
+Theta images, the E0 screen, the exhaustive 3-braid sweep and the
+Weierstrass row series.  `_backend` re-exports them under the names the
+rest of the package calls.  Matrix entries are Python ints, so there is no
+overflow concern on any path.
 """
 
 from __future__ import annotations
@@ -14,14 +12,6 @@ import cmath
 import math
 
 from .errors import ResourceLimit
-
-# theta(sigma_1) and theta(sigma_2) in SL(2,Z), plus inverses, keyed by letter
-_THETA = {
-    1: (1, 1, 0, 1),
-    -1: (1, -1, 0, 1),
-    2: (1, 0, -1, 1),
-    -2: (1, 0, 1, 1),
-}
 
 _TWO_PI_I = 2j * math.pi
 
@@ -41,11 +31,31 @@ SWEEP3_MAXLEN = 14
 
 
 def theta_abcd(letters) -> tuple[int, int, int, int]:
-    """Image of a B_3 word under the standard SL(2,Z) representation."""
+    """Image of a B_3 word under the standard SL(2,Z) representation.
+
+    theta(sigma_1) = [[1, 1], [0, 1]] and theta(sigma_2) = [[1, 0], [-1, 1]]
+    are elementary matrices, so multiplying [[a, b], [c, d]] by a letter's
+    image on the right is two additions:
+        sigma_1:  b += a; d += c        sigma_1^-1:  b -= a; d -= c
+        sigma_2:  a -= b; c -= d        sigma_2^-1:  a += b; c += d
+    Any other letter raises KeyError.
+    """
     a, b, c, d = 1, 0, 0, 1
     for let in letters:
-        p, q, r, s = _THETA[let]
-        a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+        if let == 1:
+            b += a
+            d += c
+        elif let == -1:
+            b -= a
+            d -= c
+        elif let == 2:
+            a -= b
+            c -= d
+        elif let == -2:
+            a += b
+            c += d
+        else:
+            raise KeyError(let)
     return a, b, c, d
 
 

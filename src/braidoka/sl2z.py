@@ -23,6 +23,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
+from . import _backend
 from .braid import BraidWord
 from .errors import InternalInconsistency, NotParabolic, WrongStrandCount
 
@@ -101,8 +102,6 @@ def theta(b: BraidWord) -> SL2Matrix:
     """The standard representation of B_3: sigma_1 -> A, sigma_2 -> B."""
     if b.strands != 3:
         raise WrongStrandCount(f"theta is defined on B_3, got B_{b.strands}")
-    from . import _backend
-
     return SL2Matrix(*_backend.theta_abcd(b.letters))
 
 

@@ -4,14 +4,22 @@ This is `braidoka._purekernels.sweep3_stats` as it was before it counted
 words per distinct theta state: a depth-first walk of the 4-ary word tree
 that visits every one of the (4^(maxlen+1) - 1)/3 words.  It takes time
 proportional to the number of words (about 30 s at maxlen 12).  It builds
-theta from `_THETA` and `mat_mul`, which the per-state count does not use,
-and composes the permutation from its own table, so the two share no code,
-which is what makes it a useful oracle.
+theta from its own table of generator images and `mat_mul`, which the
+per-state count does not use, and composes the permutation from its own
+table, so the two share no code, which is what makes it a useful oracle.
 """
 
 from __future__ import annotations
 
-from braidoka._purekernels import _THETA, mat_mul
+from braidoka._purekernels import mat_mul
+
+# theta(sigma_1) and theta(sigma_2) in SL(2,Z), plus inverses, keyed by letter
+_THETA = {
+    1: (1, 1, 0, 1),
+    -1: (1, -1, 0, 1),
+    2: (1, 0, -1, 1),
+    -2: (1, 0, 1, 1),
+}
 
 
 def sweep3_stats(maxlen: int) -> dict:

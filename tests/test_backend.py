@@ -1,5 +1,5 @@
-"""Parity between the compiled kernels and the pure-Python fallback, and the
-dispatcher's routing to the pure kernels."""
+"""The theta kernel against the product form, and the kernels that `_backend`
+re-exports."""
 
 import random
 
@@ -7,41 +7,43 @@ import pytest
 
 from braidoka import _backend, _purekernels
 
-compiled = pytest.importorskip("braidoka._kernels") if _backend.HAVE_COMPILED else None
-
-needs_compiled = pytest.mark.skipif(
-    not _backend.HAVE_COMPILED, reason="compiled kernels not built"
-)
+# theta(sigma_1), theta(sigma_1^-1), theta(sigma_2), theta(sigma_2^-1)
+GENERATORS = {1: (1, 1, 0, 1), -1: (1, -1, 0, 1), 2: (1, 0, -1, 1), -2: (1, 0, 1, 1)}
 
 
-def random_word(rng, maxlen):
-    return tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, maxlen)))
+def theta_by_products(letters):
+    a, b, c, d = 1, 0, 0, 1
+    for let in letters:
+        p, q, r, s = GENERATORS[let]
+        a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+    return a, b, c, d
 
 
-@needs_compiled
-def test_theta_parity():
+def test_theta_parity_with_products():
     rng = random.Random(0)
-    for _ in range(1000):
-        w = random_word(rng, 24)
-        assert compiled.theta_abcd(w) == _purekernels.theta_abcd(w)
+    for _ in range(2000):
+        w = tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 60)))
+        assert _purekernels.theta_abcd(w) == theta_by_products(w)
 
 
-@needs_compiled
-def test_e0_screen_parity():
+def test_theta_parity_beyond_int64():
+    # mostly sigma_1 and sigma_2^-1, whose images are nonnegative, so the
+    # entries grow exponentially and pass 2^63 on every word
     rng = random.Random(1)
-    for _ in range(1000):
-        l1, l2 = random_word(rng, 6), random_word(rng, 6)
-        assert compiled.e0_screen(l1, l2) == _purekernels.e0_screen(l1, l2)
+    for _ in range(200):
+        w = tuple(rng.choices((1, -2, -1, 2), weights=(9, 9, 1, 1), k=rng.randint(200, 400)))
+        got = _purekernels.theta_abcd(w)
+        assert max(map(abs, got)) > 2**63
+        assert got == theta_by_products(w)
 
 
-@needs_compiled
-def test_sweep_parity():
-    for maxlen in range(0, 7):
-        assert compiled.sweep3_stats(maxlen) == _purekernels.sweep3_stats(maxlen)
+@pytest.mark.parametrize("letter", [0, 3, -3])
+def test_theta_rejects_other_letters(letter):
+    with pytest.raises(KeyError):
+        _purekernels.theta_abcd((1, letter, 2))
 
 
 def test_backend_long_word_falls_back_to_exact():
-    # beyond the int64 guard the dispatcher must route to the pure kernel
     w = (1,) * 100
     got = _backend.theta_abcd(w)
     assert got == (1, 100, 0, 1)
