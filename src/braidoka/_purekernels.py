@@ -118,6 +118,8 @@ def sweep3_stats(maxlen: int) -> dict:
     and each further letter doubles the states, so 15 would take 56 MB and
     16 116 MB and 1.8 s.
     """
+    if maxlen < 0:
+        raise ValueError("maxlen must be >= 0")
     if maxlen > SWEEP3_MAXLEN:
         raise ResourceLimit(f"sweep3_stats is limited to maxlen <= {SWEEP3_MAXLEN}")
     total = periodic = reducible = pseudo_anosov = three_cycles = violations = 0

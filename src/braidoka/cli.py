@@ -83,14 +83,15 @@ def cmd_eq(args) -> int:
 
 
 def cmd_nf(args) -> int:
-    nf = normal_form(_braid_arg(args))
+    b = _braid_arg(args)
+    nf = normal_form(b)
     _emit(
         {
             "strands": nf.strands,
             "power": nf.power,
             "factors": [list(f.images) for f in nf.factors],
             "canonicalLength": nf.canonical_length(),
-            "exponentSum": exponent_sum(_braid_arg(args)),
+            "exponentSum": exponent_sum(b),
         },
         args.out,
     )
@@ -158,9 +159,9 @@ def cmd_oka3(args) -> int:
         payload = oka3_decide_both(hom)
         _emit(payload, args.out)
         return OK if payload["standard"]["verdict"] == "classified" else NEGATIVE
-    res = oka3_decide(hom, mirrored=args.mirrored)
-    _emit(res.as_dict(), args.out)
-    return OK if res.as_dict()["verdict"] == "classified" else NEGATIVE
+    payload = oka3_decide(hom, mirrored=args.mirrored).as_dict()
+    _emit(payload, args.out)
+    return OK if payload["verdict"] == "classified" else NEGATIVE
 
 
 def cmd_go_surface(args) -> int:
@@ -192,6 +193,8 @@ def cmd_lattice_branch(args) -> int:
     if args.path_end is not None:
         end = _parse_complex(args.path_end)
         steps = args.path_steps
+        if steps < 1:
+            raise ValueError("--path-steps must be >= 1")
         rows = []
         for k in range(steps + 1):
             t = k / steps

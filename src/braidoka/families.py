@@ -16,6 +16,7 @@ from .errors import (
     SeparabilityFailure,
     SignatureOutOfRange,
 )
+from .perms import _is_prime
 
 Number = Union[int, float, complex, Fraction]
 
@@ -201,17 +202,6 @@ def discriminant_index(
 
 REDUCIBLE = "reducible"
 INCONCLUSIVE = "inconclusive"
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def thm1_verdict(n: int, modulus: float, index: int) -> str:

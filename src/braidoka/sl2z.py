@@ -1,31 +1,35 @@
 """Exact SL(2,Z) arithmetic: the braid representation theta, trace
 classification, and conjugacy decisions.
 
-Conjugacy is decided per class type:
+Conjugacy is decided per class type, each by a complete invariant in
+closed form:
 
 * central: equality;
-* parabolic: the complete invariant (sign, m) with M ~ sign*[[1,m],[0,1]],
-  found from a primitive eigenvector extended to a unimodular basis;
-* elliptic: reduce the fixed point into the standard fundamental domain by
-  exact rational arithmetic; the resulting matrix is a complete invariant
-  because the stabilizers of i and of the corner point are abelian;
+* parabolic: (sign, shear) with M ~ sign*[[1, shear], [0, 1]].  For a
+  primitive fixed vector (u, v), sign*M - I = shear*[[-uv, u^2], [-v^2, uv]],
+  so |shear| is the gcd of its off-diagonal entries and shear has the sign
+  of their difference;
+* elliptic: the trace and the sign of c.  The fixed-point form
+  c x^2 + (d-a) xy - b y^2 is definite of discriminant -3 or -4, where each
+  sign has a single proper class (class number 1), and its sign is that
+  of c;
 * hyperbolic: Gauss reduction of the integral fixed-point form (tracked as
-  explicit matrix conjugations), then the factorization of the reduced
-  nonnegative representative as a positive word in R = [[1,1],[0,1]] and
-  L = [[1,0],[1,1]]; the word up to rotation together with the trace sign
-  is a complete invariant.
+  explicit matrix conjugations) to a nonnegative representative, whose
+  unique positive word in R = [[1,1],[0,1]] and L = [[1,0],[1,1]] is read
+  off one whole run per division, as in Euclid's algorithm; the cyclic run
+  word up to rotation together with the trace sign is a complete invariant.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from fractions import Fraction
 from typing import Optional
 
 from . import _backend
 from .braid import BraidWord
 from .errors import InternalInconsistency, NotParabolic, WrongStrandCount
+from .words import _min_rotation
 
 
 @dataclasses.dataclass(frozen=True)
@@ -141,16 +145,13 @@ def matrix_class(m: SL2Matrix) -> MatrixClass:
 # ---------------------------------------------------------------------------
 
 
-def _primitive(v1: int, v2: int) -> tuple[int, int]:
-    g = math.gcd(v1, v2)
-    return v1 // g, v2 // g
-
-
 def parabolic_normal_form(m: SL2Matrix) -> tuple[int, int]:
     """(sign, shear): m is conjugate to sign * [[1, shear], [0, 1]].
 
     The pair is a complete conjugacy invariant among parabolic and central
-    matrices.  Found by conjugating a primitive fixed vector to e_1.
+    matrices.  n = sign*m is g [[1, shear], [0, 1]] g^-1 with first column
+    (u, v) of g primitive, so n.b = shear*u^2 and n.c = -shear*v^2: |shear|
+    is gcd(n.b, n.c) and shear has the sign of n.b - n.c.
     """
     cls = matrix_class(m).kind
     if cls == CENTRAL_I:
@@ -160,68 +161,9 @@ def parabolic_normal_form(m: SL2Matrix) -> tuple[int, int]:
     if cls != PARABOLIC:
         raise NotParabolic(f"{m} has trace {m.trace}")
     sign = 1 if m.trace == 2 else -1
-    n = m if sign == 1 else m.neg()
-    p, q = n.a - 1, n.b
-    if p == 0 and q == 0:
-        p, q = n.c, n.d - 1
-    v1, v2 = _primitive(q, -p)
-    # complete (v1, v2) to a unimodular basis
-    g, x, y = _ext_gcd(v1, v2)
-    if g != 1:
-        raise InternalInconsistency("fixed vector not primitive")
-    conj = SL2Matrix(v1, -y, v2, x)
-    res = conj.inv() * n * conj
-    if not (res.a == 1 and res.d == 1 and res.c == 0):
-        raise InternalInconsistency(f"parabolic reduction failed: {res}")
-    return (sign, res.b)
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """g, x, y with a*x + b*y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
-# ---------------------------------------------------------------------------
-# elliptic canonical form: fundamental-domain reduction of the fixed point
-# ---------------------------------------------------------------------------
-
-
-def _elliptic_canonical(m: SL2Matrix) -> SL2Matrix:
-    """Conjugate m so its fixed point lies in the standard fundamental domain.
-
-    The fixed point is x + iy with x = (a-d)/2c and y^2 = (4-t^2)/4c^2, both
-    exact rationals.  Reduction alternates Re-shifts into [-1/2, 1/2) with
-    inversions through the unit circle.  It lands on i or on the corner
-    -1/2 + i sqrt(3)/2 whose stabilizers are cyclic, hence abelian, so the
-    reduced matrix itself is a complete conjugacy invariant.
-    """
-    if abs(m.trace) >= 2:
-        raise ValueError("elliptic reduction needs |trace| < 2")
-    for _ in range(10_000):
-        if m.c == 0:
-            raise InternalInconsistency("elliptic matrix with c = 0")
-        x = Fraction(m.a - m.d, 2 * m.c)
-        y2 = Fraction(4 - m.trace**2, 4 * m.c * m.c)
-        n = (x + Fraction(1, 2)).__floor__()
-        if n:
-            shift = T ** (-n)
-            m = shift * m * shift.inv()
-            x -= n
-        if x * x + y2 < 1:
-            m = S0 * m * S0.inv()
-            continue
-        return m
-    raise InternalInconsistency("elliptic reduction did not terminate")
+    b, c = sign * m.b, sign * m.c
+    shear = math.gcd(b, c)
+    return (sign, shear if b > c else -shear)
 
 
 # ---------------------------------------------------------------------------
@@ -295,43 +237,59 @@ def _hyperbolic_nonneg(m: SL2Matrix) -> SL2Matrix:
     return m
 
 
-def _peel_rl(m: SL2Matrix) -> tuple[str, ...]:
-    """Factor a nonnegative matrix as the unique positive word in R and L."""
-    word: list[str] = []
+def _run_length(x: int, y: int, u: int, v: int) -> int:
+    """The largest q with x - q*u >= 0 and y - q*v >= 0; a zero divisor sets
+    no limit (u and v are nonnegative, not both zero)."""
+    if not u:
+        return y // v
+    if not v:
+        return x // u
+    return min(x // u, y // v)
+
+
+def _peel_rl(m: SL2Matrix) -> tuple[tuple[str, int], ...]:
+    """Factor a nonnegative matrix as the unique positive word in R and L,
+    run-length encoded: R^q peels off as [[a - q*c, b - q*d], [c, d]] with
+    q as large as keeps it nonnegative, and L^q likewise."""
+    runs: list[tuple[str, int]] = []
     a, b, c, d = m.entries()
     while not (a == 1 and b == 0 and c == 0 and d == 1):
         if a >= c and b >= d:
-            word.append("R")
-            a, b = a - c, b - d
+            q = _run_length(a, b, c, d)
+            runs.append(("R", q))
+            a, b = a - q * c, b - q * d
         elif c >= a and d >= b:
-            word.append("L")
-            c, d = c - a, d - b
+            q = _run_length(c, d, a, b)
+            runs.append(("L", q))
+            c, d = c - q * a, d - q * b
         else:
             raise InternalInconsistency("nonnegative peeling got stuck")
-        if a < 0 or b < 0 or c < 0 or d < 0:
-            raise InternalInconsistency("peeling left the nonnegative cone")
-    return tuple(word)
+    return tuple(runs)
 
 
-def _min_rotation(word: tuple[str, ...]) -> tuple[str, ...]:
-    if not word:
-        return word
-    doubled = word + word
-    return min(doubled[i:i + len(word)] for i in range(len(word)))
+def _cyclic_runs(runs: tuple[tuple[str, int], ...]) -> tuple[tuple[str, int], ...]:
+    """The least rotation of the cyclic run word, the first and last runs
+    merged when they share a letter."""
+    if runs[0][0] == runs[-1][0]:
+        runs = ((runs[0][0], runs[0][1] + runs[-1][1]),) + runs[1:-1]
+    return _min_rotation(runs)
 
 
-def rl_factorization(m: SL2Matrix) -> tuple[int, tuple[str, ...], SL2Matrix]:
-    """(sign, word, witness): sign*m is conjugate to witness, the product of
-    the R/L word.  Requires |trace| > 2."""
+def rl_factorization(
+    m: SL2Matrix,
+) -> tuple[int, tuple[tuple[str, int], ...], SL2Matrix]:
+    """(sign, runs, witness): sign*m is conjugate to witness, the product of
+    the R/L word run-length encoded as runs = (("R", q1), ("L", q2), ...).
+    Requires |trace| > 2."""
     if abs(m.trace) <= 2:
         raise ValueError("R/L factorization needs |trace| > 2")
     sign = 1 if m.trace > 0 else -1
     w = m if sign == 1 else m.neg()
     nonneg = _hyperbolic_nonneg(w)
-    word = _peel_rl(nonneg)
-    if "R" not in word or "L" not in word:
+    runs = _peel_rl(nonneg)
+    if len(runs) < 2:
         raise InternalInconsistency("hyperbolic word must use both letters")
-    return sign, word, nonneg
+    return sign, runs, nonneg
 
 
 def sl2z_conjugate(m: SL2Matrix, n: SL2Matrix) -> bool:
@@ -347,7 +305,7 @@ def sl2z_conjugate(m: SL2Matrix, n: SL2Matrix) -> bool:
     if kind == PARABOLIC:
         return parabolic_normal_form(m) == parabolic_normal_form(n)
     if kind == ELLIPTIC:
-        return _elliptic_canonical(m) == _elliptic_canonical(n)
+        return (m.c > 0) == (n.c > 0)
     sm, wm, _ = rl_factorization(m)
     sn, wn, _ = rl_factorization(n)
-    return sm == sn and _min_rotation(wm) == _min_rotation(wn)
+    return sm == sn and _cyclic_runs(wm) == _cyclic_runs(wn)

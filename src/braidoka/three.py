@@ -253,6 +253,8 @@ def zero_entropy_commutator_scan(maxlen: int) -> CommutatorScanReport:
     because theta mod 2 induces S_3 = SL(2,F_2) on the quotient by the pure
     braids.
     """
+    if maxlen < 0:
+        raise ValueError("maxlen must be >= 0")
     if maxlen > SCAN_MAXLEN:
         raise ResourceLimit(f"commutator scan is limited to maxlen <= {SCAN_MAXLEN}")
     words = _reduced_words3(maxlen)

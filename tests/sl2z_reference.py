@@ -1,0 +1,172 @@
+"""Reference SL(2,Z) conjugacy invariants for parity tests.
+
+These are the elliptic, parabolic and hyperbolic-word steps of
+`braidoka.sl2z` as they were before the closed-form class invariants and
+the run-length R/L words:
+
+* parabolic: a primitive fixed vector completed to a unimodular basis by the
+  extended Euclidean algorithm, then a checked conjugation to
+  sign * [[1, shear], [0, 1]];
+* elliptic: the fixed point walked into the standard fundamental domain in
+  exact rational arithmetic; the reduced matrix is the invariant;
+* hyperbolic: the nonnegative representative peeled one R or L letter at a
+  time, compared by the least rotation over all slices of the letter word.
+
+They share with the code under test only `SL2Matrix`, `matrix_class` and
+the Gauss reduction `_hyperbolic_nonneg`.  The letter peel takes time
+linear in the entries, so keep inputs small.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from braidoka.errors import InternalInconsistency, NotParabolic
+from braidoka.sl2z import (
+    CENTRAL_I,
+    CENTRAL_MINUS_I,
+    ELLIPTIC,
+    PARABOLIC,
+    S0,
+    SL2Matrix,
+    T,
+    _hyperbolic_nonneg,
+    matrix_class,
+)
+
+
+def _primitive(v1: int, v2: int) -> tuple[int, int]:
+    g = math.gcd(v1, v2)
+    return v1 // g, v2 // g
+
+
+def parabolic_normal_form(m: SL2Matrix) -> tuple[int, int]:
+    """(sign, shear): m is conjugate to sign * [[1, shear], [0, 1]].
+
+    The pair is a complete conjugacy invariant among parabolic and central
+    matrices.  Found by conjugating a primitive fixed vector to e_1.
+    """
+    cls = matrix_class(m).kind
+    if cls == CENTRAL_I:
+        return (1, 0)
+    if cls == CENTRAL_MINUS_I:
+        return (-1, 0)
+    if cls != PARABOLIC:
+        raise NotParabolic(f"{m} has trace {m.trace}")
+    sign = 1 if m.trace == 2 else -1
+    n = m if sign == 1 else m.neg()
+    p, q = n.a - 1, n.b
+    if p == 0 and q == 0:
+        p, q = n.c, n.d - 1
+    v1, v2 = _primitive(q, -p)
+    # complete (v1, v2) to a unimodular basis
+    g, x, y = _ext_gcd(v1, v2)
+    if g != 1:
+        raise InternalInconsistency("fixed vector not primitive")
+    conj = SL2Matrix(v1, -y, v2, x)
+    res = conj.inv() * n * conj
+    if not (res.a == 1 and res.d == 1 and res.c == 0):
+        raise InternalInconsistency(f"parabolic reduction failed: {res}")
+    return (sign, res.b)
+
+
+def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """g, x, y with a*x + b*y = g = gcd(a, b)."""
+    old_r, r = a, b
+    old_x, x = 1, 0
+    old_y, y = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, x = x, old_x - q * x
+        old_y, y = y, old_y - q * y
+    if old_r < 0:
+        old_r, old_x, old_y = -old_r, -old_x, -old_y
+    return old_r, old_x, old_y
+
+
+def _elliptic_canonical(m: SL2Matrix) -> SL2Matrix:
+    """Conjugate m so its fixed point lies in the standard fundamental domain.
+
+    The fixed point is x + iy with x = (a-d)/2c and y^2 = (4-t^2)/4c^2, both
+    exact rationals.  Reduction alternates Re-shifts into [-1/2, 1/2) with
+    inversions through the unit circle.  It lands on i or on the corner
+    -1/2 + i sqrt(3)/2 whose stabilizers are cyclic, hence abelian, so the
+    reduced matrix itself is a complete conjugacy invariant.
+    """
+    if abs(m.trace) >= 2:
+        raise ValueError("elliptic reduction needs |trace| < 2")
+    for _ in range(10_000):
+        if m.c == 0:
+            raise InternalInconsistency("elliptic matrix with c = 0")
+        x = Fraction(m.a - m.d, 2 * m.c)
+        y2 = Fraction(4 - m.trace**2, 4 * m.c * m.c)
+        n = (x + Fraction(1, 2)).__floor__()
+        if n:
+            shift = T ** (-n)
+            m = shift * m * shift.inv()
+            x -= n
+        if x * x + y2 < 1:
+            m = S0 * m * S0.inv()
+            continue
+        return m
+    raise InternalInconsistency("elliptic reduction did not terminate")
+
+
+def _peel_rl(m: SL2Matrix) -> tuple[str, ...]:
+    """Factor a nonnegative matrix as the unique positive word in R and L."""
+    word: list[str] = []
+    a, b, c, d = m.entries()
+    while not (a == 1 and b == 0 and c == 0 and d == 1):
+        if a >= c and b >= d:
+            word.append("R")
+            a, b = a - c, b - d
+        elif c >= a and d >= b:
+            word.append("L")
+            c, d = c - a, d - b
+        else:
+            raise InternalInconsistency("nonnegative peeling got stuck")
+        if a < 0 or b < 0 or c < 0 or d < 0:
+            raise InternalInconsistency("peeling left the nonnegative cone")
+    return tuple(word)
+
+
+def _min_rotation(word: tuple[str, ...]) -> tuple[str, ...]:
+    if not word:
+        return word
+    doubled = word + word
+    return min(doubled[i:i + len(word)] for i in range(len(word)))
+
+
+def rl_factorization(m: SL2Matrix) -> tuple[int, tuple[str, ...], SL2Matrix]:
+    """(sign, word, witness): sign*m is conjugate to witness, the product of
+    the R/L word.  Requires |trace| > 2."""
+    if abs(m.trace) <= 2:
+        raise ValueError("R/L factorization needs |trace| > 2")
+    sign = 1 if m.trace > 0 else -1
+    w = m if sign == 1 else m.neg()
+    nonneg = _hyperbolic_nonneg(w)
+    word = _peel_rl(nonneg)
+    if "R" not in word or "L" not in word:
+        raise InternalInconsistency("hyperbolic word must use both letters")
+    return sign, word, nonneg
+
+
+def sl2z_conjugate(m: SL2Matrix, n: SL2Matrix) -> bool:
+    """Conjugacy in SL(2,Z)."""
+    if m.trace != n.trace:
+        return False
+    km, kn = matrix_class(m), matrix_class(n)
+    if km != kn:
+        return False
+    kind = km.kind
+    if kind in (CENTRAL_I, CENTRAL_MINUS_I):
+        return m == n
+    if kind == PARABOLIC:
+        return parabolic_normal_form(m) == parabolic_normal_form(n)
+    if kind == ELLIPTIC:
+        return _elliptic_canonical(m) == _elliptic_canonical(n)
+    sm, wm, _ = rl_factorization(m)
+    sn, wn, _ = rl_factorization(n)
+    return sm == sn and _min_rotation(wm) == _min_rotation(wn)

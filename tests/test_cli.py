@@ -144,6 +144,22 @@ def test_lattice_branch_path_csv(capsys):
     assert len(lines) == 5
 
 
+def test_lattice_branch_path_steps_rejected(capsys):
+    for steps in ("0", "-1"):
+        code = main(["lattice-branch", "--tau", "0,1", "--path-end", "0,2",
+                     "--path-steps", steps])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert json.loads(captured.err)["errorType"] == "ValueError"
+
+
+def test_scan_commutators_negative_maxlen(capsys):
+    code = main(["scan-commutators", "--maxlen", "-2"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert json.loads(captured.err)["errorType"] == "ValueError"
+
+
 def test_out_file(tmp_path, capsys):
     out = tmp_path / "result.json"
     code, _ = run(capsys, "classify", "--braid", "1 2", "--out", str(out))

@@ -25,6 +25,7 @@ from braidoka.sl2z import (
     sl2z_conjugate,
     theta,
 )
+import sl2z_reference
 
 
 def w3(text):
@@ -217,25 +218,96 @@ class TestConjugacy:
         assert sl2z_conjugate(m, g * m * g.inv())
         assert time.perf_counter() - t0 < 0.5
 
+    @pytest.mark.parametrize("k", [10**6, 10**100], ids=["1e6", "1e100"])
+    def test_long_run_budget(self, k):
+        # R^k L peels as two runs of one division each; peeling one letter
+        # at a time takes time linear in k
+        m = R**k * L
+        g = theta(w3("1 2 -1 -1 2 1 1 1 -2 -2 1")) * T**7
+        t0 = time.perf_counter()
+        assert sl2z_conjugate(m, g * m * g.inv())
+        assert not sl2z_conjugate(m, R ** (k // 2) * L**2)  # same trace
+        assert time.perf_counter() - t0 < 0.1
+
+
+class TestReferenceParity:
+    """The closed-form invariants against the enumeration in sl2z_reference."""
+
+    @staticmethod
+    def images(seed=7, count=300):
+        # theta images of words of at most 40 letters, half of them u c u^-1
+        # with a core c of at most 6 letters so that every class type occurs,
+        # each with its conjugates by a 200-letter word and by T^(10^12)
+        rng = random.Random(seed)
+
+        def word(n):
+            return BraidWord(3, tuple(rng.choice((1, -1, 2, -2)) for _ in range(n)))
+
+        shift = T ** 10**12
+        out = []
+        for i in range(count):
+            if i % 2:
+                u = word(rng.randint(0, 17))
+                m = theta(u * word(rng.randint(0, 6)) * u.inv())
+            else:
+                m = theta(word(rng.randint(0, 40)))
+            g = theta(word(200))
+            out.append((m, g * m * g.inv(), shift * m * shift.inv()))
+        return out
+
+    def test_parabolic_normal_form(self):
+        seen = 0
+        for triple in self.images():
+            if matrix_class(triple[0]).kind not in (PARABOLIC, CENTRAL_I, CENTRAL_MINUS_I):
+                continue
+            seen += 1
+            ref = sl2z_reference.parabolic_normal_form(triple[0])
+            for m in triple:
+                assert parabolic_normal_form(m) == ref, m
+        assert seen >= 20
+
+    @pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+    def test_conjugacy(self, kind):
+        # pairs of images of one kind and one trace; inverses and negatives
+        # add same-trace pairs in other classes
+        rng = random.Random(11)
+        by_trace = {}
+        for triple in self.images():
+            if matrix_class(triple[0]).kind != kind:
+                continue
+            for m in triple + (triple[0].inv(), triple[0].neg()):
+                by_trace.setdefault(m.trace, []).append(m)
+        answers = set()
+        for pool in by_trace.values():
+            for m in pool:
+                for n in rng.sample(pool, min(len(pool), 4)):
+                    got = sl2z_conjugate(m, n)
+                    assert got == sl2z_reference.sl2z_conjugate(m, n), (m, n)
+                    answers.add(got)
+        assert answers == {True, False}
+
 
 class TestRLFactorization:
     def test_round_trip(self):
         for m in braid_matrices(5):
             if abs(m.trace) <= 2:
                 continue
-            sign, word, witness = rl_factorization(m)
+            sign, runs, witness = rl_factorization(m)
             prod = I
-            for letter in word:
-                prod = prod * (R if letter == "R" else L)
+            for letter, q in runs:
+                assert q >= 1
+                prod = prod * (R if letter == "R" else L) ** q
             assert prod == witness
-            assert "R" in word and "L" in word
+            # maximal runs alternate, so both letters occur
+            assert len(runs) >= 2
+            assert all(x[0] != y[0] for x, y in zip(runs, runs[1:]))
             target = m if sign == 1 else m.neg()
             assert sl2z_conjugate(witness, target)
 
     def test_negative_trace_sign(self):
         m = theta(w3("1 -2")).neg()
-        sign, word, _ = rl_factorization(m)
-        assert sign == -1 and word
+        sign, runs, _ = rl_factorization(m)
+        assert sign == -1 and runs
 
 
 def test_json_round_trip():

@@ -60,3 +60,8 @@ def test_limit_is_feasible():
     assert stats["violations"] == 0
     with pytest.raises(ResourceLimit):
         sweep3_stats(SWEEP3_MAXLEN + 1)
+
+
+def test_negative_maxlen_rejected():
+    with pytest.raises(ValueError):
+        sweep3_stats(-1)

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -121,6 +122,14 @@ class TestConj3:
     def test_rotation(self):
         assert conj3(w3("1 -2"), w3("-2 1"))
 
+    def test_long_power_budget(self):
+        # sigma_1^20000 maps to R^20000, one run of the R/L word
+        b = BraidWord(3, (1,) * 20000 + (-2,))
+        u = w3("2 1 -2 2 2 1 -1 -2 1 2 2")
+        t0 = time.perf_counter()
+        assert conj3(b, u * b * u.inv())
+        assert time.perf_counter() - t0 < 0.5
+
     def test_against_brute_force(self):
         # all pairs of words of length <= 4, conjugators of length <= 6
         words = list(enumerate_words(3, 4, include_identity=True))
@@ -182,6 +191,10 @@ class TestCommutatorScan:
     def test_resource_guard(self):
         with pytest.raises(ResourceLimit):
             zero_entropy_commutator_scan(11)
+
+    def test_negative_maxlen_rejected(self):
+        with pytest.raises(ValueError):
+            zero_entropy_commutator_scan(-1)
 
     def test_limit_is_feasible(self):
         # the bound itself runs in about 0.5 s on a 2-core VM (Python 3.11),
