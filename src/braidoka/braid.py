@@ -307,9 +307,6 @@ class GarsideNormalForm:
     def is_trivial(self) -> bool:
         return self.power == 0 and not self.factors
 
-    def factor_images(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(f.images for f in self.factors)
-
     def to_braid_word(self) -> BraidWord:
         letters: list[int] = []
         d = delta(self.strands).letters

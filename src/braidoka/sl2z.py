@@ -13,11 +13,13 @@ closed form:
   c x^2 + (d-a) xy - b y^2 is definite of discriminant -3 or -4, where each
   sign has a single proper class (class number 1), and its sign is that
   of c;
-* hyperbolic: Gauss reduction of the integral fixed-point form (tracked as
-  explicit matrix conjugations) to a nonnegative representative, whose
-  unique positive word in R = [[1,1],[0,1]] and L = [[1,0],[1,1]] is read
-  off one whole run per division, as in Euclid's algorithm; the cyclic run
-  word up to rotation together with the trace sign is a complete invariant.
+* hyperbolic: the continued fraction of the attracting fixed point
+  (P + sqrt D)/Q, run in integers on the pair (P, Q).  Its first reduced
+  complete quotient at an even index starts a pure period; the period's
+  partial quotients, read as runs R^k0 L^k1 ... in R = [[1,1],[0,1]] and
+  L = [[1,0],[1,1]], form the primitive word W with sign*M ~ W^j.  The sign
+  and W up to rotation are a complete invariant among matrices of one
+  trace, and the loop takes a few steps per bit of the entries.
 """
 
 from __future__ import annotations
@@ -77,9 +79,6 @@ class SL2Matrix:
                 base = base * base
         return result
 
-    def conjugated_by(self, g: "SL2Matrix") -> "SL2Matrix":
-        return g * self * g.inv()
-
     def to_json(self) -> list[list[int]]:
         return [[self.a, self.b], [self.c, self.d]]
 
@@ -98,7 +97,6 @@ A = SL2Matrix(1, 1, 0, 1)        # theta(sigma_1)
 B = SL2Matrix(1, 0, -1, 1)       # theta(sigma_2)
 R = SL2Matrix(1, 1, 0, 1)
 L = SL2Matrix(1, 0, 1, 1)
-S0 = SL2Matrix(0, -1, 1, 0)      # order 4, fixes i
 T = SL2Matrix(1, 1, 0, 1)
 
 
@@ -167,112 +165,42 @@ def parabolic_normal_form(m: SL2Matrix) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# hyperbolic: form reduction and the R/L cyclic word
+# hyperbolic: the continued fraction of the attracting fixed point
 # ---------------------------------------------------------------------------
 
 
-def _form_of(m: SL2Matrix) -> tuple[int, int, int]:
-    """The integral fixed-point form (A, B, C) = (c, d-a, -b) of m.
+def _period_runs(m: SL2Matrix) -> tuple[tuple[str, int], ...]:
+    """The primitive cyclic R/L word of m (trace >= 3), run-length encoded.
 
-    Its roots are the fixed points of m on the boundary; conjugating m by g
-    substitutes g^-1 into the form, so form reduction steps can be realized
-    as matrix conjugations.
+    The attracting fixed point of m is x = (P + sqrt D)/Q with P = a - d,
+    Q = 2c and D = t^2 - 4.  Its complete quotients (P_n + sqrt D)/Q_n
+    follow P' = kQ - P and Q' = Q_prev + k(P - P'), with Q_prev = 2b at the
+    start and k the floor of the quotient.  From the first reduced one
+    (0 < P <= r < P + Q, Q <= r + P, r = isqrt D) at an even index the
+    expansion is purely periodic; the partial quotients of one period of
+    even length, read as R^k0 L^k1 ..., are the primitive word W with
+    m ~ W^j.  An SL(2,Z) conjugation shifts the expansion by an even
+    number of places, so the word up to rotation is a class invariant.
     """
-    return (m.c, m.d - m.a, -m.b)
-
-
-def _is_reduced_form(f: tuple[int, int, int], sq: int) -> bool:
-    a, b, _ = f
-    return 1 <= b <= sq and b + 2 * abs(a) >= sq + 1 and 2 * abs(a) <= b + sq
-
-
-def _hyperbolic_nonneg(m: SL2Matrix) -> SL2Matrix:
-    """A conjugate of m (trace >= 3) with all entries nonnegative.
-
-    Gauss reduction of the fixed-point form, each step applied to the matrix
-    itself; a reduced indefinite form has A*C < 0, which makes the matrix or
-    its S0-conjugate entrywise nonnegative.
-    """
-    t = m.trace
-    if t < 3:
-        raise ValueError("expected trace >= 3")
-    d = t * t - 4
-    sq = math.isqrt(d)
-    if sq * sq == d:
-        raise InternalInconsistency("t^2 - 4 cannot be a perfect square")
-
-    for _ in range(10_000):
-        f = _form_of(m)
-        if _is_reduced_form(f, sq):
-            break
-        # step: swap (x,y) -> (-y,x), i.e. conjugate by S0, then translate
-        m = S0.inv() * m * S0
-        fa2, fb2, _ = _form_of(m)
-        # normalize: bring B into the window by x -> x + k y, matrix conj by T^-k
-        if fa2 == 0:
-            raise InternalInconsistency("degenerate form during reduction")
-        if abs(fa2) > sq:
-            target_low = -abs(fa2)  # window (-|A|, |A|]
-        else:
-            target_low = sq - 2 * abs(fa2)  # window (sq - 2|A|, sq]
-        width = 2 * abs(fa2)
-        # choose k with fb2 + 2*fa2*k in (target_low, target_low + width]
-        step = 1 if fa2 > 0 else -1
-        k = (target_low + width - fb2) // (2 * fa2)
-        while fb2 + 2 * fa2 * k > target_low + width:
-            k -= step
-        while fb2 + 2 * fa2 * k <= target_low:
-            k += step
-        g = T ** (-k)
-        m = g * m * g.inv()
-    else:
-        raise InternalInconsistency("form reduction did not terminate")
-
-    f = _form_of(m)
-    if f[0] < 0:
-        m = S0 * m * S0.inv()
-        f = _form_of(m)
-    if not (m.a >= 0 and m.b >= 0 and m.c >= 0 and m.d >= 0):
-        raise InternalInconsistency(f"reduced matrix not nonnegative: {m}")
-    return m
-
-
-def _run_length(x: int, y: int, u: int, v: int) -> int:
-    """The largest q with x - q*u >= 0 and y - q*v >= 0; a zero divisor sets
-    no limit (u and v are nonnegative, not both zero)."""
-    if not u:
-        return y // v
-    if not v:
-        return x // u
-    return min(x // u, y // v)
-
-
-def _peel_rl(m: SL2Matrix) -> tuple[tuple[str, int], ...]:
-    """Factor a nonnegative matrix as the unique positive word in R and L,
-    run-length encoded: R^q peels off as [[a - q*c, b - q*d], [c, d]] with
-    q as large as keeps it nonnegative, and L^q likewise."""
-    runs: list[tuple[str, int]] = []
     a, b, c, d = m.entries()
-    while not (a == 1 and b == 0 and c == 0 and d == 1):
-        if a >= c and b >= d:
-            q = _run_length(a, b, c, d)
-            runs.append(("R", q))
-            a, b = a - q * c, b - q * d
-        elif c >= a and d >= b:
-            q = _run_length(c, d, a, b)
-            runs.append(("L", q))
-            c, d = c - q * a, d - q * b
-        else:
-            raise InternalInconsistency("nonnegative peeling got stuck")
-    return tuple(runs)
-
-
-def _cyclic_runs(runs: tuple[tuple[str, int], ...]) -> tuple[tuple[str, int], ...]:
-    """The least rotation of the cyclic run word, the first and last runs
-    merged when they share a letter."""
-    if runs[0][0] == runs[-1][0]:
-        runs = ((runs[0][0], runs[0][1] + runs[-1][1]),) + runs[1:-1]
-    return _min_rotation(runs)
+    r = math.isqrt((a + d) ** 2 - 4)
+    p, q, q_prev = a - d, 2 * c, 2 * b
+    # about 0.72 steps per bit of c before the expansion turns periodic and
+    # at most log_phi(t) partial quotients in the word
+    limit = 4 * max(abs(a), abs(b), abs(c), abs(d)).bit_length() + 16
+    start: Optional[tuple[int, int]] = None
+    period: list[int] = []
+    for n in range(limit):
+        if start is None and not n % 2 and 0 < p <= r < p + q and q <= r + p:
+            start = (p, q)
+        k = (p + r) // q if q > 0 else (p + r + 1) // q
+        p_next = k * q - p
+        p, q, q_prev = p_next, q_prev + k * (p - p_next), q
+        if start is not None:
+            period.append(k)
+            if not len(period) % 2 and (p, q) == start:
+                return tuple(zip(("R", "L") * (len(period) // 2), period))
+    raise InternalInconsistency(f"no period within {limit} partial quotients of {m}")
 
 
 def rl_factorization(
@@ -284,12 +212,16 @@ def rl_factorization(
     if abs(m.trace) <= 2:
         raise ValueError("R/L factorization needs |trace| > 2")
     sign = 1 if m.trace > 0 else -1
-    w = m if sign == 1 else m.neg()
-    nonneg = _hyperbolic_nonneg(w)
-    runs = _peel_rl(nonneg)
-    if len(runs) < 2:
-        raise InternalInconsistency("hyperbolic word must use both letters")
-    return sign, runs, nonneg
+    period = _period_runs(m if sign == 1 else m.neg())
+    root = I
+    for letter, q in period:
+        root = root * (SL2Matrix(1, q, 0, 1) if letter == "R" else SL2Matrix(1, 0, q, 1))
+    runs, witness = period, root
+    while witness.trace < abs(m.trace):
+        runs, witness = runs + period, witness * root
+    if witness.trace != abs(m.trace):
+        raise InternalInconsistency(f"no power of the period word has trace {m.trace}")
+    return sign, runs, witness
 
 
 def sl2z_conjugate(m: SL2Matrix, n: SL2Matrix) -> bool:
@@ -306,6 +238,7 @@ def sl2z_conjugate(m: SL2Matrix, n: SL2Matrix) -> bool:
         return parabolic_normal_form(m) == parabolic_normal_form(n)
     if kind == ELLIPTIC:
         return (m.c > 0) == (n.c > 0)
-    sm, wm, _ = rl_factorization(m)
-    sn, wn, _ = rl_factorization(n)
-    return sm == sn and _cyclic_runs(wm) == _cyclic_runs(wn)
+    # equal traces fix the sign and the power of the primitive word
+    if m.trace < 0:
+        m, n = m.neg(), n.neg()
+    return _min_rotation(_period_runs(m)) == _min_rotation(_period_runs(n))

@@ -57,7 +57,7 @@ def log_spectral_radius(trace: int) -> float:
     if t < 10**8:
         return math.log((t + math.sqrt(t * t - 4)) / 2)
     # for huge traces sqrt(t^2-4) ~ t: split the log to avoid overflow
-    return math.log(t) + math.log1p(math.sqrt(max(0.0, 1.0 - 4.0 / (t * t)))) - math.log(2)
+    return math.log(t) + math.log1p(math.sqrt(max(0.0, 1.0 - 4 / (t * t)))) - math.log(2)
 
 
 @dataclasses.dataclass(frozen=True)

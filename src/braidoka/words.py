@@ -99,9 +99,6 @@ class FreeWord:
             for _ in range(abs(exp)):
                 yield (gen, sign)
 
-    def generators(self) -> set[int]:
-        return {g for g, _ in self.blocks}
-
     def text(self, prefix: str = "a") -> str:
         parts = []
         for gen, exp in self.blocks:
@@ -125,36 +122,31 @@ class FreeWord:
         base = self if n > 0 else self.inv()
         return FreeWord(base.blocks * abs(n))
 
-    def conjugated_by(self, c: "FreeWord") -> "FreeWord":
-        """c * self * c^-1."""
-        return c * self * c.inv()
-
 
 def commutator(u: FreeWord, v: FreeWord) -> FreeWord:
     return u * v * u.inv() * v.inv()
 
 
-def reduce(w: FreeWord) -> FreeWord:
-    """The unique reduced representative.
-
-    FreeWord values are reduced on construction, so this is the identity
-    map on the type; it exists so callers holding raw block data can funnel
-    it through one entry point.
-    """
-    return FreeWord(w.blocks)
-
-
 def _min_rotation(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    if not letters:
-        return letters
+    """The lexicographically least rotation, by Booth's algorithm: a
+    failure function over the doubled sequence, linear in its length."""
     doubled = letters + letters
-    n = len(letters)
-    best = letters
-    for i in range(1, n):
-        cand = doubled[i:i + n]
-        if cand < best:
-            best = cand
-    return best
+    fail = [-1] * len(doubled)
+    k = 0  # start of the least rotation found so far
+    for j in range(1, len(doubled)):
+        x = doubled[j]
+        i = fail[j - k - 1]
+        while i != -1 and x != doubled[k + i + 1]:
+            if x < doubled[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if i == -1 and x != doubled[k]:
+            if x < doubled[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return doubled[k:k + len(letters)]
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -1,20 +1,22 @@
 """Reference SL(2,Z) conjugacy invariants for parity tests.
 
-These are the elliptic, parabolic and hyperbolic-word steps of
-`braidoka.sl2z` as they were before the closed-form class invariants and
-the run-length R/L words:
+These are the elliptic, parabolic and hyperbolic steps of `braidoka.sl2z`
+as they were before the closed-form class invariants and the continued
+fraction of the fixed point:
 
 * parabolic: a primitive fixed vector completed to a unimodular basis by the
   extended Euclidean algorithm, then a checked conjugation to
   sign * [[1, shear], [0, 1]];
 * elliptic: the fixed point walked into the standard fundamental domain in
   exact rational arithmetic; the reduced matrix is the invariant;
-* hyperbolic: the nonnegative representative peeled one R or L letter at a
-  time, compared by the least rotation over all slices of the letter word.
+* hyperbolic: Gauss reduction of the fixed-point form, applied to the
+  matrix as conjugations by S0 and T^-k, to a nonnegative representative,
+  which is peeled one R or L letter at a time and compared by the least
+  rotation over all slices of the letter word.
 
 They share with the code under test only `SL2Matrix`, `matrix_class` and
-the Gauss reduction `_hyperbolic_nonneg`.  The letter peel takes time
-linear in the entries, so keep inputs small.
+the constants.  The letter peel takes time linear in the entries, so keep
+inputs small.
 """
 
 from __future__ import annotations
@@ -28,12 +30,12 @@ from braidoka.sl2z import (
     CENTRAL_MINUS_I,
     ELLIPTIC,
     PARABOLIC,
-    S0,
     SL2Matrix,
     T,
-    _hyperbolic_nonneg,
     matrix_class,
 )
+
+S0 = SL2Matrix(0, -1, 1, 0)      # order 4, fixes i
 
 
 def _primitive(v1: int, v2: int) -> tuple[int, int]:
@@ -112,6 +114,72 @@ def _elliptic_canonical(m: SL2Matrix) -> SL2Matrix:
             continue
         return m
     raise InternalInconsistency("elliptic reduction did not terminate")
+
+
+def _form_of(m: SL2Matrix) -> tuple[int, int, int]:
+    """The integral fixed-point form (A, B, C) = (c, d-a, -b) of m.
+
+    Its roots are the fixed points of m on the boundary; conjugating m by g
+    substitutes g^-1 into the form, so form reduction steps can be realized
+    as matrix conjugations.
+    """
+    return (m.c, m.d - m.a, -m.b)
+
+
+def _is_reduced_form(f: tuple[int, int, int], sq: int) -> bool:
+    a, b, _ = f
+    return 1 <= b <= sq and b + 2 * abs(a) >= sq + 1 and 2 * abs(a) <= b + sq
+
+
+def _hyperbolic_nonneg(m: SL2Matrix) -> SL2Matrix:
+    """A conjugate of m (trace >= 3) with all entries nonnegative.
+
+    Gauss reduction of the fixed-point form, each step applied to the matrix
+    itself; a reduced indefinite form has A*C < 0, which makes the matrix or
+    its S0-conjugate entrywise nonnegative.
+    """
+    t = m.trace
+    if t < 3:
+        raise ValueError("expected trace >= 3")
+    d = t * t - 4
+    sq = math.isqrt(d)
+    if sq * sq == d:
+        raise InternalInconsistency("t^2 - 4 cannot be a perfect square")
+
+    for _ in range(10_000):
+        f = _form_of(m)
+        if _is_reduced_form(f, sq):
+            break
+        # step: swap (x,y) -> (-y,x), i.e. conjugate by S0, then translate
+        m = S0.inv() * m * S0
+        fa2, fb2, _ = _form_of(m)
+        # normalize: bring B into the window by x -> x + k y, matrix conj by T^-k
+        if fa2 == 0:
+            raise InternalInconsistency("degenerate form during reduction")
+        if abs(fa2) > sq:
+            target_low = -abs(fa2)  # window (-|A|, |A|]
+        else:
+            target_low = sq - 2 * abs(fa2)  # window (sq - 2|A|, sq]
+        width = 2 * abs(fa2)
+        # choose k with fb2 + 2*fa2*k in (target_low, target_low + width]
+        step = 1 if fa2 > 0 else -1
+        k = (target_low + width - fb2) // (2 * fa2)
+        while fb2 + 2 * fa2 * k > target_low + width:
+            k -= step
+        while fb2 + 2 * fa2 * k <= target_low:
+            k += step
+        g = T ** (-k)
+        m = g * m * g.inv()
+    else:
+        raise InternalInconsistency("form reduction did not terminate")
+
+    f = _form_of(m)
+    if f[0] < 0:
+        m = S0 * m * S0.inv()
+        f = _form_of(m)
+    if not (m.a >= 0 and m.b >= 0 and m.c >= 0 and m.d >= 0):
+        raise InternalInconsistency(f"reduced matrix not nonnegative: {m}")
+    return m
 
 
 def _peel_rl(m: SL2Matrix) -> tuple[str, ...]:

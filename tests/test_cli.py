@@ -24,6 +24,13 @@ def test_classify(capsys):
     assert payload["schema"] == "1"
 
 
+def test_classify_trace_beyond_float_range(capsys):
+    code, payload = run(capsys, "classify", "--braid", " ".join(["1 -2"] * 400))
+    assert code == 0
+    assert payload["kind"] == "pseudoAnosov" and payload["trace"] > 10**154
+    assert abs(payload["entropy"] - 800 * math.log((1 + math.sqrt(5)) / 2)) < 1e-9
+
+
 def test_entropy_and_module(capsys):
     code, payload = run(capsys, "entropy", "--braid", "-2 -2 -2 -2 -2 -2 1 2 1 1 2 1")
     assert code == 0 and payload["entropy"] == 0.0

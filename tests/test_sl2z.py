@@ -220,14 +220,28 @@ class TestConjugacy:
 
     @pytest.mark.parametrize("k", [10**6, 10**100], ids=["1e6", "1e100"])
     def test_long_run_budget(self, k):
-        # R^k L peels as two runs of one division each; peeling one letter
-        # at a time takes time linear in k
+        # the fixed point of R^k L has the period (k, 1), one division per
+        # partial quotient; peeling one letter at a time takes time linear
+        # in k
         m = R**k * L
         g = theta(w3("1 2 -1 -1 2 1 1 1 -2 -2 1")) * T**7
         t0 = time.perf_counter()
         assert sl2z_conjugate(m, g * m * g.inv())
         assert not sl2z_conjugate(m, R ** (k // 2) * L**2)  # same trace
         assert time.perf_counter() - t0 < 0.1
+
+    def test_high_power_of_primitive_word(self):
+        # (sigma_1 sigma_2^-1)^1000 maps to (RL)^1000: one period of two
+        # runs repeated 1000 times; (R^2 L)^500 and (R L^2)^500 share a
+        # trace but not a class
+        m = theta(w3("1 -2") ** 1000)
+        g = theta(w3("1 2 -1 -1 2 1 1 1 -2 -2 1") ** 3)
+        t0 = time.perf_counter()
+        assert sl2z_conjugate(m, g * m * g.inv())
+        assert rl_factorization(g * m * g.inv()) == (1, (("R", 1), ("L", 1)) * 1000, m)
+        p, q = (R**2 * L) ** 500, (R * L**2) ** 500
+        assert p.trace == q.trace and not sl2z_conjugate(g * p * g.inv(), q)
+        assert time.perf_counter() - t0 < 0.5
 
 
 class TestReferenceParity:

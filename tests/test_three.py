@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from braidoka.braid import BraidWord, delta, enumerate_words, exponent_sum, permutation
 from braidoka.errors import ResourceLimit, WrongStrandCount
-from braidoka.sl2z import matrix_class, theta, PARABOLIC
+from braidoka.sl2z import matrix_class, sl2z_conjugate, theta, PARABOLIC
 from braidoka.three import (
     MIN_PA_ENTROPY,
     PSEUDO_ANOSOV,
@@ -111,6 +111,14 @@ class TestEntropyModule:
         h = log_spectral_radius(t)
         assert abs(h - math.log(t)) < 1e-12
 
+    def test_trace_beyond_float_range(self):
+        # the trace of (sigma_1 sigma_2^-1)^800 is about 1e334, past the
+        # largest float; its entropy is 800 log(phi^2)
+        b = w3("1 -2") ** 800
+        expected = 1600 * math.log((1 + math.sqrt(5)) / 2)
+        assert abs(entropy3(b) / expected - 1) < 1e-12
+        assert classify3(b).kind == PSEUDO_ANOSOV
+
 
 class TestConj3:
     def test_generators_conjugate(self):
@@ -129,6 +137,17 @@ class TestConj3:
         t0 = time.perf_counter()
         assert conj3(b, u * b * u.inv())
         assert time.perf_counter() - t0 < 0.5
+
+    def test_long_conjugator_budget(self):
+        # a 24,001-letter conjugator puts about 24,000 partial quotients
+        # before the period of the fixed point
+        b, other = w3("1 1 -2"), w3("1 -2 -2")  # R^2 L and R L^2, trace 4
+        u = w3("1 -2") ** 12000 * w3("1")
+        t0 = time.perf_counter()
+        assert conj3(b, u * b * u.inv())
+        m, n = theta(u * b * u.inv()), theta(u * other * u.inv())
+        assert m.trace == n.trace and not sl2z_conjugate(m, n)
+        assert time.perf_counter() - t0 < 2.0
 
     def test_against_brute_force(self):
         # all pairs of words of length <= 4, conjugators of length <= 6
