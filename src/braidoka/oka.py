@@ -34,7 +34,10 @@ from .errors import (
 from .three import log_spectral_radius
 from .sl2z import theta  # noqa: F401  (kept in this namespace, see perfbench/test_perfbench.py)
 from .words import (
+    Block,
     FreeWord,
+    _core,
+    _inverse,
     commutator,
     is_conjugate_into_peripheral,
     primitive_root,
@@ -77,14 +80,21 @@ class SurfaceHom:
         for v in self.images.values():
             if self.target == TARGET_B3 and not isinstance(v, BraidWord):
                 raise ValueError("B3 target needs BraidWord images")
-            if self.target == TARGET_F2 and not isinstance(v, FreeWord):
-                raise ValueError("F2 target needs FreeWord images")
+            if self.target == TARGET_F2:
+                if not isinstance(v, FreeWord):
+                    raise ValueError("F2 target needs FreeWord images")
+                extra = {g for g, _ in v.blocks} - {1, 2}
+                if extra:
+                    raise ValueError(f"F2 images use generators 1 and 2 only, got a{min(extra)}")
 
     def word_image(self, w: FreeWord) -> FreeWord:
-        out = FreeWord.identity()
+        """The image of w, reduced once: the image blocks of each block of
+        w (inverted for a negative exponent) are concatenated."""
+        blocks: list[Block] = []
         for gen, exp in w.blocks:
-            out = out * self.images[gen] ** exp
-        return out
+            image = self.images[gen].blocks
+            blocks.extend((image if exp > 0 else _inverse(image)) * abs(exp))
+        return FreeWord(tuple(blocks))
 
     @staticmethod
     def from_json(data: dict) -> "SurfaceHom":
@@ -250,10 +260,7 @@ class EPrimeSet:
 def hole_product_inverse(sig: SurfaceSignature) -> FreeWord:
     """For genus 0: the virtual generator e_m = (e_1 ... e_{m-1})^-1
     surrounding the last hole."""
-    prod = FreeWord.identity()
-    for j in range(1, sig.holes):
-        prod = prod * FreeWord.gen(j)
-    return prod.inv()
+    return FreeWord(tuple((j, -1) for j in range(sig.holes - 1, 0, -1)))
 
 
 def eprime_generate(sig: SurfaceSignature) -> EPrimeSet:
@@ -265,58 +272,55 @@ def eprime_generate(sig: SurfaceSignature) -> EPrimeSet:
     other generator, the hole-pattern words through the first handle, and
     for genus zero the pair and triple products of distinct generators.
     Ordered pairs and triples are taken in ascending generator order.
+    Each element is written down as a block tuple and reduced once.
     """
     g, m = sig.genus, sig.holes
     if (g, m) == (0, 1):
         raise DegenerateSignature("(0, 1) has trivial fundamental group")
     x = sig.free_rank
-    gens = {j: FreeWord.gen(j) for j in range(1, x + 1)}
-    items: list[tuple[FreeWord, str]] = []
+    items: list[tuple[tuple[Block, ...], str]] = []
 
     if g > 0:
         for j in range(1, g + 1):
-            items.append((gens[2 * j - 1], TAG_GENERATOR))
-            items.append((gens[2 * j], TAG_GENERATOR))
-            items.append((commutator(gens[2 * j - 1], gens[2 * j]), TAG_COMMUTATOR))
+            a, b = 2 * j - 1, 2 * j
+            items.append((((a, 1),), TAG_GENERATOR))
+            items.append((((b, 1),), TAG_GENERATOR))
+            items.append((((a, 1), (b, 1), (a, -1), (b, -1)), TAG_COMMUTATOR))
         for ell in range(1, m):
-            items.append((gens[2 * g + ell], TAG_GENERATOR))
+            items.append((((2 * g + ell, 1),), TAG_GENERATOR))
         handle_pairs = {(2 * j - 1, 2 * j) for j in range(1, g + 1)}
         for i, j in itertools.combinations(range(1, x + 1), 2):
             if (i, j) in handle_pairs:
                 continue
-            items.append((gens[i] * gens[j], TAG_PAIR))
+            items.append((((i, 1), (j, 1)), TAG_PAIR))
         for j in range(1, g + 1):
-            a, b = gens[2 * j - 1], gens[2 * j]
-            for other in range(1, x + 1):
-                if other in (2 * j - 1, 2 * j):
+            a, b = 2 * j - 1, 2 * j
+            for e in range(1, x + 1):
+                if e in (a, b):
                     continue
-                e = gens[other]
-                items.append((a ** 2 * b * e, TAG_HANDLE_MIX))
-                items.append((a ** 3 * b * e, TAG_HANDLE_MIX))
-                items.append((a * b ** 2 * e, TAG_HANDLE_MIX))
-                items.append((a * b ** 3 * e, TAG_HANDLE_MIX))
+                # a^2 b e, a^3 b e, a b^2 e, a b^3 e
+                for pa, pb in ((2, 1), (3, 1), (1, 2), (1, 3)):
+                    items.append((((a, pa), (b, pb), (e, 1)), TAG_HANDLE_MIX))
         if m > 2:
-            e1, e2 = gens[1], gens[2]
-            holes = list(range(2 * g + 1, 2 * g + m))
+            holes = range(2 * g + 1, 2 * g + m)
             for i, j in itertools.combinations(holes, 2):
-                ep, epp = gens[i], gens[j]
-                items.append((ep * e1 * ep * e2 * epp, TAG_HOLE_PATTERN))
+                items.append((((i, 1), (1, 1), (i, 1), (2, 1), (j, 1)), TAG_HOLE_PATTERN))
     else:
         if m == 2:
-            items.append((gens[1], TAG_GENERATOR))
+            items.append((((1, 1),), TAG_GENERATOR))
         else:
-            em = hole_product_inverse(sig)
-            base: list[FreeWord] = [gens[j] for j in range(1, m)] + [em]
+            base = [((j, 1),) for j in range(1, m)] + [hole_product_inverse(sig).blocks]
             for w in base:
                 items.append((w, TAG_GENERATOR))
             for i, j in itertools.combinations(range(m), 2):
-                items.append((base[i] * base[j], TAG_PAIR))
+                items.append((base[i] + base[j], TAG_PAIR))
             for i, j, k in itertools.combinations(range(m), 3):
-                items.append((base[i] * base[j] * base[k], TAG_TRIPLE))
+                items.append((base[i] + base[j] + base[k], TAG_TRIPLE))
 
     seen: set = set()
     unique: list[tuple[FreeWord, str]] = []
-    for w, tag in items:
+    for blocks, tag in items:
+        w = FreeWord(blocks)
         if w.blocks not in seen:
             seen.add(w.blocks)
             unique.append((w, tag))
@@ -390,63 +394,40 @@ class NotGO:
 GoSurfaceResult = Union[GOReducible, GOSphereHolomorphic, NotGOSphereAntiholomorphic, NotGO]
 
 
-def _find_conjugator(u: FreeWord, target: FreeWord) -> Optional[FreeWord]:
-    """Some c with c * u * c^-1 = target, or None; target cyclically reduced."""
-    lt = tuple(target.letters())
-    if lt and lt[0][0] == lt[-1][0] and lt[0][1] == -lt[-1][1]:
-        raise ValueError("target must be cyclically reduced")
-    raw = list(u.letters())
-    i, j = 0, len(raw)
-    while i < j - 1 and raw[i][0] == raw[j - 1][0] and raw[i][1] == -raw[j - 1][1]:
-        i += 1
-        j -= 1
-    p = FreeWord.from_letters(raw[:i])
-    core = tuple(raw[i:j])
-    if len(core) != len(lt):
-        return None
-    if not core:
-        return FreeWord.identity()
-    doubled = core + core
-    for o in range(len(core)):
-        if doubled[o:o + len(lt)] == lt:
-            pre = FreeWord.from_letters(core[:o])
-            return (p * pre).inv()
-    return None
+# the four sphere boundary patterns (t1, t2, t3 = (t1 t2)^-1): monodromy
+# triples around the three relevant holes, up to simultaneous conjugation
+# and cyclic rotation; t1 and t2 are letters of different generators
+_SPHERE_PATTERNS = (
+    ("holomorphic", (1, 1), (2, 1)),
+    ("holomorphic", (2, 1), (1, 1)),
+    ("antiholomorphic", (1, -1), (2, -1)),
+    ("antiholomorphic", (2, -1), (1, -1)),
+)
 
 
-def _common_conjugator_to(
-    u1: FreeWord, u2: FreeWord, t1: FreeWord, t2: FreeWord
-) -> Optional[FreeWord]:
-    """Some c with c u_i c^-1 = t_i for both i, or None.
+def _sphere_conjugator(
+    conj1: tuple[Block, ...], core1: tuple[Block, ...], u2: FreeWord, t1: Block, t2: Block
+) -> Optional[tuple[Block, ...]]:
+    """The blocks of the c with c u1 c^-1 = t1 and c u2 c^-1 = t2, or None, where
+    u1 = conj1 * core1 * conj1^-1 is split by `_core`.
 
-    Any solution for the first equation differs from a particular one by an
-    element of the centralizer of t1, which is the cyclic group on its
-    primitive root; the power is bounded by the word lengths, so a finite
-    sweep is complete.
+    The solutions of the first equation are t1^k c0 with c0 = conj1^-1 (the
+    centralizer of the letter t1 is generated by t1), and then
+    w2 = c0 u2 c0^-1 must equal t1^-k t2 t1^k.  As t1 and t2 are letters of
+    different generators, that word is reduced as written, so k, and with
+    it c, is read off the first block of w2.
     """
-    c0 = _find_conjugator(u1, t1)
-    if c0 is None:
+    if core1 != (t1,):
         return None
-    w2 = c0 * u2 * c0.inv()
-    rho, _ = primitive_root(t1)
-    bound = (w2.length() + t2.length()) // max(1, 2 * rho.length()) + 2
-    for s in range(-bound, bound + 1):
-        c = rho ** s * c0
-        if c * u2 * c.inv() == t2:
-            return c
+    c0 = _inverse(conj1)
+    w2 = FreeWord(c0 + u2.blocks + conj1).blocks
+    if w2 == (t2,):
+        return c0
+    g1 = t1[0]
+    if len(w2) == 3 and w2[1] == t2 and w2[0][0] == g1 and w2[2] == (g1, -w2[0][1]):
+        # w2 = t1^-k t2 t1^k with t1^-k = g1^x, so c = t1^k c0 = g1^-x c0
+        return ((g1, -w2[0][1]),) + c0
     return None
-
-
-# the four sphere boundary patterns: monodromy triples around the three
-# relevant holes, up to simultaneous conjugation and cyclic rotation
-def _sphere_patterns() -> list[tuple[str, tuple[FreeWord, FreeWord, FreeWord]]]:
-    a1, a2 = FreeWord.gen(1), FreeWord.gen(2)
-    return [
-        ("holomorphic", (a1, a2, (a1 * a2).inv())),
-        ("holomorphic", (a2, a1, (a2 * a1).inv())),
-        ("antiholomorphic", (a1.inv(), a2.inv(), a2 * a1)),
-        ("antiholomorphic", (a2.inv(), a1.inv(), a1 * a2)),
-    ]
 
 
 def go_surface_decide(hom: SurfaceHom) -> GoSurfaceResult:
@@ -468,13 +449,14 @@ def go_surface_decide(hom: SurfaceHom) -> GoSurfaceResult:
         if is_conjugate_into_peripheral(hom.word_image(e)) is None:
             return NotGO(e, "test element image is not a peripheral power")
 
-    gen_images = [hom.word_image(FreeWord.gen(j)) for j in range(1, sig.free_rank + 1)]
+    gen_images = [hom.images[j] for j in range(1, sig.free_rank + 1)]
     nontrivial = [w for w in gen_images if not w.is_identity()]
     if not nontrivial:
         return GOReducible(None, FreeWord.identity())
     roots = [primitive_root(w)[0] for w in nontrivial]
     r0 = roots[0]
-    if all(r == r0 or r == r0.inv() for r in roots):
+    r0_inv = _inverse(r0.blocks)
+    if all(r == r0 or r.blocks == r0_inv for r in roots):
         hit = is_conjugate_into_peripheral(r0)
         if hit is not None:
             return GOReducible(hit.peripheral, r0)
@@ -497,18 +479,20 @@ def go_surface_decide(hom: SurfaceHom) -> GoSurfaceResult:
             )
     indices = tuple(j for j, _ in live)
     us = [w for _, w in live]
-    prod = us[0] * us[1] * us[2]
-    if not prod.is_identity():
+    if FreeWord(us[0].blocks + us[1].blocks + us[2].blocks).blocks:
         raise InternalInconsistency("boundary monodromies must multiply to 1")
 
+    cores = [_core(u.blocks) for u in us]
     for rot in range(3):
         v = us[rot:] + us[:rot]
         idx = indices[rot:] + indices[:rot]
-        for orientation, (t1, t2, t3) in _sphere_patterns():
-            c = _common_conjugator_to(v[0], v[1], t1, t2)
+        conj1, core1 = cores[rot]
+        for orientation, t1, t2 in _SPHERE_PATTERNS:
+            c = _sphere_conjugator(conj1, core1, v[1], t1, t2)
             if c is None:
                 continue
-            if c * v[2] * c.inv() != t3:
+            t3 = ((t2[0], -t2[1]), (t1[0], -t1[1]))
+            if FreeWord(c + v[2].blocks + _inverse(c)).blocks != t3:
                 raise InternalInconsistency("pattern third element did not align")
             if orientation == "holomorphic":
                 return GOSphereHolomorphic(idx)

@@ -3,8 +3,11 @@
 Words are stored run-length encoded as (generator, signed exponent) blocks,
 which keeps reduction linear and matches the block shape of typical inputs
 like e2*e1^-2.  A FreeWord is always reduced; reduction happens on
-construction.  Conjugacy is decided through cyclically reduced cores, which
-are rotation classes of letter sequences.
+construction.  Cyclic reduction (`_core`) also works on blocks: it splits a
+word into a conjugator and a cyclically reduced core, both block sequences,
+without spelling out a letter.  Conjugacy, primitive roots, peripheral
+powers and powers read the core, so their cost follows the number of
+blocks, never the size of an exponent: a1^(10^9) costs what a1 costs.
 """
 
 from __future__ import annotations
@@ -46,6 +49,49 @@ def _merge_blocks(blocks: Iterable[Block]) -> tuple[Block, ...]:
     # merging can expose a new adjacent pair only at the merge point, which
     # the stack handles; a second pass is unnecessary.
     return tuple(out)
+
+
+def _inverse(blocks: tuple[Block, ...]) -> tuple[Block, ...]:
+    return tuple((g, -e) for g, e in reversed(blocks))
+
+
+def _core(blocks: tuple[Block, ...]) -> tuple[tuple[Block, ...], tuple[Block, ...]]:
+    """Split reduced blocks into (conjugator, core), both reduced, with
+    word = conjugator * core * conjugator^-1 and core cyclically reduced.
+
+    Each step cancels the end blocks when they are powers of one generator
+    with opposite signs.  Equal and opposite end blocks both go and the
+    reduction goes on; otherwise the shorter one is absorbed into the
+    longer one and the core is reached.  No letter is spelled out.
+    """
+    conj: list[Block] = []
+    i, j = 0, len(blocks)
+    while j - i > 1:
+        g, a = blocks[i]
+        h, b = blocks[j - 1]
+        if g != h or (a > 0) == (b > 0):
+            break
+        if a + b == 0:
+            conj.append((g, a))
+            i, j = i + 1, j - 1
+        elif abs(a) < abs(b):
+            # g^a X g^b = g^a (X g^(a+b)) g^-a
+            conj.append((g, a))
+            return tuple(conj), blocks[i + 1:j - 1] + ((g, a + b),)
+        else:
+            # g^a X g^b = g^-b (g^(a+b) X) g^b
+            conj.append((g, -b))
+            return tuple(conj), ((g, a + b),) + blocks[i + 1:j - 1]
+    return tuple(conj), blocks[i:j]
+
+
+def _cyclic_blocks(core: tuple[Block, ...]) -> tuple[Block, ...]:
+    """A core as a cyclic sequence of maximal runs: when its end blocks are
+    powers of one generator (then of one sign), the first block f is moved
+    onto the last one, which gives f^-1 * core * f."""
+    if len(core) > 1 and core[0][0] == core[-1][0]:
+        return core[1:-1] + ((core[0][0], core[0][1] + core[-1][1]),)
+    return core
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,13 +160,18 @@ class FreeWord:
         return FreeWord(self.blocks + other.blocks)
 
     def inv(self) -> "FreeWord":
-        return FreeWord(tuple((g, -e) for g, e in reversed(self.blocks)))
+        return FreeWord(_inverse(self.blocks))
 
     def __pow__(self, n: int) -> "FreeWord":
+        """conj * core^n * conj^-1; a one-block core takes one multiplication
+        of its exponent, whatever n is."""
         if n == 0:
             return FreeWord()
-        base = self if n > 0 else self.inv()
-        return FreeWord(base.blocks * abs(n))
+        conj, core = _core(self.blocks)
+        if n < 0:
+            core, n = _inverse(core), -n
+        middle = ((core[0][0], core[0][1] * n),) if len(core) == 1 else core * n
+        return FreeWord(conj + middle + _inverse(conj))
 
 
 def commutator(u: FreeWord, v: FreeWord) -> FreeWord:
@@ -192,43 +243,41 @@ class CyclicWord:
 
 
 def cyclic_reduce(w: FreeWord) -> tuple[FreeWord, CyclicWord]:
-    """Split w = conjugator * core * conjugator^-1 with core cyclically reduced."""
-    letters = list(w.letters())
-    i, j = 0, len(letters)
-    while i < j - 1:
-        g0, s0 = letters[i]
-        g1, s1 = letters[j - 1]
-        if g0 == g1 and s0 == -s1:
-            i += 1
-            j -= 1
-        else:
-            break
-    conjugator = FreeWord.from_letters(letters[:i])
-    core = CyclicWord(tuple(letters[i:j]))
-    return conjugator, core
+    """Split w = conjugator * core * conjugator^-1 with core cyclically
+    reduced.  The core is spelled out letter by letter."""
+    conj, core = _core(w.blocks)
+    return FreeWord(conj), CyclicWord(tuple(FreeWord(core).letters()))
 
 
 def free_conjugate(w1: FreeWord, w2: FreeWord) -> bool:
-    """True iff w1 and w2 are conjugate (cores are rotations of each other)."""
-    _, c1 = cyclic_reduce(w1)
-    _, c2 = cyclic_reduce(w2)
-    return c1.is_rotation_of(c2)
+    """True iff w1 and w2 are conjugate: the cyclic run sequences of their
+    cores are rotations of each other."""
+    r1 = _min_rotation(_cyclic_blocks(_core(w1.blocks)[1]))
+    return r1 == _min_rotation(_cyclic_blocks(_core(w2.blocks)[1]))
 
 
 def primitive_root(w: FreeWord) -> tuple[FreeWord, int]:
-    """Write w = root^power with root not a proper power, power >= 1."""
+    """Write w = root^power with root not a proper power, power >= 1.
+
+    A one-block core g^e has root g^(sign e).  Otherwise the cyclic run
+    sequence of the core repeats with a least period p (in blocks), and its
+    first p blocks, conjugated back, are the root; roots in a free group
+    are unique, so the rotation chosen does not matter.
+    """
     if w.is_identity():
         raise IdentityInput("the identity has no primitive root")
-    conj, core = cyclic_reduce(w)
-    letters = core.letters
-    n = len(letters)
+    conj, core = _core(w.blocks)
+    if len(core) == 1:
+        g, e = core[0]
+        return FreeWord(conj + ((g, 1 if e > 0 else -1),) + _inverse(conj)), abs(e)
+    if core[0][0] == core[-1][0]:
+        conj += core[:1]
+        core = _cyclic_blocks(core)
+    n = len(core)
     for p in range(1, n + 1):
-        if n % p:
-            continue
-        if all(letters[k] == letters[k % p] for k in range(n)):
-            root = conj * FreeWord.from_letters(letters[:p]) * conj.inv()
-            return root, n // p
-    raise AssertionError("unreachable: every word has period = its length")
+        if n % p == 0 and core[p:] == core[:n - p]:
+            return FreeWord(conj + core[:p] + _inverse(conj)), n // p
+    raise AssertionError("unreachable: every sequence has period = its length")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -243,34 +292,29 @@ class PeripheralPower:
 def is_conjugate_into_peripheral(w: FreeWord) -> Optional[PeripheralPower]:
     """Match w against conjugates of powers of a1, a2, (a1 a2)^-1.
 
-    Works on the cyclically reduced core: single-generator cores are powers
-    of a1 or a2; alternating all-negative cores of even length are powers of
-    (a1 a2)^-1, alternating all-positive ones are its negative powers.
-    Mixed-sign or non-alternating cores are never peripheral.
+    Works on the cyclically reduced core: a one-block core (1, e) or (2, e)
+    is a1^e or a2^e.  A longer core is a power of (a1 a2)^-1 when every
+    block is a single letter a1^s or a2^s of one sign s (then the
+    generators alternate) and its end generators differ (so the alternation
+    closes up): s = -1 gives positive powers, s = 1 negative ones.  Any
+    other core is never peripheral.
     """
-    _, core = cyclic_reduce(w)
-    letters = core.letters
-    if not letters:
+    _, core = _core(w.blocks)
+    if not core:
         return PeripheralPower(None, 0, trivial=True)
-    gens = {g for g, _ in letters}
-    if not gens <= {1, 2}:
+    if len(core) == 1:
+        g, e = core[0]
+        if g == 1:
+            return PeripheralPower(PERIPHERAL_A1, e)
+        if g == 2:
+            return PeripheralPower(PERIPHERAL_A2, e)
         return None
-    signs = {s for _, s in letters}
-    if len(signs) > 1:
+    sign = core[0][1]
+    if sign not in (1, -1) or core[0][0] == core[-1][0]:
         return None
-    sign = signs.pop()
-    n = len(letters)
-    if gens == {1}:
-        return PeripheralPower(PERIPHERAL_A1, sign * n)
-    if gens == {2}:
-        return PeripheralPower(PERIPHERAL_A2, sign * n)
-    # both generators present: must alternate strictly
-    if n % 2:
+    if not set(core) <= {(1, sign), (2, sign)}:
         return None
-    if any(letters[k][0] == letters[(k + 1) % n][0] for k in range(n)):
-        return None
-    # all-negative alternating = ((a1 a2)^-1)^(n/2); positive = its inverse
-    return PeripheralPower(PERIPHERAL_A1A2_INV, (n // 2) * (1 if sign < 0 else -1))
+    return PeripheralPower(PERIPHERAL_A1A2_INV, (len(core) // 2) * (1 if sign < 0 else -1))
 
 
 def peripheral_word(name: str, power: int = 1) -> FreeWord:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from braidoka.cli import main
@@ -120,6 +121,27 @@ def test_go_surface(tmp_path, capsys):
     path.write_text(json.dumps(hom))
     code, payload = run(capsys, "go-surface", "--hom", str(path))
     assert code == 2
+
+
+def test_go_surface_rejects_extra_generators(tmp_path, capsys):
+    hom = {"genus": 1, "holes": 1, "target": "F2", "images": {"e1": "a3", "e2": "a3^2"}}
+    path = tmp_path / "hom.json"
+    path.write_text(json.dumps(hom))
+    assert main(["go-surface", "--hom", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["errorType"] == "ValueError" and "a3" in err["error"]
+
+
+def test_go_surface_huge_exponents(tmp_path, capsys):
+    # spelling out the letters took 7.9 s at 10^6 and ran out of memory at 10^9
+    hom = {"genus": 1, "holes": 1, "target": "F2",
+           "images": {"e1": "a1^1000000000", "e2": "a1^-2000000000"}}
+    path = tmp_path / "hom.json"
+    path.write_text(json.dumps(hom))
+    t0 = time.perf_counter()
+    code, payload = run(capsys, "go-surface", "--hom", str(path))
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 0 and payload["verdict"] == "reducible" and payload["root"] == "a1"
 
 
 def test_eprime(capsys):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -36,6 +37,7 @@ from braidoka.oka import (
 )
 from braidoka.words import FreeWord, commutator, free_conjugate
 from e0_reference import oka3_decide_reference
+import go_reference
 
 a1, a2 = FreeWord.gen(1), FreeWord.gen(2)
 
@@ -122,9 +124,9 @@ class TestOka3:
         assert passing == 300
 
 
-def _outcome(decide, hom, mirrored):
+def _outcome(decide, *args):
     try:
-        return decide(hom, mirrored)
+        return decide(*args)
     except Exception as exc:  # the exception is part of the compared outcome
         return type(exc), str(exc)
 
@@ -209,10 +211,110 @@ class TestEPrime:
         em = hole_product_inverse(SurfaceSignature(0, 3))
         assert em == (FreeWord.gen(1) * FreeWord.gen(2)).inv()
 
+    def test_matches_reference(self):
+        # every element, tag and order, and the DegenerateSignature of (0, 1)
+        for g in range(0, 4):
+            for m in range(1, 7):
+                sig = SurfaceSignature(g, m)
+                got = _outcome(eprime_generate, sig)
+                assert got == _outcome(go_reference.eprime_generate, sig), (g, m)
+
     def test_simple_closed_curve_classes_are_nontrivial_for_positive_genus(self):
         ep = eprime_generate(SurfaceSignature(2, 2))
         for w, tag in ep.elements:
             assert not w.is_identity(), (w, tag)
+
+
+_PERIPHERALS = (a1, a2, (a1 * a2).inv())
+_PATTERNS = ((a1, a2), (a2, a1), (a1.inv(), a2.inv()), (a2.inv(), a1.inv()))
+
+
+def _random_f2(rng, maxlen):
+    return FreeWord.from_letters(
+        [(rng.randint(1, 2), rng.choice((1, -1))) for _ in range(rng.randint(0, maxlen))])
+
+
+def _constructed_f2_hom(rng, kind):
+    """An F2 monodromy built to be reducible (all images powers of one
+    conjugated peripheral), a sphere pattern (a conjugated boundary triple,
+    rotated, spread over the holes), or arbitrary (random words and
+    peripheral powers, mostly notGO)."""
+    if kind == "reducible":
+        g, m = rng.choice(((1, 1), (1, 2), (2, 1), (0, 2), (0, 3), (0, 4), (1, 3)))
+        c = _random_f2(rng, 4)
+        root = c * rng.choice(_PERIPHERALS) * c.inv()
+        images = {j: root ** rng.randint(-3, 3) for j in range(1, 2 * g + m)}
+    elif kind == "sphere":
+        g, m = 0, rng.randint(3, 6)
+        c = _random_f2(rng, 4)
+        t1, t2 = rng.choice(_PATTERNS)
+        triple = [c * t1 * c.inv(), c * t2 * c.inv(), c * (t1 * t2).inv() * c.inv()]
+        rot = rng.randrange(3)
+        triple = triple[rot:] + triple[:rot]
+        images = {j: FreeWord.identity() for j in range(1, m)}
+        # the last hole is the product inverse, so it carries the third word
+        for j, w in zip(sorted(rng.sample(range(1, m + 1), 3)), triple):
+            if j < m:
+                images[j] = w
+        if rng.random() < 0.2:
+            j = rng.randrange(1, m)
+            images[j] = images[j] ** rng.choice((-1, 2))
+    else:
+        g, m = rng.choice(((1, 1), (1, 2), (0, 3), (0, 4), (2, 1)))
+        images = {j: _random_f2(rng, 5) if rng.random() < 0.5
+                  else rng.choice(_PERIPHERALS) ** rng.randint(-2, 2)
+                  for j in range(1, 2 * g + m)}
+    return fhom(SurfaceSignature(g, m), images)
+
+
+class TestGoSurfaceParity:
+    """go_surface_decide on reduced blocks against the letter-level
+    reference of tests/go_reference.py."""
+
+    def test_matches_reference(self):
+        rng = random.Random(47)
+        seen = set()
+        for k in range(2400):
+            hom = _constructed_f2_hom(rng, ("reducible", "sphere", "notGO")[k % 3])
+            got = _outcome(go_surface_decide, hom)
+            ref = _outcome(go_reference.go_surface_decide, hom)
+            assert got == ref, hom
+            if not isinstance(got, tuple):
+                assert got.as_dict() == ref.as_dict(), hom
+                seen.add(got.as_dict()["verdict"])
+        assert seen == {"reducible", "sphereHolomorphic", "sphereAntiholomorphic", "notGO"}
+
+    def test_huge_exponents_budget(self):
+        # the letter-level decision took 7.9 s at 10^6 and ran out of memory
+        # at 10^9
+        n = 10**9
+        c = a2 * a1.inv()
+        cases = [
+            (SurfaceSignature(1, 1), {1: FreeWord.gen(1, n), 2: FreeWord.gen(1, 2 * n)}, "a1"),
+            (SurfaceSignature(0, 3), {1: c * FreeWord.gen(2, -n) * c.inv(),
+                                      2: c * FreeWord.gen(2, 3 * n) * c.inv()}, "a2"),
+        ]
+        for sig, images, peripheral in cases:
+            hom = fhom(sig, images)
+            best = float("inf")
+            for _ in range(3):
+                t0 = time.perf_counter()
+                r = go_surface_decide(hom)
+                best = min(best, time.perf_counter() - t0)
+            assert best < 0.01
+            assert isinstance(r, GOReducible) and r.peripheral == peripheral
+        r = go_surface_decide(fhom(SurfaceSignature(1, 1), {1: a1**n, 2: a2**n}))
+        assert isinstance(r, NotGO) and r.witness == commutator(a1, a2)
+
+    def test_extra_generators_rejected(self):
+        sig = SurfaceSignature(1, 1)
+        with pytest.raises(ValueError, match="a3"):
+            fhom(sig, {1: FreeWord.parse("a3"), 2: FreeWord.parse("a3^2")})
+        with pytest.raises(ValueError, match="a4"):
+            fhom(sig, {1: a1, 2: a2 * FreeWord.gen(4) * a1})
+        with pytest.raises(ValueError):
+            SurfaceHom.from_json({"genus": 0, "holes": 3, "target": "F2",
+                                  "images": {"e1": "a1", "e2": "a2 a5^-2"}})
 
 
 class TestGoSurface:

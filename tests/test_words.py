@@ -8,6 +8,7 @@ from braidoka.errors import IdentityInput
 from braidoka.words import (
     CyclicWord,
     FreeWord,
+    _core,
     _min_rotation,
     PERIPHERAL_A1,
     PERIPHERAL_A1A2_INV,
@@ -20,6 +21,7 @@ from braidoka.words import (
     primitive_root,
 )
 
+import go_reference
 from conftest import all_free_words, brute_force_free_conjugate
 
 a1 = FreeWord.gen(1)
@@ -65,6 +67,48 @@ class TestReduce:
         assert FreeWord.parse("e2^5") == FreeWord.gen(2, 5)
         with pytest.raises(ValueError):
             FreeWord.parse("b1")
+
+
+class TestPower:
+    @given(letters_strategy, st.integers(-5, 5))
+    def test_matches_repeated_product(self, letters, n):
+        w = word_from(letters)
+        expected = FreeWord.identity()
+        for _ in range(abs(n)):
+            expected = expected * (w if n > 0 else w.inv())
+        assert w**n == expected
+
+    def test_huge_power_of_conjugated_block(self):
+        # building blocks * n before merging took 2.3 s at n = 10^7
+        c = a2 * a1.inv()
+        t0 = time.perf_counter()
+        assert FreeWord.gen(1) ** 10**100 == FreeWord.gen(1, 10**100)
+        w = (c * a1**3 * c.inv()) ** -(10**100)
+        assert peripheral_word(PERIPHERAL_A2, 10**100) == FreeWord.gen(2, 10**100)
+        assert time.perf_counter() - t0 < 0.01
+        assert w == c * FreeWord.gen(1, -3 * 10**100) * c.inv()
+
+
+class TestCore:
+    @given(letters_strategy)
+    def test_splits_into_cyclically_reduced_core(self, letters):
+        w = word_from(letters)
+        conj, core = _core(w.blocks)
+        assert FreeWord(conj) * FreeWord(core) * FreeWord(conj).inv() == w
+        assert FreeWord(core).blocks == core and FreeWord(conj).blocks == conj
+        if len(core) > 1 and core[0][0] == core[-1][0]:
+            assert (core[0][1] > 0) == (core[-1][1] > 0)
+
+    def test_unequal_end_blocks(self):
+        # one end block is absorbed into the other, on either side
+        assert _core(((1, 3), (2, 1), (1, -1))) == (((1, 1),), ((1, 2), (2, 1)))
+        assert _core(((1, 1), (2, 1), (1, -3))) == (((1, 1),), ((2, 1), (1, -2)))
+        assert _core(((1, 2), (2, 5), (1, -2))) == (((1, 2),), ((2, 5),))
+
+    def test_huge_exponents_stay_blocks(self):
+        n = 10**9
+        w = FreeWord(((2, n), (1, 7), (2, 1 - n)))
+        assert _core(w.blocks) == (((2, n - 1),), ((2, 1), (1, 7)))
 
 
 class TestCyclicReduce:
@@ -173,6 +217,25 @@ class TestFreeConjugate:
         w, c = word_from(l1), word_from(l2)
         assert free_conjugate(w, c * w * c.inv())
 
+    @given(letters_strategy, letters_strategy)
+    def test_matches_letter_cores(self, l1, l2):
+        w1, w2 = word_from(l1), word_from(l2)
+        expected = go_reference.cyclic_reduce(w1)[1] == go_reference.cyclic_reduce(w2)[1]
+        assert free_conjugate(w1, w2) == expected
+
+    def test_huge_exponents_budget(self):
+        # spelling out the letters of the cores would need 10^9 entries
+        n = 10**9
+        u = FreeWord(((1, n), (2, -n), (1, 3), (3, 2)))
+        c = a2 * a1**5 * FreeWord.gen(3, -n)
+        t0 = time.perf_counter()
+        assert free_conjugate(u, c * u * c.inv())
+        assert free_conjugate(FreeWord(((3, 2), (1, n), (2, -n), (1, 3))), u)
+        assert not free_conjugate(FreeWord(((1, n + 3), (2, -n), (3, 2))), u)
+        assert not free_conjugate(u, c * u.inv() * c.inv())
+        assert not free_conjugate(u, FreeWord(((1, n), (2, -n), (1, 3), (3, 3))))
+        assert time.perf_counter() - t0 < 0.01
+
 
 class TestPrimitiveRoot:
     def test_pure_power(self):
@@ -193,6 +256,21 @@ class TestPrimitiveRoot:
     def test_identity_rejected(self):
         with pytest.raises(IdentityInput):
             primitive_root(FreeWord.identity())
+
+    def test_rotated_core(self):
+        # the end blocks of the core a1 a2 a1^2 a2 a1 share a generator
+        w = a2 * (a1 * a2 * a1) ** 2 * a2.inv()
+        root, k = primitive_root(w)
+        assert (root, k) == (a2 * a1 * a2 * a1 * a2.inv(), 2)
+
+    def test_huge_exponents(self):
+        n = 10**9
+        c = a2 * a1.inv()
+        t0 = time.perf_counter()
+        assert primitive_root(c * FreeWord.gen(1, -n) * c.inv()) == (c * a1.inv() * c.inv(), n)
+        root = FreeWord(((1, n), (2, 1), (1, 1)))
+        assert primitive_root(c * root**5 * c.inv()) == (c * root * c.inv(), 5)
+        assert time.perf_counter() - t0 < 0.01
 
     @given(letters_strategy)
     def test_root_power_reconstructs(self, letters):
@@ -253,3 +331,40 @@ class TestPeripheral:
             else:
                 assert hit is not None, (w, brute)
                 assert (hit.peripheral, hit.power) == brute, (w, hit, brute)
+
+
+def _seeded_block_words(rng, count):
+    """Random reduced words and conjugated powers of peripherals and of
+    random roots, with small exponents so the letter reference can spell
+    them out."""
+    peripherals = [peripheral_word(name) for name in (PERIPHERAL_A1, PERIPHERAL_A2,
+                                                      PERIPHERAL_A1A2_INV)]
+    words = []
+    for _ in range(count):
+        rank = rng.choice((2, 2, 3))
+        blocks = [(rng.randint(1, rank), rng.choice((-3, -2, -1, 1, 1, 2, 3)))
+                  for _ in range(rng.randint(0, 6))]
+        w = FreeWord(tuple(blocks))
+        if rng.random() < 0.6:
+            c = FreeWord(tuple((rng.randint(1, rank), rng.choice((-2, -1, 1, 2)))
+                               for _ in range(rng.randint(0, 4))))
+            base = rng.choice(peripherals) if rng.random() < 0.6 else w
+            w = c * base ** rng.randint(-4, 4) * c.inv()
+        words.append(w)
+    return words
+
+
+class TestLetterReferenceParity:
+    """The block-level peripheral test and primitive root against the
+    letter-level ones of tests/go_reference.py."""
+
+    def test_peripheral_and_root(self):
+        words = _seeded_block_words(random.Random(71), 12000)
+        kinds = set()
+        for w in words:
+            hit = is_conjugate_into_peripheral(w)
+            assert hit == go_reference.is_conjugate_into_peripheral(w), w
+            kinds.add(None if hit is None else hit.peripheral)
+            if not w.is_identity():
+                assert primitive_root(w) == go_reference.primitive_root(w), w
+        assert kinds == {None, PERIPHERAL_A1, PERIPHERAL_A2, PERIPHERAL_A1A2_INV}
