@@ -127,7 +127,7 @@ def cmd_scan_commutators(args) -> int:
 def cmd_disc_index(args) -> int:
     with open(args.family) as fh:
         fam = LaurentFamily.from_json(json.load(fh))
-    rep = discriminant_index(fam, samples=args.samples, tol_factor=args.tol_factor)
+    rep = discriminant_index(fam, samples=args.samples)
     _emit(rep.as_dict(), args.out)
     return OK
 
@@ -267,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("disc-index", help="winding index of a family discriminant")
     p.add_argument("--family", required=True, help="LaurentFamily JSON file")
     p.add_argument("--samples", type=int, default=256)
-    p.add_argument("--tol-factor", type=float, default=1e-12,
-                   help="separability tolerance relative to max |D|")
     common(p)
 
     p = sub.add_parser("thm1", help="prime-degree reducibility verdict")

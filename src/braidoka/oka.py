@@ -89,11 +89,16 @@ class SurfaceHom:
 
     def word_image(self, w: FreeWord) -> FreeWord:
         """The image of w, reduced once: the image blocks of each block of
-        w (inverted for a negative exponent) are concatenated."""
+        w (inverted for a negative exponent) are concatenated.  A block
+        g^e with |e| > 1 contributes image(g)^|e| in the closed form of
+        `FreeWord.__pow__`, so an image whose core is one block costs the
+        same for every exponent; a longer core still costs its output
+        size."""
         blocks: list[Block] = []
         for gen, exp in w.blocks:
-            image = self.images[gen].blocks
-            blocks.extend((image if exp > 0 else _inverse(image)) * abs(exp))
+            image = self.images[gen]
+            part = image.blocks if abs(exp) == 1 else (image ** abs(exp)).blocks
+            blocks.extend(part if exp > 0 else _inverse(part))
         return FreeWord(tuple(blocks))
 
     @staticmethod

@@ -204,11 +204,20 @@ def test_usage_error(capsys):
     assert code == 1
 
 
-def test_import_leaves_numpy_unloaded():
-    # numpy costs about 0.2 s per CLI call; only the float paths of
-    # `families` import it, on first use
+def test_import_leaves_numpy_unloaded(tmp_path):
+    # numpy costs about 0.2 s per CLI call, and nothing in the package needs
+    # it: importing, a winding index and a disc-index call all leave it out
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, braidoka, braidoka.cli; print('numpy' in sys.modules)"
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"degree": 3, "coeffs": {"0": {"2": [-1.0, 0.0]}}}))
+    code = (
+        "import contextlib, io, sys, braidoka, braidoka.cli\n"
+        "from braidoka.families import LaurentFamily, discriminant_index\n"
+        "assert discriminant_index(LaurentFamily.power_family(3, 2), 64).index == 4\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert braidoka.cli.main(['disc-index', '--family', {str(family)!r}]) == 0\n"
+        "print('numpy' in sys.modules)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(src)},

@@ -2,10 +2,16 @@ import cmath
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from braidoka.errors import DegreeTooSmall, SeparabilityFailure, SignatureOutOfRange
+from braidoka.errors import (
+    DegreeTooSmall,
+    NonConvergence,
+    SeparabilityFailure,
+    SignatureOutOfRange,
+)
 from braidoka.families import (
     INCONCLUSIVE,
     REDUCIBLE,
@@ -16,9 +22,9 @@ from braidoka.families import (
     nbraid_entropy_lower,
     nbraid_module_upper,
     penner_bound,
-    resultant,
     thm1_verdict,
 )
+import disc_reference
 
 
 class TestDiscriminant:
@@ -56,9 +62,31 @@ class TestDiscriminant:
         with pytest.raises(DegreeTooSmall):
             discriminant_from_roots([1])
 
-    def test_resultant_known(self):
-        # res(x^2 - 1, x - 2) = value of x^2 - 1 at 2 = 3
-        assert resultant([-1, 0, 1], [-2, 1]) == 3
+    def test_exact_on_integer_roots(self):
+        rng = random.Random(2)
+        for n in range(2, 8):
+            for _ in range(10):
+                roots = [rng.randint(-9, 9) for _ in range(n)]
+                coeffs = [int(c.real) for c in _expand(roots)]
+                d = discriminant_from_coeffs(coeffs)
+                assert type(d) is int
+                assert d == discriminant_from_roots(roots), roots
+        # (x - 1/2)(x + 1/3)
+        d = discriminant_from_coeffs([Fraction(-1, 6), Fraction(-1, 6), 1])
+        assert d == Fraction(25, 36) and isinstance(d, Fraction)
+
+    def test_matches_sylvester_reference(self):
+        rng = random.Random(3)
+        for n in range(2, 8):
+            for _ in range(10):
+                coeffs = [rng.randint(-20, 20) for _ in range(n)] + [1]
+                ref = disc_reference.discriminant_from_coeffs(coeffs)
+                assert discriminant_from_coeffs(coeffs) == ref, coeffs
+                coeffs = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                          for _ in range(n)] + [1.0]
+                d = discriminant_from_coeffs(coeffs)
+                ref = disc_reference.discriminant_from_coeffs(coeffs)
+                assert abs(d - ref) <= 1e-11 * abs(ref), (coeffs, d, ref)
 
 
 def _expand(roots):
@@ -70,6 +98,33 @@ def _expand(roots):
             nxt[i] -= r * c
         coeffs = nxt
     return coeffs
+
+
+def _seeded_family(rng, degree):
+    """A power family zeta^n - z^k, one with small extra terms, or a sparse
+    Laurent family with one to three zeta powers of one to three terms."""
+    kind = rng.randrange(3)
+    if kind < 2:
+        fam = LaurentFamily.power_family(degree, rng.randint(1, 63 if degree < 5 else 16))
+        if kind == 0:
+            return fam
+        coeffs = {k: dict(poly) for k, poly in fam.coeffs.items()}
+        for _ in range(rng.randint(1, 2)):
+            coeffs.setdefault(rng.randrange(degree), {})[rng.randint(-2, 2)] = complex(
+                rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
+        return LaurentFamily(degree, coeffs)
+    coeffs = {}
+    for k in rng.sample(range(degree), rng.randint(1, min(3, degree))):
+        coeffs[k] = {e: complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                     for e in rng.sample(range(-3, 4), rng.randint(1, 3))}
+    return LaurentFamily(degree, coeffs)
+
+
+def _index_outcome(index, fam):
+    try:
+        return index(fam, 64)
+    except (SeparabilityFailure, NonConvergence) as exc:
+        return type(exc)
 
 
 class TestDiscriminantIndex:
@@ -105,6 +160,21 @@ class TestDiscriminantIndex:
     def test_rejects_tiny_sample_count(self):
         with pytest.raises(ValueError):
             discriminant_index(LaurentFamily.power_family(3, 1), 8)
+
+    @pytest.mark.parametrize("degree", range(2, 8))
+    def test_matches_reference(self, degree):
+        # equal indices give equal thm1 verdicts
+        rng = random.Random(100 + degree)
+        for _ in range(32):
+            fam = _seeded_family(rng, degree)
+            got = _index_outcome(discriminant_index, fam)
+            ref = _index_outcome(disc_reference.discriminant_index, fam)
+            if isinstance(ref, type):
+                assert got is ref, fam
+                continue
+            assert (got.index, got.samples_used) == (ref.index, ref.samples_used), fam
+            assert math.isclose(got.min_abs_discriminant, ref.min_abs_discriminant,
+                                rel_tol=1e-9), fam
 
     def test_json_round_trip(self):
         fam = LaurentFamily(3, {0: {-1: complex(0, 1), 2: complex(2, 0)}, 1: {0: 1 + 0j}})
