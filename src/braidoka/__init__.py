@@ -47,9 +47,7 @@ from .three import (
     zero_entropy_commutator_scan,
 )
 from .words import (
-    CyclicWord,
     FreeWord,
-    cyclic_reduce,
     free_conjugate,
     is_conjugate_into_peripheral,
     primitive_root,

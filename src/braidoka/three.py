@@ -18,7 +18,7 @@ from typing import Literal, Optional
 
 from . import _backend
 from ._purekernels import mat_inv, mat_mul
-from .braid import BraidWord, braid_eq, exponent_sum
+from .braid import BraidWord, exponent_sum
 from .errors import (
     InternalInconsistency,
     ResourceLimit,
@@ -157,13 +157,21 @@ def conj3(b1: BraidWord, b2: BraidWord) -> bool:
 
 
 def centralizer_check(b: BraidWord, k: int) -> bool:
-    """Does b commute with sigma_1^k?"""
+    """Does b commute with sigma_1^k?
+
+    theta(sigma_1^k) = [[1, k], [0, 1]] commutes with theta(b) = [[a, b],
+    [c, d]] exactly when kc = 0 and ka = kd; for k != 0 that is c = 0,
+    since then ad = 1 forces a = d.  b sigma_1^k and sigma_1^k b have the
+    same exponent sum and the kernel of theta is <Delta^4>, of exponent
+    sum 12, so they are equal exactly when their images are.  The cost
+    follows the letters of b, not the size of k.
+    """
     if b.strands != 3:
         raise WrongStrandCount("centralizer_check needs B_3 words")
     if k == 0:
         raise ValueError("k must be nonzero")
-    s = BraidWord.sigma(3, 1, k)
-    return braid_eq(b * s, s * b)
+    _, _, c, _ = _backend.theta_abcd(b.letters)
+    return c == 0
 
 
 @dataclasses.dataclass(frozen=True)

@@ -200,55 +200,6 @@ def _min_rotation(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
     return doubled[k:k + len(letters)]
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class CyclicWord:
-    """A cyclically reduced word compared up to rotation.
-
-    The letters keep the rotation they were built with (so callers can
-    reconstruct identities literally); equality and hashing go through the
-    lexicographically minimal rotation.
-    """
-
-    letters: tuple[Letter, ...] = ()
-
-    def __post_init__(self) -> None:
-        letters = tuple(self.letters)
-        if letters:
-            g0, s0 = letters[0]
-            gl, sl = letters[-1]
-            if len(letters) > 1 and g0 == gl and s0 == -sl:
-                raise ValueError("letter sequence is not cyclically reduced")
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "_canonical", _min_rotation(letters))
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CyclicWord):
-            return NotImplemented
-        return self._canonical == other._canonical
-
-    def __hash__(self) -> int:
-        return hash(self._canonical)
-
-    def is_rotation_of(self, other: "CyclicWord") -> bool:
-        return self._canonical == other._canonical
-
-    def to_word(self) -> FreeWord:
-        return FreeWord.from_letters(self.letters)
-
-    def __repr__(self) -> str:
-        return f"CyclicWord({self.to_word().text()})"
-
-
-def cyclic_reduce(w: FreeWord) -> tuple[FreeWord, CyclicWord]:
-    """Split w = conjugator * core * conjugator^-1 with core cyclically
-    reduced.  The core is spelled out letter by letter."""
-    conj, core = _core(w.blocks)
-    return FreeWord(conj), CyclicWord(tuple(FreeWord(core).letters()))
-
-
 def free_conjugate(w1: FreeWord, w2: FreeWord) -> bool:
     """True iff w1 and w2 are conjugate: the cyclic run sequences of their
     cores are rotations of each other."""

@@ -6,7 +6,9 @@ These are `braidoka.words.is_conjugate_into_peripheral`,
 were before the F2 layer worked on run-length blocks:
 
 * cyclic reduction peels one letter pair at a time off the spelled-out
-  word (`cyclic_reduce`, formerly in `braidoka.words`);
+  word (`cyclic_reduce`, formerly in `braidoka.words` with its letter
+  `CyclicWord`), and cores are compared up to rotation by trying every
+  rotation (`rotation_class`);
 * the peripheral test and the primitive root read the letter core, the
   root by trying every letter period;
 * every homomorphism image is a product of generator-image powers, one
@@ -18,7 +20,7 @@ were before the F2 layer worked on run-length blocks:
   pattern letter's primitive root for the common one.
 
 They share with the code under test `FreeWord` (construction, `*`, `**`,
-`inv`), `CyclicWord`, the signature and result types and the errors.  They
+`inv`), the signature and result types and the errors.  They
 spell out every letter, so keep exponents small.
 """
 
@@ -55,15 +57,15 @@ from braidoka.words import (
     PERIPHERAL_A1,
     PERIPHERAL_A1A2_INV,
     PERIPHERAL_A2,
-    CyclicWord,
     FreeWord,
     PeripheralPower,
     commutator,
 )
 
 
-def cyclic_reduce(w: FreeWord) -> tuple[FreeWord, CyclicWord]:
-    """Split w = conjugator * core * conjugator^-1 with core cyclically reduced."""
+def cyclic_reduce(w: FreeWord) -> tuple[FreeWord, tuple]:
+    """Split w = conjugator * core * conjugator^-1 with core cyclically
+    reduced; the core is its tuple of (generator, sign) letters."""
     letters = list(w.letters())
     i, j = 0, len(letters)
     while i < j - 1:
@@ -75,16 +77,19 @@ def cyclic_reduce(w: FreeWord) -> tuple[FreeWord, CyclicWord]:
         else:
             break
     conjugator = FreeWord.from_letters(letters[:i])
-    core = CyclicWord(tuple(letters[i:j]))
-    return conjugator, core
+    return conjugator, tuple(letters[i:j])
+
+
+def rotation_class(letters: tuple) -> tuple:
+    """The least rotation of a letter sequence, by comparing every rotation."""
+    return min((letters[i:] + letters[:i] for i in range(len(letters))), default=())
 
 
 def primitive_root(w: FreeWord) -> tuple[FreeWord, int]:
     """Write w = root^power with root not a proper power, power >= 1."""
     if w.is_identity():
         raise IdentityInput("the identity has no primitive root")
-    conj, core = cyclic_reduce(w)
-    letters = core.letters
+    conj, letters = cyclic_reduce(w)
     n = len(letters)
     for p in range(1, n + 1):
         if n % p:
@@ -103,8 +108,7 @@ def is_conjugate_into_peripheral(w: FreeWord) -> Optional[PeripheralPower]:
     (a1 a2)^-1, alternating all-positive ones are its negative powers.
     Mixed-sign or non-alternating cores are never peripheral.
     """
-    _, core = cyclic_reduce(w)
-    letters = core.letters
+    _, letters = cyclic_reduce(w)
     if not letters:
         return PeripheralPower(None, 0, trivial=True)
     gens = {g for g, _ in letters}

@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 from braidoka.cli import main
 
@@ -191,10 +194,95 @@ def test_scan_commutators_negative_maxlen(capsys):
 
 def test_out_file(tmp_path, capsys):
     out = tmp_path / "result.json"
-    code, _ = run(capsys, "classify", "--braid", "1 2", "--out", str(out))
+    code, payload = run(capsys, "classify", "--braid", "1 2", "--out", str(out))
     assert code == 0
     saved = json.loads(out.read_text())
-    assert saved["kind"] == "periodic"
+    assert saved == payload and saved["kind"] == "periodic"
+
+
+def test_out_file_under_csv(tmp_path, capsys):
+    # --out writes exactly the printed text, CSV included
+    for path in ([], ["--path-end", "0,2", "--path-steps", "2"]):
+        out = tmp_path / "branch.csv"
+        code = main(["lattice-branch", "--tau", "0,1", "--radius", "40", "--csv", *path,
+                     "--out", str(out)])
+        printed = capsys.readouterr().out
+        assert code == 0 and printed.startswith(("e1_re,", "t,"))
+        assert out.read_text() == printed
+        out.unlink()
+
+
+FILES = {
+    "family": {"degree": 3, "coeffs": {"0": {"2": [-1.0, 0.0]}}},
+    "b3_classified": {"genus": 1, "holes": 1, "target": "B3",
+                      "images": {"e1": "1 2", "e2": "1 2 1 2"}},
+    "b3_violation": {"genus": 1, "holes": 1, "target": "B3",
+                     "images": {"e1": "-2 1", "e2": "2 -1"}},
+    "f2_holomorphic": {"genus": 0, "holes": 3, "target": "F2",
+                       "images": {"e1": "a1", "e2": "a2"}},
+    "f2_antiholomorphic": {"genus": 0, "holes": 3, "target": "F2",
+                           "images": {"e1": "a1^-1", "e2": "a2^-1"}},
+    "f2_not_go": {"genus": 0, "holes": 3, "target": "F2",
+                  "images": {"e1": "a1", "e2": "a2^-1"}},
+}
+
+# (arguments, exit code) for every subcommand: a positive or neutral call,
+# and one call for each negative verdict the subcommand can give
+CASES = {
+    "classify": [(["--braid", "1 -2"], 0)],
+    "entropy": [(["--braid", "1 -2"], 0)],
+    "module": [(["--braid", "1 2"], 0)],
+    "eq": [(["--a", "1 2 1", "--b", "2 1 2"], 0), (["--n", "3", "--a", "1", "--b", "2"], 2)],
+    "nf": [(["--braid", "1 2 -1", "--n", "4"], 0)],
+    "linking": [(["--braid", "1 1", "--n", "3"], 0)],
+    "conj": [(["--a", "1", "--b", "2"], 0), (["--a", "1 1", "--b", "2"], 2)],
+    "scan-commutators": [(["--maxlen", "2"], 0)],
+    "disc-index": [(["--family", "{family}", "--samples", "64"], 0)],
+    "thm1": [(["--n", "3", "--modulus", "30", "--index", "6"], 0),
+             (["--n", "3", "--modulus", "30", "--index", "2"], 2)],
+    "penner": [(["--genus", "0", "--marked", "4", "--braid-n", "3"], 0)],
+    "oka3": [(["--hom", "{b3_classified}"], 0),
+             (["--hom", "{b3_violation}"], 2),
+             (["--hom", "{b3_violation}", "--mirrored"], 2),
+             (["--hom", "{b3_classified}", "--both-variants"], 0),
+             (["--hom", "{b3_violation}", "--both-variants"], 2)],
+    "go-surface": [(["--hom", "{f2_holomorphic}"], 0),
+                   (["--hom", "{f2_not_go}"], 2),
+                   (["--hom", "{f2_antiholomorphic}"], 2)],
+    "eprime": [(["--genus", "1", "--holes", "1", "--list"], 0)],
+    "lattice-branch": [(["--tau", "0,1", "--radius", "20"], 0),
+                       (["--tau", "0,1", "--radius", "20", "--csv"], 0),
+                       (["--tau", "0,1", "--path-end", "0,2", "--path-steps", "2",
+                         "--radius", "20", "--csv"], 0)],
+}
+
+
+def test_cases_cover_every_subcommand(capsys):
+    assert main(["--help"]) == 0
+    listed = re.search(r"\{([a-z0-9,-]+)\}", capsys.readouterr().out).group(1)
+    assert sorted(listed.split(",")) == sorted(CASES)
+
+
+@pytest.mark.parametrize("sub", list(CASES))
+def test_subcommand_output_and_exit_code(sub, tmp_path, capsys):
+    assert main([sub, "--help"]) == 0
+    assert f"usage: braidoka {sub}" in capsys.readouterr().out
+    files = {}
+    for name, obj in FILES.items():
+        files[name] = str(tmp_path / f"{name}.json")
+        Path(files[name]).write_text(json.dumps(obj))
+    for args, expected in CASES[sub]:
+        argv = [sub, *(a.format(**files) for a in args)]
+        # a subparser without a handler would raise here
+        assert main(argv) == expected, argv
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if "--csv" in argv:
+            header, *rows = captured.out.splitlines()
+            assert rows and all(len(r.split(",")) == header.count(",") + 1 for r in rows)
+        else:
+            payload = json.loads(captured.out)
+            assert next(iter(payload)) == "schema", argv
 
 
 def test_usage_error(capsys):

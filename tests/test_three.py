@@ -5,7 +5,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from braidoka.braid import BraidWord, delta, enumerate_words, exponent_sum, permutation
+from braidoka.braid import BraidWord, braid_eq, delta, enumerate_words, exponent_sum, permutation
 from braidoka.errors import ResourceLimit, WrongStrandCount
 from braidoka.sl2z import matrix_class, sl2z_conjugate, theta, PARABOLIC
 from braidoka.three import (
@@ -181,6 +181,28 @@ class TestCentralizer:
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
             centralizer_check(w3("1"), 0)
+
+    def test_wrong_strand_count_rejected(self):
+        with pytest.raises(WrongStrandCount):
+            centralizer_check(BraidWord.parse("1 2 3", 4), 1)
+
+    def test_matches_braid_equality(self):
+        # b commutes with sigma_1^k exactly when b sigma_1^k = sigma_1^k b,
+        # on every B_3 word of up to 6 letters
+        cases = 0
+        for b in enumerate_words(3, 6, include_identity=True):
+            for k in (1, -1, 2, -2, 3, -3):
+                s = BraidWord.sigma(3, 1, k)
+                assert centralizer_check(b, k) == braid_eq(b * s, s * b), (b.letters, k)
+                cases += 1
+        assert cases == 8742
+
+    def test_huge_k_budget(self):
+        # building sigma_1^k letter by letter took 3.9 s at k = 10^7
+        t0 = time.perf_counter()
+        assert centralizer_check(delta(3) ** 2 * w3("1 1 1"), 10**100)
+        assert not centralizer_check(w3("1 2"), -10**100)
+        assert time.perf_counter() - t0 < 0.005
 
 
 class TestCommutatorScan:
