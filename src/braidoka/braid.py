@@ -1,5 +1,5 @@
-"""Braid words, the symmetric-group projection, linking numbers, and the
-Garside left normal form.
+"""Braid words, the symmetric-group projection, linking numbers, the
+Garside left normal form, and equality of braids.
 
 Conventions.  A braid word is a sequence of nonzero integers: letter +i is
 the Artin generator sigma_i, letter -i its inverse.  Strands are labelled by
@@ -15,12 +15,14 @@ adjacent pairs through meets of permutation braids (see `normal_form`;
 Elrifai-Morton, Algorithms for positive braids, 1994; Epstein et al., Word
 Processing in Groups, ch. 9).  Inverse letters enter through the identity
 s^-1 = Delta^-1 (Delta s^-1), whose second factor is a permutation braid.
+The normal form serves `nf`; equality does not build it.  `braid_eq`
+decides B_3 by theta and the exponent sum, and every other B_n by the
+faithful integer action of B_n on Dynnikov coordinates in Z^(2n).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable
 
 from . import _backend
 from .errors import InternalInconsistency, NotPure, StrandMismatch
@@ -168,28 +170,6 @@ def linking_numbers(b: BraidWord) -> LinkingNumbers:
                 raise InternalInconsistency("odd crossing count in a pure braid")
             values.append((i, j, c // 2))
     return LinkingNumbers(n, tuple(values))
-
-
-def permute_linking_tuple3(t: tuple[int, int, int], s: Permutation) -> tuple[int, int, int]:
-    """Apply a strand permutation s to an ordered (l_23, l_13, l_12) tuple.
-
-    Component j of the result is the entry for the pair obtained by applying
-    s to the complement pair of j: (l_{s(2)s(3)}, l_{s(1)s(3)}, l_{s(1)s(2)}).
-    """
-    by_pair = {(2, 3): t[0], (1, 3): t[1], (1, 2): t[2]}
-    def look(a: int, b: int) -> int:
-        return by_pair[(min(a, b), max(a, b))]
-    return (look(s(2), s(3)), look(s(1), s(3)), look(s(1), s(2)))
-
-
-def conjugate_linking_tuple3(t: tuple[int, int, int], w: BraidWord) -> tuple[int, int, int]:
-    """The linking tuple of w^-1 b w, given the tuple t of the pure braid b.
-
-    Conjugation relabels the strands by the permutation of w; with the
-    start-position labelling used here the tuple transforms under the
-    inverse of permutation(w).
-    """
-    return permute_linking_tuple3(t, permutation(w).inv())
 
 
 # ---------------------------------------------------------------------------
@@ -400,35 +380,66 @@ def normal_form(b: BraidWord) -> GarsideNormalForm:
     return GarsideNormalForm(n, power, tuple(Permutation(f) for f in factors))
 
 
+def _dynnikov(letters: tuple[int, ...], start: list[int]) -> list[int]:
+    """The image of start = (a_1, b_1, ..., a_n, b_n) in Z^(2n) under the
+    word's letters, applied from the left end of the word.
+
+    sigma_i^(+-1) maps the coordinates (x1, y1, x2, y2) = (a_i, b_i, a_{i+1},
+    b_{i+1}) by the piecewise-linear map F+ or F-, with x+ = max(x, 0) and
+    x- = min(x, 0):
+      F+: z = x1 - y1- - x2 + y2+;  (x1 + y1+ + (y2+ - z)+, y2 - z+,
+                                     x2 + y2- + (y1- + z)-, y1 + z+)
+      F-: z = x1 + y1- - x2 - y2+;  (x1 - y1+ - (y2+ + z)+, y2 + z-,
+                                     x2 - y2- - (y1- - z)-, y1 - z-)
+    B_n acts faithfully this way and only the identity fixes (0, 1, ..., 0,
+    1) (Dynnikov, Russian Math. Surveys 57, 2002; Dehornoy-Dynnikov-
+    Rolfsen-Wiest, Ordering Braids, AMS 2008, ch. XII), so two words are
+    equal exactly when their images are.
+    """
+    v = list(start)
+    for let in letters:
+        j = 2 * abs(let) - 2
+        x1, y1, x2, y2 = v[j], v[j + 1], v[j + 2], v[j + 3]
+        y1p = y1 if y1 > 0 else 0
+        y1m = y1 - y1p
+        y2p = y2 if y2 > 0 else 0
+        y2m = y2 - y2p
+        if let > 0:
+            z = x1 - y1m - x2 + y2p
+            zp = z if z > 0 else 0
+            t = y2p - z
+            u = y1m + z
+            v[j] = x1 + y1p + (t if t > 0 else 0)
+            v[j + 1] = y2 - zp
+            v[j + 2] = x2 + y2m + (u if u < 0 else 0)
+            v[j + 3] = y1 + zp
+        else:
+            z = x1 + y1m - x2 - y2p
+            zm = z if z < 0 else 0
+            t = y2p + z
+            u = y1m - z
+            v[j] = x1 - y1p - (t if t > 0 else 0)
+            v[j + 1] = y2 + zm
+            v[j + 2] = x2 - y2m - (u if u < 0 else 0)
+            v[j + 3] = y1 - zm
+    return v
+
+
 def braid_eq(b1: BraidWord, b2: BraidWord) -> bool:
-    """Equality in B_n via normal forms; B_3 uses the (theta, exponent sum)
-    pair, which is faithful because the kernel of theta is generated by
-    Delta^4 and Delta^4 has exponent sum 12."""
+    """Equality in B_n.
+
+    B_3 compares the (theta, exponent sum) pair, which is faithful because
+    the kernel of theta is generated by Delta^4 and Delta^4 has exponent sum
+    12.  Every other n compares the two words' images of (0, 1, ..., 0, 1)
+    under the Dynnikov action (`_dynnikov`), at a cost linear in the word
+    length and in the bit length of the coordinates; no normal form is
+    built.
+    """
     if b1.strands != b2.strands:
         raise StrandMismatch(f"B_{b1.strands} vs B_{b2.strands}")
     if b1.strands == 3:
         if exponent_sum(b1) != exponent_sum(b2):
             return False
         return _backend.theta_abcd(b1.letters) == _backend.theta_abcd(b2.letters)
-    return normal_form(b1) == normal_form(b2)
-
-
-def enumerate_words(
-    n: int, maxlen: int, *, freely_reduced: bool = True, include_identity: bool = False
-) -> Iterable[BraidWord]:
-    """All words in B_n of length <= maxlen, lexicographic within a length."""
-    alphabet = [i for k in range(1, n) for i in (k, -k)]
-    alphabet.sort()
-    if include_identity:
-        yield BraidWord.identity(n)
-    prev: list[tuple[int, ...]] = [()]
-    for _ in range(maxlen):
-        nxt = []
-        for word in prev:
-            for let in alphabet:
-                if freely_reduced and word and word[-1] == -let:
-                    continue
-                nxt.append(word + (let,))
-        for word in nxt:
-            yield BraidWord(n, word)
-        prev = nxt
+    start = [0, 1] * b1.strands
+    return _dynnikov(b1.letters, start) == _dynnikov(b2.letters, start)

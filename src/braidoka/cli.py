@@ -72,7 +72,11 @@ def cmd_module(args):
 
 
 def cmd_eq(args):
-    equal = braid_eq(BraidWord.parse(args.a, args.n), BraidWord.parse(args.b, args.n))
+    a, b = BraidWord.parse(args.a, args.n), BraidWord.parse(args.b, args.n)
+    if args.n is None:  # one inferred B_n for both; B_n embeds in B_(n+1)
+        n = max(a.strands, b.strands)
+        a, b = BraidWord(n, a.letters), BraidWord(n, b.letters)
+    equal = braid_eq(a, b)
     return {"equal": equal}, equal
 
 

@@ -14,9 +14,7 @@ from braidoka.braid import (
     BraidWord,
     braid_eq,
     commutator,
-    conjugate_linking_tuple3,
     delta,
-    enumerate_words,
     exponent_sum,
     linking_numbers,
     normal_form,
@@ -44,6 +42,8 @@ from braidoka.oka import (
 )
 from braidoka.three import MIN_PA_ENTROPY, PSEUDO_ANOSOV, classify3
 from braidoka.words import FreeWord
+
+from braid_helpers import conjugate_linking_tuple3, enumerate_words
 
 
 class Stopwatch:

@@ -4,13 +4,13 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from braidoka import _backend
 from braidoka.braid import (
     BraidWord,
+    _dynnikov,
     braid_eq,
     commutator,
-    conjugate_linking_tuple3,
     delta,
-    enumerate_words,
     exponent_sum,
     linking_numbers,
     normal_form,
@@ -19,6 +19,7 @@ from braidoka.braid import (
 from braidoka.errors import NotPure, StrandMismatch
 from braidoka.perms import Permutation
 
+from braid_helpers import conjugate_linking_tuple3, enumerate_words
 from nf_reference import reference_normal_form
 
 
@@ -252,6 +253,106 @@ class TestBraidEq:
             l2 = tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 12)))
             b1, b2 = BraidWord(3, l1), BraidWord(3, l2)
             assert braid_eq(b1, b2) == (normal_form(b1) == normal_form(b2))
+
+
+def _dyn_eq(b1, b2):
+    start = [0, 1] * b1.strands
+    return _dynnikov(b1.letters, start) == _dynnikov(b2.letters, start)
+
+
+def _theta_eq(b1, b2):
+    return (exponent_sum(b1) == exponent_sum(b2)
+            and _backend.theta_abcd(b1.letters) == _backend.theta_abcd(b2.letters))
+
+
+@st.composite
+def dynnikov_vectors(draw, min_strands=2):
+    """(n, v) with v in Z^(2n), entries up to +-2^70."""
+    n = draw(st.integers(min_strands, 8))
+    v = draw(st.lists(st.integers(-2**70, 2**70), min_size=2 * n, max_size=2 * n))
+    return n, v
+
+
+class TestDynnikovAction:
+    """The letter maps of `_dynnikov` satisfy the relations of B_n on
+    arbitrary integer vectors, so they define an action of B_n on Z^(2n)."""
+
+    @given(dynnikov_vectors(), st.data())
+    def test_inverse_letters_cancel(self, nv, data):
+        n, v = nv
+        i = data.draw(st.integers(1, n - 1))
+        assert _dynnikov((i, -i), v) == v
+        assert _dynnikov((-i, i), v) == v
+
+    @given(dynnikov_vectors(min_strands=3), st.data(), st.sampled_from((1, -1)))
+    def test_braid_relation(self, nv, data, sign):
+        n, v = nv
+        i = sign * data.draw(st.integers(1, n - 2))
+        j = i + sign
+        assert _dynnikov((i, j, i), v) == _dynnikov((j, i, j), v)
+
+    @given(dynnikov_vectors(min_strands=4), st.data(), st.sampled_from((1, -1)),
+           st.sampled_from((1, -1)))
+    def test_far_commutation(self, nv, data, si, sj):
+        n, v = nv
+        i = data.draw(st.integers(1, n - 3))
+        j = data.draw(st.integers(i + 2, n - 1))
+        assert _dynnikov((si * i, sj * j), v) == _dynnikov((sj * j, si * i), v)
+
+    def test_every_letter_moves_the_start(self):
+        for n in range(2, 17):
+            start = [0, 1] * n
+            for i in range(1, n):
+                for let in (i, -i):
+                    assert _dynnikov((let,), start) != start, (n, let)
+
+
+def _one_letter_change(rng, b):
+    """b with one letter replaced by a different letter (or, for the empty
+    word, one letter appended): never the same braid."""
+    w = list(b.letters)
+    if not w:
+        return BraidWord(b.strands, (rng.choice(_alphabet(b.strands)),))
+    k = rng.randrange(len(w))
+    w[k] = rng.choice([x for x in _alphabet(b.strands) if x != w[k]])
+    return BraidWord(b.strands, tuple(w))
+
+
+class TestBraidEqParity:
+    """braid_eq against normal-form equality on the normal-form parity word
+    sets; for B_3 the theta path, the Dynnikov action and the normal form
+    are compared three ways."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16])
+    def test_matches_normal_form(self, n):
+        rng = random.Random(2000 + n)
+        seen = {True: 0, False: 0}
+        for make in (_reduced_word, _negative_word, _block_word):
+            for length in range(0, 121, 3 if n <= 5 else 12):
+                b = make(rng, n, length)
+                pairs = ((_relation_rewrite(rng, b), True), (_one_letter_change(rng, b), False),
+                         (make(rng, n, rng.randint(0, 120)), None))
+                for other, expected in pairs:
+                    nf_equal = normal_form(b) == normal_form(other)
+                    assert braid_eq(b, other) == nf_equal, (b, other)
+                    if n == 3:
+                        assert _dyn_eq(b, other) == _theta_eq(b, other) == nf_equal, (b, other)
+                    if expected is not None:
+                        assert nf_equal == expected, (b, other)
+                    seen[nf_equal] += 1
+        assert seen[True] and seen[False]
+
+    def test_long_word_budget(self):
+        # on a 2-core VM with Python 3.11 the four Dynnikov images take about
+        # 0.015 s; the normal forms of b and its rewrite alone take 2.4 s
+        rng = random.Random(78)
+        b = _block_word(rng, 8, 3200)
+        same, other = _relation_rewrite(rng, b, moves=200), _one_letter_change(rng, b)
+        t0 = time.perf_counter()
+        equal, unequal = braid_eq(b, same), braid_eq(b, other)
+        elapsed = time.perf_counter() - t0
+        assert equal and not unequal
+        assert elapsed < 0.1, f"{elapsed:.3f}s over the 0.1 s budget"
 
 
 class TestLinking:

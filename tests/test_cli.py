@@ -285,10 +285,20 @@ def test_subcommand_output_and_exit_code(sub, tmp_path, capsys):
             assert next(iter(payload)) == "schema", argv
 
 
+def test_eq_infers_one_strand_count(capsys):
+    # without --n both words live in the least B_n that holds them both
+    code, payload = run(capsys, "eq", "--a", "1 2 1", "--b", "2 1 2 3 -3")
+    assert code == 0 and payload["equal"]
+    code, payload = run(capsys, "eq", "--a", "1", "--b", "1 2 3 4")
+    assert code == 2 and not payload["equal"]
+    code, payload = run(capsys, "eq", "--n", "6", "--a", "1 2 1", "--b", "2 1 2 3 -3")
+    assert code == 0 and payload["equal"]
+
+
 def test_usage_error(capsys):
     code = main(["classify"])  # missing --braid
     assert code == 1
-    code = main(["eq", "--a", "1", "--b", "1 2 3 4"])  # inferred strand mismatch
+    code = main(["eq", "--n", "3", "--a", "1", "--b", "1 2 3 4"])  # letter beyond B_3
     assert code == 1
 
 

@@ -5,7 +5,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from braidoka.braid import BraidWord, braid_eq, delta, enumerate_words, exponent_sum, permutation
+from braidoka.braid import BraidWord, braid_eq, delta, exponent_sum, permutation
 from braidoka.errors import ResourceLimit, WrongStrandCount
 from braidoka.sl2z import matrix_class, sl2z_conjugate, theta, PARABOLIC
 from braidoka.three import (
@@ -22,6 +22,8 @@ from braidoka.three import (
     log_spectral_radius,
     zero_entropy_commutator_scan,
 )
+
+from braid_helpers import enumerate_words
 from e0_reference import zero_entropy_commutator_scan_reference
 
 

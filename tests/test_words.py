@@ -264,6 +264,18 @@ class TestPeripheral:
         # a mixed-sign cyclically reduced word is never peripheral
         assert is_conjugate_into_peripheral(commutator(a1, a2)) is None
 
+    @pytest.mark.parametrize("name, powers", [
+        (PERIPHERAL_A1, (1, 2, 10**9)),
+        (PERIPHERAL_A2, (1, 2, 10**9)),
+        # (a1 a2)^-k has 2k blocks, so 10^9 would spell out 2 * 10^9 of them
+        (PERIPHERAL_A1A2_INV, (1, 2, 1000)),
+    ])
+    def test_peripheral_word_round_trip(self, name, powers):
+        for k in powers:
+            for power in (k, -k):
+                hit = is_conjugate_into_peripheral(peripheral_word(name, power))
+                assert (hit.peripheral, hit.power, hit.trivial) == (name, power, False)
+
     def test_trivial_flag(self):
         hit = is_conjugate_into_peripheral(FreeWord.identity())
         assert hit.trivial and hit.power == 0
