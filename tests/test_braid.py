@@ -4,7 +4,6 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from braidoka import _backend
 from braidoka.braid import (
     BraidWord,
     _dynnikov,
@@ -260,11 +259,6 @@ def _dyn_eq(b1, b2):
     return _dynnikov(b1.letters, start) == _dynnikov(b2.letters, start)
 
 
-def _theta_eq(b1, b2):
-    return (exponent_sum(b1) == exponent_sum(b2)
-            and _backend.theta_abcd(b1.letters) == _backend.theta_abcd(b2.letters))
-
-
 @st.composite
 def dynnikov_vectors(draw, min_strands=2):
     """(n, v) with v in Z^(2n), entries up to +-2^70."""
@@ -335,8 +329,8 @@ class TestBraidEqParity:
                 for other, expected in pairs:
                     nf_equal = normal_form(b) == normal_form(other)
                     assert braid_eq(b, other) == nf_equal, (b, other)
-                    if n == 3:
-                        assert _dyn_eq(b, other) == _theta_eq(b, other) == nf_equal, (b, other)
+                    if n == 3:  # braid_eq took the theta path
+                        assert _dyn_eq(b, other) == nf_equal, (b, other)
                     if expected is not None:
                         assert nf_equal == expected, (b, other)
                     seen[nf_equal] += 1
