@@ -22,19 +22,22 @@ faithful integer action of B_n on Dynnikov coordinates in Z^(2n).
 
 from __future__ import annotations
 
-import dataclasses
-
 from . import _backend
+from ._value import Value
 from .errors import InternalInconsistency, NotPure, StrandMismatch
 from .perms import Permutation
 
 
-@dataclasses.dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Value):
     """A word in the Artin generators of B_n."""
 
     strands: int
-    letters: tuple[int, ...] = ()
+    letters: tuple[int, ...]
+
+    def __init__(self, strands: int, letters: tuple[int, ...] = ()) -> None:
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "letters", letters)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.strands < 2:
@@ -119,12 +122,15 @@ def exponent_sum(b: BraidWord) -> int:
     return sum(1 if x > 0 else -1 for x in b.letters)
 
 
-@dataclasses.dataclass(frozen=True)
-class LinkingNumbers:
+class LinkingNumbers(Value):
     """Linking numbers l_ij of a pure braid, one per strand pair i < j."""
 
     strands: int
     values: tuple[tuple[int, int, int], ...]  # sorted ((i, j), l) triples flattened
+
+    def __init__(self, strands: int, values: tuple[tuple[int, int, int], ...]) -> None:
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "values", values)
 
     def __getitem__(self, pair: tuple[int, int]) -> int:
         i, j = min(pair), max(pair)
@@ -265,13 +271,17 @@ def _t_left_weight(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, .
     return tuple(m[x - 1] for x in a), tuple(b[x - 1] for x in m_inv)
 
 
-@dataclasses.dataclass(frozen=True)
-class GarsideNormalForm:
+class GarsideNormalForm(Value):
     """Delta^power followed by a left-weighted sequence of permutation braids."""
 
     strands: int
     power: int
     factors: tuple[Permutation, ...]
+
+    def __init__(self, strands: int, power: int, factors: tuple[Permutation, ...]) -> None:
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "factors", factors)
 
     @property
     def infimum(self) -> int:

@@ -6,11 +6,9 @@ verdict, and the entropy/module bounds.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
-from fractions import Fraction
-from typing import Mapping, Sequence, Union
 
+from ._value import Value
 from .errors import (
     DegreeTooSmall,
     NonConvergence,
@@ -19,7 +17,12 @@ from .errors import (
 )
 from .perms import _is_prime
 
-Number = Union[int, float, complex, Fraction]
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Mapping, Sequence
+    from fractions import Fraction
+
+Number = "int | float | complex | Fraction"
 
 # A degree-3 family that doubles from 256 samples up to this cap (about
 # 2.1M discriminants) takes about 40 s and peaks at 130 MB resident (pure
@@ -91,13 +94,17 @@ def discriminant_from_coeffs(coeffs: Sequence[Number]) -> Number:
     return sign * _det(rows)
 
 
-@dataclasses.dataclass(frozen=True)
-class LaurentFamily:
+class LaurentFamily(Value):
     """A monic degree-n family f(z, zeta) = zeta^n + sum a_k(z) zeta^k with
     Laurent-polynomial coefficients a_k."""
 
     degree: int
     coeffs: Mapping[int, Mapping[int, complex]]
+
+    def __init__(self, degree: int, coeffs: Mapping[int, Mapping[int, complex]]) -> None:
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "coeffs", coeffs)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.degree < 2:
@@ -141,11 +148,15 @@ class LaurentFamily:
         }
 
 
-@dataclasses.dataclass(frozen=True)
-class IndexReport:
+class IndexReport(Value):
     index: int
     samples_used: int
     min_abs_discriminant: float
+
+    def __init__(self, index: int, samples_used: int, min_abs_discriminant: float) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "samples_used", samples_used)
+        object.__setattr__(self, "min_abs_discriminant", min_abs_discriminant)
 
     def as_dict(self) -> dict:
         return {

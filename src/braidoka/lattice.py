@@ -17,10 +17,10 @@ generic points and down to 1e-7 from a lattice point.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 from . import _backend
+from ._value import Value
 from .errors import PoleProximity
 
 DEFAULT_RADIUS = 60
@@ -83,12 +83,16 @@ def e_values(tau: complex, radius: int = DEFAULT_RADIUS) -> tuple[complex, compl
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class LatticeSpec:
+class LatticeSpec(Value):
     """The lattice alpha (Z + tau Z), with Im(tau) > 0."""
 
     alpha: complex
     tau: complex
+
+    def __init__(self, alpha: complex, tau: complex) -> None:
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "tau", tau)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.alpha == 0:
@@ -130,12 +134,14 @@ class LatticeSpec:
         return LatticeSpec(alpha, tau)
 
 
-@dataclasses.dataclass(frozen=True)
-class BranchLocus:
+class BranchLocus(Value):
     """The finite branch points {e1, e2, e3} of the degree-2 covering of the
     sphere by the torus of the lattice."""
 
     e: tuple[complex, complex, complex]
+
+    def __init__(self, e: tuple[complex, complex, complex]) -> None:
+        object.__setattr__(self, "e", e)
 
     def as_set_distance(self, other: "BranchLocus") -> float:
         """Hausdorff distance between the two unordered triples."""

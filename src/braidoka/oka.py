@@ -16,12 +16,11 @@ Two decision problems are implemented at the level of monodromy data:
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
-from typing import Literal, Optional, Union
 
 from . import _backend
 from ._purekernels import e0_screen_matrices, mat_mul
+from ._value import Value
 from .braid import BraidWord
 from .errors import (
     DegenerateSignature,
@@ -43,14 +42,22 @@ from .words import (
     primitive_root,
 )
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Literal
 
-@dataclasses.dataclass(frozen=True)
-class SurfaceSignature:
+
+class SurfaceSignature(Value):
     """Genus g with m boundary holes; the fundamental group is free of rank
     2g + m - 1 (for (g, m) != (0, 1))."""
 
     genus: int
     holes: int
+
+    def __init__(self, genus: int, holes: int) -> None:
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "holes", holes)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.genus < 0 or self.holes < 1:
@@ -65,13 +72,18 @@ TARGET_B3 = "B3"
 TARGET_F2 = "F2"
 
 
-@dataclasses.dataclass(frozen=True)
-class SurfaceHom:
+class SurfaceHom(Value):
     """A homomorphism out of a surface group, given on free generators."""
 
     signature: SurfaceSignature
     target: Literal["B3", "F2"]
     images: dict
+
+    def __init__(self, signature: SurfaceSignature, target: Literal["B3", "F2"], images: dict) -> None:
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "images", images)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         x = self.signature.free_rank
@@ -140,19 +152,25 @@ PERIODIC_DELTA = "periodicDelta"
 REDUCIBLE_SIGMA1_DELTA2 = "reducibleSigma1Delta2"
 
 
-@dataclasses.dataclass(frozen=True)
-class Oka3Classified:
+class Oka3Classified(Value):
     type_: str
+
+    def __init__(self, type_: str) -> None:
+        object.__setattr__(self, "type_", type_)
 
     def as_dict(self) -> dict:
         return {"verdict": "classified", "type": self.type_}
 
 
-@dataclasses.dataclass(frozen=True)
-class Oka3Violation:
+class Oka3Violation(Value):
     witness: FreeWord
     trace: int
     entropy: float
+
+    def __init__(self, witness: FreeWord, trace: int, entropy: float) -> None:
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "trace", trace)
+        object.__setattr__(self, "entropy", entropy)
 
     def as_dict(self) -> dict:
         return {
@@ -163,7 +181,7 @@ class Oka3Violation:
         }
 
 
-Oka3Result = Union[Oka3Classified, Oka3Violation]
+Oka3Result = Oka3Classified | Oka3Violation
 
 
 def oka3_decide(hom: SurfaceHom, mirrored: bool = False) -> Oka3Result:
@@ -234,10 +252,13 @@ TAG_HOLE_PATTERN = "hole-pattern"
 TAG_TRIPLE = "triple-product"
 
 
-@dataclasses.dataclass(frozen=True)
-class EPrimeSet:
+class EPrimeSet(Value):
     signature: SurfaceSignature
     elements: tuple[tuple[FreeWord, str], ...]
+
+    def __init__(self, signature: SurfaceSignature, elements: tuple[tuple[FreeWord, str], ...]) -> None:
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "elements", elements)
 
     @property
     def count(self) -> int:
@@ -342,12 +363,15 @@ def eprime_generate(sig: SurfaceSignature) -> EPrimeSet:
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class GOReducible:
+class GOReducible(Value):
     """Image generated by a single conjugated peripheral power."""
 
-    peripheral: Optional[str]
+    peripheral: str | None
     root: FreeWord
+
+    def __init__(self, peripheral: str | None, root: FreeWord) -> None:
+        object.__setattr__(self, "peripheral", peripheral)
+        object.__setattr__(self, "root", root)
 
     def as_dict(self) -> dict:
         return {
@@ -358,9 +382,11 @@ class GOReducible:
         }
 
 
-@dataclasses.dataclass(frozen=True)
-class GOSphereHolomorphic:
+class GOSphereHolomorphic(Value):
     triple: tuple[int, int, int]
+
+    def __init__(self, triple: tuple[int, int, int]) -> None:
+        object.__setattr__(self, "triple", triple)
 
     def as_dict(self) -> dict:
         return {
@@ -370,9 +396,11 @@ class GOSphereHolomorphic:
         }
 
 
-@dataclasses.dataclass(frozen=True)
-class NotGOSphereAntiholomorphic:
+class NotGOSphereAntiholomorphic(Value):
     triple: tuple[int, int, int]
+
+    def __init__(self, triple: tuple[int, int, int]) -> None:
+        object.__setattr__(self, "triple", triple)
 
     def as_dict(self) -> dict:
         return {
@@ -382,10 +410,13 @@ class NotGOSphereAntiholomorphic:
         }
 
 
-@dataclasses.dataclass(frozen=True)
-class NotGO:
-    witness: Optional[FreeWord]
+class NotGO(Value):
+    witness: FreeWord | None
     reason: str
+
+    def __init__(self, witness: FreeWord | None, reason: str) -> None:
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "reason", reason)
 
     def as_dict(self) -> dict:
         return {
@@ -396,7 +427,7 @@ class NotGO:
         }
 
 
-GoSurfaceResult = Union[GOReducible, GOSphereHolomorphic, NotGOSphereAntiholomorphic, NotGO]
+GoSurfaceResult = GOReducible | GOSphereHolomorphic | NotGOSphereAntiholomorphic | NotGO
 
 
 # the four sphere boundary patterns (t1, t2, t3 = (t1 t2)^-1): monodromy
@@ -412,7 +443,7 @@ _SPHERE_PATTERNS = (
 
 def _sphere_conjugator(
     conj1: tuple[Block, ...], core1: tuple[Block, ...], u2: FreeWord, t1: Block, t2: Block
-) -> Optional[tuple[Block, ...]]:
+) -> tuple[Block, ...] | None:
     """The blocks of the c with c u1 c^-1 = t1 and c u2 c^-1 = t2, or None, where
     u1 = conj1 * core1 * conj1^-1 is split by `_core`.
 

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import dataclasses
 import re
-from typing import Iterable, Sequence
 
+from ._value import Value
 from .errors import (
     NotAbelianTransitive,
     NotCommuting,
@@ -14,12 +13,19 @@ from .errors import (
 )
 from .words import FreeWord
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterable, Sequence
 
-@dataclasses.dataclass(frozen=True)
-class Permutation:
+
+class Permutation(Value):
     """A permutation of {1..n}; images[i-1] is the image of i."""
 
     images: tuple[int, ...]
+
+    def __init__(self, images: tuple[int, ...]) -> None:
+        object.__setattr__(self, "images", images)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         n = len(self.images)

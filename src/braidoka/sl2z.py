@@ -24,22 +24,27 @@ closed form:
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from typing import Optional
 
 from . import _backend
+from ._value import Value
 from .braid import BraidWord
 from .errors import InternalInconsistency, NotParabolic, WrongStrandCount
 from .words import _min_rotation
 
 
-@dataclasses.dataclass(frozen=True)
-class SL2Matrix:
+class SL2Matrix(Value):
     a: int
     b: int
     c: int
     d: int
+
+    def __init__(self, a: int, b: int, c: int, d: int) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.a * self.d - self.b * self.c != 1:
@@ -118,10 +123,13 @@ PARABOLIC = "parabolic"
 HYPERBOLIC = "hyperbolic"
 
 
-@dataclasses.dataclass(frozen=True)
-class MatrixClass:
+class MatrixClass(Value):
     kind: str
-    elliptic_order: Optional[int] = None
+    elliptic_order: int | None
+
+    def __init__(self, kind: str, elliptic_order: int | None = None) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "elliptic_order", elliptic_order)
 
 
 def matrix_class(m: SL2Matrix) -> MatrixClass:
@@ -188,7 +196,7 @@ def _period_runs(m: SL2Matrix) -> tuple[tuple[str, int], ...]:
     # about 0.72 steps per bit of c before the expansion turns periodic and
     # at most log_phi(t) partial quotients in the word
     limit = 4 * max(abs(a), abs(b), abs(c), abs(d)).bit_length() + 16
-    start: Optional[tuple[int, int]] = None
+    start: tuple[int, int] | None = None
     period: list[int] = []
     for n in range(limit):
         if start is None and not n % 2 and 0 < p <= r < p + q and q <= r + p:

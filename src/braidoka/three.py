@@ -12,12 +12,11 @@ trichotomy needs no floating-point tolerance.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from typing import Literal, Optional
 
 from . import _backend
 from ._purekernels import mat_inv, mat_mul
+from ._value import Value
 from .braid import BraidWord, exponent_sum
 from .errors import (
     InternalInconsistency,
@@ -35,6 +34,10 @@ from .sl2z import (
     sl2z_conjugate,
     theta,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Literal
 
 PERIODIC = "periodic"
 REDUCIBLE = "reducible"
@@ -60,20 +63,43 @@ def log_spectral_radius(trace: int) -> float:
     return math.log(t) + math.log1p(math.sqrt(max(0.0, 1.0 - 4 / (t * t)))) - math.log(2)
 
 
-@dataclasses.dataclass(frozen=True)
-class ThreeBraidClass:
+class ThreeBraidClass(Value):
     """Classification verdict for a 3-braid."""
 
     kind: Literal["periodic", "reducible", "pseudoAnosov"]
     trace: int
     exponent_sum: int
-    central: bool = False
-    reducible_flag: bool = False
-    base: Optional[Literal["sigma12", "delta"]] = None  # periodic: power base
-    ell: Optional[int] = None       # periodic power / reducible Delta^2 power
-    k: Optional[int] = None         # reducible sigma_1 power
-    entropy: float = 0.0
-    module: float = math.inf
+    central: bool
+    reducible_flag: bool
+    base: Literal["sigma12", "delta"] | None  # periodic: power base
+    ell: int | None       # periodic power / reducible Delta^2 power
+    k: int | None         # reducible sigma_1 power
+    entropy: float
+    module: float
+
+    def __init__(
+        self,
+        kind: Literal["periodic", "reducible", "pseudoAnosov"],
+        trace: int,
+        exponent_sum: int,
+        central: bool = False,
+        reducible_flag: bool = False,
+        base: Literal["sigma12", "delta"] | None = None,
+        ell: int | None = None,
+        k: int | None = None,
+        entropy: float = 0.0,
+        module: float = math.inf,
+    ) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "trace", trace)
+        object.__setattr__(self, "exponent_sum", exponent_sum)
+        object.__setattr__(self, "central", central)
+        object.__setattr__(self, "reducible_flag", reducible_flag)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "entropy", entropy)
+        object.__setattr__(self, "module", module)
 
     def as_dict(self) -> dict:
         out = {"kind": self.kind, "trace": self.trace, "exponentSum": self.exponent_sum}
@@ -174,8 +200,7 @@ def centralizer_check(b: BraidWord, k: int) -> bool:
     return c == 0
 
 
-@dataclasses.dataclass(frozen=True)
-class CommutatorPair:
+class CommutatorPair(Value):
     b1: tuple[int, ...]
     b2: tuple[int, ...]
     commutator_trace: int
@@ -186,15 +211,41 @@ class CommutatorPair:
     entropy_b2b1inv: float
     entropy_b2b1inv2: float
 
+    def __init__(
+        self,
+        b1: tuple[int, ...],
+        b2: tuple[int, ...],
+        commutator_trace: int,
+        entropy_b1: float,
+        entropy_b2: float,
+        b1_pure: bool,
+        b2_pure: bool,
+        entropy_b2b1inv: float,
+        entropy_b2b1inv2: float,
+    ) -> None:
+        object.__setattr__(self, "b1", b1)
+        object.__setattr__(self, "b2", b2)
+        object.__setattr__(self, "commutator_trace", commutator_trace)
+        object.__setattr__(self, "entropy_b1", entropy_b1)
+        object.__setattr__(self, "entropy_b2", entropy_b2)
+        object.__setattr__(self, "b1_pure", b1_pure)
+        object.__setattr__(self, "b2_pure", b2_pure)
+        object.__setattr__(self, "entropy_b2b1inv", entropy_b2b1inv)
+        object.__setattr__(self, "entropy_b2b1inv2", entropy_b2b1inv2)
+
     def zero_entropy_inputs(self) -> bool:
         return self.entropy_b1 == 0.0 and self.entropy_b2 == 0.0
 
 
-@dataclasses.dataclass(frozen=True)
-class CommutatorScanReport:
+class CommutatorScanReport(Value):
     maxlen: int
     words_scanned: int
     pairs: tuple[CommutatorPair, ...]
+
+    def __init__(self, maxlen: int, words_scanned: int, pairs: tuple[CommutatorPair, ...]) -> None:
+        object.__setattr__(self, "maxlen", maxlen)
+        object.__setattr__(self, "words_scanned", words_scanned)
+        object.__setattr__(self, "pairs", pairs)
 
     def contains(self, w1: tuple[int, ...], w2: tuple[int, ...]) -> bool:
         return any(p.b1 == w1 and p.b2 == w2 for p in self.pairs)

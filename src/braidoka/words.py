@@ -12,11 +12,14 @@ blocks, never the size of an exponent: a1^(10^9) costs what a1 costs.
 
 from __future__ import annotations
 
-import dataclasses
 import re
-from typing import Iterable, Iterator, Optional
 
-from .errors import IdentityInput
+from ._value import Value
+from .errors import IdentityInput, ResourceLimit
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator
 
 Block = tuple[int, int]      # (generator index >= 1, exponent != 0)
 Letter = tuple[int, int]     # (generator index, +1 or -1)
@@ -27,6 +30,11 @@ PERIPHERAL_A1 = "a1"
 PERIPHERAL_A2 = "a2"
 PERIPHERAL_A1A2_INV = "(a1a2)^-1"
 PERIPHERALS = (PERIPHERAL_A1, PERIPHERAL_A2, PERIPHERAL_A1A2_INV)
+
+# largest power FreeWord.__pow__ spells out, in core blocks times |n|: 2^20
+# blocks (a two-block core to the 2^19) take about 0.18 s and add 88 MB to
+# the peak resident size (pure Python 3.11, 2-core VM); both grow linearly
+POW_MAXBLOCKS = 2**20
 
 _TOKEN_RE = re.compile(r"^([aAeExX])(\d+)(?:\^(-?\d+))?$")
 
@@ -94,11 +102,14 @@ def _cyclic_blocks(core: tuple[Block, ...]) -> tuple[Block, ...]:
     return core
 
 
-@dataclasses.dataclass(frozen=True)
-class FreeWord:
+class FreeWord(Value):
     """A reduced word in a free group of unbounded rank."""
 
-    blocks: tuple[Block, ...] = ()
+    blocks: tuple[Block, ...]
+
+    def __init__(self, blocks: tuple[Block, ...] = ()) -> None:
+        object.__setattr__(self, "blocks", blocks)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "blocks", _merge_blocks(self.blocks))
@@ -164,13 +175,19 @@ class FreeWord:
 
     def __pow__(self, n: int) -> "FreeWord":
         """conj * core^n * conj^-1; a one-block core takes one multiplication
-        of its exponent, whatever n is."""
+        of its exponent, whatever n is.  A longer core is spelled out n
+        times, so ResourceLimit is raised above POW_MAXBLOCKS blocks."""
         if n == 0:
             return FreeWord()
         conj, core = _core(self.blocks)
         if n < 0:
             core, n = _inverse(core), -n
-        middle = ((core[0][0], core[0][1] * n),) if len(core) == 1 else core * n
+        if len(core) == 1:
+            middle = ((core[0][0], core[0][1] * n),)
+        elif len(core) * n > POW_MAXBLOCKS:
+            raise ResourceLimit(f"a power of {len(core) * n} blocks exceeds POW_MAXBLOCKS = {POW_MAXBLOCKS}")
+        else:
+            middle = core * n
         return FreeWord(conj + middle + _inverse(conj))
 
 
@@ -231,16 +248,20 @@ def primitive_root(w: FreeWord) -> tuple[FreeWord, int]:
     raise AssertionError("unreachable: every sequence has period = its length")
 
 
-@dataclasses.dataclass(frozen=True)
-class PeripheralPower:
+class PeripheralPower(Value):
     """w is conjugate to peripheral^power; trivial marks w = identity."""
 
-    peripheral: Optional[str]
+    peripheral: str | None
     power: int
-    trivial: bool = False
+    trivial: bool
+
+    def __init__(self, peripheral: str | None, power: int, trivial: bool = False) -> None:
+        object.__setattr__(self, "peripheral", peripheral)
+        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "trivial", trivial)
 
 
-def is_conjugate_into_peripheral(w: FreeWord) -> Optional[PeripheralPower]:
+def is_conjugate_into_peripheral(w: FreeWord) -> PeripheralPower | None:
     """Match w against conjugates of powers of a1, a2, (a1 a2)^-1.
 
     Works on the cyclically reduced core: a one-block core (1, e) or (2, e)

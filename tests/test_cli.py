@@ -322,3 +322,20 @@ def test_import_leaves_numpy_unloaded(tmp_path):
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_import_leaves_dataclasses_and_fractions_unloaded():
+    # dataclasses (with inspect, ast, dis and tokenize) cost about 25 ms per
+    # CLI call and fractions (with decimal) about 3 ms; the package needs
+    # neither at run time
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, braidoka.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -4,8 +4,9 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from braidoka.errors import IdentityInput
+from braidoka.errors import IdentityInput, ResourceLimit
 from braidoka.words import (
+    POW_MAXBLOCKS,
     FreeWord,
     _core,
     _min_rotation,
@@ -85,6 +86,22 @@ class TestPower:
         assert peripheral_word(PERIPHERAL_A2, 10**100) == FreeWord.gen(2, 10**100)
         assert time.perf_counter() - t0 < 0.01
         assert w == c * FreeWord.gen(1, -3 * 10**100) * c.inv()
+
+    def test_longer_core_is_spelled_out_up_to_the_limit(self):
+        # (a1 a2)^-1 has a two-block core, so its n-th power has 2|n| blocks
+        c = FreeWord.gen(3)
+        u = c * (a1 * a2).inv() * c.inv()
+        n = POW_MAXBLOCKS // 2
+        for k in (n, -n):
+            w = u**k
+            assert len(w.blocks) == POW_MAXBLOCKS + 2
+            hit = is_conjugate_into_peripheral(w)
+            assert (hit.peripheral, hit.power) == (PERIPHERAL_A1A2_INV, k)
+        for k in (n + 1, -(n + 1), 10**9):
+            with pytest.raises(ResourceLimit):
+                u**k
+        with pytest.raises(ResourceLimit):
+            peripheral_word(PERIPHERAL_A1A2_INV, 10**9)
 
 
 class TestCore:
