@@ -85,9 +85,6 @@ class BraidWord(Value):
                 out.append(let)
         return BraidWord(self.strands, tuple(out))
 
-    def word_length(self) -> int:
-        return len(self.letters)
-
     def text(self) -> str:
         return " ".join(str(x) for x in self.letters) if self.letters else ""
 
@@ -107,14 +104,11 @@ def commutator(b1: BraidWord, b2: BraidWord) -> BraidWord:
 
 def permutation(b: BraidWord) -> Permutation:
     """Image of b under the natural projection B_n -> S_n."""
-    perm = list(range(1, b.strands + 1))  # perm[i-1] = current position of strand i
-    pos = list(range(1, b.strands + 1))   # pos[p-1] = strand currently at position p
+    pos = list(range(1, b.strands + 1))  # pos[p-1] = strand currently at position p
     for let in b.letters:
         k = abs(let)
-        s, t = pos[k - 1], pos[k]
-        pos[k - 1], pos[k] = t, s
-        perm[s - 1], perm[t - 1] = k + 1, k
-    return Permutation(tuple(perm))
+        pos[k - 1], pos[k] = pos[k], pos[k - 1]
+    return Permutation(_t_inv(tuple(pos)))
 
 
 def exponent_sum(b: BraidWord) -> int:
@@ -155,10 +149,9 @@ def linking_numbers(b: BraidWord) -> LinkingNumbers:
     Discarding all strands but {i, j} leaves a 2-braid sigma^(2m); here the
     signed crossings between the two retained strands are counted along the
     word and halved.  Sign convention: sigma_i^2 on adjacent retained
-    strands has linking number +1.
+    strands has linking number +1.  The braid is pure when the walk ends
+    with every strand back at its start.
     """
-    if not permutation(b).is_identity():
-        raise NotPure("linking numbers are defined for pure braids only")
     n = b.strands
     counts: dict[tuple[int, int], int] = {}
     pos = list(range(1, n + 1))  # pos[p-1] = strand currently at position p
@@ -168,6 +161,8 @@ def linking_numbers(b: BraidWord) -> LinkingNumbers:
         pair = (min(s, t), max(s, t))
         counts[pair] = counts.get(pair, 0) + (1 if let > 0 else -1)
         pos[k - 1], pos[k] = t, s
+    if pos != list(range(1, n + 1)):
+        raise NotPure("linking numbers are defined for pure braids only")
     values = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -282,14 +277,6 @@ class GarsideNormalForm(Value):
         object.__setattr__(self, "strands", strands)
         object.__setattr__(self, "power", power)
         object.__setattr__(self, "factors", factors)
-
-    @property
-    def infimum(self) -> int:
-        return self.power
-
-    @property
-    def supremum(self) -> int:
-        return self.power + len(self.factors)
 
     def canonical_length(self) -> int:
         return len(self.factors)

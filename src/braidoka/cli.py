@@ -40,6 +40,7 @@ from .three import (
 )
 
 SCHEMA_VERSION = "1"
+PATH_STEPS = 16  # lattice-branch --path-end without --path-steps
 
 OK = 0
 USAGE_ERROR = 1
@@ -56,18 +57,18 @@ def _load_json(path: str):
 
 
 def cmd_classify(args):
-    b = _braid_arg(args)
+    b = BraidWord.parse(args.braid, 3)
     payload = classify3(b).as_dict()
     payload["theta"] = theta(b).to_json()
     return payload, True
 
 
 def cmd_entropy(args):
-    return {"entropy": entropy3(_braid_arg(args))}, True
+    return {"entropy": entropy3(BraidWord.parse(args.braid, 3))}, True
 
 
 def cmd_module(args):
-    m = conformal_module3(_braid_arg(args))
+    m = conformal_module3(BraidWord.parse(args.braid, 3))
     return {"module": None if math.isinf(m) else m, "infinite": math.isinf(m)}, True
 
 
@@ -102,11 +103,7 @@ def cmd_linking(args):
 
 
 def cmd_conj(args):
-    b1 = BraidWord.parse(args.a, args.n)
-    b2 = BraidWord.parse(args.b, args.n)
-    if (args.n or max(b1.strands, b2.strands)) != 3:
-        raise BraidokaError("conjugacy testing is implemented for B_3 only")
-    res = conj3(b1, b2)
+    res = conj3(BraidWord.parse(args.a, 3), BraidWord.parse(args.b, 3))
     return {"conjugate": res}, res
 
 
@@ -126,14 +123,15 @@ def cmd_thm1(args):
 
 
 def cmd_penner(args):
+    surface = args.genus is not None
+    if surface != (args.marked is not None) or not (surface or args.braid_n is not None):
+        raise BraidokaError("give --genus and --marked, or --braid-n")
     payload: dict = {}
-    if args.genus is not None and args.marked is not None:
+    if surface:
         payload["penner"] = penner_bound(args.genus, args.marked)
     if args.braid_n is not None:
         payload["entropyLower"] = nbraid_entropy_lower(args.braid_n)
         payload["moduleUpper"] = nbraid_module_upper(args.braid_n)
-    if not payload:
-        raise BraidokaError("give --genus and --marked, or --braid-n")
     return payload, True
 
 
@@ -176,13 +174,15 @@ def cmd_lattice_branch(args):
     alpha = _parse_complex(args.alpha)
     tau = _parse_complex(args.tau)
     if args.path_end is None:
+        if args.path_steps is not None:
+            raise ValueError("--path-steps needs --path-end")
         bl = lattice.branch_locus(lattice.LatticeSpec(alpha, tau), args.radius)
         if args.csv:
             return _csv("e1_re,e1_im,e2_re,e2_im,e3_re,e3_im", [_e_cells(bl)]), True
         return {"alpha": [alpha.real, alpha.imag], "tau": [tau.real, tau.imag],
                 **bl.as_dict()}, True
     end = _parse_complex(args.path_end)
-    steps = args.path_steps
+    steps = PATH_STEPS if args.path_steps is None else args.path_steps
     if steps < 1:
         raise ValueError("--path-steps must be >= 1")
     rows = []
@@ -219,16 +219,18 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = add(name, run, help_)
         p.add_argument("--braid", required=True, help="word like '1 -2 1'")
-        p.add_argument("--n", type=int, default=3, help="strand count")
+        if name in ("nf", "linking"):  # the others work in B_3 only
+            p.add_argument("--n", type=int, default=3, help="strand count")
 
-    for name, run, help_, n in (
-        ("eq", cmd_eq, "equality of two braid words", None),
-        ("conj", cmd_conj, "conjugacy of two 3-braid words", 3),
+    for name, run, help_ in (
+        ("eq", cmd_eq, "equality of two braid words"),
+        ("conj", cmd_conj, "conjugacy of two 3-braid words"),
     ):
         p = add(name, run, help_)
         p.add_argument("--a", required=True)
         p.add_argument("--b", required=True)
-        p.add_argument("--n", type=int, default=n)
+        if name == "eq":
+            p.add_argument("--n", type=int)
 
     p = add("scan-commutators", cmd_scan_commutators,
             "pairs with nontrivial zero-entropy commutator")
@@ -250,10 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("oka3", cmd_oka3, "E0 screen of a torus-with-hole B3 monodromy")
     p.add_argument("--hom", required=True, help="SurfaceHom JSON file")
-    p.add_argument("--mirrored", action="store_true",
-                   help="use the mirrored E0 variant")
-    p.add_argument("--both-variants", action="store_true",
-                   help="report both E0 variants and whether they agree")
+    variant = p.add_mutually_exclusive_group()
+    variant.add_argument("--mirrored", action="store_true",
+                         help="use the mirrored E0 variant")
+    variant.add_argument("--both-variants", action="store_true",
+                         help="report both E0 variants and whether they agree")
 
     p = add("go-surface", cmd_go_surface, "Gromov-Oka verdict of an F2 monodromy")
     p.add_argument("--hom", required=True, help="SurfaceHom JSON file")
@@ -269,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=int, default=lattice.DEFAULT_RADIUS)
     p.add_argument("--csv", action="store_true")
     p.add_argument("--path-end", help="trace tau linearly to this re,im value")
-    p.add_argument("--path-steps", type=int, default=16)
+    p.add_argument("--path-steps", type=int,
+                   help=f"steps along the --path-end path (default {PATH_STEPS})")
 
     for p in sub.choices.values():
         p.add_argument("--out", help="also write the printed output to this file")

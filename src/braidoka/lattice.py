@@ -17,34 +17,12 @@ generic points and down to 1e-7 from a lattice point.
 
 from __future__ import annotations
 
-import math
-
 from . import _backend
 from ._value import Value
 from .errors import PoleProximity
 
 DEFAULT_RADIUS = 60
 POLE_TOLERANCE = 1e-8
-
-
-def _lattice_distance(z: complex, tau: complex) -> float:
-    """Distance from z to the lattice Z + tau Z."""
-    m = z.imag / tau.imag
-    n = z.real - m * tau.real
-    best = math.inf
-    for dm in (math.floor(m), math.ceil(m)):
-        for dn in (math.floor(n), math.ceil(n)):
-            best = min(best, abs(z - (dn + dm * tau)))
-    return best
-
-
-def _check_args(zeta: complex, tau: complex, radius: int) -> None:
-    if tau.imag <= 0:
-        raise ValueError("tau must have positive imaginary part")
-    if radius < 10:
-        raise ValueError("truncation radius must be >= 10")
-    if _lattice_distance(zeta, tau) < POLE_TOLERANCE:
-        raise PoleProximity(f"{zeta} is within {POLE_TOLERANCE} of a lattice point")
 
 
 def _reduce_cell(zeta: complex, tau: complex) -> complex:
@@ -59,18 +37,35 @@ def _reduce_cell(zeta: complex, tau: complex) -> complex:
     return zeta - n - m * tau
 
 
+def _reduced_arg(zeta: complex, tau: complex, radius: int) -> complex:
+    """zeta reduced by `_reduce_cell`, after checking tau, the radius and
+    the distance to the lattice.
+
+    The reduced point has |Re| <= 1/2 and |Im| <= Im tau / 2, so every
+    lattice point but 0 lies at least min(1/2, Im tau / 2) from it, and
+    its distance to 0 decides the pole test alone whenever Im tau >
+    2 POLE_TOLERANCE.
+    """
+    if tau.imag <= 0:
+        raise ValueError("tau must have positive imaginary part")
+    if radius < 10:
+        raise ValueError("truncation radius must be >= 10")
+    z = _reduce_cell(zeta, tau)
+    if abs(z) < POLE_TOLERANCE:
+        raise PoleProximity(f"{zeta} is within {POLE_TOLERANCE} of a lattice point")
+    return z
+
+
 def wp(zeta: complex, tau: complex, radius: int = DEFAULT_RADIUS) -> complex:
     """The Weierstrass function of Z + tau Z at zeta."""
     zeta, tau = complex(zeta), complex(tau)
-    _check_args(zeta, tau, radius)
-    return _backend.wp_sum(_reduce_cell(zeta, tau), tau, radius)
+    return _backend.wp_sum(_reduced_arg(zeta, tau, radius), tau, radius)
 
 
 def wp_prime(zeta: complex, tau: complex, radius: int = DEFAULT_RADIUS) -> complex:
     """Derivative of the Weierstrass function: -2 sum 1/(zeta - w)^3."""
     zeta, tau = complex(zeta), complex(tau)
-    _check_args(zeta, tau, radius)
-    return _backend.wp_prime_sum(_reduce_cell(zeta, tau), tau, radius)
+    return _backend.wp_prime_sum(_reduced_arg(zeta, tau, radius), tau, radius)
 
 
 def e_values(tau: complex, radius: int = DEFAULT_RADIUS) -> tuple[complex, complex, complex]:
@@ -103,13 +98,12 @@ class LatticeSpec(Value):
         object.__setattr__(self, "tau", complex(self.tau))
 
     @staticmethod
-    def from_generators(a: complex, b: complex, condition: bool = True) -> "LatticeSpec":
+    def from_generators(a: complex, b: complex) -> "LatticeSpec":
         """The lattice a Z + b Z, normalized so Im(tau) > 0.
 
-        With condition=True the modulus is moved toward the standard
-        fundamental domain by unimodular steps, which never change the
-        lattice: tau -> tau - round(Re tau) keeps alpha, tau -> -1/tau
-        rescales alpha by tau.
+        The modulus is moved toward the standard fundamental domain by
+        unimodular steps, which never change the lattice: tau -> tau -
+        round(Re tau) keeps alpha, tau -> -1/tau rescales alpha by tau.
         """
         a, b = complex(a), complex(b)
         if a == 0 or b == 0:
@@ -121,16 +115,15 @@ class LatticeSpec(Value):
         if tau.imag < 0:
             tau = a / b
             alpha = b
-        if condition:
-            for _ in range(64):
-                shift = round(tau.real)
-                if shift:
-                    tau = tau - shift
-                if abs(tau) < 1 - 1e-12:
-                    alpha = alpha * tau
-                    tau = -1 / tau
-                else:
-                    break
+        for _ in range(64):
+            shift = round(tau.real)
+            if shift:
+                tau = tau - shift
+            if abs(tau) < 1 - 1e-12:
+                alpha = alpha * tau
+                tau = -1 / tau
+            else:
+                break
         return LatticeSpec(alpha, tau)
 
 

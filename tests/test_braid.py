@@ -45,6 +45,31 @@ def test_permutation_examples():
     assert permutation(delta(3) ** 2).is_identity()
 
 
+def test_one_walk_projections():
+    # permutation and the purity test of linking_numbers each walk the
+    # strands once; compare them with the composed letter transpositions
+    rng = random.Random(41)
+    pure = 0
+    for _ in range(400):
+        n = rng.randint(2, 8)
+        letters = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 40))]
+        if rng.random() < 0.3:  # every letter squared: a pure braid
+            letters = [x for x in letters[:20] for _ in (0, 1)]
+        b = BraidWord(n, tuple(letters))
+        expected = Permutation.identity(n)
+        for x in letters:
+            expected = expected.then(Permutation.transposition(n, abs(x)))
+        assert permutation(b) == expected
+        if expected.is_identity():
+            pure += 1
+            lk = linking_numbers(b)
+            assert 2 * sum(v for _, _, v in lk.values) == exponent_sum(b)
+        else:
+            with pytest.raises(NotPure):
+                linking_numbers(b)
+    assert 100 < pure < 300
+
+
 def test_exponent_sum():
     assert exponent_sum(w3("1 2 1")) == 3
     assert exponent_sum(delta(3) ** 4) == 12

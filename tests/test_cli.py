@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from braidoka.cli import main
+from braidoka.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -253,7 +254,8 @@ CASES = {
     "lattice-branch": [(["--tau", "0,1", "--radius", "20"], 0),
                        (["--tau", "0,1", "--radius", "20", "--csv"], 0),
                        (["--tau", "0,1", "--path-end", "0,2", "--path-steps", "2",
-                         "--radius", "20", "--csv"], 0)],
+                         "--radius", "20", "--csv"], 0),
+                       (["--alpha", "2,0.5", "--tau", "0.2,1.1", "--radius", "20"], 0)],
 }
 
 
@@ -261,6 +263,35 @@ def test_cases_cover_every_subcommand(capsys):
     assert main(["--help"]) == 0
     listed = re.search(r"\{([a-z0-9,-]+)\}", capsys.readouterr().out).group(1)
     assert sorted(listed.split(",")) == sorted(CASES)
+
+
+def test_cases_cover_every_option():
+    # every option a subcommand ships is passed by one of its cases
+    # (--out is covered by test_out_file)
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        passed = {a for args, _ in CASES[name] for a in args}
+        for action in parser._actions:
+            for opt in set(action.option_strings) - {"-h", "--help", "--out"}:
+                assert opt in passed, (name, opt)
+
+
+@pytest.mark.parametrize("argv", [
+    ["oka3", "--hom", "{b3_classified}", "--mirrored", "--both-variants"],
+    ["penner", "--genus", "1", "--braid-n", "3"],
+    ["lattice-branch", "--tau", "0,1", "--path-steps", "4"],
+], ids=["oka3", "penner", "lattice-branch"])
+def test_rejects_options_it_would_ignore(argv, tmp_path, capsys):
+    path = tmp_path / "hom.json"
+    path.write_text(json.dumps(FILES["b3_classified"]))
+    assert main([a.format(b3_classified=path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if argv[0] == "oka3":  # argparse reports the clash
+        assert "not allowed with argument" in captured.err
+    else:
+        expected = {"penner": "BraidokaError", "lattice-branch": "ValueError"}[argv[0]]
+        assert json.loads(captured.err)["errorType"] == expected
 
 
 @pytest.mark.parametrize("sub", list(CASES))
@@ -300,6 +331,10 @@ def test_usage_error(capsys):
     assert code == 1
     code = main(["eq", "--n", "3", "--a", "1", "--b", "1 2 3 4"])  # letter beyond B_3
     assert code == 1
+    for argv in (["classify", "--braid", "1 -2"], ["entropy", "--braid", "1 -2"],
+                 ["module", "--braid", "1 2"], ["conj", "--a", "1", "--b", "2"]):
+        assert main([*argv, "--n", "3"]) == 1  # B_3 only: no --n
+        assert "unrecognized arguments: --n 3" in capsys.readouterr().err
 
 
 def test_import_leaves_numpy_unloaded(tmp_path):

@@ -8,6 +8,7 @@ from lattice_reference import wp_prime as wp_prime_reference
 
 from braidoka.errors import PoleProximity
 from braidoka.lattice import (
+    POLE_TOLERANCE,
     LatticeSpec,
     branch_locus,
     e_values,
@@ -55,6 +56,29 @@ class TestWp:
             wp(1e-10 + 0j, 1j)
         with pytest.raises(PoleProximity):
             wp(2 + 3j + 1e-9, 1j)
+
+    def test_pole_rule_on_skewed_lattices(self):
+        # the pole test reads |zeta reduced into the cell| alone; compare it
+        # with a brute-force search for a lattice point within the tolerance
+        rng = random.Random(29)
+        raised = 0
+        for _ in range(150):
+            tau = complex(rng.uniform(-3, 3), rng.uniform(0.05, 3))
+            p, q = rng.randint(-5, 5), rng.randint(-5, 5)
+            for scale in (0.5, 0.9, 1.1, 2):
+                delta = cmath.rect(scale * POLE_TOLERANCE, rng.uniform(0, 2 * math.pi))
+                zeta = p + q * tau + delta
+                near = any(abs(zeta - (a + b * tau)) < POLE_TOLERANCE
+                           for a in range(-15, 16) for b in range(-8, 9))
+                for f in (wp, wp_prime):
+                    try:
+                        f(zeta, tau)
+                    except PoleProximity:
+                        assert near, (f.__name__, tau, zeta)
+                        raised += 1
+                    else:
+                        assert not near, (f.__name__, tau, zeta)
+        assert raised == 2 * 150 * 2  # both functions at scales 0.5 and 0.9
 
     def test_laurent_leading_terms(self):
         # wp = z^-2 + O(z^2) and wp' = -2 z^-3 + O(z) near the pole at 0
