@@ -3,16 +3,21 @@ half-period values, and branch loci.
 
 wp and wp' are series over the lattice rows m + n tau, |n| <= R (the
 radius), each row summed in closed form: sum_m 1/(u - m)^2 =
-pi^2 csc^2(pi u) (DLMF 23.8).  Once zeta is translated into the cell
-around the origin, the terms of row n shrink like exp(-2 pi n Im tau), so
-at the default R = 60 and Im tau >= 0.8 the truncation is far below
-rounding.  Measured for |Re tau| <= 1/2, 0.8 <= Im tau <= 2: over 200
-seeded tau, e1, e2, e3 agree with mpmath theta constants (DLMF
-23.6.2-23.6.4) to 1.2e-15 relative and the normalized residual of the
-cubic differential equation (`ode_residual`) stays below 1.1e-12, also
-near zeta = (1 + tau)/2, where wp' vanishes; over 60 seeded tau, wp and
-wp' agree with a 40-digit theta quotient to 1e-15 and 8e-15 relative, at
-generic points and down to 1e-7 from a lattice point.
+pi^2 csc^2(pi u) (DLMF 23.8).  The lattice Z + tau Z is first written as
+f (Z + tau' Z) with tau' in the standard fundamental domain, so Im tau' >=
+sqrt(3)/2, and wp, wp' are read off the lattice of tau' by homogeneity
+(DLMF 23.10.17).  Once zeta / f is translated into the cell around the
+origin, the terms of row n shrink like exp(-2 pi n Im tau'), so at the
+default R = 60 the truncation is far below rounding for every tau.
+Measured for |Re tau| <= 1/2, 0.8 <= Im tau <= 2: over 200 seeded tau,
+e1, e2, e3 agree with mpmath theta constants (DLMF 23.6.2-23.6.4) to
+1.2e-15 relative and the normalized residual of the cubic differential
+equation (`ode_residual`) stays below 1.1e-12, also near zeta =
+(1 + tau)/2, where wp' vanishes; over 60 seeded tau, wp and wp' agree
+with a 40-digit theta quotient to 1e-15 and 8e-15 relative, at generic
+points and down to 1e-7 from a lattice point.  Down to Im tau = 0.01,
+e1, e2, e3 agree with mpmath to 2.1e-15 relative (tau = 0.3 + 0.05i,
+0.45 + 0.02i and 0.01i).
 """
 
 from __future__ import annotations
@@ -37,35 +42,60 @@ def _reduce_cell(zeta: complex, tau: complex) -> complex:
     return zeta - n - m * tau
 
 
-def _reduced_arg(zeta: complex, tau: complex, radius: int) -> complex:
-    """zeta reduced by `_reduce_cell`, after checking tau, the radius and
-    the distance to the lattice.
+def _reduce_modulus(tau: complex) -> tuple[complex, complex]:
+    """(tau', f) with Z + tau Z = f (Z + tau' Z) and tau' in the standard
+    fundamental domain, so Im tau' >= sqrt(3)/2.
 
-    The reduced point has |Re| <= 1/2 and |Im| <= Im tau / 2, so every
-    lattice point but 0 lies at least min(1/2, Im tau / 2) from it, and
-    its distance to 0 decides the pole test alone whenever Im tau >
-    2 POLE_TOLERANCE.
+    Unimodular steps never change the lattice: tau -> tau - round(Re tau)
+    keeps f, and tau -> -1/tau multiplies f by tau.
+    """
+    f = 1
+    for _ in range(64):
+        shift = round(tau.real)
+        if shift:
+            tau = tau - shift
+        if abs(tau) < 1 - 1e-12:
+            f = f * tau
+            tau = -1 / tau
+        else:
+            break
+    return tau, f
+
+
+def _reduced_arg(zeta: complex, tau: complex, radius: int) -> tuple[complex, complex, complex]:
+    """(z, tau', f): tau reduced by `_reduce_modulus` and z = zeta / f
+    reduced by `_reduce_cell` in Z + tau' Z, after checking tau, the radius
+    and the distance to the lattice.
+
+    z has |Re| <= 1/2 and |Im| <= Im tau' / 2, so every point of
+    Z + tau' Z but 0 lies at least sqrt(3)/4 from it.  |f z|, the distance
+    in the original units, then decides the pole test alone unless the
+    shortest lattice vector, of length |f|, is below 4 POLE_TOLERANCE /
+    sqrt(3).
     """
     if tau.imag <= 0:
         raise ValueError("tau must have positive imaginary part")
     if radius < 10:
         raise ValueError("truncation radius must be >= 10")
-    z = _reduce_cell(zeta, tau)
-    if abs(z) < POLE_TOLERANCE:
+    tau, f = _reduce_modulus(tau)
+    z = _reduce_cell(zeta / f, tau)
+    if abs(f * z) < POLE_TOLERANCE:
         raise PoleProximity(f"{zeta} is within {POLE_TOLERANCE} of a lattice point")
-    return z
+    return z, tau, f
 
 
 def wp(zeta: complex, tau: complex, radius: int = DEFAULT_RADIUS) -> complex:
-    """The Weierstrass function of Z + tau Z at zeta."""
-    zeta, tau = complex(zeta), complex(tau)
-    return _backend.wp_sum(_reduced_arg(zeta, tau, radius), tau, radius)
+    """The Weierstrass function of Z + tau Z at zeta, by homogeneity
+    wp(zeta; f L) = f^-2 wp(zeta / f; L) (DLMF 23.10.17)."""
+    z, tau, f = _reduced_arg(complex(zeta), complex(tau), radius)
+    return _backend.wp_sum(z, tau, radius) / f**2
 
 
 def wp_prime(zeta: complex, tau: complex, radius: int = DEFAULT_RADIUS) -> complex:
-    """Derivative of the Weierstrass function: -2 sum 1/(zeta - w)^3."""
-    zeta, tau = complex(zeta), complex(tau)
-    return _backend.wp_prime_sum(_reduced_arg(zeta, tau, radius), tau, radius)
+    """Derivative of the Weierstrass function: -2 sum 1/(zeta - w)^3,
+    homogeneous of degree -3."""
+    z, tau, f = _reduced_arg(complex(zeta), complex(tau), radius)
+    return _backend.wp_prime_sum(z, tau, radius) / f**3
 
 
 def e_values(tau: complex, radius: int = DEFAULT_RADIUS) -> tuple[complex, complex, complex]:
@@ -99,12 +129,8 @@ class LatticeSpec(Value):
 
     @staticmethod
     def from_generators(a: complex, b: complex) -> "LatticeSpec":
-        """The lattice a Z + b Z, normalized so Im(tau) > 0.
-
-        The modulus is moved toward the standard fundamental domain by
-        unimodular steps, which never change the lattice: tau -> tau -
-        round(Re tau) keeps alpha, tau -> -1/tau rescales alpha by tau.
-        """
+        """The lattice a Z + b Z, normalized so Im(tau) > 0 and tau lies in
+        the standard fundamental domain (`_reduce_modulus`)."""
         a, b = complex(a), complex(b)
         if a == 0 or b == 0:
             raise ValueError("generators must be nonzero")
@@ -115,16 +141,8 @@ class LatticeSpec(Value):
         if tau.imag < 0:
             tau = a / b
             alpha = b
-        for _ in range(64):
-            shift = round(tau.real)
-            if shift:
-                tau = tau - shift
-            if abs(tau) < 1 - 1e-12:
-                alpha = alpha * tau
-                tau = -1 / tau
-            else:
-                break
-        return LatticeSpec(alpha, tau)
+        tau, f = _reduce_modulus(tau)
+        return LatticeSpec(alpha * f, tau)
 
 
 class BranchLocus(Value):

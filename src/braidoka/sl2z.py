@@ -4,7 +4,7 @@ classification, and conjugacy decisions.
 Conjugacy is decided per class type, each by a complete invariant in
 closed form:
 
-* central: equality;
+* central: the trace;
 * parabolic: (sign, shear) with M ~ sign*[[1, shear], [0, 1]].  For a
   primitive fixed vector (u, v), sign*M - I = shear*[[-uv, u^2], [-v^2, uv]],
   so |shear| is the gcd of its off-diagonal entries and shear has the sign
@@ -132,18 +132,19 @@ class MatrixClass(Value):
         object.__setattr__(self, "elliptic_order", elliptic_order)
 
 
+def _kind(m: SL2Matrix) -> str:
+    """The class of m, decided once: central when b = c = 0 (then a = d =
+    +-1, and a gives the sign), else elliptic, parabolic or hyperbolic as
+    |trace| is below, at or above 2."""
+    if m.b == 0 == m.c:
+        return CENTRAL_I if m.a == 1 else CENTRAL_MINUS_I
+    t = abs(m.a + m.d)
+    return ELLIPTIC if t < 2 else PARABOLIC if t == 2 else HYPERBOLIC
+
+
 def matrix_class(m: SL2Matrix) -> MatrixClass:
-    if m == I:
-        return MatrixClass(CENTRAL_I)
-    if m == MINUS_I:
-        return MatrixClass(CENTRAL_MINUS_I)
-    t = m.trace
-    if abs(t) < 2:
-        order = {0: 4, 1: 6, -1: 3}[t]
-        return MatrixClass(ELLIPTIC, elliptic_order=order)
-    if abs(t) == 2:
-        return MatrixClass(PARABOLIC)
-    return MatrixClass(HYPERBOLIC)
+    kind = _kind(m)
+    return MatrixClass(kind, {0: 4, 1: 6, -1: 3}[m.trace] if kind == ELLIPTIC else None)
 
 
 # ---------------------------------------------------------------------------
@@ -157,16 +158,13 @@ def parabolic_normal_form(m: SL2Matrix) -> tuple[int, int]:
     The pair is a complete conjugacy invariant among parabolic and central
     matrices.  n = sign*m is g [[1, shear], [0, 1]] g^-1 with first column
     (u, v) of g primitive, so n.b = shear*u^2 and n.c = -shear*v^2: |shear|
-    is gcd(n.b, n.c) and shear has the sign of n.b - n.c.
+    is gcd(n.b, n.c) and shear has the sign of n.b - n.c.  At +-I both
+    entries are 0, which gives (+-1, 0).
     """
-    cls = matrix_class(m).kind
-    if cls == CENTRAL_I:
-        return (1, 0)
-    if cls == CENTRAL_MINUS_I:
-        return (-1, 0)
-    if cls != PARABOLIC:
-        raise NotParabolic(f"{m} has trace {m.trace}")
-    sign = 1 if m.trace == 2 else -1
+    t = m.trace
+    if abs(t) != 2:
+        raise NotParabolic(f"{m} has trace {t}")
+    sign = 1 if t == 2 else -1
     b, c = sign * m.b, sign * m.c
     shear = math.gcd(b, c)
     return (sign, shear if b > c else -shear)
@@ -236,12 +234,11 @@ def sl2z_conjugate(m: SL2Matrix, n: SL2Matrix) -> bool:
     """Conjugacy in SL(2,Z)."""
     if m.trace != n.trace:
         return False
-    km, kn = matrix_class(m), matrix_class(n)
-    if km != kn:
+    kind = _kind(m)
+    if kind != _kind(n):
         return False
-    kind = km.kind
     if kind in (CENTRAL_I, CENTRAL_MINUS_I):
-        return m == n
+        return True  # equal traces make m = n
     if kind == PARABOLIC:
         return parabolic_normal_form(m) == parabolic_normal_form(n)
     if kind == ELLIPTIC:

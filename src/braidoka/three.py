@@ -29,7 +29,7 @@ from .sl2z import (
     CENTRAL_MINUS_I,
     ELLIPTIC,
     PARABOLIC,
-    matrix_class,
+    _kind,
     parabolic_normal_form,
     sl2z_conjugate,
     theta,
@@ -124,17 +124,17 @@ def classify3(b: BraidWord) -> ThreeBraidClass:
         raise WrongStrandCount(f"classify3 needs B_3, got B_{b.strands}")
     m = theta(b)
     es = exponent_sum(b)
-    cls = matrix_class(m)
+    kind = _kind(m)
     t = m.trace
 
-    if cls.kind in (CENTRAL_I, CENTRAL_MINUS_I):
+    if kind in (CENTRAL_I, CENTRAL_MINUS_I):
         # b = Delta^{2l}; also reducible as sigma_1^0 Delta^{2l}
         ell = _exact_div(es, 6, "central power")
-        if (cls.kind == CENTRAL_MINUS_I) != (ell % 2 == 1):
+        if (kind == CENTRAL_MINUS_I) != (ell % 2 == 1):
             raise InternalInconsistency("central sign does not match exponent sum")
         return ThreeBraidClass(PERIODIC, t, es, central=True, reducible_flag=True,
                                base="delta", ell=2 * ell)
-    if cls.kind == ELLIPTIC:
+    if kind == ELLIPTIC:
         if t in (1, -1):
             ell = _exact_div(es, 2, "sigma12 power")
             if ell % 3 == 0:
@@ -144,7 +144,7 @@ def classify3(b: BraidWord) -> ThreeBraidClass:
         if ell % 2 == 0:
             raise InternalInconsistency("trace-0 image with even Delta power")
         return ThreeBraidClass(PERIODIC, t, es, base="delta", ell=ell)
-    if cls.kind == PARABOLIC:
+    if kind == PARABOLIC:
         sign, k = parabolic_normal_form(m)
         ell = _exact_div(es - k, 6, "reducible Delta^2 power")
         if (sign == -1) != (ell % 2 == 1):

@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -120,11 +121,26 @@ def _seeded_family(rng, degree):
     return LaurentFamily(degree, coeffs)
 
 
-def _index_outcome(index, fam):
+def _index_outcome(index, fam, samples=64):
     try:
-        return index(fam, 64)
+        return index(fam, samples)
     except (SeparabilityFailure, NonConvergence) as exc:
         return type(exc)
+
+
+def _alias_safe_start(fam):
+    """The least 64 * 2^j above 8 max(|lo|, |hi|, 1), where [lo, hi] bounds
+    the z-exponents of disc: a_k has weight n - k and disc weight n(n-1)."""
+    n = fam.degree
+    ratios = [Fraction(n * (n - 1) * e, n - k)
+              for k, poly in fam.coeffs.items() for e, c in poly.items() if c != 0]
+    span = 1
+    if ratios:
+        span = max(span, abs(math.ceil(min(ratios))), abs(math.floor(max(ratios))))
+    start = 64
+    while start <= 8 * span:
+        start *= 2
+    return start
 
 
 class TestDiscriminantIndex:
@@ -151,11 +167,30 @@ class TestDiscriminantIndex:
         with pytest.raises(SeparabilityFailure):
             discriminant_index(fam, 64)
 
+    @pytest.mark.parametrize("n, k, samples", [(5, 64, 256), (3, 257, 256), (3, 300000, 512)])
+    def test_fast_power_families(self, n, k, samples):
+        # n samples read z^m as z^(m mod n): these aliased to 0, 2 and -64
+        rep = discriminant_index(LaurentFamily.power_family(n, k), samples)
+        assert (rep.index, rep.samples_used) == (k * (n - 1), samples)
+
     def test_adaptive_refinement(self):
-        # k(n-1) = 12 winds fast; 16 samples force step doubling
-        rep = discriminant_index(LaurentFamily.power_family(7, 2), 16)
-        assert rep.index == 12
+        # disc = 4(z - 0.97) turns by about pi within 0.03 of z = 1, so
+        # 16 samples force step doubling
+        rep = discriminant_index(LaurentFamily(2, {0: {0: 0.97, 1: -1.0}}), 16)
+        assert rep.index == 1
         assert rep.samples_used > 16
+
+    def test_pass_memory(self):
+        # one pass keeps running values, not the 2^14 discriminants
+        fam = LaurentFamily.power_family(2, 3)
+        tracemalloc.start()
+        try:
+            rep = discriminant_index(fam, 2**14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rep.index, rep.samples_used) == (3, 2**14)
+        assert peak < 64 * 1024, peak
 
     def test_rejects_tiny_sample_count(self):
         with pytest.raises(ValueError):
@@ -163,18 +198,21 @@ class TestDiscriminantIndex:
 
     @pytest.mark.parametrize("degree", range(2, 8))
     def test_matches_reference(self, degree):
-        # equal indices give equal thm1 verdicts
+        # equal indices give equal thm1 verdicts; the reference starts above
+        # 8 times the z-degree span, where its samples cannot alias
         rng = random.Random(100 + degree)
         for _ in range(32):
             fam = _seeded_family(rng, degree)
             got = _index_outcome(discriminant_index, fam)
-            ref = _index_outcome(disc_reference.discriminant_index, fam)
+            ref = _index_outcome(disc_reference.discriminant_index, fam, _alias_safe_start(fam))
             if isinstance(ref, type):
                 assert got is ref, fam
                 continue
-            assert (got.index, got.samples_used) == (ref.index, ref.samples_used), fam
-            assert math.isclose(got.min_abs_discriminant, ref.min_abs_discriminant,
-                                rel_tol=1e-9), fam
+            assert got.index == ref.index, fam
+            n = got.samples_used
+            amin = min(abs(disc_reference.discriminant_from_coeffs(
+                fam.poly_at(cmath.exp(2j * math.pi * (t / n))))) for t in range(n))
+            assert math.isclose(got.min_abs_discriminant, amin, rel_tol=1e-9), fam
 
     def test_json_round_trip(self):
         fam = LaurentFamily(3, {0: {-1: complex(0, 1), 2: complex(2, 0)}, 1: {0: 1 + 0j}})

@@ -6,10 +6,13 @@ import pytest
 from lattice_reference import wp as wp_reference
 from lattice_reference import wp_prime as wp_prime_reference
 
+from braidoka import _purekernels
 from braidoka.errors import PoleProximity
 from braidoka.lattice import (
     POLE_TOLERANCE,
     LatticeSpec,
+    _reduce_cell,
+    _reduce_modulus,
     branch_locus,
     e_values,
     ode_residual,
@@ -151,6 +154,32 @@ class TestEValues:
         for tau in TAUS:
             e1, e2, e3 = e_values(tau, 80)
             assert min(abs(e1 - e2), abs(e1 - e3), abs(e2 - e3)) > 1e-4
+
+
+def small_im_taus():
+    rng = random.Random(41)
+    seeded = [complex(rng.uniform(-0.5, 0.5), rng.uniform(0.01, 0.3)) for _ in range(5)]
+    return [0.3 + 0.05j, 0.45 + 0.02j, 0.01j, *seeded]
+
+
+class TestSmallImTau:
+    """Accuracy at small Im tau, where the default radius alone would
+    truncate the row series early: against the unreduced row series at a
+    radius sized to Im tau, whose rows then fall below exp(-40)."""
+
+    @pytest.mark.parametrize("tau", small_im_taus())
+    def test_matches_sized_radius(self, tau):
+        radius = math.ceil(40 / (2 * math.pi * tau.imag))
+        for got, z in zip(e_values(tau), (0.5, tau / 2, (1 + tau) / 2)):
+            want = _purekernels.wp_sum(z, tau, radius)
+            assert abs(got - want) <= 1e-12 * abs(want), (tau, z)
+        # a point at distance about |f| from the lattice, where f is its
+        # shortest vector; far out in a long cell wp' is exponentially small
+        scale = _reduce_modulus(tau)[1]
+        z = _reduce_cell(scale * (0.31 + 0.37j), tau)
+        for f, kernel in ((wp, _purekernels.wp_sum), (wp_prime, _purekernels.wp_prime_sum)):
+            want = kernel(z, tau, radius)
+            assert abs(f(z, tau) - want) <= 1e-12 * abs(want), (f.__name__, tau)
 
 
 class TestBranchLocus:

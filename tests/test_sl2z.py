@@ -5,6 +5,7 @@ import pytest
 
 from braidoka.braid import BraidWord, delta
 from braidoka.errors import NotParabolic, WrongStrandCount
+from braidoka.three import classify3, conj3
 from braidoka.sl2z import (
     A,
     B,
@@ -15,6 +16,7 @@ from braidoka.sl2z import (
     I,
     MINUS_I,
     PARABOLIC,
+    MatrixClass,
     SL2Matrix,
     L,
     R,
@@ -123,6 +125,72 @@ class TestMatrixClass:
     def test_central(self):
         assert matrix_class(I).kind == CENTRAL_I
         assert matrix_class(MINUS_I).kind == CENTRAL_MINUS_I
+
+
+# a base word of each class, by its kind in matrix_class
+CLASS_BASES = (
+    (CENTRAL_I, "1 2 1 1 2 1 1 2 1 1 2 1"),      # Delta^4
+    (CENTRAL_MINUS_I, "1 2 1 1 2 1"),             # Delta^2
+    (ELLIPTIC, "1 2"),
+    (ELLIPTIC, "1 2 1"),
+    (ELLIPTIC, "1 2 1 2"),
+    (PARABOLIC, "1 1 1"),
+    (PARABOLIC, "-1 -2 -1 -1 -2"),
+    (PARABOLIC, "-2 -2 1 2 1 1 2 1"),
+    (HYPERBOLIC, "1 -2"),
+    (HYPERBOLIC, "1 1 1 -2 -2 1 -2"),
+)
+
+
+def seeded_class_words(seed, per_base=6):
+    """(kind, word) for conjugates u b u^-1 of every base b by seeded words u."""
+    rng = random.Random(seed)
+    out = []
+    for kind, text in CLASS_BASES:
+        b = w3(text)
+        for _ in range(per_base):
+            u = BraidWord(3, tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 9))))
+            out.append((kind, u * b * u.inv()))
+    return out
+
+
+class TestClassDecidedOnce:
+    """The decision paths read the class without building MatrixClass
+    records; matrix_class builds one for callers that ask."""
+
+    @pytest.fixture
+    def constructed(self, monkeypatch):
+        count = [0]
+        init = MatrixClass.__init__
+
+        def counting_init(self, *args, **kwargs):
+            count[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MatrixClass, "__init__", counting_init)
+        return count
+
+    def test_decisions_build_no_records(self, constructed):
+        words = seeded_class_words(51)
+        for kind, b in words:
+            m = theta(b)
+            classify3(b)
+            if kind in (PARABOLIC, CENTRAL_I, CENTRAL_MINUS_I):
+                parabolic_normal_form(m)
+        for (_, b1), (_, b2) in zip(words, words[1:] + words[:1]):
+            conj3(b1, b1)
+            conj3(b1, b2)
+            sl2z_conjugate(theta(b1), theta(b2))
+        assert constructed[0] == 0
+
+    def test_matrix_class_records(self, constructed):
+        words = seeded_class_words(52)
+        orders = {0: 4, 1: 6, -1: 3}
+        for kind, b in words:
+            m = theta(b)
+            want = MatrixClass(kind, orders[m.trace] if kind == ELLIPTIC else None)
+            assert matrix_class(m) == want, (b, m)
+        assert constructed[0] == 2 * len(words)
 
 
 class TestParabolicNormalForm:
