@@ -189,15 +189,11 @@ def _t_inv(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _t_starting_set(p: tuple[int, ...]) -> set[int]:
-    """Indices i with sigma_i a word-prefix of the permutation braid of p."""
-    return {i for i in range(1, len(p)) if p[i - 1] > p[i]}
-
-
-def _t_finishing_set(p: tuple[int, ...]) -> set[int]:
-    """Indices i with sigma_i a word-suffix of the permutation braid of p."""
-    pi = _t_inv(p)
-    return {i for i in range(1, len(p)) if pi[i - 1] > pi[i]}
+def _t_left_weighted(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Whether every sigma_i that is a word-prefix of the permutation braid
+    of b (b(i) > b(i+1)) is a word-suffix of that of a (a^-1(i) > a^-1(i+1))."""
+    ai = _t_inv(a)
+    return all(ai[i] > ai[i + 1] for i in range(len(b) - 1) if b[i] > b[i + 1])
 
 
 def _t_tau(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -225,24 +221,36 @@ def _t_runs(letters: tuple[int, ...], n: int) -> list[tuple[bool, tuple[int, ...
     return runs
 
 
-def _t_meet(u: tuple[int, ...], v: tuple[int, ...]) -> list[int]:
-    """The greatest common prefix m of the permutation braids u and v,
-    returned as the one-line form of m^-1.
+def _t_left_weight(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Make the pair (a, b) left-weighted in one step: move the greatest
+    common prefix m of a^-1 Delta and b from the front of b onto the end of
+    a, giving (a m, m^-1 b); (a, b) itself comes back when m is trivial.
 
     Prefix order is inclusion of inversion sets, so the non-inversions of m
-    are the transitive closure of those of u and v together.  Row i is a
-    bitmask of the j > i (0-based) with m(i) < m(j); rows are closed from
-    the last position down, and each position is inserted into the list of
+    are the transitive closure of those of a^-1 Delta and b together.  Row i
+    is a bitmask of the j > i (0-based) with m(i) < m(j), filled from each
+    factor's positions by decreasing image: a itself for a^-1 Delta (which
+    sends j to n + 1 - a^-1(j)), b^-1 reversed for b.  m is trivial unless
+    some (i, i+1) is inverted in both.  Otherwise rows are closed from the
+    last position down, and each position is inserted into the list of
     later positions sorted by image, where its rank is the number of later
-    positions it is inverted with.
+    positions it is inverted with; the list is then m^-1.
     """
-    n = len(u)
+    n = len(a)
     rows = [0] * n
-    for p in (u, v):
-        seen = 0
-        for i in _t_inv(p)[::-1]:  # positions by decreasing image
-            rows[i - 1] |= seen >> i << i
-            seen |= 1 << (i - 1)
+    seen = 0
+    for i in a:
+        rows[i - 1] = seen >> i << i
+        seen |= 1 << (i - 1)
+    for i in range(n - 1):
+        if b[i] > b[i + 1] and not rows[i] >> i & 2:
+            break
+    else:
+        return a, b
+    seen = 0
+    for i in reversed(_t_inv(b)):
+        rows[i - 1] |= seen >> i << i
+        seen |= 1 << (i - 1)
     order: list[int] = []
     for i in range(n - 1, -1, -1):
         row = todo = rows[i]
@@ -253,17 +261,8 @@ def _t_meet(u: tuple[int, ...], v: tuple[int, ...]) -> list[int]:
             todo &= ~(later | low)
         rows[i] = row
         order.insert(n - 1 - i - row.bit_count(), i + 1)
-    return order
-
-
-def _t_left_weight(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Make the pair (a, b) left-weighted in one step: move m = (a^-1 Delta)
-    meet b from the front of b onto the end of a."""
-    n = len(a)
-    complement = tuple(n + 1 - x for x in _t_inv(a))
-    m_inv = _t_meet(complement, b)
-    m = _t_inv(m_inv)
-    return tuple(m[x - 1] for x in a), tuple(b[x - 1] for x in m_inv)
+    m = _t_inv(order)
+    return tuple([m[x - 1] for x in a]), tuple([b[x - 1] for x in order])
 
 
 class GarsideNormalForm(Value):
@@ -358,7 +357,7 @@ def normal_form(b: BraidWord) -> GarsideNormalForm:
         k = len(out) - 1
         while k and out[k - 1] != w0:
             a, bb = _t_left_weight(out[k - 1], out[k])
-            if a == out[k - 1]:
+            if a is out[k - 1]:
                 break
             out[k - 1] = a
             if bb == ident:
@@ -372,7 +371,7 @@ def normal_form(b: BraidWord) -> GarsideNormalForm:
         factors.pop(0)
         power += 1
     for a, bb in zip(factors, factors[1:]):
-        if not _t_starting_set(bb) <= _t_finishing_set(a):
+        if not _t_left_weighted(a, bb):
             raise InternalInconsistency("factors not left-weighted after rewrite")
     return GarsideNormalForm(n, power, tuple(Permutation(f) for f in factors))
 

@@ -3,11 +3,12 @@
 Each subcommand's handler `cmd_*` only computes: it returns
 `(payload, positive)`, where the payload is a dict, or the CSV text under
 `--csv`.  `main` is the one place that prints: a dict goes out as one JSON
-object whose first key is `schema`, CSV text as it is.  `--out` writes the
-same text that is printed to a file as well.  Exit codes: 0 for a positive
-or neutral result, 2 for a negative mathematical verdict (inequality,
-non-conjugacy, violation, non-GO, inconclusive), 1 for usage or input
-errors, which are reported on stderr as one JSON object.
+object whose first key is `schema` (strict JSON: a NaN or infinite number
+is an input error), CSV text as it is.  `--out` writes the same text that
+is printed to a file as well.  Exit codes: 0 for a positive or neutral
+result, 2 for a negative mathematical verdict (inequality, non-conjugacy,
+violation, non-GO, inconclusive), 1 for usage or input errors, which are
+reported on stderr as one JSON object.
 """
 
 from __future__ import annotations
@@ -289,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         payload, positive = args.run(args)
         text = (payload if isinstance(payload, str)
-                else json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2))
+                else json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2, allow_nan=False))
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")

@@ -253,8 +253,8 @@ def thm1_verdict(n: int, modulus: float, index: int) -> str:
     """
     if n < 2:
         raise ValueError("degree must be >= 2")
-    if modulus <= 0:
-        raise ValueError("modulus must be positive")
+    if not 0 < modulus < math.inf:
+        raise ValueError("modulus must be positive and finite")
     if _is_prime(n) and modulus > 2 * math.pi * n / math.log(2) and index % n == 0:
         return REDUCIBLE
     return INCONCLUSIVE

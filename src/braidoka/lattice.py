@@ -22,6 +22,8 @@ e1, e2, e3 agree with mpmath to 2.1e-15 relative (tau = 0.3 + 0.05i,
 
 from __future__ import annotations
 
+import cmath
+
 from . import _backend
 from ._value import Value
 from .errors import PoleProximity
@@ -120,6 +122,9 @@ class LatticeSpec(Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "tau"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.alpha == 0:
             raise ValueError("alpha must be nonzero")
         if complex(self.tau).imag <= 0:

@@ -1,12 +1,15 @@
+import itertools
 import random
 import time
 
 import pytest
 from hypothesis import given, strategies as st
 
+from braidoka import braid
 from braidoka.braid import (
     BraidWord,
     _dynnikov,
+    _t_left_weight,
     braid_eq,
     commutator,
     delta,
@@ -15,11 +18,11 @@ from braidoka.braid import (
     normal_form,
     permutation,
 )
-from braidoka.errors import NotPure, StrandMismatch
+from braidoka.errors import InternalInconsistency, NotPure, StrandMismatch
 from braidoka.perms import Permutation
 
 from braid_helpers import conjugate_linking_tuple3, enumerate_words
-from nf_reference import reference_normal_form
+from nf_reference import _t_slide, reference_normal_form
 
 
 def w3(text):
@@ -163,6 +166,36 @@ class TestNormalFormParity:
             for length in range(0, 121, 3 if n <= 5 else 12):
                 b = make(rng, n, length)
                 assert normal_form(b) == reference_normal_form(b), b
+
+    def test_step_matches_slide_on_small_groups(self):
+        # every pair (a, b) in S_n x S_n, n = 2..5; a trivial move returns
+        # the inputs themselves, which normal_form tests with `is`
+        pairs = 0
+        for n in range(2, 6):
+            perms = list(itertools.permutations(range(1, n + 1)))
+            for a, b in itertools.product(perms, perms):
+                got = _t_left_weight(a, b)
+                assert got == _t_slide(a, b)[:2], (a, b)
+                assert (got[0] is a and got[1] is b) == (got[0] == a), (a, b)
+                pairs += 1
+        assert pairs == 15016
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_step_matches_slide_on_seeded_pairs(self, n):
+        rng = random.Random(4000 + n)
+        for _ in range(2000):
+            a = tuple(rng.sample(range(1, n + 1), n))
+            b = tuple(rng.sample(range(1, n + 1), n))
+            assert _t_left_weight(a, b) == _t_slide(a, b)[:2], (a, b)
+
+    def test_final_check_fires(self, monkeypatch):
+        # the runs of s1 s1^-1 become the factors s2, s1 s2 after the Delta^-1
+        # marker moves to the front, and that pair is not left-weighted
+        word = BraidWord(3, (1, -1))
+        assert normal_form(word).is_trivial()
+        monkeypatch.setattr(braid, "_t_left_weight", lambda a, b: (a, b))
+        with pytest.raises(InternalInconsistency):
+            normal_form(word)
 
     @pytest.mark.parametrize("n, length, make", [(8, 1000, _block_word), (16, 300, _reduced_word)])
     def test_long_word_budget(self, n, length, make):

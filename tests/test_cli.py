@@ -10,7 +10,15 @@ from pathlib import Path
 
 import pytest
 
+from braidoka import cli
 from braidoka.cli import build_parser, main
+
+
+def strict_json(text):
+    """json.loads that refuses the non-JSON constants NaN, Infinity and -Infinity."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
 
 
 def run(capsys, *argv):
@@ -312,8 +320,36 @@ def test_subcommand_output_and_exit_code(sub, tmp_path, capsys):
             header, *rows = captured.out.splitlines()
             assert rows and all(len(r.split(",")) == header.count(",") + 1 for r in rows)
         else:
-            payload = json.loads(captured.out)
+            payload = strict_json(captured.out)
             assert next(iter(payload)) == "schema", argv
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["thm1", "--n", "3", "--modulus", "nan", "--index", "3"], "modulus"),
+    (["thm1", "--n", "3", "--modulus", "inf", "--index", "3"], "modulus"),
+    (["thm1", "--n", "3", "--modulus=-inf", "--index", "3"], "modulus"),
+    (["lattice-branch", "--tau", "nan,1.2"], "tau"),
+    (["lattice-branch", "--tau", "0,inf", "--csv"], "tau"),
+    (["lattice-branch", "--alpha", "inf,0", "--tau", "0,1"], "alpha"),
+    (["lattice-branch", "--tau", "0,1", "--path-end", "nan,1", "--radius", "20"], "tau"),
+])
+def test_non_finite_input_is_an_input_error(argv, name, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = strict_json(captured.err)
+    assert error["errorType"] == "ValueError" and name in error["error"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_output_is_strict_json(value, monkeypatch, capsys):
+    # a non-finite number in any payload is an input error, never NaN or
+    # Infinity on stdout
+    monkeypatch.setattr(cli, "entropy3", lambda b: value)
+    assert main(["entropy", "--braid", "1 -2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert strict_json(captured.err)["errorType"] == "ValueError"
 
 
 def test_eq_infers_one_strand_count(capsys):

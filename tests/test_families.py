@@ -235,6 +235,11 @@ class TestThm1:
     def test_modulus_below_threshold(self):
         assert thm1_verdict(3, 2 * math.pi * 3 / math.log(2) - 1, 6) == INCONCLUSIVE
 
+    @pytest.mark.parametrize("modulus", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_modulus_that_is_not_positive_and_finite(self, modulus):
+        with pytest.raises(ValueError, match="modulus"):
+            thm1_verdict(3, modulus, 3)
+
 
 class TestBounds:
     def test_penner_sphere_four_marked(self):

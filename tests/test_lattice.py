@@ -210,6 +210,17 @@ class TestBranchLocus:
     def test_min_separation(self):
         assert branch_locus(LatticeSpec(1, 1j)).min_separation() > 1e-4
 
+    @pytest.mark.parametrize("alpha, tau, name", [
+        (1, complex(math.nan, 1.2), "tau"),
+        (1, complex(0, math.inf), "tau"),
+        (1, complex(-math.inf, 1), "tau"),
+        (complex(math.inf, 0), 1j, "alpha"),
+        (complex(1, math.nan), 1j, "alpha"),
+    ])
+    def test_rejects_non_finite_parameters(self, alpha, tau, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            LatticeSpec(alpha, tau)
+
 
 class TestOdeResidual:
     def test_small_at_default_radius(self):
