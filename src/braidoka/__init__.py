@@ -18,7 +18,6 @@ from .families import (
     IndexReport,
     LaurentFamily,
     discriminant_from_coeffs,
-    discriminant_from_roots,
     discriminant_index,
     nbraid_entropy_lower,
     nbraid_module_upper,
@@ -36,7 +35,7 @@ from .oka import (
     oka3_decide,
 )
 from .perms import Permutation, abelian_transitive_generator, lemma5_generators
-from .sl2z import SL2Matrix, matrix_class, parabolic_normal_form, sl2z_conjugate, theta
+from .sl2z import SL2Matrix, parabolic_normal_form, sl2z_conjugate, theta
 from .three import (
     ThreeBraidClass,
     classify3,

@@ -1,4 +1,5 @@
-"""The base of braidoka's immutable records, without generated code."""
+"""The base of braidoka's immutable records, without generated code, and
+the integer reader their ``from_json`` constructors share."""
 
 from operator import attrgetter
 
@@ -15,9 +16,9 @@ class Value:
     ``Value.__init__(*values)`` that assigns ``_fields`` in a loop measured
     slower (Python 3.11, 2-core VM): ``SL2Matrix`` 1.55 -> 2.17 us and
     ``Oka3Violation`` 1.07 -> 1.78 us per construction.  One that also
-    takes keywords and defaults cost ``ThreeBraidClass`` 3.0 -> 6.0 us and
-    ``MatrixClass(kind)`` 0.73 -> 2.18 us, against about 10-14 us for a
-    whole ``classify3`` call.
+    takes keywords and defaults cost ``ThreeBraidClass`` 3.0 -> 6.0 us and a
+    two-field record built from one argument 0.73 -> 2.18 us, against about
+    10-14 us for a whole ``classify3`` call.
     """
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -44,3 +45,15 @@ class Value:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def int_field(value, where: str) -> int:
+    """int(value) for a record field read from JSON, or a ValueError that
+    names where the value came from; a float must be integral."""
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or isinstance(value, float) and out != value:
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    return out

@@ -76,15 +76,6 @@ class BraidWord(Value):
         base = self if k >= 0 else self.inv()
         return BraidWord(self.strands, base.letters * abs(k))
 
-    def free_reduce(self) -> "BraidWord":
-        out: list[int] = []
-        for let in self.letters:
-            if out and out[-1] == -let:
-                out.pop()
-            else:
-                out.append(let)
-        return BraidWord(self.strands, tuple(out))
-
     def text(self) -> str:
         return " ".join(str(x) for x in self.letters) if self.letters else ""
 
@@ -283,32 +274,9 @@ class GarsideNormalForm(Value):
     def is_trivial(self) -> bool:
         return self.power == 0 and not self.factors
 
-    def to_braid_word(self) -> BraidWord:
-        letters: list[int] = []
-        d = delta(self.strands).letters
-        if self.power >= 0:
-            letters.extend(d * self.power)
-        else:
-            letters.extend(tuple(-x for x in reversed(d)) * (-self.power))
-        for f in self.factors:
-            letters.extend(_perm_to_letters(f))
-        return BraidWord(self.strands, tuple(letters))
-
     def __repr__(self) -> str:
         facs = ", ".join(str(f.images) for f in self.factors)
         return f"GarsideNormalForm(B{self.strands}, Delta^{self.power}, [{facs}])"
-
-
-def _perm_to_letters(p: Permutation) -> list[int]:
-    """A positive word whose permutation image is p (peel word prefixes)."""
-    out: list[int] = []
-    images = list(p.images)
-    while True:
-        i = next((i for i in range(1, len(images)) if images[i - 1] > images[i]), None)
-        if i is None:
-            return out
-        out.append(i)
-        images[i - 1], images[i] = images[i], images[i - 1]
 
 
 def normal_form(b: BraidWord) -> GarsideNormalForm:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from ._value import Value
+from ._value import Value, int_field
 from .errors import (
     DegreeTooSmall,
     NonConvergence,
@@ -32,17 +32,6 @@ Number = "int | float | complex | Fraction"
 MAX_SAMPLES = 2**20
 # |disc| below this fraction of its maximum on the circle counts as a zero
 SEPARABILITY_TOL = 1e-12
-
-
-def discriminant_from_roots(roots: Sequence[Number]) -> Number:
-    """prod_{i<j} (r_i - r_j)^2."""
-    if len(roots) < 2:
-        raise DegreeTooSmall("discriminant needs degree >= 2")
-    out: Number = 1
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            out *= (roots[i] - roots[j]) ** 2
-    return out
 
 
 def _det(mat: list[list[Number]]) -> Number:
@@ -98,22 +87,23 @@ def discriminant_from_coeffs(coeffs: Sequence[Number]) -> Number:
 
 class LaurentFamily(Value):
     """A monic degree-n family f(z, zeta) = zeta^n + sum a_k(z) zeta^k with
-    Laurent-polynomial coefficients a_k."""
+    Laurent-polynomial coefficients a_k: coeffs[k][e] is the coefficient
+    of zeta^k z^e."""
 
     degree: int
     coeffs: Mapping[int, Mapping[int, complex]]
 
     def __init__(self, degree: int, coeffs: Mapping[int, Mapping[int, complex]]) -> None:
+        if degree < 2:
+            raise DegreeTooSmall("family degree must be >= 2")
+        for k, poly in coeffs.items():
+            if not 0 <= k < degree:
+                raise ValueError(f"zeta power {k} out of range")
+            for e, c in poly.items():
+                if not cmath.isfinite(c):
+                    raise ValueError(f"coefficient coeffs[{k}][{e}] must be finite, got {c}")
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", coeffs)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.degree < 2:
-            raise DegreeTooSmall("family degree must be >= 2")
-        for k in self.coeffs:
-            if not 0 <= k < self.degree:
-                raise ValueError(f"zeta power {k} out of range")
 
     def coefficient(self, k: int, z: complex) -> complex:
         poly = self.coeffs.get(k, {})
@@ -132,13 +122,24 @@ class LaurentFamily(Value):
         return LaurentFamily(n, {0: {k: -1.0}})
 
     @staticmethod
-    def from_json(data: dict) -> "LaurentFamily":
+    def from_json(data) -> "LaurentFamily":
+        """The family of {"degree": n, "coeffs": {"k": {"e": [re, im]}}}.
+        Malformed data raises ValueError naming the field."""
+        if not isinstance(data, dict) or not isinstance(data.get("coeffs"), dict):
+            raise ValueError('a family needs a "coeffs" object')
         coeffs = {}
         for kstr, poly in data["coeffs"].items():
-            coeffs[int(kstr)] = {
-                int(estr): complex(c[0], c[1]) for estr, c in poly.items()
-            }
-        return LaurentFamily(int(data["degree"]), coeffs)
+            where = f'coeffs["{kstr}"]'
+            if not isinstance(poly, dict):
+                raise ValueError(f"{where} must be an object")
+            coeffs[int_field(kstr, where)] = row = {}
+            for estr, c in poly.items():
+                at = f'{where}["{estr}"]'
+                if not (isinstance(c, list) and len(c) == 2
+                        and all(isinstance(x, (int, float)) for x in c)):
+                    raise ValueError(f"{at} must be a pair [re, im] of numbers, got {c!r}")
+                row[int_field(estr, at)] = complex(c[0], c[1])
+        return LaurentFamily(int_field(data.get("degree"), '"degree"'), coeffs)
 
     def to_json(self) -> dict:
         return {
@@ -222,6 +223,8 @@ def discriminant_index(fam: LaurentFamily, samples: int = 256) -> IndexReport:
     """
     if samples < 16:
         raise ValueError("need at least 16 samples")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be at most MAX_SAMPLES = {MAX_SAMPLES}")
     lo, hi = _exponent_span(fam)
     n = samples
     while n <= 4 * (hi - lo):

@@ -117,20 +117,16 @@ class LatticeSpec(Value):
     tau: complex
 
     def __init__(self, alpha: complex, tau: complex) -> None:
+        for name, value in (("alpha", alpha), ("tau", tau)):
+            if not cmath.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+        alpha, tau = complex(alpha), complex(tau)
+        if alpha == 0:
+            raise ValueError("alpha must be nonzero")
+        if tau.imag <= 0:
+            raise ValueError("tau must have positive imaginary part")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "tau", tau)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        for name in ("alpha", "tau"):
-            if not cmath.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.alpha == 0:
-            raise ValueError("alpha must be nonzero")
-        if complex(self.tau).imag <= 0:
-            raise ValueError("tau must have positive imaginary part")
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "tau", complex(self.tau))
 
     @staticmethod
     def from_generators(a: complex, b: complex) -> "LatticeSpec":
@@ -164,10 +160,6 @@ class BranchLocus(Value):
         d1 = max(min(abs(a - b) for b in other.e) for a in self.e)
         d2 = max(min(abs(b - a) for a in self.e) for b in other.e)
         return max(d1, d2)
-
-    def min_separation(self) -> float:
-        (x, y, z) = self.e
-        return min(abs(x - y), abs(x - z), abs(y - z))
 
     def as_dict(self) -> dict:
         return {"e": [[v.real, v.imag] for v in self.e]}

@@ -20,7 +20,7 @@ import itertools
 
 from . import _backend
 from ._purekernels import e0_screen_matrices, mat_mul
-from ._value import Value
+from ._value import Value, int_field
 from .braid import BraidWord
 from .errors import (
     DegenerateSignature,
@@ -55,13 +55,10 @@ class SurfaceSignature(Value):
     holes: int
 
     def __init__(self, genus: int, holes: int) -> None:
+        if genus < 0 or holes < 1:
+            raise ValueError(f"bad signature ({genus}, {holes})")
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "holes", holes)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.genus < 0 or self.holes < 1:
-            raise ValueError(f"bad signature ({self.genus}, {self.holes})")
 
     @property
     def free_rank(self) -> int:
@@ -80,24 +77,21 @@ class SurfaceHom(Value):
     images: dict
 
     def __init__(self, signature: SurfaceSignature, target: Literal["B3", "F2"], images: dict) -> None:
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "images", images)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        x = self.signature.free_rank
-        if set(self.images) != set(range(1, x + 1)):
+        x = signature.free_rank
+        if set(images) != set(range(1, x + 1)):
             raise ValueError(f"need images for generators 1..{x}")
-        for v in self.images.values():
-            if self.target == TARGET_B3 and not isinstance(v, BraidWord):
+        for v in images.values():
+            if target == TARGET_B3 and not isinstance(v, BraidWord):
                 raise ValueError("B3 target needs BraidWord images")
-            if self.target == TARGET_F2:
+            if target == TARGET_F2:
                 if not isinstance(v, FreeWord):
                     raise ValueError("F2 target needs FreeWord images")
                 extra = {g for g, _ in v.blocks} - {1, 2}
                 if extra:
                     raise ValueError(f"F2 images use generators 1 and 2 only, got a{min(extra)}")
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "images", images)
 
     def word_image(self, w: FreeWord) -> FreeWord:
         """The image of w, reduced once: the image blocks of each block of
@@ -114,18 +108,27 @@ class SurfaceHom(Value):
         return FreeWord(tuple(blocks))
 
     @staticmethod
-    def from_json(data: dict) -> "SurfaceHom":
-        sig = SurfaceSignature(int(data["genus"]), int(data["holes"]))
+    def from_json(data) -> "SurfaceHom":
+        """The homomorphism of {"genus": g, "holes": m, "target": "B3" or
+        "F2", "images": {"e1": word, ...}} with each word as text.
+        Malformed data raises ValueError naming the field."""
+        if not isinstance(data, dict):
+            raise ValueError("a homomorphism must be a JSON object")
+        for field in ("genus", "holes", "target", "images"):
+            if field not in data:
+                raise ValueError(f'a homomorphism needs "{field}"')
+        sig = SurfaceSignature(int_field(data["genus"], '"genus"'), int_field(data["holes"], '"holes"'))
         target = data["target"]
+        if target not in (TARGET_B3, TARGET_F2):
+            raise ValueError(f"unknown target {target!r}")
+        if not isinstance(data["images"], dict):
+            raise ValueError('"images" must be an object')
         images = {}
         for key, text in data["images"].items():
-            idx = int(key.lstrip("ea"))
-            if target == TARGET_B3:
-                images[idx] = BraidWord.parse(text, 3)
-            elif target == TARGET_F2:
-                images[idx] = FreeWord.parse(text)
-            else:
-                raise ValueError(f"unknown target {target!r}")
+            if not isinstance(text, str):
+                raise ValueError(f'images["{key}"] must be a word as text, got {text!r}')
+            idx = int_field(key.lstrip("ea"), f'images key "{key}"')
+            images[idx] = BraidWord.parse(text, 3) if target == TARGET_B3 else FreeWord.parse(text)
         return SurfaceHom(sig, target, images)
 
 

@@ -97,12 +97,10 @@ class SL2Matrix(Value):
 
 
 I = SL2Matrix(1, 0, 0, 1)
-MINUS_I = SL2Matrix(-1, 0, 0, -1)
 A = SL2Matrix(1, 1, 0, 1)        # theta(sigma_1)
 B = SL2Matrix(1, 0, -1, 1)       # theta(sigma_2)
 R = SL2Matrix(1, 1, 0, 1)
 L = SL2Matrix(1, 0, 1, 1)
-T = SL2Matrix(1, 1, 0, 1)
 
 
 def theta(b: BraidWord) -> SL2Matrix:
@@ -123,15 +121,6 @@ PARABOLIC = "parabolic"
 HYPERBOLIC = "hyperbolic"
 
 
-class MatrixClass(Value):
-    kind: str
-    elliptic_order: int | None
-
-    def __init__(self, kind: str, elliptic_order: int | None = None) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "elliptic_order", elliptic_order)
-
-
 def _kind(m: SL2Matrix) -> str:
     """The class of m, decided once: central when b = c = 0 (then a = d =
     +-1, and a gives the sign), else elliptic, parabolic or hyperbolic as
@@ -140,11 +129,6 @@ def _kind(m: SL2Matrix) -> str:
         return CENTRAL_I if m.a == 1 else CENTRAL_MINUS_I
     t = abs(m.a + m.d)
     return ELLIPTIC if t < 2 else PARABOLIC if t == 2 else HYPERBOLIC
-
-
-def matrix_class(m: SL2Matrix) -> MatrixClass:
-    kind = _kind(m)
-    return MatrixClass(kind, {0: 4, 1: 6, -1: 3}[m.trace] if kind == ELLIPTIC else None)
 
 
 # ---------------------------------------------------------------------------

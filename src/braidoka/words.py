@@ -29,7 +29,6 @@ Letter = tuple[int, int]     # (generator index, +1 or -1)
 PERIPHERAL_A1 = "a1"
 PERIPHERAL_A2 = "a2"
 PERIPHERAL_A1A2_INV = "(a1a2)^-1"
-PERIPHERALS = (PERIPHERAL_A1, PERIPHERAL_A2, PERIPHERAL_A1A2_INV)
 
 # largest power FreeWord.__pow__ spells out, in core blocks times |n|: 2^20
 # blocks (a two-block core to the 2^19) take about 0.18 s and add 88 MB to
@@ -123,10 +122,6 @@ class FreeWord(Value):
     @staticmethod
     def gen(index: int, exp: int = 1) -> "FreeWord":
         return FreeWord(((index, exp),))
-
-    @staticmethod
-    def from_letters(letters: Iterable[Letter]) -> "FreeWord":
-        return FreeWord(tuple((g, s) for g, s in letters))
 
     @staticmethod
     def parse(text: str) -> "FreeWord":

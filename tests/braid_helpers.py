@@ -1,9 +1,10 @@
-"""Test-only braid helpers: exhaustive word enumeration and the action of
-strand relabelling on B_3 linking tuples."""
+"""Test-only braid helpers: exhaustive word enumeration, a word for a
+Garside normal form, and the action of strand relabelling on B_3 linking
+tuples."""
 
 from typing import Iterable
 
-from braidoka.braid import BraidWord, permutation
+from braidoka.braid import BraidWord, GarsideNormalForm, delta, permutation
 from braidoka.perms import Permutation
 
 
@@ -48,3 +49,28 @@ def conjugate_linking_tuple3(t: tuple[int, int, int], w: BraidWord) -> tuple[int
     inverse of permutation(w).
     """
     return permute_linking_tuple3(t, permutation(w).inv())
+
+
+def perm_to_letters(p: Permutation) -> list[int]:
+    """A positive word whose permutation image is p (peel word prefixes)."""
+    out: list[int] = []
+    images = list(p.images)
+    while True:
+        i = next((i for i in range(1, len(images)) if images[i - 1] > images[i]), None)
+        if i is None:
+            return out
+        out.append(i)
+        images[i - 1], images[i] = images[i], images[i - 1]
+
+
+def nf_to_braid_word(nf: GarsideNormalForm) -> BraidWord:
+    """The word Delta^power followed by a positive word of each factor."""
+    letters: list[int] = []
+    d = delta(nf.strands).letters
+    if nf.power >= 0:
+        letters.extend(d * nf.power)
+    else:
+        letters.extend(tuple(-x for x in reversed(d)) * (-nf.power))
+    for f in nf.factors:
+        letters.extend(perm_to_letters(f))
+    return BraidWord(nf.strands, tuple(letters))

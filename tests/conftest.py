@@ -13,7 +13,7 @@ def all_free_words(maxlen, rank=2):
                 if w and w[-1][0] == let[0] and w[-1][1] == -let[1]:
                     continue
                 nxt.append(w + (let,))
-        out.extend(FreeWord.from_letters(w) for w in nxt)
+        out.extend(FreeWord(tuple(w)) for w in nxt)
         frontier = nxt
     return out
 

@@ -10,6 +10,9 @@ every discriminant came from one n x n determinant in plain Python:
   otherwise;
 * the sampler evaluates the family on numpy arrays of points of |z| = 1.
 
+`discriminant_from_roots`, the root-product formula, moved here from
+`braidoka.families`, where only tests called it.
+
 Only `fam.discriminant_at(z)` became `discriminant_from_coeffs` of
 `fam.poly_at(z)` here, so that the sampler reads the reference
 discriminant, and the deferred numpy imports moved to the top.  They share
@@ -67,6 +70,17 @@ def _det_exact(mat: list[list[Number]]) -> Number:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def discriminant_from_roots(roots: Sequence[Number]) -> Number:
+    """prod_{i<j} (r_i - r_j)^2."""
+    if len(roots) < 2:
+        raise DegreeTooSmall("discriminant needs degree >= 2")
+    out: Number = 1
+    for i in range(len(roots)):
+        for j in range(i + 1, len(roots)):
+            out *= (roots[i] - roots[j]) ** 2
+    return out
 
 
 def resultant(p: Sequence[Number], q: Sequence[Number]) -> Number:

@@ -76,7 +76,7 @@ def cyclic_reduce(w: FreeWord) -> tuple[FreeWord, tuple]:
             j -= 1
         else:
             break
-    conjugator = FreeWord.from_letters(letters[:i])
+    conjugator = FreeWord(tuple(letters[:i]))
     return conjugator, tuple(letters[i:j])
 
 
@@ -95,7 +95,7 @@ def primitive_root(w: FreeWord) -> tuple[FreeWord, int]:
         if n % p:
             continue
         if all(letters[k] == letters[k % p] for k in range(n)):
-            root = conj * FreeWord.from_letters(letters[:p]) * conj.inv()
+            root = conj * FreeWord(tuple(letters[:p])) * conj.inv()
             return root, n // p
     raise AssertionError("unreachable: every word has period = its length")
 
@@ -230,7 +230,7 @@ def _find_conjugator(u: FreeWord, target: FreeWord) -> Optional[FreeWord]:
     while i < j - 1 and raw[i][0] == raw[j - 1][0] and raw[i][1] == -raw[j - 1][1]:
         i += 1
         j -= 1
-    p = FreeWord.from_letters(raw[:i])
+    p = FreeWord(tuple(raw[:i]))
     core = tuple(raw[i:j])
     if len(core) != len(lt):
         return None
@@ -239,7 +239,7 @@ def _find_conjugator(u: FreeWord, target: FreeWord) -> Optional[FreeWord]:
     doubled = core + core
     for o in range(len(core)):
         if doubled[o:o + len(lt)] == lt:
-            pre = FreeWord.from_letters(core[:o])
+            pre = FreeWord(tuple(core[:o]))
             return (p * pre).inv()
     return None
 

@@ -10,13 +10,13 @@ fraction of the fixed point:
 * elliptic: the fixed point walked into the standard fundamental domain in
   exact rational arithmetic; the reduced matrix is the invariant;
 * hyperbolic: Gauss reduction of the fixed-point form, applied to the
-  matrix as conjugations by S0 and T^-k, to a nonnegative representative,
+  matrix as conjugations by S0 and R^-k, to a nonnegative representative,
   which is peeled one R or L letter at a time and compared by the least
   rotation over all slices of the letter word.
 
-They share with the code under test only `SL2Matrix`, `matrix_class` and
-the constants.  The letter peel takes time linear in the entries, so keep
-inputs small.
+They share with the code under test only `SL2Matrix` and the constants;
+the class of a matrix is read from its entries here.  The letter peel
+takes time linear in the entries, so keep inputs small.
 """
 
 from __future__ import annotations
@@ -29,13 +29,23 @@ from braidoka.sl2z import (
     CENTRAL_I,
     CENTRAL_MINUS_I,
     ELLIPTIC,
+    HYPERBOLIC,
     PARABOLIC,
     SL2Matrix,
-    T,
-    matrix_class,
+    R,
 )
 
 S0 = SL2Matrix(0, -1, 1, 0)      # order 4, fixes i
+
+
+def _kind(m: SL2Matrix) -> str:
+    """The class of m from its entries: +-I are central, and every other
+    matrix is elliptic, parabolic or hyperbolic as |trace| is below, at or
+    above 2."""
+    if m.entries() in ((1, 0, 0, 1), (-1, 0, 0, -1)):
+        return CENTRAL_I if m.a == 1 else CENTRAL_MINUS_I
+    t = abs(m.trace)
+    return ELLIPTIC if t < 2 else PARABOLIC if t == 2 else HYPERBOLIC
 
 
 def _primitive(v1: int, v2: int) -> tuple[int, int]:
@@ -49,7 +59,7 @@ def parabolic_normal_form(m: SL2Matrix) -> tuple[int, int]:
     The pair is a complete conjugacy invariant among parabolic and central
     matrices.  Found by conjugating a primitive fixed vector to e_1.
     """
-    cls = matrix_class(m).kind
+    cls = _kind(m)
     if cls == CENTRAL_I:
         return (1, 0)
     if cls == CENTRAL_MINUS_I:
@@ -106,7 +116,7 @@ def _elliptic_canonical(m: SL2Matrix) -> SL2Matrix:
         y2 = Fraction(4 - m.trace**2, 4 * m.c * m.c)
         n = (x + Fraction(1, 2)).__floor__()
         if n:
-            shift = T ** (-n)
+            shift = R ** (-n)
             m = shift * m * shift.inv()
             x -= n
         if x * x + y2 < 1:
@@ -153,7 +163,7 @@ def _hyperbolic_nonneg(m: SL2Matrix) -> SL2Matrix:
         # step: swap (x,y) -> (-y,x), i.e. conjugate by S0, then translate
         m = S0.inv() * m * S0
         fa2, fb2, _ = _form_of(m)
-        # normalize: bring B into the window by x -> x + k y, matrix conj by T^-k
+        # normalize: bring B into the window by x -> x + k y, matrix conj by R^-k
         if fa2 == 0:
             raise InternalInconsistency("degenerate form during reduction")
         if abs(fa2) > sq:
@@ -168,7 +178,7 @@ def _hyperbolic_nonneg(m: SL2Matrix) -> SL2Matrix:
             k -= step
         while fb2 + 2 * fa2 * k <= target_low:
             k += step
-        g = T ** (-k)
+        g = R ** (-k)
         m = g * m * g.inv()
     else:
         raise InternalInconsistency("form reduction did not terminate")
@@ -225,10 +235,9 @@ def sl2z_conjugate(m: SL2Matrix, n: SL2Matrix) -> bool:
     """Conjugacy in SL(2,Z)."""
     if m.trace != n.trace:
         return False
-    km, kn = matrix_class(m), matrix_class(n)
-    if km != kn:
+    kind = _kind(m)
+    if kind != _kind(n):
         return False
-    kind = km.kind
     if kind in (CENTRAL_I, CENTRAL_MINUS_I):
         return m == n
     if kind == PARABOLIC:

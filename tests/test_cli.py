@@ -341,6 +341,45 @@ def test_non_finite_input_is_an_input_error(argv, name, capsys):
     assert error["errorType"] == "ValueError" and name in error["error"]
 
 
+_FAMILY = {"degree": 3, "coeffs": {"0": {"2": [-1.0, 0.0]}}}
+_HOM = {"genus": 1, "holes": 1, "target": "B3", "images": {"e1": "1 2", "e2": "1 2 1 2"}}
+
+
+# (subcommand, input file text, extra arguments): malformed input files and
+# out-of-range options that once ended in a Python traceback or in an error
+# the input never caused
+@pytest.mark.parametrize("sub, text, extra", [
+    ("disc-index", json.dumps({"degree": 3}), []),
+    ("disc-index", json.dumps({"degree": 3, "coeffs": {"0": {"2": [-1.0]}}}), []),
+    ("disc-index", json.dumps({"degree": 3, "coeffs": {"0": {"2": "ab"}}}), []),
+    ("disc-index", json.dumps({"degree": 3, "coeffs": {"0": {"2": [-1.0, 0.0, 7]}}}), []),
+    ("disc-index", json.dumps({"degree": 3, "coeffs": {"0": {"2": [math.nan, 0.0]}}}), []),
+    ("disc-index", json.dumps({"degree": 3, "coeffs": {"0": {"2": [math.inf, 0.0]}}}), []),
+    ("disc-index", json.dumps({**_FAMILY, "degree": math.inf}), []),
+    ("disc-index", json.dumps(_FAMILY), ["--samples", "2000000"]),
+    ("oka3", json.dumps({k: v for k, v in _HOM.items() if k != "images"}), []),
+    ("oka3", json.dumps([1, 2]), []),
+    ("oka3", json.dumps({**_HOM, "images": {"e1": [1], "e2": "1 2"}}), []),
+    ("oka3", json.dumps({**_HOM, "genus": 1.5}), []),
+], ids=["no-coeffs", "short-coefficient", "text-coefficient", "long-coefficient",
+        "nan-coefficient", "infinite-coefficient", "infinite-degree", "samples-above-cap",
+        "no-images", "bare-list", "list-image", "fractional-genus"])
+def test_malformed_input_is_one_json_error_line(sub, text, extra, tmp_path):
+    # run as a process: an uncaught exception also exits 1, with a traceback
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    option = "--family" if sub == "disc-index" else "--hom"
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "braidoka.cli", sub, option, str(path), *extra],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert strict_json(line)["errorType"] == "ValueError"
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_output_is_strict_json(value, monkeypatch, capsys):
     # a non-finite number in any payload is an input error, never NaN or

@@ -16,9 +16,9 @@ from braidoka.errors import (
 from braidoka.families import (
     INCONCLUSIVE,
     REDUCIBLE,
+    MAX_SAMPLES,
     LaurentFamily,
     discriminant_from_coeffs,
-    discriminant_from_roots,
     discriminant_index,
     nbraid_entropy_lower,
     nbraid_module_upper,
@@ -26,6 +26,7 @@ from braidoka.families import (
     thm1_verdict,
 )
 import disc_reference
+from disc_reference import discriminant_from_roots
 
 
 class TestDiscriminant:
@@ -60,8 +61,6 @@ class TestDiscriminant:
     def test_degree_too_small(self):
         with pytest.raises(DegreeTooSmall):
             discriminant_from_coeffs([1, 1])
-        with pytest.raises(DegreeTooSmall):
-            discriminant_from_roots([1])
 
     def test_exact_on_integer_roots(self):
         rng = random.Random(2)
@@ -196,6 +195,11 @@ class TestDiscriminantIndex:
         with pytest.raises(ValueError):
             discriminant_index(LaurentFamily.power_family(3, 1), 8)
 
+    def test_rejects_sample_count_above_cap(self):
+        # raised before a sample is taken, not a NonConvergence after none
+        with pytest.raises(ValueError, match="MAX_SAMPLES"):
+            discriminant_index(LaurentFamily.power_family(3, 1), MAX_SAMPLES + 1)
+
     @pytest.mark.parametrize("degree", range(2, 8))
     def test_matches_reference(self, degree):
         # equal indices give equal thm1 verdicts; the reference starts above
@@ -218,6 +222,14 @@ class TestDiscriminantIndex:
         fam = LaurentFamily(3, {0: {-1: complex(0, 1), 2: complex(2, 0)}, 1: {0: 1 + 0j}})
         again = LaurentFamily.from_json(json.loads(json.dumps(fam.to_json())))
         assert again == LaurentFamily(3, {0: {-1: 1j, 2: (2 + 0j)}, 1: {0: (1 + 0j)}})
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, complex(0, math.nan),
+                                   complex(math.inf, 0)])
+    def test_rejects_non_finite_coefficients(self, c):
+        # named in the constructor, so library callers never reach the
+        # sampler, which read a NaN discriminant as a zero on the circle
+        with pytest.raises(ValueError, match=r"coeffs\[0\]\[2\] must be finite"):
+            LaurentFamily(3, {0: {2: c}, 1: {0: 1.0}})
 
 
 class TestThm1:

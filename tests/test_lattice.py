@@ -208,7 +208,8 @@ class TestBranchLocus:
             LatticeSpec.from_generators(1, 2)
 
     def test_min_separation(self):
-        assert branch_locus(LatticeSpec(1, 1j)).min_separation() > 1e-4
+        e1, e2, e3 = branch_locus(LatticeSpec(1, 1j)).e
+        assert abs(e1 - e2) > 1e-4 and abs(e1 - e3) > 1e-4 and abs(e2 - e3) > 1e-4
 
     @pytest.mark.parametrize("alpha, tau, name", [
         (1, complex(math.nan, 1.2), "tau"),

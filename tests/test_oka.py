@@ -230,8 +230,8 @@ _PATTERNS = ((a1, a2), (a2, a1), (a1.inv(), a2.inv()), (a2.inv(), a1.inv()))
 
 
 def _random_f2(rng, maxlen):
-    return FreeWord.from_letters(
-        [(rng.randint(1, 2), rng.choice((1, -1))) for _ in range(rng.randint(0, maxlen))])
+    return FreeWord(tuple(
+        (rng.randint(1, 2), rng.choice((1, -1))) for _ in range(rng.randint(0, maxlen))))
 
 
 def _constructed_f2_hom(rng, kind):

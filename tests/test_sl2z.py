@@ -5,7 +5,6 @@ import pytest
 
 from braidoka.braid import BraidWord, delta
 from braidoka.errors import NotParabolic, WrongStrandCount
-from braidoka.three import classify3, conj3
 from braidoka.sl2z import (
     A,
     B,
@@ -14,14 +13,11 @@ from braidoka.sl2z import (
     ELLIPTIC,
     HYPERBOLIC,
     I,
-    MINUS_I,
     PARABOLIC,
-    MatrixClass,
     SL2Matrix,
     L,
     R,
-    T,
-    matrix_class,
+    _kind,
     parabolic_normal_form,
     rl_factorization,
     sl2z_conjugate,
@@ -75,7 +71,7 @@ class TestTheta:
         assert theta(w3("2")) == SL2Matrix(1, 0, -1, 1)
 
     def test_center(self):
-        assert theta(delta(3) ** 2) == MINUS_I
+        assert theta(delta(3) ** 2) == I.neg()
         assert theta(delta(3) ** 4) == I
 
     def test_homomorphism_on_random_words(self):
@@ -104,30 +100,29 @@ class TestMatrixClass:
     def test_elliptic_order6(self):
         m = theta(w3("1 2"))
         assert m == SL2Matrix(0, 1, -1, 1)
-        cls = matrix_class(m)
-        assert cls.kind == ELLIPTIC and cls.elliptic_order == 6
+        assert _kind(m) == ELLIPTIC
         assert m**6 == I and all(m**k != I for k in range(1, 6))
 
     def test_elliptic_orders_3_and_4(self):
         m4 = SL2Matrix(0, -1, 1, 0)
-        assert matrix_class(m4).elliptic_order == 4 and m4**4 == I
+        assert _kind(m4) == ELLIPTIC and m4**4 == I and m4**2 != I
         m3 = SL2Matrix(0, -1, 1, -1)
-        assert matrix_class(m3).elliptic_order == 3 and m3**3 == I
+        assert _kind(m3) == ELLIPTIC and m3**3 == I and m3 != I
 
     def test_parabolic(self):
-        assert matrix_class(SL2Matrix(1, 5, 0, 1)).kind == PARABOLIC
+        assert _kind(SL2Matrix(1, 5, 0, 1)) == PARABOLIC
 
     def test_hyperbolic(self):
         m = theta(w3("1 -2"))
         assert m.trace == 3
-        assert matrix_class(m).kind == HYPERBOLIC
+        assert _kind(m) == HYPERBOLIC
 
     def test_central(self):
-        assert matrix_class(I).kind == CENTRAL_I
-        assert matrix_class(MINUS_I).kind == CENTRAL_MINUS_I
+        assert _kind(I) == CENTRAL_I
+        assert _kind(I.neg()) == CENTRAL_MINUS_I
 
 
-# a base word of each class, by its kind in matrix_class
+# a base word of each class, by its kind
 CLASS_BASES = (
     (CENTRAL_I, "1 2 1 1 2 1 1 2 1 1 2 1"),      # Delta^4
     (CENTRAL_MINUS_I, "1 2 1 1 2 1"),             # Delta^2
@@ -155,42 +150,12 @@ def seeded_class_words(seed, per_base=6):
 
 
 class TestClassDecidedOnce:
-    """The decision paths read the class without building MatrixClass
-    records; matrix_class builds one for callers that ask."""
+    """`_kind`, the one place a matrix's class is read, against the class
+    of each seeded conjugate's base word."""
 
-    @pytest.fixture
-    def constructed(self, monkeypatch):
-        count = [0]
-        init = MatrixClass.__init__
-
-        def counting_init(self, *args, **kwargs):
-            count[0] += 1
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(MatrixClass, "__init__", counting_init)
-        return count
-
-    def test_decisions_build_no_records(self, constructed):
-        words = seeded_class_words(51)
-        for kind, b in words:
-            m = theta(b)
-            classify3(b)
-            if kind in (PARABOLIC, CENTRAL_I, CENTRAL_MINUS_I):
-                parabolic_normal_form(m)
-        for (_, b1), (_, b2) in zip(words, words[1:] + words[:1]):
-            conj3(b1, b1)
-            conj3(b1, b2)
-            sl2z_conjugate(theta(b1), theta(b2))
-        assert constructed[0] == 0
-
-    def test_matrix_class_records(self, constructed):
-        words = seeded_class_words(52)
-        orders = {0: 4, 1: 6, -1: 3}
-        for kind, b in words:
-            m = theta(b)
-            want = MatrixClass(kind, orders[m.trace] if kind == ELLIPTIC else None)
-            assert matrix_class(m) == want, (b, m)
-        assert constructed[0] == 2 * len(words)
+    def test_kind_of_seeded_conjugates(self):
+        for kind, b in seeded_class_words(52):
+            assert _kind(theta(b)) == kind, b
 
 
 class TestParabolicNormalForm:
@@ -201,7 +166,7 @@ class TestParabolicNormalForm:
         assert parabolic_normal_form(theta(w3("2 2"))) == (1, 2)
 
     def test_minus_identity(self):
-        assert parabolic_normal_form(MINUS_I) == (-1, 0)
+        assert parabolic_normal_form(I.neg()) == (-1, 0)
 
     def test_rejects_hyperbolic(self):
         with pytest.raises(NotParabolic):
@@ -269,7 +234,7 @@ class TestConjugacy:
                 assert sl2z_conjugate(m, n) == (n.entries() in reachable), (m, n)
 
     def test_power_matches_repeated_product(self):
-        assert T ** 10**12 == SL2Matrix(1, 10**12, 0, 1)
+        assert R ** 10**12 == SL2Matrix(1, 10**12, 0, 1)
         for m in (theta(w3("1 -2")), theta(w3("1 2")), theta(w3("2 2 -1"))):
             step = I
             for k in range(20):
@@ -279,9 +244,9 @@ class TestConjugacy:
     @pytest.mark.parametrize("m", [SL2Matrix(0, -1, 1, 1), SL2Matrix(2, 1, 1, 1)],
                              ids=["elliptic", "hyperbolic"])
     def test_huge_shift_conjugator(self, m):
-        # the reductions shift by T^-n with n as large as the entries; with
+        # the reductions shift by R^-n with n as large as the entries; with
         # k-step powers an elliptic shift of 1e6 took 4.2 s, linear in n
-        g = T ** 10**12
+        g = R ** 10**12
         t0 = time.perf_counter()
         assert sl2z_conjugate(m, g * m * g.inv())
         assert time.perf_counter() - t0 < 0.5
@@ -292,7 +257,7 @@ class TestConjugacy:
         # partial quotient; peeling one letter at a time takes time linear
         # in k
         m = R**k * L
-        g = theta(w3("1 2 -1 -1 2 1 1 1 -2 -2 1")) * T**7
+        g = theta(w3("1 2 -1 -1 2 1 1 1 -2 -2 1")) * R**7
         t0 = time.perf_counter()
         assert sl2z_conjugate(m, g * m * g.inv())
         assert not sl2z_conjugate(m, R ** (k // 2) * L**2)  # same trace
@@ -319,13 +284,13 @@ class TestReferenceParity:
     def images(seed=7, count=300):
         # theta images of words of at most 40 letters, half of them u c u^-1
         # with a core c of at most 6 letters so that every class type occurs,
-        # each with its conjugates by a 200-letter word and by T^(10^12)
+        # each with its conjugates by a 200-letter word and by R^(10^12)
         rng = random.Random(seed)
 
         def word(n):
             return BraidWord(3, tuple(rng.choice((1, -1, 2, -2)) for _ in range(n)))
 
-        shift = T ** 10**12
+        shift = R ** 10**12
         out = []
         for i in range(count):
             if i % 2:
@@ -340,7 +305,7 @@ class TestReferenceParity:
     def test_parabolic_normal_form(self):
         seen = 0
         for triple in self.images():
-            if matrix_class(triple[0]).kind not in (PARABOLIC, CENTRAL_I, CENTRAL_MINUS_I):
+            if _kind(triple[0]) not in (PARABOLIC, CENTRAL_I, CENTRAL_MINUS_I):
                 continue
             seen += 1
             ref = sl2z_reference.parabolic_normal_form(triple[0])
@@ -355,7 +320,7 @@ class TestReferenceParity:
         rng = random.Random(11)
         by_trace = {}
         for triple in self.images():
-            if matrix_class(triple[0]).kind != kind:
+            if _kind(triple[0]) != kind:
                 continue
             for m in triple + (triple[0].inv(), triple[0].neg()):
                 by_trace.setdefault(m.trace, []).append(m)

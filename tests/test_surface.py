@@ -1,0 +1,170 @@
+"""Census of the package surface: every public name has a user.
+
+The public names are the top-level functions, classes and constants of
+`src/braidoka/*.py` whose names do not start with an underscore, and the
+public methods of those classes.  A name is used when code refers to it
+(not a docstring or comment):
+
+* in a `src/braidoka` module other than `__init__`, outside the name's own
+  definition, so `__init__`'s re-export alone and a method that only
+  calls itself do not count;
+* in `tests/test_acceptance.py`, the paper's acceptance criteria;
+* in `perfbench/*.py`, as an identifier or as a string that is exactly
+  the name (the tracer names the functions it wraps by string).
+
+Names are matched as identifiers, so a method counts as used when any
+attribute of that name is read.  Every other name needs an entry in
+`KEEP` with the reason it stays.  An entry whose name is gone, or is now
+used by the package or an acceptance criterion, fails too.  A perfbench
+mention does not make an entry stale, so a name kept only for the tracer
+can say so.
+
+There is no `__all__`: the import lists of `braidoka/__init__.py` are the
+package surface, and a second list would be a copy to keep in step.
+"""
+
+import ast
+import shutil
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "braidoka"
+
+KEEP = {
+    "A": "constant: theta(sigma_1), the first generator of the image of B_3",
+    "B": "constant: theta(sigma_2), the second generator of the image of B_3",
+    "R": "constant: the letter R of the R/L words that rl_factorization returns",
+    "L": "constant: the letter L of those words (perfbench's `import braidoka as L` "
+         "would count as a use, so the reason is stated here)",
+    "from_generators": "constructor: the lattice of two generators, normalized",
+    "transposition": "constructor: the adjacent transposition (i, i+1) of S_n",
+    "unordered": "accessor: the linking numbers as a sorted tuple",
+    "zero_entropy_inputs": "accessor: pairs whose inputs both have entropy zero",
+    "contains": "accessor of the scan report, until the one-row-per-image-pair "
+                "report replaces its pair list (ROADMAP item 7)",
+    "free_conjugate": "feature README lists: conjugacy of free words",
+    "abelian_transitive_generator": "feature README lists: the paper's "
+                                    "abelian-transitive lemma for prime n",
+    "lemma5_generators": "feature README lists: the paper's generator change "
+                         "for abelian transitive images in S_3",
+    "peripheral_word": "kept on purpose since 0018764: the representative word "
+                       "of each peripheral class",
+    "rl_factorization": "named by a perfbench span until the package counts its "
+                        "own work (ROADMAP item 5)",
+}
+
+# the classes whose __post_init__ perfbench/tracing.py wraps to count
+# constructions; every other record validates inside its __init__
+TRACED_CONSTRUCTORS = {"BraidWord", "Permutation", "SL2Matrix", "FreeWord"}
+
+
+def _public(name):
+    return not name.startswith("_")
+
+
+def _refs(node):
+    """The identifiers that code under node reads or imports."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name)
+    return out
+
+
+def _units(tree):
+    """(names a unit defines, the code it holds) for each top-level
+    statement, with each statement of a class body a unit of its own."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield {node.name}, node.bases
+            for sub in node.body:
+                yield {node.name} | ({sub.name} if isinstance(sub, ast.FunctionDef) else set()), [sub]
+        elif isinstance(node, ast.FunctionDef):
+            yield {node.name}, [node]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield {t.id for t in targets if isinstance(t, ast.Name)}, [node.value] if node.value else []
+        else:
+            yield set(), [node]
+
+
+def _trees(src):
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+
+
+def _surface(trees):
+    """The public top-level functions, classes and constants, and the
+    public methods of the public classes."""
+    out = set()
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                out.add(node.name)
+                if isinstance(node, ast.ClassDef) and _public(node.name):
+                    out |= {s.name for s in node.body if isinstance(s, ast.FunctionDef)}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                out |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {n for n in out if _public(n)}
+
+
+def _package_refs(trees):
+    out = set()
+    for module, tree in trees.items():
+        if module != "__init__":
+            for defined, code in _units(tree):
+                out |= set().union(*map(_refs, code)) - defined
+    return out
+
+
+def _perfbench_refs(root):
+    out = set()
+    for path in sorted((root / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        out |= _refs(tree) | {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)
+                              and isinstance(n.value, str) and n.value.isidentifier()}
+    return out
+
+
+def census(root=ROOT):
+    """(public names with no user and no KEEP entry, stale KEEP entries)."""
+    trees = _trees(root / "src" / "braidoka")
+    surface = _surface(trees)
+    used = _package_refs(trees) | _refs(ast.parse((root / "tests" / "test_acceptance.py").read_text()))
+    unused = sorted(surface - used - _perfbench_refs(root) - set(KEEP))
+    stale = sorted(n for n in KEEP if n not in surface or n in used)
+    return unused, stale
+
+
+def test_every_public_name_has_a_user():
+    unused, stale = census()
+    assert unused == [], f"public names with no user; use, move or delete them, or add to KEEP: {unused}"
+    assert stale == [], f"KEEP entries whose name is gone or now used: {stale}"
+
+
+def test_census_sees_a_name_without_user(tmp_path):
+    # a copy of the tree with one unused function and one stale entry
+    shutil.copytree(SRC, tmp_path / "src" / "braidoka")
+    shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench")
+    (tmp_path / "tests").mkdir()
+    shutil.copy(ROOT / "tests" / "test_acceptance.py", tmp_path / "tests")
+    pkg = tmp_path / "src" / "braidoka"
+    words = pkg / "words.py"
+    words.write_text(words.read_text() + "\n\ndef spare_word(w):\n    return spare_word(w)\n")
+    lattice = pkg / "lattice.py"
+    lattice.write_text(lattice.read_text().replace("from_generators", "from_pair"))
+    assert census(tmp_path) == (["from_pair", "spare_word"], ["from_generators"])
+
+
+def test_post_init_only_on_traced_constructors():
+    hooked = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(s, ast.FunctionDef) and s.name == "__post_init__" for s in node.body):
+                hooked.add(node.name)
+    assert hooked == TRACED_CONSTRUCTORS

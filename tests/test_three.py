@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from braidoka.braid import BraidWord, braid_eq, delta, exponent_sum, permutation
 from braidoka.errors import ResourceLimit, WrongStrandCount
-from braidoka.sl2z import matrix_class, sl2z_conjugate, theta, PARABOLIC
+from braidoka.sl2z import PARABOLIC, _kind, sl2z_conjugate, theta
 from braidoka.three import (
     MIN_PA_ENTROPY,
     PSEUDO_ANOSOV,
@@ -79,7 +79,7 @@ class TestClassify:
             kinds[c.kind] += 1
             if permutation(b).is_n_cycle():
                 assert c.kind != REDUCIBLE
-                assert matrix_class(theta(b)).kind != PARABOLIC
+                assert _kind(theta(b)) != PARABOLIC
         assert all(v > 0 for v in kinds.values())
 
     def test_module_times_entropy(self):

@@ -25,7 +25,7 @@ from braidoka.oka import (
     SurfaceSignature,
 )
 from braidoka.perms import Permutation
-from braidoka.sl2z import MatrixClass, SL2Matrix
+from braidoka.sl2z import SL2Matrix
 from braidoka.three import CommutatorPair, CommutatorScanReport, ThreeBraidClass
 from braidoka.words import FreeWord, PeripheralPower
 
@@ -55,7 +55,6 @@ ARGS = {
     NotGO: lambda: (None, "no"),
     Permutation: lambda: ((2, 3, 1),),
     SL2Matrix: lambda: (2, 1, 1, 1),
-    MatrixClass: lambda: ("elliptic", 4),
     ThreeBraidClass: lambda: ("pseudoAnosov", 3, 0, False, False, None, None, None, 0.96, 1.63),
     CommutatorPair: lambda: ((1,), (2,), 3, 0.0, 0.0, False, True, 1.0, 2.0),
     CommutatorScanReport: lambda: (2, 21, ()),
@@ -72,7 +71,7 @@ def _fields(cls):
 
 
 def test_every_record_class_is_listed():
-    assert len(CLASSES) == 24
+    assert len(CLASSES) == 23
     for cls in CLASSES:
         assert len(_fields(cls)) == len(ARGS[cls]())
 
@@ -127,7 +126,6 @@ def test_copy_and_pickle_round_trip(cls):
 
 def test_defaults_and_keywords():
     assert BraidWord(3).letters == () and FreeWord().blocks == ()
-    assert MatrixClass("hyperbolic").elliptic_order is None
     assert not PeripheralPower("a2", -1).trivial
     c = ThreeBraidClass(kind="reducible", trace=2, exponent_sum=1, k=1, ell=0)
     assert (c.central, c.reducible_flag, c.base, c.entropy) == (False, False, None, 0.0)
@@ -137,7 +135,6 @@ def test_defaults_and_keywords():
 def test_repr_keeps_the_dataclass_form():
     assert repr(IndexReport(4, 256, 0.5)) == (
         "IndexReport(index=4, samples_used=256, min_abs_discriminant=0.5)")
-    assert repr(MatrixClass("elliptic", 4)) == "MatrixClass(kind='elliptic', elliptic_order=4)"
     assert repr(GOReducible("a1", _word())) == "GOReducible(peripheral='a1', root=FreeWord(a1 a2^-2))"
     assert repr(SurfaceSignature(1, 1)) == "SurfaceSignature(genus=1, holes=1)"
     # classes with their own repr keep it

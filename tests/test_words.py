@@ -33,7 +33,7 @@ letters_strategy = st.lists(
 
 
 def word_from(letters):
-    return FreeWord.from_letters(letters)
+    return FreeWord(tuple(letters))
 
 
 class TestReduce:
