@@ -9,6 +9,10 @@ is printed to a file as well.  Exit codes: 0 for a positive or neutral
 result, 2 for a negative mathematical verdict (inequality, non-conjugacy,
 violation, non-GO, inconclusive), 1 for usage or input errors, which are
 reported on stderr as one JSON object.
+
+The handlers read the package's modules by attribute (`three.classify3`),
+so a call loads only the modules its handler runs, and building the
+parser loads none.
 """
 
 from __future__ import annotations
@@ -18,27 +22,7 @@ import json
 import math
 import sys
 
-from . import __version__, lattice
-from .braid import BraidWord, linking_numbers, normal_form, braid_eq, exponent_sum
-from .errors import BraidokaError
-from .families import (
-    INCONCLUSIVE,
-    LaurentFamily,
-    discriminant_index,
-    nbraid_entropy_lower,
-    nbraid_module_upper,
-    penner_bound,
-    thm1_verdict,
-)
-from .oka import SurfaceHom, SurfaceSignature, eprime_generate, go_surface_decide, oka3_decide, oka3_decide_both
-from .sl2z import theta
-from .three import (
-    classify3,
-    conformal_module3,
-    conj3,
-    entropy3,
-    zero_entropy_commutator_scan,
-)
+from . import __version__, braid, errors, families, lattice, oka, sl2z, three
 
 SCHEMA_VERSION = "1"
 PATH_STEPS = 16  # lattice-branch --path-end without --path-steps
@@ -48,8 +32,8 @@ USAGE_ERROR = 1
 NEGATIVE = 2
 
 
-def _braid_arg(args) -> BraidWord:
-    return BraidWord.parse(args.braid, args.n)
+def _braid_arg(args) -> braid.BraidWord:
+    return braid.BraidWord.parse(args.braid, args.n)
 
 
 def _load_json(path: str):
@@ -58,44 +42,44 @@ def _load_json(path: str):
 
 
 def cmd_classify(args):
-    b = BraidWord.parse(args.braid, 3)
-    payload = classify3(b).as_dict()
-    payload["theta"] = theta(b).to_json()
+    b = braid.BraidWord.parse(args.braid, 3)
+    payload = three.classify3(b).as_dict()
+    payload["theta"] = sl2z.theta(b).to_json()
     return payload, True
 
 
 def cmd_entropy(args):
-    return {"entropy": entropy3(BraidWord.parse(args.braid, 3))}, True
+    return {"entropy": three.entropy3(braid.BraidWord.parse(args.braid, 3))}, True
 
 
 def cmd_module(args):
-    m = conformal_module3(BraidWord.parse(args.braid, 3))
+    m = three.conformal_module3(braid.BraidWord.parse(args.braid, 3))
     return {"module": None if math.isinf(m) else m, "infinite": math.isinf(m)}, True
 
 
 def cmd_eq(args):
-    a, b = BraidWord.parse(args.a, args.n), BraidWord.parse(args.b, args.n)
+    a, b = braid.BraidWord.parse(args.a, args.n), braid.BraidWord.parse(args.b, args.n)
     if args.n is None:  # one inferred B_n for both; B_n embeds in B_(n+1)
         n = max(a.strands, b.strands)
-        a, b = BraidWord(n, a.letters), BraidWord(n, b.letters)
-    equal = braid_eq(a, b)
+        a, b = braid.BraidWord(n, a.letters), braid.BraidWord(n, b.letters)
+    equal = braid.braid_eq(a, b)
     return {"equal": equal}, equal
 
 
 def cmd_nf(args):
     b = _braid_arg(args)
-    nf = normal_form(b)
+    nf = braid.normal_form(b)
     return {
         "strands": nf.strands,
         "power": nf.power,
         "factors": [list(f.images) for f in nf.factors],
         "canonicalLength": nf.canonical_length(),
-        "exponentSum": exponent_sum(b),
+        "exponentSum": braid.exponent_sum(b),
     }, True
 
 
 def cmd_linking(args):
-    lk = linking_numbers(_braid_arg(args))
+    lk = braid.linking_numbers(_braid_arg(args))
     payload = {"strands": lk.strands,
                "pairs": {f"{i},{j}": v for i, j, v in lk.values}}
     if lk.strands == 3:
@@ -104,55 +88,55 @@ def cmd_linking(args):
 
 
 def cmd_conj(args):
-    res = conj3(BraidWord.parse(args.a, 3), BraidWord.parse(args.b, 3))
+    res = three.conj3(braid.BraidWord.parse(args.a, 3), braid.BraidWord.parse(args.b, 3))
     return {"conjugate": res}, res
 
 
 def cmd_scan_commutators(args):
-    return zero_entropy_commutator_scan(args.maxlen).as_dict(), True
+    return three.zero_entropy_commutator_scan(args.maxlen).as_dict(), True
 
 
 def cmd_disc_index(args):
-    fam = LaurentFamily.from_json(_load_json(args.family))
-    return discriminant_index(fam, samples=args.samples).as_dict(), True
+    fam = families.LaurentFamily.from_json(_load_json(args.family))
+    return families.discriminant_index(fam, samples=args.samples).as_dict(), True
 
 
 def cmd_thm1(args):
-    verdict = thm1_verdict(args.n, args.modulus, args.index)
+    verdict = families.thm1_verdict(args.n, args.modulus, args.index)
     return {"verdict": verdict, "n": args.n, "modulus": args.modulus,
-            "index": args.index}, verdict != INCONCLUSIVE
+            "index": args.index}, verdict != families.INCONCLUSIVE
 
 
 def cmd_penner(args):
     surface = args.genus is not None
     if surface != (args.marked is not None) or not (surface or args.braid_n is not None):
-        raise BraidokaError("give --genus and --marked, or --braid-n")
+        raise errors.BraidokaError("give --genus and --marked, or --braid-n")
     payload: dict = {}
     if surface:
-        payload["penner"] = penner_bound(args.genus, args.marked)
+        payload["penner"] = families.penner_bound(args.genus, args.marked)
     if args.braid_n is not None:
-        payload["entropyLower"] = nbraid_entropy_lower(args.braid_n)
-        payload["moduleUpper"] = nbraid_module_upper(args.braid_n)
+        payload["entropyLower"] = families.nbraid_entropy_lower(args.braid_n)
+        payload["moduleUpper"] = families.nbraid_module_upper(args.braid_n)
     return payload, True
 
 
 def cmd_oka3(args):
     """--both-variants reports both E0 variants; the standard one sets the verdict."""
-    hom = SurfaceHom.from_json(_load_json(args.hom))
+    hom = oka.SurfaceHom.from_json(_load_json(args.hom))
     if args.both_variants:
-        payload = oka3_decide_both(hom)
+        payload = oka.oka3_decide_both(hom)
         return payload, payload["standard"]["verdict"] == "classified"
-    payload = oka3_decide(hom, mirrored=args.mirrored).as_dict()
+    payload = oka.oka3_decide(hom, mirrored=args.mirrored).as_dict()
     return payload, payload["verdict"] == "classified"
 
 
 def cmd_go_surface(args):
-    payload = go_surface_decide(SurfaceHom.from_json(_load_json(args.hom))).as_dict()
+    payload = oka.go_surface_decide(oka.SurfaceHom.from_json(_load_json(args.hom))).as_dict()
     return payload, payload["goProperty"]
 
 
 def cmd_eprime(args):
-    payload = eprime_generate(SurfaceSignature(args.genus, args.holes)).as_dict()
+    payload = oka.eprime_generate(oka.SurfaceSignature(args.genus, args.holes)).as_dict()
     if not args.list:
         payload.pop("elements")
     return payload, True
@@ -174,10 +158,11 @@ def _e_cells(bl) -> list[float]:
 def cmd_lattice_branch(args):
     alpha = _parse_complex(args.alpha)
     tau = _parse_complex(args.tau)
+    radius = lattice.DEFAULT_RADIUS if args.radius is None else args.radius
     if args.path_end is None:
         if args.path_steps is not None:
             raise ValueError("--path-steps needs --path-end")
-        bl = lattice.branch_locus(lattice.LatticeSpec(alpha, tau), args.radius)
+        bl = lattice.branch_locus(lattice.LatticeSpec(alpha, tau), radius)
         if args.csv:
             return _csv("e1_re,e1_im,e2_re,e2_im,e3_re,e3_im", [_e_cells(bl)]), True
         return {"alpha": [alpha.real, alpha.imag], "tau": [tau.real, tau.imag],
@@ -190,7 +175,7 @@ def cmd_lattice_branch(args):
     for k in range(steps + 1):
         t = k / steps
         tau_t = tau + (end - tau) * t
-        rows.append((t, tau_t, lattice.branch_locus(lattice.LatticeSpec(alpha, tau_t), args.radius)))
+        rows.append((t, tau_t, lattice.branch_locus(lattice.LatticeSpec(alpha, tau_t), radius)))
     if args.csv:
         return _csv("t,tau_re,tau_im,e1_re,e1_im,e2_re,e2_im,e3_re,e3_im",
                     [[t, tt.real, tt.imag, *_e_cells(bl)] for t, tt, bl in rows]), True
@@ -270,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("lattice-branch", cmd_lattice_branch, "branch locus of a lattice")
     p.add_argument("--alpha", default="1,0", help="complex as re,im")
     p.add_argument("--tau", required=True, help="complex as re,im")
-    p.add_argument("--radius", type=int, default=lattice.DEFAULT_RADIUS)
+    p.add_argument("--radius", type=int)  # lattice.DEFAULT_RADIUS, read when the handler runs
     p.add_argument("--csv", action="store_true")
     p.add_argument("--path-end", help="trace tau linearly to this re,im value")
     p.add_argument("--path-steps", type=int,
@@ -295,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")
         print(text)
-    except (BraidokaError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (errors.BraidokaError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"schema": SCHEMA_VERSION, "error": str(exc),
                           "errorType": type(exc).__name__}), file=sys.stderr)
         return USAGE_ERROR

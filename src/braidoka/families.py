@@ -8,6 +8,7 @@ from __future__ import annotations
 import cmath
 import math
 
+from . import perms
 from ._value import Value, int_field
 from .errors import (
     DegreeTooSmall,
@@ -15,7 +16,6 @@ from .errors import (
     SeparabilityFailure,
     SignatureOutOfRange,
 )
-from .perms import _is_prime
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -124,21 +124,22 @@ class LaurentFamily(Value):
     @staticmethod
     def from_json(data) -> "LaurentFamily":
         """The family of {"degree": n, "coeffs": {"k": {"e": [re, im]}}}.
-        Malformed data raises ValueError naming the field."""
+        Malformed data, or two keys that name one power (such as "2" and
+        "02"), raise ValueError naming the field."""
         if not isinstance(data, dict) or not isinstance(data.get("coeffs"), dict):
             raise ValueError('a family needs a "coeffs" object')
         coeffs = {}
-        for kstr, poly in data["coeffs"].items():
-            where = f'coeffs["{kstr}"]'
+        for k, kstr in _powers(data["coeffs"], "coeffs").items():
+            where, poly = f'coeffs["{kstr}"]', data["coeffs"][kstr]
             if not isinstance(poly, dict):
                 raise ValueError(f"{where} must be an object")
-            coeffs[int_field(kstr, where)] = row = {}
-            for estr, c in poly.items():
-                at = f'{where}["{estr}"]'
+            coeffs[k] = row = {}
+            for e, estr in _powers(poly, where).items():
+                c = poly[estr]
                 if not (isinstance(c, list) and len(c) == 2
                         and all(isinstance(x, (int, float)) for x in c)):
-                    raise ValueError(f"{at} must be a pair [re, im] of numbers, got {c!r}")
-                row[int_field(estr, at)] = complex(c[0], c[1])
+                    raise ValueError(f'{where}["{estr}"] must be a pair [re, im] of numbers, got {c!r}')
+                row[e] = complex(c[0], c[1])
         return LaurentFamily(int_field(data.get("degree"), '"degree"'), coeffs)
 
     def to_json(self) -> dict:
@@ -149,6 +150,18 @@ class LaurentFamily(Value):
                 for k, poly in self.coeffs.items()
             },
         }
+
+
+def _powers(obj: dict, where: str) -> dict[int, str]:
+    """{power: key} for the keys of a JSON object of powers; two keys
+    that read as one power raise ValueError naming both."""
+    out: dict[int, str] = {}
+    for key in obj:
+        k = int_field(key, f'{where}["{key}"]')
+        if k in out:
+            raise ValueError(f'{where} keys "{out[k]}" and "{key}" name one power')
+        out[k] = key
+    return out
 
 
 class IndexReport(Value):
@@ -258,7 +271,7 @@ def thm1_verdict(n: int, modulus: float, index: int) -> str:
         raise ValueError("degree must be >= 2")
     if not 0 < modulus < math.inf:
         raise ValueError("modulus must be positive and finite")
-    if _is_prime(n) and modulus > 2 * math.pi * n / math.log(2) and index % n == 0:
+    if perms._is_prime(n) and modulus > 2 * math.pi * n / math.log(2) and index % n == 0:
         return REDUCIBLE
     return INCONCLUSIVE
 

@@ -17,6 +17,7 @@ Two decision problems are implemented at the level of monodromy data:
 from __future__ import annotations
 
 import itertools
+import re
 
 from . import _backend
 from ._purekernels import e0_screen_matrices, mat_mul
@@ -110,8 +111,9 @@ class SurfaceHom(Value):
     @staticmethod
     def from_json(data) -> "SurfaceHom":
         """The homomorphism of {"genus": g, "holes": m, "target": "B3" or
-        "F2", "images": {"e1": word, ...}} with each word as text.
-        Malformed data raises ValueError naming the field."""
+        "F2", "images": {"e1": word, ...}} with each word as text and one
+        key e<k> per generator k.  Malformed data, or two keys that name
+        one generator, raise ValueError naming the field."""
         if not isinstance(data, dict):
             raise ValueError("a homomorphism must be a JSON object")
         for field in ("genus", "holes", "target", "images"):
@@ -123,11 +125,16 @@ class SurfaceHom(Value):
             raise ValueError(f"unknown target {target!r}")
         if not isinstance(data["images"], dict):
             raise ValueError('"images" must be an object')
-        images = {}
+        images, keys = {}, {}
         for key, text in data["images"].items():
             if not isinstance(text, str):
                 raise ValueError(f'images["{key}"] must be a word as text, got {text!r}')
-            idx = int_field(key.lstrip("ea"), f'images key "{key}"')
+            if not (isinstance(key, str) and re.fullmatch(r"e[0-9]+", key)):
+                raise ValueError(f'images key "{key}" must be e<k> for the generator k')
+            idx = int(key[1:])
+            if idx in keys:
+                raise ValueError(f'images keys "{keys[idx]}" and "{key}" name one generator')
+            keys[idx] = key
             images[idx] = BraidWord.parse(text, 3) if target == TARGET_B3 else FreeWord.parse(text)
         return SurfaceHom(sig, target, images)
 

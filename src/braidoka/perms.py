@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 
+from . import words
 from ._value import Value
 from .errors import (
     NotAbelianTransitive,
@@ -11,7 +12,6 @@ from .errors import (
     NotPrime,
     NotTransitive,
 )
-from .words import FreeWord
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -189,7 +189,7 @@ def abelian_transitive_generator(
 
 def lemma5_generators(
     psi_e1: Permutation, psi_e2: Permutation
-) -> tuple[FreeWord, FreeWord]:
+) -> tuple[words.FreeWord, words.FreeWord]:
     """Replace free generators so the first maps to a 3-cycle, the second to id.
 
     Given the images of e1, e2 under a homomorphism F2 -> S3 with abelian
@@ -204,7 +204,7 @@ def lemma5_generators(
     if not is_transitive([psi_e1, psi_e2], 3):
         raise NotAbelianTransitive("image group is not transitive")
 
-    e1, e2 = FreeWord.gen(1), FreeWord.gen(2)
+    e1, e2 = words.FreeWord.gen(1), words.FreeWord.gen(2)
     if psi_e1.is_n_cycle():
         for q in range(3):
             if psi_e2.then(psi_e1.inv() ** q).is_identity():

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import math
 
-from . import _backend
+from . import _backend, words
 from ._value import Value
 from .braid import BraidWord
 from .errors import InternalInconsistency, NotParabolic, WrongStrandCount
-from .words import _min_rotation
 
 
 class SL2Matrix(Value):
@@ -230,4 +229,4 @@ def sl2z_conjugate(m: SL2Matrix, n: SL2Matrix) -> bool:
     # equal traces fix the sign and the power of the primitive word
     if m.trace < 0:
         m, n = m.neg(), n.neg()
-    return _min_rotation(_period_runs(m)) == _min_rotation(_period_runs(n))
+    return words._min_rotation(_period_runs(m)) == words._min_rotation(_period_runs(n))

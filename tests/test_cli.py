@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from braidoka import cli
+from braidoka import cli, three
 from braidoka.cli import build_parser, main
 
 
@@ -361,9 +361,13 @@ _HOM = {"genus": 1, "holes": 1, "target": "B3", "images": {"e1": "1 2", "e2": "1
     ("oka3", json.dumps([1, 2]), []),
     ("oka3", json.dumps({**_HOM, "images": {"e1": [1], "e2": "1 2"}}), []),
     ("oka3", json.dumps({**_HOM, "genus": 1.5}), []),
+    ("disc-index", json.dumps({"degree": 3, "coeffs": {"0": {"2": [-1.0, 0.0], "02": [5.0, 0.0]}}}), []),
+    ("oka3", json.dumps({**_HOM, "images": {**_HOM["images"], "a1": "2"}}), []),
+    ("go-surface", json.dumps({**_HOM, "target": "F2", "images": {"e1": "a1", "eae2": "a2"}}), []),
 ], ids=["no-coeffs", "short-coefficient", "text-coefficient", "long-coefficient",
         "nan-coefficient", "infinite-coefficient", "infinite-degree", "samples-above-cap",
-        "no-images", "bare-list", "list-image", "fractional-genus"])
+        "no-images", "bare-list", "list-image", "fractional-genus",
+        "two-keys-one-power", "a-image-key", "stacked-image-key"])
 def test_malformed_input_is_one_json_error_line(sub, text, extra, tmp_path):
     # run as a process: an uncaught exception also exits 1, with a traceback
     path = tmp_path / "input.json"
@@ -384,7 +388,7 @@ def test_malformed_input_is_one_json_error_line(sub, text, extra, tmp_path):
 def test_output_is_strict_json(value, monkeypatch, capsys):
     # a non-finite number in any payload is an input error, never NaN or
     # Infinity on stdout
-    monkeypatch.setattr(cli, "entropy3", lambda b: value)
+    monkeypatch.setattr(three, "entropy3", lambda b: value)
     assert main(["entropy", "--braid", "1 -2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -449,3 +453,80 @@ def test_import_leaves_dataclasses_and_fractions_unloaded():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_loading_every_module_leaves_dataclasses_and_fractions_unloaded():
+    # `import braidoka.cli` loads no module of the package any more, so the
+    # check above reads every one of them here
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, types, braidoka\n"
+        "from braidoka import *\n"
+        "mods = [braidoka.__dict__[m] for m in braidoka._MODULES]\n"
+        "assert all(type(m) is types.ModuleType for m in mods)\n"
+        "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
+# One argv of each shape the benchmark's cli workload runs, with the
+# modules its handler reads first and those it must never load: a module
+# compiles on first use, so a subcommand pays only for the code it runs.
+_SUBMODULES = {"errors", "_value", "_purekernels", "_backend", "words", "perms",
+               "braid", "sl2z", "three", "families", "lattice", "oka"}
+_LOADS = [
+    (["--version"], set(), _SUBMODULES),
+    (["classify", "--braid=1 -2"], {"braid", "sl2z", "three"}, {"oka", "families", "lattice"}),
+    (["entropy", "--braid=1 -2"], {"braid", "three"}, {"oka", "families", "lattice"}),
+    (["module", "--braid=1 2"], {"braid", "three"}, {"oka", "families", "lattice"}),
+    (["eq", "--n", "3", "--a=1 2 1", "--b=2 1 2"], {"braid"}, {"three", "oka", "families", "lattice"}),
+    (["nf", "--braid=1 -2 3", "--n", "4"], {"braid"}, {"three", "oka", "families", "lattice"}),
+    (["linking", "--braid=1 1 2 2", "--n", "4"], {"braid"}, {"three", "oka", "families", "lattice"}),
+    (["conj", "--a=1 -2", "--b=-2 1"], {"braid", "three"}, {"oka", "families", "lattice"}),
+    (["scan-commutators", "--maxlen", "2"], {"three"}, {"oka", "families", "lattice"}),
+    (["disc-index", "--family", "{family}", "--samples", "64"], {"families"},
+     {"braid", "three", "oka", "lattice"}),
+    (["thm1", "--n", "3", "--modulus", "30.0", "--index", "3"], {"families"},
+     {"braid", "three", "oka", "lattice"}),
+    (["penner", "--genus", "1", "--marked", "2", "--braid-n", "4"], {"families"},
+     {"braid", "three", "oka", "lattice"}),
+    (["oka3", "--hom", "{hom}", "--both-variants"], {"oka"}, {"families", "lattice"}),
+    (["go-surface", "--hom", "{fhom}"], {"oka"}, {"families", "lattice"}),
+    (["eprime", "--genus", "1", "--holes", "1", "--list"], {"oka"}, {"families", "lattice"}),
+    (["lattice-branch", "--tau=0.1,1.2", "--alpha=1,0", "--radius", "60", "--csv"], {"lattice"},
+     {"braid", "three", "oka", "families"}),
+]
+
+
+@pytest.mark.parametrize("argv, loads, skips", _LOADS, ids=[a[0] for a, _, _ in _LOADS])
+def test_a_subcommand_loads_only_the_modules_it_runs(argv, loads, skips, tmp_path):
+    # a registered module that has not loaded yet is a lazy subclass of
+    # ModuleType; the exact type marks the ones that ran
+    src = Path(__file__).resolve().parents[1] / "src"
+    files = {"family": _FAMILY, "hom": _HOM,
+             "fhom": {**_HOM, "target": "F2", "images": {"e1": "a1", "e2": "a2"}}}
+    for name, doc in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    argv = [a.format(**{n: str(tmp_path / f"{n}.json") for n in files}) for a in argv]
+    code = (
+        "import contextlib, io, json, sys, types\n"
+        "from braidoka import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, [n for n, m in sys.modules.items()\n"
+        "                         if n.startswith('braidoka.') and type(m) is types.ModuleType]]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    exit_code, names = json.loads(out.stdout)
+    loaded = {n.removeprefix("braidoka.") for n in names} - {"cli"}
+    assert exit_code in (0, 2)
+    assert loads <= loaded and not skips & loaded, sorted(loaded)

@@ -223,6 +223,15 @@ class TestDiscriminantIndex:
         again = LaurentFamily.from_json(json.loads(json.dumps(fam.to_json())))
         assert again == LaurentFamily(3, {0: {-1: 1j, 2: (2 + 0j)}, 1: {0: (1 + 0j)}})
 
+    @pytest.mark.parametrize("coeffs, message", [
+        ({"0": {"2": [-1, 0], "02": [5, 0]}}, r'coeffs\["0"\] keys "2" and "02" name one power'),
+        ({"0": {"2": [-1, 0]}, "+0": {"1": [1, 0]}}, r'coeffs keys "0" and "\+0" name one power'),
+    ])
+    def test_json_rejects_two_keys_for_one_power(self, coeffs, message):
+        # int() reads both keys as one power, which kept only the last value
+        with pytest.raises(ValueError, match=message):
+            LaurentFamily.from_json({"degree": 3, "coeffs": coeffs})
+
     @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, complex(0, math.nan),
                                    complex(math.inf, 0)])
     def test_rejects_non_finite_coefficients(self, c):

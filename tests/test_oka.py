@@ -338,6 +338,19 @@ class TestGoSurfaceParity:
             SurfaceHom.from_json({"genus": 0, "holes": 3, "target": "F2",
                                   "images": {"e1": "a1", "e2": "a2 a5^-2"}})
 
+    @pytest.mark.parametrize("images, message", [
+        ({"e1": "1", "a1": "2", "e2": "1"}, 'images key "a1" must be e<k>'),
+        ({"eae1": "1", "e2": "1"}, 'images key "eae1" must be e<k>'),
+        ({"e1": "1", "e2": "1", "e02": "2"}, 'images keys "e2" and "e02" name one generator'),
+    ])
+    def test_json_image_keys_are_e_and_an_index(self, images, message):
+        # keys once lost their leading e and a letters, so "a1" replaced "e1"
+        with pytest.raises(ValueError, match=message):
+            SurfaceHom.from_json({"genus": 1, "holes": 1, "target": "B3", "images": images})
+        good = SurfaceHom.from_json({"genus": 1, "holes": 1, "target": "B3",
+                                     "images": {"e2": "1", "e1": "2"}})
+        assert good.images == {1: BraidWord(3, (2,)), 2: BraidWord(3, (1,))}
+
 
 class TestGoSurface:
     def test_cyclic_image(self):

@@ -19,13 +19,20 @@ used by the package or an acceptance criterion, fails too.  A perfbench
 mention does not make an entry stale, so a name kept only for the tracer
 can say so.
 
-There is no `__all__`: the import lists of `braidoka/__init__.py` are the
-package surface, and a second list would be a copy to keep in step.
+The package surface is the table `_NAMES` of `braidoka/__init__.py`, one
+row of public names per module; the package resolves each name on first
+read, and its `__all__` and `__dir__` derive from the table, so there is
+no second list to keep in step.
 """
 
 import ast
+import importlib
 import shutil
 from pathlib import Path
+
+import pytest
+
+import braidoka
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "braidoka"
@@ -168,3 +175,26 @@ def test_post_init_only_on_traced_constructors():
                     isinstance(s, ast.FunctionDef) and s.name == "__post_init__" for s in node.body):
                 hooked.add(node.name)
     assert hooked == TRACED_CONSTRUCTORS
+
+
+def test_every_table_name_resolves_to_its_module():
+    for module, names in braidoka._NAMES.items():
+        home = importlib.import_module(f"braidoka.{module}")
+        for name in names:
+            assert getattr(braidoka, name) is getattr(home, name), name
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'classify4'"):
+        braidoka.classify4  # noqa: B018
+    assert not hasattr(braidoka, "DEFAULT_RADIUS")  # public in lattice, not in the table
+
+
+def test_dir_and_star_import_list_every_name():
+    names = {n for names in braidoka._NAMES.values() for n in names}
+    assert names <= set(dir(braidoka))
+    assert {"braid", "three", "__version__"} <= set(dir(braidoka))
+    scope: dict = {}
+    exec("from braidoka import *", scope)
+    assert names | {"braid", "three", "errors"} <= set(scope)
+    assert all(scope[n] is getattr(braidoka, n) for n in names)
