@@ -1,5 +1,5 @@
 """The base of braidoka's immutable records, without generated code, and
-the integer reader their ``from_json`` constructors share."""
+the integer readers their ``parse`` and ``from_json`` constructors share."""
 
 from operator import attrgetter
 
@@ -47,13 +47,24 @@ class Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def read_int(text: str, where: str) -> int:
+    """The integer that text spells with an optional sign and ASCII digits,
+    or a ValueError that names where the text came from.  ``int`` alone
+    would also read "1_0" as 10, " 1 " as 1 and other scripts' digits."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{where} must be an integer, got {text!r}")
+    return int(text)
+
+
 def int_field(value, where: str) -> int:
-    """int(value) for a record field read from JSON, or a ValueError that
-    names where the value came from; a float must be integral."""
-    try:
-        out = int(value)
-    except (TypeError, ValueError, OverflowError):
-        out = None
-    if out is None or isinstance(value, float) and out != value:
-        raise ValueError(f"{where} must be an integer, got {value!r}")
-    return out
+    """A record field read from JSON as an integer: an int that is not a
+    bool, an integral float, or text that `read_int` accepts; anything
+    else is a ValueError that names where the value came from."""
+    if isinstance(value, str):
+        return read_int(value, where)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{where} must be an integer, got {value!r}")

@@ -23,7 +23,7 @@ faithful integer action of B_n on Dynnikov coordinates in Z^(2n).
 from __future__ import annotations
 
 from . import _backend
-from ._value import Value
+from ._value import Value, read_int
 from .errors import InternalInconsistency, NotPure, StrandMismatch
 from .perms import Permutation
 
@@ -48,17 +48,13 @@ class BraidWord(Value):
                 raise ValueError(f"letter {let} out of range for B_{self.strands}")
 
     @staticmethod
-    def identity(n: int) -> "BraidWord":
-        return BraidWord(n, ())
-
-    @staticmethod
     def sigma(n: int, i: int, exp: int = 1) -> "BraidWord":
         sign = 1 if exp > 0 else -1
         return BraidWord(n, (sign * i,) * abs(exp))
 
     @staticmethod
     def parse(text: str, strands: int | None = None) -> "BraidWord":
-        letters = tuple(int(tok) for tok in text.replace(",", " ").split())
+        letters = tuple(read_int(tok, "a braid letter") for tok in text.replace(",", " ").split())
         if strands is None:
             strands = max((abs(x) for x in letters), default=1) + 1
             strands = max(strands, 2)

@@ -101,8 +101,17 @@ def cmd_disc_index(args):
     return families.discriminant_index(fam, samples=args.samples).as_dict(), True
 
 
+def _float_bound(options: str, f, *args):
+    """f(*args), with an integer too large for a float reported as an
+    input error that names the options it came from."""
+    try:
+        return f(*args)
+    except OverflowError:
+        raise ValueError(f"{options}: too large to convert to a float") from None
+
+
 def cmd_thm1(args):
-    verdict = families.thm1_verdict(args.n, args.modulus, args.index)
+    verdict = _float_bound("--n", families.thm1_verdict, args.n, args.modulus, args.index)
     return {"verdict": verdict, "n": args.n, "modulus": args.modulus,
             "index": args.index}, verdict != families.INCONCLUSIVE
 
@@ -113,10 +122,13 @@ def cmd_penner(args):
         raise errors.BraidokaError("give --genus and --marked, or --braid-n")
     payload: dict = {}
     if surface:
-        payload["penner"] = families.penner_bound(args.genus, args.marked)
+        payload["penner"] = _float_bound("--genus/--marked", families.penner_bound,
+                                         args.genus, args.marked)
     if args.braid_n is not None:
-        payload["entropyLower"] = families.nbraid_entropy_lower(args.braid_n)
-        payload["moduleUpper"] = families.nbraid_module_upper(args.braid_n)
+        payload["entropyLower"] = _float_bound("--braid-n", families.nbraid_entropy_lower,
+                                               args.braid_n)
+        payload["moduleUpper"] = _float_bound("--braid-n", families.nbraid_module_upper,
+                                              args.braid_n)
     return payload, True
 
 

@@ -142,15 +142,6 @@ class LaurentFamily(Value):
                 row[e] = complex(c[0], c[1])
         return LaurentFamily(int_field(data.get("degree"), '"degree"'), coeffs)
 
-    def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "coeffs": {
-                str(k): {str(e): [c.real, c.imag] for e, c in poly.items()}
-                for k, poly in self.coeffs.items()
-            },
-        }
-
 
 def _powers(obj: dict, where: str) -> dict[int, str]:
     """{power: key} for the keys of a JSON object of powers; two keys
@@ -265,13 +256,16 @@ def thm1_verdict(n: int, modulus: float, index: int) -> str:
     """Reducibility verdict for a separable degree-n algebroid family on an
     annulus: certified reducible when n is prime, the conformal module
     exceeds (2 pi / log 2) n, and n divides the discriminant index.  The
-    criterion has no converse, so everything else is inconclusive.
+    criterion has no converse, so everything else is inconclusive.  The
+    cheap conditions are read first; `perms._is_prime` then decides
+    primality below 3.3 * 10^24 and raises ResourceLimit above it unless
+    a prime below 43 divides n.
     """
     if n < 2:
         raise ValueError("degree must be >= 2")
     if not 0 < modulus < math.inf:
         raise ValueError("modulus must be positive and finite")
-    if perms._is_prime(n) and modulus > 2 * math.pi * n / math.log(2) and index % n == 0:
+    if index % n == 0 and modulus > 2 * math.pi * n / math.log(2) and perms._is_prime(n):
         return REDUCIBLE
     return INCONCLUSIVE
 

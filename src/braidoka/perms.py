@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import re
-
 from . import words
 from ._value import Value
 from .errors import (
@@ -11,11 +9,12 @@ from .errors import (
     NotCommuting,
     NotPrime,
     NotTransitive,
+    ResourceLimit,
 )
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Iterable, Sequence
+    from collections.abc import Sequence
 
 
 class Permutation(Value):
@@ -33,10 +32,6 @@ class Permutation(Value):
             raise ValueError(f"not a permutation of 1..{n}: {self.images}")
 
     @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(1, n + 1)))
-
-    @staticmethod
     def transposition(n: int, i: int) -> "Permutation":
         """The adjacent transposition (i, i+1) in S_n."""
         if not 1 <= i <= n - 1:
@@ -44,24 +39,6 @@ class Permutation(Value):
         images = list(range(1, n + 1))
         images[i - 1], images[i] = images[i], images[i - 1]
         return Permutation(tuple(images))
-
-    @staticmethod
-    def from_cycles(n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
-        images = list(range(1, n + 1))
-        for cyc in cycles:
-            for a, b in zip(cyc, cyc[1:] + type(cyc)([cyc[0]])):
-                images[a - 1] = b
-        return Permutation(tuple(images))
-
-    @staticmethod
-    def parse(n: int, text: str) -> "Permutation":
-        """Parse cycle notation like ``(1 2 3)(4 5)`` or ``()``."""
-        cycles = []
-        for chunk in re.findall(r"\(([^()]*)\)", text):
-            entries = [int(x) for x in chunk.replace(",", " ").split()]
-            if entries:
-                cycles.append(entries)
-        return Permutation.from_cycles(n, cycles)
 
     @property
     def n(self) -> int:
@@ -141,14 +118,37 @@ def is_transitive(gens: Sequence[Permutation], n: int) -> bool:
     return len(reached) == n
 
 
+# the first 13 primes; as Miller-Rabin bases they decide primality for
+# every n below _MR_BOUND (Sorenson and Webster, "Strong pseudoprimes to
+# twelve prime bases", 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Division by the bases, then a strong probable-prime test to each of
+    them: deterministic below _MR_BOUND, at a cost that follows the bit
+    length of n.  At or above the bound ResourceLimit is raised."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= _MR_BOUND:
+        raise ResourceLimit(f"primality is decided only below {_MR_BOUND}, got a "
+                            f"{n.bit_length()}-bit number")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -86,11 +86,6 @@ class SL2Matrix(Value):
     def to_json(self) -> list[list[int]]:
         return [[self.a, self.b], [self.c, self.d]]
 
-    @staticmethod
-    def from_json(data) -> "SL2Matrix":
-        (a, b), (c, d) = data
-        return SL2Matrix(int(a), int(b), int(c), int(d))
-
     def __repr__(self) -> str:
         return f"SL2Matrix[[{self.a},{self.b}],[{self.c},{self.d}]]"
 

@@ -19,7 +19,7 @@ from .errors import IdentityInput, ResourceLimit
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Iterable, Iterator
+    from collections.abc import Iterable
 
 Block = tuple[int, int]      # (generator index >= 1, exponent != 0)
 Letter = tuple[int, int]     # (generator index, +1 or -1)
@@ -35,7 +35,8 @@ PERIPHERAL_A1A2_INV = "(a1a2)^-1"
 # the peak resident size (pure Python 3.11, 2-core VM); both grow linearly
 POW_MAXBLOCKS = 2**20
 
-_TOKEN_RE = re.compile(r"^([aAeExX])(\d+)(?:\^(-?\d+))?$")
+# ASCII digits only: \d would also match other scripts' digits
+_TOKEN_RE = re.compile(r"^([aAeExX])([0-9]+)(?:\^(-?[0-9]+))?$")
 
 
 def _merge_blocks(blocks: Iterable[Block]) -> tuple[Block, ...]:
@@ -140,16 +141,6 @@ class FreeWord(Value):
 
     def is_identity(self) -> bool:
         return not self.blocks
-
-    def length(self) -> int:
-        """Reduced word length, counting letters."""
-        return sum(abs(e) for _, e in self.blocks)
-
-    def letters(self) -> Iterator[Letter]:
-        for gen, exp in self.blocks:
-            sign = 1 if exp > 0 else -1
-            for _ in range(abs(exp)):
-                yield (gen, sign)
 
     def text(self, prefix: str = "a") -> str:
         parts = []

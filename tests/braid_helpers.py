@@ -15,7 +15,7 @@ def enumerate_words(
     alphabet = [i for k in range(1, n) for i in (k, -k)]
     alphabet.sort()
     if include_identity:
-        yield BraidWord.identity(n)
+        yield BraidWord(n)
     prev: list[tuple[int, ...]] = [()]
     for _ in range(maxlen):
         nxt = []

@@ -40,7 +40,7 @@ from braidoka.words import FreeWord
 
 
 def _braid_image(hom: SurfaceHom, w: FreeWord) -> BraidWord:
-    out = BraidWord.identity(3)
+    out = BraidWord(3)
     for gen, exp in w.blocks:
         out = out * hom.images[gen] ** exp
     return out

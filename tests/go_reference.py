@@ -63,10 +63,15 @@ from braidoka.words import (
 )
 
 
+def letters_of(w: FreeWord) -> tuple:
+    """w spelled out as (generator, sign) letters."""
+    return tuple((g, 1 if e > 0 else -1) for g, e in w.blocks for _ in range(abs(e)))
+
+
 def cyclic_reduce(w: FreeWord) -> tuple[FreeWord, tuple]:
     """Split w = conjugator * core * conjugator^-1 with core cyclically
     reduced; the core is its tuple of (generator, sign) letters."""
-    letters = list(w.letters())
+    letters = list(letters_of(w))
     i, j = 0, len(letters)
     while i < j - 1:
         g0, s0 = letters[i]
@@ -222,10 +227,10 @@ def eprime_generate(sig: SurfaceSignature) -> EPrimeSet:
 
 def _find_conjugator(u: FreeWord, target: FreeWord) -> Optional[FreeWord]:
     """Some c with c * u * c^-1 = target, or None; target cyclically reduced."""
-    lt = tuple(target.letters())
+    lt = letters_of(target)
     if lt and lt[0][0] == lt[-1][0] and lt[0][1] == -lt[-1][1]:
         raise ValueError("target must be cyclically reduced")
-    raw = list(u.letters())
+    raw = list(letters_of(u))
     i, j = 0, len(raw)
     while i < j - 1 and raw[i][0] == raw[j - 1][0] and raw[i][1] == -raw[j - 1][1]:
         i += 1
@@ -259,7 +264,7 @@ def _common_conjugator_to(
         return None
     w2 = c0 * u2 * c0.inv()
     rho, _ = primitive_root(t1)
-    bound = (w2.length() + t2.length()) // max(1, 2 * rho.length()) + 2
+    bound = (len(letters_of(w2)) + len(letters_of(t2))) // max(1, 2 * len(letters_of(rho))) + 2
     for s in range(-bound, bound + 1):
         c = rho ** s * c0
         if c * u2 * c.inv() == t2:

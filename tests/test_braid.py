@@ -35,6 +35,14 @@ def test_parse_and_inference():
     assert BraidWord.parse("3 1", None).strands == 4
     with pytest.raises(ValueError):
         BraidWord.parse("5", 3)
+    assert BraidWord.parse("+1 -2").letters == (1, -2)
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0661", "1.0", "+", "--1"])
+def test_parse_reads_only_sign_and_ascii_digits(text):
+    # int() reads "1_0" as 10 and the Arabic-Indic one as 1
+    with pytest.raises(ValueError, match="a braid letter must be an integer"):
+        BraidWord.parse(text)
 
 
 def test_permutation_examples():
@@ -54,7 +62,7 @@ def test_one_walk_projections():
         if rng.random() < 0.3:  # every letter squared: a pure braid
             letters = [x for x in letters[:20] for _ in (0, 1)]
         b = BraidWord(n, tuple(letters))
-        expected = Permutation.identity(n)
+        expected = Permutation(tuple(range(1, n + 1)))
         for x in letters:
             expected = expected.then(Permutation.transposition(n, abs(x)))
         assert permutation(b) == expected
@@ -103,7 +111,7 @@ class TestNormalForm:
     def test_left_weighted_factors_nontrivial(self):
         rng = random.Random(7)
         for n in (3, 4, 5):
-            ident = Permutation.identity(n)
+            ident = Permutation(tuple(range(1, n + 1)))
             w0 = Permutation(tuple(range(n, 0, -1)))
             for _ in range(40):
                 letters = tuple(

@@ -333,6 +333,10 @@ def test_subcommand_output_and_exit_code(sub, tmp_path, capsys):
     (["lattice-branch", "--tau", "0,inf", "--csv"], "tau"),
     (["lattice-branch", "--alpha", "inf,0", "--tau", "0,1"], "alpha"),
     (["lattice-branch", "--tau", "0,1", "--path-end", "nan,1", "--radius", "20"], "tau"),
+    # integers past the float range once raised OverflowError
+    (["penner", "--braid-n", str(10**400)], "--braid-n:"),
+    (["penner", "--genus", str(10**400), "--marked", "1"], "--genus/--marked:"),
+    (["thm1", "--n", str(10**400 + 1), "--modulus", "1e20", "--index", "0"], "--n:"),
 ])
 def test_non_finite_input_is_an_input_error(argv, name, capsys):
     assert main(argv) == 1
@@ -346,9 +350,10 @@ _FAMILY = {"degree": 3, "coeffs": {"0": {"2": [-1.0, 0.0]}}}
 _HOM = {"genus": 1, "holes": 1, "target": "B3", "images": {"e1": "1 2", "e2": "1 2 1 2"}}
 
 
-# (subcommand, input file text, extra arguments): malformed input files and
-# out-of-range options that once ended in a Python traceback or in an error
-# the input never caused
+# (subcommand, input file text or None for no file, extra arguments):
+# malformed input files and out-of-range options that once ended in a Python
+# traceback, in an error the input never caused, or in an answer to input
+# that int() read too loosely
 @pytest.mark.parametrize("sub, text, extra", [
     ("disc-index", json.dumps({"degree": 3}), []),
     ("disc-index", json.dumps({"degree": 3, "coeffs": {"0": {"2": [-1.0]}}}), []),
@@ -365,18 +370,28 @@ _HOM = {"genus": 1, "holes": 1, "target": "B3", "images": {"e1": "1 2", "e2": "1
     ("disc-index", json.dumps({"degree": 3, "coeffs": {"0": {"2": [-1.0, 0.0], "02": [5.0, 0.0]}}}), []),
     ("oka3", json.dumps({**_HOM, "images": {**_HOM["images"], "a1": "2"}}), []),
     ("go-surface", json.dumps({**_HOM, "target": "F2", "images": {"e1": "a1", "eae2": "a2"}}), []),
+    ("disc-index", json.dumps({"degree": 3, "coeffs": {"0": {"2_0": [-1.0, 0.0]}}}), []),
+    ("oka3", json.dumps({**_HOM, "genus": True}), []),
+    ("go-surface", json.dumps({**_HOM, "target": "F2", "images": {"e1": "a\u0661", "e2": "a2"}}), []),
+    ("eq", None, ["--a", "1_0", "--b", "10"]),
+    ("penner", None, ["--braid-n", str(10**400)]),
+    ("penner", None, ["--genus", str(10**400), "--marked", "1"]),
+    ("thm1", None, ["--n", str(10**400 + 1), "--modulus", "1e20", "--index", "0"]),
 ], ids=["no-coeffs", "short-coefficient", "text-coefficient", "long-coefficient",
         "nan-coefficient", "infinite-coefficient", "infinite-degree", "samples-above-cap",
         "no-images", "bare-list", "list-image", "fractional-genus",
-        "two-keys-one-power", "a-image-key", "stacked-image-key"])
+        "two-keys-one-power", "a-image-key", "stacked-image-key",
+        "underscore-power-key", "bool-genus", "non-ascii-digit", "underscore-letter",
+        "huge-braid-n", "huge-genus", "huge-n"])
 def test_malformed_input_is_one_json_error_line(sub, text, extra, tmp_path):
     # run as a process: an uncaught exception also exits 1, with a traceback
     path = tmp_path / "input.json"
-    path.write_text(text)
-    option = "--family" if sub == "disc-index" else "--hom"
+    if text is not None:
+        path.write_text(text)
+        extra = ["--family" if sub == "disc-index" else "--hom", str(path), *extra]
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [sys.executable, "-m", "braidoka.cli", sub, option, str(path), *extra],
+        [sys.executable, "-m", "braidoka.cli", sub, *extra],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
     )
     assert proc.returncode == 1 and proc.stdout == ""

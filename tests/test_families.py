@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from braidoka.errors import (
     DegreeTooSmall,
     NonConvergence,
+    ResourceLimit,
     SeparabilityFailure,
     SignatureOutOfRange,
 )
@@ -98,6 +100,13 @@ def _expand(roots):
             nxt[i] -= r * c
         coeffs = nxt
     return coeffs
+
+
+def family_json(fam):
+    """The JSON object `LaurentFamily.from_json` reads back as fam."""
+    return {"degree": fam.degree,
+            "coeffs": {str(k): {str(e): [c.real, c.imag] for e, c in poly.items()}
+                       for k, poly in fam.coeffs.items()}}
 
 
 def _seeded_family(rng, degree):
@@ -220,8 +229,22 @@ class TestDiscriminantIndex:
 
     def test_json_round_trip(self):
         fam = LaurentFamily(3, {0: {-1: complex(0, 1), 2: complex(2, 0)}, 1: {0: 1 + 0j}})
-        again = LaurentFamily.from_json(json.loads(json.dumps(fam.to_json())))
+        again = LaurentFamily.from_json(json.loads(json.dumps(family_json(fam))))
         assert again == LaurentFamily(3, {0: {-1: 1j, 2: (2 + 0j)}, 1: {0: (1 + 0j)}})
+
+    @pytest.mark.parametrize("coeffs, key", [
+        ({"0": {"2_0": [-1, 0]}}, r'coeffs\["0"\]\["2_0"\]'),
+        ({"0": {" 2 ": [-1, 0]}}, r'coeffs\["0"\]\[" 2 "\]'),
+        ({"\u0660": {"2": [-1, 0]}}, r'coeffs\["\u0660"\]'),
+    ])
+    def test_json_power_keys_are_sign_and_ascii_digits(self, coeffs, key):
+        # int() read "2_0" as z^20, so disc-index answered index 40
+        with pytest.raises(ValueError, match=key + " must be an integer"):
+            LaurentFamily.from_json({"degree": 3, "coeffs": coeffs})
+
+    def test_json_degree_is_not_a_bool(self):
+        with pytest.raises(ValueError, match='"degree" must be an integer'):
+            LaurentFamily.from_json({"degree": True, "coeffs": {}})
 
     @pytest.mark.parametrize("coeffs, message", [
         ({"0": {"2": [-1, 0], "02": [5, 0]}}, r'coeffs\["0"\] keys "2" and "02" name one power'),
@@ -255,6 +278,21 @@ class TestThm1:
 
     def test_modulus_below_threshold(self):
         assert thm1_verdict(3, 2 * math.pi * 3 / math.log(2) - 1, 6) == INCONCLUSIVE
+
+    def test_large_prime_in_bit_length_time(self):
+        # trial division took 4 s for this 16-digit prime
+        start = time.perf_counter()
+        assert thm1_verdict(1000000000000037, 1e20, 0) == REDUCIBLE
+        assert thm1_verdict(1000000007 * 1000000009, 1e20, 0) == INCONCLUSIVE
+        assert time.perf_counter() - start < 0.5
+
+    def test_cheap_conditions_come_before_primality(self):
+        # 2^89 - 1 is past the Miller-Rabin bound, so only a verdict that
+        # never asks whether it is prime can be given
+        assert thm1_verdict(2**89 - 1, 1e20, 1) == INCONCLUSIVE
+        assert thm1_verdict(2**89 - 1, 1e20, 0) == INCONCLUSIVE
+        with pytest.raises(ResourceLimit, match="3317044064679887385961981"):
+            thm1_verdict(2**89 - 1, 1e40, 0)
 
     @pytest.mark.parametrize("modulus", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_rejects_modulus_that_is_not_positive_and_finite(self, modulus):

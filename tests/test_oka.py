@@ -90,7 +90,7 @@ class TestOka3:
         hom = SurfaceHom(
             SurfaceSignature(0, 3),
             TARGET_B3,
-            {1: BraidWord.identity(3), 2: BraidWord.identity(3)},
+            {1: BraidWord(3), 2: BraidWord(3)},
         )
         with pytest.raises(WrongSignature):
             oka3_decide(hom)
@@ -338,6 +338,14 @@ class TestGoSurfaceParity:
             SurfaceHom.from_json({"genus": 0, "holes": 3, "target": "F2",
                                   "images": {"e1": "a1", "e2": "a2 a5^-2"}})
 
+    @pytest.mark.parametrize("field, value", [("genus", True), ("holes", False),
+                                              ("genus", "1_0"), ("genus", " 1")])
+    def test_json_signature_is_a_strict_integer(self, field, value):
+        # int() read true as 1 and "1_0" as 10
+        data = {"genus": 1, "holes": 1, "target": "B3", "images": {"e1": "1", "e2": "2"}}
+        with pytest.raises(ValueError, match=f'"{field}" must be an integer'):
+            SurfaceHom.from_json({**data, field: value})
+
     @pytest.mark.parametrize("images, message", [
         ({"e1": "1", "a1": "2", "e2": "1"}, 'images key "a1" must be e<k>'),
         ({"eae1": "1", "e2": "1"}, 'images key "eae1" must be e<k>'),
@@ -399,7 +407,7 @@ class TestGoSurface:
         hom = SurfaceHom(
             SurfaceSignature(1, 1),
             TARGET_B3,
-            {1: BraidWord.identity(3), 2: BraidWord.identity(3)},
+            {1: BraidWord(3), 2: BraidWord(3)},
         )
         with pytest.raises(WrongTarget):
             go_surface_decide(hom)

@@ -1,11 +1,19 @@
 import itertools
+import math
 import time
 
 import pytest
 
-from braidoka.errors import NotAbelianTransitive, NotCommuting, NotPrime, NotTransitive
+from braidoka.errors import (
+    NotAbelianTransitive,
+    NotCommuting,
+    NotPrime,
+    NotTransitive,
+    ResourceLimit,
+)
 from braidoka.perms import (
     Permutation,
+    _is_prime,
     abelian_transitive_generator,
     commute,
     is_transitive,
@@ -15,7 +23,12 @@ from braidoka.words import FreeWord, commutator, free_conjugate
 
 
 def cyc(n, *cycles):
-    return Permutation.from_cycles(n, cycles)
+    """The permutation of 1..n with the given cycles."""
+    images = list(range(1, n + 1))
+    for c in cycles:
+        for a, b in zip(c, c[1:] + c[:1]):
+            images[a - 1] = b
+    return Permutation(tuple(images))
 
 
 def test_basics():
@@ -25,14 +38,12 @@ def test_basics():
     assert (p**3).is_identity()
     assert p.inv() == p**2
     assert p.cycle_string() == "(1 2 3)"
-    assert Permutation.parse(3, "(1 2 3)") == p
-    assert Permutation.parse(4, "()").is_identity()
     assert Permutation.transposition(3, 1).images == (2, 1, 3)
 
 
 def test_power_matches_repeated_product():
     for p in map(Permutation, itertools.permutations(range(1, 6))):
-        step = Permutation.identity(5)
+        step = Permutation(tuple(range(1, 6)))
         for k in range(13):
             assert p**k == step and p**-k == step.inv()
             step = step.then(p)
@@ -55,6 +66,29 @@ def test_then_is_word_order():
     assert s1.then(s2)(1) == 3
 
 
+class TestIsPrime:
+    def test_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+        assert [n for n in range(-3, 10**5) if _is_prime(n)] == [n for n in range(-3, 10**5) if trial(n)]
+
+    @pytest.mark.parametrize("n", [3215031751, 3825123056546413051, 318665857834031151167461])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        # the least strong pseudoprimes to the first 4, 11 and 12 prime
+        # bases: a test with fewer of the 13 bases would call them prime
+        assert not _is_prime(n)
+
+    def test_mersenne_prime_in_bit_length_time(self):
+        start = time.perf_counter()
+        assert _is_prime(2**61 - 1) and not _is_prime(2**61 + 1)
+        assert time.perf_counter() - start < 0.1
+
+    def test_past_the_bound_is_a_resource_limit(self):
+        with pytest.raises(ResourceLimit, match="3317044064679887385961981"):
+            _is_prime(2**89 - 1)
+        assert not _is_prime(2**89)  # the division by the bases still decides
+
+
 class TestAbelianTransitive:
     def test_single_cycle(self):
         s = cyc(3, (1, 2, 3))
@@ -68,10 +102,10 @@ class TestAbelianTransitive:
 
     def test_identity_and_cycle(self):
         s = cyc(3, (1, 3, 2))
-        s0, exps = abelian_transitive_generator([Permutation.identity(3), s], 3)
+        s0, exps = abelian_transitive_generator([Permutation((1, 2, 3)), s], 3)
         assert s0 == s and exps == [0, 1]
         # brute-force verify the reported exponents
-        for g, e in zip([Permutation.identity(3), s], exps):
+        for g, e in zip([Permutation((1, 2, 3)), s], exps):
             assert s0**e == g
 
     def test_five_cycle(self):
@@ -123,12 +157,12 @@ class TestLemma5:
 
     def test_first_trivial(self):
         c = cyc(3, (1, 2, 3))
-        n1, n2 = lemma5_generators(Permutation.identity(3), c)
+        n1, n2 = lemma5_generators(Permutation((1, 2, 3)), c)
         assert n1 == self.e2 and n2 == self.e1.inv()
 
     def test_second_trivial(self):
         c = cyc(3, (1, 2, 3))
-        n1, n2 = lemma5_generators(c, Permutation.identity(3))
+        n1, n2 = lemma5_generators(c, Permutation((1, 2, 3)))
         assert (n1, n2) == (self.e1, self.e2)
 
     def test_rejects_intransitive(self):
@@ -137,7 +171,7 @@ class TestLemma5:
 
     def test_commutator_conjugacy_and_generation(self):
         c = cyc(3, (1, 2, 3))
-        images = [Permutation.identity(3), c, c**2]
+        images = [Permutation((1, 2, 3)), c, c**2]
         for p1 in images:
             for p2 in images:
                 if not is_transitive([p1, p2], 3):

@@ -357,10 +357,8 @@ class TestRLFactorization:
         assert sign == -1 and runs
 
 
-def test_json_round_trip():
-    m = SL2Matrix(2, 1, 1, 1)
-    assert SL2Matrix.from_json(m.to_json()) == m
-    assert m.to_json() == [[2, 1], [1, 1]]
+def test_to_json():
+    assert SL2Matrix(2, 1, 1, 1).to_json() == [[2, 1], [1, 1]]
 
 
 def test_determinant_checked():

@@ -12,12 +12,16 @@ public methods of those classes.  A name is used when code refers to it
 * in `perfbench/*.py`, as an identifier or as a string that is exactly
   the name (the tracer names the functions it wraps by string).
 
-Names are matched as identifiers, so a method counts as used when any
-attribute of that name is read.  Every other name needs an entry in
-`KEEP` with the reason it stays.  An entry whose name is gone, or is now
-used by the package or an acceptance criterion, fails too.  A perfbench
-mention does not make an entry stale, so a name kept only for the tracer
-can say so.
+Top-level names are matched as identifiers.  A method `C.m` is used only
+through an attribute read `.m`: a read through a class (`C.m`,
+`mod.C.m`) counts for C alone, and a read through anything else counts
+for every class that defines `m`, as the census cannot know an
+instance's type.  A bare name, an import alias or a string does not
+count for a method.  Every other name needs an entry in `KEEP` with the
+reason it stays, a method as "Class.method".  An entry whose name is
+gone, or is now used by the package or an acceptance criterion, fails
+too.  A perfbench mention does not make an entry stale, so a name kept
+only for the tracer can say so.
 
 The package surface is the table `_NAMES` of `braidoka/__init__.py`, one
 row of public names per module; the package resolves each name on first
@@ -43,12 +47,13 @@ KEEP = {
     "R": "constant: the letter R of the R/L words that rl_factorization returns",
     "L": "constant: the letter L of those words (perfbench's `import braidoka as L` "
          "would count as a use, so the reason is stated here)",
-    "from_generators": "constructor: the lattice of two generators, normalized",
-    "transposition": "constructor: the adjacent transposition (i, i+1) of S_n",
-    "unordered": "accessor: the linking numbers as a sorted tuple",
-    "zero_entropy_inputs": "accessor: pairs whose inputs both have entropy zero",
-    "contains": "accessor of the scan report, until the one-row-per-image-pair "
-                "report replaces its pair list (ROADMAP item 7)",
+    "LatticeSpec.from_generators": "constructor: the lattice of two generators, normalized",
+    "Permutation.transposition": "constructor: the adjacent transposition (i, i+1) of S_n",
+    "LinkingNumbers.unordered": "accessor: the linking numbers as a sorted tuple",
+    "CommutatorPair.zero_entropy_inputs": "accessor: pairs whose inputs both have entropy zero",
+    "CommutatorScanReport.contains": "accessor of the scan report, until the "
+                                     "one-row-per-image-pair report replaces its "
+                                     "pair list (ROADMAP item 7)",
     "free_conjugate": "feature README lists: conjugacy of free words",
     "abelian_transitive_generator": "feature README lists: the paper's "
                                     "abelian-transitive lemma for prime n",
@@ -69,14 +74,28 @@ def _public(name):
     return not name.startswith("_")
 
 
-def _refs(node):
-    """The identifiers that code under node reads or imports."""
+def _method_reads(attr, classes):
+    """The "Class.method" keys an attribute read may reach: a read through
+    a class (`C.m`, `mod.C.m`) reaches C's method alone, any other read the
+    method m of every class that defines one."""
+    owner = attr.value
+    name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+    if name in classes:
+        return {f"{name}.{attr.attr}"}
+    return {f"{c}.{attr.attr}" for c, methods in classes.items() if attr.attr in methods}
+
+
+def _refs(node, classes):
+    """What code under node uses: the identifiers it reads or imports, and
+    the methods its attribute reads may reach."""
     out = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             out.add(sub.attr)
+            if isinstance(sub.ctx, ast.Load):
+                out |= _method_reads(sub, classes)
         elif isinstance(sub, ast.alias):
             out.add(sub.name)
     return out
@@ -89,7 +108,8 @@ def _units(tree):
         if isinstance(node, ast.ClassDef):
             yield {node.name}, node.bases
             for sub in node.body:
-                yield {node.name} | ({sub.name} if isinstance(sub, ast.FunctionDef) else set()), [sub]
+                own = {f"{node.name}.{sub.name}"} if isinstance(sub, ast.FunctionDef) else set()
+                yield {node.name} | own, [sub]
         elif isinstance(node, ast.FunctionDef):
             yield {node.name}, [node]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -103,46 +123,54 @@ def _trees(src):
     return {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
 
 
-def _surface(trees):
+def _classes(trees):
+    """{name: its public methods} for every class of the package; a private
+    class has none on the surface."""
+    return {node.name: {s.name for s in node.body if isinstance(s, ast.FunctionDef)
+                        and _public(s.name)} if _public(node.name) else set()
+            for tree in trees.values() for node in tree.body if isinstance(node, ast.ClassDef)}
+
+
+def _surface(trees, classes):
     """The public top-level functions, classes and constants, and the
-    public methods of the public classes."""
-    out = set()
+    public methods of the public classes as "Class.method"."""
+    out = {f"{c}.{m}" for c, methods in classes.items() for m in methods}
     for tree in trees.values():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 out.add(node.name)
-                if isinstance(node, ast.ClassDef) and _public(node.name):
-                    out |= {s.name for s in node.body if isinstance(s, ast.FunctionDef)}
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 out |= {t.id for t in targets if isinstance(t, ast.Name)}
     return {n for n in out if _public(n)}
 
 
-def _package_refs(trees):
+def _package_refs(trees, classes):
     out = set()
     for module, tree in trees.items():
         if module != "__init__":
             for defined, code in _units(tree):
-                out |= set().union(*map(_refs, code)) - defined
+                out |= set().union(*(_refs(c, classes) for c in code)) - defined
     return out
 
 
-def _perfbench_refs(root):
+def _perfbench_refs(root, classes):
     out = set()
     for path in sorted((root / "perfbench").glob("*.py")):
         tree = ast.parse(path.read_text())
-        out |= _refs(tree) | {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)
-                              and isinstance(n.value, str) and n.value.isidentifier()}
+        out |= _refs(tree, classes) | {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)
+                                       and isinstance(n.value, str) and n.value.isidentifier()}
     return out
 
 
 def census(root=ROOT):
     """(public names with no user and no KEEP entry, stale KEEP entries)."""
     trees = _trees(root / "src" / "braidoka")
-    surface = _surface(trees)
-    used = _package_refs(trees) | _refs(ast.parse((root / "tests" / "test_acceptance.py").read_text()))
-    unused = sorted(surface - used - _perfbench_refs(root) - set(KEEP))
+    classes = _classes(trees)
+    surface = _surface(trees, classes)
+    acceptance = ast.parse((root / "tests" / "test_acceptance.py").read_text())
+    used = _package_refs(trees, classes) | _refs(acceptance, classes)
+    unused = sorted(surface - used - _perfbench_refs(root, classes) - set(KEEP))
     stale = sorted(n for n in KEEP if n not in surface or n in used)
     return unused, stale
 
@@ -154,7 +182,9 @@ def test_every_public_name_has_a_user():
 
 
 def test_census_sees_a_name_without_user(tmp_path):
-    # a copy of the tree with one unused function and one stale entry
+    # a copy of the tree with one unused function, one stale entry and one
+    # unused method whose name another class's method is read by
+    # (`braid.BraidWord.parse` in cli)
     shutil.copytree(SRC, tmp_path / "src" / "braidoka")
     shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench")
     (tmp_path / "tests").mkdir()
@@ -163,8 +193,11 @@ def test_census_sees_a_name_without_user(tmp_path):
     words = pkg / "words.py"
     words.write_text(words.read_text() + "\n\ndef spare_word(w):\n    return spare_word(w)\n")
     lattice = pkg / "lattice.py"
-    lattice.write_text(lattice.read_text().replace("from_generators", "from_pair"))
-    assert census(tmp_path) == (["from_pair", "spare_word"], ["from_generators"])
+    text = lattice.read_text().replace("from_generators", "from_pair")
+    spare = "    @staticmethod\n    def parse(text):\n        return text\n\n"
+    lattice.write_text(text.replace("    @staticmethod\n    def from_pair", spare + "    @staticmethod\n    def from_pair"))
+    assert census(tmp_path) == (["LatticeSpec.from_pair", "LatticeSpec.parse", "spare_word"],
+                                ["LatticeSpec.from_generators"])
 
 
 def test_post_init_only_on_traced_constructors():

@@ -51,7 +51,7 @@ class TestReduce:
     @given(letters_strategy)
     def test_idempotent_and_length(self, letters):
         w = word_from(letters)
-        assert w.length() <= len(letters)
+        assert sum(abs(e) for _, e in w.blocks) <= len(letters)
 
     @given(letters_strategy)
     def test_w_winv_trivial(self, letters):
@@ -66,6 +66,12 @@ class TestReduce:
         assert FreeWord.parse("e2^5") == FreeWord.gen(2, 5)
         with pytest.raises(ValueError):
             FreeWord.parse("b1")
+
+    @pytest.mark.parametrize("text", ["a\u0661", "a1^\u0662", "a1_0", "a1^2_0"])
+    def test_parse_reads_only_ascii_digits(self, text):
+        # \d also matched the Arabic-Indic digits, so "a\u0661" read as a1
+        with pytest.raises(ValueError, match="cannot parse free-word token"):
+            FreeWord.parse(text)
 
 
 class TestPower:
@@ -316,7 +322,7 @@ class TestPeripheral:
                 vk = v**k
                 for c in all_free_words(6):
                     w = c * vk * c.inv()
-                    if w.length() <= 6:
+                    if sum(abs(e) for _, e in w.blocks) <= 6:
                         table.setdefault(w.blocks, (name, k))
         for w in all_free_words(6):
             hit = is_conjugate_into_peripheral(w)
