@@ -247,8 +247,9 @@ class PeripheralPower(Value):
         object.__setattr__(self, "trivial", trivial)
 
 
-def is_conjugate_into_peripheral(w: FreeWord) -> PeripheralPower | None:
-    """Match w against conjugates of powers of a1, a2, (a1 a2)^-1.
+def _peripheral(blocks: tuple[Block, ...]) -> tuple[str | None, int] | None:
+    """Match reduced blocks against conjugates of powers of a1, a2,
+    (a1 a2)^-1: (name, power), (None, 0) for the identity, or None.
 
     Works on the cyclically reduced core: a one-block core (1, e) or (2, e)
     is a1^e or a2^e.  A longer core is a power of (a1 a2)^-1 when every
@@ -257,22 +258,32 @@ def is_conjugate_into_peripheral(w: FreeWord) -> PeripheralPower | None:
     closes up): s = -1 gives positive powers, s = 1 negative ones.  Any
     other core is never peripheral.
     """
-    _, core = _core(w.blocks)
+    _, core = _core(blocks)
     if not core:
-        return PeripheralPower(None, 0, trivial=True)
+        return None, 0
     if len(core) == 1:
         g, e = core[0]
         if g == 1:
-            return PeripheralPower(PERIPHERAL_A1, e)
+            return PERIPHERAL_A1, e
         if g == 2:
-            return PeripheralPower(PERIPHERAL_A2, e)
+            return PERIPHERAL_A2, e
         return None
     sign = core[0][1]
     if sign not in (1, -1) or core[0][0] == core[-1][0]:
         return None
     if not set(core) <= {(1, sign), (2, sign)}:
         return None
-    return PeripheralPower(PERIPHERAL_A1A2_INV, (len(core) // 2) * (1 if sign < 0 else -1))
+    return PERIPHERAL_A1A2_INV, (len(core) // 2) * (1 if sign < 0 else -1)
+
+
+def is_conjugate_into_peripheral(w: FreeWord) -> PeripheralPower | None:
+    """The peripheral class and power w is conjugate to, by `_peripheral`;
+    None when w is not conjugate into a peripheral power."""
+    hit = _peripheral(w.blocks)
+    if hit is None:
+        return None
+    name, power = hit
+    return PeripheralPower(name, power, trivial=name is None)
 
 
 def peripheral_word(name: str, power: int = 1) -> FreeWord:

@@ -1,17 +1,20 @@
+import json
 import random
 import time
 
 import pytest
 
-from braidoka import _purekernels
+from braidoka import _purekernels, cli, oka
 from braidoka.braid import BraidWord, delta
 from braidoka.errors import (
     DegenerateSignature,
+    ResourceLimit,
     StrandMismatch,
     WrongSignature,
     WrongTarget,
 )
 from braidoka.oka import (
+    EPRIME_MAXRANK,
     GOReducible,
     GOSphereHolomorphic,
     NotGO,
@@ -64,6 +67,11 @@ class TestE0:
     def test_mirrored_set(self):
         got = [w.text(prefix="e") for w in e0_set(mirrored=True)]
         assert got == ["e1", "e2", "e1 e2^-1", "e1 e2^-2", "e1 e2 e1^-1 e2^-1"]
+
+    def test_each_call_returns_a_fresh_list(self):
+        first = e0_set()
+        first.clear()
+        assert len(e0_set()) == 5 and e0_set(True) is not e0_set(True)
 
 
 class TestOka3:
@@ -153,6 +161,21 @@ def _model_pair(rng):
 class TestOka3Parity:
     """oka3_decide on theta images against the braid-word reference."""
 
+    def test_violation_witness_is_the_e0_word_at_the_screen_index(self):
+        # the witness is read from a precomputed tuple, not a rebuilt E0
+        rng = random.Random(37)
+        seen = set()
+        for _ in range(600):
+            b1, b2 = _random_b3(rng, 8), _random_b3(rng, 8)
+            m1, m2 = _purekernels.theta_abcd(b1.letters), _purekernels.theta_abcd(b2.letters)
+            for mirrored in (False, True):
+                index, trace = _purekernels.e0_screen_matrices(m1, m2, mirrored)
+                if index:
+                    r = oka3_decide(hom11(b1, b2), mirrored)
+                    assert r.witness == e0_set(mirrored)[index - 1] and r.trace == trace
+                    seen.add((mirrored, index))
+        assert seen == {(mirrored, i) for mirrored in (False, True) for i in range(1, 6)}
+
     def test_matches_reference(self):
         rng = random.Random(31)
         seen = set()
@@ -218,6 +241,36 @@ class TestEPrime:
                 sig = SurfaceSignature(g, m)
                 got = _outcome(eprime_generate, sig)
                 assert got == _outcome(go_reference.eprime_generate, sig), (g, m)
+
+    def test_equal_signatures_share_one_cached_set(self):
+        ep = eprime_generate(SurfaceSignature(2, 3))
+        assert eprime_generate(SurfaceSignature(2, 3)) is ep
+        assert ep == go_reference.eprime_generate(SurfaceSignature(2, 3))
+        # exceptions are not cached: the degenerate signature raises each time
+        for _ in range(3):
+            with pytest.raises(DegenerateSignature):
+                eprime_generate(SurfaceSignature(0, 1))
+
+    def test_rank_cap_raises_before_generating(self, capsys):
+        at_cap = eprime_generate(SurfaceSignature(0, EPRIME_MAXRANK + 1))
+        assert at_cap.signature.free_rank == EPRIME_MAXRANK
+        for sig in (SurfaceSignature(0, EPRIME_MAXRANK + 2), SurfaceSignature(10**6, 1)):
+            t0 = time.perf_counter()
+            with pytest.raises(ResourceLimit, match="EPRIME_MAXRANK"):
+                eprime_generate(sig)
+            assert time.perf_counter() - t0 < 0.01
+        assert cli.main(["eprime", "--genus", "1000000", "--holes", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert json.loads(line)["errorType"] == "ResourceLimit"
+        # above the cap a cyclic image is still decided; any other needs E'
+        sig = SurfaceSignature(0, EPRIME_MAXRANK + 2)
+        images = {j: a1 ** j for j in range(1, sig.free_rank + 1)}
+        assert go_surface_decide(fhom(sig, images)) == GOReducible("a1", a1)
+        images[1] = a2
+        with pytest.raises(ResourceLimit):
+            go_surface_decide(fhom(sig, images))
 
     def test_simple_closed_curve_classes_are_nontrivial_for_positive_genus(self):
         ep = eprime_generate(SurfaceSignature(2, 2))
@@ -365,6 +418,27 @@ class TestGoSurface:
         r = go_surface_decide(fhom(SurfaceSignature(1, 1), {1: a1**2, 2: a1**5}))
         assert isinstance(r, GOReducible)
         assert r.peripheral == "a1" and r.root == a1
+
+    def test_cyclic_peripheral_image_needs_no_eprime(self, monkeypatch):
+        # a cyclic peripheral image is decided before E' is screened
+        def refuse(sig):
+            raise AssertionError("E' was generated for a cyclic peripheral image")
+
+        c = a2 * a1.inv()
+        root = c * (a1 * a2).inv() * c.inv()
+        cases = [
+            fhom(SurfaceSignature(1, 1), {1: a1**2, 2: a1**-5}),
+            fhom(SurfaceSignature(2, 1), {1: root, 2: root**-2, 3: FreeWord.identity(), 4: root**3}),
+            fhom(SurfaceSignature(0, 4), {1: c * a2 * c.inv(), 2: c * a2**-1 * c.inv(),
+                                          3: FreeWord.identity()}),
+            fhom(SurfaceSignature(1, 2), {j: FreeWord.identity() for j in (1, 2, 3)}),
+        ]
+        want = [go_reference.go_surface_decide(hom) for hom in cases]
+        monkeypatch.setattr(oka, "eprime_generate", refuse)
+        assert [go_surface_decide(hom) for hom in cases] == want
+        assert [type(r) for r in want] == [GOReducible] * 4
+        with pytest.raises(DegenerateSignature):
+            go_surface_decide(fhom(SurfaceSignature(0, 1), {}))
 
     def test_commutator_witness(self):
         r = go_surface_decide(fhom(SurfaceSignature(1, 1), {1: a1, 2: a2}))

@@ -55,6 +55,9 @@ KEEP = {
                                      "one-row-per-image-pair report replaces its "
                                      "pair list (ROADMAP item 7)",
     "free_conjugate": "feature README lists: conjugacy of free words",
+    "e0_set": "feature README lists: the five-element screen's test words, "
+              "as a fresh list; oka3_decide reads its witness from the same "
+              "words, precomputed",
     "abelian_transitive_generator": "feature README lists: the paper's "
                                     "abelian-transitive lemma for prime n",
     "lemma5_generators": "feature README lists: the paper's generator change "

@@ -10,6 +10,7 @@ from braidoka.words import (
     FreeWord,
     _core,
     _min_rotation,
+    _peripheral,
     PERIPHERAL_A1,
     PERIPHERAL_A1A2_INV,
     PERIPHERAL_A2,
@@ -370,4 +371,21 @@ class TestLetterReferenceParity:
             kinds.add(None if hit is None else hit.peripheral)
             if not w.is_identity():
                 assert primitive_root(w) == go_reference.primitive_root(w), w
+        assert kinds == {None, PERIPHERAL_A1, PERIPHERAL_A2, PERIPHERAL_A1A2_INV}
+
+    def test_block_peripheral_matches_the_word_wrapper(self):
+        # go_surface_decide screens E' with _peripheral on reduced blocks;
+        # is_conjugate_into_peripheral wraps it, and both must agree with
+        # the letter reference
+        words = _seeded_block_words(random.Random(73), 4000)
+        kinds = set()
+        for w in words:
+            hit = is_conjugate_into_peripheral(w)
+            got = _peripheral(w.blocks)
+            if hit is None:
+                assert got is None, w
+            else:
+                assert got == (hit.peripheral, hit.power) and hit.trivial == (got[0] is None), w
+            assert hit == go_reference.is_conjugate_into_peripheral(w), w
+            kinds.add(None if got is None else got[0])
         assert kinds == {None, PERIPHERAL_A1, PERIPHERAL_A2, PERIPHERAL_A1A2_INV}
