@@ -24,11 +24,13 @@ if TYPE_CHECKING:
 
 Number = "int | float | complex | Fraction"
 
-# A degree-3 family that doubles from 256 samples up to this cap (about
-# 2.1M discriminants) takes about 44 s and peaks at 15 MB resident, the
-# interpreter's own footprint: a pass keeps running values only (pure
-# Python 3.11, 2-core VM; 134 MB when each pass was kept whole).  The last
-# pass alone is about half of the time.
+# A degree-3 family of rotation order g = 1 (`_rotation_order`) that
+# doubles from 256 samples up to this cap (about 2.1M discriminants) takes
+# about 44 s and peaks at 15 MB resident, the interpreter's own footprint:
+# a pass keeps running values only (pure Python 3.11, 2-core VM; 134 MB
+# when each pass was kept whole).  The last pass alone is about half of the
+# time.  A pass over n samples evaluates at most n/h + 1 discriminants,
+# h = gcd(g, n), so a family with g > 1 costs about 1/h of that.
 MAX_SAMPLES = 2**20
 # |disc| below this fraction of its maximum on the circle counts as a zero
 SEPARABILITY_TOL = 1e-12
@@ -189,20 +191,44 @@ def _exponent_span(fam: LaurentFamily) -> tuple[int, int]:
     return min(-(-w * e // v) for e, v in terms), max(w * e // v for e, v in terms)
 
 
-def _winding_pass(fam: LaurentFamily, n: int, lo: int) -> tuple[float, float, float, float]:
+def _rotation_order(fam: LaurentFamily) -> int:
+    """The g that divides the difference of any two z-exponents of disc(f_z).
+
+    A monomial of disc is prod (c_t z^e_t)^m_t over the terms of the a_k,
+    with sum m_t v_t = n(n-1) for v_t = n - k_t (`_exponent_span`).  Two
+    such multiplicity vectors differ by an integer relation of the v_t, and
+    those relations are spanned by the pairwise ones v_t/d e_s - v_s/d e_t,
+    d = gcd(v_s, v_t), so the exponents differ by multiples of the gcd of
+    (e_s v_t - e_t v_s)/d over term pairs.  g = 0 when every pair gives 0,
+    as for zeta^n - z^k, whose disc is one monomial.
+    """
+    n = fam.degree
+    terms = [(e, n - k) for k, poly in fam.coeffs.items() for e, c in poly.items() if c != 0]
+    return math.gcd(*((e * v - f * u) // math.gcd(u, v)
+                      for i, (e, u) in enumerate(terms) for f, v in terms[i + 1:]))
+
+
+def _winding_pass(fam: LaurentFamily, n: int, lo: int, g: int) -> tuple[float, float, float, float]:
     """One pass over n points of |z| = 1: the sum of the argument steps of
     z^-lo disc(f_z), max and min |disc|, and the largest |step|.
 
-    Only running values are kept; the steps go to `math.fsum` one by one,
-    which rounds the sum correctly.
+    Every z-exponent of disc is congruent to one E mod g
+    (`_rotation_order`), so with h = gcd(g, n), turning z by 2 pi/h (n/h
+    samples) multiplies disc by the constant e^(2 pi i E/h).  The steps then
+    repeat with period n/h and the first arc of n/h + 1 points holds every
+    modulus of the circle: the pass evaluates that arc alone, and the sum
+    over the circle is h times the arc's sum.  Only running values are
+    kept; the steps go to `math.fsum` one by one, which rounds the sum
+    correctly.
     """
+    h = math.gcd(g, n)
     amax, amin, big = 0.0, math.inf, 0.0
     turn = cmath.exp(-2j * math.pi * ((lo % n) / n))  # z^-lo per sample
 
     def steps():
         nonlocal amax, amin, big
         first = prev = fam.discriminant_at(1 + 0j)
-        for t in range(1, n + 1):
+        for t in range(1, n // h + 1):
             d = fam.discriminant_at(cmath.exp(2j * math.pi * (t / n))) if t < n else first
             a = abs(prev)
             amax, amin = max(amax, a), min(amin, a)
@@ -211,7 +237,7 @@ def _winding_pass(fam: LaurentFamily, n: int, lo: int) -> tuple[float, float, fl
             yield step
             prev = d
 
-    total = math.fsum(steps())
+    total = h * math.fsum(steps())
     return total, amax, amin, big
 
 
@@ -223,18 +249,23 @@ def discriminant_index(fam: LaurentFamily, samples: int = 256) -> IndexReport:
     sampled at more than 4 (hi - lo) points from the first pass on, which
     keeps a fast winding from aliasing to a slow one.  Principal-branch
     argument increments are accumulated, and the sample count doubles until
-    every step is below pi/2, which pins the winding count.
+    every step is below pi/2, which pins the winding count.  The exponents
+    of disc lie in one class mod the rotation order g of the family's
+    exponent lattice (`_rotation_order`), so |disc| has period 2 pi/g on
+    the circle and a pass of n samples evaluates at most n/gcd(g, n) + 1
+    of them (`_winding_pass`): two for zeta^n - z^k, where g = 0.
     """
     if samples < 16:
         raise ValueError("need at least 16 samples")
     if samples > MAX_SAMPLES:
         raise ValueError(f"samples must be at most MAX_SAMPLES = {MAX_SAMPLES}")
     lo, hi = _exponent_span(fam)
+    g = _rotation_order(fam)
     n = samples
     while n <= 4 * (hi - lo):
         n *= 2
     while n <= MAX_SAMPLES:
-        total, amax, amin, big = _winding_pass(fam, n, lo)
+        total, amax, amin, big = _winding_pass(fam, n, lo, g)
         if amax == 0.0 or amin < SEPARABILITY_TOL * amax:
             raise SeparabilityFailure(
                 f"discriminant modulus {amin:.3e} below tolerance on the circle"

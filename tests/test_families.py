@@ -20,6 +20,7 @@ from braidoka.families import (
     REDUCIBLE,
     MAX_SAMPLES,
     LaurentFamily,
+    _rotation_order,
     discriminant_from_coeffs,
     discriminant_index,
     nbraid_entropy_lower,
@@ -183,10 +184,36 @@ class TestDiscriminantIndex:
 
     def test_adaptive_refinement(self):
         # disc = 4(z - 0.97) turns by about pi within 0.03 of z = 1, so
-        # 16 samples force step doubling
-        rep = discriminant_index(LaurentFamily(2, {0: {0: 0.97, 1: -1.0}}), 16)
-        assert rep.index == 1
-        assert rep.samples_used > 16
+        # 16 samples force step doubling; 4(z^2 - 0.97) does the same at
+        # z = 1 and z = -1, and its rotation order 2 halves every pass
+        for fam, index in [(LaurentFamily(2, {0: {0: 0.97, 1: -1.0}}), 1),
+                           (LaurentFamily(2, {0: {0: 0.97, 2: -1.0}}), 2)]:
+            rep = discriminant_index(fam, 16)
+            assert rep.index == index
+            assert rep.samples_used > 16
+
+    def test_symmetric_families_evaluate_one_arc(self, monkeypatch):
+        # disc(zeta^5 - z^3) is one monomial, so a pass reads two points;
+        # zeta^2 + 0.97 - z^2 has rotation order 2, so a pass over n
+        # points reads the half circle, n/2 + 1 of them
+        calls = []
+        at = LaurentFamily.discriminant_at
+        monkeypatch.setattr(LaurentFamily, "discriminant_at",
+                            lambda self, z: calls.append(z) or at(self, z))
+        rep = discriminant_index(LaurentFamily.power_family(5, 3), 256)
+        assert (rep.index, rep.samples_used) == (12, 256)
+        assert len(calls) <= 2
+        calls.clear()
+        fam = LaurentFamily(2, {0: {0: 0.97, 2: -1.0}})
+        rep = discriminant_index(fam, 16)
+        passes = [16 << j for j in range(rep.samples_used.bit_length() - 4)]
+        assert passes[-1] == rep.samples_used > 16
+        assert len(calls) == sum(n // 2 + 1 for n in passes)
+        monkeypatch.undo()
+        ref = disc_reference.discriminant_index(fam, 16)
+        assert (rep.index, rep.samples_used) == (ref.index, ref.samples_used)
+        assert rep.index == 2
+        assert math.isclose(rep.min_abs_discriminant, ref.min_abs_discriminant, rel_tol=1e-9)
 
     def test_pass_memory(self):
         # one pass keeps running values, not the 2^14 discriminants
@@ -262,6 +289,86 @@ class TestDiscriminantIndex:
         # sampler, which read a NaN discriminant as a zero on the circle
         with pytest.raises(ValueError, match=r"coeffs\[0\]\[2\] must be finite"):
             LaurentFamily(3, {0: {2: c}, 1: {0: 1.0}})
+
+
+def _lattice_order(terms):
+    """gcd of sum d_t e_t over the integer relations sum d_t v_t = 0 of
+    the terms (e_t, v_t), by unimodular column operations on the 2 x T
+    matrix of columns (v_t, e_t): once the first row is (gcd v, 0, ..., 0),
+    the columns with first entry 0 span the images of the relations."""
+    cols = [[v, e] for e, v in terms]
+    while sum(1 for c in cols if c[0]) > 1:
+        piv = min((c for c in cols if c[0]), key=lambda c: abs(c[0]))
+        for c in cols:
+            if c is not piv and c[0]:
+                q = c[0] // piv[0]
+                c[0], c[1] = c[0] - q * piv[0], c[1] - q * piv[1]
+    return math.gcd(*(c[1] for c in cols if not c[0]))
+
+
+def _lattice_family(rng, degree):
+    """A sparse family whose exponents e of zeta^k satisfy e = r (n - k)
+    mod m for one seeded m in 1..4, so that its rotation order is a
+    multiple of m; terms have |e| <= 6."""
+    m, coeffs = rng.randint(1, 4), {}
+    r = rng.randrange(m)
+    for k in rng.sample(range(degree), rng.randint(1, min(3, degree))):
+        fits = [e for e in range(-6, 7) if (e - r * (degree - k)) % m == 0]
+        coeffs[k] = {e: complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                     for e in rng.sample(fits, rng.randint(1, min(3, len(fits))))}
+    return LaurentFamily(degree, coeffs)
+
+
+def _disc_exponents(fam):
+    """The z-exponents of disc(f_z), read by an inverse DFT of the
+    reference discriminant at N > hi - lo points of |z| = 1, where
+    [lo, hi] = [-W E, W E] with W = n(n - 1) and E the largest |e|."""
+    n = fam.degree
+    bound = n * (n - 1) * max([abs(e) for poly in fam.coeffs.values() for e in poly] + [1])
+    size = 2 * bound + 1
+    zs = [cmath.exp(2j * math.pi * j / size) for j in range(size)]
+    vals = [disc_reference.discriminant_from_coeffs(fam.poly_at(z)) * z**bound for z in zs]
+    coeffs = [sum(v * z ** -m for v, z in zip(vals, zs)) / size for m in range(size)]
+    top = max(abs(c) for c in coeffs)
+    return [m - bound for m, c in enumerate(coeffs) if abs(c) > 1e-9 * top]
+
+
+class TestRotationOrder:
+    def test_matches_column_reduction(self):
+        rng = random.Random(7)
+        for _ in range(3000):
+            degree = rng.randint(2, 9)
+            terms = {(rng.randrange(degree), rng.randint(-40, 40))
+                     for _ in range(rng.randint(0, 6))}
+            coeffs = {}
+            for k, e in terms:
+                coeffs.setdefault(k, {})[e] = 1.0
+            assert _rotation_order(LaurentFamily(degree, coeffs)) == _lattice_order(
+                [(e, degree - k) for k, e in terms]), terms
+
+    def test_zero_terms_do_not_count(self):
+        fam = LaurentFamily(3, {0: {2: -1.0, 1: 0.0}, 1: {5: 0j}})
+        assert _rotation_order(fam) == 0
+        assert _rotation_order(LaurentFamily.power_family(4, 7)) == 0
+        assert _rotation_order(LaurentFamily(2, {0: {0: 0.97, 2: -1.0}})) == 2
+
+    @pytest.mark.parametrize("degree", range(2, 6))
+    def test_disc_exponents_agree_mod_g(self, degree):
+        rng = random.Random(200 + degree)
+        for _ in range(12):
+            fam = _lattice_family(rng, degree) if rng.random() < 0.75 else _seeded_family(rng, degree)
+            g = _rotation_order(fam)
+            exps = _disc_exponents(fam)
+            if g == 0:
+                assert len(exps) <= 1, (fam, exps)
+            else:
+                assert len({e % g for e in exps}) <= 1, (fam, g, exps)
+            turn = cmath.exp(2j * math.pi / g) if g else cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+            for _ in range(5):
+                z = cmath.rect(rng.uniform(0.5, 2), rng.uniform(0, 2 * math.pi))
+                a = abs(disc_reference.discriminant_from_coeffs(fam.poly_at(z)))
+                b = abs(disc_reference.discriminant_from_coeffs(fam.poly_at(turn * z)))
+                assert math.isclose(a, b, rel_tol=1e-9), (fam, g, z)
 
 
 class TestThm1:
