@@ -192,6 +192,14 @@ def wp_sum(z: complex, tau: complex, radius: int) -> complex:
     With x = exp(2 pi i u), pi^2 csc^2(pi u) = -4 pi^2 x / (1 - x)^2, and
     each row multiplies the three x by q = exp(2 pi i tau).  Expects
     |Im z| < Im tau, which `lattice._reduce_cell` provides.
+
+    After the flip to Im z >= 0 the three x of a row, a, c and b, have
+    |a| <= |c| <= |b| = exp(-2 pi (n Im tau - Im z)), and each later row is
+    smaller by |q|.  So the sum stops once |b| of the next row is below
+    2^-70: the rows left out add at most about 160 |b| / (1 - |q|), below
+    1e-18 once tau is reduced (|q| <= exp(-pi sqrt 3)), far below
+    ulp(pi^2/3).  `radius` caps the rows summed; a reduced tau needs at
+    most 9.
     """
     if z.imag < 0:
         z = -z  # wp is even; now |x| <= 1 in every term
@@ -205,6 +213,8 @@ def wp_sum(z: complex, tau: complex, radius: int) -> complex:
         a *= q
         b *= q
         c *= q
+        if abs(b) < 2.0**-70:
+            break
     x, y = _exp_and_complement(z)
     return -4 * math.pi**2 * (x / y**2 + rows) - math.pi**2 / 3
 
@@ -215,6 +225,8 @@ def wp_prime_sum(z: complex, tau: complex, radius: int) -> complex:
     Row by row, d/du pi^2 csc^2(pi u) = -2 pi^3 csc^2(pi u) cot(pi u), which
     is -8 i pi^3 x (1 + x) / (1 - x)^3 in x = exp(2 pi i u); it is odd in u,
     so rows n and -n contribute its values at z + n tau and -(n tau - z).
+    The sum stops as `wp_sum`'s does, once |b| < 2^-70; the rows left out
+    add at most about 500 |b| / (1 - |q|), and `radius` caps the rows.
     """
     if z.imag < 0:
         return -wp_prime_sum(-z, tau, radius)  # wp' is odd
@@ -226,5 +238,7 @@ def wp_prime_sum(z: complex, tau: complex, radius: int) -> complex:
         rows += a * (1 + a) / (1 - a) ** 3 - b * (1 + b) / (1 - b) ** 3
         a *= q
         b *= q
+        if abs(b) < 2.0**-70:
+            break
     x, y = _exp_and_complement(z)
     return -8j * math.pi**3 * (x * (1 + x) / y**3 + rows)

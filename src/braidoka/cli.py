@@ -267,7 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("lattice-branch", cmd_lattice_branch, "branch locus of a lattice")
     p.add_argument("--alpha", default="1,0", help="complex as re,im")
     p.add_argument("--tau", required=True, help="complex as re,im")
-    p.add_argument("--radius", type=int)  # lattice.DEFAULT_RADIUS, read when the handler runs
+    # no default: the handler reads lattice.DEFAULT_RADIUS, which the parser
+    # does not import
+    p.add_argument("--radius", type=int,
+                   help="most lattice rows summed on each side (default 60)")
     p.add_argument("--csv", action="store_true")
     p.add_argument("--path-end", help="trace tau linearly to this re,im value")
     p.add_argument("--path-steps", type=int,

@@ -201,11 +201,26 @@ def _rotation_order(fam: LaurentFamily) -> int:
     d = gcd(v_s, v_t), so the exponents differ by multiples of the gcd of
     (e_s v_t - e_t v_s)/d over term pairs.  g = 0 when every pair gives 0,
     as for zeta^n - z^k, whose disc is one monomial.
+
+    That gcd is read off the columns (v_t, e_t) one term at a time: the
+    columns so far span (d, e_d) and (0, g) with d the gcd of their v, and
+    with d' = gcd(d, v') = alpha d + beta v', the unimodular step
+    (d, e_d), (v', e') -> (d', alpha e_d + beta e'), (0, (v'/d') e_d - (d/d') e')
+    brings in the next one.  One gcd per term instead of one per pair.
     """
     n = fam.degree
-    terms = [(e, n - k) for k, poly in fam.coeffs.items() for e, c in poly.items() if c != 0]
-    return math.gcd(*((e * v - f * u) // math.gcd(u, v)
-                      for i, (e, u) in enumerate(terms) for f, v in terms[i + 1:]))
+    g = d = e_d = 0
+    for k, poly in fam.coeffs.items():
+        for e, c in poly.items():
+            if c == 0:
+                continue
+            v = n - k
+            d2 = math.gcd(d, v)
+            alpha = pow(d // d2, -1, v // d2)  # alpha d = d2 mod v
+            beta = (d2 - alpha * d) // v
+            g = math.gcd(g, v // d2 * e_d - d // d2 * e)
+            d, e_d = d2, alpha * e_d + beta * e
+    return g
 
 
 def _winding_pass(fam: LaurentFamily, n: int, lo: int, g: int) -> tuple[float, float, float, float]:

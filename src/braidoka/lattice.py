@@ -1,14 +1,17 @@
 """Numerical Weierstrass machinery: the elliptic function of a lattice, its
 half-period values, and branch loci.
 
-wp and wp' are series over the lattice rows m + n tau, |n| <= R (the
-radius), each row summed in closed form: sum_m 1/(u - m)^2 =
-pi^2 csc^2(pi u) (DLMF 23.8).  The lattice Z + tau Z is first written as
-f (Z + tau' Z) with tau' in the standard fundamental domain, so Im tau' >=
-sqrt(3)/2, and wp, wp' are read off the lattice of tau' by homogeneity
-(DLMF 23.10.17).  Once zeta / f is translated into the cell around the
-origin, the terms of row n shrink like exp(-2 pi n Im tau'), so at the
-default R = 60 the truncation is far below rounding for every tau.
+wp and wp' are series over the lattice rows m + n tau, each row summed in
+closed form: sum_m 1/(u - m)^2 = pi^2 csc^2(pi u) (DLMF 23.8).  The
+lattice Z + tau Z is first written as f (Z + tau' Z) with tau' in the
+standard fundamental domain, so Im tau' >= sqrt(3)/2, and wp, wp' are read
+off the lattice of tau' by homogeneity (DLMF 23.10.17).  Once zeta / f is
+translated into the cell around the origin, the x = exp(2 pi i u) of row
+n are below |q|^(n - 1/2), q = exp(2 pi i tau'), |q| <= exp(-pi sqrt 3) ~
+0.0043.  The sums stop before the first row whose largest x is below
+2^-70 (`_purekernels.wp_sum`), so the rows left out add at most 1.4e-19 to wp and 4.3e-19 to wp', far below
+ulp(pi^2/3) ~ 4.4e-16.  That is at most 9 rows on each side, and 6 once
+Im tau' >= 1.4.  The radius R caps the rows summed on each side.
 Measured for |Re tau| <= 1/2, 0.8 <= Im tau <= 2: over 200 seeded tau,
 e1, e2, e3 agree with mpmath theta constants (DLMF 23.6.2-23.6.4) to
 1.2e-15 relative and the normalized residual of the cubic differential

@@ -1,18 +1,29 @@
 """Reference Weierstrass sums for parity tests.
 
-These are `braidoka.lattice.wp` and `wp_prime` as they were before each
-lattice row was summed in closed form: square-cutoff lattice sums (numpy)
-at radii R, R/2 and R/4, combined by Richardson extrapolation to cancel
-the 1/R^2 and 1/R^3 terms.  They reach about 1e-7 relative for
+`wp` and `wp_prime` are `braidoka.lattice.wp` and `wp_prime` as they were
+before each lattice row was summed in closed form: square-cutoff lattice
+sums (numpy) at radii R, R/2 and R/4, combined by Richardson extrapolation
+to cancel the 1/R^2 and 1/R^3 terms.  They reach about 1e-7 relative for
 0.8 <= Im tau <= 2 and share with the code under test only the reduction
 of zeta into the cell around the origin, which is an exact lattice
 translation.
+
+`row_series` and `row_series_prime` are the closed-form row series summed
+over all `radius` rows on each side, with no early stop: the kernels
+`_purekernels.wp_sum` and `wp_prime_sum` as they were before they stopped
+at rounding, in the same operations, so that on most points the two agree
+bit for bit.  They share with the kernels only `_exp_and_complement`, the
+pole term.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
 
+from braidoka._purekernels import _exp_and_complement
 from braidoka.lattice import _reduce_cell
 
 
@@ -48,3 +59,39 @@ def wp(zeta: complex, tau: complex, radius: int = 60) -> complex:
 def wp_prime(zeta: complex, tau: complex, radius: int = 60) -> complex:
     zred = _reduce_cell(complex(zeta), complex(tau))
     return _extrapolate(lambda r: wp_prime_sum(zred, tau, r), radius)
+
+
+def row_series(z: complex, tau: complex, radius: int) -> complex:
+    """wp(z) = pi^2 csc^2(pi z) - pi^2/3 + the rows n and -n for
+    1 <= n <= radius, each pair summed in closed form in x = exp(2 pi i u).
+    Expects |Im z| < Im tau."""
+    if z.imag < 0:
+        z = -z
+    q = cmath.exp(2j * math.pi * tau)
+    a = cmath.exp(2j * math.pi * (z + tau))
+    b = cmath.exp(2j * math.pi * (tau - z))
+    c = q
+    rows = 0j
+    for _ in range(radius):
+        rows += a / (1 - a) ** 2 + b / (1 - b) ** 2 - 2 * c / (1 - c) ** 2
+        a *= q
+        b *= q
+        c *= q
+    x, y = _exp_and_complement(z)
+    return -4 * math.pi**2 * (x / y**2 + rows) - math.pi**2 / 3
+
+
+def row_series_prime(z: complex, tau: complex, radius: int) -> complex:
+    """Derivative of `row_series` over the same rows."""
+    if z.imag < 0:
+        return -row_series_prime(-z, tau, radius)
+    q = cmath.exp(2j * math.pi * tau)
+    a = cmath.exp(2j * math.pi * (z + tau))
+    b = cmath.exp(2j * math.pi * (tau - z))
+    rows = 0j
+    for _ in range(radius):
+        rows += a * (1 + a) / (1 - a) ** 3 - b * (1 + b) / (1 - b) ** 3
+        a *= q
+        b *= q
+    x, y = _exp_and_complement(z)
+    return -8j * math.pi**3 * (x * (1 + x) / y**3 + rows)

@@ -285,6 +285,15 @@ def test_cases_cover_every_option():
                 assert opt in passed, (name, opt)
 
 
+def test_radius_help_names_the_default(capsys):
+    # cli does not import lattice to build its parser, so the help repeats
+    # the number
+    from braidoka import lattice
+
+    assert main(["lattice-branch", "--help"]) == 0
+    assert f"(default {lattice.DEFAULT_RADIUS})" in " ".join(capsys.readouterr().out.split())
+
+
 @pytest.mark.parametrize("argv", [
     ["oka3", "--hom", "{b3_classified}", "--mirrored", "--both-variants"],
     ["penner", "--genus", "1", "--braid-n", "3"],

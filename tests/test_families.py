@@ -352,6 +352,14 @@ class TestRotationOrder:
         assert _rotation_order(LaurentFamily.power_family(4, 7)) == 0
         assert _rotation_order(LaurentFamily(2, {0: {0: 0.97, 2: -1.0}})) == 2
 
+    def test_linear_in_the_number_of_terms(self):
+        # the gcd over all 4,000 * 3,999 / 2 term pairs took 2.6 s
+        half = 2000
+        fam = LaurentFamily(3, {0: {e: 1.0 for e in range(half)}, 1: {e: 1.0 for e in range(half)}})
+        start = time.perf_counter()
+        assert _rotation_order(fam) == 1
+        assert time.perf_counter() - start < 0.05
+
     @pytest.mark.parametrize("degree", range(2, 6))
     def test_disc_exponents_agree_mod_g(self, degree):
         rng = random.Random(200 + degree)

@@ -1,8 +1,10 @@
 import cmath
 import math
 import random
+import time
 
 import pytest
+from lattice_reference import row_series, row_series_prime
 from lattice_reference import wp as wp_reference
 from lattice_reference import wp_prime as wp_prime_reference
 
@@ -13,6 +15,7 @@ from braidoka.lattice import (
     LatticeSpec,
     _reduce_cell,
     _reduce_modulus,
+    _reduced_arg,
     branch_locus,
     e_values,
     ode_residual,
@@ -171,15 +174,63 @@ class TestSmallImTau:
     def test_matches_sized_radius(self, tau):
         radius = math.ceil(40 / (2 * math.pi * tau.imag))
         for got, z in zip(e_values(tau), (0.5, tau / 2, (1 + tau) / 2)):
-            want = _purekernels.wp_sum(z, tau, radius)
+            want = row_series(z, tau, radius)
             assert abs(got - want) <= 1e-12 * abs(want), (tau, z)
         # a point at distance about |f| from the lattice, where f is its
         # shortest vector; far out in a long cell wp' is exponentially small
         scale = _reduce_modulus(tau)[1]
         z = _reduce_cell(scale * (0.31 + 0.37j), tau)
-        for f, kernel in ((wp, _purekernels.wp_sum), (wp_prime, _purekernels.wp_prime_sum)):
+        for f, kernel in ((wp, row_series), (wp_prime, row_series_prime)):
             want = kernel(z, tau, radius)
             assert abs(f(z, tau) - want) <= 1e-12 * abs(want), (f.__name__, tau)
+
+
+class TestRowCutoff:
+    """The kernels stop summing rows once the next is below rounding; the
+    uncut series over all `radius` rows is the oracle."""
+
+    def test_matches_uncut_series(self):
+        # rows left out add at most 160 |b| / (1 - |q|) to wp and
+        # 500 |b| / (1 - |q|) to wp', |b| < 2^-70; where wp' is exponentially
+        # small that can exceed 1e-15 of it
+        rng = random.Random(43)
+        points = identical = 0
+        while points < 2000:
+            tau = complex(rng.uniform(-3, 3), rng.uniform(0.05, 3))
+            zeta = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            try:
+                z, tau, _ = _reduced_arg(zeta, tau, 60)
+            except PoleProximity:
+                continue
+            points += 1
+            q = abs(cmath.exp(2j * math.pi * tau))
+            for kernel, uncut, factor in ((_purekernels.wp_sum, row_series, 160),
+                                          (_purekernels.wp_prime_sum, row_series_prime, 500)):
+                got, want = kernel(z, tau, 60), uncut(z, tau, 60)
+                tail = factor * 2.0**-70 / (1 - q)
+                assert abs(got - want) <= 1e-15 * abs(want) + tail, (kernel.__name__, z, tau)
+                identical += got == want
+        assert identical >= 0.99 * 2 * points
+
+    def test_radius_is_a_cap(self):
+        # at Im tau = 0.05 row 60 is still far above rounding, so both
+        # kernels sum all 60 rows, as the uncut series does
+        rng = random.Random(47)
+        for _ in range(20):
+            tau = complex(rng.uniform(-0.5, 0.5), 0.05)
+            z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.02, 0.02))
+            assert _purekernels.wp_sum(z, tau, 60) == row_series(z, tau, 60)
+            assert _purekernels.wp_prime_sum(z, tau, 60) == row_series_prime(z, tau, 60)
+
+    def test_large_radius_costs_nothing_on_a_reduced_tau(self):
+        z = 0.31 + 0.2j
+        start = time.perf_counter()
+        p = _purekernels.wp_sum(z, 1j, 10**6)
+        pp = _purekernels.wp_prime_sum(z, 1j, 10**6)
+        elapsed = time.perf_counter() - start
+        assert p == _purekernels.wp_sum(z, 1j, 60)
+        assert pp == _purekernels.wp_prime_sum(z, 1j, 60)
+        assert elapsed < 0.02
 
 
 class TestBranchLocus:
