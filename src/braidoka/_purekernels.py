@@ -196,8 +196,8 @@ def wp_sum(z: complex, tau: complex, radius: int) -> complex:
     After the flip to Im z >= 0 the three x of a row, a, c and b, have
     |a| <= |c| <= |b| = exp(-2 pi (n Im tau - Im z)), and each later row is
     smaller by |q|.  So the sum stops once |b| of the next row is below
-    2^-70: the rows left out add at most about 160 |b| / (1 - |q|), below
-    1e-18 once tau is reduced (|q| <= exp(-pi sqrt 3)), far below
+    2^-70: the rows left out add at most about 160 |b| / (1 - |q|), at
+    most 1.4e-19 once tau is reduced (|q| <= exp(-pi sqrt 3)), far below
     ulp(pi^2/3).  `radius` caps the rows summed; a reduced tau needs at
     most 9.
     """

@@ -9,9 +9,10 @@ off the lattice of tau' by homogeneity (DLMF 23.10.17).  Once zeta / f is
 translated into the cell around the origin, the x = exp(2 pi i u) of row
 n are below |q|^(n - 1/2), q = exp(2 pi i tau'), |q| <= exp(-pi sqrt 3) ~
 0.0043.  The sums stop before the first row whose largest x is below
-2^-70 (`_purekernels.wp_sum`), so the rows left out add at most 1.4e-19 to wp and 4.3e-19 to wp', far below
-ulp(pi^2/3) ~ 4.4e-16.  That is at most 9 rows on each side, and 6 once
-Im tau' >= 1.4.  The radius R caps the rows summed on each side.
+2^-70 (`_purekernels.wp_sum`), so the rows left out add at most 1.4e-19
+to wp and 4.3e-19 to wp', far below ulp(pi^2/3) ~ 4.4e-16.  That is at
+most 9 rows on each side, and 6 once Im tau' >= 1.4.  The radius R caps
+the rows summed on each side.
 Measured for |Re tau| <= 1/2, 0.8 <= Im tau <= 2: over 200 seeded tau,
 e1, e2, e3 agree with mpmath theta constants (DLMF 23.6.2-23.6.4) to
 1.2e-15 relative and the normalized residual of the cubic differential
