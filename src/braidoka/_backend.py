@@ -1,8 +1,9 @@
-"""The kernels the rest of the package calls, re-exported from `_purekernels`.
+"""The benchmark's view of the kernels, re-exported from `_purekernels`.
 
-Each kernel has one pure-Python implementation.  Callers reach it through
-this module, which is also where perfbench resolves and wraps the kernels;
-`BACKEND` names the implementation in reports.
+The package's modules call `_purekernels` directly.  This module is only
+what perfbench reads: its tracer wraps the kernels here as well, its
+`sweeps` workload resolves `sweep3_stats` here, and `braidoka.BACKEND`
+names the implementation in its reports.
 """
 
 from ._purekernels import e0_screen, sweep3_stats, theta_abcd, wp_prime_sum, wp_sum  # noqa: F401

@@ -1,9 +1,9 @@
 """Pure-Python kernels for the hot loops.
 
 Theta images, the E0 screen, the exhaustive 3-braid sweep and the
-Weierstrass row series.  `_backend` re-exports them under the names the
-rest of the package calls.  Matrix entries are Python ints, so there is no
-overflow concern on any path.
+Weierstrass row series; the package's modules call them here, and
+`_backend` re-exports them for the benchmark harness.  Matrix entries are
+Python ints, so there is no overflow concern on any path.
 """
 
 from __future__ import annotations
@@ -70,13 +70,21 @@ def mat_inv(m):
     return (d, -b, -c, a)
 
 
+# The E0 classes as (generator, exponent) blocks, in the order
+# e0_screen_matrices tests them: (e1, e2, e2 e1^-1, e2 e1^-2, [e1, e2]), and
+# (e1, e2, e1 e2^-1, e1 e2^-2, [e1, e2]) mirrored.
+_E0_BLOCKS = (((1, 1),), ((2, 1),), ((2, 1), (1, -1)), ((2, 1), (1, -2)),
+              ((1, 1), (2, 1), (1, -1), (2, -1)))
+_E0_MIRRORED_BLOCKS = _E0_BLOCKS[:2] + (((1, 1), (2, -1)), ((1, 1), (2, -2)), _E0_BLOCKS[4])
+
+
 def e0_screen_matrices(m1, m2, mirrored: bool) -> tuple[int, int]:
     """Zero-entropy screen of the E0 classes of e1 -> m1, e2 -> m2.
 
-    The classes are, in order, (e1, e2, e2 e1^-1, e2 e1^-2, [e1, e2]), or
-    (e1, e2, e1 e2^-1, e1 e2^-2, [e1, e2]) when mirrored.  Returns
-    (index, trace) of the first class whose image has |trace| > 2, with a
-    1-based index, or (0, 0) when all five pass.
+    The classes are those of `_E0_BLOCKS`, or `_E0_MIRRORED_BLOCKS` when
+    mirrored, each image written out as a product.  Returns (index, trace)
+    of the first class whose image has |trace| > 2, with a 1-based index,
+    or (0, 0) when all five pass.
     """
     x, y = (m1, m2) if mirrored else (m2, m1)
     yi = mat_inv(y)

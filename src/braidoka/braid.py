@@ -22,7 +22,7 @@ faithful integer action of B_n on Dynnikov coordinates in Z^(2n).
 
 from __future__ import annotations
 
-from . import _backend
+from . import _purekernels
 from ._value import Value, read_int
 from .errors import InternalInconsistency, NotPure, StrandMismatch
 from .perms import Permutation
@@ -400,6 +400,6 @@ def braid_eq(b1: BraidWord, b2: BraidWord) -> bool:
     if b1.strands == 3:
         if exponent_sum(b1) != exponent_sum(b2):
             return False
-        return _backend.theta_abcd(b1.letters) == _backend.theta_abcd(b2.letters)
+        return _purekernels.theta_abcd(b1.letters) == _purekernels.theta_abcd(b2.letters)
     start = [0, 1] * b1.strands
     return _dynnikov(b1.letters, start) == _dynnikov(b2.letters, start)

@@ -8,7 +8,8 @@ is an input error), CSV text as it is.  `--out` writes the same text that
 is printed to a file as well.  Exit codes: 0 for a positive or neutral
 result, 2 for a negative mathematical verdict (inequality, non-conjugacy,
 violation, non-GO, inconclusive), 1 for usage or input errors, which are
-reported on stderr as one JSON object.
+reported on stderr as one JSON object.  A reader that closes stdout early
+changes neither the exit code nor stderr.
 
 The handlers read the package's modules by attribute (`three.classify3`),
 so a call loads only the modules its handler runs, and building the
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import __version__, braid, errors, families, lattice, oka, sl2z, three
@@ -294,7 +296,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader closed stdout early (`| head`): the verdict stands,
+            # and stdout goes to devnull so the flush at exit stays quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (errors.BraidokaError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"schema": SCHEMA_VERSION, "error": str(exc),
                           "errorType": type(exc).__name__}), file=sys.stderr)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import cmath
 
-from . import _backend
+from . import _purekernels
 from ._value import Value
 from .errors import PoleProximity
 
@@ -94,14 +94,14 @@ def wp(zeta: complex, tau: complex, radius: int = DEFAULT_RADIUS) -> complex:
     """The Weierstrass function of Z + tau Z at zeta, by homogeneity
     wp(zeta; f L) = f^-2 wp(zeta / f; L) (DLMF 23.10.17)."""
     z, tau, f = _reduced_arg(complex(zeta), complex(tau), radius)
-    return _backend.wp_sum(z, tau, radius) / f**2
+    return _purekernels.wp_sum(z, tau, radius) / f**2
 
 
 def wp_prime(zeta: complex, tau: complex, radius: int = DEFAULT_RADIUS) -> complex:
     """Derivative of the Weierstrass function: -2 sum 1/(zeta - w)^3,
     homogeneous of degree -3."""
     z, tau, f = _reduced_arg(complex(zeta), complex(tau), radius)
-    return _backend.wp_prime_sum(z, tau, radius) / f**3
+    return _purekernels.wp_prime_sum(z, tau, radius) / f**3
 
 
 def e_values(tau: complex, radius: int = DEFAULT_RADIUS) -> tuple[complex, complex, complex]:

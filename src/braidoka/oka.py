@@ -20,8 +20,8 @@ import functools
 import itertools
 import re
 
-from . import _backend
-from ._purekernels import e0_screen_matrices, mat_mul
+from . import _purekernels
+from ._purekernels import _E0_BLOCKS, _E0_MIRRORED_BLOCKS, e0_screen_matrices, mat_mul
 from ._value import Value, int_field
 from .braid import BraidWord
 from .errors import (
@@ -42,7 +42,6 @@ from .words import (
     _inverse,
     _merge_blocks,
     _peripheral,
-    commutator,
     is_conjugate_into_peripheral,
     primitive_root,
 )
@@ -151,9 +150,7 @@ class SurfaceHom(Value):
 # ---------------------------------------------------------------------------
 
 
-_E1, _E2 = FreeWord.gen(1), FreeWord.gen(2)
-_E0 = (_E1, _E2, _E2 * _E1.inv(), _E2 * _E1.inv() ** 2, commutator(_E1, _E2))
-_E0_MIRRORED = (_E1, _E2, _E1 * _E2.inv(), _E1 * _E2.inv() ** 2, _E0[4])
+_E0, _E0_MIRRORED = (tuple(map(FreeWord, words)) for words in (_E0_BLOCKS, _E0_MIRRORED_BLOCKS))
 
 
 def e0_set(mirrored: bool = False) -> list[FreeWord]:
@@ -230,8 +227,8 @@ def oka3_decide(hom: SurfaceHom, mirrored: bool = False) -> Oka3Result:
         if b.strands != 3:
             raise StrandMismatch(f"B_3 vs B_{b.strands}")
 
-    m1 = _backend.theta_abcd(b1.letters)
-    m2 = _backend.theta_abcd(b2.letters)
+    m1 = _purekernels.theta_abcd(b1.letters)
+    m2 = _purekernels.theta_abcd(b2.letters)
     index, trace = e0_screen_matrices(m1, m2, mirrored)
     if index:
         witness = (_E0_MIRRORED if mirrored else _E0)[index - 1]
@@ -474,22 +471,11 @@ class NotGO(Value):
 GoSurfaceResult = GOReducible | GOSphereHolomorphic | NotGOSphereAntiholomorphic | NotGO
 
 
-# the four sphere boundary patterns (t1, t2, t3 = (t1 t2)^-1): monodromy
-# triples around the three relevant holes, up to simultaneous conjugation
-# and cyclic rotation; t1 and t2 are letters of different generators
-_SPHERE_PATTERNS = (
-    ("holomorphic", (1, 1), (2, 1)),
-    ("holomorphic", (2, 1), (1, 1)),
-    ("antiholomorphic", (1, -1), (2, -1)),
-    ("antiholomorphic", (2, -1), (1, -1)),
-)
-
-
 def _sphere_conjugator(
-    conj1: tuple[Block, ...], core1: tuple[Block, ...], u2: FreeWord, t1: Block, t2: Block
+    conj1: tuple[Block, ...], u2: FreeWord, t1: Block, t2: Block
 ) -> tuple[Block, ...] | None:
     """The blocks of the c with c u1 c^-1 = t1 and c u2 c^-1 = t2, or None, where
-    u1 = conj1 * core1 * conj1^-1 is split by `_core`.
+    u1 = conj1 * t1 * conj1^-1 is split by `_core`.
 
     The solutions of the first equation are t1^k c0 with c0 = conj1^-1 (the
     centralizer of the letter t1 is generated by t1), and then
@@ -497,8 +483,6 @@ def _sphere_conjugator(
     different generators, that word is reduced as written, so k, and with
     it c, is read off the first block of w2.
     """
-    if core1 != (t1,):
-        return None
     c0 = _inverse(conj1)
     w2 = FreeWord(c0 + u2.blocks + conj1).blocks
     if w2 == (t2,):
@@ -576,19 +560,21 @@ def go_surface_decide(hom: SurfaceHom) -> GoSurfaceResult:
     if FreeWord(us[0].blocks + us[1].blocks + us[2].blocks).blocks:
         raise InternalInconsistency("boundary monodromies must multiply to 1")
 
+    # The sphere patterns are t1 = (g, s), t2 = (3 - g, s), t3 = (t1 t2)^-1
+    # up to simultaneous conjugation and cyclic rotation, holomorphic for
+    # s = 1.  t3 is the one element whose core is not a single letter, so
+    # the live monodromy with such a core comes third, and the core letter
+    # of the first one is t1.
     cores = [_core(u.blocks) for u in us]
-    for rot in range(3):
+    single = [len(core) == 1 for _, core in cores]
+    if single.count(False) == 1:
+        rot = (single.index(False) + 1) % 3
         v = us[rot:] + us[:rot]
-        idx = indices[rot:] + indices[:rot]
-        conj1, core1 = cores[rot]
-        for orientation, t1, t2 in _SPHERE_PATTERNS:
-            c = _sphere_conjugator(conj1, core1, v[1], t1, t2)
-            if c is None:
-                continue
-            t3 = ((t2[0], -t2[1]), (t1[0], -t1[1]))
-            if FreeWord(c + v[2].blocks + _inverse(c)).blocks != t3:
+        conj1, ((g, s),) = cores[rot]
+        c = _sphere_conjugator(conj1, v[1], (g, s), (3 - g, s))
+        if c is not None:
+            if FreeWord(c + v[2].blocks + _inverse(c)).blocks != ((3 - g, -s), (g, -s)):
                 raise InternalInconsistency("pattern third element did not align")
-            if orientation == "holomorphic":
-                return GOSphereHolomorphic(idx)
-            return NotGOSphereAntiholomorphic(idx)
+            idx = indices[rot:] + indices[:rot]
+            return GOSphereHolomorphic(idx) if s == 1 else NotGOSphereAntiholomorphic(idx)
     return NotGO(None, "boundary triple does not align with any sphere pattern")

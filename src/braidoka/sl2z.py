@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 
-from . import _backend, words
+from . import _purekernels, words
 from ._value import Value
 from .braid import BraidWord
 from .errors import InternalInconsistency, NotParabolic, WrongStrandCount
@@ -57,15 +57,10 @@ class SL2Matrix(Value):
         return self.a + self.d
 
     def __mul__(self, o: "SL2Matrix") -> "SL2Matrix":
-        return SL2Matrix(
-            self.a * o.a + self.b * o.c,
-            self.a * o.b + self.b * o.d,
-            self.c * o.a + self.d * o.c,
-            self.c * o.b + self.d * o.d,
-        )
+        return SL2Matrix(*_purekernels.mat_mul(self.entries(), o.entries()))
 
     def inv(self) -> "SL2Matrix":
-        return SL2Matrix(self.d, -self.b, -self.c, self.a)
+        return SL2Matrix(*_purekernels.mat_inv(self.entries()))
 
     def neg(self) -> "SL2Matrix":
         return SL2Matrix(-self.a, -self.b, -self.c, -self.d)
@@ -101,7 +96,7 @@ def theta(b: BraidWord) -> SL2Matrix:
     """The standard representation of B_3: sigma_1 -> A, sigma_2 -> B."""
     if b.strands != 3:
         raise WrongStrandCount(f"theta is defined on B_3, got B_{b.strands}")
-    return SL2Matrix(*_backend.theta_abcd(b.letters))
+    return SL2Matrix(*_purekernels.theta_abcd(b.letters))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from . import _backend
+from . import _purekernels
 from ._purekernels import mat_inv, mat_mul
 from ._value import Value
 from .braid import BraidWord, exponent_sum
@@ -158,7 +158,7 @@ def classify3(b: BraidWord) -> ThreeBraidClass:
 def entropy3(b: BraidWord) -> float:
     if b.strands != 3:
         raise WrongStrandCount(f"entropy3 needs B_3, got B_{b.strands}")
-    a, bb, c, d = _backend.theta_abcd(b.letters)
+    a, bb, c, d = _purekernels.theta_abcd(b.letters)
     return log_spectral_radius(a + d)
 
 
@@ -196,7 +196,7 @@ def centralizer_check(b: BraidWord, k: int) -> bool:
         raise WrongStrandCount("centralizer_check needs B_3 words")
     if k == 0:
         raise ValueError("k must be nonzero")
-    _, _, c, _ = _backend.theta_abcd(b.letters)
+    _, _, c, _ = _purekernels.theta_abcd(b.letters)
     return c == 0
 
 
@@ -319,7 +319,7 @@ def zero_entropy_commutator_scan(maxlen: int) -> CommutatorScanReport:
     words = _reduced_words3(maxlen)
     groups: dict[tuple[int, int, int, int], list[tuple[int, ...]]] = {}
     for w in words:
-        groups.setdefault(_backend.theta_abcd(w), []).append(w)
+        groups.setdefault(_purekernels.theta_abcd(w), []).append(w)
     images = list(groups)
 
     # tr[m1, m2] from the Fricke identity (Goldman, Trace coordinates on

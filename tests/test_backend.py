@@ -1,7 +1,9 @@
-"""The theta kernel against the product form, and the kernels that `_backend`
-re-exports."""
+"""The theta kernel against the product form, the kernels that `_backend`
+re-exports, and who may import `_backend`."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -53,3 +55,23 @@ def test_sweep_totals():
     stats = _backend.sweep3_stats(8)
     assert stats["total"] == sum(4**k for k in range(9))
     assert stats["periodic"] + stats["reducible"] + stats["pseudo_anosov"] == stats["total"]
+
+
+def test_only_the_package_init_imports_backend():
+    # the modules call `_purekernels`; `_backend` is the benchmark's
+    # re-export, and `__init__` names it in the surface table
+    src = Path(__file__).resolve().parents[1] / "src" / "braidoka"
+    paths = sorted(src.glob("*.py"))
+    assert paths
+    importers = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+            else:
+                continue
+            if any("_backend" in name.split(".") for name in names):
+                importers.add(path.name)
+    assert importers <= {"__init__.py", "_backend.py"}

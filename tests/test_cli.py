@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import braidoka
-from braidoka import cli, three
+from braidoka import cli, lattice, three
 from braidoka.cli import build_parser, main
 
 
@@ -36,6 +36,16 @@ def test_classify(capsys):
     assert abs(payload["entropy"] - math.log((3 + math.sqrt(5)) / 2)) < 1e-12
     assert abs(payload["module"] - math.pi / (2 * payload["entropy"])) < 1e-12
     assert payload["schema"] == "1"
+
+
+def test_classify_reducible(capsys):
+    code, payload = run(capsys, "classify", "--braid", "1 1 1")
+    assert code == 0
+    assert (payload["kind"], payload["k"], payload["ell"]) == ("reducible", 3, 0)
+    assert payload["theta"] == [[1, 3], [0, 1]]
+    code, payload = run(capsys, "classify", "--braid", "1 1 1 1 2 1 1 2 1 1 2")
+    assert code == 0
+    assert (payload["kind"], payload["k"], payload["ell"]) == ("reducible", -1, 2)
 
 
 def test_classify_trace_beyond_float_range(capsys):
@@ -173,6 +183,17 @@ def test_lattice_branch_json_and_csv(capsys):
     code, out = run(capsys, "lattice-branch", "--tau", "0,1", "--radius", "40", "--csv")
     assert code == 0
     assert out.splitlines()[0].startswith("e1_re")
+
+
+def test_lattice_branch_path_json(capsys):
+    code, payload = run(capsys, "lattice-branch", "--tau", "0,1", "--path-end", "0,2",
+                        "--path-steps", "2")
+    assert code == 0
+    assert [row["t"] for row in payload["trace"]] == [0.0, 0.5, 1.0]
+    for row in payload["trace"]:
+        tau = complex(*row["tau"])
+        assert tau == complex(0, 1 + row["t"])
+        assert row["e"] == lattice.branch_locus(lattice.LatticeSpec(1, tau)).as_dict()["e"]
 
 
 def test_lattice_branch_path_csv(capsys):
@@ -407,6 +428,22 @@ def test_malformed_input_is_one_json_error_line(sub, text, extra, tmp_path):
     assert "Traceback" not in proc.stderr
     (line,) = proc.stderr.splitlines()
     assert strict_json(line)["errorType"] == "ValueError"
+
+
+def test_closed_stdout_keeps_the_verdict_and_stderr_quiet():
+    # a reader that stops after 10 of about 157 kB, as `| head -c 10` does;
+    # the write then fails with EPIPE, which was reported as an input error
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "braidoka.cli", "scan-commutators", "--maxlen", "4"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10) == b'{\n  "schem'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0 and err == b""
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -1,6 +1,8 @@
+import itertools
 import json
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -39,6 +41,7 @@ from braidoka.oka import (
     oka3_decide_both,
 )
 from braidoka.words import FreeWord, commutator, free_conjugate
+from conftest import all_free_words
 from e0_reference import oka3_decide_reference
 import go_reference
 
@@ -336,6 +339,20 @@ class TestGoSurfaceParity:
                 assert got.as_dict() == ref.as_dict(), hom
                 seen.add(got.as_dict()["verdict"])
         assert seen == {"reducible", "sphereHolomorphic", "sphereAntiholomorphic", "notGO"}
+
+    def test_every_short_three_holed_sphere_matches_reference(self):
+        # every genus-0, 3-hole homomorphism with images of at most 3 letters
+        words = all_free_words(3)
+        verdicts = Counter()
+        t0 = time.perf_counter()
+        for u, v in itertools.product(words, repeat=2):
+            hom = fhom(SurfaceSignature(0, 3), {1: u, 2: v})
+            got = _outcome(go_surface_decide, hom)
+            assert got == _outcome(go_reference.go_surface_decide, hom), hom
+            verdicts[got.as_dict()["verdict"]] += 1
+        assert time.perf_counter() - t0 < 10
+        assert verdicts == {"notGO": 2612, "reducible": 145,
+                            "sphereHolomorphic": 26, "sphereAntiholomorphic": 26}
 
     def test_huge_exponents_budget(self):
         # the letter-level decision took 7.9 s at 10^6 and ran out of memory
