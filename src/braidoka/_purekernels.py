@@ -1,8 +1,8 @@
 """Pure-Python kernels for the hot loops.
 
-Theta images, the E0 screen, the exhaustive 3-braid sweep and the
-Weierstrass row series; the package's modules call them here, and
-`_backend` re-exports them for the benchmark harness.  Matrix entries are
+Theta images, the E0 screen, the entropy of a trace, the exhaustive
+3-braid sweep and the Weierstrass row series; the package's modules call
+them here, and `_backend` re-exports them for the benchmark harness.  Matrix entries are
 Python ints, so there is no overflow concern on any path.
 """
 
@@ -106,6 +106,17 @@ def e0_screen(l1, l2) -> int:
     (e1, e2, e2 e1^-1, e2 e1^-2, [e1, e2]).
     """
     return e0_screen_matrices(theta_abcd(l1), theta_abcd(l2), False)[0]
+
+
+def log_spectral_radius(trace: int) -> float:
+    """log((|t| + sqrt(t^2 - 4)) / 2) for |t| > 2, stable for huge traces."""
+    t = abs(trace)
+    if t <= 2:
+        return 0.0
+    if t < 10**8:
+        return math.log((t + math.sqrt(t * t - 4)) / 2)
+    # for huge traces sqrt(t^2-4) ~ t: split the log to avoid overflow
+    return math.log(t) + math.log1p(math.sqrt(max(0.0, 1.0 - 4 / (t * t)))) - math.log(2)
 
 
 def sweep3_stats(maxlen: int) -> dict:

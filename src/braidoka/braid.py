@@ -22,10 +22,13 @@ faithful integer action of B_n on Dynnikov coordinates in Z^(2n).
 
 from __future__ import annotations
 
-from . import _purekernels
+from . import _purekernels, perms
 from ._value import Value, read_int
 from .errors import InternalInconsistency, NotPure, StrandMismatch
-from .perms import Permutation
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .perms import Permutation
 
 
 class BraidWord(Value):
@@ -95,7 +98,7 @@ def permutation(b: BraidWord) -> Permutation:
     for let in b.letters:
         k = abs(let)
         pos[k - 1], pos[k] = pos[k], pos[k - 1]
-    return Permutation(_t_inv(tuple(pos)))
+    return perms.Permutation(_t_inv(tuple(pos)))
 
 
 def exponent_sum(b: BraidWord) -> int:
@@ -337,7 +340,7 @@ def normal_form(b: BraidWord) -> GarsideNormalForm:
     for a, bb in zip(factors, factors[1:]):
         if not _t_left_weighted(a, bb):
             raise InternalInconsistency("factors not left-weighted after rewrite")
-    return GarsideNormalForm(n, power, tuple(Permutation(f) for f in factors))
+    return GarsideNormalForm(n, power, tuple(perms.Permutation(f) for f in factors))
 
 
 def _dynnikov(letters: tuple[int, ...], start: list[int]) -> list[int]:

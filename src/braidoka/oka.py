@@ -20,10 +20,15 @@ import functools
 import itertools
 import re
 
-from . import _purekernels
-from ._purekernels import _E0_BLOCKS, _E0_MIRRORED_BLOCKS, e0_screen_matrices, mat_mul
+from . import _purekernels, braid
+from ._purekernels import (
+    _E0_BLOCKS,
+    _E0_MIRRORED_BLOCKS,
+    e0_screen_matrices,
+    log_spectral_radius,
+    mat_mul,
+)
 from ._value import Value, int_field
-from .braid import BraidWord
 from .errors import (
     DegenerateSignature,
     InternalInconsistency,
@@ -33,8 +38,9 @@ from .errors import (
     WrongSignature,
     WrongTarget,
 )
-from .three import log_spectral_radius
-from .sl2z import theta  # noqa: F401  (kept in this namespace, see perfbench/test_perfbench.py)
+# unused here, kept in this namespace for perfbench/test_perfbench.py; it
+# costs the compile of sl2z on every oka3, go-surface and eprime call
+from .sl2z import theta  # noqa: F401
 from .words import (
     Block,
     FreeWord,
@@ -85,7 +91,7 @@ class SurfaceHom(Value):
         if set(images) != set(range(1, x + 1)):
             raise ValueError(f"need images for generators 1..{x}")
         for v in images.values():
-            if target == TARGET_B3 and not isinstance(v, BraidWord):
+            if target == TARGET_B3 and not isinstance(v, braid.BraidWord):
                 raise ValueError("B3 target needs BraidWord images")
             if target == TARGET_F2:
                 if not isinstance(v, FreeWord):
@@ -141,7 +147,8 @@ class SurfaceHom(Value):
             if idx in keys:
                 raise ValueError(f'images keys "{keys[idx]}" and "{key}" name one generator')
             keys[idx] = key
-            images[idx] = BraidWord.parse(text, 3) if target == TARGET_B3 else FreeWord.parse(text)
+            images[idx] = (braid.BraidWord.parse(text, 3) if target == TARGET_B3
+                           else FreeWord.parse(text))
         return SurfaceHom(sig, target, images)
 
 

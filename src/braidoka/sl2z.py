@@ -28,8 +28,11 @@ import math
 
 from . import _purekernels, words
 from ._value import Value
-from .braid import BraidWord
 from .errors import InternalInconsistency, NotParabolic, WrongStrandCount
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .braid import BraidWord
 
 
 class SL2Matrix(Value):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from . import _purekernels
-from ._purekernels import mat_inv, mat_mul
+from ._purekernels import log_spectral_radius, mat_inv, mat_mul
 from ._value import Value
 from .braid import BraidWord, exponent_sum
 from .errors import (
@@ -50,17 +50,6 @@ MIN_PA_ENTROPY = math.log((3 + math.sqrt(5)) / 2)
 # (pure Python, 2-core VM); maxlen 8 would list 1.43M word pairs, about
 # 265 MB of report, after a 3.2 s image pass
 SCAN_MAXLEN = 7
-
-
-def log_spectral_radius(trace: int) -> float:
-    """log((|t| + sqrt(t^2 - 4)) / 2) for |t| > 2, stable for huge traces."""
-    t = abs(trace)
-    if t <= 2:
-        return 0.0
-    if t < 10**8:
-        return math.log((t + math.sqrt(t * t - 4)) / 2)
-    # for huge traces sqrt(t^2-4) ~ t: split the log to avoid overflow
-    return math.log(t) + math.log1p(math.sqrt(max(0.0, 1.0 - 4 / (t * t)))) - math.log(2)
 
 
 class ThreeBraidClass(Value):

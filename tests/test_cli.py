@@ -216,6 +216,33 @@ def test_lattice_branch_path_steps_rejected(capsys):
         assert json.loads(captured.err)["errorType"] == "ValueError"
 
 
+@pytest.mark.parametrize("option, text", [
+    ("--tau", "abc"), ("--tau", "0,x"), ("--alpha", "1,2,3"), ("--path-end", "2"),
+])
+def test_lattice_branch_names_a_malformed_complex(option, text, capsys):
+    argv = {"--tau": [], "--alpha": ["--tau", "0,1"], "--path-end": ["--tau", "0,1"]}[option]
+    assert main(["lattice-branch", *argv, f"{option}={text}"]) == 1
+    captured = capsys.readouterr()
+    error = json.loads(captured.err)
+    assert captured.out == "" and error["errorType"] == "ValueError"
+    assert error["error"].startswith(option) and repr(text) in error["error"]
+
+
+def test_lattice_branch_path_steps_capped(monkeypatch, capsys):
+    # the cap is checked before the first branch locus is computed
+    def refuse(*args):
+        raise AssertionError("branch_locus ran")
+
+    monkeypatch.setattr(lattice, "branch_locus", refuse)
+    steps = cli._PATH_STEPS_MAX + 1
+    code = main(["lattice-branch", "--tau", "0,1", "--path-end", "0,2",
+                 "--path-steps", str(steps)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    error = json.loads(captured.err)
+    assert error["errorType"] == "ValueError" and "--path-steps" in error["error"]
+
+
 def test_scan_commutators_negative_maxlen(capsys):
     code = main(["scan-commutators", "--maxlen", "-2"])
     captured = capsys.readouterr()
@@ -478,6 +505,38 @@ def test_usage_error(capsys):
         assert "unrecognized arguments: --n 3" in capsys.readouterr().err
 
 
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def test_a_named_subcommand_builds_its_parser_alone():
+    full = build_parser()
+    names = list(_subparsers(full).choices)
+    assert names == list(cli._SUBCOMMANDS)
+    for name in names:
+        one = build_parser(name)
+        assert list(_subparsers(one).choices) == [name]
+        # the usage line argparse prints on an error still lists them all
+        assert one.format_usage() == full.format_usage()
+    for command in (None, "--help", "--version", "classfy"):
+        assert list(_subparsers(build_parser(command)).choices) == names
+
+
+@pytest.mark.parametrize("argv, error", [
+    ([], "the following arguments are required: command"),
+    (["classfy"], "argument command: invalid choice: 'classfy'"),
+], ids=["missing", "unknown"])
+def test_a_missing_or_unknown_subcommand_is_reported_as_command(argv, error, capsys):
+    assert main(argv) == 1
+    assert f"braidoka: error: {error}" in capsys.readouterr().err
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["braidoka", "classify", "--braid", "1 2"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "periodic"
+
+
 def test_import_leaves_numpy_unloaded(tmp_path):
     # numpy costs about 0.2 s per CLI call, and nothing in the package needs
     # it: importing, a winding index and a disc-index call all leave it out
@@ -536,37 +595,40 @@ def test_loading_every_module_leaves_dataclasses_and_fractions_unloaded():
     assert out.stdout.strip() == "[]"
 
 
-# One argv of each shape the benchmark's cli workload runs, with the
-# modules its handler reads first and those it must never load: a module
-# compiles on first use, so a subcommand pays only for the code it runs.
+# One argv of each shape the benchmark's cli workload runs, with every
+# module of the package that the call loads.  A module compiles on first
+# use, so a subcommand pays only for the code it runs, and a module-level
+# import that drags in a module the call does not run fails here.
+_CORE = {"_value", "errors"}
 _LOADS = [
-    (["--version"], set(), set(braidoka._MODULES)),
-    (["classify", "--braid=1 -2"], {"braid", "sl2z", "three"}, {"oka", "families", "lattice"}),
-    (["entropy", "--braid=1 -2"], {"braid", "three"}, {"oka", "families", "lattice"}),
-    (["module", "--braid=1 2"], {"braid", "three"}, {"oka", "families", "lattice"}),
-    (["eq", "--n", "3", "--a=1 2 1", "--b=2 1 2"], {"braid"}, {"three", "oka", "families", "lattice"}),
-    (["nf", "--braid=1 -2 3", "--n", "4"], {"braid"}, {"three", "oka", "families", "lattice"}),
-    (["linking", "--braid=1 1 2 2", "--n", "4"], {"braid"}, {"three", "oka", "families", "lattice"}),
-    (["conj", "--a=1 -2", "--b=-2 1"], {"braid", "three"}, {"oka", "families", "lattice"}),
-    (["scan-commutators", "--maxlen", "2"], {"three"}, {"oka", "families", "lattice"}),
-    (["disc-index", "--family", "{family}", "--samples", "64"], {"families"},
-     {"braid", "three", "oka", "lattice"}),
-    (["thm1", "--n", "3", "--modulus", "30.0", "--index", "3"], {"families"},
-     {"braid", "three", "oka", "lattice"}),
-    (["penner", "--genus", "1", "--marked", "2", "--braid-n", "4"], {"families"},
-     {"braid", "three", "oka", "lattice"}),
-    (["oka3", "--hom", "{hom}", "--both-variants"], {"oka"}, {"families", "lattice"}),
-    (["go-surface", "--hom", "{fhom}"], {"oka"}, {"families", "lattice"}),
-    (["eprime", "--genus", "1", "--holes", "1", "--list"], {"oka"}, {"families", "lattice"}),
-    (["lattice-branch", "--tau=0.1,1.2", "--alpha=1,0", "--radius", "60", "--csv"], {"lattice"},
-     {"braid", "three", "oka", "families"}),
+    (["--version"], set()),
+    (["classify", "--braid=1 -2"], _CORE | {"braid", "sl2z", "three", "_purekernels"}),
+    (["entropy", "--braid=1 -2"], _CORE | {"braid", "sl2z", "three", "_purekernels"}),
+    (["module", "--braid=1 2"], _CORE | {"braid", "sl2z", "three", "_purekernels"}),
+    (["eq", "--n", "4", "--a=1 2 1", "--b=2 1 2"], _CORE | {"braid"}),
+    (["nf", "--braid=1 -2 3", "--n", "4"], _CORE | {"braid", "perms"}),
+    (["linking", "--braid=1 1 2 2", "--n", "4"], _CORE | {"braid"}),
+    (["conj", "--a=1 -2", "--b=-2 1"],
+     _CORE | {"braid", "sl2z", "three", "_purekernels", "words"}),
+    (["scan-commutators", "--maxlen", "2"],
+     _CORE | {"braid", "sl2z", "three", "_purekernels"}),
+    (["disc-index", "--family", "{family}", "--samples", "64"], _CORE | {"families"}),
+    (["thm1", "--n", "3", "--modulus", "30.0", "--index", "3"],
+     _CORE | {"families", "perms"}),  # perms._is_prime decides n
+    (["penner", "--genus", "1", "--marked", "2", "--braid-n", "4"], _CORE | {"families"}),
+    (["oka3", "--hom", "{hom}", "--both-variants"],
+     _CORE | {"oka", "words", "sl2z", "_purekernels", "braid"}),
+    (["go-surface", "--hom", "{fhom}"], _CORE | {"oka", "words", "sl2z", "_purekernels"}),
+    (["eprime", "--genus", "1", "--holes", "1", "--list"],
+     _CORE | {"oka", "words", "sl2z", "_purekernels"}),
+    (["lattice-branch", "--tau=0.1,1.2", "--alpha=1,0", "--radius", "60", "--csv"],
+     _CORE | {"lattice", "_purekernels"}),
 ]
 
 
-@pytest.mark.parametrize("argv, loads, skips", _LOADS, ids=[a[0] for a, _, _ in _LOADS])
-def test_a_subcommand_loads_only_the_modules_it_runs(argv, loads, skips, tmp_path):
-    # a registered module that has not loaded yet is a lazy subclass of
-    # ModuleType; the exact type marks the ones that ran
+@pytest.mark.parametrize("argv, loads", _LOADS, ids=[a[0] for a, _ in _LOADS])
+def test_a_subcommand_loads_only_the_modules_it_runs(argv, loads, tmp_path):
+    # a registered module that has not loaded yet is still a lazy module
     src = Path(__file__).resolve().parents[1] / "src"
     files = {"family": _FAMILY, "hom": _HOM,
              "fhom": {**_HOM, "target": "F2", "images": {"e1": "a1", "e2": "a2"}}}
@@ -574,12 +636,12 @@ def test_a_subcommand_loads_only_the_modules_it_runs(argv, loads, skips, tmp_pat
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     argv = [a.format(**{n: str(tmp_path / f"{n}.json") for n in files}) for a in argv]
     code = (
-        "import contextlib, io, json, sys, types\n"
+        "import contextlib, importlib.util, io, json, sys\n"
         "from braidoka import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli.main(sys.argv[1:])\n"
-        "print(json.dumps([code, [n for n, m in sys.modules.items()\n"
-        "                         if n.startswith('braidoka.') and type(m) is types.ModuleType]]))"
+        "print(json.dumps([code, [n for n, m in sys.modules.items() if n.startswith('braidoka.')\n"
+        "                         and type(m) is not importlib.util._LazyModule]]))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code, *argv],
@@ -589,4 +651,4 @@ def test_a_subcommand_loads_only_the_modules_it_runs(argv, loads, skips, tmp_pat
     exit_code, names = json.loads(out.stdout)
     loaded = {n.removeprefix("braidoka.") for n in names} - {"cli"}
     assert exit_code in (0, 2)
-    assert loads <= loaded and not skips & loaded, sorted(loaded)
+    assert loaded == loads, sorted(loaded)
