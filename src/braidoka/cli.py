@@ -305,7 +305,8 @@ _SUBCOMMANDS = {
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every subcommand, or of `command` alone when it names
     one.  One subparser builds in about 2.2 ms of a fresh process, all 15
-    in 5.1 ms; the metavar keeps the usage line that lists them all."""
+    in 5.1 ms (Python 3.11, 2-core VM); the metavar keeps the usage line
+    that lists them all."""
     parser = argparse.ArgumentParser(
         prog="braidoka",
         description="braid classification, Gromov-Oka decisions, and lattice branch loci",
