@@ -479,10 +479,10 @@ GoSurfaceResult = GOReducible | GOSphereHolomorphic | NotGOSphereAntiholomorphic
 
 
 def _sphere_conjugator(
-    conj1: tuple[Block, ...], u2: FreeWord, t1: Block, t2: Block
+    conj1: tuple[Block, ...], u2: tuple[Block, ...], t1: Block, t2: Block
 ) -> tuple[Block, ...] | None:
     """The blocks of the c with c u1 c^-1 = t1 and c u2 c^-1 = t2, or None, where
-    u1 = conj1 * t1 * conj1^-1 is split by `_core`.
+    u1 = conj1 * t1 * conj1^-1 is split by `_core` and u2 is reduced blocks.
 
     The solutions of the first equation are t1^k c0 with c0 = conj1^-1 (the
     centralizer of the letter t1 is generated by t1), and then
@@ -491,7 +491,7 @@ def _sphere_conjugator(
     it c, is read off the first block of w2.
     """
     c0 = _inverse(conj1)
-    w2 = FreeWord(c0 + u2.blocks + conj1).blocks
+    w2 = _merge_blocks(c0 + u2 + conj1)
     if w2 == (t2,):
         return c0
     g1 = t1[0]
@@ -508,15 +508,32 @@ def go_surface_decide(hom: SurfaceHom) -> GoSurfaceResult:
     of one root r that is itself conjugate to a peripheral p.  Such an
     image is reducible, and this is decided before E' because it is exact:
     every element of the image is some r^k, which is conjugate to p^k, so
-    no E' element can fail.  Step 2 requires every E' image to be conjugate
-    into a peripheral power; the first E' element whose image is not is
-    the witness.  Each E' image is the concatenation of the image blocks
-    of its blocks, each (generator, exponent) computed once per call,
-    reduced once and matched on blocks.  Step 3 (genus zero only) matches
-    the boundary monodromies against the sphere patterns; for positive
-    genus a non-cyclic image after a clean step 2 contradicts the
+    no E' element can fail.  In a free group two nontrivial elements are
+    powers of one root exactly when they commute, so step 1 compares
+    products of blocks and takes one primitive root.  Step 2 requires every
+    E' image to be conjugate into a peripheral power; the first E' element
+    whose image is not is the witness.  Each E' image is the concatenation
+    of the image blocks of its blocks, each (generator, exponent) computed
+    once per call, reduced once and matched on blocks.  Step 3 (genus zero
+    only) matches the boundary monodromies against the sphere patterns; for
+    positive genus a non-cyclic image after a clean step 2 contradicts the
     classification and raises TheoremContradiction.  Above free rank
     EPRIME_MAXRANK only step 1 can answer: step 2 raises ResourceLimit.
+
+    In genus zero E' opens with its m generators e_1 .. e_(m-1) and the
+    virtual e_m = (e_1 ... e_(m-1))^-1, whose images are the boundary
+    monodromies u_1 .. u_m with u_1 ... u_m = 1 (for m = 2, E' is e_1
+    alone).  Every other element is a product of two or three distinct
+    generators in ascending order, so its image is the ordered product of
+    the nontrivial u_i it names.  With at most three of them nontrivial,
+    u_l1 u_l2 u_l3 = 1 for l1 < l2 < l3, and every such product is 1, some
+    u_li, u_l1 u_l2 = u_l3^-1, u_l2 u_l3 = u_l1^-1 or
+    u_l1 u_l3 = u_l1 u_l2^-1 u_l1^-1, a conjugate of u_l2^-1 (with two,
+    u_l2 = u_l1^-1 and every product is u_l1^(+-1) or 1).  Each is
+    conjugate into a peripheral power when the u_i are, so once the
+    generators pass, the pairs and triples are skipped: the verdict and the
+    witness are unchanged.  The generator pass keeps each boundary image
+    with its `_core` split and its peripheral match for step 3.
     """
     if hom.target != TARGET_F2:
         raise WrongTarget("go_surface_decide needs an F2-valued homomorphism")
@@ -527,16 +544,27 @@ def go_surface_decide(hom: SurfaceHom) -> GoSurfaceResult:
     nontrivial = [w for w in gen_images if not w.is_identity()]
     if not nontrivial:
         return GOReducible(None, FreeWord.identity())
-    roots = [primitive_root(w)[0] for w in nontrivial]
-    r0 = roots[0]
-    r0_inv = _inverse(r0.blocks)
-    if all(r == r0 or r.blocks == r0_inv for r in roots):
+    w0 = nontrivial[0].blocks
+    if all(_merge_blocks(w0 + w.blocks) == _merge_blocks(w.blocks + w0) for w in nontrivial[1:]):
+        r0 = primitive_root(nontrivial[0])[0]
         hit = is_conjugate_into_peripheral(r0)
         if hit is not None:
             return GOReducible(hit.peripheral, r0)
 
+    elements = eprime_generate(sig).elements
+    if g == 0:
+        boundary = [w.blocks for w in gen_images]
+        boundary.append(hom.word_image(hole_product_inverse(sig)).blocks)
+        cores = [_core(u) for u in boundary]
+        hits = [_peripheral(core) for _, core in cores]
+        for (e, _tag), hit in zip(elements, hits):
+            if hit is None:
+                return NotGO(e, "test element image is not a peripheral power")
+        live = [j for j, u in enumerate(boundary) if u]
+        elements = elements[m:] if len(live) > 3 else ()
+
     parts: dict[Block, tuple[Block, ...]] = {}
-    for e, _tag in eprime_generate(sig).elements:
+    for e, _tag in elements:
         image: list[Block] = []
         for block in e.blocks:
             part = parts.get(block)
@@ -552,19 +580,16 @@ def go_surface_decide(hom: SurfaceHom) -> GoSurfaceResult:
         )
 
     # genus zero, non-cyclic image: sphere analysis of boundary monodromies
-    boundary = list(gen_images) + [hom.word_image(hole_product_inverse(sig))]
-    live = [(j + 1, w) for j, w in enumerate(boundary) if not w.is_identity()]
     if len(live) != 3:
         return NotGO(None, f"{len(live)} nontrivial boundary monodromies, need 3")
-    for j, w in live:
-        hit = is_conjugate_into_peripheral(w)
-        if hit is None or abs(hit.power) != 1:
+    for j in live:
+        if abs(hits[j][1]) != 1:
             return NotGO(
-                FreeWord.gen(j), "boundary monodromy is not a simple peripheral loop"
+                FreeWord.gen(j + 1), "boundary monodromy is not a simple peripheral loop"
             )
-    indices = tuple(j for j, _ in live)
-    us = [w for _, w in live]
-    if FreeWord(us[0].blocks + us[1].blocks + us[2].blocks).blocks:
+    indices = tuple(j + 1 for j in live)
+    us = [boundary[j] for j in live]
+    if _merge_blocks(us[0] + us[1] + us[2]):
         raise InternalInconsistency("boundary monodromies must multiply to 1")
 
     # The sphere patterns are t1 = (g, s), t2 = (3 - g, s), t3 = (t1 t2)^-1
@@ -572,15 +597,14 @@ def go_surface_decide(hom: SurfaceHom) -> GoSurfaceResult:
     # s = 1.  t3 is the one element whose core is not a single letter, so
     # the live monodromy with such a core comes third, and the core letter
     # of the first one is t1.
-    cores = [_core(u.blocks) for u in us]
-    single = [len(core) == 1 for _, core in cores]
+    single = [len(cores[j][1]) == 1 for j in live]
     if single.count(False) == 1:
         rot = (single.index(False) + 1) % 3
         v = us[rot:] + us[:rot]
-        conj1, ((g, s),) = cores[rot]
+        conj1, ((g, s),) = cores[live[rot]]
         c = _sphere_conjugator(conj1, v[1], (g, s), (3 - g, s))
         if c is not None:
-            if FreeWord(c + v[2].blocks + _inverse(c)).blocks != ((3 - g, -s), (g, -s)):
+            if _merge_blocks(c + v[2] + _inverse(c)) != ((3 - g, -s), (g, -s)):
                 raise InternalInconsistency("pattern third element did not align")
             idx = indices[rot:] + indices[:rot]
             return GOSphereHolomorphic(idx) if s == 1 else NotGOSphereAntiholomorphic(idx)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from braidoka import cli, lattice, three
+from braidoka import __version__, cli, lattice, three
 from braidoka.cli import build_parser, main
 
 
@@ -517,8 +517,21 @@ def test_a_named_subcommand_builds_its_parser_alone():
         assert list(_subparsers(one).choices) == [name]
         # the usage line argparse prints on an error still lists them all
         assert one.format_usage() == full.format_usage()
-    for command in (None, "--help", "--version", "classfy"):
+    for command in (None, "--help", "classfy"):
         assert list(_subparsers(build_parser(command)).choices) == names
+    # argparse prints the version and exits before it reads a subparser
+    assert not any(isinstance(a, argparse._SubParsersAction)
+                   for a in build_parser("--version")._actions)
+
+
+def test_version_builds_no_subparser(monkeypatch, capsys):
+    def refuse(p):
+        raise AssertionError("--version built a subparser")
+
+    for name, (run, help_, _options) in list(cli._SUBCOMMANDS.items()):
+        monkeypatch.setitem(cli._SUBCOMMANDS, name, (run, help_, refuse))
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out == f"{__version__}\n"
 
 
 @pytest.mark.parametrize("argv, error", [

@@ -430,6 +430,100 @@ class TestGoSurfaceParity:
         assert good.images == {1: BraidWord(3, (2,)), 2: BraidWord(3, (1,))}
 
 
+_NOT_PERIPHERAL = (a1 * a2**2, commutator(a1, a2), a1**2 * a2**2, a1 * a2.inv())
+
+
+def _genus0_pattern_hom(rng, variant):
+    """A conjugated sphere pattern (either orientation, rotated) on three of
+    4-6 holes, the other holes trivial.  "generator" replaces one image by a
+    conjugated non-peripheral word, so a generator before the virtual one
+    fails; "virtual" squares one live image when the last hole is live, so
+    the virtual generator's image fails; "square" squares one when it is
+    not, so four monodromies are live and the pairs and triples after the
+    virtual generator are screened."""
+    m = rng.randint(4, 6)
+    c = _random_f2(rng, 4)
+    t1, t2 = rng.choice(_PATTERNS)
+    triple = [c * t1 * c.inv(), c * t2 * c.inv(), c * (t1 * t2).inv() * c.inv()]
+    rot = rng.randrange(3)
+    triple = triple[rot:] + triple[:rot]
+    last_live = variant == "virtual" or (variant != "square" and rng.random() < 0.5)
+    holes = rng.sample(range(1, m), 2 if last_live else 3)
+    live = sorted(holes) + ([m] if last_live else [])
+    images = {j: FreeWord.identity() for j in range(1, m)}
+    for j, w in zip(live, triple):
+        if j < m:
+            images[j] = w
+    if variant == "generator":
+        d = _random_f2(rng, 3)
+        images[rng.randrange(1, m)] = d * rng.choice(_NOT_PERIPHERAL) * d.inv()
+    elif variant in ("virtual", "square"):
+        j = rng.choice(holes)
+        images[j] = images[j] ** 2
+    return fhom(SurfaceSignature(0, m), images)
+
+
+class TestGenusZeroScreen:
+    """The genus-0 E' screen stops at the m generators when at most three
+    boundary monodromies are nontrivial; every other E' image is then a
+    product that the boundary already decides."""
+
+    @staticmethod
+    def _count_matches(monkeypatch):
+        # each E' image is reduced once and matched once through _peripheral
+        matched = []
+        real = oka._peripheral
+
+        def counting(blocks):
+            matched.append(blocks)
+            return real(blocks)
+
+        monkeypatch.setattr(oka, "_peripheral", counting)
+        return matched
+
+    def test_three_live_holes_screen_the_generators_alone(self, monkeypatch):
+        c = a2 * a1.inv()
+        sig = SurfaceSignature(0, 5)
+        hom = fhom(sig, {1: c * a1 * c.inv(), 2: FreeWord.identity(),
+                         3: c * a2 * c.inv(), 4: FreeWord.identity()})
+        want = go_reference.go_surface_decide(hom)
+        assert eprime_generate(sig).count == 25
+        matched = self._count_matches(monkeypatch)
+        assert go_surface_decide(hom) == want == GOSphereHolomorphic((1, 3, 5))
+        assert len(matched) == 5
+
+    def test_four_live_holes_screen_pairs_and_triples(self, monkeypatch):
+        sig = SurfaceSignature(0, 5)
+        elements = eprime_generate(sig).elements
+        cases = [({1: a1, 2: a2, 3: a1, 4: a2}, 8), ({1: a1, 2: a1.inv(), 3: a2, 4: a2.inv()}, 7)]
+        for images, index in cases:
+            hom = fhom(sig, images)
+            want = go_reference.go_surface_decide(hom)
+            assert want.witness == elements[index][0] and elements[index][1] == TAG_PAIR
+            matched = self._count_matches(monkeypatch)
+            assert go_surface_decide(hom) == want
+            assert len(matched) == index + 1
+
+    def test_patterns_with_trivial_holes_match_reference(self):
+        rng = random.Random(61)
+        variants = ("sphere", "generator", "virtual", "square")
+        verdicts, places = Counter(), set()
+        t0 = time.perf_counter()
+        for k in range(2000):
+            hom = _genus0_pattern_hom(rng, variants[k % 4])
+            got = _outcome(go_surface_decide, hom)
+            assert got == _outcome(go_reference.go_surface_decide, hom), hom
+            verdicts[got.as_dict()["verdict"]] += 1
+            if isinstance(got, NotGO):
+                m = hom.signature.holes
+                index = eprime_generate(hom.signature).words().index(got.witness)
+                places.add((index > m - 1) - (index < m - 1))
+        assert time.perf_counter() - t0 < 10
+        assert set(verdicts) == {"sphereHolomorphic", "sphereAntiholomorphic", "notGO"}
+        # witnesses before, at and after the virtual generator e_m
+        assert places == {-1, 0, 1}
+
+
 class TestGoSurface:
     def test_cyclic_image(self):
         r = go_surface_decide(fhom(SurfaceSignature(1, 1), {1: a1**2, 2: a1**5}))
