@@ -112,14 +112,6 @@ class SurfaceHom(Value):
         part = image.blocks if abs(exp) == 1 else (image ** abs(exp)).blocks
         return part if exp > 0 else _inverse(part)
 
-    def word_image(self, w: FreeWord) -> FreeWord:
-        """The image of w, reduced once: the image blocks of each block of
-        w are concatenated."""
-        blocks: list[Block] = []
-        for gen, exp in w.blocks:
-            blocks += self._block_image(gen, exp)
-        return FreeWord(tuple(blocks))
-
     @staticmethod
     def from_json(data) -> "SurfaceHom":
         """The homomorphism of {"genus": g, "holes": m, "target": "B3" or
@@ -532,8 +524,10 @@ def go_surface_decide(hom: SurfaceHom) -> GoSurfaceResult:
     u_l2 = u_l1^-1 and every product is u_l1^(+-1) or 1).  Each is
     conjugate into a peripheral power when the u_i are, so once the
     generators pass, the pairs and triples are skipped: the verdict and the
-    witness are unchanged.  The generator pass keeps each boundary image
-    with its `_core` split and its peripheral match for step 3.
+    witness are unchanged.  u_m is read as the inverse of the product
+    u_1 ... u_(m-1) of the generator images.  The generator pass keeps each
+    boundary image with its `_core` split and its peripheral match for
+    step 3.
     """
     if hom.target != TARGET_F2:
         raise WrongTarget("go_surface_decide needs an F2-valued homomorphism")
@@ -554,7 +548,7 @@ def go_surface_decide(hom: SurfaceHom) -> GoSurfaceResult:
     elements = eprime_generate(sig).elements
     if g == 0:
         boundary = [w.blocks for w in gen_images]
-        boundary.append(hom.word_image(hole_product_inverse(sig)).blocks)
+        boundary.append(_inverse(_merge_blocks(b for u in boundary for b in u)))
         cores = [_core(u) for u in boundary]
         hits = [_peripheral(core) for _, core in cores]
         for (e, _tag), hit in zip(elements, hits):

@@ -46,9 +46,9 @@ PSEUDO_ANOSOV = "pseudoAnosov"
 # log((3 + sqrt 5)/2): smallest nonzero entropy among 3-braids, at |trace| 3
 MIN_PA_ENTROPY = math.log((3 + math.sqrt(5)) / 2)
 
-# largest zero_entropy_commutator_scan input: maxlen 7 takes about 0.5 s
-# (pure Python, 2-core VM); maxlen 8 would list 1.43M word pairs, about
-# 265 MB of report, after a 3.2 s image pass
+# largest zero_entropy_commutator_scan input: maxlen 7 takes about 0.11 s
+# (pure Python 3.11, 2-core Xeon VM); at maxlen 8 the image pass takes
+# 35 ms, but the report lists 1.43M word pairs, about 265 MB, in 8 s
 SCAN_MAXLEN = 7
 
 
@@ -281,6 +281,22 @@ def _is_pure(m) -> bool:
     return m[1] % 2 == 0 and m[2] % 2 == 0
 
 
+def _fricke_roots(t1: int, t2: int) -> dict[int, int]:
+    """{t12: T} for the integer roots t12 of
+    t12^2 - t1 t2 t12 + t1^2 + t2^2 - 2 - T = 0, T in {-2, -1, 0, 1}."""
+    p = t1 * t2
+    roots = {}
+    for t in (-2, -1, 0, 1):
+        disc = p * p - 4 * (t1 * t1 + t2 * t2 - 2 - t)
+        if disc < 0:
+            continue
+        s = math.isqrt(disc)
+        if s * s == disc:
+            # disc = p^2 mod 4, so s = p mod 2 and both roots are integers
+            roots[(p + s) // 2] = roots[(p - s) // 2] = t
+    return roots
+
+
 def zero_entropy_commutator_scan(maxlen: int) -> CommutatorScanReport:
     """Find pairs (b1, b2) whose commutator is nontrivial yet has entropy
     zero, among all reduced words of length <= maxlen.
@@ -300,6 +316,32 @@ def zero_entropy_commutator_scan(maxlen: int) -> CommutatorScanReport:
     when m1 and m2 commute.  b is pure exactly when theta(b) = I mod 2,
     because theta mod 2 induces S_3 = SL(2,F_2) on the quotient by the pure
     braids.
+
+    The image pairs are tested per trace class, through the Fricke identity
+    tr[m1, m2] = t1^2 + t2^2 + t12^2 - t1 t2 t12 - 2 (Goldman, Trace
+    coordinates on Fricke spaces, 2009), with t1, t2 the traces of m1, m2
+    and t12 = tr(m1 m2).  Three facts bound the pairs worth testing:
+
+    (A) tr[m1, m2] = 2 exactly when m1 and m2 have a common eigenvector
+        (Culler-Shalen, Ann. of Math. 117, 1983, section 1), and in SL(2,Z)
+        a common fixed point forces m1 m2 = m2 m1: the stabiliser of a cusp
+        is +-(a conjugate of) <T>, a hyperbolic matrix that fixes a
+        quadratic irrational also fixes its Galois conjugate, and the
+        stabiliser of an elliptic point is cyclic.  So a found pair has
+        tr[m1, m2] = T in {-2, -1, 0, 1}.
+    (B) For |t1| = 2 the Fricke identity, as a quadratic
+        t12^2 - t1 t2 t12 + t1^2 + t2^2 - 2 - T = 0 in t12, has
+        discriminant 4 (T - 2) < 0, so parabolic and central images pair
+        with nothing and leave the pass.
+    (C) For each unordered pair of the other trace classes (t1, t2), t12
+        is an integer root of that quadratic for some T in (A).  A block
+        whose four discriminants are no perfect square is skipped; in the
+        others, t12 = a p + b r + c q + d s of m1 = (a, b, c, d) and
+        m2 = (p, q, r, s) is looked up among the roots.
+
+    [m1, m2] and [m2, m1] are inverse, so one test covers both orders.  A
+    found pair that commutes contradicts (A) and raises
+    InternalInconsistency.
     """
     if maxlen < 0:
         raise ValueError("maxlen must be >= 0")
@@ -309,24 +351,31 @@ def zero_entropy_commutator_scan(maxlen: int) -> CommutatorScanReport:
     groups: dict[tuple[int, int, int, int], list[tuple[int, ...]]] = {}
     for w in words:
         groups.setdefault(_purekernels.theta_abcd(w), []).append(w)
-    images = list(groups)
+    classes: dict[int, list[tuple[int, int, int, int]]] = {}
+    for m in groups:
+        if abs(m[0] + m[3]) != 2:
+            classes.setdefault(m[0] + m[3], []).append(m)
+    traces = list(classes)
 
-    # tr[m1, m2] from the Fricke identity (Goldman, Trace coordinates on
-    # Fricke spaces, 2009): t1^2 + t2^2 + t12^2 - t1 t2 t12 - 2, with t12 the
-    # trace of m1 m2; [m1, m2] and [m2, m1] are inverse, so one test covers
-    # both orders
     found = []  # (m1, m2, commutator trace) for each ordered pair of images
-    traces = [m[0] + m[3] for m in images]
-    for i, m1 in enumerate(images):
-        a, b, c, d = m1
-        t1 = traces[i]
-        for j in range(i + 1, len(images)):
-            m2 = images[j]
-            t2 = traces[j]
-            t12 = a * m2[0] + b * m2[2] + c * m2[1] + d * m2[3]
-            t = t1 * t1 + t2 * t2 + t12 * t12 - t1 * t2 * t12 - 2
-            if abs(t) <= 2 and mat_mul(m1, m2) != mat_mul(m2, m1):
-                found += [(m1, m2, t), (m2, m1, t)]
+    for i, t1 in enumerate(traces):
+        for t2 in traces[i:]:
+            roots = _fricke_roots(t1, t2)
+            if not roots:
+                continue
+            block = classes[t1]
+            for k, m1 in enumerate(block):
+                a, b, c, d = m1
+                for m2 in block[k + 1:] if t1 == t2 else classes[t2]:
+                    t = roots.get(a * m2[0] + b * m2[2] + c * m2[1] + d * m2[3])
+                    if t is None:
+                        continue
+                    if mat_mul(m1, m2) == mat_mul(m2, m1):
+                        raise InternalInconsistency(
+                            f"images {m1}, {m2} commute with tr[m1, m2] = {t}, "
+                            "but in SL(2,Z) tr[m1, m2] = 2 exactly when m1 and m2 commute"
+                        )
+                    found += [(m1, m2, t), (m2, m1, t)]
 
     pairs = []
     offending = []

@@ -10,6 +10,10 @@ found pair as braid words.  They are slow, and they share with the code
 under test only theta, `log_spectral_radius`, the E0 word list and the
 word enumeration, which is what makes them useful oracles.  The scan's
 process pool is left out; its single-process path is the one kept here.
+
+`zero_entropy_commutator_scan_allpairs` is the scan's later image pass,
+which tested every pair of theta images, kept to check the pruning of that
+pass where the word-by-word reference is too slow.
 """
 
 from __future__ import annotations
@@ -109,4 +113,50 @@ def zero_entropy_commutator_scan_reference(maxlen: int) -> CommutatorScanReport:
         pairs.append(
             CommutatorPair(w1, w2, theta(comm).trace, hb1, hb2, b1_pure, b2_pure, h1, h2)
         )
+    return CommutatorScanReport(maxlen, len(words), tuple(pairs))
+
+
+def zero_entropy_commutator_scan_allpairs(maxlen: int) -> CommutatorScanReport:
+    """`braidoka.three.zero_entropy_commutator_scan` as it was before its
+    image pass went per trace class: every unordered pair of distinct theta
+    images is tested by the Fricke identity and a commutation check.  It
+    shares the grouping by theta and the row building with the code under
+    test, and checks only the pruning of the image pairs, at maxlens where
+    the word-by-word reference is too slow."""
+    words = _reduced_words3(maxlen)
+    groups: dict[tuple[int, int, int, int], list[tuple[int, ...]]] = {}
+    for w in words:
+        groups.setdefault(K.theta_abcd(w), []).append(w)
+    images = list(groups)
+
+    found = []
+    traces = [m[0] + m[3] for m in images]
+    for i, m1 in enumerate(images):
+        a, b, c, d = m1
+        t1 = traces[i]
+        for j in range(i + 1, len(images)):
+            m2 = images[j]
+            t2 = traces[j]
+            t12 = a * m2[0] + b * m2[2] + c * m2[1] + d * m2[3]
+            t = t1 * t1 + t2 * t2 + t12 * t12 - t1 * t2 * t12 - 2
+            if abs(t) <= 2 and K.mat_mul(m1, m2) != K.mat_mul(m2, m1):
+                found += [(m1, m2, t), (m2, m1, t)]
+
+    pairs = []
+    for m1, m2, t in found:
+        m1i = K.mat_inv(m1)
+        m21i = K.mat_mul(m2, m1i)
+        m21ii = K.mat_mul(m21i, m1i)
+        hb1 = log_spectral_radius(m1[0] + m1[3])
+        hb2 = log_spectral_radius(m2[0] + m2[3])
+        h1 = log_spectral_radius(m21i[0] + m21i[3])
+        h2 = log_spectral_radius(m21ii[0] + m21ii[3])
+        b1_pure = m1[1] % 2 == 0 and m1[2] % 2 == 0
+        b2_pure = m2[1] % 2 == 0 and m2[2] % 2 == 0
+        pairs += [
+            CommutatorPair(w1, w2, t, hb1, hb2, b1_pure, b2_pure, h1, h2)
+            for w1 in groups[m1]
+            for w2 in groups[m2]
+        ]
+    pairs.sort(key=lambda p: (p.b1, p.b2))
     return CommutatorScanReport(maxlen, len(words), tuple(pairs))

@@ -1,12 +1,15 @@
 import math
 import random
+import re
 import time
 
 import pytest
 from hypothesis import given, strategies as st
 
+from braidoka import _purekernels, three
+from braidoka._purekernels import mat_inv, mat_mul
 from braidoka.braid import BraidWord, braid_eq, delta, exponent_sum, permutation
-from braidoka.errors import ResourceLimit, WrongStrandCount
+from braidoka.errors import ResourceLimit, TheoremContradiction, WrongStrandCount
 from braidoka.sl2z import PARABOLIC, _kind, sl2z_conjugate, theta
 from braidoka.three import (
     MIN_PA_ENTROPY,
@@ -24,7 +27,10 @@ from braidoka.three import (
 )
 
 from braid_helpers import enumerate_words
-from e0_reference import zero_entropy_commutator_scan_reference
+from e0_reference import (
+    zero_entropy_commutator_scan_allpairs,
+    zero_entropy_commutator_scan_reference,
+)
 
 
 def w3(text):
@@ -227,9 +233,30 @@ class TestCommutatorScan:
                 assert not p.b1_pure and not p.b2_pure
                 assert p.entropy_b2b1inv > 0 or p.entropy_b2b1inv2 > 0
 
-    @pytest.mark.parametrize("maxlen", range(0, 6))
+    @pytest.mark.parametrize("maxlen", range(0, SCAN_MAXLEN + 1))
     def test_matches_reference(self, maxlen):
-        assert zero_entropy_commutator_scan(maxlen) == zero_entropy_commutator_scan_reference(maxlen)
+        # the word-by-word reference up to maxlen 5, the pass over all image
+        # pairs beyond it
+        if maxlen <= 5:
+            ref = zero_entropy_commutator_scan_reference
+        else:
+            ref = zero_entropy_commutator_scan_allpairs
+        assert zero_entropy_commutator_scan(maxlen) == ref(maxlen)
+
+    def test_contradiction_names_least_offending_pair(self, monkeypatch):
+        # no found pair has inputs of entropy zero, so the check is reached
+        # by reading the trace-3 class as entropy zero and every braid as
+        # pure: then each found pair of trace-3 inputs meets the corollary's
+        # hypotheses
+        rep = zero_entropy_commutator_scan(4)
+        assert not any(p.zero_entropy_inputs() for p in rep.pairs)
+        w1, w2 = min((p.b1, p.b2) for p in rep.pairs
+                     if p.entropy_b1 == p.entropy_b2 == MIN_PA_ENTROPY)
+        real = three.log_spectral_radius
+        monkeypatch.setattr(three, "log_spectral_radius", lambda t: 0.0 if abs(t) == 3 else real(t))
+        monkeypatch.setattr(three, "_is_pure", lambda m: True)
+        with pytest.raises(TheoremContradiction, match=re.escape(f"pair {w1}, {w2} satisfies")):
+            zero_entropy_commutator_scan(4)
 
     def test_resource_guard(self):
         with pytest.raises(ResourceLimit):
@@ -240,8 +267,8 @@ class TestCommutatorScan:
             zero_entropy_commutator_scan(-1)
 
     def test_limit_is_feasible(self):
-        # the bound itself runs in about 0.5 s on a 2-core VM (Python 3.11),
-        # one more letter would report 1.43M word pairs
+        # the bound itself runs in about 0.11 s on a 2-core VM (Python
+        # 3.11); one more letter would report 1.43M word pairs
         rep = zero_entropy_commutator_scan(SCAN_MAXLEN)
         assert rep.words_scanned == 2 * (3**SCAN_MAXLEN - 1)
         with pytest.raises(ResourceLimit):
@@ -251,6 +278,44 @@ class TestCommutatorScan:
 b3_words = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=30).map(
     lambda letters: BraidWord(3, tuple(letters))
 )
+
+
+sl2z_mats = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=20).map(_purekernels.theta_abcd)
+
+
+def _commutator_trace(m1, m2):
+    comm = mat_mul(mat_mul(m1, m2), mat_mul(mat_inv(m1), mat_inv(m2)))
+    return comm[0] + comm[3]
+
+
+def _mat_pow(m, k):
+    out = (1, 0, 0, 1)
+    for _ in range(abs(k)):
+        out = mat_mul(out, m)
+    return out if k >= 0 else mat_inv(out)
+
+
+class TestCommutatorTraceFacts:
+    """The facts (A) and (B) of the scan's image pass, on SL(2,Z) images."""
+
+    @given(sl2z_mats, sl2z_mats, st.integers(-3, 3), st.integers(-3, 3),
+           st.booleans(), st.booleans())
+    def test_trace_two_iff_commuting(self, u, v, k, j, related, negate):
+        # related pairs are powers of one matrix, so that commuting pairs
+        # are not left to chance
+        m1, m2 = (_mat_pow(u, k), _mat_pow(u, j)) if related else (u, v)
+        if negate:
+            m2 = tuple(-x for x in m2)
+        commute = mat_mul(m1, m2) == mat_mul(m2, m1)
+        assert (_commutator_trace(m1, m2) == 2) == commute
+
+    @given(sl2z_mats, sl2z_mats, st.integers(-5, 5), st.booleans())
+    def test_parabolic_commutator_trace_at_least_two(self, g, m2, k, negate):
+        # g T^k g^-1, and its negative, runs over the parabolic and central
+        # images
+        sign = -1 if negate else 1
+        m1 = mat_mul(mat_mul(g, (sign, sign * k, 0, sign)), mat_inv(g))
+        assert _commutator_trace(m1, m2) >= 2
 
 
 class TestThetaQuotientProperties:
