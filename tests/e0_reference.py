@@ -119,10 +119,10 @@ def zero_entropy_commutator_scan_reference(maxlen: int) -> CommutatorScanReport:
 def zero_entropy_commutator_scan_allpairs(maxlen: int) -> CommutatorScanReport:
     """`braidoka.three.zero_entropy_commutator_scan` as it was before its
     image pass went per trace class: every unordered pair of distinct theta
-    images is tested by the Fricke identity and a commutation check.  It
-    shares the grouping by theta and the row building with the code under
-    test, and checks only the pruning of the image pairs, at maxlens where
-    the word-by-word reference is too slow."""
+    images is tested by the Fricke identity and a commutation check.  Its
+    grouping by theta and its rows are built as in the code under test, so
+    it checks only the pruning of the image pairs, at maxlens where the
+    word-by-word reference is too slow."""
     words = _reduced_words3(maxlen)
     groups: dict[tuple[int, int, int, int], list[tuple[int, ...]]] = {}
     for w in words:

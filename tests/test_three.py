@@ -311,7 +311,7 @@ class TestCommutatorTraceFacts:
 
     @given(sl2z_mats, sl2z_mats, st.integers(-5, 5), st.booleans())
     def test_parabolic_commutator_trace_at_least_two(self, g, m2, k, negate):
-        # g T^k g^-1, and its negative, runs over the parabolic and central
+        # g T^k g^-1 and its negative run over the parabolic and central
         # images
         sign = -1 if negate else 1
         m1 = mat_mul(mat_mul(g, (sign, sign * k, 0, sign)), mat_inv(g))
