@@ -30,32 +30,26 @@ _IS_THREE_CYCLE = tuple(all(img != i for i, img in enumerate(perm, 1)) for perm 
 SWEEP3_MAXLEN = 14
 
 
-def theta_abcd(letters) -> tuple[int, int, int, int]:
-    """Image of a B_3 word under the standard SL(2,Z) representation.
+def theta_abcd(runs) -> tuple[int, int, int, int]:
+    """Image of a B_3 word, given as its runs (i, k) = sigma_i^k, under the
+    standard SL(2,Z) representation.
 
-    theta(sigma_1) = [[1, 1], [0, 1]] and theta(sigma_2) = [[1, 0], [-1, 1]]
-    are elementary matrices, so multiplying [[a, b], [c, d]] by a letter's
-    image on the right is two additions:
-        sigma_1:  b += a; d += c        sigma_1^-1:  b -= a; d -= c
-        sigma_2:  a -= b; c -= d        sigma_2^-1:  a += b; c += d
-    Any other letter raises KeyError.
+    theta(sigma_1^k) = [[1, k], [0, 1]] and theta(sigma_2^k) = [[1, 0],
+    [-k, 1]] are elementary matrices, so multiplying [[a, b], [c, d]] by a
+    run's image on the right is two multiply-adds:
+        sigma_1^k:  b += k a; d += k c        sigma_2^k:  a -= k b; c -= k d
+    A run of any other generator raises KeyError.
     """
     a, b, c, d = 1, 0, 0, 1
-    for let in letters:
-        if let == 1:
-            b += a
-            d += c
-        elif let == -1:
-            b -= a
-            d -= c
-        elif let == 2:
-            a -= b
-            c -= d
-        elif let == -2:
-            a += b
-            c += d
+    for i, k in runs:
+        if i == 1:
+            b += k * a
+            d += k * c
+        elif i == 2:
+            a -= k * b
+            c -= k * d
         else:
-            raise KeyError(let)
+            raise KeyError(i)
     return a, b, c, d
 
 
@@ -98,14 +92,15 @@ def e0_screen_matrices(m1, m2, mirrored: bool) -> tuple[int, int]:
     return (5, t) if abs(t) > 2 else (0, 0)
 
 
-def e0_screen(l1, l2) -> int:
-    """Zero-entropy screen of the five test classes of a pair of B_3 words.
+def e0_screen(r1, r2) -> int:
+    """Zero-entropy screen of the five test classes of a pair of B_3 words,
+    given as their runs.
 
     Returns 0 when all five theta images have |trace| <= 2, otherwise the
     1-based index of the first failing class in the order
     (e1, e2, e2 e1^-1, e2 e1^-2, [e1, e2]).
     """
-    return e0_screen_matrices(theta_abcd(l1), theta_abcd(l2), False)[0]
+    return e0_screen_matrices(theta_abcd(r1), theta_abcd(r2), False)[0]
 
 
 def log_spectral_radius(trace: int) -> float:

@@ -21,6 +21,8 @@ class Value:
     10-14 us for a whole ``classify3`` call.
     """
 
+    __slots__ = ()  # so a subclass that lists its fields as slots has no __dict__
+
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         if "__annotations__" in cls.__dict__:  # else inherit the fields

@@ -69,7 +69,7 @@ def cmd_eq(args):
     a, b = braid.BraidWord.parse(args.a, args.n), braid.BraidWord.parse(args.b, args.n)
     if args.n is None:  # one inferred B_n for both; B_n embeds in B_(n+1)
         n = max(a.strands, b.strands)
-        a, b = braid.BraidWord(n, a.letters), braid.BraidWord(n, b.letters)
+        a, b = braid.BraidWord._from_runs(n, a.runs), braid.BraidWord._from_runs(n, b.runs)
     equal = braid.braid_eq(a, b)
     return {"equal": equal}, equal
 

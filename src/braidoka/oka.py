@@ -226,8 +226,8 @@ def oka3_decide(hom: SurfaceHom, mirrored: bool = False) -> Oka3Result:
         if b.strands != 3:
             raise StrandMismatch(f"B_3 vs B_{b.strands}")
 
-    m1 = _purekernels.theta_abcd(b1.letters)
-    m2 = _purekernels.theta_abcd(b2.letters)
+    m1 = _purekernels.theta_abcd(b1.runs)
+    m2 = _purekernels.theta_abcd(b2.runs)
     index, trace = e0_screen_matrices(m1, m2, mirrored)
     if index:
         witness = (_E0_MIRRORED if mirrored else _E0)[index - 1]

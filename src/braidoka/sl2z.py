@@ -99,7 +99,7 @@ def theta(b: BraidWord) -> SL2Matrix:
     """The standard representation of B_3: sigma_1 -> A, sigma_2 -> B."""
     if b.strands != 3:
         raise WrongStrandCount(f"theta is defined on B_3, got B_{b.strands}")
-    return SL2Matrix(*_purekernels.theta_abcd(b.letters))
+    return SL2Matrix(*_purekernels.theta_abcd(b.runs))
 
 
 # ---------------------------------------------------------------------------

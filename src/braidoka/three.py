@@ -147,7 +147,7 @@ def classify3(b: BraidWord) -> ThreeBraidClass:
 def entropy3(b: BraidWord) -> float:
     if b.strands != 3:
         raise WrongStrandCount(f"entropy3 needs B_3, got B_{b.strands}")
-    a, bb, c, d = _purekernels.theta_abcd(b.letters)
+    a, bb, c, d = _purekernels.theta_abcd(b.runs)
     return log_spectral_radius(a + d)
 
 
@@ -179,13 +179,13 @@ def centralizer_check(b: BraidWord, k: int) -> bool:
     since then ad = 1 forces a = d.  b sigma_1^k and sigma_1^k b have the
     same exponent sum and the kernel of theta is <Delta^4>, of exponent
     sum 12, so they are equal exactly when their images are.  The cost
-    follows the letters of b, not the size of k.
+    follows the runs of b, not the size of k.
     """
     if b.strands != 3:
         raise WrongStrandCount("centralizer_check needs B_3 words")
     if k == 0:
         raise ValueError("k must be nonzero")
-    _, _, c, _ = _purekernels.theta_abcd(b.letters)
+    _, _, c, _ = _purekernels.theta_abcd(b.runs)
     return c == 0
 
 
@@ -261,16 +261,24 @@ class CommutatorScanReport(Value):
         }
 
 
-def _reduced_words3(maxlen: int) -> list[tuple[int, ...]]:
-    words: list[tuple[int, ...]] = []
-    frontier: list[tuple[int, ...]] = [()]
+def _reduced_words3(maxlen: int) -> list[tuple[tuple[int, ...], tuple[int, int, int, int]]]:
+    """Every reduced B_3 word of length 1 to maxlen, with its theta image.
+    A word's image is its prefix's times the image of its last letter, two
+    additions as in `_purekernels.theta_abcd` with k = +-1."""
+    words = []
+    frontier: list = [((), (1, 0, 0, 1))]
     for _ in range(maxlen):
         nxt = []
-        for w in frontier:
-            for let in (1, -1, 2, -2):
-                if w and w[-1] == -let:
-                    continue
-                nxt.append(w + (let,))
+        for w, (a, b, c, d) in frontier:
+            last = w[-1] if w else 0
+            if last != -1:
+                nxt.append((w + (1,), (a, b + a, c, d + c)))
+            if last != 1:
+                nxt.append((w + (-1,), (a, b - a, c, d - c)))
+            if last != -2:
+                nxt.append((w + (2,), (a - b, b, c - d, d)))
+            if last != 2:
+                nxt.append((w + (-2,), (a + b, b, c + d, d)))
         words.extend(nxt)
         frontier = nxt
     return words
@@ -281,20 +289,16 @@ def _is_pure(m) -> bool:
     return m[1] % 2 == 0 and m[2] % 2 == 0
 
 
-def _fricke_roots(t1: int, t2: int) -> dict[int, int]:
-    """{t12: T} for the integer roots t12 of
-    t12^2 - t1 t2 t12 + t1^2 + t2^2 - 2 - T = 0, T in {-2, -1, 0, 1}."""
+def _fricke_roots(t1: int, t2: int) -> tuple[int, ...]:
+    """The integer roots t12 of t12^2 - t1 t2 t12 + t1^2 + t2^2 = 0, the
+    Fricke quadratic at commutator trace T = -2."""
     p = t1 * t2
-    roots = {}
-    for t in (-2, -1, 0, 1):
-        disc = p * p - 4 * (t1 * t1 + t2 * t2 - 2 - t)
-        if disc < 0:
-            continue
-        s = math.isqrt(disc)
-        if s * s == disc:
-            # disc = p^2 mod 4, so s = p mod 2 and both roots are integers
-            roots[(p + s) // 2] = roots[(p - s) // 2] = t
-    return roots
+    disc = p * p - 4 * (t1 * t1 + t2 * t2)
+    if disc < 0:
+        return ()
+    s = math.isqrt(disc)
+    # disc = p^2 mod 4, so s = p mod 2 and both roots are integers
+    return ((p + s) // 2, (p - s) // 2) if s * s == disc else ()
 
 
 def zero_entropy_commutator_scan(maxlen: int) -> CommutatorScanReport:
@@ -320,7 +324,7 @@ def zero_entropy_commutator_scan(maxlen: int) -> CommutatorScanReport:
     The image pairs are tested per trace class, through the Fricke identity
     tr[m1, m2] = t1^2 + t2^2 + t12^2 - t1 t2 t12 - 2 (Goldman, Trace
     coordinates on Fricke spaces, 2009), with t1, t2 the traces of m1, m2
-    and t12 = tr(m1 m2).  Three facts bound the pairs worth testing:
+    and t12 = tr(m1 m2).  Four facts bound the pairs worth testing:
 
     (A) tr[m1, m2] = 2 exactly when m1 and m2 have a common eigenvector
         (Culler-Shalen, Ann. of Math. 117, 1983, section 1), and in SL(2,Z)
@@ -334,14 +338,24 @@ def zero_entropy_commutator_scan(maxlen: int) -> CommutatorScanReport:
         discriminant 4 (T - 2) < 0, so parabolic and central images pair
         with nothing and leave the pass.
     (C) For each unordered pair of the other trace classes (t1, t2), t12
-        is an integer root of that quadratic for some T in (A).  A block
-        whose four discriminants are no perfect square is skipped; in the
-        others, t12 = a p + b r + c q + d s of m1 = (a, b, c, d) and
-        m2 = (p, q, r, s) is looked up among the roots.
+        is an integer root of the quadratic at T = -2, the one value that
+        (A) and (D) leave.  A block whose discriminant is no perfect square
+        is skipped; in the others, t12 = a p + b r + c q + d s of
+        m1 = (a, b, c, d) and m2 = (p, q, r, s) is compared with the two
+        roots.
+    (D) The commutator subgroup of SL(2,Z) is free, so a commutator is
+        never elliptic and never -I, and T = -2.  Every element of finite
+        order is conjugate to a power of S = [[0, -1], [1, 0]] (order 4) or
+        of U = [[0, -1], [1, 1]] (order 6), and the abelianization
+        SL(2,Z) -> Z/12, S -> 3, U -> 2, is injective on <S> and <U>; so
+        the commutator subgroup has no torsion, and a torsion-free
+        subgroup of SL(2,Z) is free (Serre, Trees, 1980, I.1.5).  T = -1,
+        0 and 1 are the traces of elements of order 3, 4 and 6.
 
     [m1, m2] and [m2, m1] are inverse, so one test covers both orders.  A
     found pair that commutes contradicts (A) and raises
-    InternalInconsistency.
+    InternalInconsistency.  Each word's image comes from its prefix's
+    during the enumeration, so no word is multiplied out.
     """
     if maxlen < 0:
         raise ValueError("maxlen must be >= 0")
@@ -349,15 +363,15 @@ def zero_entropy_commutator_scan(maxlen: int) -> CommutatorScanReport:
         raise ResourceLimit(f"commutator scan is limited to maxlen <= {SCAN_MAXLEN}")
     words = _reduced_words3(maxlen)
     groups: dict[tuple[int, int, int, int], list[tuple[int, ...]]] = {}
-    for w in words:
-        groups.setdefault(_purekernels.theta_abcd(w), []).append(w)
+    for w, m in words:
+        groups.setdefault(m, []).append(w)
     classes: dict[int, list[tuple[int, int, int, int]]] = {}
     for m in groups:
         if abs(m[0] + m[3]) != 2:
             classes.setdefault(m[0] + m[3], []).append(m)
     traces = list(classes)
 
-    found = []  # (m1, m2, commutator trace) for each ordered pair of images
+    found = []  # (m1, m2) for each ordered pair of images
     for i, t1 in enumerate(traces):
         for t2 in traces[i:]:
             roots = _fricke_roots(t1, t2)
@@ -367,19 +381,18 @@ def zero_entropy_commutator_scan(maxlen: int) -> CommutatorScanReport:
             for k, m1 in enumerate(block):
                 a, b, c, d = m1
                 for m2 in block[k + 1:] if t1 == t2 else classes[t2]:
-                    t = roots.get(a * m2[0] + b * m2[2] + c * m2[1] + d * m2[3])
-                    if t is None:
+                    if a * m2[0] + b * m2[2] + c * m2[1] + d * m2[3] not in roots:
                         continue
                     if mat_mul(m1, m2) == mat_mul(m2, m1):
                         raise InternalInconsistency(
-                            f"images {m1}, {m2} commute with tr[m1, m2] = {t}, "
+                            f"images {m1}, {m2} commute with tr[m1, m2] = -2, "
                             "but in SL(2,Z) tr[m1, m2] = 2 exactly when m1 and m2 commute"
                         )
-                    found += [(m1, m2, t), (m2, m1, t)]
+                    found += [(m1, m2), (m2, m1)]
 
     pairs = []
     offending = []
-    for m1, m2, t in found:
+    for m1, m2 in found:
         m1i = mat_inv(m1)
         m21i = mat_mul(m2, m1i)
         m21ii = mat_mul(m21i, m1i)
@@ -392,7 +405,7 @@ def zero_entropy_commutator_scan(maxlen: int) -> CommutatorScanReport:
             if b1_pure or b2_pure or (h1 == 0.0 and h2 == 0.0):
                 offending.append((min(groups[m1]), min(groups[m2])))
         pairs += [
-            CommutatorPair(w1, w2, t, hb1, hb2, b1_pure, b2_pure, h1, h2)
+            CommutatorPair(w1, w2, -2, hb1, hb2, b1_pure, b2_pure, h1, h2)
             for w1 in groups[m1]
             for w2 in groups[m2]
         ]

@@ -1,6 +1,7 @@
 """Test-only braid helpers: exhaustive word enumeration, a word for a
-Garside normal form, and the action of strand relabelling on B_3 linking
-tuples."""
+Garside normal form, the action of strand relabelling on B_3 linking
+tuples, and letter-by-letter oracles for the run-based consumers (theta,
+the strand walk and the Dynnikov action, one letter at a time)."""
 
 from typing import Iterable
 
@@ -74,3 +75,50 @@ def nf_to_braid_word(nf: GarsideNormalForm) -> BraidWord:
     for f in nf.factors:
         letters.extend(perm_to_letters(f))
     return BraidWord(nf.strands, tuple(letters))
+
+
+# theta(sigma_1), theta(sigma_1^-1), theta(sigma_2), theta(sigma_2^-1)
+THETA_OF_LETTER = {1: (1, 1, 0, 1), -1: (1, -1, 0, 1), 2: (1, 0, -1, 1), -2: (1, 0, 1, 1)}
+
+
+def theta_letters(letters) -> tuple[int, int, int, int]:
+    """theta of a B_3 letter tuple, one 2x2 product per letter."""
+    a, b, c, d = 1, 0, 0, 1
+    for let in letters:
+        p, q, r, s = THETA_OF_LETTER[let]
+        a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+    return a, b, c, d
+
+
+def strand_walk(n: int, letters) -> tuple[tuple[int, ...], dict[tuple[int, int], int]]:
+    """(strand at each final position, signed crossings per strand pair),
+    one transposition per letter."""
+    pos = list(range(1, n + 1))
+    counts: dict[tuple[int, int], int] = {}
+    for let in letters:
+        k = abs(let)
+        s, t = pos[k - 1], pos[k]
+        pair = (min(s, t), max(s, t))
+        counts[pair] = counts.get(pair, 0) + (1 if let > 0 else -1)
+        pos[k - 1], pos[k] = t, s
+    return tuple(pos), counts
+
+
+def dynnikov_letters(letters, start: list[int]) -> list[int]:
+    """The Dynnikov action one letter at a time, with the maps F+ and F- of
+    sigma_i and sigma_i^-1 both written out (Dehornoy-Dynnikov-Rolfsen-
+    Wiest, Ordering Braids, ch. XII)."""
+    v = list(start)
+    for let in letters:
+        j = 2 * abs(let) - 2
+        x1, y1, x2, y2 = v[j:j + 4]
+        y1p, y1m, y2p, y2m = max(y1, 0), min(y1, 0), max(y2, 0), min(y2, 0)
+        if let > 0:
+            z = x1 - y1m - x2 + y2p
+            v[j:j + 4] = (x1 + y1p + max(y2p - z, 0), y2 - max(z, 0),
+                          x2 + y2m + min(y1m + z, 0), y1 + max(z, 0))
+        else:
+            z = x1 + y1m - x2 - y2p
+            v[j:j + 4] = (x1 - y1p - max(y2p + z, 0), y2 + min(z, 0),
+                          x2 - y2m - min(y1m - z, 0), y1 - min(z, 0))
+    return v

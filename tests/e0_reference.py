@@ -7,9 +7,12 @@ every E0 element (`_braid_image`, formerly `SurfaceHom.braid_image`) and
 tests commutation and the 3-cycle condition on braid words (`braid_eq`,
 `permutation`); the scan multiplies out every word pair and rebuilds each
 found pair as braid words.  They are slow, and they share with the code
-under test only theta, `log_spectral_radius`, the E0 word list and the
-word enumeration, which is what makes them useful oracles.  The scan's
-process pool is left out; its single-process path is the one kept here.
+under test only theta of braid words, `log_spectral_radius` and the E0
+word list, which is what makes them useful oracles: the scans enumerate
+their own words and multiply out each word's theta image letter by
+letter (`braid_helpers.theta_letters`), apart from the run kernel.  The
+scan's process pool is left out; its single-process path is the one kept
+here.
 
 `zero_entropy_commutator_scan_allpairs` is the scan's later image pass,
 which tested every pair of theta images, kept to check the pruning of that
@@ -36,11 +39,23 @@ from braidoka.sl2z import theta
 from braidoka.three import (
     CommutatorPair,
     CommutatorScanReport,
-    _reduced_words3,
     entropy3,
     log_spectral_radius,
 )
 from braidoka.words import FreeWord
+
+from braid_helpers import theta_letters
+
+
+def _reduced_words(maxlen: int) -> list[tuple[int, ...]]:
+    """Every reduced B_3 word of length 1 to maxlen, shortest first."""
+    words: list[tuple[int, ...]] = []
+    frontier: list[tuple[int, ...]] = [()]
+    for _ in range(maxlen):
+        frontier = [w + (let,) for w in frontier for let in (1, -1, 2, -2)
+                    if not w or w[-1] != -let]
+        words.extend(frontier)
+    return words
 
 
 def _braid_image(hom: SurfaceHom, w: FreeWord) -> BraidWord:
@@ -74,7 +89,7 @@ def oka3_decide_reference(hom: SurfaceHom, mirrored: bool = False) -> Oka3Result
 
 
 def _scan_chunk(words, lo, hi):
-    mats = [K.theta_abcd(w) for w in words]
+    mats = [theta_letters(w) for w in words]
     found = []
     for i in range(lo, hi):
         w1, m1 = words[i], mats[i]
@@ -91,7 +106,7 @@ def _scan_chunk(words, lo, hi):
 def zero_entropy_commutator_scan_reference(maxlen: int) -> CommutatorScanReport:
     if maxlen > 10:
         raise ResourceLimit("commutator scan is limited to maxlen <= 10")
-    words = _reduced_words3(maxlen)
+    words = _reduced_words(maxlen)
     raw = _scan_chunk(words, 0, len(words))
     raw.sort()
 
@@ -123,10 +138,10 @@ def zero_entropy_commutator_scan_allpairs(maxlen: int) -> CommutatorScanReport:
     grouping by theta and its rows are built as in the code under test, so
     it checks only the pruning of the image pairs, at maxlens where the
     word-by-word reference is too slow."""
-    words = _reduced_words3(maxlen)
+    words = _reduced_words(maxlen)
     groups: dict[tuple[int, int, int, int], list[tuple[int, ...]]] = {}
     for w in words:
-        groups.setdefault(K.theta_abcd(w), []).append(w)
+        groups.setdefault(theta_letters(w), []).append(w)
     images = list(groups)
 
     found = []

@@ -170,13 +170,13 @@ def test_criterion_08_centralizer_lemma():
         for k in range(-8, 9):
             for ell in range(-2, 3):
                 rep = BraidWord.sigma(3, 1, k) * delta(3) ** (2 * ell)
-                reps[(_backend.theta_abcd(rep.letters), exponent_sum(rep))] = (k, ell)
+                reps[(_backend.theta_abcd(rep.runs), exponent_sum(rep))] = (k, ell)
         commuting = set()
         equal_to_rep = set()
         for b in enumerate_words(3, 6, include_identity=True):
             if braid_eq(b * s2, s2 * b):
                 commuting.add(b.letters)
-            key = (_backend.theta_abcd(b.letters), exponent_sum(b))
+            key = (_backend.theta_abcd(b.runs), exponent_sum(b))
             if key in reps:
                 equal_to_rep.add(b.letters)
     assert commuting == equal_to_rep
@@ -232,17 +232,18 @@ def test_criterion_10_oka3_classifications():
                     nxt.append(w + (let,))
             words.extend(nxt)
             frontier = nxt
-        zero_entropy = [w for w in words if _backend.e0_screen(w, ()) == 0]
+        zero_entropy = [b for b in map(BraidWord, [3] * len(words), words)
+                        if _backend.e0_screen(b.runs, ()) == 0]
         passing = 0
         while passing < 10_000:
-            l1, l2 = rng.choice(zero_entropy), rng.choice(zero_entropy)
-            if _backend.e0_screen(l1, l2) != 0:
+            b1, b2 = rng.choice(zero_entropy), rng.choice(zero_entropy)
+            if _backend.e0_screen(b1.runs, b2.runs) != 0:
                 continue
             r = oka3_decide(
                 SurfaceHom(
                     SurfaceSignature(1, 1),
                     TARGET_B3,
-                    {1: BraidWord(3, l1), 2: BraidWord(3, l2)},
+                    {1: b1, 2: b2},
                 )
             )
             assert isinstance(r, Oka3Classified)

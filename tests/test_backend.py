@@ -1,5 +1,5 @@
-"""The theta kernel against the product form, the kernels that `_backend`
-re-exports, and who may import `_backend`."""
+"""The theta kernel against the product form of the spelled-out word, the
+kernels that `_backend` re-exports, and who may import `_backend`."""
 
 import ast
 import random
@@ -8,24 +8,30 @@ from pathlib import Path
 import pytest
 
 from braidoka import _backend, _purekernels
+from braidoka.braid import BraidWord
 
-# theta(sigma_1), theta(sigma_1^-1), theta(sigma_2), theta(sigma_2^-1)
-GENERATORS = {1: (1, 1, 0, 1), -1: (1, -1, 0, 1), 2: (1, 0, -1, 1), -2: (1, 0, 1, 1)}
+from braid_helpers import theta_letters
 
 
-def theta_by_products(letters):
-    a, b, c, d = 1, 0, 0, 1
-    for let in letters:
-        p, q, r, s = GENERATORS[let]
-        a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
-    return a, b, c, d
+def _runs(letters):
+    return BraidWord(3, letters).runs
 
 
 def test_theta_parity_with_products():
     rng = random.Random(0)
     for _ in range(2000):
         w = tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 60)))
-        assert _purekernels.theta_abcd(w) == theta_by_products(w)
+        assert _purekernels.theta_abcd(_runs(w)) == theta_letters(w)
+
+
+def test_theta_parity_with_products_on_long_runs():
+    # runs of up to 400 letters, which the kernel takes in one multiply-add
+    rng = random.Random(2)
+    for _ in range(300):
+        w = ()
+        for _ in range(rng.randint(0, 6)):
+            w += (rng.choice((1, -1, 2, -2)),) * rng.randint(1, 400)
+        assert _purekernels.theta_abcd(_runs(w)) == theta_letters(w)
 
 
 def test_theta_parity_beyond_int64():
@@ -34,21 +40,21 @@ def test_theta_parity_beyond_int64():
     rng = random.Random(1)
     for _ in range(200):
         w = tuple(rng.choices((1, -2, -1, 2), weights=(9, 9, 1, 1), k=rng.randint(200, 400)))
-        got = _purekernels.theta_abcd(w)
+        got = _purekernels.theta_abcd(_runs(w))
         assert max(map(abs, got)) > 2**63
-        assert got == theta_by_products(w)
+        assert got == theta_letters(w)
 
 
 @pytest.mark.parametrize("letter", [0, 3, -3])
 def test_theta_rejects_other_letters(letter):
     with pytest.raises(KeyError):
-        _purekernels.theta_abcd((1, letter, 2))
+        _purekernels.theta_abcd(((1, 1), (letter, 1), (2, 1)))
 
 
 def test_backend_long_word_falls_back_to_exact():
-    w = (1,) * 100
-    got = _backend.theta_abcd(w)
-    assert got == (1, 100, 0, 1)
+    # a run is one multiply-add on Python ints, whatever its length
+    assert _backend.theta_abcd(((1, 100),)) == (1, 100, 0, 1)
+    assert _backend.theta_abcd(((1, 10**100), (2, -3))) == (1 + 3 * 10**100, 10**100, 3, 1)
 
 
 def test_sweep_totals():

@@ -88,6 +88,24 @@ def test_conj(capsys):
     assert code == 2
 
 
+def test_run_syntax_costs_the_bit_length(capsys):
+    t0 = time.perf_counter()
+    code, payload = run(capsys, "conj", "--a", "1^1000000000 2", "--b", "2 1^1000000000")
+    assert code == 0 and payload["conjugate"]
+    big = 10**99 + 7  # 100 digits
+    code, payload = run(capsys, "classify", "--braid", f"1^{big} -2")
+    assert code == 0 and payload["kind"] == "pseudoAnosov"
+    assert payload["trace"] == big + 2 and payload["theta"] == [[big + 1, big], [1, 1]]
+    assert payload["exponentSum"] == big - 1
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_nf_refuses_a_run_beyond_the_letter_cap(capsys):
+    code = main(["nf", "--braid", "1^1000000000", "--n", "4"])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 1 and err["errorType"] == "ResourceLimit" and "MAX_LETTERS" in err["error"]
+
+
 def test_scan_commutators(capsys):
     code, payload = run(capsys, "scan-commutators", "--maxlen", "2")
     assert code == 0

@@ -119,17 +119,17 @@ class TestOka3:
 
         rng = random.Random(123)
         words = [
-            tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 6)))
+            BraidWord(3, tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 6))))
             for _ in range(4000)
         ]
         passing = 0
         tried = 0
         while passing < 300 and tried < 200_000:
             tried += 1
-            l1, l2 = rng.choice(words), rng.choice(words)
-            if _backend.e0_screen(l1, l2) != 0:
+            b1, b2 = rng.choice(words), rng.choice(words)
+            if _backend.e0_screen(b1.runs, b2.runs) != 0:
                 continue
-            r = oka3_decide(hom11(BraidWord(3, l1), BraidWord(3, l2)))
+            r = oka3_decide(hom11(b1, b2))
             assert isinstance(r, Oka3Classified)
             passing += 1
         assert passing == 300
@@ -170,7 +170,7 @@ class TestOka3Parity:
         seen = set()
         for _ in range(600):
             b1, b2 = _random_b3(rng, 8), _random_b3(rng, 8)
-            m1, m2 = _purekernels.theta_abcd(b1.letters), _purekernels.theta_abcd(b2.letters)
+            m1, m2 = _purekernels.theta_abcd(b1.runs), _purekernels.theta_abcd(b2.runs)
             for mirrored in (False, True):
                 index, trace = _purekernels.e0_screen_matrices(m1, m2, mirrored)
                 if index:
@@ -193,7 +193,7 @@ class TestOka3Parity:
                          else e0_set(mirrored).index(got.witness) + 1)
             ref = oka3_decide_reference(hom)
             index = e0_set().index(ref.witness) + 1 if isinstance(ref, Oka3Violation) else 0
-            assert _purekernels.e0_screen(b1.letters, b2.letters) == index
+            assert _purekernels.e0_screen(b1.runs, b2.runs) == index
         assert seen == {1, 2, 3, 4, 5, PERIODIC_SIGMA12, PERIODIC_DELTA, REDUCIBLE_SIGMA1_DELTA2}
 
     def test_strand_mismatch(self):

@@ -7,6 +7,7 @@ import pytest
 
 from braidoka import _purekernels
 from braidoka._purekernels import SWEEP3_MAXLEN, sweep3_stats
+from braidoka.braid import BraidWord
 from braidoka.errors import ResourceLimit
 
 import sweep_reference
@@ -26,7 +27,7 @@ def test_three_cycles_are_the_odd_traces():
     # counting words by theta mod 2 alone gives the number of words whose
     # tracked permutation is a 3-cycle
     gens = [
-        tuple(x % 2 for x in _purekernels.theta_abcd((let,)))
+        tuple(x % 2 for x in _purekernels.theta_abcd(BraidWord(3, (let,)).runs))
         for let in (1, -1, 2, -2)
     ]
     level = {(1, 0, 0, 1): 1}

@@ -280,7 +280,8 @@ b3_words = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=30).map(
 )
 
 
-sl2z_mats = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=20).map(_purekernels.theta_abcd)
+sl2z_mats = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=20).map(
+    lambda letters: _purekernels.theta_abcd(BraidWord(3, letters).runs))
 
 
 def _commutator_trace(m1, m2):
@@ -296,7 +297,17 @@ def _mat_pow(m, k):
 
 
 class TestCommutatorTraceFacts:
-    """The facts (A) and (B) of the scan's image pass, on SL(2,Z) images."""
+    """The facts (A), (B) and (D) of the scan's image pass, on SL(2,Z) images."""
+
+    @given(sl2z_mats, sl2z_mats, st.integers(-6, 6), st.booleans())
+    def test_commutator_is_never_elliptic_or_minus_identity(self, g, m2, k, power):
+        # (D): the commutator subgroup is free, so it holds no element of
+        # finite order; m1 is a power of a conjugate of m2 half the time,
+        # so that commuting and near-commuting pairs are drawn too
+        m1 = mat_mul(mat_mul(g, _mat_pow(m2, k)), mat_inv(g)) if power else g
+        comm = mat_mul(mat_mul(m1, m2), mat_mul(mat_inv(m1), mat_inv(m2)))
+        assert comm[0] + comm[3] not in (-1, 0, 1)
+        assert comm != (-1, 0, 0, -1)
 
     @given(sl2z_mats, sl2z_mats, st.integers(-3, 3), st.integers(-3, 3),
            st.booleans(), st.booleans())

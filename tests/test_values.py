@@ -9,6 +9,7 @@ import pickle
 
 import pytest
 
+from braidoka._value import int_field
 from braidoka.braid import BraidWord, GarsideNormalForm, LinkingNumbers
 from braidoka.errors import DegreeTooSmall
 from braidoka.families import IndexReport, LaurentFamily
@@ -183,3 +184,17 @@ def test_post_init_runs_once_per_construction(cls, monkeypatch):
     assert calls == [a]
     cls(*ARGS[cls]())
     assert len(calls) == 2
+
+
+def test_garside_normal_form_repr():
+    nf = GarsideNormalForm(3, -1, (Permutation((2, 1, 3)), Permutation((1, 3, 2))))
+    assert repr(nf) == "GarsideNormalForm(B3, Delta^-1, [(2, 1, 3), (1, 3, 2)])"
+
+
+def test_int_field_reads_an_integral_float():
+    # JSON numbers such as 3.0 read as integers; 2.5 is an input error
+    assert int_field(3.0, '"degree"') == 3 and type(int_field(3.0, '"degree"')) is int
+    with pytest.raises(ValueError, match='"degree" must be an integer, got 2.5'):
+        int_field(2.5, '"degree"')
+    fam = LaurentFamily.from_json({"degree": 3.0, "coeffs": {"0": {"2": [-1.0, 0.0]}}})
+    assert fam == LaurentFamily.from_json({"degree": 3, "coeffs": {"0": {"2": [-1.0, 0.0]}}})
