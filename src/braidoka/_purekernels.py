@@ -212,8 +212,9 @@ def wp_sum(z: complex, tau: complex, radius: int) -> complex:
     smaller by |q|.  So the sum stops once |b| of the next row is below
     2^-70: the rows left out add at most about 160 |b| / (1 - |q|), at
     most 1.4e-19 once tau is reduced (|q| <= exp(-pi sqrt 3)), far below
-    ulp(pi^2/3).  `radius` caps the rows summed; a reduced tau needs at
-    most 9.
+    ulp(pi^2/3).  `radius` caps the rows summed, and a reduced tau needs at
+    most 9: there |b| of row n + 1 is at most exp(-2 pi (n + 1/2) sqrt(3)/2),
+    below 2^-70 from n = 9 on.
     """
     if z.imag < 0:
         z = -z  # wp is even; now |x| <= 1 in every term

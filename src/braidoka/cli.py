@@ -181,11 +181,12 @@ def _e_cells(bl) -> list[float]:
 def cmd_lattice_branch(args):
     alpha = _parse_complex("--alpha", args.alpha)
     tau = _parse_complex("--tau", args.tau)
-    radius = lattice.DEFAULT_RADIUS if args.radius is None else args.radius
+    if args.radius is not None and args.radius < 10:
+        raise ValueError(f"--radius must be at least 10, got {args.radius}")
     if args.path_end is None:
         if args.path_steps is not None:
             raise ValueError("--path-steps needs --path-end")
-        bl = lattice.branch_locus(lattice.LatticeSpec(alpha, tau), radius)
+        bl = lattice.branch_locus(lattice.LatticeSpec(alpha, tau))
         if args.csv:
             return _csv("e1_re,e1_im,e2_re,e2_im,e3_re,e3_im", [_e_cells(bl)]), True
         return {"alpha": [alpha.real, alpha.imag], "tau": [tau.real, tau.imag],
@@ -198,7 +199,7 @@ def cmd_lattice_branch(args):
     for k in range(steps + 1):
         t = k / steps
         tau_t = tau + (end - tau) * t
-        rows.append((t, tau_t, lattice.branch_locus(lattice.LatticeSpec(alpha, tau_t), radius)))
+        rows.append((t, tau_t, lattice.branch_locus(lattice.LatticeSpec(alpha, tau_t))))
     if args.csv:
         return _csv("t,tau_re,tau_im,e1_re,e1_im,e2_re,e2_im,e3_re,e3_im",
                     [[t, tt.real, tt.imag, *_e_cells(bl)] for t, tt, bl in rows]), True
@@ -268,10 +269,9 @@ def _eprime_options(p):
 def _lattice_branch_options(p):
     p.add_argument("--alpha", default="1,0", help="complex as re,im")
     p.add_argument("--tau", required=True, help="complex as re,im")
-    # no default: the handler reads lattice.DEFAULT_RADIUS, which the parser
-    # does not import
     p.add_argument("--radius", type=int,
-                   help="most lattice rows summed on each side (default 60)")
+                   help="accepted for compatibility, at least 10; the output does not "
+                        "depend on it, since a reduced lattice needs at most 9 rows")
     p.add_argument("--csv", action="store_true")
     p.add_argument("--path-end", help="trace tau linearly to this re,im value")
     p.add_argument("--path-steps", type=int,

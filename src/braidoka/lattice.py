@@ -11,8 +11,8 @@ n are below |q|^(n - 1/2), q = exp(2 pi i tau'), |q| <= exp(-pi sqrt 3) ~
 0.0043.  The sums stop before the first row whose largest x is below
 2^-70 (`_purekernels.wp_sum`), so the rows left out add at most 1.4e-19
 to wp and 4.3e-19 to wp', far below ulp(pi^2/3) ~ 4.4e-16.  That is at
-most 9 rows on each side, and 6 once Im tau' >= 1.4.  The radius R caps
-the rows summed on each side.
+most 9 rows on each side, and 6 once Im tau' >= 1.4, so no row cap is
+taken: the kernels' cap `_ROWS` never binds (`_reduce_modulus`).
 Measured for |Re tau| <= 1/2, 0.8 <= Im tau <= 2: over 200 seeded tau,
 e1, e2, e3 agree with mpmath theta constants (DLMF 23.6.2-23.6.4) to
 1.2e-15 relative and the normalized residual of the cubic differential
@@ -32,8 +32,8 @@ from . import _purekernels
 from ._value import Value
 from .errors import PoleProximity
 
-DEFAULT_RADIUS = 60
 POLE_TOLERANCE = 1e-8
+_ROWS = 10  # rows the kernels may sum on each side; a reduced tau needs 9
 
 
 def _reduce_cell(zeta: complex, tau: complex) -> complex:
@@ -50,11 +50,21 @@ def _reduce_cell(zeta: complex, tau: complex) -> complex:
 
 def _reduce_modulus(tau: complex) -> tuple[complex, complex]:
     """(tau', f) with Z + tau Z = f (Z + tau' Z) and tau' in the standard
-    fundamental domain, so Im tau' >= sqrt(3)/2.
+    fundamental domain, so Im tau' >= sqrt(3)/2; tau needs Im tau > 0.
 
     Unimodular steps never change the lattice: tau -> tau - round(Re tau)
-    keeps f, and tau -> -1/tau multiplies f by tau.
+    keeps f, and tau -> -1/tau multiplies f by tau.  If the 64 steps run
+    out, tau' is unreduced, but every zeta then fails the pole test
+    (`_cell_point`).  A swap that another follows has |tau| <= 1/sqrt(3):
+    w = -1/tau lies outside |w -+ 1| < 1, so |w - n| < 1 needs |n| >= 2,
+    where |w|^2 >= 2 |Re w| >= 3.  With tau' = -1/tau_63, the reduced z
+    has |f z| <= |tau_0 ... tau_62| (1 + |tau_63|)/2 < 3^-31.5 ~ 1e-15.
+    Rounding zeta / f into the cell adds a few ulp(|zeta|): measured, no
+    tau passes unreduced for |zeta| <= 10^4, down to Im tau = 1e-300
+    (`tests/test_lattice.py`), and a few do from |zeta| ~ 10^7 on.
     """
+    if tau.imag <= 0:
+        raise ValueError("tau must have positive imaginary part")
     f = 1
     for _ in range(64):
         shift = round(tau.real)
@@ -68,50 +78,42 @@ def _reduce_modulus(tau: complex) -> tuple[complex, complex]:
     return tau, f
 
 
-def _reduced_arg(zeta: complex, tau: complex, radius: int) -> tuple[complex, complex, complex]:
-    """(z, tau', f): tau reduced by `_reduce_modulus` and z = zeta / f
-    reduced by `_reduce_cell` in Z + tau' Z, after checking tau, the radius
-    and the distance to the lattice.
-
-    z has |Re| <= 1/2 and |Im| <= Im tau' / 2, so every point of
-    Z + tau' Z but 0 lies at least sqrt(3)/4 from it.  |f z|, the distance
-    in the original units, then decides the pole test alone unless the
-    shortest lattice vector, of length |f|, is below 4 POLE_TOLERANCE /
-    sqrt(3).
-    """
-    if tau.imag <= 0:
-        raise ValueError("tau must have positive imaginary part")
-    if radius < 10:
-        raise ValueError("truncation radius must be >= 10")
-    tau, f = _reduce_modulus(tau)
+def _cell_point(zeta: complex, tau: complex, f: complex) -> complex:
+    """z = zeta / f reduced into the cell of Z + tau Z, (tau, f) from
+    `_reduce_modulus`, after the test that zeta is not within POLE_TOLERANCE
+    of f (Z + tau Z).  Every point of Z + tau Z but 0 lies at least
+    sqrt(3)/4 from z, so |f z| decides that test alone unless |f|, the
+    shortest lattice vector, is below 4 POLE_TOLERANCE / sqrt(3)."""
     z = _reduce_cell(zeta / f, tau)
     if abs(f * z) < POLE_TOLERANCE:
         raise PoleProximity(f"{zeta} is within {POLE_TOLERANCE} of a lattice point")
-    return z, tau, f
+    return z
 
 
-def wp(zeta: complex, tau: complex, radius: int = DEFAULT_RADIUS) -> complex:
+def _half_period_values(tau: complex, rtau: complex, f: complex) -> tuple[complex, complex, complex]:
+    """wp of Z + tau Z at 1/2, tau/2 and (1 + tau)/2; (rtau, f) = `_reduce_modulus(tau)`."""
+    return tuple(_purekernels.wp_sum(_cell_point(zeta, rtau, f), rtau, _ROWS) / f**2
+                 for zeta in (0.5 + 0j, tau / 2, (1 + tau) / 2))
+
+
+def wp(zeta: complex, tau: complex) -> complex:
     """The Weierstrass function of Z + tau Z at zeta, by homogeneity
     wp(zeta; f L) = f^-2 wp(zeta / f; L) (DLMF 23.10.17)."""
-    z, tau, f = _reduced_arg(complex(zeta), complex(tau), radius)
-    return _purekernels.wp_sum(z, tau, radius) / f**2
+    zeta, (tau, f) = complex(zeta), _reduce_modulus(complex(tau))
+    return _purekernels.wp_sum(_cell_point(zeta, tau, f), tau, _ROWS) / f**2
 
 
-def wp_prime(zeta: complex, tau: complex, radius: int = DEFAULT_RADIUS) -> complex:
+def wp_prime(zeta: complex, tau: complex) -> complex:
     """Derivative of the Weierstrass function: -2 sum 1/(zeta - w)^3,
     homogeneous of degree -3."""
-    z, tau, f = _reduced_arg(complex(zeta), complex(tau), radius)
-    return _purekernels.wp_prime_sum(z, tau, radius) / f**3
+    zeta, (tau, f) = complex(zeta), _reduce_modulus(complex(tau))
+    return _purekernels.wp_prime_sum(_cell_point(zeta, tau, f), tau, _ROWS) / f**3
 
 
-def e_values(tau: complex, radius: int = DEFAULT_RADIUS) -> tuple[complex, complex, complex]:
+def e_values(tau: complex) -> tuple[complex, complex, complex]:
     """The half-period values (wp(1/2), wp(tau/2), wp((1+tau)/2))."""
     tau = complex(tau)
-    return (
-        wp(0.5, tau, radius),
-        wp(tau / 2, tau, radius),
-        wp((1 + tau) / 2, tau, radius),
-    )
+    return _half_period_values(tau, *_reduce_modulus(tau))
 
 
 class LatticeSpec(Value):
@@ -169,22 +171,24 @@ class BranchLocus(Value):
         return {"e": [[v.real, v.imag] for v in self.e]}
 
 
-def branch_locus(spec: LatticeSpec, radius: int = DEFAULT_RADIUS) -> BranchLocus:
+def branch_locus(spec: LatticeSpec) -> BranchLocus:
     """alpha^-2 scaling of the half-period values of tau: covariant by
     construction under rescaling the lattice."""
     scale = spec.alpha ** -2
-    e1, e2, e3 = e_values(spec.tau, radius)
+    e1, e2, e3 = e_values(spec.tau)
     return BranchLocus((scale * e1, scale * e2, scale * e3))
 
 
-def ode_residual(tau: complex, zeta: complex, radius: int = DEFAULT_RADIUS) -> float:
+def ode_residual(tau: complex, zeta: complex) -> float:
     """Normalized residual of (wp')^2 = 4 (wp - e1)(wp - e2)(wp - e3):
     |lhs - rhs| / (1 + |wp'|^2).  A convergence diagnostic, not an identity
     check against ground truth."""
     tau, zeta = complex(tau), complex(zeta)
-    p = wp(zeta, tau, radius)
-    pp = wp_prime(zeta, tau, radius)
-    e1, e2, e3 = e_values(tau, radius)
+    rtau, f = _reduce_modulus(tau)
+    z = _cell_point(zeta, rtau, f)
+    p = _purekernels.wp_sum(z, rtau, _ROWS) / f**2
+    pp = _purekernels.wp_prime_sum(z, rtau, _ROWS) / f**3
+    e1, e2, e3 = _half_period_values(tau, rtau, f)
     lhs = pp * pp
     rhs = 4 * (p - e1) * (p - e2) * (p - e3)
     return abs(lhs - rhs) / (1 + abs(pp) ** 2)

@@ -204,11 +204,14 @@ def oka3_decide(hom: SurfaceHom, mirrored: bool = False) -> Oka3Result:
 
     Each E0 image must have entropy zero, decided exactly on the integer
     trace of its theta image.  The first failure is returned as a
-    violation.  When all five pass, the generator images must commute (a
-    certified conclusion; failure raises TheoremContradiction) and the
+    violation.  When all five pass, the generator images commute, and the
     abelian image is classified by its invariants: a 3-cycle permutation
     image marks the sigma1*sigma2 model, a trace-zero theta image the
     Delta model, anything else the sigma1/Delta^2 model.
+
+    The images commute once e1, e2 and [e1, e2] pass, by fact (E) of
+    `three.zero_entropy_commutator_scan`, so the TheoremContradiction
+    below cannot fire; it stays as a check of that invariant.
 
     Everything is decided on m1 = theta(b1) and m2 = theta(b2).  Theta is
     onto SL(2,Z) with kernel <Delta^4>, which is central of exponent sum

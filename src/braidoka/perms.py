@@ -5,6 +5,7 @@ from __future__ import annotations
 from . import words
 from ._value import Value
 from .errors import (
+    InternalInconsistency,
     NotAbelianTransitive,
     NotCommuting,
     NotPrime,
@@ -178,7 +179,8 @@ def abelian_transitive_generator(
     # which makes the choice independent of the generator order
     candidates = sorted((g for g in gens if g.is_n_cycle()), key=lambda g: g.images)
     if not candidates:
-        raise NotTransitive("no generator is an n-cycle")  # impossible for valid input
+        raise InternalInconsistency("no generator is an n-cycle, but an abelian transitive "
+                                    "group of prime degree is regular and cyclic")
     s0 = candidates[0]
     powers = [s0 ** k for k in range(n)]
     exponents = []
@@ -209,9 +211,7 @@ def lemma5_generators(
         for q in range(3):
             if psi_e2.then(psi_e1.inv() ** q).is_identity():
                 return e1, e2 * e1 ** (-q)
-        raise NotAbelianTransitive("image of e2 is not a power of the 3-cycle")
-    # transitive abelian subgroup of S3 is generated by a 3-cycle, so here
-    # psi_e1 must be the identity and psi_e2 the 3-cycle
-    if psi_e1.is_identity() and psi_e2.is_n_cycle():
+    elif psi_e1.is_identity() and psi_e2.is_n_cycle():
         return e2, e1.inv()
-    raise NotAbelianTransitive("images do not generate a transitive abelian group")
+    raise InternalInconsistency("the images generate no A_3, but an abelian transitive "
+                                "subgroup of S_3 is regular and cyclic, so it is A_3")

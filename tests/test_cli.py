@@ -121,6 +121,14 @@ def test_disc_index(tmp_path, capsys):
     assert code == 0 and payload["index"] == 4
 
 
+def test_disc_index_of_an_all_zero_family_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"degree": 3, "coeffs": {}}))
+    assert main(["disc-index", "--family", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and json.loads(captured.err)["errorType"] == "SeparabilityFailure"
+
+
 def test_thm1(capsys):
     code, payload = run(capsys, "thm1", "--n", "3", "--modulus", "30", "--index", "6")
     assert code == 0 and payload["verdict"] == "reducible"
@@ -350,13 +358,28 @@ def test_cases_cover_every_option():
                 assert opt in passed, (name, opt)
 
 
-def test_radius_help_names_the_default(capsys):
-    # cli does not import lattice to build its parser, so the help repeats
-    # the number
-    from braidoka import lattice
-
+def test_radius_help_says_the_output_does_not_depend_on_it(capsys):
     assert main(["lattice-branch", "--help"]) == 0
-    assert f"(default {lattice.DEFAULT_RADIUS})" in " ".join(capsys.readouterr().out.split())
+    assert "the output does not depend on it" in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("extra", [[], ["--csv"], ["--path-end", "0.1,1.3", "--path-steps", "3"]])
+def test_radius_does_not_change_the_output(extra, capsys):
+    # a reduced lattice needs at most 9 rows, so no radius of at least 10
+    # can change a result
+    outs = set()
+    for radius in ([], ["--radius", "10"], ["--radius", "60"], ["--radius", str(10**6)]):
+        assert main(["lattice-branch", "--tau", "0.3,0.05", *radius, *extra]) == 0
+        outs.add(capsys.readouterr().out)
+    assert len(outs) == 1
+
+
+def test_radius_below_ten_is_an_input_error(capsys):
+    assert main(["lattice-branch", "--tau", "0,1", "--radius", "9"]) == 1
+    captured = capsys.readouterr()
+    error = json.loads(captured.err)
+    assert captured.out == "" and error["errorType"] == "ValueError"
+    assert "--radius" in error["error"]
 
 
 @pytest.mark.parametrize("argv", [

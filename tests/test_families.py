@@ -176,6 +176,13 @@ class TestDiscriminantIndex:
         with pytest.raises(SeparabilityFailure):
             discriminant_index(fam, 64)
 
+    @pytest.mark.parametrize("coeffs", [{}, {"0": {"2": [0.0, 0.0]}}])
+    def test_all_zero_family_is_not_separable(self, coeffs):
+        # no nonzero term: the exponent span is [0, 0] and disc vanishes
+        fam = LaurentFamily.from_json({"degree": 3, "coeffs": coeffs})
+        with pytest.raises(SeparabilityFailure):
+            discriminant_index(fam)
+
     @pytest.mark.parametrize("n, k, samples", [(5, 64, 256), (3, 257, 256), (3, 300000, 512)])
     def test_fast_power_families(self, n, k, samples):
         # n samples read z^m as z^(m mod n): these aliased to 0, 2 and -64

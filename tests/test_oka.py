@@ -5,8 +5,10 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidoka import _purekernels, cli, oka
+from braidoka._purekernels import mat_inv, mat_mul
 from braidoka.braid import BraidWord, delta
 from braidoka.errors import (
     DegenerateSignature,
@@ -77,6 +79,28 @@ class TestE0:
         assert len(e0_set()) == 5 and e0_set(True) is not e0_set(True)
 
 
+_b3_words = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=6).map(
+    lambda letters: BraidWord(3, tuple(letters)))
+# the periodic and reducible models: sigma1 (parabolic), sigma1 sigma2 and
+# Delta (elliptic), whose powers run over the central images too
+_bases = st.sampled_from((BraidWord.sigma(3, 1), BraidWord.parse("1 2", 3), delta(3)))
+
+
+@st.composite
+def _b3_pairs(draw):
+    """Pairs of B_3 images: powers of one conjugated base (commuting), of
+    two bases, or a random word with a conjugated power."""
+    def element(u, base):
+        return u * base ** draw(st.integers(-6, 6)) * u.inv()
+
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        u, base = draw(_b3_words), draw(_bases)
+        return element(u, base), element(u, base)
+    first = draw(_b3_words) if kind == 2 else element(draw(_b3_words), draw(_bases))
+    return first, element(draw(_b3_words), draw(_bases))
+
+
 class TestOka3:
     def test_periodic_sigma12(self):
         s12 = BraidWord.parse("1 2", 3)
@@ -133,6 +157,20 @@ class TestOka3:
             assert isinstance(r, Oka3Classified)
             passing += 1
         assert passing == 300
+
+    @settings(max_examples=300)
+    @given(_b3_pairs(), st.booleans())
+    def test_classified_exactly_when_e1_e2_and_their_commutator_pass(self, pair, swap):
+        # fact (E) of the commutator scan: e1, e2 and [e1, e2] passing
+        # force the images to commute, so the other two E0 classes and the
+        # commutation check decide nothing more, in either variant
+        b1, b2 = pair[::-1] if swap else pair
+        m1, m2 = _purekernels.theta_abcd(b1.runs), _purekernels.theta_abcd(b2.runs)
+        comm = mat_mul(mat_mul(m1, m2), mat_mul(mat_inv(m1), mat_inv(m2)))
+        passes = all(abs(m[0] + m[3]) <= 2 for m in (m1, m2, comm))
+        for mirrored in (False, True):
+            verdict = oka3_decide(hom11(b1, b2), mirrored)
+            assert isinstance(verdict, Oka3Classified) == passes, (b1, b2, mirrored)
 
 
 def _outcome(decide, *args):

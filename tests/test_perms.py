@@ -39,6 +39,8 @@ def test_basics():
     assert p.inv() == p**2
     assert p.cycle_string() == "(1 2 3)"
     assert Permutation.transposition(3, 1).images == (2, 1, 3)
+    # no generators: only the one-point set is one orbit
+    assert is_transitive([], 1) and not is_transitive([], 3)
 
 
 def test_power_matches_repeated_product():

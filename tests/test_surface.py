@@ -50,7 +50,6 @@ KEEP = {
     "LatticeSpec.from_generators": "constructor: the lattice of two generators, normalized",
     "Permutation.transposition": "constructor: the adjacent transposition (i, i+1) of S_n",
     "LinkingNumbers.unordered": "accessor: the linking numbers as a sorted tuple",
-    "CommutatorPair.zero_entropy_inputs": "accessor: pairs whose inputs both have entropy zero",
     "CommutatorScanReport.contains": "accessor of the scan report, until the "
                                      "one-row-per-image-pair report replaces its "
                                      "pair list (ROADMAP item 7)",
@@ -223,7 +222,7 @@ def test_every_table_name_resolves_to_its_module():
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'classify4'"):
         braidoka.classify4  # noqa: B018
-    assert not hasattr(braidoka, "DEFAULT_RADIUS")  # public in lattice, not in the table
+    assert not hasattr(braidoka, "POLE_TOLERANCE")  # public in lattice, not in the table
 
 
 def test_dir_and_star_import_list_every_name():

@@ -1,15 +1,14 @@
 import math
 import random
-import re
 import time
 
 import pytest
 from hypothesis import given, strategies as st
 
-from braidoka import _purekernels, three
+from braidoka import _purekernels
 from braidoka._purekernels import mat_inv, mat_mul
 from braidoka.braid import BraidWord, braid_eq, delta, exponent_sum, permutation
-from braidoka.errors import ResourceLimit, TheoremContradiction, WrongStrandCount
+from braidoka.errors import ResourceLimit, WrongStrandCount
 from braidoka.sl2z import PARABOLIC, _kind, sl2z_conjugate, theta
 from braidoka.three import (
     MIN_PA_ENTROPY,
@@ -226,12 +225,13 @@ class TestCommutatorScan:
         assert not pair.b1_pure and not pair.b2_pure
         assert pair.entropy_b2b1inv > 0 or pair.entropy_b2b1inv2 > 0
 
-    def test_corollary_hypotheses_violated(self):
-        rep = zero_entropy_commutator_scan(3)
-        for p in rep.pairs:
-            if p.zero_entropy_inputs():
-                assert not p.b1_pure and not p.b2_pure
-                assert p.entropy_b2b1inv > 0 or p.entropy_b2b1inv2 > 0
+    def test_found_pairs_have_pseudo_anosov_inputs(self):
+        # fact (E): a braid of entropy zero commutes with every braid whose
+        # commutator with it has entropy zero, so no found pair meets the
+        # corollary's hypotheses
+        rep = zero_entropy_commutator_scan(7)
+        assert len(rep.pairs) == 31536
+        assert all(p.entropy_b1 > 0 and p.entropy_b2 > 0 for p in rep.pairs)
 
     @pytest.mark.parametrize("maxlen", range(0, SCAN_MAXLEN + 1))
     def test_matches_reference(self, maxlen):
@@ -242,21 +242,6 @@ class TestCommutatorScan:
         else:
             ref = zero_entropy_commutator_scan_allpairs
         assert zero_entropy_commutator_scan(maxlen) == ref(maxlen)
-
-    def test_contradiction_names_least_offending_pair(self, monkeypatch):
-        # no found pair has inputs of entropy zero, so the check is reached
-        # by reading the trace-3 class as entropy zero and every braid as
-        # pure: then each found pair of trace-3 inputs meets the corollary's
-        # hypotheses
-        rep = zero_entropy_commutator_scan(4)
-        assert not any(p.zero_entropy_inputs() for p in rep.pairs)
-        w1, w2 = min((p.b1, p.b2) for p in rep.pairs
-                     if p.entropy_b1 == p.entropy_b2 == MIN_PA_ENTROPY)
-        real = three.log_spectral_radius
-        monkeypatch.setattr(three, "log_spectral_radius", lambda t: 0.0 if abs(t) == 3 else real(t))
-        monkeypatch.setattr(three, "_is_pure", lambda m: True)
-        with pytest.raises(TheoremContradiction, match=re.escape(f"pair {w1}, {w2} satisfies")):
-            zero_entropy_commutator_scan(4)
 
     def test_resource_guard(self):
         with pytest.raises(ResourceLimit):
@@ -289,6 +274,12 @@ def _commutator_trace(m1, m2):
     return comm[0] + comm[3]
 
 
+# +-S and the powers U, U^2, U^4, U^5 of U = theta(sigma_1 sigma_2)^-1 of
+# order 6: one matrix of each elliptic conjugacy class of SL(2,Z)
+ELLIPTIC_REPS = ((0, -1, 1, 0), (0, 1, -1, 0), (1, -1, 1, 0), (0, -1, 1, -1),
+                 (-1, 1, -1, 0), (0, 1, -1, 1))
+
+
 def _mat_pow(m, k):
     out = (1, 0, 0, 1)
     for _ in range(abs(k)):
@@ -297,7 +288,8 @@ def _mat_pow(m, k):
 
 
 class TestCommutatorTraceFacts:
-    """The facts (A), (B) and (D) of the scan's image pass, on SL(2,Z) images."""
+    """The facts (A), (B), (D) and (E) of the scan's image pass, on SL(2,Z)
+    images."""
 
     @given(sl2z_mats, sl2z_mats, st.integers(-6, 6), st.booleans())
     def test_commutator_is_never_elliptic_or_minus_identity(self, g, m2, k, power):
@@ -327,6 +319,18 @@ class TestCommutatorTraceFacts:
         sign = -1 if negate else 1
         m1 = mat_mul(mat_mul(g, (sign, sign * k, 0, sign)), mat_inv(g))
         assert _commutator_trace(m1, m2) >= 2
+
+    @given(sl2z_mats, sl2z_mats, st.sampled_from(ELLIPTIC_REPS), st.integers(-6, 6),
+           st.booleans())
+    def test_elliptic_commutator_trace_at_least_three(self, g, m2, e, j, power):
+        # (E) with (A), (B) and (D): g e g^-1 runs over the elliptic images,
+        # and m2 is a power of m1 half the time, so that commuting pairs are
+        # drawn too
+        m1 = mat_mul(mat_mul(g, e), mat_inv(g))
+        if power:
+            m2 = _mat_pow(m1, j)
+        commute = mat_mul(m1, m2) == mat_mul(m2, m1)
+        assert commute or _commutator_trace(m1, m2) >= 3
 
 
 class TestThetaQuotientProperties:

@@ -65,6 +65,8 @@ class TestReduce:
         assert w.blocks == ((1, 1), (2, -2), (1, 3))
         assert FreeWord.parse(w.text()) == w
         assert FreeWord.parse("e2^5") == FreeWord.gen(2, 5)
+        # a zero exponent is no block
+        assert FreeWord.parse("a1^0 a2") == FreeWord.parse("a2")
         with pytest.raises(ValueError):
             FreeWord.parse("b1")
 
