@@ -269,6 +269,11 @@ def discriminant_index(fam: LaurentFamily, samples: int = 256) -> IndexReport:
     exponent lattice (`_rotation_order`), so |disc| has period 2 pi/g on
     the circle and a pass of n samples evaluates at most n/gcd(g, n) + 1
     of them (`_winding_pass`): two for zeta^n - z^k, where g = 0.
+
+    A discriminant that overflows to inf or nan at some sample makes the
+    largest modulus inf or, through its argument steps, the sum nan, so one
+    test per pass raises ValueError before the separability test reads
+    either.
     """
     if samples < 16:
         raise ValueError("need at least 16 samples")
@@ -281,6 +286,8 @@ def discriminant_index(fam: LaurentFamily, samples: int = 256) -> IndexReport:
         n *= 2
     while n <= MAX_SAMPLES:
         total, amax, amin, big = _winding_pass(fam, n, lo, g)
+        if not math.isfinite(total + amax):
+            raise ValueError("the discriminant overflows a float on the circle")
         if amax == 0.0 or amin < SEPARABILITY_TOL * amax:
             raise SeparabilityFailure(
                 f"discriminant modulus {amin:.3e} below tolerance on the circle"

@@ -90,24 +90,45 @@ def _cell_point(zeta: complex, tau: complex, f: complex) -> complex:
     return z
 
 
+def _rescale(value: complex, f: complex, k: int) -> complex:
+    """value / f**k: wp (k = 2) or wp' (k = 3) of the reduced lattice
+    rescaled by homogeneity.  Once the shortest lattice vector f is below
+    about 1e-154 (k = 2) or 1e-103 (k = 3) the result overflows a float,
+    and below about 1e-162 or 1e-108 f**k itself underflows to 0:
+    ValueError either way."""
+    scale = f**k
+    if scale:
+        value /= scale
+        if cmath.isfinite(value):
+            return value
+    raise ValueError(f"tau gives a lattice whose shortest vector ({abs(f):.3g}) "
+                     "is too short: the value overflows a float")
+
+
 def _half_period_values(tau: complex, rtau: complex, f: complex) -> tuple[complex, complex, complex]:
-    """wp of Z + tau Z at 1/2, tau/2 and (1 + tau)/2; (rtau, f) = `_reduce_modulus(tau)`."""
-    return tuple(_purekernels.wp_sum(_cell_point(zeta, rtau, f), rtau, _ROWS) / f**2
-                 for zeta in (0.5 + 0j, tau / 2, (1 + tau) / 2))
+    """wp of Z + tau Z at 1/2, tau/2 and (1 + tau)/2; (rtau, f) = `_reduce_modulus(tau)`.
+
+    All three pass the pole test before any is divided by f^2.  One half
+    period is f/2 modulo the lattice, within |f|/2 of it, so PoleProximity
+    comes first whenever |f| < 2 POLE_TOLERANCE, long before f^2
+    underflows.
+    """
+    zs = [_cell_point(zeta, rtau, f) for zeta in (0.5 + 0j, tau / 2, (1 + tau) / 2)]
+    return tuple(_purekernels.wp_sum(z, rtau, _ROWS) / f**2 for z in zs)
 
 
 def wp(zeta: complex, tau: complex) -> complex:
     """The Weierstrass function of Z + tau Z at zeta, by homogeneity
     wp(zeta; f L) = f^-2 wp(zeta / f; L) (DLMF 23.10.17)."""
     zeta, (tau, f) = complex(zeta), _reduce_modulus(complex(tau))
-    return _purekernels.wp_sum(_cell_point(zeta, tau, f), tau, _ROWS) / f**2
+    return _rescale(_purekernels.wp_sum(_cell_point(zeta, tau, f), tau, _ROWS), f, 2)
 
 
 def wp_prime(zeta: complex, tau: complex) -> complex:
     """Derivative of the Weierstrass function: -2 sum 1/(zeta - w)^3,
     homogeneous of degree -3."""
     zeta, (tau, f) = complex(zeta), _reduce_modulus(complex(tau))
-    return _purekernels.wp_prime_sum(_cell_point(zeta, tau, f), tau, _ROWS) / f**3
+    return _rescale(_purekernels.wp_prime_sum(_cell_point(zeta, tau, f), tau, _ROWS), f, 3)
 
 
 def e_values(tau: complex) -> tuple[complex, complex, complex]:
@@ -186,9 +207,9 @@ def ode_residual(tau: complex, zeta: complex) -> float:
     tau, zeta = complex(tau), complex(zeta)
     rtau, f = _reduce_modulus(tau)
     z = _cell_point(zeta, rtau, f)
+    e1, e2, e3 = _half_period_values(tau, rtau, f)  # pole tests before any f**2
     p = _purekernels.wp_sum(z, rtau, _ROWS) / f**2
     pp = _purekernels.wp_prime_sum(z, rtau, _ROWS) / f**3
-    e1, e2, e3 = _half_period_values(tau, rtau, f)
     lhs = pp * pp
     rhs = 4 * (p - e1) * (p - e2) * (p - e3)
     return abs(lhs - rhs) / (1 + abs(pp) ** 2)

@@ -454,10 +454,10 @@ class NotGOSphereAntiholomorphic(Value):
 
 
 class NotGO(Value):
-    witness: FreeWord | None
+    witness: FreeWord
     reason: str
 
-    def __init__(self, witness: FreeWord | None, reason: str) -> None:
+    def __init__(self, witness: FreeWord, reason: str) -> None:
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "reason", reason)
 
@@ -465,35 +465,12 @@ class NotGO(Value):
         return {
             "verdict": "notGO",
             "goProperty": False,
-            "witness": None if self.witness is None else self.witness.text(prefix="e"),
+            "witness": self.witness.text(prefix="e"),
             "reason": self.reason,
         }
 
 
 GoSurfaceResult = GOReducible | GOSphereHolomorphic | NotGOSphereAntiholomorphic | NotGO
-
-
-def _sphere_conjugator(
-    conj1: tuple[Block, ...], u2: tuple[Block, ...], t1: Block, t2: Block
-) -> tuple[Block, ...] | None:
-    """The blocks of the c with c u1 c^-1 = t1 and c u2 c^-1 = t2, or None, where
-    u1 = conj1 * t1 * conj1^-1 is split by `_core` and u2 is reduced blocks.
-
-    The solutions of the first equation are t1^k c0 with c0 = conj1^-1 (the
-    centralizer of the letter t1 is generated by t1), and then
-    w2 = c0 u2 c0^-1 must equal t1^-k t2 t1^k.  As t1 and t2 are letters of
-    different generators, that word is reduced as written, so k, and with
-    it c, is read off the first block of w2.
-    """
-    c0 = _inverse(conj1)
-    w2 = _merge_blocks(c0 + u2 + conj1)
-    if w2 == (t2,):
-        return c0
-    g1 = t1[0]
-    if len(w2) == 3 and w2[1] == t2 and w2[0][0] == g1 and w2[2] == (g1, -w2[0][1]):
-        # w2 = t1^-k t2 t1^k with t1^-k = g1^x, so c = t1^k c0 = g1^-x c0
-        return ((g1, -w2[0][1]),) + c0
-    return None
 
 
 def go_surface_decide(hom: SurfaceHom) -> GoSurfaceResult:
@@ -510,7 +487,7 @@ def go_surface_decide(hom: SurfaceHom) -> GoSurfaceResult:
     whose image is not is the witness.  Each E' image is the concatenation
     of the image blocks of its blocks, each (generator, exponent) computed
     once per call, reduced once and matched on blocks.  Step 3 (genus zero
-    only) matches the boundary monodromies against the sphere patterns; for
+    only) reads the sphere pattern off the boundary monodromies; for
     positive genus a non-cyclic image after a clean step 2 contradicts the
     classification and raises TheoremContradiction.  Above free rank
     EPRIME_MAXRANK only step 1 can answer: step 2 raises ResourceLimit.
@@ -529,8 +506,65 @@ def go_surface_decide(hom: SurfaceHom) -> GoSurfaceResult:
     generators pass, the pairs and triples are skipped: the verdict and the
     witness are unchanged.  u_m is read as the inverse of the product
     u_1 ... u_(m-1) of the generator images.  The generator pass keeps each
-    boundary image with its `_core` split and its peripheral match for
-    step 3.
+    boundary image with its `_core` split for step 3.
+
+    Step 3 rests on three lemmas.  A peripheral p is a1, a2 or (a1 a2)^-1,
+    each primitive; its class is the set of conjugates of its nonzero
+    powers, and a boundary monodromy is live when it is nontrivial.  The
+    sphere patterns are t1 = a_g^s, t2 = a_(3-g)^s, t3 = (t1 t2)^-1 for
+    g in {1, 2} and s = +-1, up to simultaneous conjugation and rotation,
+    holomorphic for s = 1.
+
+    (G1) After step 1 and a clean generator screen, at least three u_i
+    are live.  One live u_j contradicts u_1 ... u_m = 1.  With two,
+    u_b = u_a^-1, so the generator images lie in {1, u_a^(+-1)} and
+    commute; u_a passed, so u_a ~ p^k, its primitive root is conjugate to
+    p^(+-1) (p is primitive), and step 1 has returned.  Likewise whenever
+    all live u_i commute.
+
+    (G2) Let x, y not commute, with x, y and xy each conjugate to a
+    nontrivial peripheral power, and z = (xy)^-1.  Then x, y, z lie in
+    three different classes with one exponent s = +-1, and some rotation
+    of (x, y, z) is a simultaneous conjugate of (t1, t2, t3).  Proof: map
+    a1, a2 to (1, 0), (0, 1) in Z^2; (a1 a2)^-1 goes to (-1, -1), any two
+    of the three images are independent, and they sum to 0.  As xyz = 1,
+    either all three lie in one class with k_x + k_y + k_z = 0, or in three
+    classes with k_x = k_y = k_z = k.  One class: the automorphism
+    a1 -> a2, a2 -> (a1 a2)^-1 permutes the classes cyclically, so say a1;
+    conjugate to x = a1^i and write y = w a1^j w^-1 with w = a1^h w' and
+    w' reduced, neither starting nor ending with a1^(+-1).  If w' != 1,
+    a1^-h xy a1^h = a1^i w' a1^j w'^-1 is cyclically reduced with two a1
+    blocks, not a power of a1; so w' = 1 and x, y commute.  Three classes
+    with |k| >= 2: x, y, z are X^k, Y^k, Z^k with X, Y, Z conjugates of
+    peripherals, and X^k Y^k = Z^-k makes X and Y commute
+    (Lyndon-Schutzenberger, Michigan Math. J. 9, 1962), hence x and y.  So
+    k = s = +-1.  Rotate the
+    (a1 a2)^-1 class to z, conjugate to x = p^s (p = a_g) and write
+    y = w p'^s w^-1 (p' = a_(3-g)) with w = p^h w' as above.  If w' != 1,
+    p^-h xy p^h = p^s w' p'^s w'^-1 is cyclically reduced of length above
+    2, but xy ~ (a1 a2)^s has length 2; so conjugating by p^-h gives
+    (t1, t2).
+
+    (G3) With four or more live u_i, some E' pair or triple fails.
+    Suppose all pass.  Commuting is an equivalence on nontrivial elements,
+    and not all live u_i commute (G1), so take live x, y in different
+    commuting classes.  The E' pair of their indices has image xy (index
+    order), so G2 applies: x ~ p^s, y ~ p'^s.  Every live u misses the
+    commuting class of x or of y, so G2 on that pair gives u ~ p''^s with
+    the same s.  Two commuting live elements are powers of one root and
+    each is primitive with sign s, so they are equal; live elements that
+    do not commute lie in different peripheral classes (G2).  Their product
+    in index order is 1, so abelianizing gives n elements in each of the
+    three classes, n >= 2 as 3n >= 4.  Take x = u_a = u_b and y = u_c in
+    another class: the E' triple of a, b, c has image xxy, xyx or yxx, each
+    conjugate to x^2 y, and G2 on x^2 ~ p^2s and y gives exponent 2s = +-1,
+    a contradiction.
+
+    So past the E' loop genus zero has exactly three live monodromies
+    (G1, G3), which do not commute and pass the screen: G2 reads the
+    pattern off them.  t3 is the one whose core is not a single letter,
+    so it comes third, and the core letter of the first is t1 = (g, s).
+    No rotation of another pattern matches, and the verdict is s = 1.
     """
     if hom.target != TARGET_F2:
         raise WrongTarget("go_surface_decide needs an F2-valued homomorphism")
@@ -553,9 +587,8 @@ def go_surface_decide(hom: SurfaceHom) -> GoSurfaceResult:
         boundary = [w.blocks for w in gen_images]
         boundary.append(_inverse(_merge_blocks(b for u in boundary for b in u)))
         cores = [_core(u) for u in boundary]
-        hits = [_peripheral(core) for _, core in cores]
-        for (e, _tag), hit in zip(elements, hits):
-            if hit is None:
+        for (e, _tag), (_, core) in zip(elements, cores):
+            if _peripheral(core) is None:
                 return NotGO(e, "test element image is not a peripheral power")
         live = [j for j, u in enumerate(boundary) if u]
         elements = elements[m:] if len(live) > 3 else ()
@@ -571,38 +604,15 @@ def go_surface_decide(hom: SurfaceHom) -> GoSurfaceResult:
         if _peripheral(_merge_blocks(image)) is None:
             return NotGO(e, "test element image is not a peripheral power")
 
-    if g > 0:
-        raise TheoremContradiction(
-            "positive genus with all E' images peripheral must have cyclic image"
-        )
-
-    # genus zero, non-cyclic image: sphere analysis of boundary monodromies
-    if len(live) != 3:
-        return NotGO(None, f"{len(live)} nontrivial boundary monodromies, need 3")
-    for j in live:
-        if abs(hits[j][1]) != 1:
-            return NotGO(
-                FreeWord.gen(j + 1), "boundary monodromy is not a simple peripheral loop"
-            )
-    indices = tuple(j + 1 for j in live)
-    us = [boundary[j] for j in live]
-    if _merge_blocks(us[0] + us[1] + us[2]):
+    if g > 0 or len(live) != 3:
+        raise TheoremContradiction("an image that passes E' is cyclic or, in genus "
+                                   "0, has three nontrivial boundary monodromies")
+    if _merge_blocks(b for j in live for b in boundary[j]):
         raise InternalInconsistency("boundary monodromies must multiply to 1")
-
-    # The sphere patterns are t1 = (g, s), t2 = (3 - g, s), t3 = (t1 t2)^-1
-    # up to simultaneous conjugation and cyclic rotation, holomorphic for
-    # s = 1.  t3 is the one element whose core is not a single letter, so
-    # the live monodromy with such a core comes third, and the core letter
-    # of the first one is t1.
+    # (G2): the live monodromy whose core is not a single letter is t3 and
+    # comes third; the core letter (g, s) of the first is t1
     single = [len(cores[j][1]) == 1 for j in live]
-    if single.count(False) == 1:
-        rot = (single.index(False) + 1) % 3
-        v = us[rot:] + us[:rot]
-        conj1, ((g, s),) = cores[live[rot]]
-        c = _sphere_conjugator(conj1, v[1], (g, s), (3 - g, s))
-        if c is not None:
-            if _merge_blocks(c + v[2] + _inverse(c)) != ((3 - g, -s), (g, -s)):
-                raise InternalInconsistency("pattern third element did not align")
-            idx = indices[rot:] + indices[:rot]
-            return GOSphereHolomorphic(idx) if s == 1 else NotGOSphereAntiholomorphic(idx)
-    return NotGO(None, "boundary triple does not align with any sphere pattern")
+    rot = (single.index(False) + 1) % 3
+    ((_, s),) = cores[live[rot]][1]
+    idx = tuple(j + 1 for j in live[rot:] + live[:rot])
+    return GOSphereHolomorphic(idx) if s == 1 else NotGOSphereAntiholomorphic(idx)

@@ -382,6 +382,15 @@ def test_radius_below_ten_is_an_input_error(capsys):
     assert "--radius" in error["error"]
 
 
+@pytest.mark.parametrize("tau", ["0,1e-150", "0,1e-170", "0,1e-300"])
+def test_tiny_tau_is_pole_proximity(tau, capsys):
+    # tau/2 lies within POLE_TOLERANCE of 0; below 1e-162 the division by
+    # f**2 once came first and ended in a ZeroDivisionError traceback
+    assert main(["lattice-branch", "--tau", tau]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and json.loads(captured.err)["errorType"] == "PoleProximity"
+
+
 @pytest.mark.parametrize("argv", [
     ["oka3", "--hom", "{b3_classified}", "--mirrored", "--both-variants"],
     ["penner", "--genus", "1", "--braid-n", "3"],
@@ -474,12 +483,13 @@ _HOM = {"genus": 1, "holes": 1, "target": "B3", "images": {"e1": "1 2", "e2": "1
     ("penner", None, ["--braid-n", str(10**400)]),
     ("penner", None, ["--genus", str(10**400), "--marked", "1"]),
     ("thm1", None, ["--n", str(10**400 + 1), "--modulus", "1e20", "--index", "0"]),
+    ("disc-index", json.dumps({"degree": 2, "coeffs": {"0": {"0": [1e308, 1e308]}}}), []),
 ], ids=["no-coeffs", "short-coefficient", "text-coefficient", "long-coefficient",
         "nan-coefficient", "infinite-coefficient", "infinite-degree", "samples-above-cap",
         "no-images", "bare-list", "list-image", "fractional-genus",
         "two-keys-one-power", "a-image-key", "stacked-image-key",
         "underscore-power-key", "bool-genus", "non-ascii-digit", "underscore-letter",
-        "huge-braid-n", "huge-genus", "huge-n"])
+        "huge-braid-n", "huge-genus", "huge-n", "overflowing-discriminant"])
 def test_malformed_input_is_one_json_error_line(sub, text, extra, tmp_path):
     # run as a process: an uncaught exception also exits 1, with a traceback
     path = tmp_path / "input.json"

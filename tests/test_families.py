@@ -297,6 +297,15 @@ class TestDiscriminantIndex:
         with pytest.raises(ValueError, match=r"coeffs\[0\]\[2\] must be finite"):
             LaurentFamily(3, {0: {2: c}, 1: {0: 1.0}})
 
+    @pytest.mark.parametrize("coeffs", [{0: {0: complex(1e308, 1e308)}},
+                                        {0: {1: 1e200}, 1: {0: 1.0}}])
+    def test_overflowing_discriminant_is_named(self, coeffs):
+        # every sample read nan, which the sampler reported as
+        # "discriminant modulus inf below tolerance on the circle"
+        fam = LaurentFamily(len(coeffs) + 1, coeffs)
+        with pytest.raises(ValueError, match="discriminant overflows a float"):
+            discriminant_index(fam)
+
 
 def _lattice_order(terms):
     """gcd of sum d_t e_t over the integer relations sum d_t v_t = 0 of

@@ -63,6 +63,15 @@ class TestWp:
         with pytest.raises(PoleProximity):
             wp(2 + 3j + 1e-9, 1j)
 
+    @pytest.mark.parametrize("f, tau", [(wp, 1e-155j), (wp, 1e-170j), (wp, 1e-300j),
+                                        (wp_prime, 1e-150j), (wp_prime, 1e-170j)])
+    def test_overflowing_value_is_an_input_error(self, f, tau):
+        # the shortest lattice vector is tau itself: where f**2 (wp) or f**3
+        # (wp') underflowed to 0 this raised ZeroDivisionError, and just
+        # above that it returned inf
+        with pytest.raises(ValueError, match=r"shortest vector .* too short: the value overflows"):
+            f(0.5 + 0.25j, tau)
+
     def test_pole_rule_on_skewed_lattices(self):
         # the pole test reads |zeta reduced into the cell| alone; compare it
         # with a brute-force search for a lattice point within the tolerance
@@ -145,6 +154,17 @@ class TestEValues:
         e = e_values(40j)
         assert abs(sum(e)) < 1e-12
         assert abs(e[0] - 2 * math.pi**2 / 3) < 1e-12
+
+    @pytest.mark.parametrize("tau", (1e-150j, 1e-170j, 1e-300j, 0.3 + 1e-170j))
+    def test_tiny_lattice_vector_is_pole_proximity(self, tau):
+        # a half period within POLE_TOLERANCE of the lattice is found before
+        # any value is divided by f**2, which underflows below |f| ~ 1e-162
+        with pytest.raises(PoleProximity):
+            e_values(tau)
+        with pytest.raises(PoleProximity):
+            branch_locus(LatticeSpec(1, tau))
+        with pytest.raises(PoleProximity):
+            ode_residual(tau, 0.5 + 0.25j)
 
     def test_pairwise_distinct(self):
         for tau in TAUS:

@@ -33,6 +33,7 @@ from braidoka.oka import (
     TAG_COMMUTATOR,
     TAG_GENERATOR,
     TAG_PAIR,
+    TAG_TRIPLE,
     TARGET_B3,
     TARGET_F2,
     e0_set,
@@ -42,7 +43,7 @@ from braidoka.oka import (
     oka3_decide,
     oka3_decide_both,
 )
-from braidoka.words import FreeWord, commutator, free_conjugate
+from braidoka.words import FreeWord, commutator, free_conjugate, is_conjugate_into_peripheral
 from conftest import all_free_words
 from e0_reference import oka3_decide_reference
 import go_reference
@@ -568,6 +569,57 @@ class TestGenusZeroScreen:
         assert places == {-1, 0, 1}
 
 
+class TestSphereLemmas:
+    """The lemmas of go_surface_decide's step 3 (its docstring), checked on
+    enumerations: G2 on pairs of peripheral powers, G3 on 4-hole spheres."""
+
+    def test_three_element_lemma(self):
+        # (G2) x = p^k, y = c p'^k' c^-1 over every reduced c of at most 4
+        # letters: when x, y do not commute and xy is conjugate to a
+        # peripheral power, x, y, (xy)^-1 lie in three classes with one
+        # exponent s = +-1, and the reference finds a rotated, conjugated
+        # sphere pattern
+        exps = (-3, -2, -1, 1, 2, 3)
+        verdicts = Counter()
+        t0 = time.perf_counter()
+        for p, k, q, k2, c in itertools.product(
+                _PERIPHERALS, exps, _PERIPHERALS, exps, all_free_words(4)):
+            x, y = p**k, c * q**k2 * c.inv()
+            if x * y == y * x or is_conjugate_into_peripheral(x * y) is None:
+                continue
+            hits = [is_conjugate_into_peripheral(w) for w in (x, y, (x * y).inv())]
+            assert len({h.peripheral for h in hits}) == 3, (x, y)
+            assert len({h.power for h in hits}) == 1 and abs(hits[0].power) == 1, (x, y)
+            hom = fhom(SurfaceSignature(0, 3), {1: x, 2: y})
+            got = go_surface_decide(hom)
+            assert got == go_reference.go_surface_decide(hom), (x, y)
+            verdicts[got.as_dict()["verdict"], hits[0].power] += 1
+        assert time.perf_counter() - t0 < 3
+        assert verdicts == {("sphereHolomorphic", 1): 182, ("sphereAntiholomorphic", -1): 182}
+
+    def test_four_live_holes_fail_at_a_pair_or_triple(self):
+        # (G3) images c p^k c^-1 with |c| <= 1 and k = +-1, +-2 (40 distinct
+        # words) on e1, e2, e3, kept when the virtual image is peripheral
+        # too: every generator passes, so a failure is a pair or a triple,
+        # and no case reaches step 3 with four live monodromies
+        words = {(c * p**k * c.inv()).blocks for c in all_free_words(1)
+                 for p in _PERIPHERALS for k in (-2, -1, 1, 2)}
+        sig = SurfaceSignature(0, 4)
+        elements = dict(eprime_generate(sig).elements)
+        verdicts = Counter()
+        t0 = time.perf_counter()
+        for images in itertools.product(map(FreeWord, sorted(words)), repeat=3):
+            if is_conjugate_into_peripheral((images[0] * images[1] * images[2]).inv()) is None:
+                continue
+            got = go_surface_decide(fhom(sig, dict(enumerate(images, 1))))
+            if isinstance(got, NotGO):
+                assert elements[got.witness] in (TAG_PAIR, TAG_TRIPLE), images
+            verdicts[got.as_dict()["verdict"]] += 1
+        assert time.perf_counter() - t0 < 3
+        assert verdicts == {"notGO": 6720, "reducible": 640,
+                            "sphereHolomorphic": 24, "sphereAntiholomorphic": 24}
+
+
 class TestGoSurface:
     def test_cyclic_image(self):
         r = go_surface_decide(fhom(SurfaceSignature(1, 1), {1: a1**2, 2: a1**5}))
@@ -655,8 +707,6 @@ class TestGoSurface:
         for _ in range(40):
             u = rng.choice(pool) ** rng.randint(1, 3)
             v = rng.choice(pool) ** rng.randint(1, 3)
-            from braidoka.words import is_conjugate_into_peripheral
-
             assert free_conjugate(u * v, v * u)
             lhs = is_conjugate_into_peripheral(u * v)
             rhs = is_conjugate_into_peripheral(v * u)
