@@ -209,9 +209,23 @@ def oka3_decide(hom: SurfaceHom, mirrored: bool = False) -> Oka3Result:
     image marks the sigma1*sigma2 model, a trace-zero theta image the
     Delta model, anything else the sigma1/Delta^2 model.
 
-    The images commute once e1, e2 and [e1, e2] pass, by fact (E) of
-    `three.zero_entropy_commutator_scan`, so the TheoremContradiction
-    below cannot fire; it stays as a check of that invariant.
+    A pair is classified exactly when e1, e2 and [e1, e2] pass, in either
+    variant.  Proof: the images commute once e1, e2 and [e1, e2] pass, by
+    fact (E) of `three.zero_entropy_commutator_scan`, so the
+    TheoremContradiction below cannot fire; it stays as a check of that
+    invariant.  Commuting m1, m2 of entropy zero (|trace| <= 2) generate a
+    group of entropy zero: if either is +-I, every product is +-(a power
+    of the other); the centralizer of an elliptic element is finite (it
+    fixes the elliptic point, whose stabiliser is cyclic of order 4 or 6),
+    so every product has finite order; the centralizer of a parabolic one
+    is +-(a conjugate of) <T> (it fixes the cusp), whose elements all
+    have trace +-2.  So e2 e1^-1, e2 e1^-2 and the mirrored e1 e2^-1,
+    e1 e2^-2 pass too.  Conversely a classified pair passed all five.  The
+    two variants therefore differ only in their witness, and
+    `oka3_decide_both` reports "agree": false only when both verdicts are
+    violations: indices 1, 2 and 5 name one word in both, index 3 names
+    inverse words of one trace, and only index 4 can fail in one variant
+    alone.
 
     Everything is decided on m1 = theta(b1) and m2 = theta(b2).  Theta is
     onto SL(2,Z) with kernel <Delta^4>, which is central of exponent sum
@@ -249,7 +263,9 @@ def oka3_decide(hom: SurfaceHom, mirrored: bool = False) -> Oka3Result:
 
 
 def oka3_decide_both(hom: SurfaceHom) -> dict:
-    """Run both E0 variants and report whether the verdicts agree."""
+    """Run both E0 variants and report whether the verdicts agree.  They
+    classify the same pairs (see `oka3_decide`), so "agree": false means
+    two violations with different witnesses."""
     std = oka3_decide(hom, mirrored=False)
     mir = oka3_decide(hom, mirrored=True)
     return {
@@ -331,6 +347,23 @@ def eprime_generate(sig: SurfaceSignature) -> EPrimeSet:
     Ordered pairs and triples are taken in ascending generator order.
     Each element is written down as a block tuple and reduced once.
 
+    The elements are pairwise distinct, so none is dropped.  Abelianize
+    a_k -> e_k in Z^x.  In positive genus a generator maps to one unit
+    vector, a pair to two, a handle-mix word a^s b^t e to s e_a + t e_b +
+    e_e with (s, t) in {(2, 1), (3, 1), (1, 2), (1, 3)}, and a hole-pattern
+    word h_i a_1 h_i b_1 h_k to 2 e_i + e_1 + e_2 + e_k, whose support has
+    four entries.  These vectors are nonzero and pairwise distinct; the g
+    handle commutators map to 0 and are distinct reduced words.  In genus
+    0 with m >= 3, e_m -> -(e_1 + ... + e_(m-1)), so the product over a
+    set S of base elements maps to the indicator of S when m is not in S
+    and to minus the indicator of the complement of S when it is; two
+    different S of one to three elements never meet, as the first kind is
+    nonzero and nonnegative and the second nonpositive.  Counting the
+    families, with x = 2g + m - 1, E' has
+    3g + (m - 1) + C(x, 2) - g + 4g(x - 2) + C(m - 1, 2) elements for
+    g >= 1, 1 for (0, 2), and m + C(m, 2) + C(m, 3) for genus 0 with
+    m >= 3.
+
     E' depends on the signature alone and its records are immutable, so
     the 16 most recently used sets are cached: equal signatures get the
     same EPrimeSet.
@@ -386,14 +419,7 @@ def eprime_generate(sig: SurfaceSignature) -> EPrimeSet:
             for i, j, k in itertools.combinations(range(m), 3):
                 items.append((base[i] + base[j] + base[k], TAG_TRIPLE))
 
-    seen: set = set()
-    unique: list[tuple[FreeWord, str]] = []
-    for blocks, tag in items:
-        w = FreeWord(blocks)
-        if w.blocks not in seen:
-            seen.add(w.blocks)
-            unique.append((w, tag))
-    out = EPrimeSet(sig, tuple(unique))
+    out = EPrimeSet(sig, tuple((FreeWord(blocks), tag) for blocks, tag in items))
     if out.count > out.bound:
         raise InternalInconsistency(
             f"E' for {sig} has {out.count} elements, above the bound {out.bound}"
@@ -487,10 +513,10 @@ def go_surface_decide(hom: SurfaceHom) -> GoSurfaceResult:
     whose image is not is the witness.  Each E' image is the concatenation
     of the image blocks of its blocks, each (generator, exponent) computed
     once per call, reduced once and matched on blocks.  Step 3 (genus zero
-    only) reads the sphere pattern off the boundary monodromies; for
-    positive genus a non-cyclic image after a clean step 2 contradicts the
-    classification and raises TheoremContradiction.  Above free rank
-    EPRIME_MAXRANK only step 1 can answer: step 2 raises ResourceLimit.
+    only) reads the sphere pattern off the boundary monodromies; in
+    positive genus no non-cyclic image passes step 2 (G4-G6 below).  Above
+    free rank EPRIME_MAXRANK only step 1 can answer: step 2 raises
+    ResourceLimit.
 
     In genus zero E' opens with its m generators e_1 .. e_(m-1) and the
     virtual e_m = (e_1 ... e_(m-1))^-1, whose images are the boundary
@@ -565,6 +591,35 @@ def go_surface_decide(hom: SurfaceHom) -> GoSurfaceResult:
     pattern off them.  t3 is the one whose core is not a single letter,
     so it comes third, and the core letter of the first is t1 = (g, s).
     No rotation of another pattern matches, and the verdict is s = 1.
+
+    In positive genus three more lemmas show that every image passing E'
+    is cyclic, so step 1 has answered.  Handle j has generators a_j, b_j
+    with images x_j, y_j; the image of any other generator e is e'.
+
+    (G4) The commutator of handle j passes exactly when x_j and y_j
+    commute.  Abelianizing, a1 -> (1, 0), a2 -> (0, 1), maps a nonzero
+    peripheral power to a nonzero vector and a commutator to 0, and
+    `_peripheral` reads 1 as power 0.  So x_j = r^k and y_j = r^l for one
+    primitive root r.
+
+    (G5) If handle j is nontrivial, every e' commutes with r.  x_j or y_j
+    is a nonzero power of r that passed, so r is conjugate to p^(+-1) (p is
+    primitive) and r^n is a nontrivial peripheral power for n != 0.  The
+    E' pairs of a_j or b_j with e and the four handle-mix words a_j^2 b_j e,
+    a_j^3 b_j e, a_j b_j^2 e, a_j b_j^3 e have images r^n e', up to
+    order, for n in {k, l, 2k + l, 3k + l, k + 2l, k + 3l}.  If e' did not
+    commute with r, neither would r^n for n != 0, and G2 on each nonzero
+    n would force |n| = 1.  No (k, l) != (0, 0) allows that: k = +-1
+    forces l = -k (else |2k + l| >= 2), and then |3k + l| = 2; k = 0
+    gives |k + 2l| = 2.  So every image is a power of r, a cyclic image.
+
+    (G6) If every handle is trivial, only the hole images can be
+    nontrivial, and not all of them commute (else the image is cyclic).
+    Two that do not, u of hole h_i and v of h_k with i < k, have the E'
+    pair image uv, so u ~ p^s, v ~ p'^s with s = +-1 (G2).  The
+    hole-pattern word h_i a_1 h_i b_1 h_k has image u^2 v, and G2 on
+    (u^2, v) gives |2s| = 1, a contradiction.  With m <= 2 there is at most
+    one hole generator, and the image is cyclic.
     """
     if hom.target != TARGET_F2:
         raise WrongTarget("go_surface_decide needs an F2-valued homomorphism")
@@ -604,9 +659,8 @@ def go_surface_decide(hom: SurfaceHom) -> GoSurfaceResult:
         if _peripheral(_merge_blocks(image)) is None:
             return NotGO(e, "test element image is not a peripheral power")
 
-    if g > 0 or len(live) != 3:
-        raise TheoremContradiction("an image that passes E' is cyclic or, in genus "
-                                   "0, has three nontrivial boundary monodromies")
+    if g > 0 or len(live) != 3:  # positive genus: G4-G6; genus 0: G1, G3
+        raise TheoremContradiction("a non-cyclic image passed E' outside three live holes")
     if _merge_blocks(b for j in live for b in boundary[j]):
         raise InternalInconsistency("boundary monodromies must multiply to 1")
     # (G2): the live monodromy whose core is not a single letter is t3 and

@@ -283,11 +283,13 @@ def _is_pure(m) -> bool:
 
 def _fricke_roots(t1: int, t2: int) -> tuple[int, ...]:
     """The integer roots t12 of t12^2 - t1 t2 t12 + t1^2 + t2^2 = 0, the
-    Fricke quadratic at commutator trace T = -2."""
+    Fricke quadratic at commutator trace T = -2.
+
+    Needs |t1|, |t2| >= 3, the hyperbolic traces that fact (E) leaves the
+    scan: the discriminant is then (t1^2 - 4)(t2^2 - 4) - 16 >= 5 * 5 - 16
+    = 9, so it is never negative."""
     p = t1 * t2
     disc = p * p - 4 * (t1 * t1 + t2 * t2)
-    if disc < 0:
-        return ()
     s = math.isqrt(disc)
     # disc = p^2 mod 4, so s = p mod 2 and both roots are integers
     return ((p + s) // 2, (p - s) // 2) if s * s == disc else ()

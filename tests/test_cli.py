@@ -307,6 +307,12 @@ FILES = {
                            "images": {"e1": "a1^-1", "e2": "a2^-1"}},
     "f2_not_go": {"genus": 0, "holes": 3, "target": "F2",
                   "images": {"e1": "a1", "e2": "a2^-1"}},
+    # a holomorphic pattern on holes 1, 3 and 4, hole 2 trivial
+    "f2_trivial_hole": {"genus": 0, "holes": 4, "target": "F2",
+                        "images": {"e1": "a1", "e2": "", "e3": "a2"}},
+    # four live boundary monodromies fail at an E' pair
+    "f2_four_live": {"genus": 0, "holes": 5, "target": "F2",
+                     "images": {"e1": "a1", "e2": "a2", "e3": "a1", "e4": "a2"}},
 }
 
 # (arguments, exit code) for every subcommand: a positive or neutral call,
@@ -319,7 +325,7 @@ CASES = {
     "nf": [(["--braid", "1 2 -1", "--n", "4"], 0)],
     "linking": [(["--braid", "1 1", "--n", "3"], 0)],
     "conj": [(["--a", "1", "--b", "2"], 0), (["--a", "1 1", "--b", "2"], 2)],
-    "scan-commutators": [(["--maxlen", "2"], 0)],
+    "scan-commutators": [(["--maxlen", "2"], 0), (["--maxlen", "7"], 0)],
     "disc-index": [(["--family", "{family}", "--samples", "64"], 0)],
     "thm1": [(["--n", "3", "--modulus", "30", "--index", "6"], 0),
              (["--n", "3", "--modulus", "30", "--index", "2"], 2)],
@@ -330,8 +336,10 @@ CASES = {
              (["--hom", "{b3_classified}", "--both-variants"], 0),
              (["--hom", "{b3_violation}", "--both-variants"], 2)],
     "go-surface": [(["--hom", "{f2_holomorphic}"], 0),
+                   (["--hom", "{f2_trivial_hole}"], 0),
                    (["--hom", "{f2_not_go}"], 2),
-                   (["--hom", "{f2_antiholomorphic}"], 2)],
+                   (["--hom", "{f2_antiholomorphic}"], 2),
+                   (["--hom", "{f2_four_live}"], 2)],
     "eprime": [(["--genus", "1", "--holes", "1", "--list"], 0)],
     "lattice-branch": [(["--tau", "0,1", "--radius", "20"], 0),
                        (["--tau", "0,1", "--radius", "20", "--csv"], 0),
@@ -375,11 +383,12 @@ def test_radius_does_not_change_the_output(extra, capsys):
 
 
 def test_radius_below_ten_is_an_input_error(capsys):
-    assert main(["lattice-branch", "--tau", "0,1", "--radius", "9"]) == 1
-    captured = capsys.readouterr()
-    error = json.loads(captured.err)
-    assert captured.out == "" and error["errorType"] == "ValueError"
-    assert "--radius" in error["error"]
+    for tau in ("0,1", "0.3,0.05"):
+        assert main(["lattice-branch", "--tau", tau, "--radius", "9"]) == 1
+        captured = capsys.readouterr()
+        error = json.loads(captured.err)
+        assert captured.out == "" and error["errorType"] == "ValueError"
+        assert "--radius" in error["error"]
 
 
 @pytest.mark.parametrize("tau", ["0,1e-150", "0,1e-170", "0,1e-300"])

@@ -3,6 +3,7 @@ import json
 import random
 import time
 from collections import Counter
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +33,8 @@ from braidoka.oka import (
     SurfaceSignature,
     TAG_COMMUTATOR,
     TAG_GENERATOR,
+    TAG_HANDLE_MIX,
+    TAG_HOLE_PATTERN,
     TAG_PAIR,
     TAG_TRIPLE,
     TARGET_B3,
@@ -130,6 +133,8 @@ class TestOka3:
         )
         with pytest.raises(WrongSignature):
             oka3_decide(hom)
+        with pytest.raises(WrongSignature, match="B3-valued"):
+            oka3_decide(fhom(SurfaceSignature(1, 1), {1: a1, 2: a2}))
 
     def test_both_variants_report(self):
         s12 = BraidWord.parse("1 2", 3)
@@ -172,6 +177,10 @@ class TestOka3:
         for mirrored in (False, True):
             verdict = oka3_decide(hom11(b1, b2), mirrored)
             assert isinstance(verdict, Oka3Classified) == passes, (b1, b2, mirrored)
+        # so the variants part only over a witness
+        both = oka3_decide_both(hom11(b1, b2))
+        if not both["agree"]:
+            assert both["standard"]["verdict"] == both["mirrored"]["verdict"] == "violation"
 
 
 def _outcome(decide, *args):
@@ -265,12 +274,24 @@ class TestEPrime:
             eprime_generate(SurfaceSignature(0, 1))
 
     def test_count_bound_sweep(self):
-        for g in range(0, 4):
-            for m in range(1, 6):
-                if (g, m) == (0, 1):
-                    continue
-                ep = eprime_generate(SurfaceSignature(g, m))
-                assert ep.count <= ep.bound, (g, m)
+        # every signature of free rank 1-32 (288): the words are pairwise
+        # distinct, and their count is the closed form of eprime_generate's
+        # docstring, below the bound x^3
+        def closed_form(g, m):
+            x = 2 * g + m - 1
+            if g:
+                return 3 * g + (m - 1) + comb(x, 2) - g + 4 * g * (x - 2) + comb(m - 1, 2)
+            return 1 if m == 2 else m + comb(m, 2) + comb(m, 3)
+
+        signatures = [SurfaceSignature(g, x - 2 * g + 1)
+                      for x in range(1, EPRIME_MAXRANK + 1) for g in range(x // 2 + 1)]
+        assert len(signatures) == 288
+        t0 = time.perf_counter()
+        for sig in signatures:
+            ep = eprime_generate(sig)
+            assert ep.count == len({w.blocks for w in ep.words()}), sig
+            assert ep.count == closed_form(sig.genus, sig.holes) <= ep.bound, sig
+        assert time.perf_counter() - t0 < 5
 
     def test_hole_product_inverse(self):
         em = hole_product_inverse(SurfaceSignature(0, 3))
@@ -620,6 +641,114 @@ class TestSphereLemmas:
                             "sphereHolomorphic": 24, "sphereAntiholomorphic": 24}
 
 
+class TestPositiveGenusLemmas:
+    """The lemmas G4-G6 of go_surface_decide's positive-genus case (its
+    docstring), checked on enumerations: an image that passes E' is
+    cyclic, and the first witness lies in the family the lemmas name."""
+
+    @staticmethod
+    def _words(exponents):
+        """1 and every c p^k c^-1 with |c| <= 1 and k in exponents (20
+        distinct words for k = +-1, 40 for k = +-1, +-2): each passes the
+        generator screen."""
+        return [FreeWord.identity()] + [FreeWord(b) for b in sorted(
+            {(c * p**k * c.inv()).blocks for c in all_free_words(1)
+             for p in _PERIPHERALS for k in exponents})]
+
+    def test_handle_commutator_lemma(self):
+        # (G4) every (1, 1) image pair of at most 4 letters: the commutator
+        # passes exactly when the images commute, and then the image is
+        # cyclic, so E' of (1, 1), {e1, e2, [e1, e2]}, decides it
+        words = all_free_words(4)
+        passes = [is_conjugate_into_peripheral(w) is not None for w in words]
+        sig = SurfaceSignature(1, 1)
+        e1, e2 = FreeWord.gen(1), FreeWord.gen(2)
+        verdicts = Counter()
+        t0 = time.perf_counter()
+        for (x, px), (y, py) in itertools.product(zip(words, passes), repeat=2):
+            commute = x * y == y * x
+            assert (is_conjugate_into_peripheral(commutator(x, y)) is not None) == commute
+            got = go_surface_decide(fhom(sig, {1: x, 2: y}))
+            want = (e1 if not px else e2 if not py else
+                    None if commute else commutator(e1, e2))
+            if want is None:
+                assert isinstance(got, GOReducible), (x, y)
+            else:
+                assert got.witness == want, (x, y)
+            verdicts[got.as_dict()["verdict"]] += 1
+        assert time.perf_counter() - t0 < 3
+        assert verdicts == {"notGO": 25584, "reducible": 337}
+
+    def test_handle_mix_lemma(self):
+        # (G5) a nontrivial handle whose images commute, and another image
+        # that does not commute with their root: some pair or handle-mix
+        # word of the two fails.  Every (1, 2) homomorphism over
+        # _words(+-1, +-2) whose handle passes G4, where those six words
+        # follow the generators and the commutator, and every (2, 1) one
+        # over _words(+-1) whose two handles pass G4 (a handle that fails
+        # G4 fails at its commutator, as the (1, 1) enumeration shows)
+        tags = Counter()
+        t0 = time.perf_counter()
+        for sig, exponents in ((SurfaceSignature(1, 2), (-2, -1, 1, 2)),
+                               (SurfaceSignature(2, 1), (-1, 1))):
+            words = self._words(exponents)
+            commute = [[x * y == y * x for y in words] for x in words]
+            n = len(words)
+            handles = [(i, j) for i in range(n) for j in range(n) if commute[i][j]]
+            rest = [(i,) for i in range(n)] if sig.genus == 1 else handles
+            elements = dict(eprime_generate(sig).elements)
+            for h, r in itertools.product(handles, rest):
+                got = go_surface_decide(fhom(sig, {j: words[i] for j, i in enumerate(h + r, 1)}))
+                if all(commute[i][j] for i in h + r for j in h + r):
+                    assert isinstance(got, GOReducible), h + r
+                else:
+                    assert elements[got.witness] in (TAG_PAIR, TAG_HANDLE_MIX), h + r
+                    tags[sig.genus, elements[got.witness]] += 1
+        assert time.perf_counter() - t0 < 3
+        assert set(tags) == {(g, tag) for g in (1, 2) for tag in (TAG_PAIR, TAG_HANDLE_MIX)}
+
+    def test_hole_pattern_lemma(self):
+        # (G6) trivial handles and two hole images u, v that do not commute:
+        # the pair uv fails, or it passes and the hole-pattern word, with
+        # image u^2 v, fails.  Every (1, 3) homomorphism with a trivial
+        # handle and hole images from _words(+-1, +-2)
+        sig = SurfaceSignature(1, 3)
+        one = FreeWord.identity()
+        pair, pattern = FreeWord.parse("a3 a4"), FreeWord.parse("a3 a1 a3 a2 a4")
+        tags = Counter()
+        t0 = time.perf_counter()
+        for u, v in itertools.product(self._words((-2, -1, 1, 2)), repeat=2):
+            got = go_surface_decide(fhom(sig, {1: one, 2: one, 3: u, 4: v}))
+            if u * v == v * u:
+                assert isinstance(got, GOReducible), (u, v)
+                continue
+            uv_passes = is_conjugate_into_peripheral(u * v) is not None
+            assert got.witness == (pattern if uv_passes else pair), (u, v)
+            tags[dict(eprime_generate(sig).elements)[got.witness]] += 1
+        assert time.perf_counter() - t0 < 1
+        assert set(tags) == {TAG_PAIR, TAG_HOLE_PATTERN}
+
+    @pytest.mark.parametrize("sig, images, witness, tag", [
+        ((1, 1), ("a1 a2^2", "a1"), "e1", TAG_GENERATOR),
+        ((1, 1), ("a1", "a2"), "e1 e2 e1^-1 e2^-1", TAG_COMMUTATOR),
+        ((1, 2), ("a1^2", "", "a2"), "e1 e3", TAG_PAIR),
+        ((1, 2), ("a1", "a1", "a2"), "e1^2 e2 e3", TAG_HANDLE_MIX),
+        ((1, 2), ("", "a1", "a2"), "e1 e2^2 e3", TAG_HANDLE_MIX),
+        ((1, 3), ("", "", "a1", "a2"), "e3 e1 e3 e2 e4", TAG_HOLE_PATTERN),
+        ((0, 6), ("a1", "a2", "a2^-1 a1^-1", "a1", "a2"), "e1 e2 e4", TAG_TRIPLE),
+    ], ids=["generator", "commutator", "pair", "handle-mix-a-squared", "handle-mix-b-squared",
+            "hole-pattern", "triple"])
+    def test_each_family_is_a_first_witness(self, sig, images, witness, tag):
+        # (0, 6): all pairs pass, as the six live monodromies are the
+        # three peripherals twice, but x x y is no peripheral power (G3)
+        sig = SurfaceSignature(*sig)
+        hom = fhom(sig, {j: FreeWord.parse(w) for j, w in enumerate(images, 1)})
+        got = go_surface_decide(hom)
+        assert got == go_reference.go_surface_decide(hom)
+        assert got.witness.text(prefix="e") == witness
+        assert dict(eprime_generate(sig).elements)[got.witness] == tag
+
+
 class TestGoSurface:
     def test_cyclic_image(self):
         r = go_surface_decide(fhom(SurfaceSignature(1, 1), {1: a1**2, 2: a1**5}))
@@ -692,6 +821,8 @@ class TestGoSurface:
         )
         with pytest.raises(WrongTarget):
             go_surface_decide(hom)
+        with pytest.raises(ValueError, match="F2 target needs FreeWord images"):
+            fhom(SurfaceSignature(1, 1), {1: a1, 2: BraidWord(3)})
 
     def test_peripheral_power_mix_not_go(self):
         # both images peripheral but along different peripherals on a

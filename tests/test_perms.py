@@ -38,6 +38,7 @@ def test_basics():
     assert (p**3).is_identity()
     assert p.inv() == p**2
     assert p.cycle_string() == "(1 2 3)"
+    assert repr(Permutation((1, 2, 3))) == "Permutation()"
     assert Permutation.transposition(3, 1).images == (2, 1, 3)
     # no generators: only the one-point set is one orbit
     assert is_transitive([], 1) and not is_transitive([], 3)

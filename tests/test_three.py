@@ -3,7 +3,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from braidoka import _purekernels
 from braidoka._purekernels import mat_inv, mat_mul
@@ -16,6 +16,7 @@ from braidoka.three import (
     PERIODIC,
     REDUCIBLE,
     SCAN_MAXLEN,
+    _fricke_roots,
     classify3,
     centralizer_check,
     conformal_module3,
@@ -331,6 +332,22 @@ class TestCommutatorTraceFacts:
             m2 = _mat_pow(m1, j)
         commute = mat_mul(m1, m2) == mat_mul(m2, m1)
         assert commute or _commutator_trace(m1, m2) >= 3
+
+    @given(st.integers(3, 60), st.integers(3, 60), st.booleans(), st.booleans())
+    @example(3, 3, False, False)
+    @example(3, 6, True, False)
+    @example(6, 15, False, True)
+    def test_fricke_roots_are_the_integer_solutions(self, a, b, neg1, neg2):
+        # the scan passes _fricke_roots hyperbolic traces only, for which
+        # the discriminant (t1^2 - 4)(t2^2 - 4) - 16 is at least 9; the
+        # examples, 3 x (1, 1), (1, 2) and (2, 5) from Markov triples, have
+        # integer roots
+        t1, t2 = -a if neg1 else a, -b if neg2 else b
+        p = t1 * t2
+        assert p * p - 4 * (t1 * t1 + t2 * t2) == (t1 * t1 - 4) * (t2 * t2 - 4) - 16 >= 9
+        # a root of t^2 - p t + t1^2 + t2^2 has |t| <= |p|
+        want = [t for t in range(-abs(p), abs(p) + 1) if t * t - p * t + t1 * t1 + t2 * t2 == 0]
+        assert sorted(_fricke_roots(t1, t2)) == want
 
 
 class TestThetaQuotientProperties:
