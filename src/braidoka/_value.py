@@ -1,5 +1,6 @@
-"""The base of braidoka's immutable records, without generated code, and
-the integer readers their ``parse`` and ``from_json`` constructors share."""
+"""The base of braidoka's immutable records, without generated code, the
+integer readers their ``parse`` and ``from_json`` constructors share, and
+the rotation test that free-word and SL(2,Z) conjugacy share."""
 
 from operator import attrgetter
 
@@ -70,3 +71,20 @@ def int_field(value, where: str) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ValueError(f"{where} must be an integer, got {value!r}")
+
+
+def _same_cycle(a: tuple, b: tuple) -> bool:
+    """True iff the sequence b is a rotation of a: |a| = |b| and b occurs
+    in a + a.
+
+    The items are pairs: (generator, exponent) blocks or ("R" | "L", k)
+    runs.  Each is written with its ints in hex (a decimal str raises above
+    4,300 digits from Python 3.11 on) and between commas, so the text of b
+    occurs in the text of a, written twice, only where an item starts.
+    str search is linear in the worst case from Python 3.10 on (the
+    two-way algorithm, Crochemore-Perrin, J. ACM 38, 1991), so no
+    canonical rotation is built.
+    """
+    def text(items):
+        return "".join([f",{x if isinstance(x, str) else f'{x:x}'} {y:x}" for x, y in items])
+    return len(a) == len(b) and text(b) + "," in text(a) * 2 + ","

@@ -12,6 +12,7 @@ from . import perms
 from ._value import Value, int_field
 from .errors import (
     DegreeTooSmall,
+    InternalInconsistency,
     NonConvergence,
     SeparabilityFailure,
     SignatureOutOfRange,
@@ -274,6 +275,16 @@ def discriminant_index(fam: LaurentFamily, samples: int = 256) -> IndexReport:
     largest modulus inf or, through its argument steps, the sum nan, so one
     test per pass raises ValueError before the separability test reads
     either.
+
+    The sum is an integer number of turns up to rounding, so the test
+    that it lies within a quarter turn of one cannot fail.  Each step is
+    the principal argument of its ratio, so a sum of steps is the argument
+    of the product of their ratios modulo 2 pi.  On the arc of
+    `_winding_pass` the ratios multiply to (d_(n/h) / d_0) turn^(n/h) =
+    e^(2 pi i (E - lo)/h), so h times the arc's sum is 2 pi times an
+    integer.  The only error is the rounding of at most MAX_SAMPLES = 2^20
+    steps, each a few ulp of pi, about 1e-9 in all against the pi/2 the
+    test allows; a failure is an InternalInconsistency.
     """
     if samples < 16:
         raise ValueError("need at least 16 samples")
@@ -295,7 +306,7 @@ def discriminant_index(fam: LaurentFamily, samples: int = 256) -> IndexReport:
         if big < math.pi / 2:
             winding = round(total / (2 * math.pi))
             if abs(total / (2 * math.pi) - winding) > 0.25:
-                raise NonConvergence("winding sum is far from an integer")
+                raise InternalInconsistency("winding sum is far from an integer number of turns")
             return IndexReport(lo + winding, n, amin)
         n *= 2
     raise NonConvergence(f"no convergence within {MAX_SAMPLES} samples")

@@ -83,10 +83,19 @@ def _cell_point(zeta: complex, tau: complex, f: complex) -> complex:
     `_reduce_modulus`, after the test that zeta is not within POLE_TOLERANCE
     of f (Z + tau Z).  Every point of Z + tau Z but 0 lies at least
     sqrt(3)/4 from z, so |f z| decides that test alone unless |f|, the
-    shortest lattice vector, is below 4 POLE_TOLERANCE / sqrt(3)."""
-    z = _reduce_cell(zeta / f, tau)
+    shortest lattice vector, is below 4 POLE_TOLERANCE / sqrt(3).
+
+    The row series needs |Im z| < Im tau.  Once ulp(|zeta / f|) is near
+    Im tau, or zeta / f overflows, the float reduction misses the cell and
+    the series' exponentials would overflow or mean nothing, so a z outside
+    the cell is a ValueError."""
+    z = zeta / f
+    if cmath.isfinite(z):
+        z = _reduce_cell(z, tau)
     if abs(f * z) < POLE_TOLERANCE:
         raise PoleProximity(f"{zeta} is within {POLE_TOLERANCE} of a lattice point")
+    if not abs(z.imag) < tau.imag:
+        raise ValueError(f"zeta = {zeta} is too large to reduce into a cell of the lattice")
     return z
 
 

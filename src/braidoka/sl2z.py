@@ -19,15 +19,16 @@ closed form:
   partial quotients, read as runs R^k0 L^k1 ... in R = [[1,1],[0,1]] and
   L = [[1,0],[1,1]], form the primitive word W with sign*M ~ W^j.  The sign
   and W up to rotation are a complete invariant among matrices of one
-  trace, and the loop takes a few steps per bit of the entries.
+  trace, and the loop takes a few steps per bit of the entries.  Two words
+  are compared up to rotation by containment in the doubled word.
 """
 
 from __future__ import annotations
 
 import math
 
-from . import _purekernels, words
-from ._value import Value
+from . import _purekernels
+from ._value import Value, _same_cycle
 from .errors import InternalInconsistency, NotParabolic, WrongStrandCount
 
 TYPE_CHECKING = False
@@ -64,9 +65,6 @@ class SL2Matrix(Value):
 
     def inv(self) -> "SL2Matrix":
         return SL2Matrix(*_purekernels.mat_inv(self.entries()))
-
-    def neg(self) -> "SL2Matrix":
-        return SL2Matrix(-self.a, -self.b, -self.c, -self.d)
 
     def __pow__(self, k: int) -> "SL2Matrix":
         """Square-and-multiply: O(log |k|) products."""
@@ -152,19 +150,24 @@ def parabolic_normal_form(m: SL2Matrix) -> tuple[int, int]:
 
 
 def _period_runs(m: SL2Matrix) -> tuple[tuple[str, int], ...]:
-    """The primitive cyclic R/L word of m (trace >= 3), run-length encoded.
+    """The primitive cyclic R/L word of sign*m, run-length encoded, where
+    |trace| >= 3 and sign is the sign of the trace.
 
-    The attracting fixed point of m is x = (P + sqrt D)/Q with P = a - d,
-    Q = 2c and D = t^2 - 4.  Its complete quotients (P_n + sqrt D)/Q_n
+    a, b, c, d are the entries of sign*m: the four are negated in place
+    when the trace is negative, so t = a + d >= 3.  The attracting fixed
+    point of sign*m is x = (P + sqrt D)/Q with P = a - d, Q = 2c and
+    D = t^2 - 4.  Its complete quotients (P_n + sqrt D)/Q_n
     follow P' = kQ - P and Q' = Q_prev + k(P - P'), with Q_prev = 2b at the
     start and k the floor of the quotient.  From the first reduced one
     (0 < P <= r < P + Q, Q <= r + P, r = isqrt D) at an even index the
     expansion is purely periodic; the partial quotients of one period of
     even length, read as R^k0 L^k1 ..., are the primitive word W with
-    m ~ W^j.  An SL(2,Z) conjugation shifts the expansion by an even
+    sign*m ~ W^j.  An SL(2,Z) conjugation shifts the expansion by an even
     number of places, so the word up to rotation is a class invariant.
     """
     a, b, c, d = m.entries()
+    if a + d < 0:
+        a, b, c, d = -a, -b, -c, -d
     r = math.isqrt((a + d) ** 2 - 4)
     p, q, q_prev = a - d, 2 * c, 2 * b
     # about 0.72 steps per bit of c before the expansion turns periodic and
@@ -194,7 +197,7 @@ def rl_factorization(
     if abs(m.trace) <= 2:
         raise ValueError("R/L factorization needs |trace| > 2")
     sign = 1 if m.trace > 0 else -1
-    period = _period_runs(m if sign == 1 else m.neg())
+    period = _period_runs(m)
     root = I
     for letter, q in period:
         root = root * (SL2Matrix(1, q, 0, 1) if letter == "R" else SL2Matrix(1, 0, q, 1))
@@ -220,6 +223,4 @@ def sl2z_conjugate(m: SL2Matrix, n: SL2Matrix) -> bool:
     if kind == ELLIPTIC:
         return (m.c > 0) == (n.c > 0)
     # equal traces fix the sign and the power of the primitive word
-    if m.trace < 0:
-        m, n = m.neg(), n.neg()
-    return words._min_rotation(_period_runs(m)) == words._min_rotation(_period_runs(n))
+    return _same_cycle(_period_runs(m), _period_runs(n))

@@ -14,15 +14,14 @@ from __future__ import annotations
 
 import re
 
-from ._value import Value
+from ._value import Value, _same_cycle
 from .errors import IdentityInput, ResourceLimit
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from collections.abc import Iterable
 
-Block = tuple[int, int]      # (generator index >= 1, exponent != 0)
-Letter = tuple[int, int]     # (generator index, +1 or -1)
+Block = tuple[int, int]  # (generator index >= 1, exponent != 0)
 
 # Canonical names of the peripheral conjugacy classes of the twice punctured
 # plane: loops around -1, around 1, and around infinity.
@@ -181,33 +180,10 @@ def commutator(u: FreeWord, v: FreeWord) -> FreeWord:
     return u * v * u.inv() * v.inv()
 
 
-def _min_rotation(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    """The lexicographically least rotation, by Booth's algorithm: a
-    failure function over the doubled sequence, linear in its length."""
-    doubled = letters + letters
-    fail = [-1] * len(doubled)
-    k = 0  # start of the least rotation found so far
-    for j in range(1, len(doubled)):
-        x = doubled[j]
-        i = fail[j - k - 1]
-        while i != -1 and x != doubled[k + i + 1]:
-            if x < doubled[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if i == -1 and x != doubled[k]:
-            if x < doubled[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return doubled[k:k + len(letters)]
-
-
 def free_conjugate(w1: FreeWord, w2: FreeWord) -> bool:
     """True iff w1 and w2 are conjugate: the cyclic run sequences of their
-    cores are rotations of each other."""
-    r1 = _min_rotation(_cyclic_blocks(_core(w1.blocks)[1]))
-    return r1 == _min_rotation(_cyclic_blocks(_core(w2.blocks)[1]))
+    cores are rotations of each other (`_value._same_cycle`)."""
+    return _same_cycle(_cyclic_blocks(_core(w1.blocks)[1]), _cyclic_blocks(_core(w2.blocks)[1]))
 
 
 def primitive_root(w: FreeWord) -> tuple[FreeWord, int]:

@@ -38,6 +38,11 @@ from braidoka.sl2z import (
 S0 = SL2Matrix(0, -1, 1, 0)      # order 4, fixes i
 
 
+def neg(m: SL2Matrix) -> SL2Matrix:
+    """-m, the product of m with the central element -I."""
+    return SL2Matrix(-m.a, -m.b, -m.c, -m.d)
+
+
 def _kind(m: SL2Matrix) -> str:
     """The class of m from its entries: +-I are central, and every other
     matrix is elliptic, parabolic or hyperbolic as |trace| is below, at or
@@ -67,7 +72,7 @@ def parabolic_normal_form(m: SL2Matrix) -> tuple[int, int]:
     if cls != PARABOLIC:
         raise NotParabolic(f"{m} has trace {m.trace}")
     sign = 1 if m.trace == 2 else -1
-    n = m if sign == 1 else m.neg()
+    n = m if sign == 1 else neg(m)
     p, q = n.a - 1, n.b
     if p == 0 and q == 0:
         p, q = n.c, n.d - 1
@@ -223,7 +228,7 @@ def rl_factorization(m: SL2Matrix) -> tuple[int, tuple[str, ...], SL2Matrix]:
     if abs(m.trace) <= 2:
         raise ValueError("R/L factorization needs |trace| > 2")
     sign = 1 if m.trace > 0 else -1
-    w = m if sign == 1 else m.neg()
+    w = m if sign == 1 else neg(m)
     nonneg = _hyperbolic_nonneg(w)
     word = _peel_rl(nonneg)
     if "R" not in word or "L" not in word:

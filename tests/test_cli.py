@@ -680,8 +680,7 @@ _LOADS = [
     (["eq", "--n", "3", "--a=1 2 1", "--b=2 1 2"], _CORE | {"braid", "_purekernels"}),
     (["nf", "--braid=1 -2 3", "--n", "4"], _CORE | {"braid", "perms"}),
     (["linking", "--braid=1 1 2 2", "--n", "4"], _CORE | {"braid"}),
-    (["conj", "--a=1 -2", "--b=-2 1"],
-     _CORE | {"braid", "sl2z", "three", "_purekernels", "words"}),
+    (["conj", "--a=1 -2", "--b=-2 1"], _CORE | {"braid", "sl2z", "three", "_purekernels"}),
     (["scan-commutators", "--maxlen", "2"],
      _CORE | {"braid", "sl2z", "three", "_purekernels"}),
     (["disc-index", "--family", "{family}", "--samples", "64"], _CORE | {"families"}),

@@ -1,0 +1,74 @@
+"""Input-error raises that a caller can reach, one row each: the call, the
+error it raises and a fragment of its message.
+
+Each row is a raise that no other in-process test runs; the CLI's
+subprocess tests do not count, since their lines run in a child process.
+"""
+
+import pytest
+
+from braidoka.braid import BraidWord, LinkingNumbers
+from braidoka.errors import (
+    NotAbelianTransitive,
+    SignatureOutOfRange,
+    StrandMismatch,
+    WrongStrandCount,
+)
+from braidoka.families import (
+    LaurentFamily,
+    discriminant_from_coeffs,
+    nbraid_module_upper,
+    thm1_verdict,
+)
+from braidoka.lattice import LatticeSpec, _reduce_modulus
+from braidoka.oka import SurfaceHom
+from braidoka.perms import Permutation, abelian_transitive_generator, lemma5_generators
+from braidoka.sl2z import SL2Matrix, rl_factorization
+from braidoka.three import conj3, entropy3
+from braidoka.words import peripheral_word
+
+_HOM = {"genus": 1, "holes": 1, "target": "F2", "images": {"e1": "a1", "e2": "a2"}}
+_B4 = BraidWord(4, (1, 3))
+_CYCLE = Permutation((2, 3, 1))
+
+ROWS = [
+    (lambda: SurfaceHom.from_json([]), ValueError, "must be a JSON object"),
+    (lambda: SurfaceHom.from_json({"genus": 1, "holes": 1, "target": "F2"}),
+     ValueError, 'needs "images"'),
+    (lambda: SurfaceHom.from_json({**_HOM, "target": "Z"}), ValueError, "unknown target 'Z'"),
+    (lambda: SurfaceHom.from_json({**_HOM, "images": ["a1"]}),
+     ValueError, '"images" must be an object'),
+    (lambda: SurfaceHom.from_json({**_HOM, "images": {"e1": 1}}),
+     ValueError, 'images["e1"] must be a word as text'),
+    (lambda: LaurentFamily.from_json({"degree": 3}), ValueError, 'needs a "coeffs" object'),
+    (lambda: LaurentFamily.from_json({"degree": 3, "coeffs": {"0": [1, 0]}}),
+     ValueError, 'coeffs["0"] must be an object'),
+    (lambda: LaurentFamily.from_json({"degree": 3, "coeffs": {"0": {"2": [1]}}}),
+     ValueError, 'coeffs["0"]["2"] must be a pair [re, im]'),
+    (lambda: BraidWord(3, (1,)) * _B4, StrandMismatch, "B_3 vs B_4"),
+    (lambda: LinkingNumbers(3, ((1, 2, 5),))[(1, 3)], KeyError, "(1, 3)"),
+    (lambda: LinkingNumbers(4, ()).tuple3(), ValueError, "only defined for B_3"),
+    (lambda: discriminant_from_coeffs([1, 0, 2]), ValueError, "must be monic"),
+    (lambda: thm1_verdict(1, 30.0, 3), ValueError, "degree must be >= 2"),
+    (lambda: nbraid_module_upper(2), SignatureOutOfRange, "needs n >= 3"),
+    (lambda: _reduce_modulus(1 - 1j), ValueError, "positive imaginary part"),
+    (lambda: LatticeSpec.from_generators(1, 0), ValueError, "generators must be nonzero"),
+    (lambda: Permutation.transposition(3, 3), ValueError, "index 3 out of range for S_3"),
+    (lambda: abelian_transitive_generator([Permutation((2, 1))], 3),
+     ValueError, "on 2 points, expected 3"),
+    (lambda: lemma5_generators(Permutation((2, 1)), _CYCLE),
+     NotAbelianTransitive, "must lie in S_3"),
+    (lambda: lemma5_generators(Permutation((2, 1, 3)), Permutation((1, 3, 2))),
+     NotAbelianTransitive, "images do not commute"),
+    (lambda: rl_factorization(SL2Matrix(1, 1, 0, 1)), ValueError, "needs |trace| > 2"),
+    (lambda: entropy3(_B4), WrongStrandCount, "entropy3 needs B_3, got B_4"),
+    (lambda: conj3(BraidWord(3, (1,)), _B4), WrongStrandCount, "conj3 needs B_3"),
+    (lambda: peripheral_word("a3"), ValueError, "unknown peripheral 'a3'"),
+]
+
+
+@pytest.mark.parametrize("call, error, fragment", ROWS, ids=[row[2] for row in ROWS])
+def test_input_error(call, error, fragment):
+    with pytest.raises(error) as info:
+        call()
+    assert fragment in str(info.value)

@@ -72,6 +72,38 @@ class TestWp:
         with pytest.raises(ValueError, match=r"shortest vector .* too short: the value overflows"):
             f(0.5 + 0.25j, tau)
 
+    @pytest.mark.parametrize("zeta, tau", [
+        # rounding in zeta / f leaves the cell, where the row series'
+        # exponentials overflowed cmath.exp
+        (8028549152.2296715 - 9388200339.32893j, -0.27123777872954735 + 4.7401791436547436e-36j),
+        # zeta / f overflows, and round(inf) raised OverflowError
+        (1e10, 1e-300j),
+    ])
+    def test_zeta_beyond_the_float_cell_is_an_input_error(self, zeta, tau):
+        for call in (lambda: wp(zeta, tau), lambda: wp_prime(zeta, tau),
+                     lambda: ode_residual(tau, zeta)):
+            with pytest.raises(ValueError, match="too large to reduce into a cell"):
+                call()
+
+    def test_seeded_huge_zeta_never_overflows(self):
+        # Im tau down to 1e-300 and |zeta| ~ 1e10: 274 of these raised
+        # OverflowError from cmath.exp; the pole test and the finite values
+        # are as before
+        rng = random.Random(1)
+        outcomes = {"finite": 0, "pole": 0, "cell": 0}
+        for _ in range(3000):
+            tau = complex(rng.uniform(-0.5, 0.5), 10 ** rng.uniform(-300, -20))
+            zeta = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 1e10
+            try:
+                assert cmath.isfinite(wp(zeta, tau))
+                outcomes["finite"] += 1
+            except PoleProximity:
+                outcomes["pole"] += 1
+            except ValueError as exc:
+                assert "too large to reduce" in str(exc)
+                outcomes["cell"] += 1
+        assert outcomes == {"finite": 531, "pole": 2195, "cell": 274}
+
     def test_pole_rule_on_skewed_lattices(self):
         # the pole test reads |zeta reduced into the cell| alone; compare it
         # with a brute-force search for a lattice point within the tolerance

@@ -146,6 +146,17 @@ class TestConj3:
         assert conj3(b, u * b * u.inv())
         assert time.perf_counter() - t0 < 0.5
 
+    def test_exponent_beyond_decimal_str_limit(self):
+        # R^(10^5000) L^-1: the period word holds an int of 5,001 digits,
+        # whose decimal str raises on Python 3.11+
+        s1, s2 = BraidWord.sigma(3, 1, 10**5000), BraidWord.sigma(3, 2, -1)
+        t0 = time.perf_counter()
+        assert conj3(s1 * s2, s2 * s1)
+        # R^k L against R L^k: one trace, and the runs do not rotate into each other
+        other = BraidWord.sigma(3, 1, 1) * BraidWord.sigma(3, 2, -10**5000)
+        assert not sl2z_conjugate(theta(s1 * s2), theta(other))
+        assert time.perf_counter() - t0 < 0.5
+
     def test_long_conjugator_budget(self):
         # a 24,001-letter conjugator puts about 24,000 partial quotients
         # before the period of the fixed point

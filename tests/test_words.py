@@ -4,12 +4,12 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from braidoka._value import _same_cycle
 from braidoka.errors import IdentityInput, ResourceLimit
 from braidoka.words import (
     POW_MAXBLOCKS,
     FreeWord,
     _core,
-    _min_rotation,
     _peripheral,
     PERIPHERAL_A1,
     PERIPHERAL_A1A2_INV,
@@ -135,27 +135,68 @@ class TestCore:
         assert _core(w.blocks) == (((2, n - 1),), ((2, 1), (1, 7)))
 
 
-class TestMinRotation:
-    def test_matches_slice_min(self):
-        # random sequences over small alphabets, and powers of short ones
-        # whose rotations tie
-        rng = random.Random(13)
-        cases = [(), ((1, 1),)]
-        for _ in range(400):
-            base = tuple(rng.choice([(1, 1), (1, -1), (2, 1)][:rng.randint(1, 3)])
-                         for _ in range(rng.randint(1, 9)))
-            cases.append(base)
-            cases.append(base * rng.randint(2, 5))
-        for seq in cases:
-            doubled = seq + seq
-            slices = [doubled[i:i + len(seq)] for i in range(len(seq))]
-            assert _min_rotation(seq) == min(slices, default=()), seq
+def rotations(seq):
+    return {seq[i:] + seq[:i] for i in range(len(seq))} or {()}
+
+
+rl_runs = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), max_size=4).map(
+    lambda pairs: tuple(run for k, l in pairs for run in (("R", k), ("L", l))))
+free_blocks = st.lists(st.tuples(st.sampled_from([1, 2, 11, 17]), st.sampled_from([1, -1, 17, -17])),
+                       max_size=6).map(tuple)
+
+
+class TestSameCycle:
+    @given(st.one_of(st.tuples(rl_runs, rl_runs), st.tuples(free_blocks, free_blocks)),
+           st.integers(0, 11))
+    def test_matches_brute_force_rotation(self, pair, shift):
+        a, b = pair
+        assert _same_cycle(a, b) == (b in rotations(a))
+        # a rotation of a itself, so that the True side is drawn as often
+        k = shift % len(a) if a else 0
+        assert _same_cycle(a, a[k:] + a[:k])
+
+    def test_items_whose_texts_share_a_prefix(self):
+        # (1, 1), (1, 17) and (17, 1) read "1 1", "1 11" and "11 1" in hex,
+        # and (11, 1) reads "b 1": a match must start and end at an item
+        a = ((1, 1), (1, 17), (11, 1))
+        assert _same_cycle(a, ((11, 1), (1, 1), (1, 17)))
+        assert not _same_cycle(a, ((1, 17), (1, 1), (11, 1)))
+        assert not _same_cycle(((1, 17), (17, 1)), ((1, 1), (1, 1)))
+        assert not _same_cycle(((1, 1), (1, 1)), ((1, 17), (1, 1)))
+        assert not _same_cycle(((1, 17), (17, 1)), ((17, 1), (1, 1)))
+        for x in ((1, 1), (1, 17), (17, 1), (11, 1)):
+            for y in ((1, 1), (1, 17), (17, 1), (11, 1)):
+                assert _same_cycle((x,), (y,)) == (x == y), (x, y)
+
+    def test_empty_sequence(self):
+        assert _same_cycle((), ())
+        assert not _same_cycle((), ((1, 1),))
+        assert not _same_cycle(((1, 1),), ())
+
+    def test_odd_rotations_of_an_rl_word_never_match(self):
+        # the partial quotients shifted by an odd number of places, read
+        # again from R, put each exponent under the other letter
+        ks = (2, 1, 2, 1, 3, 5)
+        word = tuple(zip(("R", "L") * 3, ks))
+        for i in range(len(ks)):
+            shifted = tuple(zip(("R", "L") * 3, ks[i:] + ks[:i]))
+            assert _same_cycle(word, shifted) == (i % 2 == 0), i
+            assert _same_cycle(shifted, word) == (i % 2 == 0), i
+
+    def test_exponent_beyond_decimal_str_limit(self):
+        # decimal str of an int above 4,300 digits raises on Python 3.11+
+        big = 10**5000
+        assert _same_cycle((("R", big), ("L", 1)), (("R", big), ("L", 1)))
+        assert not _same_cycle((("R", big), ("L", 1)), (("R", big + 1), ("L", 1)))
+        assert _same_cycle(((1, big), (2, -1)), ((2, -1), (1, big)))
+        assert not _same_cycle(((1, big), (2, -1)), ((2, -1), (1, -big)))
 
     def test_long_word_budget(self):
         # comparing every rotation by slicing took 0.46 s at 8,001 letters
         letters = tuple(((1, 1), (2, 1), (1, -1), (3, 1))[k % 4] for k in range(8000))
         t0 = time.perf_counter()
-        assert _min_rotation(letters + ((2, -1),)) == _min_rotation(((2, -1),) + letters)
+        assert _same_cycle(letters + ((2, -1),), ((2, -1),) + letters)
+        assert not _same_cycle(letters + ((2, -1),), ((2, 1),) + letters)
         assert time.perf_counter() - t0 < 0.2
 
 
