@@ -77,14 +77,15 @@ def _same_cycle(a: tuple, b: tuple) -> bool:
     """True iff the sequence b is a rotation of a: |a| = |b| and b occurs
     in a + a.
 
-    The items are pairs: (generator, exponent) blocks or ("R" | "L", k)
-    runs.  Each is written with its ints in hex (a decimal str raises above
-    4,300 digits from Python 3.11 on) and between commas, so the text of b
-    occurs in the text of a, written twice, only where an item starts.
+    The items are pairs of ints, (generator, exponent): the blocks of a free
+    word or the B_3 runs of an SL(2,Z) period word.  Each is written with
+    one format, in hex (a decimal str raises above 4,300 digits from Python
+    3.11 on) and between commas, so the text of b occurs in the text of a,
+    written twice, only where an item starts.
     str search is linear in the worst case from Python 3.10 on (the
     two-way algorithm, Crochemore-Perrin, J. ACM 38, 1991), so no
     canonical rotation is built.
     """
     def text(items):
-        return "".join([f",{x if isinstance(x, str) else f'{x:x}'} {y:x}" for x, y in items])
+        return "".join([",%x %x" % item for item in items])
     return len(a) == len(b) and text(b) + "," in text(a) * 2 + ","

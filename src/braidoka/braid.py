@@ -245,7 +245,9 @@ def linking_numbers(b: BraidWord) -> LinkingNumbers:
     word and halved.  Every letter of a run sigma_i^k crosses the same two
     strands, so the run adds k to their count.  Sign convention: sigma_i^2
     on adjacent retained strands has linking number +1.  The braid is pure
-    when the walk ends with every strand back at its start.
+    when the walk ends with every strand back at its start.  Each crossing
+    of two strands swaps their order, so two strands that end where they
+    started crossed an even number of times and every count halves.
     """
     n = b.strands
     counts: dict[tuple[int, int], int] = {}
@@ -404,22 +406,16 @@ def normal_form(b: BraidWord) -> GarsideNormalForm:
     w0 = tuple(range(n, 0, -1))
     ident = tuple(range(1, n + 1))
 
+    # read the runs from the right, moving the Delta^-1 markers to the front
+    # through the tau automorphism as they are met
     factors: list[tuple[int, ...]] = []
-    dpows: list[int] = []
-    for positive, p in _t_runs(b.letters, n):
-        if positive:
-            factors.append(p)
-            dpows.append(0)
-        else:
-            factors.append(p[::-1])  # permutation of Delta s^-1: w0 followed by p
-            dpows.append(-1)
-
-    # migrate the Delta^-1 markers to the front through the tau automorphism
     power = 0
-    for k in range(len(factors) - 1, -1, -1):
-        if power % 2:
-            factors[k] = _t_tau(factors[k])
-        power += dpows[k]
+    for positive, p in reversed(_t_runs(b.letters, n)):
+        if not positive:
+            p = p[::-1]  # permutation of Delta s^-1: w0 followed by p
+        factors.append(_t_tau(p) if power % 2 else p)
+        power -= not positive
+    factors.reverse()
 
     # right insertion; only the appended factor can become trivial, because
     # the pairs left of it were left-weighted before the append

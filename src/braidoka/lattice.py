@@ -54,14 +54,15 @@ def _reduce_modulus(tau: complex) -> tuple[complex, complex]:
 
     Unimodular steps never change the lattice: tau -> tau - round(Re tau)
     keeps f, and tau -> -1/tau multiplies f by tau.  If the 64 steps run
-    out, tau' is unreduced, but every zeta then fails the pole test
-    (`_cell_point`).  A swap that another follows has |tau| <= 1/sqrt(3):
+    out and leave tau' outside the standard domain (|Re tau'| > 1/2 or
+    |tau'| < 1 - 1e-12), every zeta lies within 3^-31.5 ~ 1e-15 of
+    f (Z + tau' Z), so `_cell_point` raises PoleProximity for it without
+    reducing anything.  A swap that another follows has |tau| <= 1/sqrt(3):
     w = -1/tau lies outside |w -+ 1| < 1, so |w - n| < 1 needs |n| >= 2,
     where |w|^2 >= 2 |Re w| >= 3.  With tau' = -1/tau_63, the reduced z
-    has |f z| <= |tau_0 ... tau_62| (1 + |tau_63|)/2 < 3^-31.5 ~ 1e-15.
-    Rounding zeta / f into the cell adds a few ulp(|zeta|): measured, no
-    tau passes unreduced for |zeta| <= 10^4, down to Im tau = 1e-300
-    (`tests/test_lattice.py`), and a few do from |zeta| ~ 10^7 on.
+    has |f z| <= |tau_0 ... tau_62| (1 + |tau_63|)/2 < 3^-31.5.  For a
+    reduced tau', rounding zeta / f into the cell adds a few ulp(|zeta|),
+    so the pole test is decided to within a few ulp(|zeta|).
     """
     if tau.imag <= 0:
         raise ValueError("tau must have positive imaginary part")
@@ -81,7 +82,9 @@ def _reduce_modulus(tau: complex) -> tuple[complex, complex]:
 def _cell_point(zeta: complex, tau: complex, f: complex) -> complex:
     """z = zeta / f reduced into the cell of Z + tau Z, (tau, f) from
     `_reduce_modulus`, after the test that zeta is not within POLE_TOLERANCE
-    of f (Z + tau Z).  Every point of Z + tau Z but 0 lies at least
+    of f (Z + tau Z).  A tau that `_reduce_modulus` left outside the
+    standard domain fails that test for every zeta, as proved there.  For
+    a reduced tau, every point of Z + tau Z but 0 lies at least
     sqrt(3)/4 from z, so |f z| decides that test alone unless |f|, the
     shortest lattice vector, is below 4 POLE_TOLERANCE / sqrt(3).
 
@@ -90,9 +93,10 @@ def _cell_point(zeta: complex, tau: complex, f: complex) -> complex:
     the series' exponentials would overflow or mean nothing, so a z outside
     the cell is a ValueError."""
     z = zeta / f
-    if cmath.isfinite(z):
+    reduced = abs(tau.real) <= 0.5 and abs(tau) >= 1 - 1e-12
+    if reduced and cmath.isfinite(z):
         z = _reduce_cell(z, tau)
-    if abs(f * z) < POLE_TOLERANCE:
+    if not reduced or abs(f * z) < POLE_TOLERANCE:
         raise PoleProximity(f"{zeta} is within {POLE_TOLERANCE} of a lattice point")
     if not abs(z.imag) < tau.imag:
         raise ValueError(f"zeta = {zeta} is too large to reduce into a cell of the lattice")

@@ -19,8 +19,10 @@ closed form:
   partial quotients, read as runs R^k0 L^k1 ... in R = [[1,1],[0,1]] and
   L = [[1,0],[1,1]], form the primitive word W with sign*M ~ W^j.  The sign
   and W up to rotation are a complete invariant among matrices of one
-  trace, and the loop takes a few steps per bit of the entries.  Two words
-  are compared up to rotation by containment in the doubled word.
+  trace, and the loop takes a few steps per bit of the entries.  W is kept
+  as the runs of the B_3 word sigma_1^k0 sigma_2^-k1 ... that theta maps to
+  it, integer pairs like the blocks of a free word, and two words are
+  compared up to rotation by containment in the doubled word.
 """
 
 from __future__ import annotations
@@ -149,9 +151,11 @@ def parabolic_normal_form(m: SL2Matrix) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _period_runs(m: SL2Matrix) -> tuple[tuple[str, int], ...]:
-    """The primitive cyclic R/L word of sign*m, run-length encoded, where
-    |trace| >= 3 and sign is the sign of the trace.
+def _period_runs(m: SL2Matrix) -> tuple[tuple[int, int], ...]:
+    """The primitive cyclic R/L word of sign*m as the runs ((1, k0), (2, -k1),
+    (1, k2), ...) of sigma_1^k0 sigma_2^-k1 sigma_1^k2 ..., whose theta image
+    is R^k0 L^k1 R^k2 ..., where |trace| >= 3 and sign is the sign of the
+    trace.
 
     a, b, c, d are the entries of sign*m: the four are negated in place
     when the trace is negative, so t = a + d >= 3.  The attracting fixed
@@ -163,7 +167,10 @@ def _period_runs(m: SL2Matrix) -> tuple[tuple[str, int], ...]:
     expansion is purely periodic; the partial quotients of one period of
     even length, read as R^k0 L^k1 ..., are the primitive word W with
     sign*m ~ W^j.  An SL(2,Z) conjugation shifts the expansion by an even
-    number of places, so the word up to rotation is a class invariant.
+    number of places, so the word up to rotation is a class invariant; the
+    runs start with a sigma_1 run, so only the even rotations of one match
+    the other.  A least period of odd length is read twice, and there every
+    odd shift equals an even one.
     """
     a, b, c, d = m.entries()
     if a + d < 0:
@@ -182,9 +189,9 @@ def _period_runs(m: SL2Matrix) -> tuple[tuple[str, int], ...]:
         p_next = k * q - p
         p, q, q_prev = p_next, q_prev + k * (p - p_next), q
         if start is not None:
-            period.append(k)
+            period.append(-k if len(period) % 2 else k)
             if not len(period) % 2 and (p, q) == start:
-                return tuple(zip(("R", "L") * (len(period) // 2), period))
+                return tuple(zip((1, 2) * (len(period) // 2), period))
     raise InternalInconsistency(f"no period within {limit} partial quotients of {m}")
 
 
@@ -193,20 +200,24 @@ def rl_factorization(
 ) -> tuple[int, tuple[tuple[str, int], ...], SL2Matrix]:
     """(sign, runs, witness): sign*m is conjugate to witness, the product of
     the R/L word run-length encoded as runs = (("R", q1), ("L", q2), ...).
-    Requires |trace| > 2."""
+    Requires |trace| > 2.
+
+    The period word W is theta of the B_3 runs `_period_runs` gives, one
+    kernel product.  sign*m ~ W^j for one j, and the trace of W^j grows
+    strictly with j once the trace of W is at least 3, so the first power
+    whose trace reaches |trace m| is W^j and the trace check cannot fail."""
     if abs(m.trace) <= 2:
         raise ValueError("R/L factorization needs |trace| > 2")
     sign = 1 if m.trace > 0 else -1
     period = _period_runs(m)
-    root = I
-    for letter, q in period:
-        root = root * (SL2Matrix(1, q, 0, 1) if letter == "R" else SL2Matrix(1, 0, q, 1))
-    runs, witness = period, root
-    while witness.trace < abs(m.trace):
-        runs, witness = runs + period, witness * root
-    if witness.trace != abs(m.trace):
+    root = _purekernels.theta_abcd(period)
+    witness, j = root, 1
+    while witness[0] + witness[3] < abs(m.trace):
+        witness, j = _purekernels.mat_mul(witness, root), j + 1
+    if witness[0] + witness[3] != abs(m.trace):
         raise InternalInconsistency(f"no power of the period word has trace {m.trace}")
-    return sign, runs, witness
+    runs = tuple(("R", k) if i == 1 else ("L", -k) for i, k in period)
+    return sign, runs * j, SL2Matrix(*witness)
 
 
 def sl2z_conjugate(m: SL2Matrix, n: SL2Matrix) -> bool:

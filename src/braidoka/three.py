@@ -98,12 +98,28 @@ class ThreeBraidClass(Value):
 
 
 def _exact_div(num: int, den: int, what: str) -> int:
+    """num / den, which `classify3` divides only where the class forces
+    den | num; a remainder is an InternalInconsistency."""
     if num % den:
         raise InternalInconsistency(f"{what}: {num} not divisible by {den}")
     return num // den
 
 
 def classify3(b: BraidWord) -> ThreeBraidClass:
+    """The Nielsen-Thurston class of b, read off theta(b) and the exponent
+    sum.
+
+    theta has kernel <Delta^4> and theta(Delta^2) = -I, so the divisions
+    and the four sign and parity checks below cannot fail:
+
+    * a central image is Delta^(2l), of exponent sum 6l and image (-I)^l;
+    * a trace +-1 image is conjugate to (sigma_1 sigma_2)^l with 3 not
+      dividing l, of exponent sum 2l;
+    * a trace-0 image is conjugate to Delta^l with l odd, of exponent
+      sum 3l;
+    * a parabolic image is conjugate to sigma_1^k Delta^(2l), of exponent
+      sum k + 6l and sign (-1)^l.
+    """
     if b.strands != 3:
         raise WrongStrandCount(f"classify3 needs B_3, got B_{b.strands}")
     m = theta(b)

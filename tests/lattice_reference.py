@@ -14,6 +14,9 @@ over all `radius` rows on each side, with no early stop: the kernels
 at rounding, in the same operations, so that on most points the two agree
 bit for bit.  They share with the kernels only `_exp_and_complement`, the
 pole term.
+
+`near_lattice` decides in integer arithmetic whether a point lies within a
+tolerance of Z + tau Z, with nothing from the code under test.
 """
 
 from __future__ import annotations
@@ -95,3 +98,42 @@ def row_series_prime(z: complex, tau: complex, radius: int) -> complex:
         b *= q
     x, y = _exp_and_complement(z)
     return -8j * math.pi**3 * (x * (1 + x) / y**3 + rows)
+
+
+def near_lattice(zeta: complex, tau: complex, tol: float) -> bool:
+    """Whether zeta lies within tol of Z + tau Z, decided exactly.
+
+    Every float is a dyadic rational of denominator at most 2^1074, so
+    zeta, tau and tol times 2^1074 are integers.  The basis (1, tau) is
+    Gauss reduced in integers; the lattice point closest to zeta is then a
+    corner of the cell of the reduced basis that holds zeta, and each
+    corner's squared distance is compared with tol^2 exactly.
+    """
+    def scaled(x: float) -> int:
+        n, d = float(x).as_integer_ratio()
+        return n * (2**1074 // d)
+
+    def dot(p, q):
+        return p[0] * q[0] + p[1] * q[1]
+
+    u, v = (2**1074, 0), (scaled(tau.real), scaled(tau.imag))
+    if dot(u, u) > dot(v, v):
+        u, v = v, u
+    while True:
+        uu = dot(u, u)
+        mu = (2 * dot(u, v) + uu) // (2 * uu)  # the integer nearest <u, v>/<u, u>
+        v = (v[0] - mu * u[0], v[1] - mu * u[1])
+        if dot(v, v) >= uu:
+            break
+        u, v = v, u
+    z = (scaled(zeta.real), scaled(zeta.imag))
+    det = u[0] * v[1] - u[1] * v[0]
+    x = (z[0] * v[1] - z[1] * v[0]) // det
+    y = (u[0] * z[1] - u[1] * z[0]) // det
+    t = scaled(tol)
+    for i in (x, x + 1):
+        for j in (y, y + 1):
+            d = (z[0] - i * u[0] - j * v[0], z[1] - i * u[1] - j * v[1])
+            if dot(d, d) < t * t:
+                return True
+    return False

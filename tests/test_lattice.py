@@ -4,7 +4,7 @@ import random
 import time
 
 import pytest
-from lattice_reference import row_series, row_series_prime
+from lattice_reference import near_lattice, row_series, row_series_prime
 from lattice_reference import wp as wp_reference
 from lattice_reference import wp_prime as wp_prime_reference
 
@@ -24,6 +24,12 @@ from braidoka.lattice import (
 )
 
 TAUS = (1j, 2j, 0.5 + 1.2j)
+
+
+def is_reduced(tau):
+    """tau in the standard fundamental domain, as `_reduce_modulus` leaves it
+    when its steps do not run out."""
+    return abs(tau.real) <= 0.5 and abs(tau) >= 1 - 1e-12
 
 
 def random_tau(rng):
@@ -87,8 +93,9 @@ class TestWp:
 
     def test_seeded_huge_zeta_never_overflows(self):
         # Im tau down to 1e-300 and |zeta| ~ 1e10: 274 of these raised
-        # OverflowError from cmath.exp; the pole test and the finite values
-        # are as before
+        # OverflowError from cmath.exp.  A tau left unreduced is a pole for
+        # every zeta, so the 7 finite values and 194 cell errors that came
+        # from one are poles now
         rng = random.Random(1)
         outcomes = {"finite": 0, "pole": 0, "cell": 0}
         for _ in range(3000):
@@ -99,10 +106,12 @@ class TestWp:
                 outcomes["finite"] += 1
             except PoleProximity:
                 outcomes["pole"] += 1
+                continue
             except ValueError as exc:
                 assert "too large to reduce" in str(exc)
                 outcomes["cell"] += 1
-        assert outcomes == {"finite": 531, "pole": 2195, "cell": 274}
+            assert is_reduced(_reduce_modulus(tau)[0]), (zeta, tau)
+        assert outcomes == {"finite": 524, "pole": 2396, "cell": 80}
 
     def test_pole_rule_on_skewed_lattices(self):
         # the pole test reads |zeta reduced into the cell| alone; compare it
@@ -296,8 +305,7 @@ class TestRowCutoff:
         unreduced = passed = 0
         for _ in range(6000):
             tau = complex(rng.uniform(-3, 3), 10 ** rng.uniform(-300, 0.5))
-            rtau = _reduce_modulus(tau)[0]
-            reduced = abs(rtau.real) <= 0.5 and abs(rtau) >= 1 - 1e-12
+            reduced = is_reduced(_reduce_modulus(tau)[0])
             unreduced += not reduced
             p, q = rng.randint(-4, 4), rng.randint(-4, 4)
             for zeta in (complex(rng.uniform(-3, 3), rng.uniform(-3, 3)),
@@ -321,6 +329,66 @@ class TestRowCutoff:
         assert p == _purekernels.wp_sum(z, 1j, 60)
         assert pp == _purekernels.wp_prime_sum(z, 1j, 60)
         assert elapsed < 0.02
+
+
+class TestUnreducedModulus:
+    """A tau that `_reduce_modulus` leaves outside the standard domain after
+    its 64 steps spans a lattice with every zeta within 3^-31.5 of it, so
+    it is a pole before any float reduction; `near_lattice` checks that in
+    integer arithmetic."""
+
+    def test_oracle(self):
+        assert not near_lattice(0.5 + 0j, 1j, POLE_TOLERANCE)
+        assert near_lattice(2 + 3j + 1e-9, 1j, POLE_TOLERANCE)
+        assert not near_lattice(2 + 3j + 2e-8, 0.5 + 1.2j, POLE_TOLERANCE)
+        assert near_lattice(-3 + 2 * (0.5 + 1.2j) - 9e-9j, 0.5 + 1.2j, POLE_TOLERANCE)
+
+    def test_input_whose_cell_reduction_overflowed(self):
+        # tau' = 8.27 + 4.4e-218i after the 64 steps, where the cell
+        # reduction's round(zeta.imag / tau.imag) raised OverflowError
+        zeta = 6.861533213102491e+175 - 3.191023408208549e+175j
+        tau = 0.4492204766705261 + 1.591739283727176e-309j
+        assert not is_reduced(_reduce_modulus(tau)[0])
+        assert near_lattice(zeta, tau, POLE_TOLERANCE)
+        for call in (lambda: wp(zeta, tau), lambda: wp_prime(zeta, tau),
+                     lambda: ode_residual(tau, zeta), lambda: e_values(tau)):
+            with pytest.raises(PoleProximity):
+                call()
+
+    def test_seeded_float_domain(self):
+        # tau and zeta over most of the float range: no OverflowError (none
+        # is caught here), every value and every input error comes from a
+        # reduced tau, and an unreduced one is a pole for all four calls.
+        # Before this rule 15,018 of the 80,000 calls of 20,000 such draws
+        # raised OverflowError
+        rng = random.Random(20261019)
+        outcomes = {"finite": 0, "pole": 0, "error": 0}
+        unreduced = []
+        for _ in range(5000):
+            tau = complex(rng.uniform(-3, 3), 10 ** rng.uniform(-320, 1))
+            zeta = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 10 ** rng.uniform(0, 308)
+            reduced = is_reduced(_reduce_modulus(tau)[0])
+            if not reduced:
+                unreduced.append((zeta, tau))
+            for call in (lambda: wp(zeta, tau), lambda: wp_prime(zeta, tau),
+                         lambda: ode_residual(tau, zeta), lambda: e_values(tau)):
+                try:
+                    value = call()
+                except PoleProximity:
+                    outcomes["pole"] += 1
+                    continue
+                except ValueError as exc:
+                    assert "too large to reduce" in str(exc) or "too short" in str(exc)
+                    outcomes["error"] += 1
+                else:
+                    assert all(map(cmath.isfinite, value if isinstance(value, tuple) else (value,)))
+                    outcomes["finite"] += 1
+                assert reduced, (zeta, tau)
+        assert outcomes == {"finite": 2285, "pole": 17010, "error": 705}
+        assert len(unreduced) > 1000
+        for zeta, tau in unreduced[::10]:
+            assert near_lattice(zeta, tau, POLE_TOLERANCE), (zeta, tau)
+            assert near_lattice(0.5 + 0j, tau, POLE_TOLERANCE), tau
 
 
 class TestBranchLocus:

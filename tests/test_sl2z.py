@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -18,6 +19,7 @@ from braidoka.sl2z import (
     L,
     R,
     _kind,
+    _period_runs,
     parabolic_normal_form,
     rl_factorization,
     sl2z_conjugate,
@@ -355,6 +357,37 @@ class TestRLFactorization:
         m = sl2z_reference.neg(theta(w3("1 -2")))
         sign, runs, _ = rl_factorization(m)
         assert sign == -1 and runs
+
+    def test_matches_reference(self):
+        # both trace signs: the runs spelled out are a rotation of the
+        # letter word that the reference peels, their product is the
+        # witness, and the outputs hash as they did when the period word
+        # was multiplied out one SL2Matrix per run
+        outputs = []
+        for triple in TestReferenceParity.images():
+            for m in triple[:2]:
+                for x in (m, sl2z_reference.neg(m)):
+                    if abs(x.trace) <= 2:
+                        continue
+                    sign, runs, witness = rl_factorization(x)
+                    ref_sign, word, _ = sl2z_reference.rl_factorization(x)
+                    letters = "".join(letter * q for letter, q in runs)
+                    assert sign == ref_sign and len(letters) == len(word)
+                    assert letters in "".join(word) * 2, x
+                    prod = I
+                    for letter, q in runs:
+                        prod = prod * (R if letter == "R" else L) ** q
+                    assert prod == witness
+                    outputs.append((sign, runs, witness.entries()))
+        assert len(outputs) == 556
+        assert hashlib.sha256(repr(outputs).encode()).hexdigest()[:16] == "4de46bfb9f2e72d0"
+
+    def test_odd_least_period_is_read_twice(self):
+        # the partial quotients of R L^2 R^3 L R^2 L^3 have the least period
+        # (1, 2, 3); read twice, its runs alternate sigma_1 and sigma_2
+        m = R * L**2 * R**3 * L * R**2 * L**3
+        assert _period_runs(m) == ((1, 1), (2, -2), (1, 3), (2, -1), (1, 2), (2, -3))
+        assert rl_factorization(m)[1] == (("R", 1), ("L", 2), ("R", 3), ("L", 1), ("R", 2), ("L", 3))
 
 
 def test_to_json():

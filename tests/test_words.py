@@ -140,7 +140,7 @@ def rotations(seq):
 
 
 rl_runs = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), max_size=4).map(
-    lambda pairs: tuple(run for k, l in pairs for run in (("R", k), ("L", l))))
+    lambda pairs: tuple(run for k, l in pairs for run in ((1, k), (2, -l))))
 free_blocks = st.lists(st.tuples(st.sampled_from([1, 2, 11, 17]), st.sampled_from([1, -1, 17, -17])),
                        max_size=6).map(tuple)
 
@@ -175,19 +175,29 @@ class TestSameCycle:
 
     def test_odd_rotations_of_an_rl_word_never_match(self):
         # the partial quotients shifted by an odd number of places, read
-        # again from R, put each exponent under the other letter
+        # again from sigma_1, put each exponent under the other generator:
+        # while the flat sequence has an even least period, that never
+        # matches
+        def runs(ks):
+            return tuple((1 + i % 2, -k if i % 2 else k) for i, k in enumerate(ks))
+
         ks = (2, 1, 2, 1, 3, 5)
-        word = tuple(zip(("R", "L") * 3, ks))
+        word = runs(ks)
         for i in range(len(ks)):
-            shifted = tuple(zip(("R", "L") * 3, ks[i:] + ks[:i]))
+            shifted = runs(ks[i:] + ks[:i])
             assert _same_cycle(word, shifted) == (i % 2 == 0), i
             assert _same_cycle(shifted, word) == (i % 2 == 0), i
+        # an odd least period is read twice (`sl2z._period_runs`), and there
+        # every odd shift equals an even one, so every shift matches
+        ks = (1, 2, 3) * 2
+        for i in range(len(ks)):
+            assert _same_cycle(runs(ks), runs(ks[i:] + ks[:i])), i
 
     def test_exponent_beyond_decimal_str_limit(self):
         # decimal str of an int above 4,300 digits raises on Python 3.11+
         big = 10**5000
-        assert _same_cycle((("R", big), ("L", 1)), (("R", big), ("L", 1)))
-        assert not _same_cycle((("R", big), ("L", 1)), (("R", big + 1), ("L", 1)))
+        assert _same_cycle(((1, big), (2, -1)), ((1, big), (2, -1)))
+        assert not _same_cycle(((1, big), (2, -1)), ((1, big + 1), (2, -1)))
         assert _same_cycle(((1, big), (2, -1)), ((2, -1), (1, big)))
         assert not _same_cycle(((1, big), (2, -1)), ((2, -1), (1, -big)))
 
