@@ -25,6 +25,9 @@ _PERM_STEP = tuple(
     for perm in _PERMS
 )
 _IS_THREE_CYCLE = tuple(all(img != i for i, img in enumerate(perm, 1)) for perm in _PERMS)
+# _FLIP[p]: _PERMS[p] conjugated by the transposition (1 3), the permutation
+# of a word with sigma_1 and sigma_2 exchanged (sweep3_stats)
+_FLIP = (0, 2, 1, 4, 3, 5)
 
 # largest sweep3_stats input, measured in its docstring
 SWEEP3_MAXLEN = 14
@@ -117,20 +120,47 @@ def log_spectral_radius(trace: int) -> float:
 def sweep3_stats(maxlen: int) -> dict:
     """Classify every raw B_3 word of length <= maxlen by theta trace.
 
-    Counts words per state instead of visiting them: level k maps each
-    state (a, b, c, d, p) reached by a word of length k, with theta image
-    [[a, b], [c, d]] and permutation _PERMS[p], to the number of such
-    words, and level k + 1 multiplies each state by the four generators.
-    Level k holds about 6 * 2^k states against 4^k words.  The permutation
-    is composed letter by letter, never read off theta, so "violations"
-    (3-cycle permutation with parabolic image) cross-checks the two.
-    Kinds: periodic (elliptic or central image), reducible (parabolic
-    image), pseudo-Anosov (hyperbolic image).
+    Counts words per orbit of states instead of visiting them.  A state
+    (a, b, c, d, p) is a theta image [[a, b], [c, d]] with the permutation
+    _PERMS[p].  The permutation is composed letter by letter, never read
+    off theta, so "violations" (3-cycle permutation with parabolic image)
+    cross-checks the two.  Kinds: periodic (elliptic or central image),
+    reducible (parabolic image), pseudo-Anosov (hyperbolic image).
 
-    Raises ResourceLimit above SWEEP3_MAXLEN = 14: maxlen 14 (358M words)
-    takes about 0.37 s and 27 MB of allocations (pure Python, 2-core VM),
-    and each further letter doubles the states, so 15 would take 56 MB and
-    16 116 MB and 1.8 s.
+    No subcommand and no public name reach it, on purpose: it is the
+    stated instrument of acceptance criteria 2 (trichotomy totality, no
+    3-cycle with a parabolic image) and 12 (least pseudo-Anosov trace 3)
+    and a job of the benchmark's `sweeps` workload.
+
+    Lemma.  Conjugation by D = diag(1, -1) and by J = [[0, 1], [1, 0]] in
+    GL(2, Z) generates a Klein four-group V that permutes the four
+    generator images: D sends theta(sigma_i^k) to theta(sigma_i^-k), J
+    swaps theta(sigma_1^k) and theta(sigma_2^-k), and DJ swaps
+    theta(sigma_1^k) and theta(sigma_2^k).  On states, D is (a, b, c, d, p)
+    -> (a, -b, -c, d, p), as sigma_i^-1 swaps the strands that sigma_i
+    swaps, and J is (a, b, c, d, p) -> (d, c, b, a, _FLIP[p]), as
+    exchanging the transpositions (1 2) and (2 3) conjugates by (1 3).  V
+    fixes the start state (I, identity) and keeps the trace, the test
+    b = c = 0 and the cycle type, so every reported count is constant on
+    orbits.  For g in V and a letter x, g(s x) = g(s) g(x) and g permutes
+    the letters, so the states of one orbit are reached by equally many
+    words of each length (induction on the length).  So level k maps one
+    representative s of each orbit to the number N of words of length k
+    that reach the orbit, and level k + 1 adds N to the orbit of s x for
+    each of the four letters x.  Level k holds about 1.5 * 2^k orbits
+    against 4^k words.
+
+    The representative is the orbit's state with the least a, then b > 0.
+    Both are unique when a != d, since b = 0 or c = 0 forces a = d = +-1;
+    when a = d it is the least of the orbit's four tuples.  This takes one
+    comparison and one tuple for most states, where the least of four
+    tuples for every state ran 1.8 times as long.
+
+    Raises ResourceLimit above SWEEP3_MAXLEN = 14: maxlen 14 (358M words,
+    24,575 orbits at the last level) takes about 0.045 s with a 6.2 MB
+    allocation peak (tracemalloc) and a 22.5 MB max RSS, against 14 MB for
+    the bare interpreter (Python 3.11, 2-core VM).  Each further letter
+    doubles the orbits: 15 measured 0.10 s and 13 MB, 16 0.22 s and 27 MB.
     """
     if maxlen < 0:
         raise ValueError("maxlen must be >= 0")
@@ -160,16 +190,19 @@ def sweep3_stats(maxlen: int) -> dict:
             if cycle:
                 three_cycles += n
             if grow:
-                # right multiplication by theta of sigma_1^{+-1}, sigma_2^{+-1}
+                # right multiplication by theta of sigma_1^{+-1}, sigma_2^{+-1},
+                # each product replaced by its orbit's representative
                 p1, p1i, p2, p2i = _PERM_STEP[p]
-                k = (a, a + b, c, c + d, p1)
-                nxt[k] = get(k, 0) + n
-                k = (a, b - a, c, d - c, p1i)
-                nxt[k] = get(k, 0) + n
-                k = (a - b, b, c - d, d, p2)
-                nxt[k] = get(k, 0) + n
-                k = (a + b, b, c + d, d, p2i)
-                nxt[k] = get(k, 0) + n
+                for a, b, c, d, q in ((a, a + b, c, c + d, p1), (a, b - a, c, d - c, p1i),
+                                      (a - b, b, c - d, d, p2), (a + b, b, c + d, d, p2i)):
+                    if a < d:
+                        k = (a, b, c, d, q) if b > 0 else (a, -b, -c, d, q)
+                    elif d < a:
+                        k = (d, c, b, a, _FLIP[q]) if c > 0 else (d, -c, -b, a, _FLIP[q])
+                    else:
+                        f = _FLIP[q]
+                        k = min((a, b, c, d, q), (a, -b, -c, d, q), (d, c, b, a, f), (d, -c, -b, a, f))
+                    nxt[k] = get(k, 0) + n
         level = nxt
     return {
         "total": total,

@@ -63,6 +63,10 @@ def _reduce_modulus(tau: complex) -> tuple[complex, complex]:
     has |f z| <= |tau_0 ... tau_62| (1 + |tau_63|)/2 < 3^-31.5.  For a
     reduced tau', rounding zeta / f into the cell adds a few ulp(|zeta|),
     so the pole test is decided to within a few ulp(|zeta|).
+
+    A swap whose -1/tau overflows a float (|tau| below about 5.6e-309)
+    is a ValueError that names tau, as in `_rescale`: f tau is then a
+    lattice vector so short that wp and wp' overflow a float.
     """
     if tau.imag <= 0:
         raise ValueError("tau must have positive imaginary part")
@@ -74,6 +78,9 @@ def _reduce_modulus(tau: complex) -> tuple[complex, complex]:
         if abs(tau) < 1 - 1e-12:
             f = f * tau
             tau = -1 / tau
+            if not cmath.isfinite(tau):
+                raise ValueError(f"tau gives a lattice vector too short for a finite value "
+                                 f"({abs(f):.3g}): -1/tau overflows a float")
         else:
             break
     return tau, f

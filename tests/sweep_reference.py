@@ -1,17 +1,23 @@
-"""Reference 3-braid sweep for parity tests.
+"""Reference 3-braid sweeps for parity tests.
 
-This is `braidoka._purekernels.sweep3_stats` as it was before it counted
-words per distinct theta state: a depth-first walk of the 4-ary word tree
-that visits every one of the (4^(maxlen+1) - 1)/3 words.  It takes time
+`sweep3_stats` is `braidoka._purekernels.sweep3_stats` as it was before it
+counted words per distinct theta state: a depth-first walk of the 4-ary word
+tree that visits every one of the (4^(maxlen+1) - 1)/3 words.  It takes time
 proportional to the number of words (about 30 s at maxlen 12).  It builds
 theta from its own table of generator images and `mat_mul`, which the
-per-state count does not use, and composes the permutation from its own
-table, so the two share no code, which is what makes it a useful oracle.
+kernel does not use, and composes the permutation from its own table, so the
+two share no code, which is what makes it a useful oracle.
+
+`sweep3_stats_per_state` is the kernel as it was before it counted orbits of
+states: one dict entry per state (theta image, permutation), about 6 * 2^k of
+them at length k.  It shares the permutation tables with the kernel but not
+the orbit representatives, and it reaches maxlen 14 in a fraction of a
+second, where the word walk would take hours.
 """
 
 from __future__ import annotations
 
-from braidoka._purekernels import mat_mul
+from braidoka._purekernels import _IS_THREE_CYCLE, _PERM_STEP, mat_mul
 
 # theta(sigma_1) and theta(sigma_2) in SL(2,Z), plus inverses, keyed by letter
 _THETA = {
@@ -73,3 +79,54 @@ def sweep3_stats(maxlen: int) -> dict:
             np_ = (s[perm[0] - 1], s[perm[1] - 1], s[perm[2] - 1])
             stack.append((nm, np_, depth + 1))
     return stats
+
+
+def sweep3_stats_per_state(maxlen: int) -> dict:
+    """The same counts, per state: level k maps each state (a, b, c, d, p)
+    reached by a word of length k, with theta image [[a, b], [c, d]] and
+    permutation _PERMS[p], to the number of such words, and level k + 1
+    multiplies each state by the four generators."""
+    total = periodic = reducible = pseudo_anosov = three_cycles = violations = 0
+    min_pa = 0  # 0 = none seen
+    level = {(1, 0, 0, 1, 0): 1}
+    for depth in range(maxlen + 1):
+        grow = depth < maxlen
+        nxt: dict = {}
+        get = nxt.get
+        for (a, b, c, d, p), n in level.items():
+            total += n
+            cycle = _IS_THREE_CYCLE[p]
+            t = abs(a + d)
+            if t > 2:
+                pseudo_anosov += n
+                if min_pa == 0 or t < min_pa:
+                    min_pa = t
+            elif t == 2 and (b or c):
+                reducible += n
+                if cycle:
+                    violations += n
+            else:
+                periodic += n
+            if cycle:
+                three_cycles += n
+            if grow:
+                # right multiplication by theta of sigma_1^{+-1}, sigma_2^{+-1}
+                p1, p1i, p2, p2i = _PERM_STEP[p]
+                k = (a, a + b, c, c + d, p1)
+                nxt[k] = get(k, 0) + n
+                k = (a, b - a, c, d - c, p1i)
+                nxt[k] = get(k, 0) + n
+                k = (a - b, b, c - d, d, p2)
+                nxt[k] = get(k, 0) + n
+                k = (a + b, b, c + d, d, p2i)
+                nxt[k] = get(k, 0) + n
+        level = nxt
+    return {
+        "total": total,
+        "periodic": periodic,
+        "reducible": reducible,
+        "pseudo_anosov": pseudo_anosov,
+        "three_cycles": three_cycles,
+        "violations": violations,
+        "min_pa_abs_trace": min_pa,
+    }

@@ -493,12 +493,13 @@ _HOM = {"genus": 1, "holes": 1, "target": "B3", "images": {"e1": "1 2", "e2": "1
     ("penner", None, ["--genus", str(10**400), "--marked", "1"]),
     ("thm1", None, ["--n", str(10**400 + 1), "--modulus", "1e20", "--index", "0"]),
     ("disc-index", json.dumps({"degree": 2, "coeffs": {"0": {"0": [1e308, 1e308]}}}), []),
+    ("lattice-branch", None, ["--tau=1e-310,1e-310"]),
 ], ids=["no-coeffs", "short-coefficient", "text-coefficient", "long-coefficient",
         "nan-coefficient", "infinite-coefficient", "infinite-degree", "samples-above-cap",
         "no-images", "bare-list", "list-image", "fractional-genus",
         "two-keys-one-power", "a-image-key", "stacked-image-key",
         "underscore-power-key", "bool-genus", "non-ascii-digit", "underscore-letter",
-        "huge-braid-n", "huge-genus", "huge-n", "overflowing-discriminant"])
+        "huge-braid-n", "huge-genus", "huge-n", "overflowing-discriminant", "subnormal-tau"])
 def test_malformed_input_is_one_json_error_line(sub, text, extra, tmp_path):
     # run as a process: an uncaught exception also exits 1, with a traceback
     path = tmp_path / "input.json"

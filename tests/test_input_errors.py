@@ -20,7 +20,7 @@ from braidoka.families import (
     nbraid_module_upper,
     thm1_verdict,
 )
-from braidoka.lattice import LatticeSpec, _reduce_modulus
+from braidoka.lattice import LatticeSpec, _reduce_modulus, e_values, wp, wp_prime
 from braidoka.oka import SurfaceHom
 from braidoka.perms import Permutation, abelian_transitive_generator, lemma5_generators
 from braidoka.sl2z import SL2Matrix, rl_factorization
@@ -53,6 +53,12 @@ ROWS = [
     (lambda: nbraid_module_upper(2), SignatureOutOfRange, "needs n >= 3"),
     (lambda: _reduce_modulus(1 - 1j), ValueError, "positive imaginary part"),
     (lambda: LatticeSpec.from_generators(1, 0), ValueError, "generators must be nonzero"),
+    # -1/tau overflows a float: OverflowError tracebacks once, and for 1e-320j
+    # an error that blamed zeta
+    (lambda: wp(0.3 + 0.1j, 1e-310 + 1e-310j), ValueError, "tau gives a lattice vector too short"),
+    (lambda: wp_prime(0.3 + 0.1j, 1e-310 + 1e-310j), ValueError, "-1/tau overflows a float"),
+    (lambda: e_values(1e-310 + 1e-310j), ValueError, "too short for a finite value (1.41e-310)"),
+    (lambda: wp(0.5, 1e-320j), ValueError, "(1e-320): -1/tau overflows"),
     (lambda: Permutation.transposition(3, 3), ValueError, "index 3 out of range for S_3"),
     (lambda: abelian_transitive_generator([Permutation((2, 1))], 3),
      ValueError, "on 2 points, expected 3"),
