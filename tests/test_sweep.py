@@ -28,8 +28,8 @@ def test_matches_reference(maxlen):
         assert stats == sweep_reference.sweep3_stats(maxlen)
 
 
-# The Klein four-group of sweep3_stats' lemma, as (matrix g = g^-1, the
-# relabelling of the letters 1, -1, 2, -2 that conjugation by g performs)
+# The Klein four-group of sweep3_stats' lemma, as (matrix g, the relabelling
+# of the letters 1, -1, 2, -2 that conjugation by g performs)
 _D = (1, 0, 0, -1)
 _J = (0, 1, 1, 0)
 _KLEIN = {
@@ -71,12 +71,12 @@ def _cycle_type(letters):
 
 @given(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=30))
 def test_relabelled_words_keep_trace_and_cycle_type(letters):
-    a, _, _, d = _theta(letters)
+    word = _theta(letters)
     for g, relabel in _KLEIN.values():
         image = [relabel[x] for x in letters]
         m = _theta(image)
-        assert m == _conjugate(g, _theta(letters))
-        assert m[0] + m[3] == a + d
+        assert m == _conjugate(g, word)
+        assert m[0] + m[3] == word[0] + word[3]
         assert _cycle_type(image) == _cycle_type(letters)
 
 
