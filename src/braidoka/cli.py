@@ -30,8 +30,8 @@ from . import __version__, braid, errors, families, lattice, oka, sl2z, three
 
 SCHEMA_VERSION = "1"
 PATH_STEPS = 16  # lattice-branch --path-end without --path-steps
-# most --path-steps: 10,000 steps take about 0.85 s and print 3.5 MB of
-# JSON at 46 MB peak RSS (1.1 MB and 25 MB under --csv; Python 3.11,
+# most --path-steps: 10,000 steps take about 0.5 s and print 3.5 MB of
+# JSON at 46 MB peak RSS (0.3 s, 1.1 MB and 25 MB under --csv; Python 3.11,
 # 2-core VM), and time, output and memory grow linearly with the steps
 _PATH_STEPS_MAX = 10_000
 

@@ -1,27 +1,35 @@
 """Numerical Weierstrass machinery: the elliptic function of a lattice, its
 half-period values, and branch loci.
 
-wp and wp' are series over the lattice rows m + n tau, each row summed in
-closed form: sum_m 1/(u - m)^2 = pi^2 csc^2(pi u) (DLMF 23.8).  The
-lattice Z + tau Z is first written as f (Z + tau' Z) with tau' in the
-standard fundamental domain, so Im tau' >= sqrt(3)/2, and wp, wp' are read
-off the lattice of tau' by homogeneity (DLMF 23.10.17).  Once zeta / f is
-translated into the cell around the origin, the x = exp(2 pi i u) of row
-n are below |q|^(n - 1/2), q = exp(2 pi i tau'), |q| <= exp(-pi sqrt 3) ~
-0.0043.  The sums stop before the first row whose largest x is below
-2^-70 (`_purekernels.wp_sum`), so the rows left out add at most 1.4e-19
-to wp and 4.3e-19 to wp', far below ulp(pi^2/3) ~ 4.4e-16.  That is at
-most 9 rows on each side, and 6 once Im tau' >= 1.4, so no row cap is
-taken: the kernels' cap `_ROWS` never binds (`_reduce_modulus`).
-Measured for |Re tau| <= 1/2, 0.8 <= Im tau <= 2: over 200 seeded tau,
-e1, e2, e3 agree with mpmath theta constants (DLMF 23.6.2-23.6.4) to
-1.2e-15 relative and the normalized residual of the cubic differential
-equation (`ode_residual`) stays below 1.1e-12, also near zeta =
-(1 + tau)/2, where wp' vanishes; over 60 seeded tau, wp and wp' agree
-with a 40-digit theta quotient to 1e-15 and 8e-15 relative, at generic
-points and down to 1e-7 from a lattice point.  Down to Im tau = 0.01,
-e1, e2, e3 agree with mpmath to 2.1e-15 relative (tau = 0.3 + 0.05i,
-0.45 + 0.02i and 0.01i).
+The lattice Z + tau Z is first written as f (Z + tau' Z) with tau' in the
+standard fundamental domain, so Im tau' >= sqrt(3)/2, and every value is
+read off the lattice of tau' by homogeneity (DLMF 23.10.17).
+
+wp and wp' are series over the lattice rows m + n tau', each row summed in
+closed form: sum_m 1/(u - m)^2 = pi^2 csc^2(pi u) (DLMF 23.8).  Once
+zeta / f is translated into the cell around the origin, the x = exp(2 pi i
+u) of row n are below |q|^(n - 1/2), q = exp(2 pi i tau'), |q| <=
+exp(-pi sqrt 3) ~ 0.0043.  The sums stop before the first row whose
+largest x is below 2^-70 (`_purekernels.wp_sum`), so the rows left out
+add at most 1.4e-19 to wp and 4.3e-19 to wp', far below ulp(pi^2/3) ~
+4.4e-16.  That is at most 9 rows on each side, and 6 once Im tau' >= 1.4,
+so no row cap is taken: the kernels' cap `_ROWS` never binds
+(`_reduce_modulus`).
+
+The half-period values e1, e2, e3 are theta constants (DLMF 23.6.2-23.6.4)
+at exp(i pi tau'), of modulus at most exp(-pi sqrt(3) / 2) ~ 0.066: four
+terms of each theta series leave out less than 1e-23
+(`_half_period_values`).  Measured for |Re tau| <= 1/2, 0.8 <= Im tau <=
+2: over 200 seeded tau, e1, e2, e3 agree with 200-bit mpmath theta
+constants to 1.5e-15 relative (to max(1, |e_j|)) and the normalized
+residual of the cubic differential equation (`ode_residual`) stays below
+1.1e-12, also near zeta = (1 + tau)/2, where wp' vanishes; over 60 seeded
+tau, wp and wp' agree with a 40-digit theta quotient to 1e-15 and 8e-15
+relative, at generic points and down to 1e-7 from a lattice point.  Down
+to Im tau = 0.01, e1, e2, e3 agree with mpmath to 1.5e-15 relative (tau =
+0.3 + 0.05i, 0.45 + 0.02i and 0.01i), and to about 1e-14 of max |e_j|
+over 600 seeded tau with 0.01 <= Im tau <= 30: the float reduction of
+tau, not the series, sets that error.
 """
 
 from __future__ import annotations
@@ -132,9 +140,40 @@ def _half_period_values(tau: complex, rtau: complex, f: complex) -> tuple[comple
     period is f/2 modulo the lattice, within |f|/2 of it, so PoleProximity
     comes first whenever |f| < 2 POLE_TOLERANCE, long before f^2
     underflows.
+
+    The three values of the reduced lattice L' = Z + tau' Z come from theta
+    constants at q = exp(i pi tau'), |q| <= exp(-pi sqrt(3) / 2) ~ 0.066
+    (DLMF 23.6.2-23.6.4 with 2 omega_1 = 1, Jacobi's theta_3^4 = theta_2^4 +
+    theta_4^4): wp(1/2) = (pi^2/3)(theta_3^4 + theta_4^4), wp(tau'/2) =
+    -(pi^2/3)(theta_2^4 + theta_3^4), wp((1 + tau')/2) = (pi^2/3)(theta_2^4 -
+    theta_4^4), with theta_3, theta_4 = 1 + 2 sum +-q^(k^2) and theta_2^4 =
+    16 q (1 + q^2 + q^6 + q^12 + ...)^4.  Four terms each leave out terms
+    below 2 |q|^25 and |q|^20, under 1e-23.
+
+    The half periods of L = Z + tau Z are the nonzero classes of
+    (1/2) L / L, and dividing by f maps them onto those of L', permuting
+    them.  So each reduced point z is (m + n tau') / 2 with m, n in
+    {-1, 0, 1} and (m mod 2, n mod 2) one of (1, 0), (0, 1), (1, 1), the
+    classes of 1/2, tau'/2 and (1 + tau')/2.  Rounding reads m and n
+    safely: z lies within a few ulp(|zeta / f|) of the true point, and
+    neighbouring candidates for 2 z lie 1 apart in the real part and
+    Im tau' >= sqrt(3)/2 apart in the imaginary part.
     """
     zs = [_cell_point(zeta, rtau, f) for zeta in (0.5 + 0j, tau / 2, (1 + tau) / 2)]
-    return tuple(_purekernels.wp_sum(z, rtau, _ROWS) / f**2 for z in zs)
+    q = cmath.exp(1j * cmath.pi * rtau)
+    q2, q4, q8 = q**2, q**4, q**8
+    even, odd = q4 + q8 * q8, q + q8 * q  # q^4 + q^16, q + q^9
+    t2 = 16 * q * (1 + q2 + q4 * q2 + q8 * q4) ** 4
+    t3 = (1 + 2 * (even + odd)) ** 4
+    t4 = (1 + 2 * (even - odd)) ** 4
+    c = cmath.pi**2 / 3 / f**2
+    values = (c * (t3 + t4), -c * (t2 + t3), c * (t2 - t4))  # (m, n) = (1, 0), (0, 1), (1, 1)
+    result = []
+    for z in zs:
+        n = round(2 * z.imag / rtau.imag)
+        m = round(2 * z.real - n * rtau.real)
+        result.append(values[m % 2 + 2 * (n % 2) - 1])
+    return tuple(result)
 
 
 def wp(zeta: complex, tau: complex) -> complex:

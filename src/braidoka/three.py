@@ -332,7 +332,8 @@ def zero_entropy_commutator_scan(maxlen: int) -> CommutatorScanReport:
     The image pairs are tested per trace class, through the Fricke identity
     tr[m1, m2] = t1^2 + t2^2 + t12^2 - t1 t2 t12 - 2 (Goldman, Trace
     coordinates on Fricke spaces, 2009), with t1, t2 the traces of m1, m2
-    and t12 = tr(m1 m2).  Five facts bound the pairs worth testing:
+    and t12 = tr(m1 m2).  Five facts bound the pairs worth testing, and a
+    sixth checks the result:
 
     (A) tr[m1, m2] = 2 exactly when m1 and m2 have a common eigenvector
         (Culler-Shalen, Ann. of Math. 117, 1983, section 1), and in SL(2,Z)
@@ -367,6 +368,14 @@ def zero_entropy_commutator_scan(maxlen: int) -> CommutatorScanReport:
         with (A), (B) and (D), an m1 that is not hyperbolic has
         tr[m1, m2] >= 3 unless it commutes with m2, and elliptic images
         leave the pass too: only hyperbolic ones pair.
+    (F) At T = -2 the Fricke identity reads t1^2 + t2^2 + t12^2 =
+        t1 t2 t12, whose nonzero integer solutions are exactly 3 (a, b, c)
+        up to signs, with a^2 + b^2 + c^2 = 3abc a Markov triple (Hurwitz,
+        Arch. Math. Phys. 11, 1907; H. Cohn, Ann. of Math. 61, 1955;
+        M. Aigner, Markov's Theorem and 100 Years of the Uniqueness
+        Conjecture, 2013).  It prunes nothing beyond (C)'s perfect-square
+        test, so it serves as an oracle: the Markov tree lists every trace
+        triple a found pair may have, without `_fricke_roots`.
 
     [m1, m2] and [m2, m1] are inverse, so one test covers both orders.  A
     found pair that commutes contradicts (A) and raises

@@ -694,7 +694,7 @@ _LOADS = [
     (["eprime", "--genus", "1", "--holes", "1", "--list"],
      _CORE | {"oka", "words", "sl2z", "_purekernels"}),
     (["lattice-branch", "--tau=0.1,1.2", "--alpha=1,0", "--radius", "60", "--csv"],
-     _CORE | {"lattice", "_purekernels"}),
+     _CORE | {"lattice"}),
 ]
 
 

@@ -3,6 +3,7 @@ import math
 import random
 import time
 
+import mpmath
 import pytest
 from lattice_reference import near_lattice, row_series, row_series_prime
 from lattice_reference import wp as wp_reference
@@ -36,15 +37,20 @@ def random_tau(rng):
     return complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2.0))
 
 
-def theta_e_values(tau):
-    """(wp(1/2), wp(tau/2), wp((1+tau)/2)) from theta constants
-    (DLMF 23.6.2-23.6.4), each theta summed as a plain q-series."""
-    terms = range(-12, 13)
-    t2 = sum(cmath.exp(1j * math.pi * tau * (n + 0.5) ** 2) for n in terms) ** 4
-    t3 = sum(cmath.exp(1j * math.pi * tau * n * n) for n in terms) ** 4
-    t4 = sum((-1) ** n * cmath.exp(1j * math.pi * tau * n * n) for n in terms) ** 4
-    c = math.pi**2 / 3
-    return c * (t3 + t4), -c * (t2 + t3), c * (t2 - t4)
+def mpmath_e_values(tau):
+    """(wp(1/2), wp(tau/2), wp((1+tau)/2)) from 200-bit mpmath theta
+    constants (DLMF 23.6.2-23.6.4), unreduced tau."""
+    with mpmath.workprec(200):
+        q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+        t2, t3, t4 = (mpmath.jtheta(k, 0, q) ** 4 for k in (2, 3, 4))
+        c = mpmath.pi**2 / 3
+        return tuple(complex(v) for v in (c * (t3 + t4), -c * (t2 + t3), c * (t2 - t4)))
+
+
+def row_series_e_values(tau):
+    """The half-period values through `wp`, the row series at each half
+    period, which reads no half-period class."""
+    return wp(0.5, tau), wp(tau / 2, tau), wp((1 + tau) / 2, tau)
 
 
 class TestWp:
@@ -186,10 +192,44 @@ class TestEValues:
             assert abs(sum(e_values(tau))) < 1e-5
 
     def test_theta_constants(self):
+        # e_values sums theta constants; the row series at the half periods
+        # and 200-bit mpmath are the two independent oracles
         rng = random.Random(23)
         for tau in (1j, 0.8j, 2j, *(random_tau(rng) for _ in range(20))):
-            for got, want in zip(e_values(tau), theta_e_values(tau)):
-                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+            got = e_values(tau)
+            for oracle, tol in ((row_series_e_values, 1e-12), (mpmath_e_values, 1e-14)):
+                for x, want in zip(got, oracle(tau)):
+                    assert abs(x - want) <= tol * max(1.0, abs(want)), (oracle.__name__, tau)
+
+    def test_mpmath_over_many_reductions(self):
+        # Im tau from 0.01 to 30, measured against the size of the locus:
+        # the e_j sum to 0, so one can be much smaller than the others.  At
+        # Im tau < 0.1 the float reduction of tau sets the error, the same
+        # with the row series: up to 1.03e-14 of the locus on these seeds,
+        # and up to 2e-14 of max(1, |e_j|) value by value
+        rng = random.Random(29)
+        for _ in range(500):
+            tau = complex(rng.uniform(-0.5, 0.5), 10 ** rng.uniform(-2, math.log10(30)))
+            want = mpmath_e_values(tau)
+            scale = max(1.0, *map(abs, want))
+            assert all(abs(x - w) <= 2e-14 * scale for x, w in zip(e_values(tau), want)), tau
+
+    def test_half_period_classes(self):
+        # tau + 1 spans the same lattice with half periods 1/2, tau/2 + 1/2
+        # and tau/2 + 1; -1/tau spans tau^-1 (Z + tau Z), where wp(z) is
+        # tau^2 wp(tau z), so the values are permuted and rescaled.  The
+        # values at tau come from the row series: e_values(tau) and
+        # e_values(tau + 1) reduce to one lattice, so a wrong class table
+        # would permute both sides alike
+        rng = random.Random(31)
+        for _ in range(300):
+            tau = complex(rng.uniform(-0.5, 0.5), 10 ** rng.uniform(-2, 1))
+            e1, e2, e3 = row_series_e_values(tau)
+            for got, want in ((e_values(tau), (e1, e2, e3)),
+                              (e_values(tau + 1), (e1, e3, e2)),
+                              (e_values(-1 / tau), (tau**2 * e2, tau**2 * e1, tau**2 * e3))):
+                scale = max(map(abs, want))
+                assert all(abs(x - w) <= 1e-11 * scale for x, w in zip(got, want)), tau
 
     def test_large_modulus(self):
         e = e_values(40j)

@@ -245,6 +245,23 @@ class TestCommutatorScan:
         assert len(rep.pairs) == 31536
         assert all(p.entropy_b1 > 0 and p.entropy_b2 > 0 for p in rep.pairs)
 
+    def test_trace_triples_are_three_times_markov(self):
+        # fact (F): a found pair's traces (t1, t2, t12) solve
+        # x^2 + y^2 + z^2 = xyz, so they are 3 x a Markov triple up to
+        # signs; the traces come from theta_abcd, not from _fricke_roots
+        def trace(word):
+            a, _, _, d = _purekernels.theta_abcd([(abs(g), 1 if g > 0 else -1) for g in word])
+            return a + d
+
+        triples = set()
+        for p in zero_entropy_commutator_scan(7).pairs:
+            t = (trace(p.b1), trace(p.b2), trace(p.b1 + p.b2))
+            assert t[0] * t[1] * t[2] > 0 and all(x % 3 == 0 for x in t), p
+            triples.add(tuple(sorted(abs(x) // 3 for x in t)))
+        markov = markov_triples(max(c for _, _, c in triples))
+        assert (1, 1, 1) in triples and (1, 2, 5) in triples
+        assert triples <= markov
+
     @pytest.mark.parametrize("maxlen", range(0, SCAN_MAXLEN + 1))
     def test_matches_reference(self, maxlen):
         # the word-by-word reference up to maxlen 5, the pass over all image
@@ -297,6 +314,23 @@ def _mat_pow(m, k):
     for _ in range(abs(k)):
         out = mat_mul(out, m)
     return out if k >= 0 else mat_inv(out)
+
+
+def markov_triples(bound):
+    """The sorted Markov triples a^2 + b^2 + c^2 = 3abc with c <= bound,
+    from the Markov tree: (a, b, c) -> (a, b, 3ab - c) and its permutations.
+    Each triple but (1, 1, 1) drops its largest entry this way, so every
+    triple up to the bound is reached through triples up to the bound."""
+    seen = {(1, 1, 1)}
+    todo = [(1, 1, 1)]
+    while todo:
+        a, b, c = todo.pop()
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            t = tuple(sorted((y, z, 3 * y * z - x)))
+            if t[2] <= bound and t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return seen
 
 
 class TestCommutatorTraceFacts:
