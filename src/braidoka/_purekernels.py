@@ -238,7 +238,7 @@ def wp_sum(z: complex, tau: complex, radius: int) -> complex:
                  - 2 pi^2 csc^2(pi n tau)].
     With x = exp(2 pi i u), pi^2 csc^2(pi u) = -4 pi^2 x / (1 - x)^2, and
     each row multiplies the three x by q = exp(2 pi i tau).  Expects
-    |Im z| < Im tau, which `lattice._reduce_cell` provides.
+    |Im z| < Im tau, which `lattice._cell_point` provides.
 
     After the flip to Im z >= 0 the three x of a row, a, c and b, have
     |a| <= |c| <= |b| = exp(-2 pi (n Im tau - Im z)), and each later row is

@@ -46,6 +46,14 @@ Run = tuple[int, int]  # (i, k): sigma_i^k, with i >= 1 and k != 0
 # factors of a general word
 MAX_LETTERS = 2**18
 
+# most strands of a word, checked by every constructor.  `linking` prints
+# n(n-1)/2 pairs: `braidoka linking --braid "1 1" --n 1000` takes 1.3 s at
+# 150 MB peak RSS and prints 8.9 MB, and 5.1 s and 567 MB at 2,000 strands.
+# `nf --braid "1 2 -1"` grows linearly (0.1 s at 2,000 strands, 0.54 s and
+# 46 MB at 10^5), and `eq` builds a list of 2n entries (Python 3.11, 2-core
+# VM, one fresh process per call)
+MAX_STRANDS = 1000
+
 # most runs __pow__ spells out for a word of several runs: 2^20 runs take
 # about 0.14 s and add 24 MB to the peak resident size (pure Python 3.11,
 # 2-core VM); both grow linearly
@@ -115,6 +123,8 @@ class BraidWord(Value):
     def __post_init__(self) -> None:
         if self.strands < 2:
             raise ValueError("braid group needs at least 2 strands")
+        if self.strands > MAX_STRANDS:
+            raise ResourceLimit(f"B_{self.strands} has more than MAX_STRANDS = {MAX_STRANDS} strands")
         top = self.strands - 1
         for i, k in self.runs:
             if not 0 < i <= top:

@@ -30,9 +30,10 @@ from . import __version__, braid, errors, families, lattice, oka, sl2z, three
 
 SCHEMA_VERSION = "1"
 PATH_STEPS = 16  # lattice-branch --path-end without --path-steps
-# most --path-steps: 10,000 steps take about 0.5 s and print 3.5 MB of
-# JSON at 46 MB peak RSS (0.3 s, 1.1 MB and 25 MB under --csv; Python 3.11,
-# 2-core VM), and time, output and memory grow linearly with the steps
+# most --path-steps: 10,000 steps take 0.54-0.67 s and print 3.6 MB of
+# JSON at 46 MB peak RSS (0.31-0.34 s, 1.1 MB and 25.5 MB under --csv;
+# Python 3.11, 2-core VM, pinned to one CPU), and time, output and memory
+# grow linearly with the steps
 _PATH_STEPS_MAX = 10_000
 
 OK = 0
@@ -266,14 +267,20 @@ def _eprime_options(p):
     p.add_argument("--list", action="store_true")
 
 
+# argparse takes a value that starts with "-" and is not a plain negative
+# number, such as -0.3,1, for an option, so `--tau -0.3,1` is a usage error
+_COMPLEX = "complex as re,im; a negative re needs the = form, as in {}=-0.3,1"
+
+
 def _lattice_branch_options(p):
-    p.add_argument("--alpha", default="1,0", help="complex as re,im")
-    p.add_argument("--tau", required=True, help="complex as re,im")
+    p.add_argument("--alpha", default="1,0", help=_COMPLEX.format("--alpha"))
+    p.add_argument("--tau", required=True, help=_COMPLEX.format("--tau"))
     p.add_argument("--radius", type=int,
                    help="accepted for compatibility, at least 10; the output does not "
                         "depend on it, since a reduced lattice needs at most 9 rows")
     p.add_argument("--csv", action="store_true")
-    p.add_argument("--path-end", help="trace tau linearly to this re,im value")
+    p.add_argument("--path-end", help="trace tau linearly to this value, "
+                                      + _COMPLEX.format("--path-end"))
     p.add_argument("--path-steps", type=int,
                    help=f"steps along the --path-end path (default {PATH_STEPS})")
 

@@ -3,7 +3,14 @@ half-period values, and branch loci.
 
 The lattice Z + tau Z is first written as f (Z + tau' Z) with tau' in the
 standard fundamental domain, so Im tau' >= sqrt(3)/2, and every value is
-read off the lattice of tau' by homogeneity (DLMF 23.10.17).
+read off the lattice of tau' by homogeneity (DLMF 23.10.17).  A float is a
+dyadic rational, so that reduction is exact: a Gauss-Lagrange reduction
+of the integer form d^2 |u + v tau|^2 (`_reduce_modulus`) gives tau', f
+and the integer basis (f, f tau') of Z + tau Z, and zeta is reduced into
+the cell of that basis in integers (`_cell_point`).  tau', f and the
+reduced point are each one correctly rounded division, however small Im
+tau or large |zeta| is, and the half periods' classes are read off the
+basis in integers (`_half_period_values`).
 
 wp and wp' are series over the lattice rows m + n tau', each row summed in
 closed form: sum_m 1/(u - m)^2 = pi^2 csc^2(pi u) (DLMF 23.8).  Once
@@ -13,8 +20,7 @@ exp(-pi sqrt 3) ~ 0.0043.  The sums stop before the first row whose
 largest x is below 2^-70 (`_purekernels.wp_sum`), so the rows left out
 add at most 1.4e-19 to wp and 4.3e-19 to wp', far below ulp(pi^2/3) ~
 4.4e-16.  That is at most 9 rows on each side, and 6 once Im tau' >= 1.4,
-so no row cap is taken: the kernels' cap `_ROWS` never binds
-(`_reduce_modulus`).
+so no row cap is taken: the kernels' cap `_ROWS` never binds.
 
 The half-period values e1, e2, e3 are theta constants (DLMF 23.6.2-23.6.4)
 at exp(i pi tau'), of modulus at most exp(-pi sqrt(3) / 2) ~ 0.066: four
@@ -25,11 +31,12 @@ constants to 1.5e-15 relative (to max(1, |e_j|)) and the normalized
 residual of the cubic differential equation (`ode_residual`) stays below
 1.1e-12, also near zeta = (1 + tau)/2, where wp' vanishes; over 60 seeded
 tau, wp and wp' agree with a 40-digit theta quotient to 1e-15 and 8e-15
-relative, at generic points and down to 1e-7 from a lattice point.  Down
-to Im tau = 0.01, e1, e2, e3 agree with mpmath to 1.5e-15 relative (tau =
-0.3 + 0.05i, 0.45 + 0.02i and 0.01i), and to about 1e-14 of max |e_j|
-over 600 seeded tau with 0.01 <= Im tau <= 30: the float reduction of
-tau, not the series, sets that error.
+relative, at generic points and down to 1e-7 from a lattice point.  Over
+500 seeded tau with 1e-4 <= Im tau <= 30, e1, e2, e3 agree with mpmath
+to 7e-16 of max(1, |e_1|, |e_2|, |e_3|); a value much smaller than the
+others carries the cancellation in its theta constants.  Over 5,000
+seeded tau and zeta spread over the float range, every finite wp and wp'
+agrees with a theta quotient to 2e-14 relative.
 """
 
 from __future__ import annotations
@@ -44,78 +51,77 @@ POLE_TOLERANCE = 1e-8
 _ROWS = 10  # rows the kernels may sum on each side; a reduced tau needs 9
 
 
-def _reduce_cell(zeta: complex, tau: complex) -> complex:
-    """Translate zeta by a lattice vector into the cell around the origin.
+def _dyadic(w: complex) -> tuple[int, int, int]:
+    """(a, b, e) with w = (a + b i) / e exactly, e a power of two: every
+    float is a dyadic rational."""
+    (a, da), (b, db) = w.real.as_integer_ratio(), w.imag.as_integer_ratio()
+    return (a * (db // da), b, db) if da < db else (a, b * (da // db), da)
 
-    The function is exactly periodic, so this costs nothing and leaves
-    |Im zeta| <= Im tau / 2, where every term of the row series has
-    modulus below 1 and the rows shrink geometrically.
+
+def _reduce_modulus(tau: complex) -> tuple[complex, complex, tuple[int, ...]]:
+    """(tau', f, (u1, v1, u2, v2)) with Z + tau Z = f (Z + tau' Z), tau' in
+    the standard fundamental domain (Im tau' >= sqrt(3)/2), f = u1 + v1 tau
+    a shortest vector and f tau' = u2 + v2 tau; tau must be finite, with
+    Im tau > 0.
+
+    With tau = (x + y i) / d exactly (`_dyadic`), d^2 |u + v tau|^2 =
+    (d u + x v)^2 + (y v)^2 is an integer binary quadratic form, and the
+    Gauss-Lagrange reduction of the basis (1, tau) runs on its integer Gram
+    numbers (H. Cohen, A Course in Computational Algebraic Number Theory,
+    GTM 138, 5.4): subtract the nearest multiple of b1 from b2, swap (b1,
+    b2) -> (b2, -b1) while |b2| < |b1|.  The ties are decided exactly:
+    Re tau' = 1/2 becomes -1/2, and |tau'| = 1 is not swapped.  Each part
+    of tau' = (<b1, b2> + i d y) / |b1|^2 and of f is one correctly rounded
+    int/int division.  An Im tau' beyond the float range means a vector f
+    so short that wp and wp' overflow (`_rescale`): ValueError.
     """
-    m = round(zeta.imag / tau.imag)
-    n = round(zeta.real - m * tau.real)
-    return zeta - n - m * tau
-
-
-def _reduce_modulus(tau: complex) -> tuple[complex, complex]:
-    """(tau', f) with Z + tau Z = f (Z + tau' Z) and tau' in the standard
-    fundamental domain, so Im tau' >= sqrt(3)/2; tau needs Im tau > 0.
-
-    Unimodular steps never change the lattice: tau -> tau - round(Re tau)
-    keeps f, and tau -> -1/tau multiplies f by tau.  If the 64 steps run
-    out and leave tau' outside the standard domain (|Re tau'| > 1/2 or
-    |tau'| < 1 - 1e-12), every zeta lies within 3^-31.5 ~ 1e-15 of
-    f (Z + tau' Z), so `_cell_point` raises PoleProximity for it without
-    reducing anything.  A swap that another follows has |tau| <= 1/sqrt(3):
-    w = -1/tau lies outside |w -+ 1| < 1, so |w - n| < 1 needs |n| >= 2,
-    where |w|^2 >= 2 |Re w| >= 3.  With tau' = -1/tau_63, the reduced z
-    has |f z| <= |tau_0 ... tau_62| (1 + |tau_63|)/2 < 3^-31.5.  For a
-    reduced tau', rounding zeta / f into the cell adds a few ulp(|zeta|),
-    so the pole test is decided to within a few ulp(|zeta|).
-
-    A swap whose -1/tau overflows a float (|tau| below about 5.6e-309)
-    is a ValueError that names tau, as in `_rescale`: f tau is then a
-    lattice vector so short that wp and wp' overflow a float.
-    """
-    if tau.imag <= 0:
-        raise ValueError("tau must have positive imaginary part")
-    f = 1
-    for _ in range(64):
-        shift = round(tau.real)
-        if shift:
-            tau = tau - shift
-        if abs(tau) < 1 - 1e-12:
-            f = f * tau
-            tau = -1 / tau
-            if not cmath.isfinite(tau):
-                raise ValueError(f"tau gives a lattice vector too short for a finite value "
-                                 f"({abs(f):.3g}): -1/tau overflows a float")
-        else:
+    if not (tau.imag > 0 and cmath.isfinite(tau)):
+        raise ValueError("tau must be finite and have positive imaginary part")
+    x, y, d = _dyadic(tau)
+    a, b, c = d * d, d * x, x * x + y * y  # d^2 (|b1|^2, <b1, b2>, |b2|^2)
+    u1, v1, u2, v2 = 1, 0, 0, 1
+    while True:
+        m = (2 * b + a) // (2 * a)  # the integer nearest b / a, a half rounded up
+        u2, v2, b, c = u2 - m * u1, v2 - m * v1, b - m * a, c - m * (2 * b - m * a)
+        if c >= a:
             break
-    return tau, f
+        u1, v1, u2, v2, a, b, c = u2, v2, -u1, -v1, c, -b, a
+    f = complex((d * u1 + x * v1) / d, y * v1 / d)
+    try:
+        return complex(b / a, d * y / a), f, (u1, v1, u2, v2)
+    except OverflowError:
+        raise ValueError(f"tau gives a lattice vector too short for a finite value ({abs(f):.3g})") from None
 
 
-def _cell_point(zeta: complex, tau: complex, f: complex) -> complex:
-    """z = zeta / f reduced into the cell of Z + tau Z, (tau, f) from
-    `_reduce_modulus`, after the test that zeta is not within POLE_TOLERANCE
-    of f (Z + tau Z).  A tau that `_reduce_modulus` left outside the
-    standard domain fails that test for every zeta, as proved there.  For
-    a reduced tau, every point of Z + tau Z but 0 lies at least
-    sqrt(3)/4 from z, so |f z| decides that test alone unless |f|, the
-    shortest lattice vector, is below 4 POLE_TOLERANCE / sqrt(3).
+def _cell_point(zeta: complex, tau: complex) -> tuple[complex, complex, complex, tuple[int, ...]]:
+    """(z, tau', f, basis): `_reduce_modulus(tau)`, and z = zeta / f reduced
+    into the cell of Z + tau' Z, |Re z| <= 1/2 and |Im z| <= Im tau' / 2,
+    after the test that zeta is not within POLE_TOLERANCE of Z + tau Z.
 
-    The row series needs |Im z| < Im tau.  Once ulp(|zeta / f|) is near
-    Im tau, or zeta / f overflows, the float reduction misses the cell and
-    the series' exponentials would overflow or mean nothing, so a z outside
-    the cell is a ValueError."""
-    z = zeta / f
-    reduced = abs(tau.real) <= 0.5 and abs(tau) >= 1 - 1e-12
-    if reduced and cmath.isfinite(z):
-        z = _reduce_cell(z, tau)
-    if not reduced or abs(f * z) < POLE_TOLERANCE:
+    With zeta = (a + b i) / e and tau = (x + y i) / d, zeta = (w + b d tau)
+    / n with w = a y - b x and n = e y, and the inverse of the unimodular
+    basis matrix gives zeta = (s f + t f tau') / n, all in integers.
+    Subtracting the nearest multiple of f tau' and then of f leaves z, each
+    part one correctly rounded int/int division however large zeta is.  The
+    pole test reads f z, which is zeta minus the lattice point subtracted:
+    for a reduced tau', every point of Z + tau' Z but 0 lies at least
+    sqrt(3)/4 from z, so |f z| decides that test alone unless |f| is below
+    4 POLE_TOLERANCE / sqrt(3)."""
+    rtau, f, basis = _reduce_modulus(tau)
+    if not cmath.isfinite(zeta):
+        raise ValueError(f"zeta must be finite, got {zeta}")
+    (a, b, e), (x, y, d), (u1, v1, u2, v2) = _dyadic(zeta), _dyadic(tau), basis
+    w, bd, n = a * y - b * x, b * d, e * y
+    s, t = v2 * w - u2 * bd, u1 * bd - v1 * w
+    t -= (2 * t + n) // (2 * n) * n
+    p1, p2 = d * u1 + x * v1, d * u2 + x * v2
+    g, h = p1 * p1 + (y * v1) ** 2, p1 * p2 + y * y * v1 * v2  # d^2 |f|^2, d^2 <f, f tau'>
+    r, ng = s * g + t * h, n * g
+    r -= (2 * r + ng) // (2 * ng) * ng
+    z = complex(r / ng, d * t / (e * g))
+    if abs(f * z) < POLE_TOLERANCE:
         raise PoleProximity(f"{zeta} is within {POLE_TOLERANCE} of a lattice point")
-    if not abs(z.imag) < tau.imag:
-        raise ValueError(f"zeta = {zeta} is too large to reduce into a cell of the lattice")
-    return z
+    return z, rtau, f, basis
 
 
 def _rescale(value: complex, f: complex, k: int) -> complex:
@@ -133,13 +139,14 @@ def _rescale(value: complex, f: complex, k: int) -> complex:
                      "is too short: the value overflows a float")
 
 
-def _half_period_values(tau: complex, rtau: complex, f: complex) -> tuple[complex, complex, complex]:
-    """wp of Z + tau Z at 1/2, tau/2 and (1 + tau)/2; (rtau, f) = `_reduce_modulus(tau)`.
+def _half_period_values(rtau: complex, f: complex, basis: tuple[int, ...]) -> tuple[complex, ...]:
+    """wp of Z + tau Z at 1/2, tau/2 and (1 + tau)/2; (rtau, f, basis) =
+    `_reduce_modulus(tau)`.
 
-    All three pass the pole test before any is divided by f^2.  One half
-    period is f/2 modulo the lattice, within |f|/2 of it, so PoleProximity
-    comes first whenever |f| < 2 POLE_TOLERANCE, long before f^2
-    underflows.
+    Every half period lies at least |f|/2 from the lattice, since twice
+    its distance is the length of a nonzero lattice vector, and the half
+    period f/2 lies exactly that far.  So |f| < 2 POLE_TOLERANCE is the
+    pole test of all three, and it comes long before f^2 underflows.
 
     The three values of the reduced lattice L' = Z + tau' Z come from theta
     constants at q = exp(i pi tau'), |q| <= exp(-pi sqrt(3) / 2) ~ 0.066
@@ -151,15 +158,14 @@ def _half_period_values(tau: complex, rtau: complex, f: complex) -> tuple[comple
     below 2 |q|^25 and |q|^20, under 1e-23.
 
     The half periods of L = Z + tau Z are the nonzero classes of
-    (1/2) L / L, and dividing by f maps them onto those of L', permuting
-    them.  So each reduced point z is (m + n tau') / 2 with m, n in
-    {-1, 0, 1} and (m mod 2, n mod 2) one of (1, 0), (0, 1), (1, 1), the
-    classes of 1/2, tau'/2 and (1 + tau')/2.  Rounding reads m and n
-    safely: z lies within a few ulp(|zeta / f|) of the true point, and
-    neighbouring candidates for 2 z lie 1 apart in the real part and
-    Im tau' >= sqrt(3)/2 apart in the imaginary part.
+    (1/2) L / L, and dividing by f maps them onto those of L'.  The half
+    period (m + n tau)/2 is (s + t tau') f / 2 with (s, t) = (m v2 - n u2,
+    n u1 - m v1), the inverse of the unimodular basis matrix, so its class
+    (s mod 2, t mod 2) is read in integers.
     """
-    zs = [_cell_point(zeta, rtau, f) for zeta in (0.5 + 0j, tau / 2, (1 + tau) / 2)]
+    if abs(f) < 2 * POLE_TOLERANCE:
+        raise PoleProximity(f"tau gives a half period within {POLE_TOLERANCE} of a lattice point")
+    u1, v1, u2, v2 = basis
     q = cmath.exp(1j * cmath.pi * rtau)
     q2, q4, q8 = q**2, q**4, q**8
     even, odd = q4 + q8 * q8, q + q8 * q  # q^4 + q^16, q + q^9
@@ -167,33 +173,28 @@ def _half_period_values(tau: complex, rtau: complex, f: complex) -> tuple[comple
     t3 = (1 + 2 * (even + odd)) ** 4
     t4 = (1 + 2 * (even - odd)) ** 4
     c = cmath.pi**2 / 3 / f**2
-    values = (c * (t3 + t4), -c * (t2 + t3), c * (t2 - t4))  # (m, n) = (1, 0), (0, 1), (1, 1)
-    result = []
-    for z in zs:
-        n = round(2 * z.imag / rtau.imag)
-        m = round(2 * z.real - n * rtau.real)
-        result.append(values[m % 2 + 2 * (n % 2) - 1])
-    return tuple(result)
+    values = (c * (t3 + t4), -c * (t2 + t3), c * (t2 - t4))  # classes (1, 0), (0, 1), (1, 1)
+    return tuple(values[(m * v2 - n * u2) % 2 + 2 * ((n * u1 - m * v1) % 2) - 1]
+                 for m, n in ((1, 0), (0, 1), (1, 1)))
 
 
 def wp(zeta: complex, tau: complex) -> complex:
     """The Weierstrass function of Z + tau Z at zeta, by homogeneity
     wp(zeta; f L) = f^-2 wp(zeta / f; L) (DLMF 23.10.17)."""
-    zeta, (tau, f) = complex(zeta), _reduce_modulus(complex(tau))
-    return _rescale(_purekernels.wp_sum(_cell_point(zeta, tau, f), tau, _ROWS), f, 2)
+    z, rtau, f, _ = _cell_point(complex(zeta), complex(tau))
+    return _rescale(_purekernels.wp_sum(z, rtau, _ROWS), f, 2)
 
 
 def wp_prime(zeta: complex, tau: complex) -> complex:
     """Derivative of the Weierstrass function: -2 sum 1/(zeta - w)^3,
     homogeneous of degree -3."""
-    zeta, (tau, f) = complex(zeta), _reduce_modulus(complex(tau))
-    return _rescale(_purekernels.wp_prime_sum(_cell_point(zeta, tau, f), tau, _ROWS), f, 3)
+    z, rtau, f, _ = _cell_point(complex(zeta), complex(tau))
+    return _rescale(_purekernels.wp_prime_sum(z, rtau, _ROWS), f, 3)
 
 
 def e_values(tau: complex) -> tuple[complex, complex, complex]:
     """The half-period values (wp(1/2), wp(tau/2), wp((1+tau)/2))."""
-    tau = complex(tau)
-    return _half_period_values(tau, *_reduce_modulus(tau))
+    return _half_period_values(*_reduce_modulus(complex(tau)))
 
 
 class LatticeSpec(Value):
@@ -228,7 +229,7 @@ class LatticeSpec(Value):
         if tau.imag < 0:
             tau = a / b
             alpha = b
-        tau, f = _reduce_modulus(tau)
+        tau, f, _ = _reduce_modulus(tau)
         return LatticeSpec(alpha * f, tau)
 
 
@@ -263,10 +264,8 @@ def ode_residual(tau: complex, zeta: complex) -> float:
     """Normalized residual of (wp')^2 = 4 (wp - e1)(wp - e2)(wp - e3):
     |lhs - rhs| / (1 + |wp'|^2).  A convergence diagnostic, not an identity
     check against ground truth."""
-    tau, zeta = complex(tau), complex(zeta)
-    rtau, f = _reduce_modulus(tau)
-    z = _cell_point(zeta, rtau, f)
-    e1, e2, e3 = _half_period_values(tau, rtau, f)  # pole tests before any f**2
+    z, rtau, f, basis = _cell_point(complex(zeta), complex(tau))
+    e1, e2, e3 = _half_period_values(rtau, f, basis)  # pole tests before any f**2
     p = _purekernels.wp_sum(z, rtau, _ROWS) / f**2
     pp = _purekernels.wp_prime_sum(z, rtau, _ROWS) / f**3
     lhs = pp * pp

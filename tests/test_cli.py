@@ -106,6 +106,27 @@ def test_nf_refuses_a_run_beyond_the_letter_cap(capsys):
     assert code == 1 and err["errorType"] == "ResourceLimit" and "MAX_LETTERS" in err["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["linking", "--braid", "1 1", "--n", "1001"],
+    ["nf", "--braid", "1 2 -1", "--n", "1000000"],
+    ["eq", "--a", "1", "--b", "1", "--n", "1000000000"],
+], ids=["linking", "nf", "eq"])
+def test_strand_count_beyond_the_cap_is_refused_at_once(argv, capsys):
+    # linking printed n(n-1)/2 pairs (5.1 s and 567 MB at 2,000 strands)
+    # and eq built a list of 2n entries; the cap is checked when the word
+    # is built, before any of that
+    t0 = time.perf_counter()
+    code = main(argv)
+    err = json.loads(capsys.readouterr().err)
+    assert code == 1 and err["errorType"] == "ResourceLimit" and "MAX_STRANDS" in err["error"]
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_strand_count_at_the_cap_is_accepted(capsys):
+    code, payload = run(capsys, "nf", "--braid", "1 2 -1", "--n", "1000")
+    assert code == 0 and payload["strands"] == 1000
+
+
 def test_scan_commutators(capsys):
     code, payload = run(capsys, "scan-commutators", "--maxlen", "2")
     assert code == 0
@@ -251,6 +272,22 @@ def test_lattice_branch_names_a_malformed_complex(option, text, capsys):
     error = json.loads(captured.err)
     assert captured.out == "" and error["errorType"] == "ValueError"
     assert error["error"].startswith(option) and repr(text) in error["error"]
+
+
+@pytest.mark.parametrize("option", ["--tau", "--alpha", "--path-end"])
+def test_negative_complex_needs_the_equals_form(option, capsys):
+    # "-0.3,1" is not a plain negative number, so argparse reads it as an
+    # option and the space form is a usage error; the = form is a value
+    base = ["lattice-branch", "--tau", "0,1"]
+    assert main([*base, option, "-0.3,1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"argument {option}: expected one argument" in captured.err
+    code, payload = run(capsys, *base, f"{option}=-0.3,1")
+    assert code == 0
+    if option == "--path-end":
+        assert payload["trace"][-1]["tau"] == [-0.3, 1.0]
+    else:
+        assert payload[option[2:]] == [-0.3, 1.0]
 
 
 def test_lattice_branch_path_steps_capped(monkeypatch, capsys):

@@ -7,9 +7,10 @@ subprocess tests do not count, since their lines run in a child process.
 
 import pytest
 
-from braidoka.braid import BraidWord, LinkingNumbers
+from braidoka.braid import MAX_STRANDS, BraidWord, LinkingNumbers
 from braidoka.errors import (
     NotAbelianTransitive,
+    ResourceLimit,
     SignatureOutOfRange,
     StrandMismatch,
     WrongStrandCount,
@@ -46,6 +47,8 @@ ROWS = [
     (lambda: LaurentFamily.from_json({"degree": 3, "coeffs": {"0": {"2": [1]}}}),
      ValueError, 'coeffs["0"]["2"] must be a pair [re, im]'),
     (lambda: BraidWord(3, (1,)) * _B4, StrandMismatch, "B_3 vs B_4"),
+    (lambda: BraidWord(MAX_STRANDS + 1, (1, 1)), ResourceLimit,
+     "B_1001 has more than MAX_STRANDS = 1000 strands"),
     (lambda: LinkingNumbers(3, ((1, 2, 5),))[(1, 3)], KeyError, "(1, 3)"),
     (lambda: LinkingNumbers(4, ()).tuple3(), ValueError, "only defined for B_3"),
     (lambda: discriminant_from_coeffs([1, 0, 2]), ValueError, "must be monic"),
@@ -53,12 +56,14 @@ ROWS = [
     (lambda: nbraid_module_upper(2), SignatureOutOfRange, "needs n >= 3"),
     (lambda: _reduce_modulus(1 - 1j), ValueError, "positive imaginary part"),
     (lambda: LatticeSpec.from_generators(1, 0), ValueError, "generators must be nonzero"),
-    # -1/tau overflows a float: OverflowError tracebacks once, and for 1e-320j
-    # an error that blamed zeta
+    # a shortest vector f so short that Im tau' = Im tau / |f|^2 overflows a
+    # float: OverflowError tracebacks once, and for 1e-320j an error that
+    # blamed zeta
     (lambda: wp(0.3 + 0.1j, 1e-310 + 1e-310j), ValueError, "tau gives a lattice vector too short"),
-    (lambda: wp_prime(0.3 + 0.1j, 1e-310 + 1e-310j), ValueError, "-1/tau overflows a float"),
+    (lambda: wp_prime(0.3 + 0.1j, 1e-310 + 1e-310j), ValueError,
+     "vector too short for a finite value (1.41e-310)"),
     (lambda: e_values(1e-310 + 1e-310j), ValueError, "too short for a finite value (1.41e-310)"),
-    (lambda: wp(0.5, 1e-320j), ValueError, "(1e-320): -1/tau overflows"),
+    (lambda: wp(0.5, 1e-320j), ValueError, "too short for a finite value (1e-320)"),
     (lambda: Permutation.transposition(3, 3), ValueError, "index 3 out of range for S_3"),
     (lambda: abelian_transitive_generator([Permutation((2, 1))], 3),
      ValueError, "on 2 points, expected 3"),

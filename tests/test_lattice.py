@@ -5,7 +5,9 @@ import time
 
 import mpmath
 import pytest
-from lattice_reference import near_lattice, row_series, row_series_prime
+from lattice_reference import _reduce_cell as float_reduce_cell
+from lattice_reference import _reduce_modulus as float_reduce_modulus
+from lattice_reference import near_lattice, row_series, row_series_prime, theta_wp
 from lattice_reference import wp as wp_reference
 from lattice_reference import wp_prime as wp_prime_reference
 
@@ -15,7 +17,6 @@ from braidoka.lattice import (
     POLE_TOLERANCE,
     LatticeSpec,
     _cell_point,
-    _reduce_cell,
     _reduce_modulus,
     branch_locus,
     e_values,
@@ -28,9 +29,17 @@ TAUS = (1j, 2j, 0.5 + 1.2j)
 
 
 def is_reduced(tau):
-    """tau in the standard fundamental domain, as `_reduce_modulus` leaves it
-    when its steps do not run out."""
-    return abs(tau.real) <= 0.5 and abs(tau) >= 1 - 1e-12
+    """Whether `_reduce_modulus(tau)` returns a basis of Z + tau Z, b1 = u1
+    + v1 tau and b2 = u2 + v2 tau with determinant 1, whose quotient b2 /
+    b1 lies in the standard domain |b2| >= |b1|, -|b1|^2 <= 2 <b1, b2> <
+    |b1|^2, decided in integers: tau times the product D of the
+    denominators of its parts is x + y i."""
+    u1, v1, u2, v2 = _reduce_modulus(tau)[2]
+    (x, dx), (y, dy) = tau.real.as_integer_ratio(), tau.imag.as_integer_ratio()
+    big_d, x, y = dx * dy, x * dy, y * dx
+    p1, q1, p2, q2 = big_d * u1 + x * v1, y * v1, big_d * u2 + x * v2, y * v2
+    a, b, c = p1 * p1 + q1 * q1, p1 * p2 + q1 * q2, p2 * p2 + q2 * q2
+    return u1 * v2 - u2 * v1 == 1 and c >= a and -a <= 2 * b < a
 
 
 def random_tau(rng):
@@ -85,39 +94,40 @@ class TestWp:
             f(0.5 + 0.25j, tau)
 
     @pytest.mark.parametrize("zeta, tau", [
-        # rounding in zeta / f leaves the cell, where the row series'
+        # rounding in a float zeta / f left the cell, where the row series'
         # exponentials overflowed cmath.exp
         (8028549152.2296715 - 9388200339.32893j, -0.27123777872954735 + 4.7401791436547436e-36j),
-        # zeta / f overflows, and round(inf) raised OverflowError
+        # a float zeta / f overflows, and round(inf) raised OverflowError
         (1e10, 1e-300j),
     ])
     def test_zeta_beyond_the_float_cell_is_an_input_error(self, zeta, tau):
+        # with zeta / f in floats these were ValueErrors ("too large to
+        # reduce into a cell"); reduced in integers, both points lie within
+        # the tolerance of the lattice (1e10 is a lattice point), so they
+        # are poles, as the integer oracle says
+        assert near_lattice(zeta, tau, POLE_TOLERANCE)
         for call in (lambda: wp(zeta, tau), lambda: wp_prime(zeta, tau),
                      lambda: ode_residual(tau, zeta)):
-            with pytest.raises(ValueError, match="too large to reduce into a cell"):
+            with pytest.raises(PoleProximity):
                 call()
 
     def test_seeded_huge_zeta_never_overflows(self):
         # Im tau down to 1e-300 and |zeta| ~ 1e10: 274 of these raised
-        # OverflowError from cmath.exp.  A tau left unreduced is a pole for
-        # every zeta, so the 7 finite values and 194 cell errors that came
-        # from one are poles now
+        # OverflowError from cmath.exp, and the float reduction then gave
+        # 524 values and 80 cell errors.  Below Im tau = 1e-20 a reduced
+        # basis of Z + tau Z has vectors of about sqrt(Im tau) <= 1e-10
+        # unless the continued fraction of Re tau has a partial quotient
+        # near 1e4, so every zeta here lies within the tolerance of the
+        # lattice, as the integer oracle says: those values had no correct
+        # digit.  Reduced in integers, every call is a pole
         rng = random.Random(1)
-        outcomes = {"finite": 0, "pole": 0, "cell": 0}
         for _ in range(3000):
             tau = complex(rng.uniform(-0.5, 0.5), 10 ** rng.uniform(-300, -20))
             zeta = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 1e10
-            try:
-                assert cmath.isfinite(wp(zeta, tau))
-                outcomes["finite"] += 1
-            except PoleProximity:
-                outcomes["pole"] += 1
-                continue
-            except ValueError as exc:
-                assert "too large to reduce" in str(exc)
-                outcomes["cell"] += 1
-            assert is_reduced(_reduce_modulus(tau)[0]), (zeta, tau)
-        assert outcomes == {"finite": 524, "pole": 2396, "cell": 80}
+            assert is_reduced(tau), tau
+            assert near_lattice(zeta, tau, POLE_TOLERANCE), (zeta, tau)
+            with pytest.raises(PoleProximity):
+                wp(zeta, tau)
 
     def test_pole_rule_on_skewed_lattices(self):
         # the pole test reads |zeta reduced into the cell| alone; compare it
@@ -202,17 +212,21 @@ class TestEValues:
                     assert abs(x - want) <= tol * max(1.0, abs(want)), (oracle.__name__, tau)
 
     def test_mpmath_over_many_reductions(self):
-        # Im tau from 0.01 to 30, measured against the size of the locus:
-        # the e_j sum to 0, so one can be much smaller than the others.  At
-        # Im tau < 0.1 the float reduction of tau sets the error, the same
-        # with the row series: up to 1.03e-14 of the locus on these seeds,
-        # and up to 2e-14 of max(1, |e_j|) value by value
+        # Im tau from 1e-4 to 30, measured against the size of the locus,
+        # max(1, |e_1|, |e_2|, |e_3|): the e_j sum to 0, so one can be much
+        # smaller than the others, and near the square lattice the value
+        # (pi^2/3)(theta_2^4 - theta_4^4) cancels (value by value, up to
+        # 1.6e-14 of its own size on these seeds).  With the float
+        # reduction of tau its rounding set the error at small Im tau, up
+        # to 1.03e-14 at Im tau ~ 0.01 and 7.5e-13 at 1e-4; reduced in
+        # integers, tau' and f are one rounding each, and the worst error
+        # on these seeds is below 1e-15
         rng = random.Random(29)
         for _ in range(500):
-            tau = complex(rng.uniform(-0.5, 0.5), 10 ** rng.uniform(-2, math.log10(30)))
+            tau = complex(rng.uniform(-0.5, 0.5), 10 ** rng.uniform(-4, math.log10(30)))
             want = mpmath_e_values(tau)
             scale = max(1.0, *map(abs, want))
-            assert all(abs(x - w) <= 2e-14 * scale for x, w in zip(e_values(tau), want)), tau
+            assert all(abs(x - w) <= 1e-14 * scale for x, w in zip(e_values(tau), want)), tau
 
     def test_half_period_classes(self):
         # tau + 1 spans the same lattice with half periods 1/2, tau/2 + 1/2
@@ -253,6 +267,53 @@ class TestEValues:
             assert min(abs(e1 - e2), abs(e1 - e3), abs(e2 - e3)) > 1e-4
 
 
+class TestExactReduction:
+    """`_reduce_modulus` against the float reduction it replaced
+    (`lattice_reference`), where that one is accurate, and at the ties of
+    the standard domain, which it decides exactly."""
+
+    def test_matches_the_float_reduction(self):
+        # Im tau >= 0.01: tau' and f agree to 1e-9, and the float cell
+        # rounding of each half period / f gives the class that the integer
+        # basis gives; e_values takes the value of that class
+        rng = random.Random(61)
+        for _ in range(8000):
+            tau = complex(rng.uniform(-3, 3), 10 ** rng.uniform(-2, 1.5))
+            rtau, f, (u1, v1, u2, v2) = _reduce_modulus(tau)
+            want_tau, want_f = float_reduce_modulus(tau)
+            assert abs(rtau - want_tau) <= 1e-9 * abs(want_tau), tau
+            assert abs(f - want_f) <= 1e-9 * abs(want_f), tau
+            assert _reduce_modulus(want_tau)[2] == (1, 0, 0, 1), tau
+            base = e_values(want_tau)  # the classes (1, 0), (0, 1), (1, 1) of tau'
+            for (m, n), got in zip(((1, 0), (0, 1), (1, 1)), e_values(tau)):
+                z = float_reduce_cell((m + n * tau) / 2 / want_f, want_tau)
+                k = round(2 * z.imag / want_tau.imag)
+                j = round(2 * z.real - k * want_tau.real)
+                assert ((m * v2 - n * u2) % 2, (n * u1 - m * v1) % 2) == (j % 2, k % 2), tau
+                want = base[j % 2 + 2 * (k % 2) - 1] / want_f**2
+                assert abs(got - want) <= 1e-9 * abs(want), tau
+
+    @pytest.mark.parametrize("tau, reduced", [
+        # |tau| = 1 is not swapped
+        (1j, (1j, 1, (1, 0, 0, 1))),
+        # Re tau = -1/2 stays, and +1/2 becomes -1/2
+        (-0.5 + 2j, (-0.5 + 2j, 1, (1, 0, 0, 1))),
+        (0.5 + 2j, (-0.5 + 2j, 1, (1, 0, -1, 1))),
+        # the float sqrt(3)/2 puts the corner inside the unit circle, by
+        # 8.7e-17 in |tau|^2: shifted, swapped and shifted again.  The
+        # float reduction, with its 1e-12 margin, left it as it was
+        (complex(0.5, math.sqrt(3) / 2),
+         (complex(-0.49999999999999994, 0.8660254037844387), complex(-0.5, 0.8660254037844386),
+          (-1, 1, 0, -1))),
+    ])
+    def test_ties(self, tau, reduced):
+        assert _reduce_modulus(tau) == reduced
+        assert is_reduced(tau)
+        want = mpmath_e_values(tau)
+        scale = max(1.0, *map(abs, want))
+        assert all(abs(x - w) <= 1e-14 * scale for x, w in zip(e_values(tau), want))
+
+
 def small_im_taus():
     rng = random.Random(41)
     seeded = [complex(rng.uniform(-0.5, 0.5), rng.uniform(0.01, 0.3)) for _ in range(5)]
@@ -273,7 +334,7 @@ class TestSmallImTau:
         # a point at distance about |f| from the lattice, where f is its
         # shortest vector; far out in a long cell wp' is exponentially small
         scale = _reduce_modulus(tau)[1]
-        z = _reduce_cell(scale * (0.31 + 0.37j), tau)
+        z = float_reduce_cell(scale * (0.31 + 0.37j), tau)
         for f, kernel in ((wp, row_series), (wp_prime, row_series_prime)):
             want = kernel(z, tau, radius)
             assert abs(f(z, tau) - want) <= 1e-12 * abs(want), (f.__name__, tau)
@@ -293,8 +354,7 @@ class TestRowCutoff:
             tau = complex(rng.uniform(-3, 3), rng.uniform(0.05, 3))
             zeta = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             try:
-                tau, f = _reduce_modulus(tau)
-                z = _cell_point(zeta, tau, f)
+                z, tau, f, _ = _cell_point(zeta, tau)
             except PoleProximity:
                 continue
             points += 1
@@ -338,27 +398,26 @@ class TestRowCutoff:
                 assert kernel(z, tau, 9) == kernel(z, tau, 10**6), (kernel.__name__, z, tau)
 
     def test_every_tau_that_passes_the_pole_test_is_reduced(self):
-        # `_reduce_modulus` stops after 64 steps; a tau it leaves unreduced
-        # would need more rows than the cap, but every zeta then fails the
-        # pole test, down to Im tau = 1e-300
+        # the float reduction stopped after 64 steps and left more than a
+        # thousand of these tau unreduced, each a pole for every zeta; the
+        # integer reduction reduces every tau, down to Im tau = 1e-300, and
+        # a reduced tau needs no more rows than the cap
         rng = random.Random(59)
-        unreduced = passed = 0
+        passed = 0
         for _ in range(6000):
             tau = complex(rng.uniform(-3, 3), 10 ** rng.uniform(-300, 0.5))
-            reduced = is_reduced(_reduce_modulus(tau)[0])
-            unreduced += not reduced
+            assert is_reduced(tau), tau
             p, q = rng.randint(-4, 4), rng.randint(-4, 4)
             for zeta in (complex(rng.uniform(-3, 3), rng.uniform(-3, 3)),
                          p + q * tau + cmath.rect(10 ** rng.uniform(-12, 0), rng.uniform(0, 7)),
                          complex(rng.uniform(-1e4, 1e4), rng.uniform(-1e4, 1e4))):
                 for f in (wp, wp_prime):
                     try:
-                        f(zeta, tau)
+                        assert cmath.isfinite(f(zeta, tau))
                     except PoleProximity:
                         continue
-                    assert reduced, (f.__name__, zeta, tau)
                     passed += 1
-        assert unreduced > 1000 and passed > 1000
+        assert passed > 1000
 
     def test_large_radius_costs_nothing_on_a_reduced_tau(self):
         z = 0.31 + 0.2j
@@ -372,10 +431,10 @@ class TestRowCutoff:
 
 
 class TestUnreducedModulus:
-    """A tau that `_reduce_modulus` leaves outside the standard domain after
-    its 64 steps spans a lattice with every zeta within 3^-31.5 of it, so
-    it is a pole before any float reduction; `near_lattice` checks that in
-    integer arithmetic."""
+    """tau over the float domain.  The float reduction stopped after 64
+    steps and left some tau unreduced, each a pole for every zeta; the
+    integer reduction reduces every tau.  `near_lattice` is the exact pole
+    oracle and `theta_wp` the value oracle."""
 
     def test_oracle(self):
         assert not near_lattice(0.5 + 0j, 1j, POLE_TOLERANCE)
@@ -384,51 +443,70 @@ class TestUnreducedModulus:
         assert near_lattice(-3 + 2 * (0.5 + 1.2j) - 9e-9j, 0.5 + 1.2j, POLE_TOLERANCE)
 
     def test_input_whose_cell_reduction_overflowed(self):
-        # tau' = 8.27 + 4.4e-218i after the 64 steps, where the cell
-        # reduction's round(zeta.imag / tau.imag) raised OverflowError
+        # the float reduction left tau' = 8.27 + 4.4e-218i after its 64
+        # steps, where the cell reduction's round(zeta.imag / tau.imag)
+        # raised OverflowError.  Reduced in integers, tau' = 0.32 + 1.2e278i
+        # and f = 3.6e-294i; zeta lies within the tolerance of the lattice
         zeta = 6.861533213102491e+175 - 3.191023408208549e+175j
         tau = 0.4492204766705261 + 1.591739283727176e-309j
-        assert not is_reduced(_reduce_modulus(tau)[0])
+        assert is_reduced(tau)
         assert near_lattice(zeta, tau, POLE_TOLERANCE)
         for call in (lambda: wp(zeta, tau), lambda: wp_prime(zeta, tau),
                      lambda: ode_residual(tau, zeta), lambda: e_values(tau)):
             with pytest.raises(PoleProximity):
                 call()
 
+    @pytest.mark.parametrize("call", [
+        lambda: wp(complex(math.inf, 0), 1j),
+        lambda: wp_prime(complex(0, math.nan), 1j),
+        lambda: e_values(complex(0, math.inf)),
+        lambda: e_values(complex(math.nan, 1)),
+        lambda: LatticeSpec.from_generators(1e-300, 1e300j),  # b / a overflows
+    ], ids=["inf-zeta", "nan-zeta", "inf-tau", "nan-tau", "overflowing-generators"])
+    def test_non_finite_input_is_a_value_error(self, call):
+        # an infinite part has no integer ratio: OverflowError, not an
+        # input error, unless it is refused first
+        with pytest.raises(ValueError, match="must be finite"):
+            call()
+
     def test_seeded_float_domain(self):
         # tau and zeta over most of the float range: no OverflowError (none
-        # is caught here), every value and every input error comes from a
-        # reduced tau, and an unreduced one is a pole for all four calls.
-        # Before this rule 15,018 of the 80,000 calls of 20,000 such draws
-        # raised OverflowError
+        # is caught here).  Before the float reduction's step rule 15,018
+        # of the 80,000 calls of 20,000 such draws raised OverflowError.
+        # With that reduction the counts here were 2,285 finite, 17,010
+        # poles and 705 input errors, more than 1,000 tau were left
+        # unreduced, and 196 of its finite values of wp were off by more
+        # than 1e-6.  Every pole of wp is checked by the integer oracle on
+        # a tenth of the draws, and every finite wp and wp' against a theta
+        # quotient at a precision sized by Im tau'
         rng = random.Random(20261019)
         outcomes = {"finite": 0, "pole": 0, "error": 0}
-        unreduced = []
-        for _ in range(5000):
+        values = []
+        for i in range(5000):
             tau = complex(rng.uniform(-3, 3), 10 ** rng.uniform(-320, 1))
             zeta = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 10 ** rng.uniform(0, 308)
-            reduced = is_reduced(_reduce_modulus(tau)[0])
-            if not reduced:
-                unreduced.append((zeta, tau))
-            for call in (lambda: wp(zeta, tau), lambda: wp_prime(zeta, tau),
-                         lambda: ode_residual(tau, zeta), lambda: e_values(tau)):
+            assert is_reduced(tau), tau
+            for k, call in enumerate((lambda: wp(zeta, tau), lambda: wp_prime(zeta, tau),
+                                      lambda: ode_residual(tau, zeta), lambda: e_values(tau))):
                 try:
                     value = call()
                 except PoleProximity:
                     outcomes["pole"] += 1
+                    assert k or i % 10 or near_lattice(zeta, tau, POLE_TOLERANCE), (zeta, tau)
                     continue
                 except ValueError as exc:
-                    assert "too large to reduce" in str(exc) or "too short" in str(exc)
+                    assert "too short" in str(exc), (zeta, tau)
                     outcomes["error"] += 1
-                else:
-                    assert all(map(cmath.isfinite, value if isinstance(value, tuple) else (value,)))
-                    outcomes["finite"] += 1
-                assert reduced, (zeta, tau)
-        assert outcomes == {"finite": 2285, "pole": 17010, "error": 705}
-        assert len(unreduced) > 1000
-        for zeta, tau in unreduced[::10]:
-            assert near_lattice(zeta, tau, POLE_TOLERANCE), (zeta, tau)
-            assert near_lattice(0.5 + 0j, tau, POLE_TOLERANCE), tau
+                    continue
+                assert all(map(cmath.isfinite, value if isinstance(value, tuple) else (value,)))
+                outcomes["finite"] += 1
+                if k < 2:
+                    values.append((zeta, tau, k, value))
+        assert outcomes == {"finite": 1103, "pole": 18897, "error": 0}
+        assert len(values) == 2 * 278
+        for zeta, tau, k, value in values:
+            want = theta_wp(zeta, tau)[k]
+            assert abs(value - want) <= 1e-13 * abs(want), (k, zeta, tau)
 
 
 class TestBranchLocus:
