@@ -116,8 +116,8 @@ class TestWp:
         # OverflowError from cmath.exp, and the float reduction then gave
         # 524 values and 80 cell errors.  Below Im tau = 1e-20 a reduced
         # basis of Z + tau Z has vectors of about sqrt(Im tau) <= 1e-10
-        # unless the continued fraction of Re tau has a partial quotient
-        # near 1e4, so every zeta here lies within the tolerance of the
+        # unless the continued fraction of Re tau has a partial quotient of
+        # 1e4 or more, so every zeta here lies within the tolerance of the
         # lattice, as the integer oracle says: those values had no correct
         # digit.  Reduced in integers, every call is a pole
         rng = random.Random(1)
