@@ -14,6 +14,7 @@ from .errors import (
     DegreeTooSmall,
     InternalInconsistency,
     NonConvergence,
+    ResourceLimit,
     SeparabilityFailure,
     SignatureOutOfRange,
 )
@@ -33,6 +34,13 @@ Number = "int | float | complex | Fraction"
 # time.  A pass over n samples evaluates at most n/h + 1 discriminants,
 # h = gcd(g, n), so a family with g > 1 costs about 1/h of that.
 MAX_SAMPLES = 2**20
+# One discriminant is the determinant of an n x n matrix, so its cost grows
+# as n^3: about 0.11 ms at degree 8, 3.3 ms at 32 and 18 ms at this cap
+# (pure Python 3.11, 2-core VM), so a first pass of 256 samples at the cap
+# takes about 4.5 s.  Without a cap only the float range stopped a family:
+# degree 400 took 10.5 s to reach "the discriminant overflows a float", and
+# a degree-5,000 family would build a 5,000 x 5,000 matrix of over 1 GB.
+MAX_DEGREE = 64
 # |disc| below this fraction of its maximum on the circle counts as a zero
 SEPARABILITY_TOL = 1e-12
 
@@ -99,6 +107,8 @@ class LaurentFamily(Value):
     def __init__(self, degree: int, coeffs: Mapping[int, Mapping[int, complex]]) -> None:
         if degree < 2:
             raise DegreeTooSmall("family degree must be >= 2")
+        if degree > MAX_DEGREE:
+            raise ResourceLimit(f"family degree {degree} is above MAX_DEGREE = {MAX_DEGREE}")
         for k, poly in coeffs.items():
             if not 0 <= k < degree:
                 raise ValueError(f"zeta power {k} out of range")

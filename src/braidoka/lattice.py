@@ -1,16 +1,28 @@
 """Numerical Weierstrass machinery: the elliptic function of a lattice, its
 half-period values, and branch loci.
 
-The lattice Z + tau Z is first written as f (Z + tau' Z) with tau' in the
-standard fundamental domain, so Im tau' >= sqrt(3)/2, and every value is
-read off the lattice of tau' by homogeneity (DLMF 23.10.17).  A float is a
-dyadic rational, so that reduction is exact: a Gauss-Lagrange reduction
-of the integer form d^2 |u + v tau|^2 (`_reduce_modulus`) gives tau', f
-and the integer basis (f, f tau') of Z + tau Z, and zeta is reduced into
-the cell of that basis in integers (`_cell_point`).  tau', f and the
-reduced point are each one correctly rounded division, however small Im
-tau or large |zeta| is, and the half periods' classes are read off the
-basis in integers (`_half_period_values`).
+Every lattice is read by one function, `_reduce_modulus`, from a pair of
+generators: (1, tau) for Z + tau Z, and (a, b) for
+`LatticeSpec.from_generators`.  A float is a dyadic rational, so both
+generators are written as integers over one power of two, and the integer
+cross product decides orientation and collinearity (a tau below the real
+axis spans the lattice Z - tau Z).  A Gauss-Lagrange reduction of the
+integer form |u g1 + v g2|^2 then writes the lattice as f (Z + tau' Z),
+with tau' in the standard fundamental domain, so Im tau' >= sqrt(3)/2,
+and hands on tau', f, the integer basis (f, f tau') and the integers
+`_cell_point` reduces zeta with, so that zeta is reduced into the cell in
+integers and no Gram number is computed twice.  tau', f and the reduced
+point are each one correctly rounded division, however small Im tau or
+large |zeta| is, and the half periods' classes are read off the basis in
+integers (`_half_period_values`).
+
+Every value is computed on the reduced lattice Z + tau' Z and carried to
+the lattice s (Z + tau' Z) by homogeneity (DLMF 23.10.17) in one step,
+`_rescale`: division by s^2 (wp, the e_i) or s^3 (wp'), where s = f, or
+s = alpha f for the branch locus of alpha (Z + tau Z), so the locus takes
+one rounding of its scale.  That step scales by powers of two, exactly,
+so a value is finite for every scale, 0 where it underflows, or a named
+ValueError where it overflows a float.
 
 wp and wp' are series over the lattice rows m + n tau', each row summed in
 closed form: sum_m 1/(u - m)^2 = pi^2 csc^2(pi u) (DLMF 23.8).  Once
@@ -42,6 +54,7 @@ agrees with a theta quotient to 2e-14 relative.
 from __future__ import annotations
 
 import cmath
+import math
 
 from . import _purekernels
 from ._value import Value
@@ -58,101 +71,132 @@ def _dyadic(w: complex) -> tuple[int, int, int]:
     return (a * (db // da), b, db) if da < db else (a, b * (da // db), da)
 
 
-def _reduce_modulus(tau: complex) -> tuple[complex, complex, tuple[int, ...]]:
-    """(tau', f, (u1, v1, u2, v2)) with Z + tau Z = f (Z + tau' Z), tau' in
-    the standard fundamental domain (Im tau' >= sqrt(3)/2), f = u1 + v1 tau
-    a shortest vector and f tau' = u2 + v2 tau; tau must be finite, with
-    Im tau > 0.
+def _reduce_modulus(g1: complex, g2: complex) -> tuple[complex, complex, tuple[int, ...], tuple[int, ...]]:
+    """(tau', f, (u1, v1, u2, v2), (d, p, q, a, b, w)) for the lattice
+    g1 Z + g2 Z = f (Z + tau' Z): tau' in the standard fundamental domain
+    (Im tau' >= sqrt(3)/2), f = u1 g1 + v1 g2' = (p + q i) / d a shortest
+    vector and f tau' = u2 g1 + v2 g2', where g2' = +-g2 makes (g1, g2') a
+    positive basis.  The integers a, b and w are d^2 |f|^2, d^2 <f, f tau'>
+    and d^2 Im(conj(f) f tau'), so tau' = (b + w i) / a.  Every tau entry
+    point reads the lattice Z + tau Z as (1, tau), and
+    `LatticeSpec.from_generators` reads its pair as it is.
 
-    With tau = (x + y i) / d exactly (`_dyadic`), d^2 |u + v tau|^2 =
-    (d u + x v)^2 + (y v)^2 is an integer binary quadratic form, and the
-    Gauss-Lagrange reduction of the basis (1, tau) runs on its integer Gram
-    numbers (H. Cohen, A Course in Computational Algebraic Number Theory,
-    GTM 138, 5.4): subtract the nearest multiple of b1 from b2, swap (b1,
-    b2) -> (b2, -b1) while |b2| < |b1|.  The ties are decided exactly:
-    Re tau' = 1/2 becomes -1/2, and |tau'| = 1 is not swapped.  Each part
-    of tau' = (<b1, b2> + i d y) / |b1|^2 and of f is one correctly rounded
-    int/int division.  An Im tau' beyond the float range means a vector f
-    so short that wp and wp' overflow (`_rescale`): ValueError.
+    Both generators are written over one power of two d (`_dyadic`), so
+    d^2 |u g1 + v g2|^2 is an integer binary quadratic form.  The integer
+    cross product d^2 Im(conj(g1) g2) decides the orientation: 0 means a
+    zero generator or collinear ones (ValueError), and a negative one is
+    made positive by reducing the basis (g1, -g2) of the same lattice; the
+    signs of v1 and v2 do not change the classes mod 2 that
+    `_half_period_values` reads.  The Gauss-Lagrange reduction then runs
+    on the integer Gram numbers (H. Cohen, A Course in Computational
+    Algebraic Number Theory, GTM 138, 5.4): subtract the nearest multiple
+    of b1 from b2 (a step skipped when that multiple is 0), swap (b1, b2)
+    -> (b2, -b1) while |b2| < |b1|.  The ties are decided exactly: Re tau'
+    = 1/2 becomes -1/2, and |tau'| = 1 is not swapped.  Each part of tau'
+    and of f is one correctly rounded int/int division.  An Im tau' beyond
+    the float range means a vector f so short that wp and wp' overflow
+    (`_rescale`): ValueError.
     """
-    if not (tau.imag > 0 and cmath.isfinite(tau)):
-        raise ValueError("tau must be finite and have positive imaginary part")
-    x, y, d = _dyadic(tau)
-    a, b, c = d * d, d * x, x * x + y * y  # d^2 (|b1|^2, <b1, b2>, |b2|^2)
+    try:
+        (x1, y1, d1), (x2, y2, d2) = _dyadic(g1), _dyadic(g2)
+    except (OverflowError, ValueError):  # inf and nan have no integer ratio
+        raise ValueError(f"lattice generators must be finite, got {g1} and {g2}") from None
+    x1, y1, x2, y2, d = x1 * d2, y1 * d2, x2 * d1, y2 * d1, d1 * d2
+    w = x1 * y2 - y1 * x2  # d^2 Im(conj(g1) g2)
+    if not w:
+        raise ValueError(f"generators must be nonzero and not collinear, got {g1} and {g2}")
+    if w < 0:  # (g1, -g2) is a positive basis of the same lattice
+        x2, y2, w = -x2, -y2, -w
+    a, b, c = x1 * x1 + y1 * y1, x1 * x2 + y1 * y2, x2 * x2 + y2 * y2  # d^2 Gram numbers
     u1, v1, u2, v2 = 1, 0, 0, 1
     while True:
         m = (2 * b + a) // (2 * a)  # the integer nearest b / a, a half rounded up
-        u2, v2, b, c = u2 - m * u1, v2 - m * v1, b - m * a, c - m * (2 * b - m * a)
+        if m:
+            u2, v2, b, c = u2 - m * u1, v2 - m * v1, b - m * a, c - m * (2 * b - m * a)
         if c >= a:
             break
         u1, v1, u2, v2, a, b, c = u2, v2, -u1, -v1, c, -b, a
-    f = complex((d * u1 + x * v1) / d, y * v1 / d)
+    p, q = u1 * x1 + v1 * x2, u1 * y1 + v1 * y2
+    f = complex(p / d, q / d)
     try:
-        return complex(b / a, d * y / a), f, (u1, v1, u2, v2)
+        return complex(b / a, w / a), f, (u1, v1, u2, v2), (d, p, q, a, b, w)
     except OverflowError:
         raise ValueError(f"tau gives a lattice vector too short for a finite value ({abs(f):.3g})") from None
 
 
 def _cell_point(zeta: complex, tau: complex) -> tuple[complex, complex, complex, tuple[int, ...]]:
-    """(z, tau', f, basis): `_reduce_modulus(tau)`, and z = zeta / f reduced
-    into the cell of Z + tau' Z, |Re z| <= 1/2 and |Im z| <= Im tau' / 2,
-    after the test that zeta is not within POLE_TOLERANCE of Z + tau Z.
+    """(z, tau', f, basis): `_reduce_modulus(1, tau)`, and z = zeta / f
+    reduced into the cell of Z + tau' Z, |Re z| <= 1/2 and |Im z| <= Im
+    tau' / 2, after the test that zeta is not within POLE_TOLERANCE of
+    Z + tau Z.
 
-    With zeta = (a + b i) / e and tau = (x + y i) / d, zeta = (w + b d tau)
-    / n with w = a y - b x and n = e y, and the inverse of the unimodular
-    basis matrix gives zeta = (s f + t f tau') / n, all in integers.
-    Subtracting the nearest multiple of f tau' and then of f leaves z, each
-    part one correctly rounded int/int division however large zeta is.  The
-    pole test reads f z, which is zeta minus the lattice point subtracted:
-    for a reduced tau', every point of Z + tau' Z but 0 lies at least
-    sqrt(3)/4 from z, so |f z| decides that test alone unless |f| is below
-    4 POLE_TOLERANCE / sqrt(3)."""
-    rtau, f, basis = _reduce_modulus(tau)
+    With zeta = (x + y i) / e and the integers (d, p, q, a, b, w) of the
+    reduction, zeta / f = zeta conj(f) / |f|^2 has the parts d (x p + y q)
+    / (e a) and d (y p - x q) / (e a), and Im tau' = w / a.  Subtracting
+    the nearest multiple k of tau' and then of 1 leaves z, each part one
+    correctly rounded int/int division however large zeta is.  The pole
+    test reads f z, which is zeta minus the lattice point subtracted: for
+    a reduced tau', every point of Z + tau' Z but 0 lies at least sqrt(3)/4
+    from z, so |f z| decides that test alone unless |f| is below 4
+    POLE_TOLERANCE / sqrt(3)."""
+    rtau, f, basis, (d, p, q, a, b, w) = _reduce_modulus(1, tau)
     if not cmath.isfinite(zeta):
         raise ValueError(f"zeta must be finite, got {zeta}")
-    (a, b, e), (x, y, d), (u1, v1, u2, v2) = _dyadic(zeta), _dyadic(tau), basis
-    w, bd, n = a * y - b * x, b * d, e * y
-    s, t = v2 * w - u2 * bd, u1 * bd - v1 * w
-    t -= (2 * t + n) // (2 * n) * n
-    p1, p2 = d * u1 + x * v1, d * u2 + x * v2
-    g, h = p1 * p1 + (y * v1) ** 2, p1 * p2 + y * y * v1 * v2  # d^2 |f|^2, d^2 <f, f tau'>
-    r, ng = s * g + t * h, n * g
-    r -= (2 * r + ng) // (2 * ng) * ng
-    z = complex(r / ng, d * t / (e * g))
+    x, y, e = _dyadic(zeta)
+    t, n = d * (y * p - x * q), e * w
+    k = (2 * t + n) // (2 * n)
+    r, m = d * (x * p + y * q) - k * e * b, e * a
+    r -= (2 * r + m) // (2 * m) * m
+    z = complex(r / m, (t - k * n) / m)
     if abs(f * z) < POLE_TOLERANCE:
         raise PoleProximity(f"{zeta} is within {POLE_TOLERANCE} of a lattice point")
     return z, rtau, f, basis
 
 
-def _rescale(value: complex, f: complex, k: int) -> complex:
-    """value / f**k: wp (k = 2) or wp' (k = 3) of the reduced lattice
-    rescaled by homogeneity.  Once the shortest lattice vector f is below
-    about 1e-154 (k = 2) or 1e-103 (k = 3) the result overflows a float,
-    and below about 1e-162 or 1e-108 f**k itself underflows to 0:
-    ValueError either way."""
-    scale = f**k
-    if scale:
-        value /= scale
-        if cmath.isfinite(value):
-            return value
-    raise ValueError(f"tau gives a lattice whose shortest vector ({abs(f):.3g}) "
-                     "is too short: the value overflows a float")
+def _rescale(s: complex, k: int, *values: complex) -> tuple[complex, ...]:
+    """Each value / s**k: values of the reduced lattice carried by
+    homogeneity (DLMF 23.10.17) to the lattice s (Z + tau' Z), k = 2 for wp
+    and the half-period values, 3 for wp'.  The module's one homogeneity
+    step, called once per scale, so values that share a scale share its
+    normalization.
+
+    With s = m 2^e, 1/2 <= |m| < 1 (`math.frexp` of |s|), value / s**k is
+    (value / m**k) 2^(-k e).  Multiplying by a power of two is exact, so
+    this is the complex division value / s**k bit for bit wherever s**k is
+    a normal float, and m**k neither underflows nor overflows where s**k
+    would: a huge s gives a tiny value or 0, never inf or nan.  ValueError,
+    naming s as too short, where a value overflows, where s underflowed to
+    0, and where 2^(-k e) is beyond the float range, that is where |s|^k is
+    below about 2^-1023; a value there overflows unless its modulus is
+    below 1, as that of wp' is deep in a long cell."""
+    e = math.frexp(abs(s))[1]
+    try:
+        scale, power, scaled = (s * 2.0**-e) ** k, 2.0 ** (-k * e), []
+        for value in values:
+            if not cmath.isfinite(value := value / scale * power):
+                raise OverflowError
+            scaled.append(value)
+        return tuple(scaled)
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"the shortest vector ({abs(s):.3g}) is too short: the value overflows a float") from None
 
 
 def _half_period_values(rtau: complex, f: complex, basis: tuple[int, ...]) -> tuple[complex, ...]:
-    """wp of Z + tau Z at 1/2, tau/2 and (1 + tau)/2; (rtau, f, basis) =
-    `_reduce_modulus(tau)`.
+    """wp of the reduced lattice Z + tau' Z at the images under 1/f of
+    the half periods 1/2, tau/2 and (1 + tau)/2 of Z + tau Z, unscaled:
+    (rtau, f, basis) come from `_reduce_modulus(1, tau)`, and wp of Z + tau
+    Z is each divided by f^2 (`_rescale`).
 
     Every half period lies at least |f|/2 from the lattice, since twice
     its distance is the length of a nonzero lattice vector, and the half
     period f/2 lies exactly that far.  So |f| < 2 POLE_TOLERANCE is the
-    pole test of all three, and it comes long before f^2 underflows.
+    pole test of all three.
 
-    The three values of the reduced lattice L' = Z + tau' Z come from theta
-    constants at q = exp(i pi tau'), |q| <= exp(-pi sqrt(3) / 2) ~ 0.066
-    (DLMF 23.6.2-23.6.4 with 2 omega_1 = 1, Jacobi's theta_3^4 = theta_2^4 +
-    theta_4^4): wp(1/2) = (pi^2/3)(theta_3^4 + theta_4^4), wp(tau'/2) =
-    -(pi^2/3)(theta_2^4 + theta_3^4), wp((1 + tau')/2) = (pi^2/3)(theta_2^4 -
+    The three values of L' = Z + tau' Z come from theta constants at q =
+    exp(i pi tau'), |q| <= exp(-pi sqrt(3) / 2) ~ 0.066 (DLMF 23.6.2-23.6.4
+    with 2 omega_1 = 1, Jacobi's theta_3^4 = theta_2^4 + theta_4^4):
+    wp(1/2) = (pi^2/3)(theta_3^4 + theta_4^4), wp(tau'/2) = -(pi^2/3)
+    (theta_2^4 + theta_3^4), wp((1 + tau')/2) = (pi^2/3)(theta_2^4 -
     theta_4^4), with theta_3, theta_4 = 1 + 2 sum +-q^(k^2) and theta_2^4 =
     16 q (1 + q^2 + q^6 + q^12 + ...)^4.  Four terms each leave out terms
     below 2 |q|^25 and |q|^20, under 1e-23.
@@ -161,44 +205,48 @@ def _half_period_values(rtau: complex, f: complex, basis: tuple[int, ...]) -> tu
     (1/2) L / L, and dividing by f maps them onto those of L'.  The half
     period (m + n tau)/2 is (s + t tau') f / 2 with (s, t) = (m v2 - n u2,
     n u1 - m v1), the inverse of the unimodular basis matrix, so its class
-    (s mod 2, t mod 2) is read in integers.
+    s mod 2 + 2 (t mod 2) is read in integers: (v2, v1) for 1/2, (u2, u1)
+    for tau/2, and their sum, a bitwise exclusive or, for (1 + tau)/2.
     """
     if abs(f) < 2 * POLE_TOLERANCE:
         raise PoleProximity(f"tau gives a half period within {POLE_TOLERANCE} of a lattice point")
     u1, v1, u2, v2 = basis
     q = cmath.exp(1j * cmath.pi * rtau)
-    q2, q4, q8 = q**2, q**4, q**8
+    q2 = q * q
+    q4, q8 = q2 * q2, q2 * q2 * (q2 * q2)
     even, odd = q4 + q8 * q8, q + q8 * q  # q^4 + q^16, q + q^9
     t2 = 16 * q * (1 + q2 + q4 * q2 + q8 * q4) ** 4
     t3 = (1 + 2 * (even + odd)) ** 4
     t4 = (1 + 2 * (even - odd)) ** 4
-    c = cmath.pi**2 / 3 / f**2
-    values = (c * (t3 + t4), -c * (t2 + t3), c * (t2 - t4))  # classes (1, 0), (0, 1), (1, 1)
-    return tuple(values[(m * v2 - n * u2) % 2 + 2 * ((n * u1 - m * v1) % 2) - 1]
-                 for m, n in ((1, 0), (0, 1), (1, 1)))
+    c = cmath.pi**2 / 3
+    values = (c * (t3 + t4), -c * (t2 + t3), c * (t2 - t4))  # classes 1, 2, 3: (1, 0), (0, 1), (1, 1)
+    i, j = v2 % 2 + 2 * (v1 % 2), u2 % 2 + 2 * (u1 % 2)
+    return values[i - 1], values[j - 1], values[(i ^ j) - 1]
 
 
 def wp(zeta: complex, tau: complex) -> complex:
     """The Weierstrass function of Z + tau Z at zeta, by homogeneity
     wp(zeta; f L) = f^-2 wp(zeta / f; L) (DLMF 23.10.17)."""
     z, rtau, f, _ = _cell_point(complex(zeta), complex(tau))
-    return _rescale(_purekernels.wp_sum(z, rtau, _ROWS), f, 2)
+    return _rescale(f, 2, _purekernels.wp_sum(z, rtau, _ROWS))[0]
 
 
 def wp_prime(zeta: complex, tau: complex) -> complex:
     """Derivative of the Weierstrass function: -2 sum 1/(zeta - w)^3,
     homogeneous of degree -3."""
     z, rtau, f, _ = _cell_point(complex(zeta), complex(tau))
-    return _rescale(_purekernels.wp_prime_sum(z, rtau, _ROWS), f, 3)
+    return _rescale(f, 3, _purekernels.wp_prime_sum(z, rtau, _ROWS))[0]
 
 
 def e_values(tau: complex) -> tuple[complex, complex, complex]:
     """The half-period values (wp(1/2), wp(tau/2), wp((1+tau)/2))."""
-    return _half_period_values(*_reduce_modulus(complex(tau)))
+    rtau, f, basis, _ = _reduce_modulus(1, complex(tau))
+    return _rescale(f, 2, *_half_period_values(rtau, f, basis))
 
 
 class LatticeSpec(Value):
-    """The lattice alpha (Z + tau Z), with Im(tau) > 0."""
+    """The lattice alpha (Z + tau Z), with Im(tau) > 0 and 0 < |alpha| <
+    2^1024, so that the scale alpha f of `branch_locus` is a float."""
 
     alpha: complex
     tau: complex
@@ -208,8 +256,8 @@ class LatticeSpec(Value):
             if not cmath.isfinite(value):
                 raise ValueError(f"{name} must be finite")
         alpha, tau = complex(alpha), complex(tau)
-        if alpha == 0:
-            raise ValueError("alpha must be nonzero")
+        if not 0 < math.hypot(alpha.real, alpha.imag) < math.inf:
+            raise ValueError(f"alpha must be nonzero, with a modulus below 2^1024, got {alpha}")
         if tau.imag <= 0:
             raise ValueError("tau must have positive imaginary part")
         object.__setattr__(self, "alpha", alpha)
@@ -217,20 +265,12 @@ class LatticeSpec(Value):
 
     @staticmethod
     def from_generators(a: complex, b: complex) -> "LatticeSpec":
-        """The lattice a Z + b Z, normalized so Im(tau) > 0 and tau lies in
-        the standard fundamental domain (`_reduce_modulus`)."""
-        a, b = complex(a), complex(b)
-        if a == 0 or b == 0:
-            raise ValueError("generators must be nonzero")
-        tau = b / a
-        if tau.imag == 0:
-            raise ValueError("generators are collinear")
-        alpha = a
-        if tau.imag < 0:
-            tau = a / b
-            alpha = b
-        tau, f, _ = _reduce_modulus(tau)
-        return LatticeSpec(alpha * f, tau)
+        """The lattice a Z + b Z as f (Z + tau Z), tau in the standard
+        fundamental domain and f a shortest vector: one exact reduction of
+        the pair (`_reduce_modulus`), which decides orientation and
+        collinearity in integers."""
+        tau, f, _, _ = _reduce_modulus(a, b)
+        return LatticeSpec(f, tau)
 
 
 class BranchLocus(Value):
@@ -253,11 +293,13 @@ class BranchLocus(Value):
 
 
 def branch_locus(spec: LatticeSpec) -> BranchLocus:
-    """alpha^-2 scaling of the half-period values of tau: covariant by
-    construction under rescaling the lattice."""
-    scale = spec.alpha ** -2
-    e1, e2, e3 = e_values(spec.tau)
-    return BranchLocus((scale * e1, scale * e2, scale * e3))
+    """The half-period values of alpha (Z + tau Z) = s (Z + tau' Z), s =
+    alpha f: those of the reduced lattice, each divided by s^2 in one step
+    (`_rescale`), so the locus takes one rounding of its scale and is
+    covariant by construction under rescaling the lattice.  Every value is
+    finite, or the scale is so short that one overflows: ValueError."""
+    rtau, f, basis, _ = _reduce_modulus(1, spec.tau)
+    return BranchLocus(_rescale(spec.alpha * f, 2, *_half_period_values(rtau, f, basis)))
 
 
 def ode_residual(tau: complex, zeta: complex) -> float:
@@ -265,9 +307,7 @@ def ode_residual(tau: complex, zeta: complex) -> float:
     |lhs - rhs| / (1 + |wp'|^2).  A convergence diagnostic, not an identity
     check against ground truth."""
     z, rtau, f, basis = _cell_point(complex(zeta), complex(tau))
-    e1, e2, e3 = _half_period_values(rtau, f, basis)  # pole tests before any f**2
-    p = _purekernels.wp_sum(z, rtau, _ROWS) / f**2
-    pp = _purekernels.wp_prime_sum(z, rtau, _ROWS) / f**3
-    lhs = pp * pp
-    rhs = 4 * (p - e1) * (p - e2) * (p - e3)
-    return abs(lhs - rhs) / (1 + abs(pp) ** 2)
+    e1, e2, e3, p = _rescale(f, 2, *_half_period_values(rtau, f, basis),
+                             _purekernels.wp_sum(z, rtau, _ROWS))
+    (pp,) = _rescale(f, 3, _purekernels.wp_prime_sum(z, rtau, _ROWS))
+    return abs(pp * pp - 4 * (p - e1) * (p - e2) * (p - e3)) / (1 + abs(pp) ** 2)

@@ -88,7 +88,9 @@ class SurfaceHom(Value):
 
     def __init__(self, signature: SurfaceSignature, target: Literal["B3", "F2"], images: dict) -> None:
         x = signature.free_rank
-        if set(images) != set(range(1, x + 1)):
+        # x distinct keys, each an integer in 1..x, are exactly 1..x; the
+        # counts compare in constant memory however large x is
+        if len(images) != x or not all(isinstance(k, int) and 1 <= k <= x for k in images):
             raise ValueError(f"need images for generators 1..{x}")
         for v in images.values():
             if target == TARGET_B3 and not isinstance(v, braid.BraidWord):

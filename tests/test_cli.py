@@ -201,6 +201,21 @@ def test_go_surface_rejects_extra_generators(tmp_path, capsys):
     assert err["errorType"] == "ValueError" and "a3" in err["error"]
 
 
+def test_disc_index_degree_above_the_cap(tmp_path, capsys):
+    # a 60-byte family of degree 5,000: refused before any 5,000 x 5,000
+    # determinant, where only the float range stopped it at degree 400
+    # (10.5 s for the first discriminant)
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"degree": 5000, "coeffs": {"0": {"0": [1.0, 0.0]}}}))
+    t0 = time.perf_counter()
+    assert main(["disc-index", "--family", str(path)]) == 1
+    assert time.perf_counter() - t0 < 0.5
+    captured = capsys.readouterr()
+    error = strict_json(captured.err)
+    assert captured.out == "" and error["errorType"] == "ResourceLimit"
+    assert "MAX_DEGREE = 64" in error["error"]
+
+
 def test_go_surface_huge_exponents(tmp_path, capsys):
     # spelling out the letters took 7.9 s at 10^6 and ran out of memory at 10^9
     hom = {"genus": 1, "holes": 1, "target": "F2",
@@ -435,6 +450,28 @@ def test_tiny_tau_is_pole_proximity(tau, capsys):
     assert main(["lattice-branch", "--tau", tau]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and json.loads(captured.err)["errorType"] == "PoleProximity"
+
+
+@pytest.mark.parametrize("csv", [[], ["--csv"]], ids=["json", "csv"])
+@pytest.mark.parametrize("alpha", ["1e-200,0", "1e-160,0", "1e160,0"])
+def test_extreme_alpha_is_finite_or_an_input_error(alpha, csv, capsys):
+    # alpha ** -2 ended in a ZeroDivisionError traceback at 1e-200, in an
+    # OverflowError traceback at 1e-160, and printed nan six times at 1e160
+    code = main(["lattice-branch", "--tau", "0,1", f"--alpha={alpha}", *csv])
+    captured = capsys.readouterr()
+    assert "nan" not in captured.out.lower() and "Traceback" not in captured.err
+    if alpha == "1e160,0":
+        assert code == 0 and captured.err == ""
+        if csv:
+            header, row = captured.out.splitlines()
+            cells = [float(c) for c in row.split(",")]
+        else:
+            cells = [c for e in strict_json(captured.out)["e"] for c in e]
+        assert all(map(math.isfinite, cells)) and max(map(abs, cells)) < 1e-300
+    else:
+        error = strict_json(captured.err)
+        assert code == 1 and captured.out == "" and error["errorType"] == "ValueError"
+        assert "too short" in error["error"]
 
 
 @pytest.mark.parametrize("argv", [

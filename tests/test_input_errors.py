@@ -5,6 +5,8 @@ Each row is a raise that no other in-process test runs; the CLI's
 subprocess tests do not count, since their lines run in a child process.
 """
 
+import tracemalloc
+
 import pytest
 
 from braidoka.braid import MAX_STRANDS, BraidWord, LinkingNumbers
@@ -16,12 +18,13 @@ from braidoka.errors import (
     WrongStrandCount,
 )
 from braidoka.families import (
+    MAX_DEGREE,
     LaurentFamily,
     discriminant_from_coeffs,
     nbraid_module_upper,
     thm1_verdict,
 )
-from braidoka.lattice import LatticeSpec, _reduce_modulus, e_values, wp, wp_prime
+from braidoka.lattice import LatticeSpec, e_values, wp, wp_prime
 from braidoka.oka import SurfaceHom
 from braidoka.perms import Permutation, abelian_transitive_generator, lemma5_generators
 from braidoka.sl2z import SL2Matrix, rl_factorization
@@ -29,6 +32,25 @@ from braidoka.three import conj3, entropy3
 from braidoka.words import peripheral_word
 
 _HOM = {"genus": 1, "holes": 1, "target": "F2", "images": {"e1": "a1", "e2": "a2"}}
+
+
+def _within_a_megabyte(call):
+    """Run call under tracemalloc; fail if its peak allocation reaches
+    1 MB.  The generator-count check built set(range(1, x + 1)): 291 MB
+    peak at 3,000,000 holes, and at 10^12 more than memory holds."""
+    tracemalloc.start()
+    try:
+        call()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 2**20, peak
+
+
+def _many_holes(target, image):
+    return lambda: _within_a_megabyte(lambda: SurfaceHom.from_json(
+        {"genus": 0, "holes": 10**12, "target": target, "images": {"e1": image}}))
+
 _B4 = BraidWord(4, (1, 3))
 _CYCLE = Permutation((2, 3, 1))
 
@@ -41,6 +63,8 @@ ROWS = [
      ValueError, '"images" must be an object'),
     (lambda: SurfaceHom.from_json({**_HOM, "images": {"e1": 1}}),
      ValueError, 'images["e1"] must be a word as text'),
+    (_many_holes("F2", "a1"), ValueError, "need images for generators 1..999999999999"),
+    (_many_holes("B3", "1"), ValueError, "generators 1..999999999999"),
     (lambda: LaurentFamily.from_json({"degree": 3}), ValueError, 'needs a "coeffs" object'),
     (lambda: LaurentFamily.from_json({"degree": 3, "coeffs": {"0": [1, 0]}}),
      ValueError, 'coeffs["0"] must be an object'),
@@ -53,8 +77,10 @@ ROWS = [
     (lambda: LinkingNumbers(4, ()).tuple3(), ValueError, "only defined for B_3"),
     (lambda: discriminant_from_coeffs([1, 0, 2]), ValueError, "must be monic"),
     (lambda: thm1_verdict(1, 30.0, 3), ValueError, "degree must be >= 2"),
+    (lambda: LaurentFamily(MAX_DEGREE + 1, {0: {0: 1.0}}), ResourceLimit,
+     "family degree 65 is above MAX_DEGREE = 64"),
     (lambda: nbraid_module_upper(2), SignatureOutOfRange, "needs n >= 3"),
-    (lambda: _reduce_modulus(1 - 1j), ValueError, "positive imaginary part"),
+    (lambda: LatticeSpec(1, 1 - 1j), ValueError, "positive imaginary part"),
     (lambda: LatticeSpec.from_generators(1, 0), ValueError, "generators must be nonzero"),
     # a shortest vector f so short that Im tau' = Im tau / |f|^2 overflows a
     # float: OverflowError tracebacks once, and for 1e-320j an error that

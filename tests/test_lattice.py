@@ -34,7 +34,7 @@ def is_reduced(tau):
     b1 lies in the standard domain |b2| >= |b1|, -|b1|^2 <= 2 <b1, b2> <
     |b1|^2, decided in integers: tau times the product D of the
     denominators of its parts is x + y i."""
-    u1, v1, u2, v2 = _reduce_modulus(tau)[2]
+    u1, v1, u2, v2 = _reduce_modulus(1, tau)[2]
     (x, dx), (y, dy) = tau.real.as_integer_ratio(), tau.imag.as_integer_ratio()
     big_d, x, y = dx * dy, x * dy, y * dx
     p1, q1, p2, q2 = big_d * u1 + x * v1, y * v1, big_d * u2 + x * v2, y * v2
@@ -279,11 +279,11 @@ class TestExactReduction:
         rng = random.Random(61)
         for _ in range(8000):
             tau = complex(rng.uniform(-3, 3), 10 ** rng.uniform(-2, 1.5))
-            rtau, f, (u1, v1, u2, v2) = _reduce_modulus(tau)
+            rtau, f, (u1, v1, u2, v2), _ = _reduce_modulus(1, tau)
             want_tau, want_f = float_reduce_modulus(tau)
             assert abs(rtau - want_tau) <= 1e-9 * abs(want_tau), tau
             assert abs(f - want_f) <= 1e-9 * abs(want_f), tau
-            assert _reduce_modulus(want_tau)[2] == (1, 0, 0, 1), tau
+            assert _reduce_modulus(1, want_tau)[2] == (1, 0, 0, 1), tau
             base = e_values(want_tau)  # the classes (1, 0), (0, 1), (1, 1) of tau'
             for (m, n), got in zip(((1, 0), (0, 1), (1, 1)), e_values(tau)):
                 z = float_reduce_cell((m + n * tau) / 2 / want_f, want_tau)
@@ -307,11 +307,27 @@ class TestExactReduction:
           (-1, 1, 0, -1))),
     ])
     def test_ties(self, tau, reduced):
-        assert _reduce_modulus(tau) == reduced
+        assert _reduce_modulus(1, tau)[:3] == reduced
         assert is_reduced(tau)
         want = mpmath_e_values(tau)
         scale = max(1.0, *map(abs, want))
         assert all(abs(x - w) <= 1e-14 * scale for x, w in zip(e_values(tau), want))
+
+
+    def test_a_tau_below_the_axis_spans_the_same_lattice(self):
+        # (1, tau) is read as a generator pair, so Im tau < 0 is the lattice
+        # Z - tau Z, oriented by the exact cross product; a real tau spans
+        # no lattice
+        rng = random.Random(67)
+        for _ in range(50):
+            tau = random_tau(rng)
+            z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+            assert wp(z, -tau) == wp(z, tau) and wp_prime(z, -tau) == wp_prime(z, tau)
+            below = e_values(tau.conjugate())
+            assert all(abs(x - w.conjugate()) <= 1e-15 * abs(w) for x, w in zip(below, e_values(tau)))
+        for tau in (0.5, -2.0, 0j):
+            with pytest.raises(ValueError, match="not collinear"):
+                e_values(tau)
 
 
 def small_im_taus():
@@ -333,7 +349,7 @@ class TestSmallImTau:
             assert abs(got - want) <= 1e-12 * abs(want), (tau, z)
         # a point at distance about |f| from the lattice, where f is its
         # shortest vector; far out in a long cell wp' is exponentially small
-        scale = _reduce_modulus(tau)[1]
+        scale = _reduce_modulus(1, tau)[1]
         z = float_reduce_cell(scale * (0.31 + 0.37j), tau)
         for f, kernel in ((wp, row_series), (wp_prime, row_series_prime)):
             want = kernel(z, tau, radius)
@@ -461,8 +477,7 @@ class TestUnreducedModulus:
         lambda: wp_prime(complex(0, math.nan), 1j),
         lambda: e_values(complex(0, math.inf)),
         lambda: e_values(complex(math.nan, 1)),
-        lambda: LatticeSpec.from_generators(1e-300, 1e300j),  # b / a overflows
-    ], ids=["inf-zeta", "nan-zeta", "inf-tau", "nan-tau", "overflowing-generators"])
+    ], ids=["inf-zeta", "nan-zeta", "inf-tau", "nan-tau"])
     def test_non_finite_input_is_a_value_error(self, call):
         # an infinite part has no integer ratio: OverflowError, not an
         # input error, unless it is refused first
@@ -510,6 +525,51 @@ class TestUnreducedModulus:
 
 
 class TestBranchLocus:
+    @pytest.mark.parametrize("alpha", [1e-200, 1e-160, 1e160, 1e300, -1e-300j, 5e-324])
+    def test_extreme_scale_is_finite_or_too_short(self, alpha):
+        # alpha ** -2 raised ZeroDivisionError below |alpha| ~ 1e-162,
+        # OverflowError from 1e-162 to 1e-154, and gave nan above 1e154
+        try:
+            locus = branch_locus(LatticeSpec(alpha, 1j))
+        except ValueError as exc:
+            assert "shortest vector" in str(exc) and "too short" in str(exc)
+            assert abs(alpha) < 1e-150
+        else:
+            assert all(map(cmath.isfinite, locus.e))
+            assert abs(alpha) > 1e150 and max(map(abs, locus.e)) < 1e-300
+
+    def test_seeded_extreme_scales_against_mpmath(self):
+        # |alpha| from 1e-300 to 1e300 at a random phase: the locus is
+        # finite or the named ValueError, never ZeroDivisionError,
+        # OverflowError or nan.  The scale alpha f is rounded once and then
+        # divided out in one exact homogeneity step, so where the true value
+        # lies between 1e-290 and 1e300 it agrees with 200-bit mpmath to
+        # 1e-14 of itself (2.3e-15 at worst on these seeds, 7.3e-16 of the
+        # largest value of its locus)
+        rng = random.Random(37)
+        compared = errors = 0
+        for _ in range(300):
+            tau = random_tau(rng)
+            alpha = cmath.rect(10 ** rng.uniform(-300, 300), rng.uniform(0, 2 * math.pi))
+            with mpmath.workprec(200):
+                q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+                t2, t3, t4 = (mpmath.jtheta(k, 0, q) ** 4 for k in (2, 3, 4))
+                scale = mpmath.pi**2 / 3 / mpmath.mpc(alpha) ** 2
+                want = [scale * (t3 + t4), -scale * (t2 + t3), scale * (t2 - t4)]
+                top = max(abs(w) for w in want)
+            try:
+                got = branch_locus(LatticeSpec(alpha, tau)).e
+            except ValueError as exc:
+                assert "too short" in str(exc) and top > 1e300, (alpha, tau)
+                errors += 1
+                continue
+            assert all(map(cmath.isfinite, got)), (alpha, tau)
+            for x, w in zip(got, want):
+                if 1e-290 <= abs(w) <= 1e300:
+                    assert abs(x - complex(w)) <= 1e-14 * abs(w), (alpha, tau)
+                    compared += 1
+        assert compared == 483 and errors == 71
+
     def test_scaling_covariance(self):
         b1 = branch_locus(LatticeSpec(1, 1j))
         b2 = branch_locus(LatticeSpec(2, 1j))
@@ -533,6 +593,34 @@ class TestBranchLocus:
         assert spec2.tau.imag > 0
         with pytest.raises(ValueError):
             LatticeSpec.from_generators(1, 2)
+
+    @pytest.mark.parametrize("a, b, match", [
+        # b / a underflowed to 0, so these perpendicular generators read as
+        # collinear; read exactly, tau' = 1e600 i is what overflows
+        (1e300, 1e-300j, "tau gives a lattice vector too short"),
+        # b / a overflowed, which was reported as a non-finite input
+        (1e-300, 1e300j, "tau gives a lattice vector too short"),
+        (1, 2, "not collinear"),
+        (-3 + 1e-300j, 6 - 2e-300j, "not collinear"),
+    ], ids=["perpendicular-huge-ratio", "overflowing-generators", "collinear", "collinear-tiny-imag"])
+    def test_generators_read_in_integers(self, a, b, match):
+        with pytest.raises(ValueError, match=match):
+            LatticeSpec.from_generators(a, b)
+
+    @pytest.mark.parametrize("a, b", [
+        (2j, 2), (2, 2j), (1, 1 - 1e-300j), (1, 1 + 1e-300j), (3 + 1e-300j, 1e-300 + 2j),
+    ], ids=["reversed", "oriented", "barely-reversed", "barely-oriented", "tiny-parts"])
+    def test_orientation_is_decided_exactly(self, a, b):
+        # the integer cross product decides the orientation, however small
+        # the angle: the spec spans a Z + b Z, with tau reduced
+        spec = LatticeSpec.from_generators(a, b)
+        assert is_reduced(spec.tau) and _reduce_modulus(1, spec.tau)[2] == (1, 0, 0, 1)
+        f, tau = spec.alpha, spec.tau
+        for g in (a, b):
+            # g = (m + n tau) f with integers m, n
+            n = (g / f).imag / tau.imag
+            m = (g / f - n * tau).real
+            assert abs(n - round(n)) < 1e-6 and abs(m - round(m)) < 1e-6, (g, f, tau)
 
     def test_min_separation(self):
         e1, e2, e3 = branch_locus(LatticeSpec(1, 1j)).e
