@@ -313,7 +313,6 @@ class TestExactReduction:
         scale = max(1.0, *map(abs, want))
         assert all(abs(x - w) <= 1e-14 * scale for x, w in zip(e_values(tau), want))
 
-
     def test_a_tau_below_the_axis_spans_the_same_lattice(self):
         # (1, tau) is read as a generator pair, so Im tau < 0 is the lattice
         # Z - tau Z, oriented by the exact cross product; a real tau spans
