@@ -38,8 +38,9 @@ MAX_SAMPLES = 2**20
 # as n^3: about 0.11 ms at degree 8, 3.3 ms at 32 and 18 ms at this cap
 # (pure Python 3.11, 2-core VM), so a first pass of 256 samples at the cap
 # takes about 4.5 s.  Without a cap only the float range stopped a family:
-# degree 400 took 10.5 s to reach "the discriminant overflows a float", and
-# a degree-5,000 family would build a 5,000 x 5,000 matrix of over 1 GB.
+# a degree-400 disc-index call took 7.1 s to reach "the discriminant
+# overflows a float", and one of degree 5,000 would build a 5,000 x 5,000
+# matrix of 25 million complex numbers, over 1 GB (estimated, not run).
 MAX_DEGREE = 64
 # |disc| below this fraction of its maximum on the circle counts as a zero
 SEPARABILITY_TOL = 1e-12

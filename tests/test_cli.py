@@ -203,8 +203,8 @@ def test_go_surface_rejects_extra_generators(tmp_path, capsys):
 
 def test_disc_index_degree_above_the_cap(tmp_path, capsys):
     # a 60-byte family of degree 5,000: refused before any 5,000 x 5,000
-    # determinant, where only the float range stopped it at degree 400
-    # (10.5 s for the first discriminant)
+    # determinant; only the float range stopped such a family, and a
+    # degree-400 call took 7.1 s to fail on it
     path = tmp_path / "family.json"
     path.write_text(json.dumps({"degree": 5000, "coeffs": {"0": {"0": [1.0, 0.0]}}}))
     t0 = time.perf_counter()
