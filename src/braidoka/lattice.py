@@ -153,8 +153,8 @@ def _cell_point(zeta: complex, tau: complex) -> tuple[complex, complex, complex,
     return z, rtau, f, basis
 
 
-def _rescale(s: complex, k: int, *values: complex) -> tuple[complex, ...]:
-    """Each value / s**k: values of the reduced lattice carried by
+def _rescale(values: tuple[complex, ...], s: complex, k: int) -> tuple[complex, ...]:
+    """Each of values / s**k: values of the reduced lattice carried by
     homogeneity (DLMF 23.10.17) to the lattice s (Z + tau' Z), k = 2 for wp
     and the half-period values, 3 for wp'.  The module's one homogeneity
     step, called once per scale, so values that share a scale share its
@@ -178,7 +178,7 @@ def _rescale(s: complex, k: int, *values: complex) -> tuple[complex, ...]:
             scaled.append(value)
         return tuple(scaled)
     except (OverflowError, ZeroDivisionError):
-        raise ValueError(f"the shortest vector ({abs(s):.3g}) is too short: the value overflows a float") from None
+        raise ValueError(f"the shortest vector ({abs(s):.3g}) is too short: the value overflows") from None
 
 
 def _half_period_values(rtau: complex, f: complex, basis: tuple[int, ...]) -> tuple[complex, ...]:
@@ -219,29 +219,30 @@ def _half_period_values(rtau: complex, f: complex, basis: tuple[int, ...]) -> tu
     t3 = (1 + 2 * (even + odd)) ** 4
     t4 = (1 + 2 * (even - odd)) ** 4
     c = cmath.pi**2 / 3
-    values = (c * (t3 + t4), -c * (t2 + t3), c * (t2 - t4))  # classes 1, 2, 3: (1, 0), (0, 1), (1, 1)
+    # indexed by the class s mod 2 + 2 (t mod 2): 1 = (1, 0), 2 = (0, 1), 3 = (1, 1)
+    values = (None, c * (t3 + t4), -c * (t2 + t3), c * (t2 - t4))
     i, j = v2 % 2 + 2 * (v1 % 2), u2 % 2 + 2 * (u1 % 2)
-    return values[i - 1], values[j - 1], values[(i ^ j) - 1]
+    return values[i], values[j], values[i ^ j]
 
 
 def wp(zeta: complex, tau: complex) -> complex:
     """The Weierstrass function of Z + tau Z at zeta, by homogeneity
     wp(zeta; f L) = f^-2 wp(zeta / f; L) (DLMF 23.10.17)."""
     z, rtau, f, _ = _cell_point(complex(zeta), complex(tau))
-    return _rescale(f, 2, _purekernels.wp_sum(z, rtau, _ROWS))[0]
+    return _rescale((_purekernels.wp_sum(z, rtau, _ROWS),), f, 2)[0]
 
 
 def wp_prime(zeta: complex, tau: complex) -> complex:
     """Derivative of the Weierstrass function: -2 sum 1/(zeta - w)^3,
     homogeneous of degree -3."""
     z, rtau, f, _ = _cell_point(complex(zeta), complex(tau))
-    return _rescale(f, 3, _purekernels.wp_prime_sum(z, rtau, _ROWS))[0]
+    return _rescale((_purekernels.wp_prime_sum(z, rtau, _ROWS),), f, 3)[0]
 
 
 def e_values(tau: complex) -> tuple[complex, complex, complex]:
     """The half-period values (wp(1/2), wp(tau/2), wp((1+tau)/2))."""
     rtau, f, basis, _ = _reduce_modulus(1, complex(tau))
-    return _rescale(f, 2, *_half_period_values(rtau, f, basis))
+    return _rescale(_half_period_values(rtau, f, basis), f, 2)
 
 
 class LatticeSpec(Value):
@@ -299,7 +300,7 @@ def branch_locus(spec: LatticeSpec) -> BranchLocus:
     covariant by construction under rescaling the lattice.  Every value is
     finite, or the scale is so short that one overflows: ValueError."""
     rtau, f, basis, _ = _reduce_modulus(1, spec.tau)
-    return BranchLocus(_rescale(spec.alpha * f, 2, *_half_period_values(rtau, f, basis)))
+    return BranchLocus(_rescale(_half_period_values(rtau, f, basis), spec.alpha * f, 2))
 
 
 def ode_residual(tau: complex, zeta: complex) -> float:
@@ -307,7 +308,7 @@ def ode_residual(tau: complex, zeta: complex) -> float:
     |lhs - rhs| / (1 + |wp'|^2).  A convergence diagnostic, not an identity
     check against ground truth."""
     z, rtau, f, basis = _cell_point(complex(zeta), complex(tau))
-    e1, e2, e3, p = _rescale(f, 2, *_half_period_values(rtau, f, basis),
-                             _purekernels.wp_sum(z, rtau, _ROWS))
-    (pp,) = _rescale(f, 3, _purekernels.wp_prime_sum(z, rtau, _ROWS))
+    e1, e2, e3, p = _rescale((*_half_period_values(rtau, f, basis), _purekernels.wp_sum(z, rtau, _ROWS)),
+                             f, 2)
+    (pp,) = _rescale((_purekernels.wp_prime_sum(z, rtau, _ROWS),), f, 3)
     return abs(pp * pp - 4 * (p - e1) * (p - e2) * (p - e3)) / (1 + abs(pp) ** 2)
