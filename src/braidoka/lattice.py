@@ -213,7 +213,8 @@ def _half_period_values(rtau: complex, f: complex, basis: tuple[int, ...]) -> tu
     u1, v1, u2, v2 = basis
     q = cmath.exp(1j * cmath.pi * rtau)
     q2 = q * q
-    q4, q8 = q2 * q2, q2 * q2 * (q2 * q2)
+    q4 = q2 * q2
+    q8 = q4 * q4
     even, odd = q4 + q8 * q8, q + q8 * q  # q^4 + q^16, q + q^9
     t2 = 16 * q * (1 + q2 + q4 * q2 + q8 * q4) ** 4
     t3 = (1 + 2 * (even + odd)) ** 4
@@ -256,13 +257,12 @@ class LatticeSpec(Value):
         for name, value in (("alpha", alpha), ("tau", tau)):
             if not cmath.isfinite(value):
                 raise ValueError(f"{name} must be finite")
-        alpha, tau = complex(alpha), complex(tau)
         if not 0 < math.hypot(alpha.real, alpha.imag) < math.inf:
             raise ValueError(f"alpha must be nonzero, with a modulus below 2^1024, got {alpha}")
         if tau.imag <= 0:
             raise ValueError("tau must have positive imaginary part")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "alpha", complex(alpha))
+        object.__setattr__(self, "tau", complex(tau))
 
     @staticmethod
     def from_generators(a: complex, b: complex) -> "LatticeSpec":
