@@ -29,7 +29,8 @@ _IS_THREE_CYCLE = tuple(all(img != i for i, img in enumerate(perm, 1)) for perm 
 # of a word with sigma_1 and sigma_2 exchanged (sweep3_stats)
 _FLIP = (0, 2, 1, 4, 3, 5)
 
-# largest sweep3_stats input, measured in its docstring
+# largest sweep3_stats input: no acceptance criterion needs more, and 14
+# costs about 0.03 s and a 1.6 MB allocation peak (measured in its docstring)
 SWEEP3_MAXLEN = 14
 
 
@@ -139,28 +140,47 @@ def sweep3_stats(maxlen: int) -> dict:
     theta(sigma_1^k) and theta(sigma_2^k).  On states, D is (a, b, c, d, p)
     -> (a, -b, -c, d, p), as sigma_i^-1 swaps the strands that sigma_i
     swaps, and J is (a, b, c, d, p) -> (d, c, b, a, _FLIP[p]), as
-    exchanging the transpositions (1 2) and (2 3) conjugates by (1 3).  V
-    fixes the start state (I, identity) and keeps the trace, the test
-    b = c = 0 and the cycle type, so every reported count is constant on
-    orbits.  For g in V and a letter x, g(s x) = g(s) g(x) and g permutes
-    the letters, so the states of one orbit are reached by equally many
-    words of each length (induction on the length).  So level k maps one
-    representative s of each orbit to the number N of words of length k
-    that reach the orbit, and level k + 1 adds N to the orbit of s x for
-    each of the four letters x.  Level k holds about 1.5 * 2^k orbits
-    against 4^k words.
+    exchanging the transpositions (1 2) and (2 3) conjugates by (1 3).
+    Negation -s = (-a, -b, -c, -d, p) multiplies theta by -I =
+    theta(Delta^2), the image of the central full twist, a pure braid.
+    The group G = V x {+-I} of order 8 keeps |trace|, the test b = c = 0
+    and the cycle type, so every reported count is constant on orbits.
+    Write s x for the state s stepped by the letter x.  For g in V,
+    g(s x) = g(s) g(x) and g permutes the letters, and (-s) x = -(s x)
+    with the same permutation step.  So the four children of g(s), for
+    any g in G, fall in the same orbits, with multiplicity, as the four
+    children of s: the orbits of a state's children depend only on its
+    orbit.  By induction on the length, the number of words of length
+    k + 1 that reach an orbit O' is the sum, over the orbits O of length
+    k, of the number of words that reach O times the number of letters x
+    with s x in O', for any one state s of O.  (The words that reach an
+    orbit need not spread evenly over its states: at length 0, I is
+    reached and -I is not.)  So level k maps one representative s of each
+    orbit to the number N of words of length k that reach the orbit, and
+    level k + 1 adds N to the orbit of s x for each of the four letters
+    x.  Level k >= 2 holds 2^k orbits against 4^k words.
 
-    The representative is the orbit's state with the least a, then b > 0.
-    Both are unique when a != d, since b = 0 or c = 0 forces a = d = +-1;
-    when a = d it is the least of the orbit's four tuples.  This takes one
-    comparison and one tuple for most states, where the least of four
-    tuples for every state ran 1.8 times as long.
+    The representative takes the sign with a + d >= 0, then the state of
+    least a, then b > 0.  Both are unique when a != d, since b = 0 or c =
+    0 forces a = d = +-1; when a = d it is the least of the four tuples
+    of the sign, and when a + d = 0, which both signs keep, the least of
+    the eight.
+
+    The last level, as large as all the levels before it, is never built:
+    at depth maxlen - 1 each state classifies its four children from the
+    step's trace, b or c (the test b = c = 0) and permutation, through
+    the block that classifies the states.  A child costs that block alone
+    where a built state cost its representative, a dict entry and the
+    block.
 
     Raises ResourceLimit above SWEEP3_MAXLEN = 14: maxlen 14 (358M words,
-    24,575 orbits at the last level) takes about 0.045 s with a 6.2 MB
-    allocation peak (tracemalloc) and a 22.5 MB max RSS, against 14 MB for
-    the bare interpreter (Python 3.11, 2-core VM).  Each further letter
-    doubles the orbits: 15 measured 0.10 s and 13 MB, 16 0.22 s and 27 MB.
+    8,192 orbits at the last level built) takes about 0.027 s with a 1.6
+    MB allocation peak (tracemalloc) and a 16.2 MB max RSS, against 13.0
+    MB for the bare interpreter; maxlen 9 takes about 0.9 ms (0.02 MB,
+    14.8 MB).  Each further letter doubles the orbits: 15 measured 0.06 s
+    (3.4 MB, 18.0 MB), 16 0.12 s (7.6 MB, 22.3 MB).  Python 3.11, 2-core
+    VM, min of 9-15 runs; the Klein-four count that built every level took
+    0.053 s, 6.3 MB and 21.0 MB at 14.
     """
     if maxlen < 0:
         raise ValueError("maxlen must be >= 0")
@@ -169,32 +189,33 @@ def sweep3_stats(maxlen: int) -> dict:
     total = periodic = reducible = pseudo_anosov = three_cycles = violations = 0
     min_pa = 0  # 0 = none seen
     level = {(1, 0, 0, 1, 0): 1}
-    for depth in range(maxlen + 1):
-        grow = depth < maxlen
+    for depth in range(maxlen or 1):  # maxlen 0 builds level 1 and drops it
+        last = depth == maxlen - 1
         nxt: dict = {}
         get = nxt.get
         for (a, b, c, d, p), n in level.items():
-            total += n
-            cycle = _IS_THREE_CYCLE[p]
-            t = abs(a + d)
-            if t > 2:
-                pseudo_anosov += n
-                if min_pa == 0 or t < min_pa:
-                    min_pa = t
-            elif t == 2 and (b or c):
-                reducible += n
-                if cycle:
-                    violations += n
-            else:
-                periodic += n
-            if cycle:
-                three_cycles += n
-            if grow:
+            t = a + d
+            p1, p1i, p2, p2i = _PERM_STEP[p]
+            if last:
                 # right multiplication by theta of sigma_1^{+-1}, sigma_2^{+-1},
-                # each product replaced by its orbit's representative
-                p1, p1i, p2, p2i = _PERM_STEP[p]
+                # as (trace, b or c, permutation) of each product
+                kinds = ((t, b or c, p), (t + c, a + b or c, p1), (t - c, b - a or c, p1i),
+                         (t - b, b or c - d, p2), (t + b, b or c + d, p2i))
+            else:
+                kinds = ((t, b or c, p),)
+                # the same four products, each replaced by its orbit's
+                # representative
                 for a, b, c, d, q in ((a, a + b, c, c + d, p1), (a, b - a, c, d - c, p1i),
                                       (a - b, b, c - d, d, p2), (a + b, b, c + d, d, p2i)):
+                    t = a + d
+                    if t < 0:
+                        a, b, c, d = -a, -b, -c, -d
+                    elif not t:
+                        f = _FLIP[q]
+                        k = min((a, b, c, d, q), (a, -b, -c, d, q), (d, c, b, a, f), (d, -c, -b, a, f),
+                                (-a, -b, -c, -d, q), (-a, b, c, -d, q), (-d, -c, -b, -a, f), (-d, c, b, -a, f))
+                        nxt[k] = get(k, 0) + n
+                        continue
                     if a < d:
                         k = (a, b, c, d, q) if b > 0 else (a, -b, -c, d, q)
                     elif d < a:
@@ -203,6 +224,22 @@ def sweep3_stats(maxlen: int) -> dict:
                         f = _FLIP[q]
                         k = min((a, b, c, d, q), (a, -b, -c, d, q), (d, c, b, a, f), (d, -c, -b, a, f))
                     nxt[k] = get(k, 0) + n
+            for t, nonzero, q in kinds:
+                total += n
+                cycle = _IS_THREE_CYCLE[q]
+                t = abs(t)
+                if t > 2:
+                    pseudo_anosov += n
+                    if min_pa == 0 or t < min_pa:
+                        min_pa = t
+                elif t == 2 and nonzero:
+                    reducible += n
+                    if cycle:
+                        violations += n
+                else:
+                    periodic += n
+                if cycle:
+                    three_cycles += n
         level = nxt
     return {
         "total": total,

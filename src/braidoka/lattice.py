@@ -164,16 +164,29 @@ def _rescale(values: tuple[complex, ...], s: complex, k: int) -> tuple[complex, 
     (value / m**k) 2^(-k e).  Multiplying by a power of two is exact, so
     this is the complex division value / s**k bit for bit wherever s**k is
     a normal float, and m**k neither underflows nor overflows where s**k
-    would: a huge s gives a tiny value or 0, never inf or nan.  ValueError,
+    would: a huge s gives a tiny value or 0, never inf or nan.  Where
+    |s|^k is below 2^-1023, 2^(-k e) is beyond the float range, and it is
+    applied as two halves, which is exact to k |e| = 2046.  ValueError,
     naming s as too short, where a value overflows, where s underflowed to
-    0, and where 2^(-k e) is beyond the float range, that is where |s|^k is
-    below about 2^-1023; a value there overflows unless its modulus is
-    below 1, as that of wp' is deep in a long cell."""
+    0, and beyond k |e| = 2046.
+
+    Past 2^-1023 only a value of modulus below 1 can stay finite, and wp'
+    is 0 there: |f|^3 < 2^-1023 makes |f| < 2.3e-103, so a zeta outside
+    POLE_TOLERANCE of the lattice lies more than 4e94 cell units from
+    every lattice point, hence (the points of a row are 1 apart) from
+    every row of the reduced lattice, and every row term of
+    `wp_prime_sum`, about exp(-2 pi 4e94) in size, is below the smallest
+    float."""
     e = math.frexp(abs(s))[1]
+    j = -k * e
+    half = j // 2 if j > 1023 else 0  # 2^j = 2^(j - half) 2^half
     try:
-        scale, power, scaled = (s * 2.0**-e) ** k, 2.0 ** (-k * e), []
+        scale, power, scaled = (s * 2.0**-e) ** k, 2.0 ** (j - half), []
         for value in values:
-            if not cmath.isfinite(value := value / scale * power):
+            value = value / scale * power
+            if half:
+                value *= 2.0**half
+            if not cmath.isfinite(value):
                 raise OverflowError
             scaled.append(value)
         return tuple(scaled)

@@ -13,11 +13,17 @@ states: one dict entry per state (theta image, permutation), about 6 * 2^k of
 them at length k.  It shares the permutation tables with the kernel but not
 the orbit representatives, and it reaches maxlen 14 in a fraction of a
 second, where the word walk would take hours.
+
+`sweep3_stats_klein` is the kernel as it was before it took the sign -I into
+its orbits: one dict entry per orbit of the Klein four-group alone, about
+1.5 * 2^k of them at length k, every level built.  It shares the permutation
+tables and `_FLIP` with the kernel but not the +-I representative or the
+classification of the last level from its parents.
 """
 
 from __future__ import annotations
 
-from braidoka._purekernels import _IS_THREE_CYCLE, _PERM_STEP, mat_mul
+from braidoka._purekernels import _FLIP, _IS_THREE_CYCLE, _PERM_STEP, mat_mul
 
 # theta(sigma_1) and theta(sigma_2) in SL(2,Z), plus inverses, keyed by letter
 _THETA = {
@@ -120,6 +126,61 @@ def sweep3_stats_per_state(maxlen: int) -> dict:
                 nxt[k] = get(k, 0) + n
                 k = (a + b, b, c + d, d, p2i)
                 nxt[k] = get(k, 0) + n
+        level = nxt
+    return {
+        "total": total,
+        "periodic": periodic,
+        "reducible": reducible,
+        "pseudo_anosov": pseudo_anosov,
+        "three_cycles": three_cycles,
+        "violations": violations,
+        "min_pa_abs_trace": min_pa,
+    }
+
+
+def sweep3_stats_klein(maxlen: int) -> dict:
+    """The same counts, per orbit of the Klein four-group V: level k maps
+    the representative (least a, then b > 0; the least of the four tuples
+    when a = d) of each V-orbit of the states of length k to the number
+    of words of length k that reach the orbit, and level k + 1 adds that
+    number to the orbit of each of its four products."""
+    total = periodic = reducible = pseudo_anosov = three_cycles = violations = 0
+    min_pa = 0  # 0 = none seen
+    level = {(1, 0, 0, 1, 0): 1}
+    for depth in range(maxlen + 1):
+        grow = depth < maxlen
+        nxt: dict = {}
+        get = nxt.get
+        for (a, b, c, d, p), n in level.items():
+            total += n
+            cycle = _IS_THREE_CYCLE[p]
+            t = abs(a + d)
+            if t > 2:
+                pseudo_anosov += n
+                if min_pa == 0 or t < min_pa:
+                    min_pa = t
+            elif t == 2 and (b or c):
+                reducible += n
+                if cycle:
+                    violations += n
+            else:
+                periodic += n
+            if cycle:
+                three_cycles += n
+            if grow:
+                # right multiplication by theta of sigma_1^{+-1}, sigma_2^{+-1},
+                # each product replaced by its orbit's representative
+                p1, p1i, p2, p2i = _PERM_STEP[p]
+                for a, b, c, d, q in ((a, a + b, c, c + d, p1), (a, b - a, c, d - c, p1i),
+                                      (a - b, b, c - d, d, p2), (a + b, b, c + d, d, p2i)):
+                    if a < d:
+                        k = (a, b, c, d, q) if b > 0 else (a, -b, -c, d, q)
+                    elif d < a:
+                        k = (d, c, b, a, _FLIP[q]) if c > 0 else (d, -c, -b, a, _FLIP[q])
+                    else:
+                        f = _FLIP[q]
+                        k = min((a, b, c, d, q), (a, -b, -c, d, q), (d, c, b, a, f), (d, -c, -b, a, f))
+                    nxt[k] = get(k, 0) + n
         level = nxt
     return {
         "total": total,

@@ -85,13 +85,21 @@ class TestWp:
             wp(2 + 3j + 1e-9, 1j)
 
     @pytest.mark.parametrize("f, tau", [(wp, 1e-155j), (wp, 1e-170j), (wp, 1e-300j),
-                                        (wp_prime, 1e-150j), (wp_prime, 1e-170j)])
+                                        (wp_prime, 1e-300j)])
     def test_overflowing_value_is_an_input_error(self, f, tau):
         # the shortest lattice vector is tau itself: where f**2 (wp) or f**3
         # (wp') underflowed to 0 this raised ZeroDivisionError, and just
-        # above that it returned inf
+        # above that it returned inf; wp' at 1e-300j is past the 2^2046 that
+        # _rescale's two halves reach
         with pytest.raises(ValueError, match=r"shortest vector .* too short: the value overflows"):
             f(0.5 + 0.25j, tau)
+
+    @pytest.mark.parametrize("tau", [1e-150j, 1e-170j])
+    def test_underflowing_wp_prime_is_zero(self, tau):
+        # f**3 is below 2^-1023, and zeta / f lies over 1e149 cell units from
+        # every row of the reduced lattice, so every row term is below the
+        # smallest float
+        assert wp_prime(0.5 + 0.25j, tau) == 0j
 
     @pytest.mark.parametrize("zeta, tau", [
         # rounding in a float zeta / f left the cell, where the row series'
