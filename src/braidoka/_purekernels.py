@@ -158,7 +158,8 @@ def sweep3_stats(maxlen: int) -> dict:
     reached and -I is not.)  So level k maps one representative s of each
     orbit to the number N of words of length k that reach the orbit, and
     level k + 1 adds N to the orbit of s x for each of the four letters
-    x.  Level k >= 2 holds 2^k orbits against 4^k words.
+    x.  Level k >= 2 holds 2^k orbits (counted to k = 17) against 4^k
+    words.
 
     The representative takes the sign with a + d >= 0, then the state of
     least a, then b > 0.  Both are unique when a != d, since b = 0 or c =

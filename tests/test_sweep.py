@@ -93,10 +93,11 @@ def _negate(state):
 
 
 def _step(state, i):
-    # the kernel's step by the letter _LETTERS[i]: theta multiplied on the
-    # right by the letter's image, the permutation stepped by _PERM_STEP
-    *m, p = state
-    return (*mat_mul(tuple(m), _theta([_LETTERS[i]])), _PERM_STEP[p][i])
+    # the kernel's product of a state by the letter _LETTERS[i], as
+    # sweep3_stats writes it out
+    a, b, c, d, p = state
+    m = ((a, a + b, c, c + d), (a, b - a, c, d - c), (a - b, b, c - d, d), (a + b, b, c + d, d))[i]
+    return (*m, _PERM_STEP[p][i])
 
 
 def _state(letters):
@@ -118,7 +119,8 @@ def test_full_twist_negates_theta_and_keeps_cycle_type(letters):
 @given(st.lists(st.sampled_from(_LETTERS), max_size=30))
 def test_negation_commutes_with_the_letter_steps(letters):
     state = _state(letters)
-    for i in range(4):
+    for i, x in enumerate(_LETTERS):
+        assert _step(state, i) == _state([*letters, x])
         assert _step(_negate(state), i) == _negate(_step(state, i))
 
 
