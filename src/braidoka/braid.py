@@ -14,14 +14,16 @@ The normal form is the classical left Garside form Delta^p . A_1 ... A_k
 with each A_j a permutation braid (neither trivial nor Delta) and each
 consecutive pair left-weighted: the starting set of A_{j+1} is contained in
 the finishing set of A_j.  It is computed by right insertion of
-permutation-braid runs of the word, with one-step left-weighting of
-adjacent pairs through meets of permutation braids (see `normal_form`;
-Elrifai-Morton, Algorithms for positive braids, 1994; Epstein et al., Word
-Processing in Groups, ch. 9).  Inverse letters enter through the identity
-s^-1 = Delta^-1 (Delta s^-1), whose second factor is a permutation braid.
-The normal form serves `nf`; equality does not build it.  `braid_eq`
-decides B_3 by theta and the exponent sum, and every other B_n by the
-faithful integer action of B_n on Dynnikov coordinates in Z^(2n).
+permutation-braid runs of the word; a pair is left-weighted in place by
+moving the meet m of (A_j^-1 Delta) and A_{j+1} across one crossing at a
+time, O(n + |m|) swaps on lists that carry each factor and its inverse
+(see `normal_form`; Elrifai-Morton, Algorithms for positive braids, 1994;
+Epstein et al., Word Processing in Groups, ch. 9).  Inverse letters enter
+through the identity s^-1 = Delta^-1 (Delta s^-1), whose second factor is
+a permutation braid.  The normal form serves `nf`; equality does not
+build it.  `braid_eq` decides B_3 by theta and the exponent sum, and every
+other B_n by the faithful integer action of B_n on Dynnikov coordinates in
+Z^(2n).
 """
 
 from __future__ import annotations
@@ -40,10 +42,10 @@ Run = tuple[int, int]  # (i, k): sigma_i^k, with i >= 1 and k != 0
 
 # most letters a word is spelled out to (`letters`, `normal_form`) or
 # stepped through in runs of several letters (`_dynnikov`, which `braid_eq`
-# runs beyond B_3).  At 2^18 letters sigma_1^k takes about 2.3 s in
-# normal_form and 0.1 s in _dynnikov, and a random B_4 or B_8 word 3-4 s in
-# _dynnikov (pure Python 3.11, 2-core VM); normal_form is quadratic in the
-# factors of a general word
+# runs beyond B_3).  At 2^18 letters sigma_1^k in B_3 takes about 1.9 s in
+# normal_form (either sign) and 0.1 s in _dynnikov, and a random B_4 or B_8
+# word 3-4 s in _dynnikov (pure Python 3.11, 2-core VM); normal_form is
+# quadratic in the factors of a general word
 MAX_LETTERS = 2**18
 
 # most strands of a word, checked by every constructor.  `linking` prints
@@ -212,7 +214,7 @@ def permutation(b: BraidWord) -> Permutation:
     for i, k in b.runs:
         if k % 2:
             pos[i - 1], pos[i] = pos[i], pos[i - 1]
-    return perms.Permutation(_t_inv(tuple(pos)))
+    return perms.Permutation(tuple(_t_inv(pos)))
 
 
 def exponent_sum(b: BraidWord) -> int:
@@ -285,15 +287,15 @@ def linking_numbers(b: BraidWord) -> LinkingNumbers:
 # ---------------------------------------------------------------------------
 
 
-# the normal-form inner loop works on raw image tuples (p[i-1] = image of i)
-# to stay off the validating constructor
+# the normal-form inner loop works on raw image lists (p[i-1] = image of
+# i) to stay off the validating constructor
 
 
-def _t_inv(p: tuple[int, ...]) -> tuple[int, ...]:
+def _t_inv(p: list[int] | tuple[int, ...]) -> list[int]:
     out = [0] * len(p)
     for i, img in enumerate(p, start=1):
         out[img - 1] = i
-    return tuple(out)
+    return out
 
 
 def _t_left_weighted(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -303,73 +305,68 @@ def _t_left_weighted(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(ai[i] > ai[i + 1] for i in range(len(b) - 1) if b[i] > b[i + 1])
 
 
-def _t_tau(p: tuple[int, ...]) -> tuple[int, ...]:
-    """Conjugation by Delta: flip both positions and values."""
-    n = len(p)
-    return tuple(n + 1 - p[n - 1 - i] for i in range(n))
-
-
-def _t_runs(letters: tuple[int, ...], n: int) -> list[tuple[bool, tuple[int, ...]]]:
+def _t_runs(letters: tuple[int, ...], n: int) -> tuple[list[bool], list[list[int]]]:
     """Split a word into maximal same-sign runs whose letters, read as a
     positive word, form a permutation braid (no two strands cross twice).
-    Each run comes as (positive, permutation of its letters)."""
-    runs: list[tuple[bool, tuple[int, ...]]] = []
+    The runs come as their signs (True when positive) and, beside them,
+    the strand at each position after each run's letters: the inverse of
+    the run's permutation."""
+    signs: list[bool] = []
+    strands: list[list[int]] = []
     strand = list(range(1, n + 1))  # strand[p-1] = strand at position p
     positive = True
     for k, let in enumerate(letters):
         i = abs(let)
         if k and ((let > 0) != positive or strand[i - 1] > strand[i]):
-            runs.append((positive, _t_inv(tuple(strand))))
+            signs.append(positive)
+            strands.append(strand)
             strand = list(range(1, n + 1))
         positive = let > 0
         strand[i - 1], strand[i] = strand[i], strand[i - 1]
     if letters:
-        runs.append((positive, _t_inv(tuple(strand))))
-    return runs
+        signs.append(positive)
+        strands.append(strand)
+    return signs, strands
 
 
-def _t_left_weight(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Make the pair (a, b) left-weighted in one step: move the greatest
-    common prefix m of a^-1 Delta and b from the front of b onto the end of
-    a, giving (a m, m^-1 b); (a, b) itself comes back when m is trivial.
+def _t_left_weight(a: list[int], ai: list[int], b: list[int], bi: list[int]) -> bool:
+    """Make the pair (a, b) left-weighted in place, where ai and bi are the
+    inverses of a and b and stay so; return whether anything moved.
 
-    Prefix order is inclusion of inversion sets, so the non-inversions of m
-    are the transitive closure of those of a^-1 Delta and b together.  Row i
-    is a bitmask of the j > i (0-based) with m(i) < m(j), filled from each
-    factor's positions by decreasing image: a itself for a^-1 Delta (which
-    sends j to n + 1 - a^-1(j)), b^-1 reversed for b.  m is trivial unless
-    some (i, i+1) is inverted in both.  Otherwise rows are closed from the
-    last position down, and each position is inserted into the list of
-    later positions sorted by image, where its rank is the number of later
-    positions it is inverted with; the list is then m^-1.
+    One crossing moves at a time: wherever sigma_(i+1) (0-based i) starts
+    b (b(i) > b(i+1)) and does not end a (a^-1(i) < a^-1(i+1)), b becomes
+    sigma_(i+1)^-1 b (its entries i, i+1 swap) and a becomes a sigma_(i+1)
+    (its values i+1, i+2 swap).  A move changes the test only at i - 1, i
+    and i + 1, and it fails at i afterwards, so the scan steps back one
+    position.  While the test holds there, the next move carries b(i+1)
+    and a^-1(i+1) one position further down, and each position passed
+    fails again: its test reads what the test one position lower read
+    before, and at the foot b increases.  So each descent is one shift,
+    the carried entries placed once at its foot, and the scan goes on at
+    i + 1.  Every move takes one crossing of the meet m = (a^-1 Delta) ^ b
+    off b, and the pair left-weighted with the same product is unique, so
+    the scan ends at (a m, m^-1 b) after O(n + |m|) steps.
     """
-    n = len(a)
-    rows = [0] * n
-    seen = 0
-    for i in a:
-        rows[i - 1] = seen >> i << i
-        seen |= 1 << (i - 1)
-    for i in range(n - 1):
-        if b[i] > b[i + 1] and not rows[i] >> i & 2:
-            break
-    else:
-        return a, b
-    seen = 0
-    for i in reversed(_t_inv(b)):
-        rows[i - 1] |= seen >> i << i
-        seen |= 1 << (i - 1)
-    order: list[int] = []
-    for i in range(n - 1, -1, -1):
-        row = todo = rows[i]
-        while todo:
-            low = todo & -todo
-            later = rows[low.bit_length() - 1]
-            row |= later
-            todo &= ~(later | low)
-        rows[i] = row
-        order.insert(n - 1 - i - row.bit_count(), i + 1)
-    m = _t_inv(order)
-    return tuple([m[x - 1] for x in a]), tuple([b[x - 1] for x in order])
+    moved = False
+    for i in range(len(b) - 1):
+        if b[i] > b[i + 1] and ai[i] < ai[i + 1]:
+            x, y = b[i + 1], ai[i + 1]
+            j = i
+            while True:
+                u, v = b[j], ai[j]
+                b[j + 1] = u
+                bi[u - 1] = j + 2
+                ai[j + 1] = v
+                a[v - 1] = j + 2
+                if not j or b[j - 1] < x or ai[j - 1] > y:
+                    break
+                j -= 1
+            b[j] = x
+            bi[x - 1] = j + 1
+            ai[j] = y
+            a[y - 1] = j + 1
+            moved = True
+    return moved
 
 
 class GarsideNormalForm(Value):
@@ -404,56 +401,57 @@ def normal_form(b: BraidWord) -> GarsideNormalForm:
     to the front through the tau automorphism.  The factors are then
     appended one at a time (right insertion); after each append the pairs
     from the right end leftwards are left-weighted in one step each, by
-    moving the meet of (A_j^-1 Delta) and A_{j+1} from A_{j+1} onto A_j,
-    stopping at the first pair that is already left-weighted or whose left
-    factor is Delta (Elrifai-Morton, Algorithms for positive braids, 1994;
-    Epstein et al., Word Processing in Groups, ch. 9).  With k factors this
-    is O(k^2) meets of O(n^2) bit operations each.  The word is spelled
-    out, since sigma_i^k has k factors, so ResourceLimit is raised above
-    MAX_LETTERS letters.
+    moving the meet m of (A_j^-1 Delta) and A_{j+1} from A_{j+1} onto A_j
+    (`_t_left_weight`), stopping at the first pair that is already
+    left-weighted or whose left factor is Delta (Elrifai-Morton, Algorithms
+    for positive braids, 1994; Epstein et al., Word Processing in Groups,
+    ch. 9).  Each factor is held as a list of images beside a list of its
+    inverse, so a step costs O(n + |m|) swaps in place, and with k factors
+    there are O(k^2) steps.  The word is spelled out, since sigma_i^k has k
+    factors, so ResourceLimit is raised above MAX_LETTERS letters.
     """
     n = b.strands
-    w0 = tuple(range(n, 0, -1))
-    ident = tuple(range(1, n + 1))
+    w0 = list(range(n, 0, -1))
+    ident = list(range(1, n + 1))
 
     # read the runs from the right, moving the Delta^-1 markers to the front
-    # through the tau automorphism as they are met
-    factors: list[tuple[int, ...]] = []
+    # through the tau automorphism as they are met.  The factors are held as
+    # their inverses: tau flips the positions and the values of one (it
+    # commutes with inversion), and the factor Delta s^-1 of a negative run
+    # s^-1 is s reversed, so its inverse is that of s with values flipped
+    signs, inverses = _t_runs(b.letters, n)
     power = 0
-    for positive, p in reversed(_t_runs(b.letters, n)):
-        if not positive:
-            p = p[::-1]  # permutation of Delta s^-1: w0 followed by p
-        factors.append(_t_tau(p) if power % 2 else p)
-        power -= not positive
-    factors.reverse()
+    for k in range(len(signs) - 1, -1, -1):
+        odd = power % 2  # tau applies
+        if odd:
+            inverses[k].reverse()
+        if odd == signs[k]:  # values flipped by tau or by Delta s^-1, not both
+            inverses[k] = [n + 1 - x for x in inverses[k]]
+        power -= not signs[k]
 
     # right insertion; only the appended factor can become trivial, because
     # the pairs left of it were left-weighted before the append
-    out: list[tuple[int, ...]] = []
-    for f in factors:
-        if f == ident:
+    out: list[list[int]] = []  # the factors, and their inverses beside them
+    outi: list[list[int]] = []
+    for fi in inverses:
+        if fi == ident:
             continue
-        out.append(f)
+        out.append(_t_inv(fi))
+        outi.append(fi)
         k = len(out) - 1
-        while k and out[k - 1] != w0:
-            a, bb = _t_left_weight(out[k - 1], out[k])
-            if a is out[k - 1]:
-                break
-            out[k - 1] = a
-            if bb == ident:
-                del out[k]
-            else:
-                out[k] = bb
+        while k and out[k - 1] != w0 and _t_left_weight(out[k - 1], outi[k - 1], out[k], outi[k]):
+            if out[k] == ident:
+                del out[k], outi[k]
             k -= 1
-    factors = out
 
-    while factors and factors[0] == w0:
-        factors.pop(0)
-        power += 1
+    lead = 0
+    while lead < len(out) and out[lead] == w0:
+        lead += 1
+    factors = [tuple(f) for f in out[lead:]]
     for a, bb in zip(factors, factors[1:]):
         if not _t_left_weighted(a, bb):
             raise InternalInconsistency("factors not left-weighted after rewrite")
-    return GarsideNormalForm(n, power, tuple(perms.Permutation(f) for f in factors))
+    return GarsideNormalForm(n, power + lead, tuple(perms.Permutation(f) for f in factors))
 
 
 def _dynnikov(runs: tuple[Run, ...], start: list[int]) -> list[int]:

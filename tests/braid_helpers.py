@@ -1,7 +1,8 @@
-"""Test-only braid helpers: exhaustive word enumeration, a word for a
-Garside normal form, the action of strand relabelling on B_3 linking
-tuples, and letter-by-letter oracles for the run-based consumers (theta,
-the strand walk and the Dynnikov action, one letter at a time)."""
+"""Test-only braid helpers: exhaustive word enumeration, seeded random
+words of three shapes, a word for a Garside normal form, the action of
+strand relabelling on B_3 linking tuples, and letter-by-letter oracles for
+the run-based consumers (theta, the strand walk and the Dynnikov action,
+one letter at a time)."""
 
 from typing import Iterable
 
@@ -13,21 +14,46 @@ def enumerate_words(
     n: int, maxlen: int, *, freely_reduced: bool = True, include_identity: bool = False
 ) -> Iterable[BraidWord]:
     """All words in B_n of length <= maxlen, lexicographic within a length."""
-    alphabet = [i for k in range(1, n) for i in (k, -k)]
-    alphabet.sort()
+    letters = sorted(alphabet(n))
     if include_identity:
         yield BraidWord(n)
     prev: list[tuple[int, ...]] = [()]
     for _ in range(maxlen):
         nxt = []
         for word in prev:
-            for let in alphabet:
+            for let in letters:
                 if freely_reduced and word and word[-1] == -let:
                     continue
                 nxt.append(word + (let,))
         for word in nxt:
             yield BraidWord(n, word)
         prev = nxt
+
+
+def alphabet(n):
+    """The letters of B_n: +-1, ..., +-(n - 1)."""
+    return [s * i for i in range(1, n) for s in (1, -1)]
+
+
+def reduced_word(rng, n, length):
+    """A seeded freely reduced word of the given length."""
+    out = []
+    while len(out) < length:
+        x = rng.choice(alphabet(n))
+        if not out or out[-1] != -x:
+            out.append(x)
+    return BraidWord(n, tuple(out))
+
+
+def negative_word(rng, n, length):
+    """A seeded word of inverse letters only."""
+    return BraidWord(n, tuple(-rng.randint(1, n - 1) for _ in range(length)))
+
+
+def block_word(rng, n, length, block=10):
+    """Blocks of `block` positive letters alternating with blocks of inverse letters."""
+    return BraidWord(n, tuple((1 if (i // block) % 2 == 0 else -1) * rng.randint(1, n - 1)
+                              for i in range(length)))
 
 
 def permute_linking_tuple3(t: tuple[int, int, int], s: Permutation) -> tuple[int, int, int]:

@@ -6,6 +6,12 @@ letter a Delta^-1 marker plus a near-Delta factor, and adjacent factors
 exchange one letter at a time until a whole pass changes nothing.  It is
 slow (superquadratic in the word length) and independent of the meet
 computation, which is what makes it a useful oracle.
+
+`_t_closure_step` is a second oracle for one left-weighting step: it
+builds the meet m = (a^-1 Delta) ^ b whole, as the transitive closure of
+two inversion sets, where `braidoka.braid._t_left_weight` moves one
+crossing at a time in place and `_t_slide` one starting generator at a
+time on tuples.
 """
 
 from __future__ import annotations
@@ -62,6 +68,50 @@ def _t_slide(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], t
         a = _t_swap_values(a, i)
         b = _t_swap_positions(b, i)
         changed = True
+
+
+def _t_closure_step(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Make the pair (a, b) left-weighted in one step: move the greatest
+    common prefix m of a^-1 Delta and b from the front of b onto the end of
+    a, giving (a m, m^-1 b); (a, b) itself comes back when m is trivial.
+
+    Prefix order is inclusion of inversion sets, so the non-inversions of m
+    are the transitive closure of those of a^-1 Delta and b together.  Row i
+    is a bitmask of the j > i (0-based) with m(i) < m(j), filled from each
+    factor's positions by decreasing image: a itself for a^-1 Delta (which
+    sends j to n + 1 - a^-1(j)), b^-1 reversed for b.  m is trivial unless
+    some (i, i+1) is inverted in both.  Otherwise rows are closed from the
+    last position down, and each position is inserted into the list of
+    later positions sorted by image, where its rank is the number of later
+    positions it is inverted with; the list is then m^-1.
+    """
+    n = len(a)
+    rows = [0] * n
+    seen = 0
+    for i in a:
+        rows[i - 1] = seen >> i << i
+        seen |= 1 << (i - 1)
+    for i in range(n - 1):
+        if b[i] > b[i + 1] and not rows[i] >> i & 2:
+            break
+    else:
+        return a, b
+    seen = 0
+    for i in reversed(_t_inv(b)):
+        rows[i - 1] |= seen >> i << i
+        seen |= 1 << (i - 1)
+    order: list[int] = []
+    for i in range(n - 1, -1, -1):
+        row = todo = rows[i]
+        while todo:
+            low = todo & -todo
+            later = rows[low.bit_length() - 1]
+            row |= later
+            todo &= ~(later | low)
+        rows[i] = row
+        order.insert(n - 1 - i - row.bit_count(), i + 1)
+    m = _t_inv(tuple(order))
+    return tuple([m[x - 1] for x in a]), tuple([b[x - 1] for x in order])
 
 
 def reference_normal_form(b: BraidWord) -> GarsideNormalForm:

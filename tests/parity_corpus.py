@@ -1,0 +1,80 @@
+"""A seeded parity corpus: chunks of about 100 cases whose outputs are
+hashed and compared with digests committed beside this file, in
+parity_corpus.json.
+
+The corpus is a regression check, not an oracle: a digest says that the
+outputs of its chunk did not change, and the independent oracles of the
+other tests say whether they are right.  A chunk is named
+"procedure/index", and its cases come from a seed fixed by that name, so a
+chunk holds the same inputs on every Python version.  Each case gives one
+line, its input and output written with ints and tuples only, and the
+digest is the sha256 of the lines.  Rewriting a digest is a change to a
+check: CHANGES.md then names the chunk, the reason, and one case's old and
+new line.
+
+    PYTHONPATH=src python tests/parity_corpus.py           # compare
+    PYTHONPATH=src python tests/parity_corpus.py --write   # rewrite the JSON
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import random
+import sys
+
+from braidoka.braid import normal_form
+
+from braid_helpers import block_word, negative_word, nf_to_braid_word, reduced_word
+
+DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "parity_corpus.json")
+CASES_PER_CHUNK = 100
+
+NF_STRANDS = (2, 3, 4, 5, 6, 8, 12, 16)
+NF_SHAPES = (reduced_word, negative_word, block_word)
+
+
+def normal_form_chunk(index: int) -> list[str]:
+    """normal_form of words of 0-120 letters, every strand count of
+    NF_STRANDS with every shape of NF_SHAPES; each normal form must also
+    come back from the word it spells (nf_to_braid_word)."""
+    rng = random.Random(21_000 + index)
+    lines = []
+    for j in range(CASES_PER_CHUNK):
+        n = NF_STRANDS[j % len(NF_STRANDS)]
+        b = NF_SHAPES[j % len(NF_SHAPES)](rng, n, rng.randint(0, 120))
+        nf = normal_form(b)
+        line = f"B{n} {b.letters} -> {nf.power} {[f.images for f in nf.factors]}"
+        assert normal_form(nf_to_braid_word(nf)) == nf, f"no round trip: {line}"
+        lines.append(line)
+    return lines
+
+
+CHUNKS = {"normal_form/0": lambda: normal_form_chunk(0)}
+
+
+def digest(lines: list[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def committed() -> dict[str, str]:
+    with open(DIGESTS) as fh:
+        return json.load(fh)
+
+
+def main(argv: list[str]) -> int:
+    got = {name: digest(chunk()) for name, chunk in CHUNKS.items()}
+    if argv == ["--write"]:
+        with open(DIGESTS, "w") as fh:
+            json.dump(got, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        return 0
+    want = committed()
+    for name in sorted(got.keys() | want.keys()):
+        print(name, "ok" if got.get(name) == want.get(name) else "CHANGED")
+    return 0 if got == want else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -21,8 +21,23 @@ from braidoka.braid import (
 from braidoka.errors import InternalInconsistency, NotPure, StrandMismatch
 from braidoka.perms import Permutation
 
-from braid_helpers import conjugate_linking_tuple3, enumerate_words, nf_to_braid_word
-from nf_reference import _t_slide, reference_normal_form
+from braid_helpers import (
+    alphabet,
+    block_word,
+    conjugate_linking_tuple3,
+    enumerate_words,
+    negative_word,
+    nf_to_braid_word,
+    reduced_word,
+)
+from nf_reference import (
+    _t_closure_step,
+    _t_finishing_set,
+    _t_inv,
+    _t_slide,
+    _t_starting_set,
+    reference_normal_form,
+)
 
 
 def w3(text):
@@ -136,27 +151,20 @@ class TestNormalForm:
                 assert normal_form(back) == normal_form(b)
 
 
-def _alphabet(n):
-    return [s * i for i in range(1, n) for s in (1, -1)]
-
-
-def _reduced_word(rng, n, length):
-    out = []
-    while len(out) < length:
-        x = rng.choice(_alphabet(n))
-        if not out or out[-1] != -x:
-            out.append(x)
-    return BraidWord(n, tuple(out))
-
-
-def _negative_word(rng, n, length):
-    return BraidWord(n, tuple(-rng.randint(1, n - 1) for _ in range(length)))
-
-
-def _block_word(rng, n, length, block=10):
-    """Blocks of `block` positive letters alternating with blocks of inverse letters."""
-    return BraidWord(n, tuple((1 if (i // block) % 2 == 0 else -1) * rng.randint(1, n - 1)
-                              for i in range(length)))
+def _check_step(a, b):
+    """The in-place step on lists of the pair (a, b) and their inverses
+    against the two oracles of nf_reference: it moves exactly when the pair
+    is not left-weighted, leaves all four lists untouched when it does not,
+    and keeps the inverses beside the factors."""
+    lists = [list(a), list(_t_inv(a)), list(b), list(_t_inv(b))]
+    before = [x[:] for x in lists]
+    moved = _t_left_weight(*lists)
+    got = (tuple(lists[0]), tuple(lists[2]))
+    assert got == _t_slide(a, b)[:2] == _t_closure_step(a, b), (a, b)
+    assert moved == (not _t_starting_set(b) <= _t_finishing_set(a)), (a, b)
+    if not moved:
+        assert lists == before, (a, b)
+    assert tuple(lists[1]) == _t_inv(got[0]) and tuple(lists[3]) == _t_inv(got[1]), (a, b)
 
 
 class TestNormalFormParity:
@@ -165,21 +173,18 @@ class TestNormalFormParity:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16])
     def test_matches_reference(self, n):
         rng = random.Random(1000 + n)
-        for make in (_reduced_word, _negative_word, _block_word):
+        for make in (reduced_word, negative_word, block_word):
             for length in range(0, 121, 3 if n <= 5 else 12):
                 b = make(rng, n, length)
                 assert normal_form(b) == reference_normal_form(b), b
 
     def test_step_matches_slide_on_small_groups(self):
-        # every pair (a, b) in S_n x S_n, n = 2..5; a trivial move returns
-        # the inputs themselves, which normal_form tests with `is`
+        # every pair (a, b) in S_n x S_n, n = 2..5
         pairs = 0
         for n in range(2, 6):
             perms = list(itertools.permutations(range(1, n + 1)))
             for a, b in itertools.product(perms, perms):
-                got = _t_left_weight(a, b)
-                assert got == _t_slide(a, b)[:2], (a, b)
-                assert (got[0] is a and got[1] is b) == (got[0] == a), (a, b)
+                _check_step(a, b)
                 pairs += 1
         assert pairs == 15016
 
@@ -187,23 +192,21 @@ class TestNormalFormParity:
     def test_step_matches_slide_on_seeded_pairs(self, n):
         rng = random.Random(4000 + n)
         for _ in range(2000):
-            a = tuple(rng.sample(range(1, n + 1), n))
-            b = tuple(rng.sample(range(1, n + 1), n))
-            assert _t_left_weight(a, b) == _t_slide(a, b)[:2], (a, b)
+            _check_step(tuple(rng.sample(range(1, n + 1), n)), tuple(rng.sample(range(1, n + 1), n)))
 
     def test_final_check_fires(self, monkeypatch):
         # the runs of s1 s1^-1 become the factors s2, s1 s2 after the Delta^-1
         # marker moves to the front, and that pair is not left-weighted
         word = BraidWord(3, (1, -1))
         assert normal_form(word).is_trivial()
-        monkeypatch.setattr(braid, "_t_left_weight", lambda a, b: (a, b))
+        monkeypatch.setattr(braid, "_t_left_weight", lambda a, ai, b, bi: False)
         with pytest.raises(InternalInconsistency):
             normal_form(word)
 
-    @pytest.mark.parametrize("n, length, make", [(8, 1000, _block_word), (16, 300, _reduced_word)])
+    @pytest.mark.parametrize("n, length, make", [(8, 1000, block_word), (16, 300, reduced_word)])
     def test_long_word_budget(self, n, length, make):
-        # on a 2-core VM with Python 3.11 these take about 0.09 s (B_8) and
-        # 0.03 s (B_16); the superquadratic reference takes 2.4 s and 1.0 s
+        # on a 2-core VM with Python 3.11 these take about 0.045 s (B_8) and
+        # 0.02 s (B_16); the superquadratic reference takes 2.4 s and 1.0 s
         b = make(random.Random(77), n, length)
         t0 = time.perf_counter()
         nf = normal_form(b)
@@ -215,7 +218,7 @@ class TestNormalFormParity:
 @st.composite
 def braid_words(draw, max_strands=6, max_len=30):
     n = draw(st.integers(2, max_strands))
-    letters = draw(st.lists(st.sampled_from(_alphabet(n)), max_size=max_len))
+    letters = draw(st.lists(st.sampled_from(alphabet(n)), max_size=max_len))
     return BraidWord(n, tuple(letters))
 
 
@@ -231,7 +234,7 @@ def _relation_rewrite(rnd, b, moves=20):
                 and (w[i] > 0) == (w[i + 1] > 0))
         ]
         if not spots or rnd.random() < 0.2:
-            x = rnd.choice(_alphabet(b.strands))
+            x = rnd.choice(alphabet(b.strands))
             i = rnd.randint(0, len(w))
             w[i:i] = [x, -x]
             continue
@@ -372,9 +375,9 @@ def _one_letter_change(rng, b):
     word, one letter appended): never the same braid."""
     w = list(b.letters)
     if not w:
-        return BraidWord(b.strands, (rng.choice(_alphabet(b.strands)),))
+        return BraidWord(b.strands, (rng.choice(alphabet(b.strands)),))
     k = rng.randrange(len(w))
-    w[k] = rng.choice([x for x in _alphabet(b.strands) if x != w[k]])
+    w[k] = rng.choice([x for x in alphabet(b.strands) if x != w[k]])
     return BraidWord(b.strands, tuple(w))
 
 
@@ -387,7 +390,7 @@ class TestBraidEqParity:
     def test_matches_normal_form(self, n):
         rng = random.Random(2000 + n)
         seen = {True: 0, False: 0}
-        for make in (_reduced_word, _negative_word, _block_word):
+        for make in (reduced_word, negative_word, block_word):
             for length in range(0, 121, 3 if n <= 5 else 12):
                 b = make(rng, n, length)
                 pairs = ((_relation_rewrite(rng, b), True), (_one_letter_change(rng, b), False),
@@ -406,7 +409,7 @@ class TestBraidEqParity:
         # on a 2-core VM with Python 3.11 the four Dynnikov images take about
         # 0.015 s; the normal forms of b and its rewrite alone take 2.4 s
         rng = random.Random(78)
-        b = _block_word(rng, 8, 3200)
+        b = block_word(rng, 8, 3200)
         same, other = _relation_rewrite(rng, b, moves=200), _one_letter_change(rng, b)
         t0 = time.perf_counter()
         equal, unequal = braid_eq(b, same), braid_eq(b, other)

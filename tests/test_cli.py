@@ -11,7 +11,10 @@ from pathlib import Path
 import pytest
 
 from braidoka import __version__, cli, lattice, three
+from braidoka.braid import BraidWord
 from braidoka.cli import build_parser, main
+
+from nf_reference import reference_normal_form
 
 
 def strict_json(text):
@@ -72,6 +75,16 @@ def test_nf(capsys):
     code, payload = run(capsys, "nf", "--braid", "1 2 1", "--n", "3")
     assert code == 0
     assert payload["power"] == 1 and payload["factors"] == []
+
+
+def test_nf_moves_delta_inverse_markers_through_tau(capsys):
+    # four negative runs: the factors meet the Delta^-1 markers an odd and
+    # an even number of times, each for a positive and a negative run
+    code, payload = run(capsys, "nf", "--braid", "1^-3 2 4 -3 1", "--n", "5")
+    ref = reference_normal_form(BraidWord.parse("1^-3 2 4 -3 1", 5))
+    assert code == 0 and payload["power"] == ref.power == -3
+    assert payload["factors"] == [list(f.images) for f in ref.factors]
+    assert payload["canonicalLength"] == 4 and payload["exponentSum"] == -1
 
 
 def test_linking(capsys):
@@ -374,7 +387,7 @@ CASES = {
     "entropy": [(["--braid", "1 -2"], 0)],
     "module": [(["--braid", "1 2"], 0)],
     "eq": [(["--a", "1 2 1", "--b", "2 1 2"], 0), (["--n", "3", "--a", "1", "--b", "2"], 2)],
-    "nf": [(["--braid", "1 2 -1", "--n", "4"], 0)],
+    "nf": [(["--braid", "1 2 -1", "--n", "4"], 0), (["--braid", "1^-3 2 4 -3 1", "--n", "5"], 0)],
     "linking": [(["--braid", "1 1", "--n", "3"], 0)],
     "conj": [(["--a", "1", "--b", "2"], 0), (["--a", "1 1", "--b", "2"], 2)],
     "scan-commutators": [(["--maxlen", "2"], 0), (["--maxlen", "7"], 0)],
