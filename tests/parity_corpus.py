@@ -24,7 +24,7 @@ import os
 import random
 import sys
 
-from braidoka.braid import normal_form
+from braidoka.braid import BraidWord, normal_form
 
 from braid_helpers import block_word, negative_word, nf_to_braid_word, reduced_word
 
@@ -51,7 +51,61 @@ def normal_form_chunk(index: int) -> list[str]:
     return lines
 
 
-CHUNKS = {"normal_form/0": lambda: normal_form_chunk(0)}
+def delta_markers(b) -> int:
+    """The Delta^-1 markers of b's letters: its maximal runs of inverse
+    letters that cross no two strands twice, counted in one walk."""
+    count, strand = 0, []
+    for let in b.letters:
+        i = -let
+        if i < 0:
+            strand = []
+            continue
+        if not strand or strand[i - 1] > strand[i]:
+            count += 1
+            strand = list(range(1, b.strands + 1))
+        strand[i - 1], strand[i] = strand[i], strand[i - 1]
+    return count
+
+
+def run_word(rng, n, runs):
+    """Runs sigma_i^(+-k), 1 <= k <= 64, of alternating sign."""
+    sign = rng.choice((1, -1))
+    letters: list[int] = []
+    for _ in range(runs):
+        letters += [sign * rng.randint(1, n - 1)] * rng.randint(1, 64)
+        sign = -sign
+    return BraidWord(n, tuple(letters))
+
+
+def normal_form_turn_chunk(index: int) -> list[str]:
+    """normal_form of words whose Delta^-1 markers number odd in half the
+    cases and even in the other half: alternating-sign runs sigma_i^(+-k)
+    with k up to 64 in B_2-B_16, and words of the shapes of NF_SHAPES of
+    up to 200 letters in B_12 and B_16.  Each normal form must also come
+    back from the word it spells."""
+    rng = random.Random(21_000 + index)
+    lines = []
+    for j in range(CASES_PER_CHUNK):
+        while True:
+            if j % 4 < 2:
+                n = NF_STRANDS[j // 4 % len(NF_STRANDS)]
+                b = run_word(rng, n, rng.randint(1, 6))
+            else:
+                n = (12, 16)[j // 4 % 2]
+                b = NF_SHAPES[j // 8 % len(NF_SHAPES)](rng, n, rng.randint(0, 200))
+            if delta_markers(b) % 2 == j % 2:
+                break
+        nf = normal_form(b)
+        line = f"B{n} {b.letters} -> {nf.power} {[f.images for f in nf.factors]}"
+        assert normal_form(nf_to_braid_word(nf)) == nf, f"no round trip: {line}"
+        lines.append(line)
+    return lines
+
+
+CHUNKS = {
+    "normal_form/0": lambda: normal_form_chunk(0),
+    "normal_form/1": lambda: normal_form_turn_chunk(1),
+}
 
 
 def digest(lines: list[str]) -> str:
