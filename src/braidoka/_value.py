@@ -2,6 +2,7 @@
 integer readers their ``parse`` and ``from_json`` constructors share, and
 the rotation test that free-word and SL(2,Z) conjugacy share."""
 
+import sys
 from operator import attrgetter
 
 
@@ -53,10 +54,17 @@ class Value:
 def read_int(text: str, where: str) -> int:
     """The integer that text spells with an optional sign and ASCII digits,
     or a ValueError that names where the text came from.  ``int`` alone
-    would also read "1_0" as 10, " 1 " as 1 and other scripts' digits."""
+    would also read "1_0" as 10, " 1 " as 1 and other scripts' digits, and
+    its error above the interpreter's digit limit names neither."""
     digits = text[1:] if text[:1] in ("+", "-") else text
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"{where} must be an integer, got {text!r}")
+    # the interpreter's digit limit; 0, or no such function before Python
+    # 3.10.7, means none
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and len(digits) > limit:
+        raise ValueError(f"{where} has {len(digits)} digits, more than the limit of {limit} "
+                         "(sys.get_int_max_str_digits())")
     return int(text)
 
 

@@ -20,10 +20,13 @@ time, O(n + |m|) swaps on lists that carry each factor and its inverse
 (see `normal_form`; Elrifai-Morton, Algorithms for positive braids, 1994;
 Epstein et al., Word Processing in Groups, ch. 9).  Inverse letters enter
 through the identity s^-1 = Delta^-1 (Delta s^-1), whose second factor is
-a permutation braid.  The normal form serves `nf`; equality does not
-build it.  `braid_eq` decides B_3 by theta and the exponent sum, and every
-other B_n by the faithful integer action of B_n on Dynnikov coordinates in
-Z^(2n).
+a permutation braid.  The word is read once, left to right: tau,
+conjugation by Delta, is an involution that keeps simple elements, Delta
+and left-weightedness, so each run is inserted turned by tau^(Delta^-1
+markers before it), and the output is turned once by tau^(all markers).
+The normal form serves `nf`; equality does not build it.  `braid_eq`
+decides B_3 by theta and the exponent sum, and every other B_n by the
+faithful integer action of B_n on Dynnikov coordinates in Z^(2n).
 """
 
 from __future__ import annotations
@@ -305,30 +308,6 @@ def _t_left_weighted(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(ai[i] > ai[i + 1] for i in range(len(b) - 1) if b[i] > b[i + 1])
 
 
-def _t_runs(letters: tuple[int, ...], n: int) -> tuple[list[bool], list[list[int]]]:
-    """Split a word into maximal same-sign runs whose letters, read as a
-    positive word, form a permutation braid (no two strands cross twice).
-    The runs come as their signs (True when positive) and, beside them,
-    the strand at each position after each run's letters: the inverse of
-    the run's permutation."""
-    signs: list[bool] = []
-    strands: list[list[int]] = []
-    strand = list(range(1, n + 1))  # strand[p-1] = strand at position p
-    positive = True
-    for k, let in enumerate(letters):
-        i = abs(let)
-        if k and ((let > 0) != positive or strand[i - 1] > strand[i]):
-            signs.append(positive)
-            strands.append(strand)
-            strand = list(range(1, n + 1))
-        positive = let > 0
-        strand[i - 1], strand[i] = strand[i], strand[i - 1]
-    if letters:
-        signs.append(positive)
-        strands.append(strand)
-    return signs, strands
-
-
 def _t_left_weight(a: list[int], ai: list[int], b: list[int], bi: list[int]) -> bool:
     """Make the pair (a, b) left-weighted in place, where ai and bi are the
     inverses of a and b and stay so; return whether anything moved.
@@ -395,13 +374,23 @@ class GarsideNormalForm(Value):
 def normal_form(b: BraidWord) -> GarsideNormalForm:
     """The left normal form Delta^p A_1 ... A_k of b.
 
-    The word is cut into maximal same-sign runs that are permutation
-    braids.  A positive run is one factor; a negative run s^-1 is
-    Delta^-1 (Delta s^-1), a Delta^-1 marker and a factor.  The markers move
-    to the front through the tau automorphism.  The factors are then
-    appended one at a time (right insertion); after each append the pairs
-    from the right end leftwards are left-weighted in one step each, by
-    moving the meet m of (A_j^-1 Delta) and A_{j+1} from A_{j+1} onto A_j
+    The word is read once, left to right, and cut into maximal same-sign
+    runs that are permutation braids.  A positive run s is one factor; a
+    negative run s^-1 is Delta^-1 (Delta s^-1), a Delta^-1 marker and the
+    factor Delta s^-1.  The markers go to the front by one lemma: tau,
+    conjugation by Delta, is an involution of B_n (Delta^2 is central) that
+    keeps simple elements, Delta and left-weightedness, since S(tau B) =
+    n - S(B) and F(tau A) = n - F(A) for the starting and finishing sets
+    of generator indices.  A marker moved left past a factor turns it by
+    tau, so factor j is turned by tau^(markers after j), which is tau^total
+    tau^(markers up to j).  So each run is inserted as it closes, turned by
+    tau^(markers read so far); once the word is read, every output factor
+    is turned by tau^total and the power is lead - total, where lead counts
+    the Delta factors at the front.
+
+    Insertion appends one factor (right insertion) and left-weights the
+    pairs from the right end leftwards in one step each, by moving the meet
+    m of (A_j^-1 Delta) and A_{j+1} from A_{j+1} onto A_j
     (`_t_left_weight`), stopping at the first pair that is already
     left-weighted or whose left factor is Delta (Elrifai-Morton, Algorithms
     for positive braids, 1994; Epstein et al., Word Processing in Groups,
@@ -413,45 +402,47 @@ def normal_form(b: BraidWord) -> GarsideNormalForm:
     n = b.strands
     w0 = list(range(n, 0, -1))
     ident = list(range(1, n + 1))
-
-    # read the runs from the right, moving the Delta^-1 markers to the front
-    # through the tau automorphism as they are met.  The factors are held as
-    # their inverses: tau flips the positions and the values of one (it
-    # commutes with inversion), and the factor Delta s^-1 of a negative run
-    # s^-1 is s reversed, so its inverse is that of s with values flipped
-    signs, inverses = _t_runs(b.letters, n)
-    power = 0
-    for k in range(len(signs) - 1, -1, -1):
-        odd = power % 2  # tau applies
-        if odd:
-            inverses[k].reverse()
-        if odd == signs[k]:  # values flipped by tau or by Delta s^-1, not both
-            inverses[k] = [n + 1 - x for x in inverses[k]]
-        power -= not signs[k]
-
-    # right insertion; only the appended factor can become trivial, because
-    # the pairs left of it were left-weighted before the append
-    out: list[list[int]] = []  # the factors, and their inverses beside them
+    out: list[list[int]] = []  # the factors inserted, and their inverses beside them
     outi: list[list[int]] = []
-    for fi in inverses:
-        if fi == ident:
-            continue
-        out.append(_t_inv(fi))
-        outi.append(fi)
-        k = len(out) - 1
-        while k and out[k - 1] != w0 and _t_left_weight(out[k - 1], outi[k - 1], out[k], outi[k]):
-            if out[k] == ident:
-                del out[k], outi[k]
-            k -= 1
+    markers = 0  # the Delta^-1 markers read so far
+    positive = True
+    fi = ident[:]  # the strand at each position after the open run's letters
+    # the letter 0 after the word closes its last run
+    for k, let in enumerate(chain(b.letters, (0,))):
+        i = abs(let)
+        if k and (not let or (let > 0) != positive or fi[i - 1] > fi[i]):
+            # fi is the inverse of the closed run s, or of Delta s^-1 with
+            # its values flipped; tau^markers flips positions and values
+            markers += not positive
+            odd = markers % 2
+            if odd:
+                fi.reverse()
+            if odd == positive:  # values flipped by tau or by Delta s^-1, not both
+                fi = [n + 1 - x for x in fi]
+            # right insertion; only the appended factor can become trivial,
+            # because the pairs left of it were left-weighted before the append
+            if fi != ident:
+                out.append(_t_inv(fi))
+                outi.append(fi)
+                j = len(out) - 1
+                while (j and out[j - 1] != w0
+                       and _t_left_weight(out[j - 1], outi[j - 1], out[j], outi[j])):
+                    if out[j] == ident:
+                        del out[j], outi[j]
+                    j -= 1
+            fi = ident[:]
+        positive = let > 0
+        fi[i - 1], fi[i] = fi[i], fi[i - 1]
 
     lead = 0
     while lead < len(out) and out[lead] == w0:
         lead += 1
-    factors = [tuple(f) for f in out[lead:]]
+    odd = markers % 2  # tau^markers turns every factor once
+    factors = [tuple([n + 1 - x for x in reversed(f)] if odd else f) for f in out[lead:]]
     for a, bb in zip(factors, factors[1:]):
         if not _t_left_weighted(a, bb):
             raise InternalInconsistency("factors not left-weighted after rewrite")
-    return GarsideNormalForm(n, power + lead, tuple(perms.Permutation(f) for f in factors))
+    return GarsideNormalForm(n, lead - markers, tuple(perms.Permutation(f) for f in factors))
 
 
 def _dynnikov(runs: tuple[Run, ...], start: list[int]) -> list[int]:

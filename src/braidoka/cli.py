@@ -1,15 +1,16 @@
-"""Batch command-line front end.
+"""Command-line front end.
 
 Each subcommand's handler `cmd_*` only computes: it returns
 `(payload, positive)`, where the payload is a dict, or the CSV text under
 `--csv`.  `main` is the one place that prints: a dict goes out as one JSON
 object whose first key is `schema` (strict JSON: a NaN or infinite number
 is an input error), CSV text as it is.  `--out` writes the same text that
-is printed to a file as well.  Exit codes: 0 for a positive or neutral
-result, 2 for a negative mathematical verdict (inequality, non-conjugacy,
-violation, non-GO, inconclusive), 1 for usage or input errors, which are
-reported on stderr as one JSON object.  A reader that closes stdout early
-changes neither the exit code nor stderr.
+is printed to a file as well.  A payload integer with more digits than
+the interpreter converts to text is a ResourceLimit error.  Exit codes: 0
+for a positive or neutral result, 2 for a negative mathematical verdict
+(inequality, non-conjugacy, violation, non-GO, inconclusive), 1 for usage
+or input errors, which are reported on stderr as one JSON object.  A
+reader that closes stdout early changes neither the exit code nor stderr.
 
 The handlers read the package's modules by attribute (`three.classify3`),
 so a call loads only the modules its handler runs, and building the
@@ -350,8 +351,17 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         payload, positive = args.run(args)
-        text = (payload if isinstance(payload, str)
-                else json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2, allow_nan=False))
+        try:
+            text = (payload if isinstance(payload, str)
+                    else json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2, allow_nan=False))
+        except ValueError as exc:
+            # the limit guards against quadratic-time conversions of input
+            # text, so it stays; a longer int in the output is reported
+            if "integer string conversion" not in str(exc):
+                raise
+            raise errors.ResourceLimit(
+                f"the output holds an integer of more digits than the limit of "
+                f"{sys.get_int_max_str_digits()} (sys.get_int_max_str_digits())") from None
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 
-from ._value import Value, _same_cycle
+from ._value import Value, _same_cycle, read_int
 from .errors import IdentityInput, ResourceLimit
 
 TYPE_CHECKING = False
@@ -131,8 +131,8 @@ class FreeWord(Value):
             m = _TOKEN_RE.match(tok)
             if not m:
                 raise ValueError(f"cannot parse free-word token {tok!r}")
-            gen = int(m.group(2))
-            exp = int(m.group(3)) if m.group(3) is not None else 1
+            gen = read_int(m.group(2), "a free-word generator")
+            exp = read_int(m.group(3), "a free-word exponent") if m.group(3) is not None else 1
             blocks.append((gen, exp))
         return FreeWord(tuple(blocks))
 

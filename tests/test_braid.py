@@ -36,6 +36,7 @@ from nf_reference import (
     _t_inv,
     _t_slide,
     _t_starting_set,
+    _t_tau,
     reference_normal_form,
 )
 
@@ -269,6 +270,53 @@ class TestNormalFormProperties:
             f(i) > f(j) for f in nf.factors for i in range(1, n + 1) for j in range(i + 1, n + 1)
         )
         assert nf.power * n * (n - 1) // 2 + lengths == exponent_sum(b)
+
+
+@st.composite
+def tau_words(draw):
+    """A word of up to 60 letters in B_2-B_16, of every letter or of
+    inverse letters only, so its Delta^-1 markers come in both parities."""
+    n = draw(st.integers(2, 16))
+    letters = alphabet(n) if draw(st.booleans()) else [-i for i in range(1, n)]
+    return BraidWord(n, tuple(draw(st.lists(st.sampled_from(letters), max_size=60))))
+
+
+class TestTauFrame:
+    """tau, conjugation by Delta, keeps simple elements, Delta and
+    left-weightedness, which normal_form relies on when it inserts each run
+    turned by the markers before it and turns the output once."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_inverse_letter_is_delta_inverse_then_one_factor(self, n):
+        # one marker: an output turn that is dropped, or taken at the wrong
+        # parity, gives the factor of sigma_(n-i)^-1 instead
+        for i in range(1, n):
+            factor = permutation(delta(n) * BraidWord.sigma(n, i, -1))
+            nf = normal_form(BraidWord.sigma(n, i, -1))
+            assert nf.power == -1, (n, i)
+            assert nf.factors == ((factor,) if n > 2 else ()), (n, i)
+
+    @given(tau_words())
+    def test_normal_form_commutes_with_tau(self, b):
+        n = b.strands
+        turned = BraidWord(n, tuple(n - x if x > 0 else -n - x for x in b.letters))
+        nf, nf_turned = normal_form(b), normal_form(turned)
+        assert nf_turned.power == nf.power
+        assert nf_turned.factors == tuple(Permutation(_t_tau(f.images)) for f in nf.factors)
+
+    @pytest.mark.parametrize("n, pairs", [(2, 0), (3, 0), (4, 0), (8, 2000), (16, 2000)])
+    def test_step_commutes_with_tau(self, n, pairs):
+        # every pair of S_n up to n = 4, seeded pairs beyond
+        rng = random.Random(4100 + n)
+        every = list(itertools.permutations(range(1, n + 1))) if not pairs else []
+        drawn = [(tuple(rng.sample(range(1, n + 1), n)), tuple(rng.sample(range(1, n + 1), n)))
+                 for _ in range(pairs)]
+        for a, b in itertools.chain(itertools.product(every, every), drawn):
+            lists = [list(a), list(_t_inv(a)), list(b), list(_t_inv(b))]
+            turned = [list(_t_tau(x)) for x in lists]
+            moved = _t_left_weight(*lists)
+            assert _t_left_weight(*turned) == moved, (a, b)
+            assert turned == [list(_t_tau(x)) for x in lists], (a, b)
 
 
 class TestBraidEq:

@@ -113,6 +113,41 @@ def test_run_syntax_costs_the_bit_length(capsys):
     assert time.perf_counter() - t0 < 0.5
 
 
+@pytest.fixture
+def digit_limit():
+    """Set the interpreter's int-to-str digit limit for one test, then
+    restore it."""
+    old = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(old)
+
+
+# theta(1^K -2^K) for a 3,000-digit K has entries of about 6,000 digits
+_K = "7" * 3000
+
+
+@pytest.mark.parametrize("braid, error, fragment", [
+    (f"1^{_K} -2^{_K}", "ResourceLimit", "the output holds an integer of more digits than the limit of 4300"),
+    ("1^" + "7" * 4400 + " -2", "ValueError", "a braid exponent has 4400 digits, more than the limit of 4300"),
+], ids=["output", "input"])
+def test_integers_beyond_the_digit_limit_are_input_errors(braid, error, fragment, digit_limit, capsys):
+    # both once ended in int's own ValueError, which names neither the
+    # output nor the token; the limit itself stays
+    digit_limit(4300)
+    code = main(["classify", "--braid", braid])
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert code == 1 and captured.out == ""
+    assert err["errorType"] == error and fragment in err["error"]
+
+
+def test_no_digit_limit_prints_every_integer(digit_limit, capsys):
+    digit_limit(0)
+    code, payload = run(capsys, "classify", "--braid", f"1^{_K} -2^{_K}")
+    assert code == 0 and payload["exponentSum"] == 0
+    assert len(str(payload["trace"])) > 4300
+
+
 def test_nf_refuses_a_run_beyond_the_letter_cap(capsys):
     code = main(["nf", "--braid", "1^1000000000", "--n", "4"])
     err = json.loads(capsys.readouterr().err)

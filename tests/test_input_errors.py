@@ -5,6 +5,7 @@ Each row is a raise that no other in-process test runs; the CLI's
 subprocess tests do not count, since their lines run in a child process.
 """
 
+import sys
 import tracemalloc
 
 import pytest
@@ -29,7 +30,7 @@ from braidoka.oka import SurfaceHom
 from braidoka.perms import Permutation, abelian_transitive_generator, lemma5_generators
 from braidoka.sl2z import SL2Matrix, rl_factorization
 from braidoka.three import conj3, entropy3
-from braidoka.words import peripheral_word
+from braidoka.words import FreeWord, peripheral_word
 
 _HOM = {"genus": 1, "holes": 1, "target": "F2", "images": {"e1": "a1", "e2": "a2"}}
 
@@ -50,6 +51,20 @@ def _within_a_megabyte(call):
 def _many_holes(target, image):
     return lambda: _within_a_megabyte(lambda: SurfaceHom.from_json(
         {"genus": 0, "holes": 10**12, "target": target, "images": {"e1": image}}))
+
+def _at_the_default_digit_limit(call):
+    """call() with the interpreter's int-to-str digit limit at its default,
+    4300, whatever the test run set."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        call()
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _over_the_digit_limit(parse, text):
+    return lambda: _at_the_default_digit_limit(lambda: parse(text.format("7" * 4400)))
 
 _B4 = BraidWord(4, (1, 3))
 _CYCLE = Permutation((2, 3, 1))
@@ -101,6 +116,15 @@ ROWS = [
     (lambda: entropy3(_B4), WrongStrandCount, "entropy3 needs B_3, got B_4"),
     (lambda: conj3(BraidWord(3, (1,)), _B4), WrongStrandCount, "conj3 needs B_3"),
     (lambda: peripheral_word("a3"), ValueError, "unknown peripheral 'a3'"),
+    # int alone raised its own ValueError here, which names no token
+    (_over_the_digit_limit(BraidWord.parse, "1^{} -2"), ValueError,
+     "a braid exponent has 4400 digits, more than the limit of 4300"),
+    (_over_the_digit_limit(BraidWord.parse, "{}"), ValueError,
+     "a braid letter has 4400 digits, more than the limit of 4300"),
+    (_over_the_digit_limit(FreeWord.parse, "a1^{}"), ValueError,
+     "a free-word exponent has 4400 digits, more than the limit of 4300"),
+    (_over_the_digit_limit(FreeWord.parse, "a{}"), ValueError,
+     "a free-word generator has 4400 digits, more than the limit of 4300"),
 ]
 
 
