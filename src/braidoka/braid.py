@@ -411,8 +411,9 @@ def normal_form(b: BraidWord) -> GarsideNormalForm:
     for k, let in enumerate(chain(b.letters, (0,))):
         i = abs(let)
         if k and (not let or (let > 0) != positive or fi[i - 1] > fi[i]):
-            # fi is the inverse of the closed run s, or of Delta s^-1 with
-            # its values flipped; tau^markers flips positions and values
+            # fi is the inverse of the closed run s, and that of Delta s^-1
+            # is fi with its values flipped; tau, which commutes with
+            # inversion, flips both positions and values
             markers += not positive
             odd = markers % 2
             if odd:
