@@ -1,5 +1,6 @@
 """Test-only braid helpers: exhaustive word enumeration, seeded random
-words of three shapes, a word for a Garside normal form, the action of
+words of three shapes, the same braid spelled differently and a word one
+letter away, a word for a Garside normal form, the action of
 strand relabelling on B_3 linking tuples, and letter-by-letter oracles for
 the run-based consumers (theta, the strand walk and the Dynnikov action,
 one letter at a time)."""
@@ -54,6 +55,42 @@ def block_word(rng, n, length, block=10):
     """Blocks of `block` positive letters alternating with blocks of inverse letters."""
     return BraidWord(n, tuple((1 if (i // block) % 2 == 0 else -1) * rng.randint(1, n - 1)
                               for i in range(length)))
+
+
+def relation_rewrite(rnd, b, moves=20):
+    """The same braid spelled differently: each move commutes two far
+    letters, applies a braid relation of one sign, or inserts x x^-1."""
+    w = list(b.letters)
+    for _ in range(moves):
+        spots = [
+            i for i in range(len(w) - 1)
+            if abs(abs(w[i]) - abs(w[i + 1])) >= 2
+            or (i + 2 < len(w) and w[i + 2] == w[i] and abs(abs(w[i]) - abs(w[i + 1])) == 1
+                and (w[i] > 0) == (w[i + 1] > 0))
+        ]
+        if not spots or rnd.random() < 0.2:
+            x = rnd.choice(alphabet(b.strands))
+            i = rnd.randint(0, len(w))
+            w[i:i] = [x, -x]
+            continue
+        i = rnd.choice(spots)
+        a, c = w[i], w[i + 1]
+        if abs(abs(a) - abs(c)) >= 2:
+            w[i], w[i + 1] = c, a
+        else:
+            w[i:i + 3] = [c, a, c]
+    return BraidWord(b.strands, tuple(w))
+
+
+def one_letter_change(rng, b):
+    """b with one letter replaced by a different letter (or, for the empty
+    word, one letter appended): never the same braid."""
+    w = list(b.letters)
+    if not w:
+        return BraidWord(b.strands, (rng.choice(alphabet(b.strands)),))
+    k = rng.randrange(len(w))
+    w[k] = rng.choice([x for x in alphabet(b.strands) if x != w[k]])
+    return BraidWord(b.strands, tuple(w))
 
 
 def permute_linking_tuple3(t: tuple[int, int, int], s: Permutation) -> tuple[int, int, int]:

@@ -24,9 +24,16 @@ import os
 import random
 import sys
 
-from braidoka.braid import BraidWord, normal_form
+from braidoka.braid import BraidWord, braid_eq, normal_form
 
-from braid_helpers import block_word, negative_word, nf_to_braid_word, reduced_word
+from braid_helpers import (
+    block_word,
+    negative_word,
+    nf_to_braid_word,
+    one_letter_change,
+    reduced_word,
+    relation_rewrite,
+)
 
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "parity_corpus.json")
 CASES_PER_CHUNK = 100
@@ -102,9 +109,32 @@ def normal_form_turn_chunk(index: int) -> list[str]:
     return lines
 
 
+EQ_STRANDS = (3, 4, 5, 6)
+
+
+def braid_eq_chunk(index: int) -> list[str]:
+    """braid_eq of pairs in B_3-B_6: an even case pairs a word with a
+    braid-relation rewrite of it (equal), an odd case with a rewrite of the
+    word one letter away (unequal).  Every third word is alternating-sign
+    runs sigma_i^(+-k) with k up to 64, the others freely reduced words of
+    up to 40 letters; the verdict must be the one the pair was built for."""
+    rng = random.Random(22_000 + index)
+    lines = []
+    for j in range(CASES_PER_CHUNK):
+        n = EQ_STRANDS[j % len(EQ_STRANDS)]
+        b = run_word(rng, n, rng.randint(1, 6)) if j % 3 == 2 else reduced_word(rng, n, rng.randint(0, 40))
+        other = relation_rewrite(rng, b if j % 2 == 0 else one_letter_change(rng, b))
+        same = braid_eq(b, other)
+        line = f"B{n} {b.runs} {other.runs} -> {same}"
+        assert same == (j % 2 == 0), f"wrong verdict: {line}"
+        lines.append(line)
+    return lines
+
+
 CHUNKS = {
     "normal_form/0": lambda: normal_form_chunk(0),
     "normal_form/1": lambda: normal_form_turn_chunk(1),
+    "braid_eq/0": lambda: braid_eq_chunk(0),
 }
 
 

@@ -28,7 +28,9 @@ from braid_helpers import (
     enumerate_words,
     negative_word,
     nf_to_braid_word,
+    one_letter_change,
     reduced_word,
+    relation_rewrite,
 )
 from nf_reference import (
     _t_closure_step,
@@ -223,31 +225,6 @@ def braid_words(draw, max_strands=6, max_len=30):
     return BraidWord(n, tuple(letters))
 
 
-def _relation_rewrite(rnd, b, moves=20):
-    """The same braid spelled differently: each move commutes two far
-    letters, applies a braid relation of one sign, or inserts x x^-1."""
-    w = list(b.letters)
-    for _ in range(moves):
-        spots = [
-            i for i in range(len(w) - 1)
-            if abs(abs(w[i]) - abs(w[i + 1])) >= 2
-            or (i + 2 < len(w) and w[i + 2] == w[i] and abs(abs(w[i]) - abs(w[i + 1])) == 1
-                and (w[i] > 0) == (w[i + 1] > 0))
-        ]
-        if not spots or rnd.random() < 0.2:
-            x = rnd.choice(alphabet(b.strands))
-            i = rnd.randint(0, len(w))
-            w[i:i] = [x, -x]
-            continue
-        i = rnd.choice(spots)
-        a, c = w[i], w[i + 1]
-        if abs(abs(a) - abs(c)) >= 2:
-            w[i], w[i + 1] = c, a
-        else:
-            w[i:i + 3] = [c, a, c]
-    return BraidWord(b.strands, tuple(w))
-
-
 class TestNormalFormProperties:
     @given(braid_words())
     def test_times_inverse_is_trivial(self, b):
@@ -260,7 +237,7 @@ class TestNormalFormProperties:
 
     @given(braid_words(), st.randoms(use_true_random=False))
     def test_relation_rewrite_invariant(self, b, rnd):
-        assert normal_form(_relation_rewrite(rnd, b)) == normal_form(b)
+        assert normal_form(relation_rewrite(rnd, b)) == normal_form(b)
 
     @given(braid_words())
     def test_length_is_exponent_sum(self, b):
@@ -421,17 +398,6 @@ class TestDynnikovAction:
                     assert _act((let,), start) != start, (n, let)
 
 
-def _one_letter_change(rng, b):
-    """b with one letter replaced by a different letter (or, for the empty
-    word, one letter appended): never the same braid."""
-    w = list(b.letters)
-    if not w:
-        return BraidWord(b.strands, (rng.choice(alphabet(b.strands)),))
-    k = rng.randrange(len(w))
-    w[k] = rng.choice([x for x in alphabet(b.strands) if x != w[k]])
-    return BraidWord(b.strands, tuple(w))
-
-
 class TestBraidEqParity:
     """braid_eq against normal-form equality on the normal-form parity word
     sets; for B_3 the theta path, the Dynnikov action and the normal form
@@ -444,7 +410,7 @@ class TestBraidEqParity:
         for make in (reduced_word, negative_word, block_word):
             for length in range(0, 121, 3 if n <= 5 else 12):
                 b = make(rng, n, length)
-                pairs = ((_relation_rewrite(rng, b), True), (_one_letter_change(rng, b), False),
+                pairs = ((relation_rewrite(rng, b), True), (one_letter_change(rng, b), False),
                          (make(rng, n, rng.randint(0, 120)), None))
                 for other, expected in pairs:
                     nf_equal = normal_form(b) == normal_form(other)
@@ -461,7 +427,7 @@ class TestBraidEqParity:
         # 0.015 s; the normal forms of b and its rewrite alone take 2.4 s
         rng = random.Random(78)
         b = block_word(rng, 8, 3200)
-        same, other = _relation_rewrite(rng, b, moves=200), _one_letter_change(rng, b)
+        same, other = relation_rewrite(rng, b, moves=200), one_letter_change(rng, b)
         t0 = time.perf_counter()
         equal, unequal = braid_eq(b, same), braid_eq(b, other)
         elapsed = time.perf_counter() - t0
