@@ -5,10 +5,11 @@ Conventions.  A braid word is a sequence of nonzero integers: letter +i is
 the Artin generator sigma_i, letter -i its inverse.  It is held as its
 maximal runs sigma_i^k of one letter, and the B_3 decisions, the exponent
 sum, the permutation and the linking numbers cost O(1) integer operations
-per run, however long the run; the normal form and equality beyond B_3
-step through the letters.  Strands are labelled by their starting
-position; the permutation image sends a strand's start to its end
-position, and sigma_i maps to the adjacent transposition (i, i+1).
+per run, however long the run.  The normal form reads the runs too, but
+sigma_i^k gives k factors; equality beyond B_3 steps through the letters.
+Strands are labelled by their starting position; the permutation image
+sends a strand's start to its end position, and sigma_i maps to the
+adjacent transposition (i, i+1).
 
 The normal form is the classical left Garside form Delta^p . A_1 ... A_k
 with each A_j a permutation braid (neither trivial nor Delta) and each
@@ -20,11 +21,13 @@ time, O(n + |m|) swaps on lists that carry each factor and its inverse
 (see `normal_form`; Elrifai-Morton, Algorithms for positive braids, 1994;
 Epstein et al., Word Processing in Groups, ch. 9).  Inverse letters enter
 through the identity s^-1 = Delta^-1 (Delta s^-1), whose second factor is
-a permutation braid.  The word is read once, left to right: tau,
-conjugation by Delta, is an involution that keeps simple elements, Delta
-and left-weightedness, so each run is inserted turned by tau^(Delta^-1
-markers before it), and the output is turned once by tau^(all markers).
-The normal form serves `nf`; equality does not build it.  `braid_eq`
+a permutation braid.  The word's runs are read once, left to right,
+without spelling the word out: tau, conjugation by Delta, is an
+involution that keeps simple elements, Delta and left-weightedness, so
+each run is inserted turned by tau^(Delta^-1 markers before it), and the
+output is turned once by tau^(all markers).  The output is checked for
+left-weightedness on the inverses held beside the factors, and its
+permutations are built without a second validation.  The normal form serves `nf`; equality does not build it.  `braid_eq`
 decides B_3 by theta and the exponent sum, and every other B_n by the
 faithful integer action of B_n on Dynnikov coordinates in Z^(2n).
 """
@@ -43,12 +46,14 @@ if TYPE_CHECKING:
 
 Run = tuple[int, int]  # (i, k): sigma_i^k, with i >= 1 and k != 0
 
-# most letters a word is spelled out to (`letters`, `normal_form`) or
-# stepped through in runs of several letters (`_dynnikov`, which `braid_eq`
-# runs beyond B_3).  At 2^18 letters sigma_1^k in B_3 takes about 1.9 s in
-# normal_form (either sign) and 0.1 s in _dynnikov, and a random B_4 or B_8
-# word 3-4 s in _dynnikov (pure Python 3.11, 2-core VM); normal_form is
-# quadratic in the factors of a general word
+# most letters a word is spelled out to (`letters`) or stepped through
+# (`normal_form`, which closes a factor at each letter of a run after its
+# first, and `_dynnikov`, which `braid_eq` runs beyond B_3, in runs of
+# several letters).  At 2^18 letters sigma_1^k in B_3 takes about 0.9 s in
+# normal_form (either sign, best of 7 fresh processes) and 0.06 s in
+# _dynnikov, and a random B_4 or B_8 word 3-4 s in _dynnikov (pure Python
+# 3.11, 2-core VM); normal_form is quadratic in the factors of a general
+# word
 MAX_LETTERS = 2**18
 
 # most strands of a word, checked by every constructor.  `linking` prints
@@ -301,13 +306,6 @@ def _t_inv(p: list[int] | tuple[int, ...]) -> list[int]:
     return out
 
 
-def _t_left_weighted(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """Whether every sigma_i that is a word-prefix of the permutation braid
-    of b (b(i) > b(i+1)) is a word-suffix of that of a (a^-1(i) > a^-1(i+1))."""
-    ai = _t_inv(a)
-    return all(ai[i] > ai[i + 1] for i in range(len(b) - 1) if b[i] > b[i + 1])
-
-
 def _t_left_weight(a: list[int], ai: list[int], b: list[int], bi: list[int]) -> bool:
     """Make the pair (a, b) left-weighted in place, where ai and bi are the
     inverses of a and b and stay so; return whether anything moved.
@@ -374,8 +372,11 @@ class GarsideNormalForm(Value):
 def normal_form(b: BraidWord) -> GarsideNormalForm:
     """The left normal form Delta^p A_1 ... A_k of b.
 
-    The word is read once, left to right, and cut into maximal same-sign
-    runs that are permutation braids.  A positive run s is one factor; a
+    The word's runs sigma_i^k are read once, left to right, without
+    spelling the word out, and cut into maximal same-sign runs that are
+    permutation braids: the first letter of sigma_i^k may extend the open
+    run, and each later letter closes one, since sigma_i^2 is not a
+    permutation braid.  A positive run s is one factor; a
     negative run s^-1 is Delta^-1 (Delta s^-1), a Delta^-1 marker and the
     factor Delta s^-1.  The markers go to the front by one lemma: tau,
     conjugation by Delta, is an involution of B_n (Delta^2 is central) that
@@ -396,10 +397,20 @@ def normal_form(b: BraidWord) -> GarsideNormalForm:
     for positive braids, 1994; Epstein et al., Word Processing in Groups,
     ch. 9).  Each factor is held as a list of images beside a list of its
     inverse, so a step costs O(n + |m|) swaps in place, and with k factors
-    there are O(k^2) steps.  The word is spelled out, since sigma_i^k has k
-    factors, so ResourceLimit is raised above MAX_LETTERS letters.
+    there are O(k^2) steps.  sigma_i^k still gives k factors, so
+    ResourceLimit is raised above MAX_LETTERS letters, on the sum of the
+    run lengths before any run is read.
+
+    The final check that consecutive factors are left-weighted reads the
+    inverses held beside them, before the turn by tau^total, which keeps
+    left-weightedness.  It trusts those inverses, so it gives up the
+    independence of inverting each factor afresh: an inverse list gone
+    wrong would pass it.  The tests check the output that way
+    (`_t_left_weighted` in tests/nf_reference.py).
     """
     n = b.strands
+    if sum([k if k > 0 else -k for _, k in b.runs]) > MAX_LETTERS:
+        raise ResourceLimit(_TOO_LONG)
     w0 = list(range(n, 0, -1))
     ident = list(range(1, n + 1))
     out: list[list[int]] = []  # the factors inserted, and their inverses beside them
@@ -407,10 +418,14 @@ def normal_form(b: BraidWord) -> GarsideNormalForm:
     markers = 0  # the Delta^-1 markers read so far
     positive = True
     fi = ident[:]  # the strand at each position after the open run's letters
-    # the letter 0 after the word closes its last run
-    for k, let in enumerate(chain(b.letters, (0,))):
-        i = abs(let)
-        if k and (not let or (let > 0) != positive or fi[i - 1] > fi[i]):
+    # a run (1, 0) after the word's runs closes the last open run
+    for i, k in chain(b.runs, ((1, 0),)):
+        c = k if k > 0 else -k or 1  # the letters of sigma_i^k that close an open run
+        if k and (k > 0) == positive and fi[i - 1] < fi[i]:
+            c -= 1  # the first letter extends the open run
+            fi[i - 1], fi[i] = fi[i], fi[i - 1]
+        while c:
+            c -= 1
             # fi is the inverse of the closed run s, and that of Delta s^-1
             # is fi with its values flipped; tau, which commutes with
             # inversion, flips both positions and values
@@ -431,19 +446,22 @@ def normal_form(b: BraidWord) -> GarsideNormalForm:
                     if out[j] == ident:
                         del out[j], outi[j]
                     j -= 1
+            positive = k > 0
             fi = ident[:]
-        positive = let > 0
-        fi[i - 1], fi[i] = fi[i], fi[i - 1]
+            fi[i - 1], fi[i] = fi[i], fi[i - 1]
 
     lead = 0
     while lead < len(out) and out[lead] == w0:
         lead += 1
+    # tau keeps left-weightedness, so the pairs are checked before the turn
+    for ai, bb in zip(outi[lead:], out[lead + 1:]):
+        for i in range(n - 1):
+            if bb[i] > bb[i + 1] and ai[i] < ai[i + 1]:
+                raise InternalInconsistency("factors not left-weighted after rewrite")
     odd = markers % 2  # tau^markers turns every factor once
-    factors = [tuple([n + 1 - x for x in reversed(f)] if odd else f) for f in out[lead:]]
-    for a, bb in zip(factors, factors[1:]):
-        if not _t_left_weighted(a, bb):
-            raise InternalInconsistency("factors not left-weighted after rewrite")
-    return GarsideNormalForm(n, lead - markers, tuple(perms.Permutation(f) for f in factors))
+    make = perms.Permutation._from_images
+    factors = [make(tuple([n + 1 - x for x in reversed(f)] if odd else f)) for f in out[lead:]]
+    return GarsideNormalForm(n, lead - markers, tuple(factors))
 
 
 def _dynnikov(runs: tuple[Run, ...], start: list[int]) -> list[int]:

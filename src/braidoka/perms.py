@@ -27,8 +27,19 @@ class Permutation(Value):
         object.__setattr__(self, "images", images)
         self.__post_init__()
 
+    @staticmethod
+    def _from_images(images: tuple[int, ...]) -> "Permutation":
+        """The permutation whose images are already ints that form one, with
+        no check: for callers that built them as a permutation."""
+        self = object.__new__(Permutation)
+        object.__setattr__(self, "images", images)
+        return self
+
     def __post_init__(self) -> None:
         n = len(self.images)
+        for x in self.images:  # 1.0 and True equal 1, so they pass the sort
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise ValueError(f"a permutation image must be an int, not a bool, got {x!r}")
         if sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.images}")
 

@@ -7,11 +7,13 @@ exchange one letter at a time until a whole pass changes nothing.  It is
 slow (superquadratic in the word length) and independent of the meet
 computation, which is what makes it a useful oracle.
 
-`_t_closure_step` is a second oracle for one left-weighting step: it
-builds the meet m = (a^-1 Delta) ^ b whole, as the transitive closure of
-two inversion sets, where `braidoka.braid._t_left_weight` moves one
-crossing at a time in place and `_t_slide` one starting generator at a
-time on tuples.
+`check_factors` checks the output factors from their images alone
+(`_t_left_weighted` for each pair), which `normal_form`'s own final check
+does not: that one reads the inverses it held beside the factors.  `_t_closure_step` is a second
+oracle for one left-weighting step: it builds the meet
+m = (a^-1 Delta) ^ b whole, as the transitive closure of two inversion
+sets, where `braidoka.braid._t_left_weight` moves one crossing at a time
+in place and `_t_slide` one starting generator at a time on tuples.
 """
 
 from __future__ import annotations
@@ -37,6 +39,29 @@ def _t_finishing_set(p: tuple[int, ...]) -> set[int]:
     """Indices i with sigma_i a word-suffix of the permutation braid of p."""
     pi = _t_inv(p)
     return {i for i in range(1, len(p)) if pi[i - 1] > pi[i]}
+
+
+def _t_left_weighted(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Whether every sigma_i that is a word-prefix of the permutation braid
+    of b (b(i) > b(i+1)) is a word-suffix of that of a (a^-1(i) > a^-1(i+1)),
+    with a^-1 computed here from a alone.  `braidoka.braid.normal_form`
+    checks its output on the inverses it held beside the factors, so only
+    this check sees a factor whose held inverse went wrong."""
+    ai = _t_inv(a)
+    return all(ai[i] > ai[i + 1] for i in range(len(b) - 1) if b[i] > b[i + 1])
+
+
+def check_factors(nf: GarsideNormalForm) -> None:
+    """Assert that each factor of nf is a permutation of 1..n in ints,
+    neither the identity nor Delta, and left-weighted with the next one by
+    `_t_left_weighted`."""
+    n = nf.strands
+    ident, w0 = tuple(range(1, n + 1)), tuple(range(n, 0, -1))
+    for f in nf.factors:
+        assert sorted(f.images) == list(ident) and {type(x) for x in f.images} == {int}, nf
+        assert f.images != ident and f.images != w0, nf
+    for a, b in zip(nf.factors, nf.factors[1:]):
+        assert _t_left_weighted(a.images, b.images), nf
 
 
 def _t_swap_values(p: tuple[int, ...], i: int) -> tuple[int, ...]:

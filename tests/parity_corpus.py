@@ -34,6 +34,7 @@ from braid_helpers import (
     reduced_word,
     relation_rewrite,
 )
+from nf_reference import check_factors
 
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "parity_corpus.json")
 CASES_PER_CHUNK = 100
@@ -42,19 +43,25 @@ NF_STRANDS = (2, 3, 4, 5, 6, 8, 12, 16)
 NF_SHAPES = (reduced_word, negative_word, block_word)
 
 
+def nf_line(b) -> str:
+    """The line of one normal_form case.  The normal form must also come
+    back from the word it spells (nf_to_braid_word), and its factors must
+    pass `check_factors`, which inverts each one afresh."""
+    nf = normal_form(b)
+    line = f"B{b.strands} {b.letters} -> {nf.power} {[f.images for f in nf.factors]}"
+    assert normal_form(nf_to_braid_word(nf)) == nf, f"no round trip: {line}"
+    check_factors(nf)
+    return line
+
+
 def normal_form_chunk(index: int) -> list[str]:
     """normal_form of words of 0-120 letters, every strand count of
-    NF_STRANDS with every shape of NF_SHAPES; each normal form must also
-    come back from the word it spells (nf_to_braid_word)."""
+    NF_STRANDS with every shape of NF_SHAPES (`nf_line`)."""
     rng = random.Random(21_000 + index)
     lines = []
     for j in range(CASES_PER_CHUNK):
         n = NF_STRANDS[j % len(NF_STRANDS)]
-        b = NF_SHAPES[j % len(NF_SHAPES)](rng, n, rng.randint(0, 120))
-        nf = normal_form(b)
-        line = f"B{n} {b.letters} -> {nf.power} {[f.images for f in nf.factors]}"
-        assert normal_form(nf_to_braid_word(nf)) == nf, f"no round trip: {line}"
-        lines.append(line)
+        lines.append(nf_line(NF_SHAPES[j % len(NF_SHAPES)](rng, n, rng.randint(0, 120))))
     return lines
 
 
@@ -88,8 +95,7 @@ def normal_form_turn_chunk(index: int) -> list[str]:
     """normal_form of words whose Delta^-1 markers number odd in half the
     cases and even in the other half: alternating-sign runs sigma_i^(+-k)
     with k up to 64 in B_2-B_16, and words of the shapes of NF_SHAPES of
-    up to 200 letters in B_12 and B_16.  Each normal form must also come
-    back from the word it spells."""
+    up to 200 letters in B_12 and B_16 (`nf_line`)."""
     rng = random.Random(21_000 + index)
     lines = []
     for j in range(CASES_PER_CHUNK):
@@ -102,10 +108,7 @@ def normal_form_turn_chunk(index: int) -> list[str]:
                 b = NF_SHAPES[j // 8 % len(NF_SHAPES)](rng, n, rng.randint(0, 200))
             if delta_markers(b) % 2 == j % 2:
                 break
-        nf = normal_form(b)
-        line = f"B{n} {b.letters} -> {nf.power} {[f.images for f in nf.factors]}"
-        assert normal_form(nf_to_braid_word(nf)) == nf, f"no round trip: {line}"
-        lines.append(line)
+        lines.append(nf_line(b))
     return lines
 
 

@@ -3,7 +3,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from braidoka import braid
 from braidoka.braid import (
@@ -39,6 +39,7 @@ from nf_reference import (
     _t_slide,
     _t_starting_set,
     _t_tau,
+    check_factors,
     reference_normal_form,
 )
 
@@ -297,6 +298,30 @@ class TestTauFrame:
             moved = _t_left_weight(*lists)
             assert _t_left_weight(*turned) == moved, (a, b)
             assert turned == [list(_t_tau(x)) for x in lists], (a, b)
+
+
+@st.composite
+def run_words(draw):
+    """A word in B_2-B_16 of up to 60 letters, or of up to four runs
+    sigma_i^(+-k) of alternating sign with k up to 64 (six such runs in
+    B_16 take up to 0.9 s)."""
+    n = draw(st.integers(2, 16))
+    if draw(st.booleans()):
+        return BraidWord(n, tuple(draw(st.lists(st.sampled_from(alphabet(n)), max_size=60))))
+    runs = draw(st.lists(st.tuples(st.integers(1, n - 1), st.integers(1, 64)), max_size=4))
+    sign = draw(st.sampled_from((1, -1)))
+    return BraidWord._from_runs(n, tuple((i, k * sign * (-1) ** j) for j, (i, k) in enumerate(runs)))
+
+
+class TestOutputFactors:
+    """The output factors checked without the inverses normal_form holds;
+    the parity chunks normal_form/0 and normal_form/1 check theirs the same
+    way (parity_corpus.nf_line)."""
+
+    @settings(deadline=None)
+    @given(run_words())
+    def test_factors_hold_without_the_held_inverses(self, b):
+        check_factors(normal_form(b))
 
 
 class TestBraidEq:

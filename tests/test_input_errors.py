@@ -106,6 +106,10 @@ ROWS = [
     (lambda: e_values(1e-310 + 1e-310j), ValueError, "too short for a finite value (1.41e-310)"),
     (lambda: wp(0.5, 1e-320j), ValueError, "too short for a finite value (1e-320)"),
     (lambda: Permutation.transposition(3, 3), ValueError, "index 3 out of range for S_3"),
+    # both were accepted and compared equal to Permutation((1, 2)); with
+    # float images then and inv raised "tuple indices must be integers"
+    (lambda: Permutation((1.0, 2.0)), ValueError, "must be an int, not a bool, got 1.0"),
+    (lambda: Permutation((True, 2)), ValueError, "must be an int, not a bool, got True"),
     (lambda: abelian_transitive_generator([Permutation((2, 1))], 3),
      ValueError, "on 2 points, expected 3"),
     (lambda: lemma5_generators(Permutation((2, 1)), _CYCLE),
