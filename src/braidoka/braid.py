@@ -27,9 +27,10 @@ involution that keeps simple elements, Delta and left-weightedness, so
 each run is inserted turned by tau^(Delta^-1 markers before it), and the
 output is turned once by tau^(all markers).  The output is checked for
 left-weightedness on the inverses held beside the factors, and its
-permutations are built without a second validation.  The normal form serves `nf`; equality does not build it.  `braid_eq`
-decides B_3 by theta and the exponent sum, and every other B_n by the
-faithful integer action of B_n on Dynnikov coordinates in Z^(2n).
+permutations are built without a second validation.  The normal form
+serves `nf`; equality does not build it.  `braid_eq` decides B_3 by theta
+and the exponent sum, and every other B_n by the faithful integer action
+of B_n on Dynnikov coordinates in Z^(2n).
 """
 
 from __future__ import annotations
@@ -406,7 +407,7 @@ def normal_form(b: BraidWord) -> GarsideNormalForm:
     left-weightedness.  It trusts those inverses, so it gives up the
     independence of inverting each factor afresh: an inverse list gone
     wrong would pass it.  The tests check the output that way
-    (`_t_left_weighted` in tests/nf_reference.py).
+    (`check_factors` in tests/nf_reference.py).
     """
     n = b.strands
     if sum([k if k > 0 else -k for _, k in b.runs]) > MAX_LETTERS:
@@ -420,7 +421,8 @@ def normal_form(b: BraidWord) -> GarsideNormalForm:
     fi = ident[:]  # the strand at each position after the open run's letters
     # a run (1, 0) after the word's runs closes the last open run
     for i, k in chain(b.runs, ((1, 0),)):
-        c = k if k > 0 else -k or 1  # the letters of sigma_i^k that close an open run
+        # the letters of sigma_i^k that close an open run; (1, 0) closes one
+        c = k if k > 0 else -k or 1
         if k and (k > 0) == positive and fi[i - 1] < fi[i]:
             c -= 1  # the first letter extends the open run
             fi[i - 1], fi[i] = fi[i], fi[i - 1]

@@ -9,11 +9,13 @@ computation, which is what makes it a useful oracle.
 
 `check_factors` checks the output factors from their images alone
 (`_t_left_weighted` for each pair), which `normal_form`'s own final check
-does not: that one reads the inverses it held beside the factors.  `_t_closure_step` is a second
-oracle for one left-weighting step: it builds the meet
-m = (a^-1 Delta) ^ b whole, as the transitive closure of two inversion
-sets, where `braidoka.braid._t_left_weight` moves one crossing at a time
-in place and `_t_slide` one starting generator at a time on tuples.
+does not: that one reads the inverses it held beside the factors.
+
+`_t_closure_step` is a second oracle for one left-weighting step: it
+builds the meet m = (a^-1 Delta) ^ b whole, as the transitive closure of
+two inversion sets, where `braidoka.braid._t_left_weight` moves one
+crossing at a time in place and `_t_slide` one starting generator at a
+time on tuples.
 """
 
 from __future__ import annotations
@@ -44,9 +46,7 @@ def _t_finishing_set(p: tuple[int, ...]) -> set[int]:
 def _t_left_weighted(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     """Whether every sigma_i that is a word-prefix of the permutation braid
     of b (b(i) > b(i+1)) is a word-suffix of that of a (a^-1(i) > a^-1(i+1)),
-    with a^-1 computed here from a alone.  `braidoka.braid.normal_form`
-    checks its output on the inverses it held beside the factors, so only
-    this check sees a factor whose held inverse went wrong."""
+    with a^-1 computed here from a alone."""
     ai = _t_inv(a)
     return all(ai[i] > ai[i + 1] for i in range(len(b) - 1) if b[i] > b[i + 1])
 
