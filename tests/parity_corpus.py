@@ -7,8 +7,8 @@ outputs of its chunk did not change, and the independent oracles of the
 other tests say whether they are right.  A chunk is named
 "procedure/index", and its cases come from a seed fixed by that name, so a
 chunk holds the same inputs on every Python version.  Each case gives one
-line, its input and output written with ints and tuples only, and the
-digest is the sha256 of the lines.  Rewriting a digest is a change to a
+line, its input and output written with ints, tuples and the dicts of
+the records' `as_dict`, and the digest is the sha256 of the lines.  Rewriting a digest is a change to a
 check: CHANGES.md then names the chunk, the reason, and one case's old and
 new line.
 
@@ -25,6 +25,15 @@ import random
 import sys
 
 from braidoka.braid import BraidWord, braid_eq, normal_form
+from braidoka.oka import TARGET_F2, SurfaceHom, SurfaceSignature, go_surface_decide
+from braidoka.words import (
+    FreeWord,
+    _core,
+    free_conjugate,
+    is_conjugate_into_peripheral,
+    peripheral_word,
+    primitive_root,
+)
 
 from braid_helpers import (
     block_word,
@@ -134,10 +143,130 @@ def braid_eq_chunk(index: int) -> list[str]:
     return lines
 
 
+def free_word(rng, rank, blocks, top):
+    """A seeded word of up to `blocks` blocks in a_1 .. a_rank, exponents
+    +-1 .. +-top, reduced on construction."""
+    return FreeWord(tuple((rng.randint(1, rank), rng.choice((1, -1)) * rng.randint(1, top))
+                          for _ in range(rng.randint(0, blocks))))
+
+
+PERIPHERALS = ("a1", "a2", "(a1a2)^-1")
+
+
+def free_words_case(rng, j):
+    """The j-th word of `free_words_chunk`: in rank 2 or 3, exponents up to
+    64 or 10^9, of five kinds in turn: a random word; a conjugate of one;
+    a conjugated proper power; a conjugated peripheral power; and
+    g^a X g^b with the end blocks on one generator, in all four sign
+    combinations, conjugated."""
+    rank = 2 if j % 4 < 2 else 3
+    top = 64 if j % 10 < 5 else 10**9
+    c = free_word(rng, rank, 3, top)
+    kind = j % 5
+    if kind == 0:
+        return free_word(rng, rank, 6, top)
+    if kind == 1:
+        return c * free_word(rng, rank, 6, top) * c.inv()
+    if kind == 2:
+        return c * free_word(rng, rank, 3, top) ** rng.randint(2, 4) * c.inv()
+    if kind == 3:
+        name = PERIPHERALS[j // 5 % 3]
+        power = rng.choice((1, -1)) * rng.randint(1, 64 if name == "(a1a2)^-1" else top)
+        return c * peripheral_word(name, power) * c.inv()
+    g = rng.randint(1, rank)
+    a, b = (s * rng.randint(1, top) for s in ((1, 1), (1, -1), (-1, 1), (-1, -1))[j // 5 % 4])
+    return c * FreeWord(((g, a),) + free_word(rng, rank, 4, top).blocks + ((g, b),)) * c.inv()
+
+
+def free_words_chunk(index: int) -> list[str]:
+    """Per word of `free_words_case`: w ** k for |k| <= 3, the primitive
+    root, the peripheral match, and `free_conjugate` against a conjugate,
+    a rotation of its core, its inverse and a random word.  The verdicts
+    against the conjugate and the rotation must be True."""
+    rng = random.Random(23_000 + index)
+    lines = []
+    for j in range(CASES_PER_CHUNK):
+        w = free_words_case(rng, j)
+        d = free_word(rng, 3, 3, 64)
+        core = _core(w.blocks)[1]
+        # one draw whatever the core's length, so later cases do not move
+        k = rng.randrange(64) % max(len(core), 1)
+        other = free_word(rng, 3, 6, 64)
+        root = None if w.is_identity() else primitive_root(w)
+        hit = is_conjugate_into_peripheral(w)
+        conj = [free_conjugate(w, x) for x in (d * w * d.inv(), FreeWord(core[k:] + core[:k]), w.inv(), other)]
+        line = (f"{w.blocks} -> {[(w ** n).blocks for n in range(-3, 4)]} "
+                f"{root and (root[0].blocks, root[1])} "
+                f"{hit and (hit.peripheral, hit.power, hit.trivial)} {conj}")
+        assert conj[0] and conj[1], f"conjugates not found conjugate: {line}"
+        lines.append(line)
+    return lines
+
+
+def go_surface_case(rng, j) -> SurfaceHom:
+    """The j-th homomorphism of `go_surface_chunk`, in one of eight
+    signatures (genus 0 with 3-6 holes, genus 1 with 1-2, genus 2 with
+    1-2), of four kinds in turn: every image a power of one conjugated
+    peripheral (reducible); a conjugated sphere pattern on three holes,
+    one image sometimes squared or inverted (genus 0), or peripheral
+    powers and their conjugates (positive genus); random words and
+    peripheral powers; and all images powers of one random root."""
+    g, m = ((0, 3), (0, 4), (0, 5), (0, 6), (1, 1), (1, 2), (2, 1), (2, 2))[j % 8]
+    x = 2 * g + m - 1
+    top = 64 if j % 3 else 10**9
+    kind = j // 8 % 4
+    c = free_word(rng, 2, 4, top)
+    if kind == 0:
+        root = c * peripheral_word(PERIPHERALS[rng.randrange(3)]) * c.inv()
+        images = [root ** rng.randint(-3, 3) for _ in range(x)]
+    elif kind == 1 and g == 0:
+        t1, t2 = rng.choice((("a1", "a2"), ("a2", "a1")))
+        s = rng.choice((1, -1))
+        p1, p2 = peripheral_word(t1, s), peripheral_word(t2, s)
+        triple = [c * p1 * c.inv(), c * p2 * c.inv(), c * (p1 * p2).inv() * c.inv()]
+        rot = rng.randrange(3)
+        triple = triple[rot:] + triple[:rot]
+        images = [FreeWord.identity()] * x
+        # the last hole is the product inverse, so it carries the third word
+        for h, w in zip(sorted(rng.sample(range(m), 3)), triple):
+            if h < x:
+                images[h] = w
+        if rng.random() < 0.3:
+            h = rng.randrange(x)
+            images[h] = images[h] ** rng.choice((-1, 2))
+    elif kind == 1:
+        images = []
+        for _ in range(x):
+            d = free_word(rng, 2, 2, 8)
+            images.append(d * peripheral_word(PERIPHERALS[rng.randrange(2)], rng.randint(-top, top)) * d.inv())
+    elif kind == 2:
+        images = [free_word(rng, 2, 5, top) if rng.random() < 0.5
+                  else peripheral_word(PERIPHERALS[rng.randrange(3)], rng.randint(-2, 2))
+                  for _ in range(x)]
+    else:
+        root = free_word(rng, 2, 4, top)
+        images = [root ** rng.randint(-2, 2) for _ in range(x)]
+    return SurfaceHom(SurfaceSignature(g, m), TARGET_F2, dict(enumerate(images, 1)))
+
+
+def go_surface_chunk(index: int) -> list[str]:
+    """go_surface_decide of `go_surface_case`, written as its `as_dict()`."""
+    rng = random.Random(24_000 + index)
+    lines = []
+    for j in range(CASES_PER_CHUNK):
+        hom = go_surface_case(rng, j)
+        sig = hom.signature
+        images = [hom.images[k].blocks for k in sorted(hom.images)]
+        lines.append(f"({sig.genus}, {sig.holes}) {images} -> {go_surface_decide(hom).as_dict()}")
+    return lines
+
+
 CHUNKS = {
     "normal_form/0": lambda: normal_form_chunk(0),
     "normal_form/1": lambda: normal_form_turn_chunk(1),
     "braid_eq/0": lambda: braid_eq_chunk(0),
+    "free_words/0": lambda: free_words_chunk(0),
+    "go_surface_decide/0": lambda: go_surface_chunk(0),
 }
 
 
