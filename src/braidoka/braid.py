@@ -118,6 +118,9 @@ class BraidWord(Value):
     runs: tuple[Run, ...]
 
     def __init__(self, strands: int, letters=()) -> None:
+        for let in letters:  # 1.0 and True equal 1, so they would join its runs
+            if not isinstance(let, int) or isinstance(let, bool):
+                raise ValueError(f"a braid letter must be an int, not a bool, got {let!r}")
         object.__setattr__(self, "strands", strands)
         object.__setattr__(self, "runs", _letter_runs(letters))
         self.__post_init__()
@@ -132,6 +135,8 @@ class BraidWord(Value):
         return self
 
     def __post_init__(self) -> None:
+        if not isinstance(self.strands, int) or isinstance(self.strands, bool):
+            raise ValueError(f"a strand count must be an int, not a bool, got {self.strands!r}")
         if self.strands < 2:
             raise ValueError("braid group needs at least 2 strands")
         if self.strands > MAX_STRANDS:

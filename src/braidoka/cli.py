@@ -27,7 +27,7 @@ import math
 import os
 import sys
 
-from . import __version__, braid, errors, families, lattice, oka, sl2z, three
+from . import __version__, _value, braid, errors, families, lattice, oka, sl2z, three
 
 SCHEMA_VERSION = "1"
 PATH_STEPS = 16  # lattice-branch --path-end without --path-steps
@@ -209,13 +209,23 @@ def cmd_lattice_branch(args):
                       for t, tt, bl in rows]}, True
 
 
+def _int(text: str) -> int:
+    """An integer option, read by the rule of braid words and JSON fields
+    (`_value.read_int`): argparse's ``int`` would also take "1_0", " 2"
+    and other scripts' digits.  argparse names the option in the error."""
+    try:
+        return _value.read_int(text, "the value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _braid_options(p):
     p.add_argument("--braid", required=True, help="word like '1 -2 1'")
 
 
 def _braid_n_options(p):  # the other --braid subcommands work in B_3 only
     _braid_options(p)
-    p.add_argument("--n", type=int, default=3, help="strand count")
+    p.add_argument("--n", type=_int, default=3, help="strand count")
 
 
 def _pair_options(p):
@@ -225,28 +235,28 @@ def _pair_options(p):
 
 def _eq_options(p):
     _pair_options(p)
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_int)
 
 
 def _scan_options(p):
-    p.add_argument("--maxlen", type=int, required=True)
+    p.add_argument("--maxlen", type=_int, required=True)
 
 
 def _disc_index_options(p):
     p.add_argument("--family", required=True, help="LaurentFamily JSON file")
-    p.add_argument("--samples", type=int, default=256)
+    p.add_argument("--samples", type=_int, default=256)
 
 
 def _thm1_options(p):
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--modulus", type=float, required=True)
-    p.add_argument("--index", type=int, required=True)
+    p.add_argument("--index", type=_int, required=True)
 
 
 def _penner_options(p):
-    p.add_argument("--genus", type=int)
-    p.add_argument("--marked", type=int)
-    p.add_argument("--braid-n", type=int)
+    p.add_argument("--genus", type=_int)
+    p.add_argument("--marked", type=_int)
+    p.add_argument("--braid-n", type=_int)
 
 
 def _hom_options(p):
@@ -263,8 +273,8 @@ def _oka3_options(p):
 
 
 def _eprime_options(p):
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--holes", type=int, required=True)
+    p.add_argument("--genus", type=_int, required=True)
+    p.add_argument("--holes", type=_int, required=True)
     p.add_argument("--list", action="store_true")
 
 
@@ -276,13 +286,13 @@ _COMPLEX = "complex as re,im; a negative re needs the = form, as in {}=-0.3,1"
 def _lattice_branch_options(p):
     p.add_argument("--alpha", default="1,0", help=_COMPLEX.format("--alpha"))
     p.add_argument("--tau", required=True, help=_COMPLEX.format("--tau"))
-    p.add_argument("--radius", type=int,
+    p.add_argument("--radius", type=_int,
                    help="accepted for compatibility, at least 10; the output does not "
                         "depend on it, since a reduced lattice needs at most 9 rows")
     p.add_argument("--csv", action="store_true")
     p.add_argument("--path-end", help="trace tau linearly to this value, "
                                       + _COMPLEX.format("--path-end"))
-    p.add_argument("--path-steps", type=int,
+    p.add_argument("--path-steps", type=_int,
                    help=f"steps along the --path-end path (default {PATH_STEPS})")
 
 
@@ -371,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
             # the reader closed stdout early (`| head`): the verdict stands,
             # and stdout goes to devnull so the flush at exit stays quiet
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    except (errors.BraidokaError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (errors.BraidokaError, ValueError, OSError) as exc:
         print(json.dumps({"schema": SCHEMA_VERSION, "error": str(exc),
                           "errorType": type(exc).__name__}), file=sys.stderr)
         return USAGE_ERROR

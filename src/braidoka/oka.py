@@ -65,6 +65,9 @@ class SurfaceSignature(Value):
     holes: int
 
     def __init__(self, genus: int, holes: int) -> None:
+        for name, x in (("genus", genus), ("holes", holes)):
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise ValueError(f"{name} must be an int, not a bool, got {x!r}")
         if genus < 0 or holes < 1:
             raise ValueError(f"bad signature ({genus}, {holes})")
         object.__setattr__(self, "genus", genus)

@@ -4,10 +4,14 @@ Words are stored run-length encoded as (generator, signed exponent) blocks,
 which keeps reduction linear and matches the block shape of typical inputs
 like e2*e1^-2.  A FreeWord is always reduced; reduction happens on
 construction.  Cyclic reduction (`_core`) also works on blocks: it splits a
-word into a conjugator and a cyclically reduced core, both block sequences,
-without spelling out a letter.  Conjugacy, primitive roots, peripheral
-powers and powers read the core, so their cost follows the number of
-blocks, never the size of an exponent: a1^(10^9) costs what a1 costs.
+word into a conjugator and a core, both block sequences, without spelling
+out a letter.  The core is the word's cyclic run sequence: reduced,
+cyclically reduced, and with end blocks on different generators, so its
+maximal runs read around the cycle are its blocks.  One identity,
+g^a X g^b = g^a (X g^(a+b)) g^-a, brings every word there.  Conjugacy,
+primitive roots, peripheral powers and powers read the core as it is, so
+their cost follows the number of blocks, never the size of an exponent:
+a1^(10^9) costs what a1 costs.
 """
 
 from __future__ import annotations
@@ -63,42 +67,25 @@ def _inverse(blocks: tuple[Block, ...]) -> tuple[Block, ...]:
 
 
 def _core(blocks: tuple[Block, ...]) -> tuple[tuple[Block, ...], tuple[Block, ...]]:
-    """Split reduced blocks into (conjugator, core), both reduced, with
-    word = conjugator * core * conjugator^-1 and core cyclically reduced.
+    """Split reduced blocks into (conjugator, core) with
+    word = conjugator * core * conjugator^-1, where the conjugator is a
+    prefix of the blocks and the core is the word's cyclic run sequence:
+    reduced, cyclically reduced, and, when it has two or more blocks, with
+    end blocks on different generators.
 
-    Each step cancels the end blocks when they are powers of one generator
-    with opposite signs.  Equal and opposite end blocks both go and the
-    reduction goes on; otherwise the shorter one is absorbed into the
-    longer one and the core is reached.  No letter is spelled out.
+    While the end blocks g^a, g^b are powers of one generator, a + b = 0
+    strips both and the reduction goes on; otherwise
+    g^a X g^b = g^a (X g^(a+b)) g^-a gives the core, whatever the signs.
+    No letter is spelled out.
     """
-    conj: list[Block] = []
     i, j = 0, len(blocks)
-    while j - i > 1:
+    while j - i > 1 and blocks[i][0] == blocks[j - 1][0]:
         g, a = blocks[i]
-        h, b = blocks[j - 1]
-        if g != h or (a > 0) == (b > 0):
-            break
-        if a + b == 0:
-            conj.append((g, a))
-            i, j = i + 1, j - 1
-        elif abs(a) < abs(b):
-            # g^a X g^b = g^a (X g^(a+b)) g^-a
-            conj.append((g, a))
-            return tuple(conj), blocks[i + 1:j - 1] + ((g, a + b),)
-        else:
-            # g^a X g^b = g^-b (g^(a+b) X) g^b
-            conj.append((g, -b))
-            return tuple(conj), ((g, a + b),) + blocks[i + 1:j - 1]
-    return tuple(conj), blocks[i:j]
-
-
-def _cyclic_blocks(core: tuple[Block, ...]) -> tuple[Block, ...]:
-    """A core as a cyclic sequence of maximal runs: when its end blocks are
-    powers of one generator (then of one sign), the first block f is moved
-    onto the last one, which gives f^-1 * core * f."""
-    if len(core) > 1 and core[0][0] == core[-1][0]:
-        return core[1:-1] + ((core[0][0], core[0][1] + core[-1][1]),)
-    return core
+        b = blocks[j - 1][1]
+        if a + b:
+            return blocks[:i + 1], blocks[i + 1:j - 1] + ((g, a + b),)
+        i, j = i + 1, j - 1
+    return blocks[:i], blocks[i:j]
 
 
 class FreeWord(Value):
@@ -181,16 +168,16 @@ def commutator(u: FreeWord, v: FreeWord) -> FreeWord:
 
 
 def free_conjugate(w1: FreeWord, w2: FreeWord) -> bool:
-    """True iff w1 and w2 are conjugate: the cyclic run sequences of their
-    cores are rotations of each other (`_value._same_cycle`)."""
-    return _same_cycle(_cyclic_blocks(_core(w1.blocks)[1]), _cyclic_blocks(_core(w2.blocks)[1]))
+    """True iff w1 and w2 are conjugate: their cores, the cyclic run
+    sequences, are rotations of each other (`_value._same_cycle`)."""
+    return _same_cycle(_core(w1.blocks)[1], _core(w2.blocks)[1])
 
 
 def primitive_root(w: FreeWord) -> tuple[FreeWord, int]:
     """Write w = root^power with root not a proper power, power >= 1.
 
-    A one-block core g^e has root g^(sign e).  Otherwise the cyclic run
-    sequence of the core repeats with a least period p (in blocks), and its
+    A one-block core g^e has root g^(sign e).  Otherwise the core, the
+    cyclic run sequence, repeats with a least period p (in blocks), and its
     first p blocks, conjugated back, are the root; roots in a free group
     are unique, so the rotation chosen does not matter.
     """
@@ -200,9 +187,6 @@ def primitive_root(w: FreeWord) -> tuple[FreeWord, int]:
     if len(core) == 1:
         g, e = core[0]
         return FreeWord(conj + ((g, 1 if e > 0 else -1),) + _inverse(conj)), abs(e)
-    if core[0][0] == core[-1][0]:
-        conj += core[:1]
-        core = _cyclic_blocks(core)
     n = len(core)
     for p in range(1, n + 1):
         if n % p == 0 and core[p:] == core[:n - p]:
@@ -227,12 +211,12 @@ def _peripheral(blocks: tuple[Block, ...]) -> tuple[str | None, int] | None:
     """Match reduced blocks against conjugates of powers of a1, a2,
     (a1 a2)^-1: (name, power), (None, 0) for the identity, or None.
 
-    Works on the cyclically reduced core: a one-block core (1, e) or (2, e)
-    is a1^e or a2^e.  A longer core is a power of (a1 a2)^-1 when every
-    block is a single letter a1^s or a2^s of one sign s (then the
-    generators alternate) and its end generators differ (so the alternation
-    closes up): s = -1 gives positive powers, s = 1 negative ones.  Any
-    other core is never peripheral.
+    Works on the core, the cyclic run sequence: a one-block core (1, e) or
+    (2, e) is a1^e or a2^e.  A longer core is a power of (a1 a2)^-1 when
+    every block is a single letter a1^s or a2^s of one sign s: then the
+    generators alternate, and as the end generators of a core differ, the
+    alternation closes up.  s = -1 gives positive powers, s = 1 negative
+    ones.  Any other core is never peripheral.
     """
     _, core = _core(blocks)
     if not core:
@@ -245,9 +229,7 @@ def _peripheral(blocks: tuple[Block, ...]) -> tuple[str | None, int] | None:
             return PERIPHERAL_A2, e
         return None
     sign = core[0][1]
-    if sign not in (1, -1) or core[0][0] == core[-1][0]:
-        return None
-    if not set(core) <= {(1, sign), (2, sign)}:
+    if sign not in (1, -1) or not set(core) <= {(1, sign), (2, sign)}:
         return None
     return PERIPHERAL_A1A2_INV, (len(core) // 2) * (1 if sign < 0 else -1)
 

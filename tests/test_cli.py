@@ -687,6 +687,47 @@ def test_usage_error(capsys):
         assert "unrecognized arguments: --n 3" in capsys.readouterr().err
 
 
+# one row per integer option: argparse's int read "1_0" as 10, " 2" as 2
+# and other scripts' digits (\u0663 is an Arabic-Indic 3, \uff14 a
+# fullwidth 4), which braid words and JSON fields refuse (`_value.read_int`)
+_BAD_INT_OPTIONS = [
+    (["nf", "--braid", "1 2", "--n", "1_0"], "--n"),
+    (["linking", "--braid", "1 1", "--n", " 3"], "--n"),
+    (["eq", "--a", "1", "--b", "1", "--n", "\u0663"], "--n"),
+    (["scan-commutators", "--maxlen", "\u0663"], "--maxlen"),
+    (["disc-index", "--family", "family.json", "--samples", "6_4"], "--samples"),
+    (["thm1", "--n", "\uff13", "--modulus", "30", "--index", "6"], "--n"),
+    (["thm1", "--n", "3", "--modulus", "30", "--index", "6 "], "--index"),
+    (["penner", "--genus", "0_0", "--marked", "4"], "--genus"),
+    (["penner", "--genus", "0", "--marked", "\uff14"], "--marked"),
+    (["penner", "--braid-n", "+ 3"], "--braid-n"),
+    (["eprime", "--genus", "1", "--holes", " 2"], "--holes"),
+    (["eprime", "--genus", "1_0", "--holes", "1"], "--genus"),
+    (["lattice-branch", "--tau", "0,1", "--radius", "2_0"], "--radius"),
+    (["lattice-branch", "--tau", "0,1", "--path-end", "0,2", "--path-steps", "\u0662"],
+     "--path-steps"),
+]
+
+
+@pytest.mark.parametrize("argv, option", _BAD_INT_OPTIONS,
+                         ids=[f"{a[0]}{o}" for a, o in _BAD_INT_OPTIONS])
+def test_integer_options_read_the_package_integer_rule(argv, option, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    text = argv[argv.index(option) + 1]
+    assert f"argument {option}: the value must be an integer, got {text!r}" in captured.err
+
+
+def test_every_integer_option_has_a_bad_text_row():
+    sub = _subparsers(build_parser())
+    typed = {(name, opt) for name, parser in sub.choices.items() for action in parser._actions
+             if action.type is not None and action.type is not str for opt in action.option_strings}
+    assert typed - {("thm1", "--modulus")} == {(a[0], o) for a, o in _BAD_INT_OPTIONS}
+    # --modulus is a float; every other typed option reads cli._int
+    assert {a.type for p in sub.choices.values() for a in p._actions} <= {None, cli._int, float}
+
+
 def _subparsers(parser):
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
 

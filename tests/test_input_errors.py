@@ -26,7 +26,7 @@ from braidoka.families import (
     thm1_verdict,
 )
 from braidoka.lattice import LatticeSpec, e_values, wp, wp_prime
-from braidoka.oka import SurfaceHom
+from braidoka.oka import SurfaceHom, SurfaceSignature
 from braidoka.perms import Permutation, abelian_transitive_generator, lemma5_generators
 from braidoka.sl2z import SL2Matrix, rl_factorization
 from braidoka.three import conj3, entropy3
@@ -110,6 +110,15 @@ ROWS = [
     # float images then and inv raised "tuple indices must be integers"
     (lambda: Permutation((1.0, 2.0)), ValueError, "must be an int, not a bool, got 1.0"),
     (lambda: Permutation((True, 2)), ValueError, "must be an int, not a bool, got True"),
+    # all were accepted: normal_form then raised TypeError on 1.5 and 3.0,
+    # classify3 KeyError(1.5) and eprime_generate TypeError on 1.0, while
+    # 1.0 and True joined the runs of 1 and compared equal to (1, 2)
+    (lambda: BraidWord(3, (1.5,)), ValueError, "a braid letter must be an int, not a bool, got 1.5"),
+    (lambda: BraidWord(3, (1.0, 2)), ValueError, "a braid letter must be an int, not a bool, got 1.0"),
+    (lambda: BraidWord(3, (True, 2)), ValueError, "a braid letter must be an int, not a bool, got True"),
+    (lambda: BraidWord(3.0, (1,)), ValueError, "a strand count must be an int, not a bool, got 3.0"),
+    (lambda: SurfaceSignature(1.0, 1), ValueError, "genus must be an int, not a bool, got 1.0"),
+    (lambda: SurfaceSignature(1, True), ValueError, "holes must be an int, not a bool, got True"),
     (lambda: abelian_transitive_generator([Permutation((2, 1))], 3),
      ValueError, "on 2 points, expected 3"),
     (lambda: lemma5_generators(Permutation((2, 1)), _CYCLE),

@@ -120,19 +120,24 @@ class TestCore:
         conj, core = _core(w.blocks)
         assert FreeWord(conj) * FreeWord(core) * FreeWord(conj).inv() == w
         assert FreeWord(core).blocks == core and FreeWord(conj).blocks == conj
-        if len(core) > 1 and core[0][0] == core[-1][0]:
-            assert (core[0][1] > 0) == (core[-1][1] > 0)
+        # the cyclic run sequence: its end blocks lie on different generators
+        if len(core) > 1:
+            assert core[0][0] != core[-1][0]
+
+    def test_end_blocks_on_one_generator_merge(self):
+        # a1 a2 a1 is conjugate to a2 a1^2, whose end blocks differ
+        assert _core(((1, 1), (2, 1), (1, 1))) == (((1, 1),), ((2, 1), (1, 2)))
 
     def test_unequal_end_blocks(self):
-        # one end block is absorbed into the other, on either side
-        assert _core(((1, 3), (2, 1), (1, -1))) == (((1, 1),), ((1, 2), (2, 1)))
+        # g^a X g^b = g^a (X g^(a+b)) g^-a, whichever end block is longer
+        assert _core(((1, 3), (2, 1), (1, -1))) == (((1, 3),), ((2, 1), (1, 2)))
         assert _core(((1, 1), (2, 1), (1, -3))) == (((1, 1),), ((2, 1), (1, -2)))
         assert _core(((1, 2), (2, 5), (1, -2))) == (((1, 2),), ((2, 5),))
 
     def test_huge_exponents_stay_blocks(self):
         n = 10**9
         w = FreeWord(((2, n), (1, 7), (2, 1 - n)))
-        assert _core(w.blocks) == (((2, n - 1),), ((2, 1), (1, 7)))
+        assert _core(w.blocks) == (((2, n),), ((1, 7), (2, 1)))
 
 
 def rotations(seq):
