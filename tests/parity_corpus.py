@@ -8,9 +8,9 @@ other tests say whether they are right.  A chunk is named
 "procedure/index", and its cases come from a seed fixed by that name, so a
 chunk holds the same inputs on every Python version.  Each case gives one
 line, its input and output written with ints, tuples and the dicts of
-the records' `as_dict`, and the digest is the sha256 of the lines.  Rewriting a digest is a change to a
-check: CHANGES.md then names the chunk, the reason, and one case's old and
-new line.
+the records' `as_dict`, and the digest is the sha256 of the lines.
+Rewriting a digest is a change to a check: CHANGES.md then names the
+chunk, the reason, and one case's old and new line.
 
     PYTHONPATH=src python tests/parity_corpus.py           # compare
     PYTHONPATH=src python tests/parity_corpus.py --write   # rewrite the JSON
@@ -194,7 +194,8 @@ def free_words_chunk(index: int) -> list[str]:
         other = free_word(rng, 3, 6, 64)
         root = None if w.is_identity() else primitive_root(w)
         hit = is_conjugate_into_peripheral(w)
-        conj = [free_conjugate(w, x) for x in (d * w * d.inv(), FreeWord(core[k:] + core[:k]), w.inv(), other)]
+        rotated = FreeWord(core[k:] + core[:k])
+        conj = [free_conjugate(w, x) for x in (d * w * d.inv(), rotated, w.inv(), other)]
         line = (f"{w.blocks} -> {[(w ** n).blocks for n in range(-3, 4)]} "
                 f"{root and (root[0].blocks, root[1])} "
                 f"{hit and (hit.peripheral, hit.power, hit.trivial)} {conj}")
@@ -238,7 +239,8 @@ def go_surface_case(rng, j) -> SurfaceHom:
         images = []
         for _ in range(x):
             d = free_word(rng, 2, 2, 8)
-            images.append(d * peripheral_word(PERIPHERALS[rng.randrange(2)], rng.randint(-top, top)) * d.inv())
+            p = peripheral_word(PERIPHERALS[rng.randrange(2)], rng.randint(-top, top))
+            images.append(d * p * d.inv())
     elif kind == 2:
         images = [free_word(rng, 2, 5, top) if rng.random() < 0.5
                   else peripheral_word(PERIPHERALS[rng.randrange(3)], rng.randint(-2, 2))
