@@ -26,6 +26,7 @@ import sys
 
 from braidoka.braid import BraidWord, braid_eq, normal_form
 from braidoka.oka import TARGET_F2, SurfaceHom, SurfaceSignature, go_surface_decide
+from braidoka.three import classify3, conj3
 from braidoka.words import (
     FreeWord,
     _core,
@@ -263,12 +264,119 @@ def go_surface_chunk(index: int) -> list[str]:
     return lines
 
 
+DELTA3 = BraidWord(3, (1, 2, 1))
+THETA_CLASSES = ("central+I", "central-I", "elliptic", "parabolic", "hyperbolic")
+
+
+def rl_runs_word(rng, pairs):
+    """sigma_1^k0 sigma_2^-k1 ..., whose theta image is R^k0 L^k1 ...: a
+    hyperbolic word of `pairs` R/L run pairs, exponents 1 to 5."""
+    return BraidWord._from_runs(3, tuple((i, s * rng.randint(1, 5))
+                                         for _ in range(pairs) for i, s in ((1, 1), (2, -1))))
+
+
+def class_base(rng, kind):
+    """A B_3 word whose theta image has the given class of THETA_CLASSES:
+    Delta^(4l) and Delta^(4l+2) for the central ones; (sigma_1 sigma_2)^l,
+    3 not dividing l, or Delta^l, l odd, for elliptic; sigma_1^k
+    Delta^(2l), k up to 10^4, for parabolic; an R/L word times
+    Delta^(2l) for hyperbolic."""
+    ell = rng.randint(-2, 2)
+    if kind == "central+I":
+        return DELTA3 ** (4 * ell)
+    if kind == "central-I":
+        return DELTA3 ** (4 * ell + 2)
+    if kind == "elliptic":
+        if rng.random() < 0.5:
+            return BraidWord(3, (1, 2)) ** rng.choice((-5, -4, -2, -1, 1, 2, 4, 5))
+        return DELTA3 ** (2 * ell + 1)
+    if kind == "parabolic":
+        k = rng.choice((1, -1)) * rng.choice((rng.randint(1, 12), rng.randint(13, 10**4)))
+        return BraidWord.sigma(3, 1, k) * DELTA3 ** (2 * ell)
+    return rl_runs_word(rng, rng.randint(1, 4)) * DELTA3 ** (2 * ell)
+
+
+def conjugator(rng, j):
+    """A seeded B_3 word: a reduced word of up to 12 letters, sigma_1^k
+    with k up to 10^4, or the two multiplied."""
+    u = reduced_word(rng, 3, rng.randint(0, 12))
+    s = BraidWord.sigma(3, 1, rng.choice((1, -1)) * rng.randint(1, 10**4))
+    return (u, s, u * s, s * u)[j % 4]
+
+
+def conj3_case(rng, j):
+    """The j-th pair of `conj3_chunk` and whether it is conjugate by
+    construction (None: either).  A base of each theta class in turn is
+    paired, both sides conjugated (`conjugator`), with itself in half the
+    cases, and otherwise with a word of the same trace and exponent sum
+    that is not conjugate to it, or, for central and elliptic bases in
+    every other case, with a random word.  Equal trace and exponent sum
+    with another class only exist for parabolic and hyperbolic images:
+    there the other word is sigma_1^-12 Delta^4 times sigma_1^k Delta^(2l)
+    (shears k - 12 and k), or, for a base of 3 or 4 R/L run pairs, the
+    word read backwards, which is conjugate to it only when its cyclic
+    word reads the same backwards.
+    The central and elliptic bases take Delta^4 times the base, of equal
+    image and exponent sum 12 more."""
+    kind = THETA_CLASSES[j % 5]
+    variant = j // 5 % 4
+    b = class_base(rng, kind)
+    if variant in (0, 2):
+        other, want = b, True
+    elif kind == "parabolic":
+        other, want = BraidWord.sigma(3, 1, -12) * b * DELTA3 ** 4, False
+    elif kind == "hyperbolic":
+        b = rl_runs_word(rng, rng.randint(3, 4)) * DELTA3 ** (2 * rng.randint(-2, 2))
+        other, want = BraidWord._from_runs(3, b.runs[::-1]), None
+    elif variant == 1:
+        other, want = DELTA3 ** 4 * b, False
+    else:
+        other, want = reduced_word(rng, 3, rng.randint(0, 12)), None
+    u, v = conjugator(rng, j), conjugator(rng, j + 1)
+    return u * b * u.inv(), v * other * v.inv(), want
+
+
+def conj3_chunk(index: int) -> list[str]:
+    """conj3 of `conj3_case`, each pair in both orders: the verdict must
+    agree with the construction and be symmetric."""
+    rng = random.Random(25_000 + index)
+    lines = []
+    for j in range(CASES_PER_CHUNK):
+        b1, b2, want = conj3_case(rng, j)
+        got = conj3(b1, b2)
+        line = f"{b1.runs} {b2.runs} -> {got}"
+        assert got == conj3(b2, b1) and want in (None, got), f"wrong verdict: {line}"
+        lines.append(line)
+    return lines
+
+
+def classify3_chunk(index: int) -> list[str]:
+    """classify3 of a base of each theta class in turn (`class_base`),
+    conjugated by `conjugator`: the class must be the base's.  The line
+    keeps the record's integer and text fields: its entropy and module
+    are functions of the trace, which the line holds, and a float from the
+    platform's libm may differ in its last bit between platforms."""
+    rng = random.Random(26_000 + index)
+    lines = []
+    for j in range(CASES_PER_CHUNK):
+        b = class_base(rng, THETA_CLASSES[j % 5])
+        u = conjugator(rng, j // 5)
+        w = u * b * u.inv()
+        got = {k: v for k, v in classify3(w).as_dict().items() if not isinstance(v, float)}
+        line = f"{w.runs} -> {got}"
+        assert classify3(b).as_dict() == classify3(w).as_dict(), f"not a class function: {line}"
+        lines.append(line)
+    return lines
+
+
 CHUNKS = {
     "normal_form/0": lambda: normal_form_chunk(0),
     "normal_form/1": lambda: normal_form_turn_chunk(1),
     "braid_eq/0": lambda: braid_eq_chunk(0),
     "free_words/0": lambda: free_words_chunk(0),
     "go_surface_decide/0": lambda: go_surface_chunk(0),
+    "conj3/0": lambda: conj3_chunk(0),
+    "classify3/0": lambda: classify3_chunk(0),
 }
 
 
