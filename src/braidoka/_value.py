@@ -1,6 +1,7 @@
 """The base of braidoka's immutable records, without generated code, the
-integer readers their ``parse`` and ``from_json`` constructors share, and
-the rotation test that free-word and SL(2,Z) conjugacy share."""
+integer readers their ``parse`` and ``from_json`` constructors share, the
+integer check of their public constructors, and the rotation test that
+free-word and SL(2,Z) conjugacy share."""
 
 import sys
 from operator import attrgetter
@@ -79,6 +80,14 @@ def int_field(value, where: str) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ValueError(f"{where} must be an integer, got {value!r}")
+
+
+def check_int(value, where: str) -> None:
+    """A ValueError that names where value came from unless it is an int
+    that is not a bool: 2.0 and True compare and hash equal to 2 and 1, so
+    they would pass for them as exponents, generators and keys."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{where} must be an int, not a bool, got {value!r}")
 
 
 def _same_cycle(a: tuple, b: tuple) -> bool:

@@ -38,7 +38,7 @@ from __future__ import annotations
 from itertools import chain
 
 from . import _purekernels, perms
-from ._value import Value, read_int
+from ._value import Value, check_int, read_int
 from .errors import InternalInconsistency, NotPure, ResourceLimit, StrandMismatch
 
 TYPE_CHECKING = False
@@ -163,6 +163,8 @@ class BraidWord(Value):
 
     @staticmethod
     def sigma(n: int, i: int, exp: int = 1) -> "BraidWord":
+        check_int(i, "a braid generator")
+        check_int(exp, "a braid exponent")
         return BraidWord._from_runs(n, ((i, exp),) if exp else ())
 
     @staticmethod
@@ -195,6 +197,7 @@ class BraidWord(Value):
         one multiplication of its exponent, whatever k is; a word of several
         runs is spelled out |k| times, so ResourceLimit is raised above
         POW_MAXRUNS runs."""
+        check_int(k, "a braid power")
         runs = self.runs if k >= 0 else self.inv().runs
         k = abs(k)
         if len(runs) == 1:

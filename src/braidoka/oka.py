@@ -28,7 +28,7 @@ from ._purekernels import (
     log_spectral_radius,
     mat_mul,
 )
-from ._value import Value, int_field
+from ._value import Value, check_int, int_field
 from .errors import (
     DegenerateSignature,
     InternalInconsistency,
@@ -65,9 +65,8 @@ class SurfaceSignature(Value):
     holes: int
 
     def __init__(self, genus: int, holes: int) -> None:
-        for name, x in (("genus", genus), ("holes", holes)):
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise ValueError(f"{name} must be an int, not a bool, got {x!r}")
+        check_int(genus, "genus")
+        check_int(holes, "holes")
         if genus < 0 or holes < 1:
             raise ValueError(f"bad signature ({genus}, {holes})")
         object.__setattr__(self, "genus", genus)
@@ -92,8 +91,11 @@ class SurfaceHom(Value):
     def __init__(self, signature: SurfaceSignature, target: Literal["B3", "F2"], images: dict) -> None:
         x = signature.free_rank
         # x distinct keys, each an integer in 1..x, are exactly 1..x; the
-        # counts compare in constant memory however large x is
-        if len(images) != x or not all(isinstance(k, int) and 1 <= k <= x for k in images):
+        # counts compare in constant memory however large x is.  True
+        # equals and hashes as 1, so a bool key is refused by name
+        for k in images:
+            check_int(k, "an image key")
+        if len(images) != x or not all(1 <= k <= x for k in images):
             raise ValueError(f"need images for generators 1..{x}")
         for v in images.values():
             if target == TARGET_B3 and not isinstance(v, braid.BraidWord):

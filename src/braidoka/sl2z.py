@@ -37,6 +37,12 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .braid import BraidWord
 
+    # the entries (a, b, c, d) of [[a, b], [c, d]], as the kernels return
+    # them; the class, the parabolic invariant, the period word and
+    # conjugacy are read off them, so a caller holding theta's entries
+    # builds no SL2Matrix
+    Entries = tuple[int, int, int, int]
+
 
 class SL2Matrix(Value):
     a: int
@@ -113,13 +119,14 @@ PARABOLIC = "parabolic"
 HYPERBOLIC = "hyperbolic"
 
 
-def _kind(m: SL2Matrix) -> str:
-    """The class of m, decided once: central when b = c = 0 (then a = d =
-    +-1, and a gives the sign), else elliptic, parabolic or hyperbolic as
-    |trace| is below, at or above 2."""
-    if m.b == 0 == m.c:
-        return CENTRAL_I if m.a == 1 else CENTRAL_MINUS_I
-    t = abs(m.a + m.d)
+def _kind(m: Entries) -> str:
+    """The class of the entries m = (a, b, c, d), decided once: central
+    when b = c = 0 (then a = d = +-1, and a gives the sign), else elliptic,
+    parabolic or hyperbolic as |trace| is below, at or above 2."""
+    a, b, c, d = m
+    if b == 0 == c:
+        return CENTRAL_I if a == 1 else CENTRAL_MINUS_I
+    t = abs(a + d)
     return ELLIPTIC if t < 2 else PARABOLIC if t == 2 else HYPERBOLIC
 
 
@@ -128,8 +135,9 @@ def _kind(m: SL2Matrix) -> str:
 # ---------------------------------------------------------------------------
 
 
-def parabolic_normal_form(m: SL2Matrix) -> tuple[int, int]:
-    """(sign, shear): m is conjugate to sign * [[1, shear], [0, 1]].
+def _sign_shear(m: Entries) -> tuple[int, int]:
+    """(sign, shear) of entries m of trace +-2: m is conjugate to
+    sign * [[1, shear], [0, 1]].
 
     The pair is a complete conjugacy invariant among parabolic and central
     matrices.  n = sign*m is g [[1, shear], [0, 1]] g^-1 with first column
@@ -137,13 +145,20 @@ def parabolic_normal_form(m: SL2Matrix) -> tuple[int, int]:
     is gcd(n.b, n.c) and shear has the sign of n.b - n.c.  At +-I both
     entries are 0, which gives (+-1, 0).
     """
+    a, b, c, d = m
+    sign = 1 if a + d > 0 else -1
+    b, c = sign * b, sign * c
+    shear = math.gcd(b, c)
+    return (sign, shear if b > c else -shear)
+
+
+def parabolic_normal_form(m: SL2Matrix) -> tuple[int, int]:
+    """(sign, shear): m is conjugate to sign * [[1, shear], [0, 1]]
+    (`_sign_shear`); NotParabolic unless |trace| = 2."""
     t = m.trace
     if abs(t) != 2:
         raise NotParabolic(f"{m} has trace {t}")
-    sign = 1 if t == 2 else -1
-    b, c = sign * m.b, sign * m.c
-    shear = math.gcd(b, c)
-    return (sign, shear if b > c else -shear)
+    return _sign_shear(m.entries())
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +166,11 @@ def parabolic_normal_form(m: SL2Matrix) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _period_runs(m: SL2Matrix) -> tuple[tuple[int, int], ...]:
-    """The primitive cyclic R/L word of sign*m as the runs ((1, k0), (2, -k1),
-    (1, k2), ...) of sigma_1^k0 sigma_2^-k1 sigma_1^k2 ..., whose theta image
-    is R^k0 L^k1 R^k2 ..., where |trace| >= 3 and sign is the sign of the
-    trace.
+def _period_runs(m: Entries) -> tuple[tuple[int, int], ...]:
+    """The primitive cyclic R/L word of sign*m, for the entries m, as the
+    runs ((1, k0), (2, -k1), (1, k2), ...) of sigma_1^k0 sigma_2^-k1
+    sigma_1^k2 ..., whose theta image is R^k0 L^k1 R^k2 ..., where
+    |trace| >= 3 and sign is the sign of the trace.
 
     a, b, c, d are the entries of sign*m: the four are negated in place
     when the trace is negative, so t = a + d >= 3.  The attracting fixed
@@ -172,7 +187,7 @@ def _period_runs(m: SL2Matrix) -> tuple[tuple[int, int], ...]:
     the other.  A least period of odd length is read twice, and there every
     odd shift equals an even one.
     """
-    a, b, c, d = m.entries()
+    a, b, c, d = m
     if a + d < 0:
         a, b, c, d = -a, -b, -c, -d
     r = math.isqrt((a + d) ** 2 - 4)
@@ -209,7 +224,7 @@ def rl_factorization(
     if abs(m.trace) <= 2:
         raise ValueError("R/L factorization needs |trace| > 2")
     sign = 1 if m.trace > 0 else -1
-    period = _period_runs(m)
+    period = _period_runs(m.entries())
     root = _purekernels.theta_abcd(period)
     witness, j = root, 1
     while witness[0] + witness[3] < abs(m.trace):
@@ -220,9 +235,10 @@ def rl_factorization(
     return sign, runs * j, SL2Matrix(*witness)
 
 
-def sl2z_conjugate(m: SL2Matrix, n: SL2Matrix) -> bool:
-    """Conjugacy in SL(2,Z)."""
-    if m.trace != n.trace:
+def _conjugate(m: Entries, n: Entries) -> bool:
+    """Conjugacy in SL(2,Z) of the entries m and n, by the invariant of
+    their class."""
+    if m[0] + m[3] != n[0] + n[3]:
         return False
     kind = _kind(m)
     if kind != _kind(n):
@@ -230,8 +246,13 @@ def sl2z_conjugate(m: SL2Matrix, n: SL2Matrix) -> bool:
     if kind in (CENTRAL_I, CENTRAL_MINUS_I):
         return True  # equal traces make m = n
     if kind == PARABOLIC:
-        return parabolic_normal_form(m) == parabolic_normal_form(n)
+        return _sign_shear(m) == _sign_shear(n)
     if kind == ELLIPTIC:
-        return (m.c > 0) == (n.c > 0)
+        return (m[2] > 0) == (n[2] > 0)
     # equal traces fix the sign and the power of the primitive word
     return _same_cycle(_period_runs(m), _period_runs(n))
+
+
+def sl2z_conjugate(m: SL2Matrix, n: SL2Matrix) -> bool:
+    """Conjugacy in SL(2,Z) (`_conjugate`)."""
+    return _conjugate(m.entries(), n.entries())

@@ -24,9 +24,9 @@ from .sl2z import (
     CENTRAL_MINUS_I,
     ELLIPTIC,
     PARABOLIC,
+    _conjugate,
     _kind,
-    parabolic_normal_form,
-    sl2z_conjugate,
+    _sign_shear,
     theta,
 )
 
@@ -122,10 +122,10 @@ def classify3(b: BraidWord) -> ThreeBraidClass:
     """
     if b.strands != 3:
         raise WrongStrandCount(f"classify3 needs B_3, got B_{b.strands}")
-    m = theta(b)
+    m = theta(b).entries()
     es = exponent_sum(b)
     kind = _kind(m)
-    t = m.trace
+    t = m[0] + m[3]
 
     if kind in (CENTRAL_I, CENTRAL_MINUS_I):
         # b = Delta^{2l}; also reducible as sigma_1^0 Delta^{2l}
@@ -145,7 +145,7 @@ def classify3(b: BraidWord) -> ThreeBraidClass:
             raise InternalInconsistency("trace-0 image with even Delta power")
         return ThreeBraidClass(PERIODIC, t, es, base="delta", ell=ell)
     if kind == PARABOLIC:
-        sign, k = parabolic_normal_form(m)
+        sign, k = _sign_shear(m)
         ell = _exact_div(es - k, 6, "reducible Delta^2 power")
         if (sign == -1) != (ell % 2 == 1):
             raise InternalInconsistency("parabolic sign does not match ell parity")
@@ -173,13 +173,14 @@ def conj3(b1: BraidWord, b2: BraidWord) -> bool:
 
     Sound and complete: theta is onto, its kernel is generated by the
     central element Delta^4, and Delta^4 has exponent sum 12, so matching
-    exponent sums pin down the central ambiguity.
+    exponent sums pin down the central ambiguity.  The images are decided
+    on their entries, as the kernel returns them (`sl2z._conjugate`).
     """
     if b1.strands != 3 or b2.strands != 3:
         raise WrongStrandCount("conj3 needs B_3 words")
     if exponent_sum(b1) != exponent_sum(b2):
         return False
-    return sl2z_conjugate(theta(b1), theta(b2))
+    return _conjugate(_purekernels.theta_abcd(b1.runs), _purekernels.theta_abcd(b2.runs))
 
 
 def centralizer_check(b: BraidWord, k: int) -> bool:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 
-from ._value import Value, _same_cycle, read_int
+from ._value import Value, _same_cycle, check_int, read_int
 from .errors import IdentityInput, ResourceLimit
 
 TYPE_CHECKING = False
@@ -94,8 +94,21 @@ class FreeWord(Value):
     blocks: tuple[Block, ...]
 
     def __init__(self, blocks: tuple[Block, ...] = ()) -> None:
+        blocks = tuple(blocks)
+        for gen, exp in blocks:
+            check_int(gen, "a free-word generator")
+            check_int(exp, "a free-word exponent")
         object.__setattr__(self, "blocks", blocks)
         self.__post_init__()
+
+    @staticmethod
+    def _from_blocks(blocks: tuple[Block, ...]) -> "FreeWord":
+        """The word of blocks of ints, reduced, with no check of their
+        type: the constructor of the module's own operations."""
+        self = object.__new__(FreeWord)
+        object.__setattr__(self, "blocks", blocks)
+        self.__post_init__()
+        return self
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "blocks", _merge_blocks(self.blocks))
@@ -140,15 +153,16 @@ class FreeWord(Value):
     # -- group operations ----------------------------------------------------
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
-        return FreeWord(self.blocks + other.blocks)
+        return FreeWord._from_blocks(self.blocks + other.blocks)
 
     def inv(self) -> "FreeWord":
-        return FreeWord(_inverse(self.blocks))
+        return FreeWord._from_blocks(_inverse(self.blocks))
 
     def __pow__(self, n: int) -> "FreeWord":
         """conj * core^n * conj^-1; a one-block core takes one multiplication
         of its exponent, whatever n is.  A longer core is spelled out n
         times, so ResourceLimit is raised above POW_MAXBLOCKS blocks."""
+        check_int(n, "a free-word power")
         if n == 0:
             return FreeWord()
         conj, core = _core(self.blocks)
@@ -160,7 +174,7 @@ class FreeWord(Value):
             raise ResourceLimit(f"a power of {len(core) * n} blocks exceeds POW_MAXBLOCKS = {POW_MAXBLOCKS}")
         else:
             middle = core * n
-        return FreeWord(conj + middle + _inverse(conj))
+        return FreeWord._from_blocks(conj + middle + _inverse(conj))
 
 
 def commutator(u: FreeWord, v: FreeWord) -> FreeWord:
@@ -186,11 +200,11 @@ def primitive_root(w: FreeWord) -> tuple[FreeWord, int]:
     conj, core = _core(w.blocks)
     if len(core) == 1:
         g, e = core[0]
-        return FreeWord(conj + ((g, 1 if e > 0 else -1),) + _inverse(conj)), abs(e)
+        return FreeWord._from_blocks(conj + ((g, 1 if e > 0 else -1),) + _inverse(conj)), abs(e)
     n = len(core)
     for p in range(1, n + 1):
         if n % p == 0 and core[p:] == core[:n - p]:
-            return FreeWord(conj + core[:p] + _inverse(conj)), n // p
+            return FreeWord._from_blocks(conj + core[:p] + _inverse(conj)), n // p
     raise AssertionError("unreachable: every sequence has period = its length")
 
 

@@ -101,6 +101,22 @@ def test_conj(capsys):
     assert code == 2
 
 
+# one pair per theta class, as the CI's installed-script step runs them:
+# central, elliptic, parabolic, sigma_1^13 against sigma_1 Delta^4 (equal
+# trace and exponent sum, shears 13 and 1), and two hyperbolic words of
+# trace 15 and exponent sum 0 whose R/L words do not rotate into each other
+@pytest.mark.parametrize("a, b, code", [
+    ("1 2 1 1 2 1", "2 1 2 2 1 2", 0),
+    ("1 2", "2 1", 0),
+    ("1^3", "2^3", 0),
+    ("1^13", "1 1 2 1 1 2 1 1 2 1 1 2 1", 2),
+    ("1 1 -2 -2 1 -2", "1 1 -2 1 -2 -2", 2),
+])
+def test_conj_exit_code_per_class(capsys, a, b, code):
+    got, payload = run(capsys, "conj", "--a", a, "--b", b)
+    assert got == code and payload["conjugate"] == (code == 0)
+
+
 def test_run_syntax_costs_the_bit_length(capsys):
     t0 = time.perf_counter()
     code, payload = run(capsys, "conj", "--a", "1^1000000000 2", "--b", "2 1^1000000000")

@@ -117,6 +117,22 @@ ROWS = [
     (lambda: BraidWord(3, (1.0, 2)), ValueError, "a braid letter must be an int, not a bool, got 1.0"),
     (lambda: BraidWord(3, (True, 2)), ValueError, "a braid letter must be an int, not a bool, got True"),
     (lambda: BraidWord(3.0, (1,)), ValueError, "a strand count must be an int, not a bool, got 3.0"),
+    # all were accepted: normal_form of sigma(3, 1.5) raised TypeError,
+    # sigma(3, 1, 2.0) compared equal to BraidWord(3, (1, 1)) and the power
+    # kept the exponent 2.0 in its run
+    (lambda: BraidWord.sigma(3, 1.5), ValueError, "a braid generator must be an int, not a bool, got 1.5"),
+    (lambda: BraidWord.sigma(3, 1, 2.0), ValueError, "a braid exponent must be an int, not a bool, got 2.0"),
+    (lambda: BraidWord.sigma(3, True), ValueError, "a braid generator must be an int, not a bool, got True"),
+    (lambda: BraidWord(3, (1,)) ** 2.0, ValueError, "a braid power must be an int, not a bool, got 2.0"),
+    (lambda: BraidWord(3, (1, 2)) ** True, ValueError, "a braid power must be an int, not a bool, got True"),
+    # all were accepted, and the bool key compared equal to the homomorphism
+    # keyed 1, 2 while keeping True in its images
+    (lambda: FreeWord.gen(1.5), ValueError, "a free-word generator must be an int, not a bool, got 1.5"),
+    (lambda: FreeWord(((1, 2.0),)), ValueError, "a free-word exponent must be an int, not a bool, got 2.0"),
+    (lambda: FreeWord(((True, 1),)), ValueError, "a free-word generator must be an int, not a bool, got True"),
+    (lambda: FreeWord.gen(1) ** 2.0, ValueError, "a free-word power must be an int, not a bool, got 2.0"),
+    (lambda: SurfaceHom(SurfaceSignature(1, 1), "F2", {True: FreeWord.gen(1), 2: FreeWord.gen(2)}),
+     ValueError, "an image key must be an int, not a bool, got True"),
     (lambda: SurfaceSignature(1.0, 1), ValueError, "genus must be an int, not a bool, got 1.0"),
     (lambda: SurfaceSignature(1, True), ValueError, "holes must be an int, not a bool, got True"),
     (lambda: abelian_transitive_generator([Permutation((2, 1))], 3),

@@ -9,7 +9,7 @@ from braidoka import _purekernels
 from braidoka._purekernels import mat_inv, mat_mul
 from braidoka.braid import BraidWord, braid_eq, delta, exponent_sum, permutation
 from braidoka.errors import ResourceLimit, WrongStrandCount
-from braidoka.sl2z import PARABOLIC, _kind, sl2z_conjugate, theta
+from braidoka.sl2z import PARABOLIC, SL2Matrix, _kind, sl2z_conjugate, theta
 from braidoka.three import (
     MIN_PA_ENTROPY,
     PSEUDO_ANOSOV,
@@ -85,7 +85,7 @@ class TestClassify:
             kinds[c.kind] += 1
             if permutation(b).is_n_cycle():
                 assert c.kind != REDUCIBLE
-                assert _kind(theta(b)) != PARABOLIC
+                assert _kind(theta(b).entries()) != PARABOLIC
         assert all(v > 0 for v in kinds.values())
 
     def test_module_times_entropy(self):
@@ -185,6 +185,37 @@ class TestConj3:
             targets = classes[key(b1)]
             for b2 in words:
                 assert conj3(b1, b2) == (key(b2) in targets), (b1, b2)
+
+
+class TestDecidedOnEntries:
+    """conj3 decides on theta's entries as the kernel returns them and
+    builds no SL2Matrix; classify3 builds the one that theta(b) returns.
+    Constructions are counted through SL2Matrix.__post_init__, which
+    every construction calls."""
+
+    # one word of each theta class, with a conjugate that passes through
+    # each step of its class: Delta^4, Delta^2, elliptic, parabolic, and
+    # hyperbolic conjugated by sigma_1^5000
+    WORDS = ("1 2 1 1 2 1 1 2 1 1 2 1", "1 2 1 1 2 1", "1 2", "1 1 1 2 1 1 2 1", "1 1 -2 -2 1 -2")
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        out = []
+        orig = SL2Matrix.__post_init__
+        monkeypatch.setattr(SL2Matrix, "__post_init__", lambda self: (out.append(self), orig(self)))
+        return out
+
+    @pytest.mark.parametrize("text", WORDS)
+    def test_conj3_builds_no_matrix(self, built, text):
+        b, u = w3(text), BraidWord.sigma(3, 1, 5000) * w3("2 -1")
+        assert conj3(b, u * b * u.inv())
+        assert not conj3(b, b * w3("1 2 1") ** 4)
+        assert built == []
+
+    @pytest.mark.parametrize("text", WORDS)
+    def test_classify3_builds_one_matrix(self, built, text):
+        classify3(w3(text))
+        assert len(built) == 1
 
 
 class TestCentralizer:

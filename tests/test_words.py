@@ -76,6 +76,19 @@ class TestReduce:
         with pytest.raises(ValueError, match="cannot parse free-word token"):
             FreeWord.parse(text)
 
+    def test_every_construction_calls_post_init(self, monkeypatch):
+        # the operations build through the unchecked FreeWord._from_blocks,
+        # and perfbench's tracer counts constructions by wrapping
+        # __post_init__, which reduces the blocks
+        calls = []
+        orig = FreeWord.__post_init__
+        monkeypatch.setattr(FreeWord, "__post_init__", lambda self: (calls.append(self), orig(self)))
+        w = FreeWord(((1, 2), (2, -1), (1, -2)))
+        made = [w, FreeWord.gen(2), FreeWord.parse("a1 a2"), w * w, w.inv(), w ** 3, w ** -2,
+                primitive_root(w ** 2)[0], primitive_root(a1 ** 4)[0]]
+        assert all(any(c is m for c in calls) for m in made)
+        assert (w * w.inv()).blocks == () and (w ** 3).blocks == ((1, 2), (2, -3), (1, -2))
+
 
 class TestPower:
     @given(letters_strategy, st.integers(-5, 5))
