@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from . import _purekernels
-from ._purekernels import log_spectral_radius, mat_inv, mat_mul
+from ._purekernels import log_spectral_radius, mat_mul
 from ._value import Value
 from .braid import BraidWord, exponent_sum
 from .errors import InternalInconsistency, ResourceLimit, WrongStrandCount
@@ -41,10 +41,11 @@ PSEUDO_ANOSOV = "pseudoAnosov"
 # log((3 + sqrt 5)/2): smallest nonzero entropy among 3-braids, at |trace| 3
 MIN_PA_ENTROPY = math.log((3 + math.sqrt(5)) / 2)
 
-# largest zero_entropy_commutator_scan input: maxlen 7 takes about 0.11 s
-# (pure Python 3.11, 2-core Xeon VM); at maxlen 8 the image pass takes
-# 35 ms, but the report lists 1.43M word pairs, about 265 MB, in 8 s
-SCAN_MAXLEN = 7
+# largest zero_entropy_commutator_scan input: maxlen 11 takes about 0.5 s
+# and 115 MB max RSS (pure Python 3.11, 2-core Xeon VM) and reports 17,504
+# image-pair rows; maxlen 12 took 1.6 s and 322 MB, for the word list
+# triples with each letter
+SCAN_MAXLEN = 11
 
 
 class ThreeBraidClass(Value):
@@ -202,8 +203,19 @@ def centralizer_check(b: BraidWord, k: int) -> bool:
 
 
 class CommutatorPair(Value):
+    """One ordered pair of theta images (m1, m2) that the scan finds.
+
+    b1 and b2 are the least words of the two image groups, and b1_words and
+    b2_words count the words of each, so the row stands for b1_words *
+    b2_words word pairs.  Every other field depends on the images alone.
+    markov is the sorted Markov triple (a, b, c) whose triple 3 (a, b, c)
+    is (tr m1, tr m2, tr m1 m2) up to order and signs (fact (F)).
+    """
+
     b1: tuple[int, ...]
     b2: tuple[int, ...]
+    b1_words: int
+    b2_words: int
     commutator_trace: int
     entropy_b1: float
     entropy_b2: float
@@ -211,11 +223,14 @@ class CommutatorPair(Value):
     b2_pure: bool
     entropy_b2b1inv: float
     entropy_b2b1inv2: float
+    markov: tuple[int, int, int]
 
     def __init__(
         self,
         b1: tuple[int, ...],
         b2: tuple[int, ...],
+        b1_words: int,
+        b2_words: int,
         commutator_trace: int,
         entropy_b1: float,
         entropy_b2: float,
@@ -223,9 +238,12 @@ class CommutatorPair(Value):
         b2_pure: bool,
         entropy_b2b1inv: float,
         entropy_b2b1inv2: float,
+        markov: tuple[int, int, int],
     ) -> None:
         object.__setattr__(self, "b1", b1)
         object.__setattr__(self, "b2", b2)
+        object.__setattr__(self, "b1_words", b1_words)
+        object.__setattr__(self, "b2_words", b2_words)
         object.__setattr__(self, "commutator_trace", commutator_trace)
         object.__setattr__(self, "entropy_b1", entropy_b1)
         object.__setattr__(self, "entropy_b2", entropy_b2)
@@ -233,30 +251,35 @@ class CommutatorPair(Value):
         object.__setattr__(self, "b2_pure", b2_pure)
         object.__setattr__(self, "entropy_b2b1inv", entropy_b2b1inv)
         object.__setattr__(self, "entropy_b2b1inv2", entropy_b2b1inv2)
+        object.__setattr__(self, "markov", markov)
 
 
 class CommutatorScanReport(Value):
     maxlen: int
     words_scanned: int
-    pairs: tuple[CommutatorPair, ...]
+    pairs: tuple[CommutatorPair, ...]  # one row per ordered image pair
 
     def __init__(self, maxlen: int, words_scanned: int, pairs: tuple[CommutatorPair, ...]) -> None:
         object.__setattr__(self, "maxlen", maxlen)
         object.__setattr__(self, "words_scanned", words_scanned)
         object.__setattr__(self, "pairs", pairs)
 
-    def contains(self, w1: tuple[int, ...], w2: tuple[int, ...]) -> bool:
-        return any(p.b1 == w1 and p.b2 == w2 for p in self.pairs)
+    @property
+    def pair_count(self) -> int:
+        """The word pairs found: each row stands for b1_words * b2_words."""
+        return sum(p.b1_words * p.b2_words for p in self.pairs)
 
     def as_dict(self) -> dict:
         return {
             "maxlen": self.maxlen,
             "wordsScanned": self.words_scanned,
-            "pairCount": len(self.pairs),
+            "pairCount": self.pair_count,
             "pairs": [
                 {
                     "b1": list(p.b1),
                     "b2": list(p.b2),
+                    "b1Words": p.b1_words,
+                    "b2Words": p.b2_words,
                     "commutatorTrace": p.commutator_trace,
                     "entropyB1": p.entropy_b1,
                     "entropyB2": p.entropy_b2,
@@ -264,33 +287,51 @@ class CommutatorScanReport(Value):
                     "b2Pure": p.b2_pure,
                     "entropyB2B1inv": p.entropy_b2b1inv,
                     "entropyB2B1inv2": p.entropy_b2b1inv2,
+                    "markov": list(p.markov),
                 }
                 for p in self.pairs
             ],
         }
 
 
-def _reduced_words3(maxlen: int) -> list[tuple[tuple[int, ...], tuple[int, int, int, int]]]:
-    """Every reduced B_3 word of length 1 to maxlen, with its theta image.
+def _image_groups3(maxlen: int) -> tuple[int, dict[tuple[int, int, int, int], list]]:
+    """The number of reduced B_3 words of length 1 to maxlen, and for each
+    of their theta images [least word, word count].
+
     A word's image is its prefix's times the image of its last letter, two
-    additions as in `_purekernels.theta_abcd` with k = +-1."""
-    words = []
+    additions as in `_purekernels.theta_abcd` with k = +-1.  Counting the
+    words per state (image, last letter) instead of listing them measured
+    slower at maxlen 5, where the benchmark's `sweeps` workload runs the
+    scan (0.36 against 0.18 ms), and faster at SCAN_MAXLEN (0.11 against
+    0.23 s), which it would not raise: the scan at maxlen 12 still took
+    0.74 s that way (pure Python 3.11, 2-core Xeon VM).
+    """
+    groups: dict[tuple[int, int, int, int], list] = {}
+    total = 0
     frontier: list = [((), (1, 0, 0, 1))]
     for _ in range(maxlen):
         nxt = []
         for w, (a, b, c, d) in frontier:
             last = w[-1] if w else 0
-            if last != -1:
-                nxt.append((w + (1,), (a, b + a, c, d + c)))
             if last != 1:
                 nxt.append((w + (-1,), (a, b - a, c, d - c)))
-            if last != -2:
-                nxt.append((w + (2,), (a - b, b, c - d, d)))
+            if last != -1:
+                nxt.append((w + (1,), (a, b + a, c, d + c)))
             if last != 2:
                 nxt.append((w + (-2,), (a + b, b, c + d, d)))
-        words.extend(nxt)
+            if last != -2:
+                nxt.append((w + (2,), (a - b, b, c - d, d)))
+        total += len(nxt)
+        for w, m in nxt:
+            group = groups.get(m)
+            if group is None:
+                groups[m] = [w, 1]
+            else:
+                group[1] += 1
+                if w < group[0]:
+                    group[0] = w
         frontier = nxt
-    return words
+    return total, groups
 
 
 def _is_pure(m) -> bool:
@@ -314,7 +355,8 @@ def _fricke_roots(t1: int, t2: int) -> tuple[int, ...]:
 
 def zero_entropy_commutator_scan(maxlen: int) -> CommutatorScanReport:
     """Find pairs (b1, b2) whose commutator is nontrivial yet has entropy
-    zero, among all reduced words of length <= maxlen.
+    zero, among all reduced words of length <= maxlen, one row per ordered
+    pair of theta images.
 
     Each pair carries the entropies of b1 and b2, which are both positive:
     by (E) below, a braid of entropy zero commutes with every braid whose
@@ -322,13 +364,22 @@ def zero_entropy_commutator_scan(maxlen: int) -> CommutatorScanReport:
     hypotheses of the commuting-criterion corollary (b1, b2 and the
     commutator all of entropy zero), and the scan needs no check of it.
 
-    Every field of a pair depends only on m1 = theta(b1) and m2 = theta(b2),
-    so the words are grouped by theta image and each pair of images is
-    tested once.  The commutator has exponent sum 0 and the kernel of theta
-    is <Delta^4>, of exponent sum 12, so the commutator is trivial exactly
+    Every field of a pair but its words depends only on m1 = theta(b1) and
+    m2 = theta(b2), so the words are grouped by theta image and each pair
+    of images is tested once.  Its row holds the least word and the word
+    count of each group; every word of the first group pairs with every
+    word of the second, so the rows stand for `pair_count` word pairs.
+    The commutator has exponent sum 0 and the kernel of theta is
+    <Delta^4>, of exponent sum 12, so the commutator is trivial exactly
     when m1 and m2 commute.  b is pure exactly when theta(b) = I mod 2,
     because theta mod 2 induces S_3 = SL(2,F_2) on the quotient by the pure
     braids.
+
+    Cost (pure Python 3.11, 2-core Xeon VM): maxlen 5 about 0.8 ms, 7
+    about 15 ms (1,824 rows for 31,536 word pairs), 10 about 0.3 s, and
+    SCAN_MAXLEN = 11 about 0.5 s and 115 MB max RSS (17,504 rows for
+    62,103,024 word pairs).  Most of it is the word list, which triples
+    with each letter.
 
     The image pairs are tested per trace class, through the Fricke identity
     tr[m1, m2] = t1^2 + t2^2 + t12^2 - t1 t2 t12 - 2 (Goldman, Trace
@@ -375,8 +426,9 @@ def zero_entropy_commutator_scan(maxlen: int) -> CommutatorScanReport:
         Arch. Math. Phys. 11, 1907; H. Cohn, Ann. of Math. 61, 1955;
         M. Aigner, Markov's Theorem and 100 Years of the Uniqueness
         Conjecture, 2013).  It prunes nothing beyond (C)'s perfect-square
-        test, so it serves as an oracle: the Markov tree lists every trace
-        triple a found pair may have, without `_fricke_roots`.
+        test, so it serves as a label and an oracle: each row carries its
+        Markov triple, and the Markov tree lists every triple a found pair
+        may have, without `_fricke_roots`.
 
     [m1, m2] and [m2, m1] are inverse, so one test covers both orders.  A
     found pair that commutes contradicts (A) and raises
@@ -387,17 +439,14 @@ def zero_entropy_commutator_scan(maxlen: int) -> CommutatorScanReport:
         raise ValueError("maxlen must be >= 0")
     if maxlen > SCAN_MAXLEN:
         raise ResourceLimit(f"commutator scan is limited to maxlen <= {SCAN_MAXLEN}")
-    words = _reduced_words3(maxlen)
-    groups: dict[tuple[int, int, int, int], list[tuple[int, ...]]] = {}
-    for w, m in words:
-        groups.setdefault(m, []).append(w)
+    words_scanned, groups = _image_groups3(maxlen)
     classes: dict[int, list[tuple[int, int, int, int]]] = {}
     for m in groups:
         if abs(m[0] + m[3]) > 2:
             classes.setdefault(m[0] + m[3], []).append(m)
     traces = list(classes)
 
-    found = []  # (m1, m2) for each ordered pair of images
+    found = []  # (m1, m2, tr m1 m2) for each unordered pair of images
     for i, t1 in enumerate(traces):
         for t2 in traces[i:]:
             roots = _fricke_roots(t1, t2)
@@ -407,29 +456,31 @@ def zero_entropy_commutator_scan(maxlen: int) -> CommutatorScanReport:
             for k, m1 in enumerate(block):
                 a, b, c, d = m1
                 for m2 in block[k + 1:] if t1 == t2 else classes[t2]:
-                    if a * m2[0] + b * m2[2] + c * m2[1] + d * m2[3] not in roots:
+                    t12 = a * m2[0] + b * m2[2] + c * m2[1] + d * m2[3]
+                    if t12 not in roots:
                         continue
                     if mat_mul(m1, m2) == mat_mul(m2, m1):
                         raise InternalInconsistency(
                             f"images {m1}, {m2} commute with tr[m1, m2] = -2, "
                             "but in SL(2,Z) tr[m1, m2] = 2 exactly when m1 and m2 commute"
                         )
-                    found += [(m1, m2), (m2, m1)]
+                    found.append((m1, m2, t12))
 
     pairs = []
-    for m1, m2 in found:
-        m1i = mat_inv(m1)
-        m21i = mat_mul(m2, m1i)
-        m21ii = mat_mul(m21i, m1i)
-        hb1 = log_spectral_radius(m1[0] + m1[3])
-        hb2 = log_spectral_radius(m2[0] + m2[3])
-        h1 = log_spectral_radius(m21i[0] + m21i[3])
-        h2 = log_spectral_radius(m21ii[0] + m21ii[3])
-        b1_pure, b2_pure = _is_pure(m1), _is_pure(m2)
-        pairs += [
-            CommutatorPair(w1, w2, -2, hb1, hb2, b1_pure, b2_pure, h1, h2)
-            for w1 in groups[m1]
-            for w2 in groups[m2]
-        ]
+    for m1, m2, t12 in found:
+        # tr(m2 m1^-1) = t1 t2 - t12 = tr(m1 m2^-1), and m1^-2 = t1 m1^-1 - I
+        # by Cayley-Hamilton, so tr(m2 m1^-2) = t1 u - t2
+        t1, t2 = m1[0] + m1[3], m2[0] + m2[3]
+        u = t1 * t2 - t12
+        h1, h2, hu = log_spectral_radius(t1), log_spectral_radius(t2), log_spectral_radius(u)
+        pure1, pure2 = _is_pure(m1), _is_pure(m2)
+        markov = tuple(sorted((abs(t1) // 3, abs(t2) // 3, abs(t12) // 3)))
+        (w1, k1), (w2, k2) = groups[m1], groups[m2]
+        pairs += (
+            CommutatorPair(w1, w2, k1, k2, -2, h1, h2, pure1, pure2, hu,
+                           log_spectral_radius(t1 * u - t2), markov),
+            CommutatorPair(w2, w1, k2, k1, -2, h2, h1, pure2, pure1, hu,
+                           log_spectral_radius(t2 * u - t1), markov),
+        )
     pairs.sort(key=lambda p: (p.b1, p.b2))
-    return CommutatorScanReport(maxlen, len(words), tuple(pairs))
+    return CommutatorScanReport(maxlen, words_scanned, tuple(pairs))

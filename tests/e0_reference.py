@@ -17,6 +17,12 @@ here.
 `zero_entropy_commutator_scan_allpairs` is the scan's later image pass,
 which tested every pair of theta images, kept to check the pruning of that
 pass where the word-by-word reference is too slow.
+
+Both scans return (words scanned, word pairs): one plain tuple per word
+pair, (b1, b2, commutator trace, entropy of b1, entropy of b2, b1 pure,
+b2 pure, entropy of b2 b1^-1, entropy of b2 b1^-2), sorted.  The scan under
+test reports one row per pair of theta images instead; the tests group
+these word pairs by image pair to compare.
 """
 
 from __future__ import annotations
@@ -36,12 +42,7 @@ from braidoka.oka import (
     e0_set,
 )
 from braidoka.sl2z import theta
-from braidoka.three import (
-    CommutatorPair,
-    CommutatorScanReport,
-    entropy3,
-    log_spectral_radius,
-)
+from braidoka.three import entropy3, log_spectral_radius
 from braidoka.words import FreeWord
 
 from braid_helpers import theta_letters
@@ -103,7 +104,7 @@ def _scan_chunk(words, lo, hi):
     return found
 
 
-def zero_entropy_commutator_scan_reference(maxlen: int) -> CommutatorScanReport:
+def zero_entropy_commutator_scan_reference(maxlen: int) -> tuple[int, tuple[tuple, ...]]:
     if maxlen > 10:
         raise ResourceLimit("commutator scan is limited to maxlen <= 10")
     words = _reduced_words(maxlen)
@@ -125,19 +126,17 @@ def zero_entropy_commutator_scan_reference(maxlen: int) -> CommutatorScanReport:
                     f"pair {w1}, {w2} satisfies the corollary hypotheses "
                     "but has a nontrivial commutator"
                 )
-        pairs.append(
-            CommutatorPair(w1, w2, theta(comm).trace, hb1, hb2, b1_pure, b2_pure, h1, h2)
-        )
-    return CommutatorScanReport(maxlen, len(words), tuple(pairs))
+        pairs.append((w1, w2, theta(comm).trace, hb1, hb2, b1_pure, b2_pure, h1, h2))
+    return len(words), tuple(pairs)
 
 
-def zero_entropy_commutator_scan_allpairs(maxlen: int) -> CommutatorScanReport:
+def zero_entropy_commutator_scan_allpairs(maxlen: int) -> tuple[int, tuple[tuple, ...]]:
     """`braidoka.three.zero_entropy_commutator_scan` as it was before its
-    image pass went per trace class: every unordered pair of distinct theta
-    images is tested by the Fricke identity and a commutation check.  Its
-    grouping by theta and its rows are built as in the code under test, so
-    it checks only the pruning of the image pairs, at maxlens where the
-    word-by-word reference is too slow."""
+    image pass went per trace class and its report went per image pair:
+    every unordered pair of distinct theta images is tested by the Fricke
+    identity and a commutation check, and each found image pair is
+    expanded into its word pairs.  It checks the pruning of the image
+    pairs at maxlens where the word-by-word reference is too slow."""
     words = _reduced_words(maxlen)
     groups: dict[tuple[int, int, int, int], list[tuple[int, ...]]] = {}
     for w in words:
@@ -169,9 +168,9 @@ def zero_entropy_commutator_scan_allpairs(maxlen: int) -> CommutatorScanReport:
         b1_pure = m1[1] % 2 == 0 and m1[2] % 2 == 0
         b2_pure = m2[1] % 2 == 0 and m2[2] % 2 == 0
         pairs += [
-            CommutatorPair(w1, w2, t, hb1, hb2, b1_pure, b2_pure, h1, h2)
+            (w1, w2, t, hb1, hb2, b1_pure, b2_pure, h1, h2)
             for w1 in groups[m1]
             for w2 in groups[m2]
         ]
-    pairs.sort(key=lambda p: (p.b1, p.b2))
-    return CommutatorScanReport(maxlen, len(words), tuple(pairs))
+    pairs.sort()
+    return len(words), tuple(pairs)

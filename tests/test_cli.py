@@ -441,7 +441,7 @@ CASES = {
     "nf": [(["--braid", "1 2 -1", "--n", "4"], 0), (["--braid", "1^-3 2 4 -3 1", "--n", "5"], 0)],
     "linking": [(["--braid", "1 1", "--n", "3"], 0)],
     "conj": [(["--a", "1", "--b", "2"], 0), (["--a", "1 1", "--b", "2"], 2)],
-    "scan-commutators": [(["--maxlen", "2"], 0), (["--maxlen", "7"], 0)],
+    "scan-commutators": [(["--maxlen", "2"], 0), (["--maxlen", "7"], 0), (["--maxlen", "11"], 0)],
     "disc-index": [(["--family", "{family}", "--samples", "64"], 0)],
     "thm1": [(["--n", "3", "--modulus", "30", "--index", "6"], 0),
              (["--n", "3", "--modulus", "30", "--index", "2"], 2)],
@@ -656,11 +656,13 @@ def test_malformed_input_is_one_json_error_line(sub, text, extra, tmp_path):
 
 
 def test_closed_stdout_keeps_the_verdict_and_stderr_quiet():
-    # a reader that stops after 10 of about 157 kB, as `| head -c 10` does;
-    # the write then fails with EPIPE, which was reported as an input error
+    # a reader that stops after 10 of about 970 kB, as `| head -c 10` does;
+    # the write then fails with EPIPE, which was reported as an input error.
+    # The output must outgrow the pipe buffer (64 kB on Linux), so that the
+    # write is still open when the reader closes
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.Popen(
-        [sys.executable, "-m", "braidoka.cli", "scan-commutators", "--maxlen", "4"],
+        [sys.executable, "-m", "braidoka.cli", "scan-commutators", "--maxlen", "6"],
         env={**os.environ, "PYTHONPATH": str(src)},
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )

@@ -50,9 +50,6 @@ KEEP = {
     "LatticeSpec.from_generators": "constructor: the lattice of two generators, normalized",
     "Permutation.transposition": "constructor: the adjacent transposition (i, i+1) of S_n",
     "LinkingNumbers.unordered": "accessor: the linking numbers as a sorted tuple",
-    "CommutatorScanReport.contains": "accessor of the scan report, until the "
-                                     "one-row-per-image-pair report replaces its "
-                                     "pair list (ROADMAP item 7)",
     "free_conjugate": "feature README lists: conjugacy of free words",
     "e0_set": "feature README lists: the five-element screen's test words, "
               "as a fresh list; oka3_decide reads its witness from the same "

@@ -16,6 +16,8 @@ from braidoka.three import (
     PERIODIC,
     REDUCIBLE,
     SCAN_MAXLEN,
+    CommutatorPair,
+    CommutatorScanReport,
     _fricke_roots,
     classify3,
     centralizer_check,
@@ -26,7 +28,7 @@ from braidoka.three import (
     zero_entropy_commutator_scan,
 )
 
-from braid_helpers import enumerate_words
+from braid_helpers import enumerate_words, theta_letters
 from e0_reference import (
     zero_entropy_commutator_scan_allpairs,
     zero_entropy_commutator_scan_reference,
@@ -261,19 +263,20 @@ class TestCommutatorScan:
 
     def test_finds_example_pair(self):
         rep = zero_entropy_commutator_scan(2)
-        assert rep.contains((-2, 1), (2, -1))
-        pair = next(p for p in rep.pairs if p.b1 == (-2, 1) and p.b2 == (2, -1))
+        (pair,) = [p for p in rep.pairs if p.b1 == (-2, 1) and p.b2 == (2, -1)]
         # the commutator is central times sigma_2^-6: trace -2, not id
         assert pair.commutator_trace == -2
         assert not pair.b1_pure and not pair.b2_pure
         assert pair.entropy_b2b1inv > 0 or pair.entropy_b2b1inv2 > 0
+        assert (pair.b1_words, pair.b2_words, pair.markov) == (1, 1, (1, 1, 1))
 
     def test_found_pairs_have_pseudo_anosov_inputs(self):
         # fact (E): a braid of entropy zero commutes with every braid whose
         # commutator with it has entropy zero, so no found pair meets the
         # corollary's hypotheses
         rep = zero_entropy_commutator_scan(7)
-        assert len(rep.pairs) == 31536
+        assert len(rep.pairs) == 1824
+        assert rep.pair_count == sum(p.b1_words * p.b2_words for p in rep.pairs) == 31536
         assert all(p.entropy_b1 > 0 and p.entropy_b2 > 0 for p in rep.pairs)
 
     def test_trace_triples_are_three_times_markov(self):
@@ -284,40 +287,64 @@ class TestCommutatorScan:
             a, _, _, d = _purekernels.theta_abcd([(abs(g), 1 if g > 0 else -1) for g in word])
             return a + d
 
-        triples = set()
-        for p in zero_entropy_commutator_scan(7).pairs:
+        rows = zero_entropy_commutator_scan(7).pairs
+        for p in rows:
             t = (trace(p.b1), trace(p.b2), trace(p.b1 + p.b2))
             assert t[0] * t[1] * t[2] > 0 and all(x % 3 == 0 for x in t), p
-            triples.add(tuple(sorted(abs(x) // 3 for x in t)))
+            assert p.markov == tuple(sorted(abs(x) // 3 for x in t)), p
+        triples = {p.markov for p in rows}
         markov = markov_triples(max(c for _, _, c in triples))
         assert (1, 1, 1) in triples and (1, 2, 5) in triples
         assert triples <= markov
 
-    @pytest.mark.parametrize("maxlen", range(0, SCAN_MAXLEN + 1))
+    @pytest.mark.parametrize("maxlen", range(0, 8))
     def test_matches_reference(self, maxlen):
         # the word-by-word reference up to maxlen 5, the pass over all image
-        # pairs beyond it
+        # pairs beyond it; their word pairs grouped by image pair are the rows
         if maxlen <= 5:
             ref = zero_entropy_commutator_scan_reference
         else:
             ref = zero_entropy_commutator_scan_allpairs
-        assert zero_entropy_commutator_scan(maxlen) == ref(maxlen)
+        words_scanned, word_pairs = ref(maxlen)
+        rows = rows_by_image_pair(word_pairs)
+        assert zero_entropy_commutator_scan(maxlen) == CommutatorScanReport(
+            maxlen, words_scanned, rows)
 
     def test_resource_guard(self):
-        with pytest.raises(ResourceLimit):
-            zero_entropy_commutator_scan(11)
+        with pytest.raises(ResourceLimit, match="maxlen <= 11"):
+            zero_entropy_commutator_scan(12)
 
     def test_negative_maxlen_rejected(self):
         with pytest.raises(ValueError):
             zero_entropy_commutator_scan(-1)
 
     def test_limit_is_feasible(self):
-        # the bound itself runs in about 0.11 s on a 2-core VM (Python
-        # 3.11); one more letter would report 1.43M word pairs
+        # the bound itself runs in about 0.5 s on a 2-core VM (Python
+        # 3.11); one more letter triples the word list
         rep = zero_entropy_commutator_scan(SCAN_MAXLEN)
         assert rep.words_scanned == 2 * (3**SCAN_MAXLEN - 1)
         with pytest.raises(ResourceLimit):
             zero_entropy_commutator_scan(SCAN_MAXLEN + 1)
+
+
+def rows_by_image_pair(word_pairs):
+    """The scan's rows read off a reference's word pairs: the pairs grouped
+    by (theta(b1), theta(b2)), letter by letter.  Each group must be every
+    pair of its b1 words with its b2 words and carry one set of fields; its
+    row holds the least word and the word count of each side, those fields,
+    and the sorted Markov triple of its traces divided by 3."""
+    groups = {}
+    for pair in word_pairs:
+        groups.setdefault((theta_letters(pair[0]), theta_letters(pair[1])), []).append(pair)
+    rows = []
+    for (m1, m2), group in groups.items():
+        words1, words2 = {p[0] for p in group}, {p[1] for p in group}
+        assert len(group) == len(words1) * len(words2), group
+        (fields,) = {p[2:] for p in group}
+        w1, w2 = min(words1), min(words2)
+        markov = tuple(sorted(abs(m[0] + m[3]) // 3 for m in (m1, m2, theta_letters(w1 + w2))))
+        rows.append(CommutatorPair(w1, w2, len(words1), len(words2), *fields, markov))
+    return tuple(sorted(rows, key=lambda p: (p.b1, p.b2)))
 
 
 b3_words = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=30).map(

@@ -57,7 +57,7 @@ ARGS = {
     Permutation: lambda: ((2, 3, 1),),
     SL2Matrix: lambda: (2, 1, 1, 1),
     ThreeBraidClass: lambda: ("pseudoAnosov", 3, 0, False, False, None, None, None, 0.96, 1.63),
-    CommutatorPair: lambda: ((1,), (2,), 3, 0.0, 0.0, False, True, 1.0, 2.0),
+    CommutatorPair: lambda: ((1,), (2,), 1, 2, 3, 0.0, 0.0, False, True, 1.0, 2.0, (1, 1, 1)),
     CommutatorScanReport: lambda: (2, 21, ()),
     FreeWord: lambda: (((1, 1), (2, -2)),),
     PeripheralPower: lambda: ("a1", 3, False),
