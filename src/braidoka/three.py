@@ -378,8 +378,8 @@ def zero_entropy_commutator_scan(maxlen: int) -> CommutatorScanReport:
     Cost (pure Python 3.11, 2-core Xeon VM): maxlen 5 about 0.8 ms, 7
     about 15 ms (1,824 rows for 31,536 word pairs), 10 about 0.3 s, and
     SCAN_MAXLEN = 11 about 0.5 s and 115 MB max RSS (17,504 rows for
-    62,103,024 word pairs).  Most of it is the word list, which triples
-    with each letter.
+    62,103,024 word pairs).  At the cap most of it is the word list,
+    which triples with each letter.
 
     The image pairs are tested per trace class, through the Fricke identity
     tr[m1, m2] = t1^2 + t2^2 + t12^2 - t1 t2 t12 - 2 (Goldman, Trace

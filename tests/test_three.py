@@ -300,7 +300,9 @@ class TestCommutatorScan:
     @pytest.mark.parametrize("maxlen", range(0, 8))
     def test_matches_reference(self, maxlen):
         # the word-by-word reference up to maxlen 5, the pass over all image
-        # pairs beyond it; their word pairs grouped by image pair are the rows
+        # pairs beyond it; their word pairs grouped by image pair are the
+        # rows.  Both list word pairs, 1.43M of them at maxlen 8, so the
+        # parity stops at 7
         if maxlen <= 5:
             ref = zero_entropy_commutator_scan_reference
         else:
