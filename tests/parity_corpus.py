@@ -8,7 +8,8 @@ other tests say whether they are right.  A chunk is named
 "procedure/index", and its cases come from a seed fixed by that name, so a
 chunk holds the same inputs on every Python version.  Each case gives one
 line, its input and output written with ints, tuples and the dicts of
-the records' `as_dict`, and the digest is the sha256 of the lines.
+the records' `as_dict` (for the CLI, the printed JSON read back), and the
+digest is the sha256 of the lines.
 Rewriting a digest is a change to a check: CHANGES.md then names the
 chunk, the reason, and one case's old and new line.
 
@@ -18,15 +19,22 @@ chunk, the reason, and one case's old and new line.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import random
 import sys
+import tempfile
 
+from braidoka import cli
 from braidoka.braid import BraidWord, braid_eq, normal_form
+from braidoka.errors import BraidokaError
+from braidoka.families import thm1_verdict
 from braidoka.oka import TARGET_F2, SurfaceHom, SurfaceSignature, go_surface_decide
-from braidoka.three import classify3, conj3
+from braidoka.three import centralizer_check, classify3, conj3
 from braidoka.words import (
     FreeWord,
     _core,
@@ -369,6 +377,195 @@ def classify3_chunk(index: int) -> list[str]:
     return lines
 
 
+def centralizer_check_chunk(index: int) -> list[str]:
+    """centralizer_check(b, k) with k from +-1 to +-12 or up to +-10^4.
+    In even cases b is a base of each theta class in turn (`class_base`),
+    conjugated by `conjugator`; in odd cases it is sigma_1^m Delta^(2l)
+    conjugated by a power of sigma_1, which commutes with every sigma_1^k,
+    so the verdict must be True."""
+    rng = random.Random(27_000 + index)
+    lines = []
+    for j in range(CASES_PER_CHUNK):
+        if j % 2:
+            m = rng.randint(-10**4, 10**4)
+            b = BraidWord.sigma(3, 1, m) * DELTA3 ** (2 * rng.randint(-2, 2))
+            u = BraidWord.sigma(3, 1, rng.choice((1, -1)) * rng.randint(1, 10**4))
+        else:
+            b = class_base(rng, THETA_CLASSES[j // 2 % 5])
+            u = conjugator(rng, j // 2)
+        w = u * b * u.inv()
+        k = rng.choice((1, -1)) * rng.choice((rng.randint(1, 12), rng.randint(13, 10**4)))
+        got = centralizer_check(w, k)
+        line = f"{w.runs} {k} -> {got}"
+        assert got or not j % 2, f"a commuting pair not found commuting: {line}"
+        lines.append(line)
+    return lines
+
+
+def outcome(f, *args) -> str:
+    """repr of f(*args), or the type and message of the error it raises."""
+    try:
+        return repr(f(*args))
+    except (BraidokaError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def thm1_verdict_chunk(index: int) -> list[str]:
+    """thm1_verdict(n, modulus, index) for degrees n of five kinds in turn:
+    1 to 60; a prime below 60; 10^12 to 10^13; a prime near 2^31, 10^12
+    or 2^61; and 10^24 to 10^25 or the prime 2^89 - 1, past 3.3 * 10^24,
+    where primality is a ResourceLimit unless a prime below 43 divides n.
+    The modulus is 0.5, 0.999, 1.001 or 2 times the bound 2 pi n / log 2,
+    or in every seventh case possibly not positive, and the index is a
+    multiple of n in even cases and one more in odd cases.  An error is
+    written as its type and message."""
+    rng = random.Random(28_000 + index)
+    lines = []
+    for j in range(CASES_PER_CHUNK):
+        kind = j % 5
+        if kind == 0:
+            n = rng.randint(1, 60)
+        elif kind == 1:
+            n = rng.choice((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59))
+        elif kind == 2:
+            n = rng.randint(10**12, 10**13)
+        elif kind == 3:
+            n = rng.choice((2**31 - 1, 10**12 + 39, 2**61 - 1))
+        else:
+            n = rng.choice((rng.randint(10**24, 10**25), 2**89 - 1))
+        scale = rng.choice((0.5, 0.999, 1.001, 2.0, 2.0, -1.0, 0.0) if j % 7 == 0
+                           else (0.5, 0.999, 1.001, 2.0))
+        modulus = scale * 2 * math.pi * n / math.log(2)
+        idx = n * rng.randint(-3, 3) + j % 2
+        lines.append(f"{n} {modulus!r} {idx} -> {outcome(thm1_verdict, n, modulus, idx)}")
+    return lines
+
+
+# the subcommands, in the order `braidoka --help` lists them; case j of
+# `cli_chunk` runs the (j mod 15)-th
+CLI_SUBCOMMANDS = ("classify", "entropy", "module", "nf", "linking", "eq", "conj",
+                   "scan-commutators", "disc-index", "thm1", "penner", "oka3", "go-surface",
+                   "eprime", "lattice-branch")
+
+
+def b3_text(rng, j) -> str:
+    """A base of each theta class in turn (`class_base`), conjugated by
+    `conjugator`, as braid text."""
+    b = class_base(rng, THETA_CLASSES[j % 5])
+    u = conjugator(rng, j)
+    return (u * b * u.inv()).text()
+
+
+def cli_case(rng, sub, v):
+    """The arguments of the v-th case of subcommand sub in `cli_chunk`, and
+    the object of its input file (None: no file).  Braid words go in the
+    `--name=value` form, since argparse takes a value such as "-2^3" for
+    an option; some cases are input errors (a braid that is not pure, a
+    family whose discriminant vanishes on the circle, a signature out of
+    range)."""
+    if sub in ("classify", "entropy", "module"):
+        return [f"--braid={b3_text(rng, v)}"], None
+    if sub == "nf":
+        n = rng.randint(2, 6)
+        b = NF_SHAPES[v % 3](rng, n, rng.randint(0, 20))
+        return [f"--braid={b.text()}", "--n", str(n)], None
+    if sub == "linking":
+        n = rng.randint(2, 5)
+        u = reduced_word(rng, n, rng.randint(0, 6))
+        b = reduced_word(rng, n, rng.randint(1, 6))
+        if v % 4 != 3:  # a conjugated product of even powers is pure
+            p, q = (BraidWord.sigma(n, rng.randint(1, n - 1), 2 * rng.randint(-3, 3))
+                    for _ in range(2))
+            b = u * p * q * u.inv()
+        return [f"--braid={b.text()}", "--n", str(n)], None
+    if sub == "eq":
+        n = rng.randint(3, 5)
+        b = reduced_word(rng, n, rng.randint(0, 12))
+        other = relation_rewrite(rng, b if v % 2 == 0 else one_letter_change(rng, b))
+        strands = ["--n", str(n)] if v % 3 != 2 else []
+        return [*strands, f"--a={b.text()}", f"--b={other.text()}"], None
+    if sub == "conj":
+        b1, b2, _ = conj3_case(rng, v)
+        return [f"--a={b1.text()}", f"--b={b2.text()}"], None
+    if sub == "scan-commutators":
+        return ["--maxlen", str(v % 6)], None
+    if sub == "disc-index":
+        n = rng.randint(2, 4)
+        coeffs = {"0": {str(rng.randint(-3, 3)): [-1.0, 0.0]}}
+        if v % 2:
+            coeffs[str(rng.randint(1, n - 1))] = {str(rng.randint(-2, 2)): [rng.randint(-4, 4) / 8, 0.25]}
+        return ["--family", "{file}", "--samples", str(rng.choice((16, 64, 256)))], \
+            {"degree": n, "coeffs": coeffs}
+    if sub == "thm1":
+        n = rng.choice((2, 3, 4, 5, 6, 7, 9, 11, 13))
+        modulus = round(rng.choice((0.9, 1.1, 2.0)) * 2 * math.pi * n / math.log(2), 3)
+        idx = n * rng.randint(-3, 3) + v % 2
+        return ["--n", str(n), "--modulus", repr(modulus), f"--index={idx}"], None
+    if sub == "penner":
+        surface = ["--genus", str(rng.randint(0, 3)), "--marked", str(rng.randint(0, 6))]
+        braid_n = ["--braid-n", str(rng.randint(2, 12))]
+        return ([surface, braid_n, surface + braid_n][v % 3]), None
+    if sub == "oka3":
+        if v % 2 == 0:  # powers of sigma_1 sigma_2 commute and have entropy zero
+            e1, e2 = (BraidWord(3, (1, 2)) ** rng.randint(-4, 4) for _ in range(2))
+        else:
+            e1, e2 = (reduced_word(rng, 3, rng.randint(0, 6)) for _ in range(2))
+        variant = [[], ["--mirrored"], ["--both-variants"]][v % 3]
+        return ["--hom", "{file}", *variant], {"genus": 1, "holes": 1, "target": "B3",
+                                               "images": {"e1": e1.text(), "e2": e2.text()}}
+    if sub == "go-surface":
+        hom = go_surface_case(rng, rng.randrange(32))
+        sig = hom.signature
+        return ["--hom", "{file}"], {"genus": sig.genus, "holes": sig.holes, "target": "F2",
+                                     "images": {f"e{k}": "" if w.is_identity() else w.text()
+                                                for k, w in hom.images.items()}}
+    if sub == "eprime":
+        listed = ["--list"] if v % 2 == 0 else []
+        return ["--genus", str(rng.randint(0, 2)), "--holes", str(rng.randint(1, 4)), *listed], None
+    tau = f"--tau={rng.randint(-500, 500) / 1000},{rng.randint(200, 2000) / 1000}"
+    alpha = [f"--alpha={rng.randint(-8, 8) / 4},{rng.randint(1, 8) / 4}"] if v % 3 == 1 else []
+    path = ([f"--path-end={rng.randint(-500, 500) / 1000},{rng.randint(200, 2000) / 1000}",
+             "--path-steps", str(rng.randint(1, 3))] if v % 4 >= 2 else [])
+    csv = ["--csv"] if v % 2 else []
+    return [*alpha, tau, *path, *csv], None
+
+
+def round12(text: str) -> float:
+    """A JSON number at the 12 significant digits that the CSV writer
+    prints, so the last bits of a platform's libm do not show."""
+    return float(f"{float(text):.12g}")
+
+
+def cli_chunk(index: int) -> list[str]:
+    """One in-process `cli.main` call per case, over every subcommand in
+    turn (`CLI_SUBCOMMANDS`, `cli_case`).  The line holds the arguments,
+    with the input file's JSON in place of its temporary path, the exit
+    code, and the output: CSV text as printed, and JSON (stdout, or the
+    stderr error line on exit 1) parsed with floats at 12 digits and
+    written with sorted keys, so the line does not depend on the layout."""
+    rng = random.Random(29_000 + index)
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        for j in range(CASES_PER_CHUNK):
+            args, data = cli_case(rng, CLI_SUBCOMMANDS[j % 15], j // 15)
+            argv = [CLI_SUBCOMMANDS[j % 15], *(a.replace("{file}", path) for a in args)]
+            if data is not None:
+                with open(path, "w") as fh:
+                    json.dump(data, fh)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            if "--csv" in argv and code != 1:
+                text = out.getvalue()
+            else:
+                text = json.dumps(json.loads(out.getvalue() if code != 1 else err.getvalue(),
+                                             parse_float=round12), sort_keys=True)
+            shown = [a.replace("{file}", json.dumps(data, sort_keys=True)) for a in args]
+            lines.append(f"{[argv[0], *shown]} -> {code} {text}")
+    return lines
+
+
 CHUNKS = {
     "normal_form/0": lambda: normal_form_chunk(0),
     "normal_form/1": lambda: normal_form_turn_chunk(1),
@@ -377,6 +574,9 @@ CHUNKS = {
     "go_surface_decide/0": lambda: go_surface_chunk(0),
     "conj3/0": lambda: conj3_chunk(0),
     "classify3/0": lambda: classify3_chunk(0),
+    "centralizer_check/0": lambda: centralizer_check_chunk(0),
+    "thm1_verdict/0": lambda: thm1_verdict_chunk(0),
+    "cli/0": lambda: cli_chunk(0),
 }
 
 
