@@ -119,8 +119,7 @@ class BraidWord(Value):
 
     def __init__(self, strands: int, letters=()) -> None:
         for let in letters:  # 1.0 and True equal 1, so they would join its runs
-            if not isinstance(let, int) or isinstance(let, bool):
-                raise ValueError(f"a braid letter must be an int, not a bool, got {let!r}")
+            check_int(let, "a braid letter")
         object.__setattr__(self, "strands", strands)
         object.__setattr__(self, "runs", _letter_runs(letters))
         self.__post_init__()
@@ -135,8 +134,7 @@ class BraidWord(Value):
         return self
 
     def __post_init__(self) -> None:
-        if not isinstance(self.strands, int) or isinstance(self.strands, bool):
-            raise ValueError(f"a strand count must be an int, not a bool, got {self.strands!r}")
+        check_int(self.strands, "a strand count")
         if self.strands < 2:
             raise ValueError("braid group needs at least 2 strands")
         if self.strands > MAX_STRANDS:
@@ -216,6 +214,7 @@ class BraidWord(Value):
 
 def delta(n: int) -> BraidWord:
     """The positive half twist Delta_n = (s1)(s2 s1)...(s_{n-1} ... s1)."""
+    check_int(n, "n")
     letters = [i for k in range(1, n) for i in range(k, 0, -1)]
     return BraidWord(n, tuple(letters))
 

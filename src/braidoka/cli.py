@@ -3,14 +3,16 @@
 Each subcommand's handler `cmd_*` only computes: it returns
 `(payload, positive)`, where the payload is a dict, or the CSV text under
 `--csv`.  `main` is the one place that prints: a dict goes out as one JSON
-object whose first key is `schema` (strict JSON: a NaN or infinite number
-is an input error), CSV text as it is.  `--out` writes the same text that
+object on one line whose first key is `schema` (strict JSON: a NaN or
+infinite number is an input error), CSV text as it is.  `python -m
+json.tool` lays a line out for reading.  `--out` writes the same text that
 is printed to a file as well.  A payload integer with more digits than
 the interpreter converts to text is a ResourceLimit error.  Exit codes: 0
 for a positive or neutral result, 2 for a negative mathematical verdict
 (inequality, non-conjugacy, violation, non-GO, inconclusive), 1 for usage
-or input errors, which are reported on stderr as one JSON object.  A
-reader that closes stdout early changes neither the exit code nor stderr.
+or input errors, which are reported on stderr as one JSON object on one
+line of the same form.  A reader that closes stdout early changes neither
+the exit code nor stderr.
 
 The handlers read the package's modules by attribute (`three.classify3`),
 so a call loads only the modules its handler runs, and building the
@@ -351,6 +353,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _json_line(obj: dict) -> str:
+    """obj as one line of strict JSON, after the key `schema`."""
+    return json.dumps({"schema": SCHEMA_VERSION, **obj}, allow_nan=False)
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -362,8 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         payload, positive = args.run(args)
         try:
-            text = (payload if isinstance(payload, str)
-                    else json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2, allow_nan=False))
+            text = payload if isinstance(payload, str) else _json_line(payload)
         except ValueError as exc:
             # the limit guards against quadratic-time conversions of input
             # text, so it stays; a longer int in the output is reported
@@ -382,8 +388,7 @@ def main(argv: list[str] | None = None) -> int:
             # and stdout goes to devnull so the flush at exit stays quiet
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (errors.BraidokaError, ValueError, OSError) as exc:
-        print(json.dumps({"schema": SCHEMA_VERSION, "error": str(exc),
-                          "errorType": type(exc).__name__}), file=sys.stderr)
+        print(_json_line({"error": str(exc), "errorType": type(exc).__name__}), file=sys.stderr)
         return USAGE_ERROR
     return OK if positive else NEGATIVE
 

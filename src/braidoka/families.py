@@ -9,7 +9,7 @@ import cmath
 import math
 
 from . import perms
-from ._value import Value, int_field
+from ._value import Value, check_int, int_field
 from .errors import (
     DegreeTooSmall,
     InternalInconsistency,
@@ -106,14 +106,17 @@ class LaurentFamily(Value):
     coeffs: Mapping[int, Mapping[int, complex]]
 
     def __init__(self, degree: int, coeffs: Mapping[int, Mapping[int, complex]]) -> None:
+        check_int(degree, "degree")
         if degree < 2:
             raise DegreeTooSmall("family degree must be >= 2")
         if degree > MAX_DEGREE:
             raise ResourceLimit(f"family degree {degree} is above MAX_DEGREE = {MAX_DEGREE}")
         for k, poly in coeffs.items():
+            check_int(k, "a zeta power")
             if not 0 <= k < degree:
                 raise ValueError(f"zeta power {k} out of range")
             for e, c in poly.items():
+                check_int(e, "a z exponent")
                 if not cmath.isfinite(c):
                     raise ValueError(f"coefficient coeffs[{k}][{e}] must be finite, got {c}")
         object.__setattr__(self, "degree", degree)
@@ -297,6 +300,7 @@ def discriminant_index(fam: LaurentFamily, samples: int = 256) -> IndexReport:
     steps, each a few ulp of pi, about 1e-9 in all against the pi/2 the
     test allows; a failure is an InternalInconsistency.
     """
+    check_int(samples, "samples")
     if samples < 16:
         raise ValueError("need at least 16 samples")
     if samples > MAX_SAMPLES:
@@ -336,6 +340,8 @@ def thm1_verdict(n: int, modulus: float, index: int) -> str:
     primality below 3.3 * 10^24 and raises ResourceLimit above it unless
     a prime below 43 divides n.
     """
+    check_int(n, "n")
+    check_int(index, "index")
     if n < 2:
         raise ValueError("degree must be >= 2")
     if not 0 < modulus < math.inf:
@@ -348,6 +354,8 @@ def thm1_verdict(n: int, modulus: float, index: int) -> str:
 def penner_bound(g: int, m: int) -> float:
     """Lower bound log 2 / (12g - 12 + 4m) for the least nonzero entropy of
     irreducible mapping classes with signature (g, m)."""
+    check_int(g, "g")
+    check_int(m, "m")
     if 3 * g - 3 + m <= 0:
         raise SignatureOutOfRange(f"need 3g - 3 + m > 0, got ({g}, {m})")
     return math.log(2) / (12 * g - 12 + 4 * m)
@@ -355,6 +363,7 @@ def penner_bound(g: int, m: int) -> float:
 
 def nbraid_entropy_lower(n: int) -> float:
     """log 2 / (4n - 8): entropy floor for irreducible n-braids, n >= 3."""
+    check_int(n, "n")
     if n < 3:
         raise SignatureOutOfRange("braid entropy bound needs n >= 3")
     return math.log(2) / (4 * n - 8)
@@ -363,6 +372,7 @@ def nbraid_entropy_lower(n: int) -> float:
 def nbraid_module_upper(n: int) -> float:
     """(pi/2)(4/log 2) n: cap on finite conformal modules of irreducible
     n-braid classes, n >= 3."""
+    check_int(n, "n")
     if n < 3:
         raise SignatureOutOfRange("braid module bound needs n >= 3")
     return (math.pi / 2) * (4 / math.log(2)) * n

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from . import words
-from ._value import Value
+from ._value import Value, check_int
 from .errors import (
     InternalInconsistency,
     NotAbelianTransitive,
@@ -38,14 +38,15 @@ class Permutation(Value):
     def __post_init__(self) -> None:
         n = len(self.images)
         for x in self.images:  # 1.0 and True equal 1, so they pass the sort
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise ValueError(f"a permutation image must be an int, not a bool, got {x!r}")
+            check_int(x, "a permutation image")
         if sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.images}")
 
     @staticmethod
     def transposition(n: int, i: int) -> "Permutation":
         """The adjacent transposition (i, i+1) in S_n."""
+        check_int(n, "n")
+        check_int(i, "i")
         if not 1 <= i <= n - 1:
             raise ValueError(f"transposition index {i} out of range for S_{n}")
         images = list(range(1, n + 1))

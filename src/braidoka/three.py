@@ -16,7 +16,7 @@ import math
 
 from . import _purekernels
 from ._purekernels import log_spectral_radius, mat_mul
-from ._value import Value
+from ._value import Value, check_int
 from .braid import BraidWord, exponent_sum
 from .errors import InternalInconsistency, ResourceLimit, WrongStrandCount
 from .sl2z import (
@@ -196,6 +196,7 @@ def centralizer_check(b: BraidWord, k: int) -> bool:
     """
     if b.strands != 3:
         raise WrongStrandCount("centralizer_check needs B_3 words")
+    check_int(k, "k")
     if k == 0:
         raise ValueError("k must be nonzero")
     _, _, c, _ = _purekernels.theta_abcd(b.runs)
@@ -435,6 +436,7 @@ def zero_entropy_commutator_scan(maxlen: int) -> CommutatorScanReport:
     InternalInconsistency.  Each word's image comes from its prefix's
     during the enumeration, so no word is multiplied out.
     """
+    check_int(maxlen, "maxlen")
     if maxlen < 0:
         raise ValueError("maxlen must be >= 0")
     if maxlen > SCAN_MAXLEN:

@@ -556,14 +556,20 @@ def test_rejects_options_it_would_ignore(argv, tmp_path, capsys):
         assert json.loads(captured.err)["errorType"] == expected
 
 
-@pytest.mark.parametrize("sub", list(CASES))
-def test_subcommand_output_and_exit_code(sub, tmp_path, capsys):
-    assert main([sub, "--help"]) == 0
-    assert f"usage: braidoka {sub}" in capsys.readouterr().out
+def _write_files(tmp_path) -> dict[str, str]:
+    """Each of FILES written to tmp_path: {name: path}."""
     files = {}
     for name, obj in FILES.items():
         files[name] = str(tmp_path / f"{name}.json")
         Path(files[name]).write_text(json.dumps(obj))
+    return files
+
+
+@pytest.mark.parametrize("sub", list(CASES))
+def test_subcommand_output_and_exit_code(sub, tmp_path, capsys):
+    assert main([sub, "--help"]) == 0
+    assert f"usage: braidoka {sub}" in capsys.readouterr().out
+    files = _write_files(tmp_path)
     for args, expected in CASES[sub]:
         argv = [sub, *(a.format(**files) for a in args)]
         # a subparser without a handler would raise here
@@ -576,6 +582,26 @@ def test_subcommand_output_and_exit_code(sub, tmp_path, capsys):
         else:
             payload = strict_json(captured.out)
             assert next(iter(payload)) == "schema", argv
+
+
+def test_every_payload_and_error_is_one_line(tmp_path, capsys):
+    # one JSON form: every CASES payload on one line, as each error is,
+    # whatever its size (the scan at maxlen 11 prints about 5.9 MB)
+    files = _write_files(tmp_path)
+    for sub, cases in CASES.items():
+        for args, _ in cases:
+            argv = [sub, *(a.format(**files) for a in args)]
+            main(argv)
+            out = capsys.readouterr().out
+            if "--csv" not in argv:
+                assert out.count("\n") == 1 and out.endswith("\n"), argv
+                assert json.dumps(strict_json(out)) == out[:-1], argv
+    for argv in (["linking", "--braid", "1"], ["scan-commutators", "--maxlen=-1"],
+                 ["thm1", "--n", "3", "--modulus", "nan", "--index", "3"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, argv
+        assert json.dumps(strict_json(captured.err)) == captured.err[:-1], argv
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -656,7 +682,7 @@ def test_malformed_input_is_one_json_error_line(sub, text, extra, tmp_path):
 
 
 def test_closed_stdout_keeps_the_verdict_and_stderr_quiet():
-    # a reader that stops after 10 of about 970 kB, as `| head -c 10` does;
+    # a reader that stops after 10 of about 561 kB, as `| head -c 10` does;
     # the write then fails with EPIPE, which was reported as an input error.
     # The output must outgrow the pipe buffer (64 kB on Linux), so that the
     # write is still open when the reader closes
@@ -666,7 +692,7 @@ def test_closed_stdout_keeps_the_verdict_and_stderr_quiet():
         env={**os.environ, "PYTHONPATH": str(src)},
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
-    assert proc.stdout.read(10) == b'{\n  "schem'
+    assert proc.stdout.read(10) == b'{"schema":'
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()

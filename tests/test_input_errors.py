@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from braidoka.braid import MAX_STRANDS, BraidWord, LinkingNumbers
+from braidoka.braid import MAX_STRANDS, BraidWord, LinkingNumbers, delta
 from braidoka.errors import (
     NotAbelianTransitive,
     ResourceLimit,
@@ -22,14 +22,17 @@ from braidoka.families import (
     MAX_DEGREE,
     LaurentFamily,
     discriminant_from_coeffs,
+    discriminant_index,
+    nbraid_entropy_lower,
     nbraid_module_upper,
+    penner_bound,
     thm1_verdict,
 )
 from braidoka.lattice import LatticeSpec, e_values, wp, wp_prime
 from braidoka.oka import SurfaceHom, SurfaceSignature
 from braidoka.perms import Permutation, abelian_transitive_generator, lemma5_generators
 from braidoka.sl2z import SL2Matrix, rl_factorization
-from braidoka.three import conj3, entropy3
+from braidoka.three import centralizer_check, conj3, entropy3, zero_entropy_commutator_scan
 from braidoka.words import FreeWord, peripheral_word
 
 _HOM = {"genus": 1, "holes": 1, "target": "F2", "images": {"e1": "a1", "e2": "a2"}}
@@ -162,3 +165,40 @@ def test_input_error(call, error, fragment):
     with pytest.raises(error) as info:
         call()
     assert fragment in str(info.value)
+
+
+_FAMILY = LaurentFamily.power_family(3, 1)
+
+# (entry point, its call with one integer parameter set to v, the name of
+# that parameter).  At 2.5, 2.0 or True each call once returned an answer
+# (centralizer_check True, thm1_verdict(2.0, 30.0, 6) "reducible",
+# penner_bound a number, the scan a report of maxlen True, the family a
+# record of degree 2.5), or raised a TypeError, in the scan, in
+# discriminant_index of a family with a z exponent of 2.5, in delta and in
+# the transposition
+INT_PARAMETERS = [
+    ("centralizer_check", lambda v: centralizer_check(BraidWord(3, (1,)), v), "k"),
+    ("thm1_verdict-n", lambda v: thm1_verdict(v, 30.0, 6), "n"),
+    ("thm1_verdict-index", lambda v: thm1_verdict(7, 300.0, v), "index"),
+    ("zero_entropy_commutator_scan", zero_entropy_commutator_scan, "maxlen"),
+    ("penner_bound-g", lambda v: penner_bound(v, 4), "g"),
+    ("penner_bound-m", lambda v: penner_bound(1, v), "m"),
+    ("nbraid_entropy_lower", nbraid_entropy_lower, "n"),
+    ("nbraid_module_upper", nbraid_module_upper, "n"),
+    ("LaurentFamily-degree", lambda v: LaurentFamily(v, {0: {1: -1.0}}), "degree"),
+    ("LaurentFamily-zeta-power", lambda v: LaurentFamily(3, {v: {1: -1.0}}), "a zeta power"),
+    ("LaurentFamily-z-exponent", lambda v: LaurentFamily(3, {0: {v: -1.0}}), "a z exponent"),
+    ("discriminant_index", lambda v: discriminant_index(_FAMILY, v), "samples"),
+    ("delta", delta, "n"),
+    ("transposition-n", lambda v: Permutation.transposition(v, 1), "n"),
+    ("transposition-i", lambda v: Permutation.transposition(3, v), "i"),
+]
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True], ids=["float", "integral-float", "bool"])
+@pytest.mark.parametrize("call, name", [row[1:] for row in INT_PARAMETERS],
+                         ids=[row[0] for row in INT_PARAMETERS])
+def test_integer_parameter_is_an_int_not_a_bool(call, name, value):
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == f"{name} must be an int, not a bool, got {value!r}"
