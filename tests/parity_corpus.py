@@ -33,8 +33,15 @@ from braidoka import cli
 from braidoka.braid import BraidWord, braid_eq, normal_form
 from braidoka.errors import BraidokaError
 from braidoka.families import thm1_verdict
-from braidoka.oka import TARGET_F2, SurfaceHom, SurfaceSignature, go_surface_decide
-from braidoka.three import centralizer_check, classify3, conj3
+from braidoka.oka import (
+    TARGET_B3,
+    TARGET_F2,
+    SurfaceHom,
+    SurfaceSignature,
+    go_surface_decide,
+    oka3_decide,
+)
+from braidoka.three import centralizer_check, classify3, conj3, zero_entropy_commutator_scan
 from braidoka.words import (
     FreeWord,
     _core,
@@ -207,7 +214,7 @@ def free_words_chunk(index: int) -> list[str]:
         conj = [free_conjugate(w, x) for x in (d * w * d.inv(), rotated, w.inv(), other)]
         line = (f"{w.blocks} -> {[(w ** n).blocks for n in range(-3, 4)]} "
                 f"{root and (root[0].blocks, root[1])} "
-                f"{hit and (hit.peripheral, hit.power, hit.trivial)} {conj}")
+                f"{hit and (hit.peripheral, hit.power, hit.peripheral is None)} {conj}")
         assert conj[0] and conj[1], f"conjugates not found conjugate: {line}"
         lines.append(line)
     return lines
@@ -441,6 +448,93 @@ def thm1_verdict_chunk(index: int) -> list[str]:
     return lines
 
 
+def rounded(obj):
+    """obj with every float at the 12 significant digits that the CSV
+    writer prints (`round12`), through dicts and lists."""
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: rounded(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [rounded(v) for v in obj]
+    return obj
+
+
+def oka3_case(rng, j):
+    """The j-th pair of `oka3_decide_chunk`, of five kinds in turn:
+    powers of sigma_1 sigma_2, Delta to an odd power with Delta^(2l), and
+    sigma_1^k Delta^(2l) with sigma_1^k' Delta^(2l'), k up to 10^4, each
+    pair conjugated by one `conjugator` (commuting pairs of entropy zero,
+    classified); sigma_1^a, |a| <= 2, with (sigma_1 sigma_2)^b or
+    sigma_1^b sigma_2, 3 not dividing b (the variants may fail at
+    different indices, 4 in one and 5 in the other); and two
+    reduced words of up to 8 letters, one of them sometimes times
+    sigma_1^k with k up to 10^6."""
+    kind = j % 5
+    if kind == 0:
+        b1, b2 = (BraidWord(3, (1, 2)) ** rng.choice((-5, -4, -2, -1, 1, 2, 4, 5))
+                  for _ in range(2))
+    elif kind == 1:
+        b1, b2 = DELTA3 ** (2 * rng.randint(-2, 2) + 1), DELTA3 ** (2 * rng.randint(-2, 2))
+    elif kind == 2:
+        b1, b2 = (BraidWord.sigma(3, 1, rng.choice((1, -1)) * rng.randint(1, 10**4))
+                  * DELTA3 ** (2 * rng.randint(-2, 2)) for _ in range(2))
+    elif kind == 3:
+        b1 = BraidWord.sigma(3, 1, rng.choice((-2, -1, 1, 2)))
+        b = rng.choice((-5, -4, -2, -1, 1, 2, 4, 5))
+        b2 = BraidWord(3, (1, 2)) ** b if rng.random() < 0.5 else BraidWord.sigma(3, 1, b) * BraidWord(3, (2,))
+    else:
+        b1, b2 = (reduced_word(rng, 3, rng.randint(0, 8)) for _ in range(2))
+        if rng.random() < 0.5:
+            b1 = b1 * BraidWord.sigma(3, 1, rng.choice((1, -1)) * rng.randint(1, 10**6))
+    if kind < 3:
+        u = conjugator(rng, j // 5)
+        b1, b2 = u * b1 * u.inv(), u * b2 * u.inv()
+    if rng.random() < 0.5:
+        b1, b2 = b2, b1
+    return b1, b2
+
+
+def oka3_decide_chunk(index: int) -> list[str]:
+    """oka3_decide of `oka3_case` in both variants, each verdict written
+    as its `as_dict()` with the entropy at 12 significant digits
+    (`rounded`).  The commuting pairs of entropy zero must be classified
+    in both."""
+    rng = random.Random(30_000 + index)
+    lines = []
+    for j in range(CASES_PER_CHUNK):
+        b1, b2 = oka3_case(rng, j)
+        hom = SurfaceHom(SurfaceSignature(1, 1), TARGET_B3, {1: b1, 2: b2})
+        got = [rounded(oka3_decide(hom, mirrored).as_dict()) for mirrored in (False, True)]
+        line = f"{b1.runs} {b2.runs} -> {got[0]} {got[1]}"
+        assert j % 5 > 2 or got[0]["verdict"] == got[1]["verdict"] == "classified", \
+            f"a commuting pair of entropy zero not classified: {line}"
+        lines.append(line)
+    return lines
+
+
+SCAN_CHUNK_MAXLEN = 7
+
+
+def scan_chunk() -> list[str]:
+    """zero_entropy_commutator_scan at maxlen 0 to SCAN_CHUNK_MAXLEN, from
+    its `as_dict()` with the entropies at 12 significant digits
+    (`rounded`).  Case j holds the header fields of the report at maxlen
+    m = j mod 8 and the rows i of that report with i = j // 8 modulo the
+    number of cases of m, so the cases of each maxlen hold every row
+    once."""
+    reports = [rounded(zero_entropy_commutator_scan(m).as_dict())
+               for m in range(SCAN_CHUNK_MAXLEN + 1)]
+    lines = []
+    for j in range(CASES_PER_CHUNK):
+        m = j % (SCAN_CHUNK_MAXLEN + 1)
+        report = reports[m]
+        cases = len(range(m, CASES_PER_CHUNK, SCAN_CHUNK_MAXLEN + 1))
+        header = {k: v for k, v in report.items() if k != "pairs"}
+        lines.append(f"{header} -> {report['pairs'][j // (SCAN_CHUNK_MAXLEN + 1)::cases]}")
+    return lines
+
+
 # the subcommands, in the order `braidoka --help` lists them; case j of
 # `cli_chunk` runs the (j mod 15)-th
 CLI_SUBCOMMANDS = ("classify", "entropy", "module", "nf", "linking", "eq", "conj",
@@ -577,6 +671,8 @@ CHUNKS = {
     "centralizer_check/0": lambda: centralizer_check_chunk(0),
     "thm1_verdict/0": lambda: thm1_verdict_chunk(0),
     "cli/0": lambda: cli_chunk(0),
+    "oka3_decide/0": lambda: oka3_decide_chunk(0),
+    "zero_entropy_commutator_scan/0": scan_chunk,
 }
 
 
