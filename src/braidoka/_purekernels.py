@@ -76,24 +76,38 @@ _E0_BLOCKS = (((1, 1),), ((2, 1),), ((2, 1), (1, -1)), ((2, 1), (1, -2)),
 _E0_MIRRORED_BLOCKS = _E0_BLOCKS[:2] + (((1, 1), (2, -1)), ((1, 1), (2, -2)), _E0_BLOCKS[4])
 
 
+def _e0_traces(t1: int, t2: int, t12: int) -> tuple[int, int, int, int]:
+    """The traces of m2 m1^-1, m2 m1^-2, m1 m2^-2 and [m1, m2] for m1, m2
+    in SL(2,Z) of traces t1, t2 and tr(m1 m2) = t12: with tr m1 and tr m2,
+    the traces of the E0 classes of both variants.
+
+    Cayley-Hamilton gives m^-1 = tr(m) I - m, so with u = t1 t2 - t12,
+    tr(m2 m1^-1) = u = tr(m1 m2^-1), and m1^-2 = t1 m1^-1 - I gives
+    tr(m2 m1^-2) = t1 u - t2, and in the same way tr(m1 m2^-2) = t2 u - t1.
+    The Fricke identity gives tr[m1, m2] = t1^2 + t2^2 + t12^2 - t1 t2 t12
+    - 2 (Goldman, Trace coordinates on Fricke spaces, 2009).
+    """
+    u = t1 * t2 - t12
+    return u, t1 * u - t2, t2 * u - t1, t1 * t1 + t2 * t2 + t12 * t12 - t1 * t2 * t12 - 2
+
+
 def e0_screen_matrices(m1, m2, mirrored: bool) -> tuple[int, int]:
     """Zero-entropy screen of the E0 classes of e1 -> m1, e2 -> m2.
 
     The classes are those of `_E0_BLOCKS`, or `_E0_MIRRORED_BLOCKS` when
-    mirrored, each image written out as a product.  Returns (index, trace)
+    mirrored; their five traces are read off (tr m1, tr m2, tr m1 m2) by
+    `_e0_traces`, with no product written out.  Returns (index, trace)
     of the first class whose image has |trace| > 2, with a 1-based index,
     or (0, 0) when all five pass.
     """
-    x, y = (m1, m2) if mirrored else (m2, m1)
-    yi = mat_inv(y)
-    x_yi = mat_mul(x, yi)
-    for index, m in enumerate((m1, m2, x_yi, mat_mul(x_yi, yi)), start=1):
-        t = m[0] + m[3]
+    a, b, c, d = m1
+    p, q, r, s = m2
+    t1, t2 = a + d, p + s
+    u, v, w, comm = _e0_traces(t1, t2, a * p + b * r + c * q + d * s)
+    for index, t in enumerate((t1, t2, u, w if mirrored else v, comm), start=1):
         if abs(t) > 2:
             return index, t
-    comm = mat_mul(mat_mul(m1, m2), mat_inv(mat_mul(m2, m1)))
-    t = comm[0] + comm[3]
-    return (5, t) if abs(t) > 2 else (0, 0)
+    return 0, 0
 
 
 def e0_screen(r1, r2) -> int:

@@ -18,10 +18,9 @@ class Value:
     The explicit ``__init__`` per class is deliberate.  A shared
     ``Value.__init__(*values)`` that assigns ``_fields`` in a loop measured
     slower (Python 3.11, 2-core VM): ``SL2Matrix`` 1.55 -> 2.17 us and
-    ``Oka3Violation`` 1.07 -> 1.78 us per construction.  One that also
-    takes keywords and defaults cost ``ThreeBraidClass`` 3.0 -> 6.0 us and a
-    two-field record built from one argument 0.73 -> 2.18 us, against about
-    10-14 us for a whole ``classify3`` call.  One
+    ``Oka3Violation`` 1.07 -> 1.78 us per construction (on its former three
+    fields).  One that also takes keywords and defaults cost a two-field
+    record built from one argument 0.73 -> 2.18 us.  One
     ``self.__dict__.update(...)`` call builds a 3-field record in 0.56 in
     place of 0.62 us, but gives each instance a dict: 240 in place of 96
     bytes a record, and two GC allocations in place of one (Python 3.11.7,

@@ -106,6 +106,8 @@ class LaurentFamily(Value):
     coeffs: Mapping[int, Mapping[int, complex]]
 
     def __init__(self, degree: int, coeffs: Mapping[int, Mapping[int, complex]]) -> None:
+        # one dict per zeta power, so a later change to the argument changes no record
+        coeffs = {k: dict(poly) for k, poly in coeffs.items()}
         check_int(degree, "degree")
         if degree < 2:
             raise DegreeTooSmall("family degree must be >= 2")

@@ -33,9 +33,9 @@ from .errors import (
     DegenerateSignature,
     InternalInconsistency,
     ResourceLimit,
-    StrandMismatch,
     TheoremContradiction,
     WrongSignature,
+    WrongStrandCount,
     WrongTarget,
 )
 # unused here, kept in this namespace for perfbench/test_perfbench.py; it
@@ -89,6 +89,7 @@ class SurfaceHom(Value):
     images: dict
 
     def __init__(self, signature: SurfaceSignature, target: Literal["B3", "F2"], images: dict) -> None:
+        images = dict(images)  # so a later change to the argument changes no record
         x = signature.free_rank
         # x distinct keys, each an integer in 1..x, are exactly 1..x; the
         # counts compare in constant memory however large x is.  True
@@ -187,12 +188,14 @@ class Oka3Classified(Value):
 class Oka3Violation(Value):
     witness: FreeWord
     trace: int
-    entropy: float
 
-    def __init__(self, witness: FreeWord, trace: int, entropy: float) -> None:
+    def __init__(self, witness: FreeWord, trace: int) -> None:
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "trace", trace)
-        object.__setattr__(self, "entropy", entropy)
+
+    @property
+    def entropy(self) -> float:
+        return log_spectral_radius(self.trace)
 
     def as_dict(self) -> dict:
         return {
@@ -248,14 +251,14 @@ def oka3_decide(hom: SurfaceHom, mirrored: bool = False) -> Oka3Result:
     b1, b2 = hom.images[1], hom.images[2]
     for b in (b1, b2):
         if b.strands != 3:
-            raise StrandMismatch(f"B_3 vs B_{b.strands}")
+            raise WrongStrandCount(f"oka3_decide needs B_3, got B_{b.strands}")
 
     m1 = _purekernels.theta_abcd(b1.runs)
     m2 = _purekernels.theta_abcd(b2.runs)
     index, trace = e0_screen_matrices(m1, m2, mirrored)
     if index:
         witness = (_E0_MIRRORED if mirrored else _E0)[index - 1]
-        return Oka3Violation(witness, trace, log_spectral_radius(trace))
+        return Oka3Violation(witness, trace)
 
     if mat_mul(m1, m2) != mat_mul(m2, m1):
         raise TheoremContradiction(

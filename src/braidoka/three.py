@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from . import _purekernels
-from ._purekernels import log_spectral_radius, mat_mul
+from ._purekernels import _e0_traces, log_spectral_radius, mat_mul
 from ._value import Value, check_int
 from .braid import BraidWord, exponent_sum
 from .errors import InternalInconsistency, ResourceLimit, WrongStrandCount
@@ -48,53 +48,56 @@ MIN_PA_ENTROPY = math.log((3 + math.sqrt(5)) / 2)
 SCAN_MAXLEN = 11
 
 
+def _module(h: float) -> float:
+    """pi/(2h), infinite when the entropy h vanishes."""
+    return math.inf if h == 0.0 else math.pi / (2 * h)
+
+
 class ThreeBraidClass(Value):
-    """Classification verdict for a 3-braid."""
+    """Classification verdict for a 3-braid.  The entropy and the module
+    are read off the trace; in JSON, a periodic class of trace +-2 is
+    central, and every class of trace +-2 is reducible."""
 
     kind: Literal["periodic", "reducible", "pseudoAnosov"]
     trace: int
     exponent_sum: int
-    central: bool
-    reducible_flag: bool
     base: Literal["sigma12", "delta"] | None  # periodic: power base
     ell: int | None       # periodic power / reducible Delta^2 power
     k: int | None         # reducible sigma_1 power
-    entropy: float
-    module: float
 
     def __init__(
         self,
         kind: Literal["periodic", "reducible", "pseudoAnosov"],
         trace: int,
         exponent_sum: int,
-        central: bool = False,
-        reducible_flag: bool = False,
         base: Literal["sigma12", "delta"] | None = None,
         ell: int | None = None,
         k: int | None = None,
-        entropy: float = 0.0,
-        module: float = math.inf,
     ) -> None:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "trace", trace)
         object.__setattr__(self, "exponent_sum", exponent_sum)
-        object.__setattr__(self, "central", central)
-        object.__setattr__(self, "reducible_flag", reducible_flag)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "entropy", entropy)
-        object.__setattr__(self, "module", module)
+
+    @property
+    def entropy(self) -> float:
+        return log_spectral_radius(self.trace)
+
+    @property
+    def module(self) -> float:
+        return _module(self.entropy)
 
     def as_dict(self) -> dict:
         out = {"kind": self.kind, "trace": self.trace, "exponentSum": self.exponent_sum}
         if self.kind == PERIODIC:
-            out.update(base=self.base, ell=self.ell, central=self.central,
-                       reducible=self.reducible_flag)
+            central = abs(self.trace) == 2
+            out.update(base=self.base, ell=self.ell, central=central, reducible=central)
         elif self.kind == REDUCIBLE:
             out.update(k=self.k, ell=self.ell)
-        out["entropy"] = self.entropy
-        out["module"] = None if math.isinf(self.module) else self.module
+        out["entropy"] = h = self.entropy
+        out["module"] = None if h == 0.0 else _module(h)
         return out
 
 
@@ -133,8 +136,7 @@ def classify3(b: BraidWord) -> ThreeBraidClass:
         ell = _exact_div(es, 6, "central power")
         if (kind == CENTRAL_MINUS_I) != (ell % 2 == 1):
             raise InternalInconsistency("central sign does not match exponent sum")
-        return ThreeBraidClass(PERIODIC, t, es, central=True, reducible_flag=True,
-                               base="delta", ell=2 * ell)
+        return ThreeBraidClass(PERIODIC, t, es, base="delta", ell=2 * ell)
     if kind == ELLIPTIC:
         if t in (1, -1):
             ell = _exact_div(es, 2, "sigma12 power")
@@ -150,10 +152,8 @@ def classify3(b: BraidWord) -> ThreeBraidClass:
         ell = _exact_div(es - k, 6, "reducible Delta^2 power")
         if (sign == -1) != (ell % 2 == 1):
             raise InternalInconsistency("parabolic sign does not match ell parity")
-        return ThreeBraidClass(REDUCIBLE, t, es, reducible_flag=True, k=k, ell=ell)
-
-    h = log_spectral_radius(t)
-    return ThreeBraidClass(PSEUDO_ANOSOV, t, es, entropy=h, module=math.pi / (2 * h))
+        return ThreeBraidClass(REDUCIBLE, t, es, k=k, ell=ell)
+    return ThreeBraidClass(PSEUDO_ANOSOV, t, es)
 
 
 def entropy3(b: BraidWord) -> float:
@@ -165,8 +165,7 @@ def entropy3(b: BraidWord) -> float:
 
 def conformal_module3(b: BraidWord) -> float:
     """pi/(2h), infinite when the entropy vanishes."""
-    h = entropy3(b)
-    return math.inf if h == 0.0 else math.pi / (2 * h)
+    return _module(entropy3(b))
 
 
 def conj3(b1: BraidWord, b2: BraidWord) -> bool:
@@ -210,14 +209,16 @@ class CommutatorPair(Value):
     b2_words count the words of each, so the row stands for b1_words *
     b2_words word pairs.  Every other field depends on the images alone.
     markov is the sorted Markov triple (a, b, c) whose triple 3 (a, b, c)
-    is (tr m1, tr m2, tr m1 m2) up to order and signs (fact (F)).
+    is (tr m1, tr m2, tr m1 m2) up to order and signs (fact (F)).  The
+    commutator trace of every pair is -2 (facts (A) and (D)).
     """
+
+    commutator_trace = -2
 
     b1: tuple[int, ...]
     b2: tuple[int, ...]
     b1_words: int
     b2_words: int
-    commutator_trace: int
     entropy_b1: float
     entropy_b2: float
     b1_pure: bool
@@ -232,7 +233,6 @@ class CommutatorPair(Value):
         b2: tuple[int, ...],
         b1_words: int,
         b2_words: int,
-        commutator_trace: int,
         entropy_b1: float,
         entropy_b2: float,
         b1_pure: bool,
@@ -245,7 +245,6 @@ class CommutatorPair(Value):
         object.__setattr__(self, "b2", b2)
         object.__setattr__(self, "b1_words", b1_words)
         object.__setattr__(self, "b2_words", b2_words)
-        object.__setattr__(self, "commutator_trace", commutator_trace)
         object.__setattr__(self, "entropy_b1", entropy_b1)
         object.__setattr__(self, "entropy_b2", entropy_b2)
         object.__setattr__(self, "b1_pure", b1_pure)
@@ -470,19 +469,17 @@ def zero_entropy_commutator_scan(maxlen: int) -> CommutatorScanReport:
 
     pairs = []
     for m1, m2, t12 in found:
-        # tr(m2 m1^-1) = t1 t2 - t12 = tr(m1 m2^-1), and m1^-2 = t1 m1^-1 - I
-        # by Cayley-Hamilton, so tr(m2 m1^-2) = t1 u - t2
         t1, t2 = m1[0] + m1[3], m2[0] + m2[3]
-        u = t1 * t2 - t12
+        u, v, w, _ = _e0_traces(t1, t2, t12)
         h1, h2, hu = log_spectral_radius(t1), log_spectral_radius(t2), log_spectral_radius(u)
         pure1, pure2 = _is_pure(m1), _is_pure(m2)
         markov = tuple(sorted((abs(t1) // 3, abs(t2) // 3, abs(t12) // 3)))
         (w1, k1), (w2, k2) = groups[m1], groups[m2]
         pairs += (
-            CommutatorPair(w1, w2, k1, k2, -2, h1, h2, pure1, pure2, hu,
-                           log_spectral_radius(t1 * u - t2), markov),
-            CommutatorPair(w2, w1, k2, k1, -2, h2, h1, pure2, pure1, hu,
-                           log_spectral_radius(t2 * u - t1), markov),
+            CommutatorPair(w1, w2, k1, k2, h1, h2, pure1, pure2, hu,
+                           log_spectral_radius(v), markov),
+            CommutatorPair(w2, w1, k2, k1, h2, h1, pure2, pure1, hu,
+                           log_spectral_radius(w), markov),
         )
     pairs.sort(key=lambda p: (p.b1, p.b2))
     return CommutatorScanReport(maxlen, words_scanned, tuple(pairs))

@@ -125,9 +125,12 @@ class FreeWord(Value):
 
     @staticmethod
     def parse(text: str) -> "FreeWord":
-        """Parse whitespace-separated tokens like ``a1 a2^-2 e3^5``."""
+        """Parse whitespace-separated tokens like ``a1 a2^-2 e3^5``; the
+        token ``1``, which `text` writes for the identity, is the identity."""
         blocks: list[Block] = []
         for tok in text.split():
+            if tok == "1":
+                continue
             m = _TOKEN_RE.match(tok)
             if not m:
                 raise ValueError(f"cannot parse free-word token {tok!r}")
@@ -209,16 +212,14 @@ def primitive_root(w: FreeWord) -> tuple[FreeWord, int]:
 
 
 class PeripheralPower(Value):
-    """w is conjugate to peripheral^power; trivial marks w = identity."""
+    """w is conjugate to peripheral^power; peripheral None marks w = identity."""
 
     peripheral: str | None
     power: int
-    trivial: bool
 
-    def __init__(self, peripheral: str | None, power: int, trivial: bool = False) -> None:
+    def __init__(self, peripheral: str | None, power: int) -> None:
         object.__setattr__(self, "peripheral", peripheral)
         object.__setattr__(self, "power", power)
-        object.__setattr__(self, "trivial", trivial)
 
 
 def _peripheral(blocks: tuple[Block, ...]) -> tuple[str | None, int] | None:
@@ -252,10 +253,7 @@ def is_conjugate_into_peripheral(w: FreeWord) -> PeripheralPower | None:
     """The peripheral class and power w is conjugate to, by `_peripheral`;
     None when w is not conjugate into a peripheral power."""
     hit = _peripheral(w.blocks)
-    if hit is None:
-        return None
-    name, power = hit
-    return PeripheralPower(name, power, trivial=name is None)
+    return None if hit is None else PeripheralPower(*hit)
 
 
 def peripheral_word(name: str, power: int = 1) -> FreeWord:

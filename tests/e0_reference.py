@@ -1,4 +1,4 @@
-"""Reference E0 decision and commutator scan for parity tests.
+"""Reference E0 decision, E0 screen and commutator scan for parity tests.
 
 These are `braidoka.oka.oka3_decide` and
 `braidoka.three.zero_entropy_commutator_scan` as they were before both were
@@ -13,6 +13,11 @@ their own words and multiply out each word's theta image letter by
 letter (`braid_helpers.theta_letters`), apart from the run kernel.  The
 scan's process pool is left out; its single-process path is the one kept
 here.
+
+`e0_screen_matrices_reference` is `braidoka._purekernels.e0_screen_matrices`
+as it was before it read the five traces off (tr m1, tr m2, tr m1 m2): each
+E0 image is written out as a product of the two matrices and their
+inverses.
 
 `zero_entropy_commutator_scan_allpairs` is the scan's later image pass,
 which tested every pair of theta images, kept to check the pruning of that
@@ -75,7 +80,7 @@ def oka3_decide_reference(hom: SurfaceHom, mirrored: bool = False) -> Oka3Result
     for e in e0_set(mirrored):
         m = theta(_braid_image(hom, e))
         if abs(m.trace) > 2:
-            return Oka3Violation(e, m.trace, log_spectral_radius(m.trace))
+            return Oka3Violation(e, m.trace)
 
     b1, b2 = hom.images[1], hom.images[2]
     if not braid_eq(b1 * b2, b2 * b1):
@@ -87,6 +92,21 @@ def oka3_decide_reference(hom: SurfaceHom, mirrored: bool = False) -> Oka3Result
     if theta(b1).trace == 0 or theta(b2).trace == 0:
         return Oka3Classified(PERIODIC_DELTA)
     return Oka3Classified(REDUCIBLE_SIGMA1_DELTA2)
+
+
+def e0_screen_matrices_reference(m1, m2, mirrored: bool) -> tuple[int, int]:
+    """(index, trace) of the first E0 class of e1 -> m1, e2 -> m2 whose
+    image, multiplied out, has |trace| > 2, or (0, 0)."""
+    x, y = (m1, m2) if mirrored else (m2, m1)
+    yi = K.mat_inv(y)
+    x_yi = K.mat_mul(x, yi)
+    for index, m in enumerate((m1, m2, x_yi, K.mat_mul(x_yi, yi)), start=1):
+        t = m[0] + m[3]
+        if abs(t) > 2:
+            return index, t
+    comm = K.mat_mul(K.mat_mul(m1, m2), K.mat_inv(K.mat_mul(m2, m1)))
+    t = comm[0] + comm[3]
+    return (5, t) if abs(t) > 2 else (0, 0)
 
 
 def _scan_chunk(words, lo, hi):

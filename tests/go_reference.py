@@ -115,7 +115,7 @@ def is_conjugate_into_peripheral(w: FreeWord) -> Optional[PeripheralPower]:
     """
     _, letters = cyclic_reduce(w)
     if not letters:
-        return PeripheralPower(None, 0, trivial=True)
+        return PeripheralPower(None, 0)
     gens = {g for g, _ in letters}
     if not gens <= {1, 2}:
         return None

@@ -256,6 +256,17 @@ def test_go_surface(tmp_path, capsys):
     assert code == 2
 
 
+def test_go_surface_reads_the_identity_as_1(tmp_path, capsys):
+    # "1" is how the root of an identity image is written, and an image
+    # reads it back; the images are the powers of a1, so the verdict is
+    # reducible
+    path = tmp_path / "hom.json"
+    path.write_text(json.dumps({"genus": 0, "holes": 3, "target": "F2",
+                                "images": {"e1": "1", "e2": "a1"}}))
+    code, payload = run(capsys, "go-surface", "--hom", str(path))
+    assert code == 0 and payload["verdict"] == "reducible" and payload["peripheral"] == "a1"
+
+
 def test_go_surface_rejects_extra_generators(tmp_path, capsys):
     hom = {"genus": 1, "holes": 1, "target": "F2", "images": {"e1": "a3", "e2": "a3^2"}}
     path = tmp_path / "hom.json"

@@ -189,6 +189,16 @@ class TestDiscriminantIndex:
         rep = discriminant_index(LaurentFamily.power_family(n, k), samples)
         assert (rep.index, rep.samples_used) == (k * (n - 1), samples)
 
+    def test_coefficients_are_the_records_own(self):
+        # a change to the argument after construction, even a NaN, leaves
+        # the record and its index as they were
+        coeffs = {0: {0: 0.97, 1: -1.0}}
+        fam = LaurentFamily(2, coeffs)
+        rep = discriminant_index(fam, 64)
+        coeffs[0][0] = math.nan
+        coeffs[1] = {0: 1.0}
+        assert fam.coeffs == {0: {0: 0.97, 1: -1.0}} and discriminant_index(fam, 64) == rep
+
     def test_adaptive_refinement(self):
         # disc = 4(z - 0.97) turns by about pi within 0.03 of z = 1, so
         # 16 samples force step doubling; 4(z^2 - 0.97) does the same at

@@ -6,7 +6,7 @@ from collections import Counter
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidoka import _purekernels, cli, oka
 from braidoka._purekernels import mat_inv, mat_mul
@@ -14,8 +14,8 @@ from braidoka.braid import BraidWord, delta
 from braidoka.errors import (
     DegenerateSignature,
     ResourceLimit,
-    StrandMismatch,
     WrongSignature,
+    WrongStrandCount,
     WrongTarget,
 )
 from braidoka.oka import (
@@ -48,7 +48,7 @@ from braidoka.oka import (
 )
 from braidoka.words import FreeWord, commutator, free_conjugate, is_conjugate_into_peripheral
 from conftest import all_free_words
-from e0_reference import oka3_decide_reference
+from e0_reference import e0_screen_matrices_reference, oka3_decide_reference
 import go_reference
 
 a1, a2 = FreeWord.gen(1), FreeWord.gen(2)
@@ -209,8 +209,42 @@ def _model_pair(rng):
     return u * b1 * u.inv(), u * b2 * u.inv()
 
 
+# B_3 words as runs sigma_i^k, k up to +-10^6, so twelve runs give theta
+# entries of up to about 240 bits
+b3_runs = st.lists(st.tuples(st.sampled_from((1, 2)),
+                             st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))),
+                   max_size=12)
+
+
 class TestOka3Parity:
     """oka3_decide on theta images against the braid-word reference."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(b3_runs, b3_runs, st.sampled_from(("any", "commuting", "small traces")),
+           st.sampled_from((-2, -1, 1, 2)), st.sampled_from((-5, -4, -2, -1, 1, 2, 4, 5)),
+           st.booleans())
+    # sigma_1 with sigma_1 sigma_2, conjugated by a word of 60-bit entries:
+    # index 4 in one variant, 5 in the other, whichever generator comes first
+    @example([], [(1, 10**6), (2, -999_999), (1, 3)], "small traces", 1, 1, False)
+    @example([], [(1, 10**6), (2, -999_999), (1, 3)], "small traces", 1, 1, True)
+    def test_screen_matches_the_product_form(self, r1, r2, shape, a, b, swap):
+        # the traces read off (tr m1, tr m2, tr m1 m2) against the E0 images
+        # multiplied out.  A commuting pair (m2 = m1^2) reaches the passing
+        # screen, and sigma_1^a with (sigma_1 sigma_2)^b or sigma_1^b sigma_2,
+        # both conjugated by r2 and in either order, indices 3-5 with
+        # entries of hundreds of bits
+        if shape == "commuting":
+            r2 = r1 * 2
+        elif shape == "small traces":
+            inv = [(i, -k) for i, k in reversed(r2)]
+            r1, r2 = (r2 + r + inv for r in ([(1, a)], [(1, 1), (2, 1)] * b if b % 2
+                                             else [(1, b), (2, 1)]))
+            if swap:
+                r1, r2 = r2, r1
+        m1, m2 = _purekernels.theta_abcd(r1), _purekernels.theta_abcd(r2)
+        for mirrored in (False, True):
+            assert (_purekernels.e0_screen_matrices(m1, m2, mirrored)
+                    == e0_screen_matrices_reference(m1, m2, mirrored))
 
     def test_violation_witness_is_the_e0_word_at_the_screen_index(self):
         # the witness is read from a precomputed tuple, not a rebuilt E0
@@ -244,10 +278,10 @@ class TestOka3Parity:
             assert _purekernels.e0_screen(b1.runs, b2.runs) == index
         assert seen == {1, 2, 3, 4, 5, PERIODIC_SIGMA12, PERIODIC_DELTA, REDUCIBLE_SIGMA1_DELTA2}
 
-    def test_strand_mismatch(self):
+    def test_wrong_strand_count(self):
         b4 = BraidWord.parse("1 3", 4)
-        for hom in (hom11(b4, delta(3)), hom11(delta(3), b4)):
-            with pytest.raises(StrandMismatch):
+        for hom in (hom11(b4, delta(3)), hom11(delta(3), b4), hom11(b4, b4)):
+            with pytest.raises(WrongStrandCount, match="oka3_decide needs B_3, got B_4"):
                 oka3_decide(hom)
 
 
@@ -750,6 +784,16 @@ class TestPositiveGenusLemmas:
 
 
 class TestGoSurface:
+    def test_images_are_the_records_own(self):
+        # a change to the argument after construction leaves the record and
+        # its verdict as they were
+        images = {1: a1, 2: a2}
+        hom = fhom(SurfaceSignature(0, 3), images)
+        verdict = go_surface_decide(hom)
+        images[1], images[3] = "junk", a1
+        assert hom.images == {1: a1, 2: a2} and go_surface_decide(hom) == verdict
+        assert isinstance(verdict, GOSphereHolomorphic)
+
     def test_cyclic_image(self):
         r = go_surface_decide(fhom(SurfaceSignature(1, 1), {1: a1**2, 2: a1**5}))
         assert isinstance(r, GOReducible)

@@ -55,11 +55,11 @@ class TestClassify:
     def test_periodic(self):
         c = classify3(w3("1 2"))
         assert c.kind == PERIODIC and c.base == "sigma12" and c.ell == 1
-        assert not c.central
+        assert not c.as_dict()["central"] and not c.as_dict()["reducible"]
 
     def test_central_is_periodic_and_reducible(self):
         c = classify3(delta(3) ** 2)
-        assert c.kind == PERIODIC and c.central and c.reducible_flag
+        assert c.kind == PERIODIC and c.as_dict()["central"] and c.as_dict()["reducible"]
 
     def test_delta_powers(self):
         c = classify3(delta(3) ** 5)
@@ -75,7 +75,7 @@ class TestClassify:
                 b = BraidWord(3, (1,) * k if k >= 0 else (-1,) * (-k)) * delta(3) ** (2 * ell)
                 c = classify3(b)
                 if k == 0:
-                    assert c.kind == PERIODIC and c.central
+                    assert c.kind == PERIODIC and c.as_dict()["central"]
                 else:
                     assert c.kind == REDUCIBLE and (c.k, c.ell) == (k, ell), (k, ell, c)
 
@@ -334,7 +334,8 @@ def rows_by_image_pair(word_pairs):
     by (theta(b1), theta(b2)), letter by letter.  Each group must be every
     pair of its b1 words with its b2 words and carry one set of fields; its
     row holds the least word and the word count of each side, those fields,
-    and the sorted Markov triple of its traces divided by 3."""
+    and the sorted Markov triple of its traces divided by 3.  The commutator
+    trace, which the row reads off its class, must be -2."""
     groups = {}
     for pair in word_pairs:
         groups.setdefault((theta_letters(pair[0]), theta_letters(pair[1])), []).append(pair)
@@ -342,7 +343,8 @@ def rows_by_image_pair(word_pairs):
     for (m1, m2), group in groups.items():
         words1, words2 = {p[0] for p in group}, {p[1] for p in group}
         assert len(group) == len(words1) * len(words2), group
-        (fields,) = {p[2:] for p in group}
+        ((trace, *fields),) = {p[2:] for p in group}
+        assert trace == CommutatorPair.commutator_trace == -2, group
         w1, w2 = min(words1), min(words2)
         markov = tuple(sorted(abs(m[0] + m[3]) // 3 for m in (m1, m2, theta_letters(w1 + w2))))
         rows.append(CommutatorPair(w1, w2, len(words1), len(words2), *fields, markov))

@@ -48,7 +48,7 @@ ARGS = {
     SurfaceSignature: lambda: (1, 1),
     SurfaceHom: lambda: (SurfaceSignature(1, 1), "F2", {1: _word(), 2: FreeWord.gen(2)}),
     Oka3Classified: lambda: ("periodicDelta",),
-    Oka3Violation: lambda: (_word(), 3, 0.96),
+    Oka3Violation: lambda: (_word(), 3),
     EPrimeSet: lambda: (SurfaceSignature(1, 1), ((_word(), "commutator"),)),
     GOReducible: lambda: ("a1", _word()),
     GOSphereHolomorphic: lambda: ((1, 2, 3),),
@@ -56,11 +56,11 @@ ARGS = {
     NotGO: lambda: (None, "no"),
     Permutation: lambda: ((2, 3, 1),),
     SL2Matrix: lambda: (2, 1, 1, 1),
-    ThreeBraidClass: lambda: ("pseudoAnosov", 3, 0, False, False, None, None, None, 0.96, 1.63),
-    CommutatorPair: lambda: ((1,), (2,), 1, 2, 3, 0.0, 0.0, False, True, 1.0, 2.0, (1, 1, 1)),
+    ThreeBraidClass: lambda: ("pseudoAnosov", 3, 0, None, None, None),
+    CommutatorPair: lambda: ((1,), (2,), 1, 2, 0.0, 0.0, False, True, 1.0, 2.0, (1, 1, 1)),
     CommutatorScanReport: lambda: (2, 21, ()),
     FreeWord: lambda: (((1, 1), (2, -2)),),
-    PeripheralPower: lambda: ("a1", 3, False),
+    PeripheralPower: lambda: ("a1", 3),
 }
 # a field holds a dict, so the record cannot be hashed
 UNHASHABLE = {LaurentFamily, SurfaceHom}
@@ -127,10 +127,34 @@ def test_copy_and_pickle_round_trip(cls):
 
 def test_defaults_and_keywords():
     assert BraidWord(3).letters == () and FreeWord().blocks == ()
-    assert not PeripheralPower("a2", -1).trivial
     c = ThreeBraidClass(kind="reducible", trace=2, exponent_sum=1, k=1, ell=0)
-    assert (c.central, c.reducible_flag, c.base, c.entropy) == (False, False, None, 0.0)
+    assert (c.base, c.entropy) == (None, 0.0)
     assert (c.k, c.ell, c.module) == (1, 0, math.inf)
+    assert c.as_dict() == {"kind": "reducible", "trace": 2, "exponentSum": 1, "k": 1, "ell": 0,
+                           "entropy": 0.0, "module": None}
+
+
+def test_derived_values_are_read_off_the_fields():
+    # entropy, module, the central and reducible keys and the commutator
+    # trace follow from the other fields, so no constructor takes them
+    h = math.log((3 + math.sqrt(5)) / 2)
+    c = ThreeBraidClass(*ARGS[ThreeBraidClass]())
+    assert (c.entropy, c.module) == (h, math.pi / (2 * h))
+    assert Oka3Violation(_word(), -3).entropy == h
+    assert CommutatorPair(*ARGS[CommutatorPair]()).commutator_trace == -2
+    assert PeripheralPower(None, 0).peripheral is None
+    for trace, central in ((2, True), (-2, True), (1, False), (0, False)):
+        d = ThreeBraidClass("periodic", trace, 0, "delta", 0).as_dict()
+        assert (d["central"], d["reducible"], d["module"]) == (central, central, None)
+    for build in (lambda: ThreeBraidClass("periodic", 2, 0, central=True),
+                  lambda: ThreeBraidClass("periodic", 2, 0, reducible_flag=True),
+                  lambda: ThreeBraidClass("pseudoAnosov", 3, 0, entropy=h),
+                  lambda: ThreeBraidClass("pseudoAnosov", 3, 0, module=1.63),
+                  lambda: Oka3Violation(_word(), 3, entropy=h),
+                  lambda: PeripheralPower(None, 0, trivial=True),
+                  lambda: CommutatorPair(*ARGS[CommutatorPair](), commutator_trace=-2)):
+        with pytest.raises(TypeError):
+            build()
 
 
 def test_repr_keeps_the_dataclass_form():

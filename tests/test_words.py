@@ -70,6 +70,17 @@ class TestReduce:
         with pytest.raises(ValueError):
             FreeWord.parse("b1")
 
+    def test_text_reads_back(self):
+        # text writes the identity as "1", which parse reads as the identity
+        assert FreeWord.identity().text() == "1" and FreeWord.parse("1") == FreeWord.identity()
+        assert FreeWord.parse("a1 1 a2") == FreeWord.parse("a1 a2")
+        rng = random.Random(47)
+        for _ in range(500):
+            w = FreeWord(tuple((rng.randint(1, 4), rng.choice((1, -1)) * rng.randint(1, 10**rng.randint(0, 12)))
+                               for _ in range(rng.randint(0, 8))))
+            for prefix in ("a", "e"):
+                assert FreeWord.parse(w.text(prefix)) == w, w
+
     @pytest.mark.parametrize("text", ["a\u0661", "a1^\u0662", "a1_0", "a1^2_0"])
     def test_parse_reads_only_ascii_digits(self, text):
         # \d also matched the Arabic-Indic digits, so "a\u0661" read as a1
@@ -369,11 +380,11 @@ class TestPeripheral:
         for k in powers:
             for power in (k, -k):
                 hit = is_conjugate_into_peripheral(peripheral_word(name, power))
-                assert (hit.peripheral, hit.power, hit.trivial) == (name, power, False)
+                assert (hit.peripheral, hit.power) == (name, power)
 
     def test_trivial_flag(self):
         hit = is_conjugate_into_peripheral(FreeWord.identity())
-        assert hit.trivial and hit.power == 0
+        assert (hit.peripheral, hit.power) == (None, 0)
 
     def test_positive_boundary_power_is_inverse_orientation(self):
         hit = is_conjugate_into_peripheral((a1 * a2) ** 2)
@@ -400,7 +411,7 @@ class TestPeripheral:
             hit = is_conjugate_into_peripheral(w)
             brute = table.get(w.blocks)
             if w.is_identity():
-                assert hit.trivial
+                assert hit.peripheral is None
             elif brute is None:
                 assert hit is None, (w, hit)
             else:
@@ -456,7 +467,7 @@ class TestLetterReferenceParity:
             if hit is None:
                 assert got is None, w
             else:
-                assert got == (hit.peripheral, hit.power) and hit.trivial == (got[0] is None), w
+                assert got == (hit.peripheral, hit.power), w
             assert hit == go_reference.is_conjugate_into_peripheral(w), w
             kinds.add(None if got is None else got[0])
         assert kinds == {None, PERIPHERAL_A1, PERIPHERAL_A2, PERIPHERAL_A1A2_INV}
