@@ -142,7 +142,6 @@ def test_derived_values_are_read_off_the_fields():
     assert (c.entropy, c.module) == (h, math.pi / (2 * h))
     assert Oka3Violation(_word(), -3).entropy == h
     assert CommutatorPair(*ARGS[CommutatorPair]()).commutator_trace == -2
-    assert PeripheralPower(None, 0).peripheral is None
     for trace, central in ((2, True), (-2, True), (1, False), (0, False)):
         d = ThreeBraidClass("periodic", trace, 0, "delta", 0).as_dict()
         assert (d["central"], d["reducible"], d["module"]) == (central, central, None)
