@@ -16,8 +16,9 @@ __version__ = "0.1.0"
 
 _NAMES = {
     "_backend": ("BACKEND",),
-    "braid": ("BraidWord", "GarsideNormalForm", "LinkingNumbers", "braid_eq", "delta",
-              "exponent_sum", "linking_numbers", "normal_form", "permutation"),
+    "_word": ("BraidWord", "exponent_sum"),
+    "braid": ("GarsideNormalForm", "LinkingNumbers", "braid_eq", "delta", "linking_numbers",
+              "normal_form", "permutation"),
     "families": ("IndexReport", "LaurentFamily", "discriminant_from_coeffs",
                  "discriminant_index", "nbraid_entropy_lower", "nbraid_module_upper",
                  "penner_bound", "thm1_verdict"),
@@ -35,7 +36,7 @@ _NAMES = {
 _HOME = {name: module for module, names in _NAMES.items() for name in names}
 
 # every submodule but cli, which `python -m braidoka.cli` must find unregistered
-_MODULES = ("errors", "_value", "_purekernels", *_NAMES)
+_MODULES = ("errors", "_value", "_theta", "_purekernels", *_NAMES)
 
 __all__ = [*_HOME, *(m for m in _MODULES if not m.startswith("_"))]
 

@@ -16,7 +16,8 @@ the exit code nor stderr.
 
 The handlers read the package's modules by attribute (`three.classify3`),
 so a call loads only the modules its handler runs, and building the
-parser loads none.  `main` builds the subparser of the subcommand that
+parser loads none.  Every handler reads its braid words with
+`_word.BraidWord`, so the B_3 subcommands compile none of `braid`.  `main` builds the subparser of the subcommand that
 its first argument names, none when that argument is `--version`, and
 every subparser when it names none (`--help`, a typo).
 """
@@ -29,7 +30,7 @@ import math
 import os
 import sys
 
-from . import __version__, _value, braid, errors, families, lattice, oka, sl2z, three
+from . import __version__, _value, _word, braid, errors, families, lattice, oka, sl2z, three
 
 SCHEMA_VERSION = "1"
 PATH_STEPS = 16  # lattice-branch --path-end without --path-steps
@@ -44,8 +45,8 @@ USAGE_ERROR = 1
 NEGATIVE = 2
 
 
-def _braid_arg(args) -> braid.BraidWord:
-    return braid.BraidWord.parse(args.braid, args.n)
+def _braid_arg(args) -> _word.BraidWord:
+    return _word.BraidWord.parse(args.braid, args.n)
 
 
 def _load_json(path: str):
@@ -54,26 +55,26 @@ def _load_json(path: str):
 
 
 def cmd_classify(args):
-    b = braid.BraidWord.parse(args.braid, 3)
+    b = _word.BraidWord.parse(args.braid, 3)
     payload = three.classify3(b).as_dict()
     payload["theta"] = sl2z.theta(b).to_json()
     return payload, True
 
 
 def cmd_entropy(args):
-    return {"entropy": three.entropy3(braid.BraidWord.parse(args.braid, 3))}, True
+    return {"entropy": three.entropy3(_word.BraidWord.parse(args.braid, 3))}, True
 
 
 def cmd_module(args):
-    m = three.conformal_module3(braid.BraidWord.parse(args.braid, 3))
+    m = three.conformal_module3(_word.BraidWord.parse(args.braid, 3))
     return {"module": None if math.isinf(m) else m, "infinite": math.isinf(m)}, True
 
 
 def cmd_eq(args):
-    a, b = braid.BraidWord.parse(args.a, args.n), braid.BraidWord.parse(args.b, args.n)
+    a, b = _word.BraidWord.parse(args.a, args.n), _word.BraidWord.parse(args.b, args.n)
     if args.n is None:  # one inferred B_n for both; B_n embeds in B_(n+1)
         n = max(a.strands, b.strands)
-        a, b = braid.BraidWord._from_runs(n, a.runs), braid.BraidWord._from_runs(n, b.runs)
+        a, b = _word.BraidWord._from_runs(n, a.runs), _word.BraidWord._from_runs(n, b.runs)
     equal = braid.braid_eq(a, b)
     return {"equal": equal}, equal
 
@@ -100,7 +101,7 @@ def cmd_linking(args):
 
 
 def cmd_conj(args):
-    res = three.conj3(braid.BraidWord.parse(args.a, 3), braid.BraidWord.parse(args.b, 3))
+    res = three.conj3(_word.BraidWord.parse(args.a, 3), _word.BraidWord.parse(args.b, 3))
     return {"conjugate": res}, res
 
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 import cmath
 import math
 
-from . import perms
 from ._value import Value, check_int, int_field
 from .errors import (
     DegreeTooSmall,
@@ -333,12 +332,46 @@ REDUCIBLE = "reducible"
 INCONCLUSIVE = "inconclusive"
 
 
+# the first 13 primes; as Miller-Rabin bases they decide primality for
+# every n below _MR_BOUND (Sorenson and Webster, "Strong pseudoprimes to
+# twelve prime bases", 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Division by the bases, then a strong probable-prime test to each of
+    them: deterministic below _MR_BOUND, at a cost that follows the bit
+    length of n.  At or above the bound ResourceLimit is raised."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= _MR_BOUND:
+        raise ResourceLimit(f"primality is decided only below {_MR_BOUND}, got a "
+                            f"{n.bit_length()}-bit number")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def thm1_verdict(n: int, modulus: float, index: int) -> str:
     """Reducibility verdict for a separable degree-n algebroid family on an
     annulus: certified reducible when n is prime, the conformal module
     exceeds (2 pi / log 2) n, and n divides the discriminant index.  The
     criterion has no converse, so everything else is inconclusive.  The
-    cheap conditions are read first; `perms._is_prime` then decides
+    cheap conditions are read first; `_is_prime` then decides
     primality below 3.3 * 10^24 and raises ResourceLimit above it unless
     a prime below 43 divides n.
     """
@@ -348,7 +381,7 @@ def thm1_verdict(n: int, modulus: float, index: int) -> str:
         raise ValueError("degree must be >= 2")
     if not 0 < modulus < math.inf:
         raise ValueError("modulus must be positive and finite")
-    if index % n == 0 and modulus > 2 * math.pi * n / math.log(2) and perms._is_prime(n):
+    if index % n == 0 and modulus > 2 * math.pi * n / math.log(2) and _is_prime(n):
         return REDUCIBLE
     return INCONCLUSIVE
 

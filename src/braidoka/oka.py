@@ -20,8 +20,8 @@ import functools
 import itertools
 import re
 
-from . import _purekernels, braid
-from ._purekernels import (
+from . import _theta, _word
+from ._theta import (
     _E0_BLOCKS,
     _E0_MIRRORED_BLOCKS,
     e0_screen_matrices,
@@ -38,9 +38,6 @@ from .errors import (
     WrongStrandCount,
     WrongTarget,
 )
-# unused here, kept in this namespace for perfbench/test_perfbench.py; it
-# costs the compile of sl2z on every oka3, go-surface and eprime call
-from .sl2z import theta  # noqa: F401
 from .words import (
     Block,
     FreeWord,
@@ -55,6 +52,17 @@ from .words import (
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Literal
+
+
+def __getattr__(name: str):
+    # oka never calls theta, and only perfbench/test_perfbench.py reads
+    # `oka.theta` (as `sl2z.theta`): it is looked up in sl2z on each read,
+    # so an oka call does not compile sl2z, and a tracer's wrapper of
+    # sl2z.theta is not kept here after the tracer is removed
+    if name == "theta":
+        from . import sl2z
+        return sl2z.theta
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SurfaceSignature(Value):
@@ -99,7 +107,7 @@ class SurfaceHom(Value):
         if len(images) != x or not all(1 <= k <= x for k in images):
             raise ValueError(f"need images for generators 1..{x}")
         for v in images.values():
-            if target == TARGET_B3 and not isinstance(v, braid.BraidWord):
+            if target == TARGET_B3 and not isinstance(v, _word.BraidWord):
                 raise ValueError("B3 target needs BraidWord images")
             if target == TARGET_F2:
                 if not isinstance(v, FreeWord):
@@ -147,7 +155,7 @@ class SurfaceHom(Value):
             if idx in keys:
                 raise ValueError(f'images keys "{keys[idx]}" and "{key}" name one generator')
             keys[idx] = key
-            images[idx] = (braid.BraidWord.parse(text, 3) if target == TARGET_B3
+            images[idx] = (_word.BraidWord.parse(text, 3) if target == TARGET_B3
                            else FreeWord.parse(text))
         return SurfaceHom(sig, target, images)
 
@@ -253,8 +261,8 @@ def oka3_decide(hom: SurfaceHom, mirrored: bool = False) -> Oka3Result:
         if b.strands != 3:
             raise WrongStrandCount(f"oka3_decide needs B_3, got B_{b.strands}")
 
-    m1 = _purekernels.theta_abcd(b1.runs)
-    m2 = _purekernels.theta_abcd(b2.runs)
+    m1 = _theta.theta_abcd(b1.runs)
+    m2 = _theta.theta_abcd(b2.runs)
     index, trace = e0_screen_matrices(m1, m2, mirrored)
     if index:
         witness = (_E0_MIRRORED if mirrored else _E0)[index - 1]

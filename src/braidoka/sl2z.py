@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import math
 
-from . import _purekernels
+from . import _theta
 from ._value import Value, _same_cycle
 from .errors import InternalInconsistency, NotParabolic, WrongStrandCount
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from .braid import BraidWord
+    from ._word import BraidWord
 
     # the entries (a, b, c, d) of [[a, b], [c, d]], as the kernels return
     # them; the class, the parabolic invariant, the period word and
@@ -69,10 +69,10 @@ class SL2Matrix(Value):
         return self.a + self.d
 
     def __mul__(self, o: "SL2Matrix") -> "SL2Matrix":
-        return SL2Matrix(*_purekernels.mat_mul(self.entries(), o.entries()))
+        return SL2Matrix(*_theta.mat_mul(self.entries(), o.entries()))
 
     def inv(self) -> "SL2Matrix":
-        return SL2Matrix(*_purekernels.mat_inv(self.entries()))
+        return SL2Matrix(*_theta.mat_inv(self.entries()))
 
     def __pow__(self, k: int) -> "SL2Matrix":
         """Square-and-multiply: O(log |k|) products."""
@@ -105,7 +105,7 @@ def theta(b: BraidWord) -> SL2Matrix:
     """The standard representation of B_3: sigma_1 -> A, sigma_2 -> B."""
     if b.strands != 3:
         raise WrongStrandCount(f"theta is defined on B_3, got B_{b.strands}")
-    return SL2Matrix(*_purekernels.theta_abcd(b.runs))
+    return SL2Matrix(*_theta.theta_abcd(b.runs))
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +225,10 @@ def rl_factorization(
         raise ValueError("R/L factorization needs |trace| > 2")
     sign = 1 if m.trace > 0 else -1
     period = _period_runs(m.entries())
-    root = _purekernels.theta_abcd(period)
+    root = _theta.theta_abcd(period)
     witness, j = root, 1
     while witness[0] + witness[3] < abs(m.trace):
-        witness, j = _purekernels.mat_mul(witness, root), j + 1
+        witness, j = _theta.mat_mul(witness, root), j + 1
     if witness[0] + witness[3] != abs(m.trace):
         raise InternalInconsistency(f"no power of the period word has trace {m.trace}")
     runs = tuple(("R", k) if i == 1 else ("L", -k) for i, k in period)

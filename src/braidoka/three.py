@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 
-from . import _purekernels
-from ._purekernels import _e0_traces, log_spectral_radius, mat_mul
+from . import _theta
+from ._theta import _e0_traces, log_spectral_radius, mat_mul
 from ._value import Value, check_int
-from .braid import BraidWord, exponent_sum
+from ._word import BraidWord, exponent_sum
 from .errors import InternalInconsistency, ResourceLimit, WrongStrandCount
 from .sl2z import (
     CENTRAL_I,
@@ -159,7 +159,7 @@ def classify3(b: BraidWord) -> ThreeBraidClass:
 def entropy3(b: BraidWord) -> float:
     if b.strands != 3:
         raise WrongStrandCount(f"entropy3 needs B_3, got B_{b.strands}")
-    a, bb, c, d = _purekernels.theta_abcd(b.runs)
+    a, bb, c, d = _theta.theta_abcd(b.runs)
     return log_spectral_radius(a + d)
 
 
@@ -180,7 +180,7 @@ def conj3(b1: BraidWord, b2: BraidWord) -> bool:
         raise WrongStrandCount("conj3 needs B_3 words")
     if exponent_sum(b1) != exponent_sum(b2):
         return False
-    return _conjugate(_purekernels.theta_abcd(b1.runs), _purekernels.theta_abcd(b2.runs))
+    return _conjugate(_theta.theta_abcd(b1.runs), _theta.theta_abcd(b2.runs))
 
 
 def centralizer_check(b: BraidWord, k: int) -> bool:
@@ -198,7 +198,7 @@ def centralizer_check(b: BraidWord, k: int) -> bool:
     check_int(k, "k")
     if k == 0:
         raise ValueError("k must be nonzero")
-    _, _, c, _ = _purekernels.theta_abcd(b.runs)
+    _, _, c, _ = _theta.theta_abcd(b.runs)
     return c == 0
 
 
@@ -299,7 +299,7 @@ def _image_groups3(maxlen: int) -> tuple[int, dict[tuple[int, int, int, int], li
     of their theta images [least word, word count].
 
     A word's image is its prefix's times the image of its last letter, two
-    additions as in `_purekernels.theta_abcd` with k = +-1.  Counting the
+    additions as in `_theta.theta_abcd` with k = +-1.  Counting the
     words per state (image, last letter) instead of listing them measured
     slower at maxlen 5, where the benchmark's `sweeps` workload runs the
     scan (0.36 against 0.18 ms), and faster at SCAN_MAXLEN (0.11 against

@@ -14,7 +14,7 @@ letter (`braid_helpers.theta_letters`), apart from the run kernel.  The
 scan's process pool is left out; its single-process path is the one kept
 here.
 
-`e0_screen_matrices_reference` is `braidoka._purekernels.e0_screen_matrices`
+`e0_screen_matrices_reference` is `braidoka._theta.e0_screen_matrices`
 as it was before it read the five traces off (tr m1, tr m2, tr m1 m2): each
 E0 image is written out as a product of the two matrices and their
 inverses.
@@ -32,7 +32,7 @@ these word pairs by image pair to compare.
 
 from __future__ import annotations
 
-from braidoka import _purekernels as K
+from braidoka import _theta as K
 from braidoka.braid import BraidWord, braid_eq, commutator, permutation
 from braidoka.errors import ResourceLimit, TheoremContradiction, WrongSignature
 from braidoka.oka import (

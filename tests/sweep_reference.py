@@ -23,7 +23,8 @@ classification of the last level from its parents.
 
 from __future__ import annotations
 
-from braidoka._purekernels import _FLIP, _IS_THREE_CYCLE, _PERM_STEP, mat_mul
+from braidoka._purekernels import _FLIP, _IS_THREE_CYCLE, _PERM_STEP
+from braidoka._theta import mat_mul
 
 # theta(sigma_1) and theta(sigma_2) in SL(2,Z), plus inverses, keyed by letter
 _THETA = {

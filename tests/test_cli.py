@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from braidoka import __version__, cli, lattice, three
+import braidoka
+from braidoka import __version__, cli, lattice, oka, three
 from braidoka.braid import BraidWord
 from braidoka.cli import build_parser, main
 
@@ -890,26 +891,23 @@ def test_loading_every_module_leaves_dataclasses_and_fractions_unloaded():
 # use, so a subcommand pays only for the code it runs, and a module-level
 # import that drags in a module the call does not run fails here.
 _CORE = {"_value", "errors"}
+_B3 = _CORE | {"_word", "_theta", "sl2z", "three"}  # B_3 by theta: no braid
 _LOADS = [
     (["--version"], set()),
-    (["classify", "--braid=1 -2"], _CORE | {"braid", "sl2z", "three", "_purekernels"}),
-    (["entropy", "--braid=1 -2"], _CORE | {"braid", "sl2z", "three", "_purekernels"}),
-    (["module", "--braid=1 2"], _CORE | {"braid", "sl2z", "three", "_purekernels"}),
-    (["eq", "--n", "3", "--a=1 2 1", "--b=2 1 2"], _CORE | {"braid", "_purekernels"}),
-    (["nf", "--braid=1 -2 3", "--n", "4"], _CORE | {"braid", "perms"}),
-    (["linking", "--braid=1 1 2 2", "--n", "4"], _CORE | {"braid"}),
-    (["conj", "--a=1 -2", "--b=-2 1"], _CORE | {"braid", "sl2z", "three", "_purekernels"}),
-    (["scan-commutators", "--maxlen", "2"],
-     _CORE | {"braid", "sl2z", "three", "_purekernels"}),
+    (["classify", "--braid=1 -2"], _B3),
+    (["entropy", "--braid=1 -2"], _B3),
+    (["module", "--braid=1 2"], _B3),
+    (["eq", "--n", "3", "--a=1 2 1", "--b=2 1 2"], _CORE | {"_word", "braid", "_theta"}),
+    (["nf", "--braid=1 -2 3", "--n", "4"], _CORE | {"_word", "braid", "perms"}),
+    (["linking", "--braid=1 1 2 2", "--n", "4"], _CORE | {"_word", "braid"}),
+    (["conj", "--a=1 -2", "--b=-2 1"], _B3),
+    (["scan-commutators", "--maxlen", "2"], _B3),
     (["disc-index", "--family", "{family}", "--samples", "64"], _CORE | {"families"}),
-    (["thm1", "--n", "3", "--modulus", "30.0", "--index", "3"],
-     _CORE | {"families", "perms"}),  # perms._is_prime decides n
+    (["thm1", "--n", "3", "--modulus", "30.0", "--index", "3"], _CORE | {"families"}),
     (["penner", "--genus", "1", "--marked", "2", "--braid-n", "4"], _CORE | {"families"}),
-    (["oka3", "--hom", "{hom}", "--both-variants"],
-     _CORE | {"oka", "words", "sl2z", "_purekernels", "braid"}),
-    (["go-surface", "--hom", "{fhom}"], _CORE | {"oka", "words", "sl2z", "_purekernels"}),
-    (["eprime", "--genus", "1", "--holes", "1", "--list"],
-     _CORE | {"oka", "words", "sl2z", "_purekernels"}),
+    (["oka3", "--hom", "{hom}", "--both-variants"], _CORE | {"oka", "words", "_word", "_theta"}),
+    (["go-surface", "--hom", "{fhom}"], _CORE | {"oka", "words", "_theta"}),
+    (["eprime", "--genus", "1", "--holes", "1", "--list"], _CORE | {"oka", "words", "_theta"}),
     (["lattice-branch", "--tau=0.1,1.2", "--alpha=1,0", "--radius", "60", "--csv"],
      _CORE | {"lattice"}),
 ]
@@ -941,3 +939,47 @@ def test_a_subcommand_loads_only_the_modules_it_runs(argv, loads, tmp_path):
     loaded = {n.removeprefix("braidoka.") for n in names} - {"cli"}
     assert exit_code in (0, 2)
     assert loaded == loads, sorted(loaded)
+
+
+def test_oka_theta_is_read_from_sl2z_after_an_oka3_call(tmp_path):
+    # oka does not import sl2z; its module __getattr__ serves the name that
+    # perfbench's namespace test reads, and only that read loads sl2z
+    src = Path(__file__).resolve().parents[1] / "src"
+    hom = tmp_path / "hom.json"
+    hom.write_text(json.dumps(_HOM))
+    code = (
+        "import contextlib, importlib.util, io, sys\n"
+        "from braidoka import cli, oka\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['oka3', '--hom', sys.argv[1]])\n"
+        "before = type(sys.modules['braidoka.sl2z']) is importlib.util._LazyModule\n"
+        "theta = oka.theta\n"
+        "from braidoka import sl2z\n"
+        "print(before, theta is sl2z.theta, 'theta' in vars(oka))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(hom)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == ["True", "True", "False"]
+    with pytest.raises(AttributeError, match="no attribute 'thetta'"):
+        oka.thetta  # noqa: B018
+
+
+def test_every_module_but_cli_is_registered_lazily():
+    src = Path(__file__).resolve().parents[1] / "src" / "braidoka"
+    modules = {p.stem for p in src.glob("*.py")} - {"__init__", "cli"}
+    assert modules == set(braidoka._MODULES)
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["classify", "--braid", "1 -2"]])
+def test_running_the_cli_module_raises_no_runpy_warning(argv):
+    # runpy warns when `braidoka.cli` is in sys.modules before it runs,
+    # which a lazy registration of cli in the package would cause
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "braidoka.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""

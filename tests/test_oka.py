@@ -8,8 +8,8 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from braidoka import _purekernels, cli, oka
-from braidoka._purekernels import mat_inv, mat_mul
+from braidoka import _purekernels, _theta, cli, oka
+from braidoka._theta import mat_inv, mat_mul
 from braidoka.braid import BraidWord, delta
 from braidoka.errors import (
     DegenerateSignature,
@@ -171,7 +171,7 @@ class TestOka3:
         # force the images to commute, so the other two E0 classes and the
         # commutation check decide nothing more, in either variant
         b1, b2 = pair[::-1] if swap else pair
-        m1, m2 = _purekernels.theta_abcd(b1.runs), _purekernels.theta_abcd(b2.runs)
+        m1, m2 = _theta.theta_abcd(b1.runs), _theta.theta_abcd(b2.runs)
         comm = mat_mul(mat_mul(m1, m2), mat_mul(mat_inv(m1), mat_inv(m2)))
         passes = all(abs(m[0] + m[3]) <= 2 for m in (m1, m2, comm))
         for mirrored in (False, True):
@@ -241,9 +241,9 @@ class TestOka3Parity:
                                              else [(1, b), (2, 1)]))
             if swap:
                 r1, r2 = r2, r1
-        m1, m2 = _purekernels.theta_abcd(r1), _purekernels.theta_abcd(r2)
+        m1, m2 = _theta.theta_abcd(r1), _theta.theta_abcd(r2)
         for mirrored in (False, True):
-            assert (_purekernels.e0_screen_matrices(m1, m2, mirrored)
+            assert (_theta.e0_screen_matrices(m1, m2, mirrored)
                     == e0_screen_matrices_reference(m1, m2, mirrored))
 
     def test_violation_witness_is_the_e0_word_at_the_screen_index(self):
@@ -252,9 +252,9 @@ class TestOka3Parity:
         seen = set()
         for _ in range(600):
             b1, b2 = _random_b3(rng, 8), _random_b3(rng, 8)
-            m1, m2 = _purekernels.theta_abcd(b1.runs), _purekernels.theta_abcd(b2.runs)
+            m1, m2 = _theta.theta_abcd(b1.runs), _theta.theta_abcd(b2.runs)
             for mirrored in (False, True):
-                index, trace = _purekernels.e0_screen_matrices(m1, m2, mirrored)
+                index, trace = _theta.e0_screen_matrices(m1, m2, mirrored)
                 if index:
                     r = oka3_decide(hom11(b1, b2), mirrored)
                     assert r.witness == e0_set(mirrored)[index - 1] and r.trace == trace

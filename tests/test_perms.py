@@ -1,5 +1,4 @@
 import itertools
-import math
 import time
 
 import pytest
@@ -9,11 +8,9 @@ from braidoka.errors import (
     NotCommuting,
     NotPrime,
     NotTransitive,
-    ResourceLimit,
 )
 from braidoka.perms import (
     Permutation,
-    _is_prime,
     abelian_transitive_generator,
     commute,
     is_transitive,
@@ -67,29 +64,6 @@ def test_then_is_word_order():
     assert s1.then(s2) == cyc(3, (1, 3, 2)) or s1.then(s2) == cyc(3, (1, 2, 3))
     # word s1 s2 sends 1 -> 2 -> 3
     assert s1.then(s2)(1) == 3
-
-
-class TestIsPrime:
-    def test_matches_trial_division(self):
-        def trial(n):
-            return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
-        assert [n for n in range(-3, 10**5) if _is_prime(n)] == [n for n in range(-3, 10**5) if trial(n)]
-
-    @pytest.mark.parametrize("n", [3215031751, 3825123056546413051, 318665857834031151167461])
-    def test_strong_pseudoprimes_are_composite(self, n):
-        # the least strong pseudoprimes to the first 4, 11 and 12 prime
-        # bases: a test with fewer of the 13 bases would call them prime
-        assert not _is_prime(n)
-
-    def test_mersenne_prime_in_bit_length_time(self):
-        start = time.perf_counter()
-        assert _is_prime(2**61 - 1) and not _is_prime(2**61 + 1)
-        assert time.perf_counter() - start < 0.1
-
-    def test_past_the_bound_is_a_resource_limit(self):
-        with pytest.raises(ResourceLimit, match="3317044064679887385961981"):
-            _is_prime(2**89 - 1)
-        assert not _is_prime(2**89)  # the division by the bases still decides
 
 
 class TestAbelianTransitive:

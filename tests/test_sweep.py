@@ -7,8 +7,8 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from braidoka import _purekernels
-from braidoka._purekernels import _FLIP, _PERM_STEP, _PERMS, SWEEP3_MAXLEN, mat_mul, sweep3_stats
+from braidoka._purekernels import _FLIP, _PERM_STEP, _PERMS, SWEEP3_MAXLEN, sweep3_stats
+from braidoka._theta import mat_mul, theta_abcd
 from braidoka.braid import BraidWord, permutation
 from braidoka.errors import ResourceLimit
 
@@ -41,7 +41,7 @@ _KLEIN = {
 
 
 def _theta(letters):
-    return _purekernels.theta_abcd(BraidWord(3, tuple(letters)).runs)
+    return theta_abcd(BraidWord(3, tuple(letters)).runs)
 
 
 def _conjugate(g, m):
@@ -138,7 +138,7 @@ def test_three_cycles_are_the_odd_traces():
     # counting words by theta mod 2 alone gives the number of words whose
     # tracked permutation is a 3-cycle
     gens = [
-        tuple(x % 2 for x in _purekernels.theta_abcd(BraidWord(3, (let,)).runs))
+        tuple(x % 2 for x in theta_abcd(BraidWord(3, (let,)).runs))
         for let in (1, -1, 2, -2)
     ]
     level = {(1, 0, 0, 1): 1}
@@ -149,7 +149,7 @@ def test_three_cycles_are_the_odd_traces():
         nxt = {}
         for m, n in level.items():
             for g in gens:
-                key = tuple(x % 2 for x in _purekernels.mat_mul(m, g))
+                key = tuple(x % 2 for x in mat_mul(m, g))
                 nxt[key] = nxt.get(key, 0) + n
         level = nxt
 

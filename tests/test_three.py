@@ -5,8 +5,8 @@ import time
 import pytest
 from hypothesis import example, given, strategies as st
 
-from braidoka import _purekernels
-from braidoka._purekernels import mat_inv, mat_mul
+from braidoka import _theta
+from braidoka._theta import mat_inv, mat_mul
 from braidoka.braid import BraidWord, braid_eq, delta, exponent_sum, permutation
 from braidoka.errors import ResourceLimit, WrongStrandCount
 from braidoka.sl2z import PARABOLIC, SL2Matrix, _kind, sl2z_conjugate, theta
@@ -284,7 +284,7 @@ class TestCommutatorScan:
         # x^2 + y^2 + z^2 = xyz, so they are 3 x a Markov triple up to
         # signs; the traces come from theta_abcd, not from _fricke_roots
         def trace(word):
-            a, _, _, d = _purekernels.theta_abcd([(abs(g), 1 if g > 0 else -1) for g in word])
+            a, _, _, d = _theta.theta_abcd([(abs(g), 1 if g > 0 else -1) for g in word])
             return a + d
 
         rows = zero_entropy_commutator_scan(7).pairs
@@ -357,7 +357,7 @@ b3_words = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=30).map(
 
 
 sl2z_mats = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=20).map(
-    lambda letters: _purekernels.theta_abcd(BraidWord(3, letters).runs))
+    lambda letters: _theta.theta_abcd(BraidWord(3, letters).runs))
 
 
 def _commutator_trace(m1, m2):
