@@ -36,7 +36,7 @@ _NAMES = {
 _HOME = {name: module for module, names in _NAMES.items() for name in names}
 
 # every submodule but cli, which `python -m braidoka.cli` must find unregistered
-_MODULES = ("errors", "_value", "_theta", "_purekernels", *_NAMES)
+_MODULES = ("errors", "_value", "_prime", "_theta", "_purekernels", *_NAMES)
 
 __all__ = [*_HOME, *(m for m in _MODULES if not m.startswith("_"))]
 

@@ -11,24 +11,30 @@ the interpreter converts to text is a ResourceLimit error.  Exit codes: 0
 for a positive or neutral result, 2 for a negative mathematical verdict
 (inequality, non-conjugacy, violation, non-GO, inconclusive), 1 for usage
 or input errors, which are reported on stderr as one JSON object on one
-line of the same form.  A reader that closes stdout early changes neither
-the exit code nor stderr.
+line of the same form (`errors.UsageError` for a command line that cannot
+be read).  A reader that closes stdout early changes neither the exit code
+nor stderr.
+
+The options are one table, `_SUBCOMMANDS`, and `parse_args` reads argv
+against the rows of the subcommand it names: `--name value` or
+`--name=value`, where the value is the next token unless that starts with
+`--` (so `--tau -0.3,1` is a value); the last of a repeated option wins; a
+flag takes no value; an option is spelled out in full.  No argparse: its
+import, with gettext and locale, and its parser cost a call about 4-5 ms.
 
 The handlers read the package's modules by attribute (`three.classify3`),
-so a call loads only the modules its handler runs, and building the
-parser loads none.  Every handler reads its braid words with
-`_word.BraidWord`, so the B_3 subcommands compile none of `braid`.  `main` builds the subparser of the subcommand that
-its first argument names, none when that argument is `--version`, and
-every subparser when it names none (`--help`, a typo).
+so a call loads only the modules its handler runs, and reading the
+command line loads none.  Every handler reads its braid words with
+`_word.BraidWord`, so the B_3 subcommands compile none of `braid`.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import sys
+import types
 
 from . import __version__, _value, _word, braid, errors, families, lattice, oka, sl2z, three
 
@@ -147,6 +153,8 @@ def cmd_penner(args):
 
 def cmd_oka3(args):
     """--both-variants reports both E0 variants; the standard one sets the verdict."""
+    if args.mirrored and args.both_variants:
+        raise errors.UsageError("argument --both-variants: not allowed with argument --mirrored")
     hom = oka.SurfaceHom.from_json(_load_json(args.hom))
     if args.both_variants:
         payload = oka.oka3_decide_both(hom)
@@ -213,145 +221,131 @@ def cmd_lattice_branch(args):
 
 
 def _int(text: str) -> int:
-    """An integer option, read by the rule of braid words and JSON fields
-    (`_value.read_int`): argparse's ``int`` would also take "1_0", " 2"
-    and other scripts' digits.  argparse names the option in the error."""
-    try:
-        return _value.read_int(text, "the value")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    """An integer option, read by the rule of braid words and JSON fields:
+    ``int`` would also take "1_0", " 2" and other scripts' digits."""
+    return _value.read_int(text, "the value")
 
 
-def _braid_options(p):
-    p.add_argument("--braid", required=True, help="word like '1 -2 1'")
+_BRAID = ("--braid", str, ..., "braid word, such as '1 -2 1'")
+_N = ("--n", _int, 3, "strand count")
+_A, _B = ("--a", str, ..., "first braid word"), ("--b", str, ..., "second braid word")
+_HOM = ("--hom", str, ..., "SurfaceHom JSON file")
+_OUT = ("--out", str, None, "also write the printed output to this file")
 
-
-def _braid_n_options(p):  # the other --braid subcommands work in B_3 only
-    _braid_options(p)
-    p.add_argument("--n", type=_int, default=3, help="strand count")
-
-
-def _pair_options(p):
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-
-
-def _eq_options(p):
-    _pair_options(p)
-    p.add_argument("--n", type=_int)
-
-
-def _scan_options(p):
-    p.add_argument("--maxlen", type=_int, required=True)
-
-
-def _disc_index_options(p):
-    p.add_argument("--family", required=True, help="LaurentFamily JSON file")
-    p.add_argument("--samples", type=_int, default=256)
-
-
-def _thm1_options(p):
-    p.add_argument("--n", type=_int, required=True)
-    p.add_argument("--modulus", type=float, required=True)
-    p.add_argument("--index", type=_int, required=True)
-
-
-def _penner_options(p):
-    p.add_argument("--genus", type=_int)
-    p.add_argument("--marked", type=_int)
-    p.add_argument("--braid-n", type=_int)
-
-
-def _hom_options(p):
-    p.add_argument("--hom", required=True, help="SurfaceHom JSON file")
-
-
-def _oka3_options(p):
-    _hom_options(p)
-    variant = p.add_mutually_exclusive_group()
-    variant.add_argument("--mirrored", action="store_true",
-                         help="use the mirrored E0 variant")
-    variant.add_argument("--both-variants", action="store_true",
-                         help="report both E0 variants and whether they agree")
-
-
-def _eprime_options(p):
-    p.add_argument("--genus", type=_int, required=True)
-    p.add_argument("--holes", type=_int, required=True)
-    p.add_argument("--list", action="store_true")
-
-
-# argparse takes a value that starts with "-" and is not a plain negative
-# number, such as -0.3,1, for an option, so `--tau -0.3,1` is a usage error
-_COMPLEX = "complex as re,im; a negative re needs the = form, as in {}=-0.3,1"
-
-
-def _lattice_branch_options(p):
-    p.add_argument("--alpha", default="1,0", help=_COMPLEX.format("--alpha"))
-    p.add_argument("--tau", required=True, help=_COMPLEX.format("--tau"))
-    p.add_argument("--radius", type=_int,
-                   help="accepted for compatibility, at least 10; the output does not "
-                        "depend on it, since a reduced lattice needs at most 9 rows")
-    p.add_argument("--csv", action="store_true")
-    p.add_argument("--path-end", help="trace tau linearly to this value, "
-                                      + _COMPLEX.format("--path-end"))
-    p.add_argument("--path-steps", type=_int,
-                   help=f"steps along the --path-end path (default {PATH_STEPS})")
-
-
-# name: (handler, help line, the function that adds its options), in the
-# order `--help` lists them
+# name: (handler, help line, option rows...), in the order `--help` lists
+# them.  A row is (option, kind, default, help): the kind str, _int or float
+# reads the option's value, bool makes it a flag, and the default ... makes
+# the option required.  Every subcommand also takes _OUT.
 _SUBCOMMANDS = {
-    "classify": (cmd_classify, "Nielsen-Thurston class of a 3-braid", _braid_options),
-    "entropy": (cmd_entropy, "topological entropy of a 3-braid", _braid_options),
-    "module": (cmd_module, "conformal module of a 3-braid class", _braid_options),
-    "nf": (cmd_nf, "Garside left normal form", _braid_n_options),
-    "linking": (cmd_linking, "linking numbers of a pure braid", _braid_n_options),
-    "eq": (cmd_eq, "equality of two braid words", _eq_options),
-    "conj": (cmd_conj, "conjugacy of two 3-braid words", _pair_options),
-    "scan-commutators": (cmd_scan_commutators,
-                         "pairs with nontrivial zero-entropy commutator", _scan_options),
+    "classify": (cmd_classify, "Nielsen-Thurston class of a 3-braid", _BRAID),
+    "entropy": (cmd_entropy, "topological entropy of a 3-braid", _BRAID),
+    "module": (cmd_module, "conformal module of a 3-braid class", _BRAID),
+    "nf": (cmd_nf, "Garside left normal form", _BRAID, _N),
+    "linking": (cmd_linking, "linking numbers of a pure braid", _BRAID, _N),
+    "eq": (cmd_eq, "equality of two braid words", _A, _B,
+           ("--n", _int, None, "strand count; the least that holds both if not given")),
+    "conj": (cmd_conj, "conjugacy of two 3-braid words", _A, _B),
+    "scan-commutators": (cmd_scan_commutators, "pairs with nontrivial zero-entropy commutator",
+                         ("--maxlen", _int, ..., "longest word scanned")),
     "disc-index": (cmd_disc_index, "winding index of a family discriminant",
-                   _disc_index_options),
-    "thm1": (cmd_thm1, "prime-degree reducibility verdict", _thm1_options),
-    "penner": (cmd_penner, "entropy and module bounds", _penner_options),
-    "oka3": (cmd_oka3, "E0 screen of a torus-with-hole B3 monodromy", _oka3_options),
-    "go-surface": (cmd_go_surface, "Gromov-Oka verdict of an F2 monodromy", _hom_options),
-    "eprime": (cmd_eprime, "the E' test set of a surface", _eprime_options),
+                   ("--family", str, ..., "LaurentFamily JSON file"),
+                   ("--samples", _int, 256, "samples of the first pass")),
+    "thm1": (cmd_thm1, "prime-degree reducibility verdict", ("--n", _int, ..., "degree"),
+             ("--modulus", float, ..., "conformal module of the annulus"),
+             ("--index", _int, ..., "winding index of the discriminant")),
+    "penner": (cmd_penner, "entropy and module bounds",
+               ("--genus", _int, None, "genus of the surface"),
+               ("--marked", _int, None, "marked points"),
+               ("--braid-n", _int, None, "strand count of the n-braid bounds")),
+    "oka3": (cmd_oka3, "E0 screen of a torus-with-hole B3 monodromy", _HOM,
+             ("--mirrored", bool, False, "use the mirrored E0 variant"),
+             ("--both-variants", bool, False, "report both E0 variants and whether they agree")),
+    "go-surface": (cmd_go_surface, "Gromov-Oka verdict of an F2 monodromy", _HOM),
+    "eprime": (cmd_eprime, "the E' test set of a surface",
+               ("--genus", _int, ..., "genus of the surface"),
+               ("--holes", _int, ..., "boundary components"),
+               ("--list", bool, False, "list the elements")),
     "lattice-branch": (cmd_lattice_branch, "branch locus of a lattice",
-                       _lattice_branch_options),
+                       ("--alpha", str, "1,0", "scale, complex as re,im"),
+                       ("--tau", str, ..., "period ratio, complex as re,im"),
+                       ("--radius", _int, None,
+                        "accepted for compatibility, at least 10; the output does not "
+                        "depend on it, since a reduced lattice needs at most 9 rows"),
+                       ("--csv", bool, False, "print CSV"),
+                       ("--path-end", str, None, "trace tau linearly to this value, re,im"),
+                       ("--path-steps", _int, None,
+                        f"steps along the --path-end path (default {PATH_STEPS})")),
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of `command` alone when it names
-    one, or of none when it is `--version`, where argparse prints and
-    exits before it reads a subparser.  One subparser builds in about
-    2.2 ms of a fresh process, all 15 in 5.1 ms (Python 3.11, 2-core VM);
-    the metavar keeps the usage line that lists them all."""
-    parser = argparse.ArgumentParser(
-        prog="braidoka",
-        description="braid classification, Gromov-Oka decisions, and lattice branch loci",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    if command == "--version":
-        return parser
-    if command in _SUBCOMMANDS:
-        # without a metavar a missing or unknown subcommand is reported as
-        # `argument command:`, so those cases build every subparser
-        sub = parser.add_subparsers(dest="command", required=True,
-                                    metavar="{" + ",".join(_SUBCOMMANDS) + "}")
-        names = (command,)
-    else:
-        sub = parser.add_subparsers(dest="command", required=True)
-        names = _SUBCOMMANDS
-    for name in names:
-        run, help_, add_options = _SUBCOMMANDS[name]
-        p = sub.add_parser(name, help=help_)
-        p.set_defaults(run=run)
-        add_options(p)
-        p.add_argument("--out", help="also write the printed output to this file")
-    return parser
+def _usage(name: str | None) -> str:
+    """The `--help` text of subcommand `name`, or of the program when None."""
+    if name is None:
+        return "\n".join([
+            f"usage: braidoka [-h] [--version] {{{','.join(_SUBCOMMANDS)}}} ...",
+            "braid classification, Gromov-Oka decisions, and lattice branch loci",
+            *(f"  {n:<18}{row[1]}" for n, row in _SUBCOMMANDS.items())])
+    _run, help_, *rows = _SUBCOMMANDS[name] + (_OUT,)
+    return "\n".join([f"usage: braidoka {name} [-h] [options]", help_, *(
+        f"  {option:<16}{h}" + ("" if kind is bool or d is None else " (required)" if d is ...
+                                else f" (default {d})") for option, kind, d, h in rows)])
+
+
+def _prints(text: str):
+    """The namespace of a call that prints text and exits 0."""
+    return types.SimpleNamespace(run=lambda args: (text, True), out=None)
+
+
+def parse_args(argv: list[str]):
+    """The namespace of the call that argv names: one attribute per option
+    of its subcommand (`--braid-n` as `braid_n`), given or its default,
+    and `run`, the handler that `main` calls on it.  `-h`/`--help` and
+    `--version` give a handler that returns the text to print.  A command
+    line it cannot read raises `errors.UsageError`."""
+    if not argv:
+        raise errors.UsageError("the following arguments are required: command")
+    name, tokens = argv[0], iter(argv[1:])
+    if name in ("-h", "--help", "--version"):
+        return _prints(__version__ if name == "--version" else _usage(None))
+    if name not in _SUBCOMMANDS:
+        raise errors.UsageError(f"argument command: invalid choice: {name!r} "
+                                "(braidoka --help lists the subcommands)")
+    run, _help, *rows = _SUBCOMMANDS[name] + (_OUT,)
+    kinds = {row[0]: row[1] for row in rows}
+    values = {row[0]: row[2] for row in rows}
+    extra = []
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return _prints(_usage(name))
+        option, eq, text = token.partition("=")
+        kind = kinds.get(option)
+        if kind is None or (kind is bool and eq):  # unknown, a stray value or a flag's value
+            extra.append(token)
+        elif kind is bool:
+            values[option] = True
+        else:
+            try:
+                if not eq:  # the next token, unless it is an option
+                    text = next(tokens, "--")
+                    if text.startswith("--"):
+                        raise ValueError("expected one argument")
+                values[option] = kind(text)
+            except ValueError as exc:
+                raise errors.UsageError(f"argument {option}: {exc}") from None
+    missing = [option for option, value in values.items() if value is ...]
+    if missing:
+        raise errors.UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extra:
+        raise errors.UsageError(f"unrecognized arguments: {' '.join(extra)}")
+    return types.SimpleNamespace(
+        run=run, **{option[2:].replace("-", "_"): value for option, value in values.items()})
+
+
+def build_parser(command: str | None = None):
+    """An object whose `parse_args(argv)` is the reader `main` uses, for
+    callers written against the argparse parser it replaced.  It builds
+    nothing, and `command` is not read."""
+    return types.SimpleNamespace(parse_args=parse_args)
 
 
 def _json_line(obj: dict) -> str:
@@ -360,14 +354,8 @@ def _json_line(obj: dict) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_ERROR if exc.code not in (0, None) else 0
-    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         payload, positive = args.run(args)
         try:
             text = payload if isinstance(payload, str) else _json_line(payload)

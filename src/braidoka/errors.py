@@ -5,6 +5,11 @@ class BraidokaError(Exception):
     """Base class for all package-specific errors."""
 
 
+class UsageError(BraidokaError):
+    """A command line the CLI cannot read: an unknown subcommand or option,
+    a missing value or required option, or a value of the wrong kind."""
+
+
 # -- free words ------------------------------------------------------------
 
 class IdentityInput(BraidokaError):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from . import families, words
+from . import _prime, words
 from ._value import Value, check_int
 from .errors import (
     InternalInconsistency,
@@ -140,7 +140,7 @@ def abelian_transitive_generator(
     minimal invariant block of size n.  Returns (s0, exponents) with
     gens[j] = s0 ** exponents[j].
     """
-    if not families._is_prime(n):
+    if not _prime._is_prime(n):
         raise NotPrime(f"{n} is not prime")
     for g in gens:
         if g.n != n:

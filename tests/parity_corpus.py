@@ -553,10 +553,9 @@ def b3_text(rng, j) -> str:
 def cli_case(rng, sub, v):
     """The arguments of the v-th case of subcommand sub in `cli_chunk`, and
     the object of its input file (None: no file).  Braid words go in the
-    `--name=value` form, since argparse takes a value such as "-2^3" for
-    an option; some cases are input errors (a braid that is not pure, a
-    family whose discriminant vanishes on the circle, a signature out of
-    range)."""
+    `--name=value` form; some cases are input errors (a braid that is not
+    pure, a family whose discriminant vanishes on the circle, a signature
+    out of range)."""
     if sub in ("classify", "entropy", "module"):
         return [f"--braid={b3_text(rng, v)}"], None
     if sub == "nf":

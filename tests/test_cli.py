@@ -1,4 +1,3 @@
-import argparse
 import json
 import math
 import os
@@ -366,14 +365,13 @@ def test_lattice_branch_names_a_malformed_complex(option, text, capsys):
 
 
 @pytest.mark.parametrize("option", ["--tau", "--alpha", "--path-end"])
-def test_negative_complex_needs_the_equals_form(option, capsys):
-    # "-0.3,1" is not a plain negative number, so argparse reads it as an
-    # option and the space form is a usage error; the = form is a value
+def test_negative_complex_reads_in_either_form(option, capsys):
+    # the token after an option is its value unless it starts with "--", so
+    # "-0.3,1" is read in the space form as in the = form (argparse took it
+    # for an option and refused the space form)
     base = ["lattice-branch", "--tau", "0,1"]
-    assert main([*base, option, "-0.3,1"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and f"argument {option}: expected one argument" in captured.err
-    code, payload = run(capsys, *base, f"{option}=-0.3,1")
+    code, payload = run(capsys, *base, option, "-0.3,1")
+    assert (code, payload) == run(capsys, *base, f"{option}=-0.3,1")
     assert code == 0
     if option == "--path-end":
         assert payload["trace"][-1]["tau"] == [-0.3, 1.0]
@@ -483,15 +481,19 @@ def test_cases_cover_every_subcommand(capsys):
     assert sorted(listed.split(",")) == sorted(CASES)
 
 
+def _rows(name):
+    """The option rows of subcommand name in the table, without --out."""
+    _run, _help, *rows = cli._SUBCOMMANDS[name]
+    return rows
+
+
 def test_cases_cover_every_option():
     # every option a subcommand ships is passed by one of its cases
     # (--out is covered by test_out_file)
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    for name, parser in sub.choices.items():
+    for name in cli._SUBCOMMANDS:
         passed = {a for args, _ in CASES[name] for a in args}
-        for action in parser._actions:
-            for opt in set(action.option_strings) - {"-h", "--help", "--out"}:
-                assert opt in passed, (name, opt)
+        for option, *_ in _rows(name):
+            assert option in passed, (name, option)
 
 
 def test_radius_help_says_the_output_does_not_depend_on_it(capsys):
@@ -561,11 +563,8 @@ def test_rejects_options_it_would_ignore(argv, tmp_path, capsys):
     assert main([a.format(b3_classified=path) for a in argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    if argv[0] == "oka3":  # argparse reports the clash
-        assert "not allowed with argument" in captured.err
-    else:
-        expected = {"penner": "BraidokaError", "lattice-branch": "ValueError"}[argv[0]]
-        assert json.loads(captured.err)["errorType"] == expected
+    expected = {"oka3": "UsageError", "penner": "BraidokaError", "lattice-branch": "ValueError"}
+    assert json.loads(captured.err)["errorType"] == expected[argv[0]]
 
 
 def _write_files(tmp_path) -> dict[str, str]:
@@ -596,6 +595,20 @@ def test_subcommand_output_and_exit_code(sub, tmp_path, capsys):
             assert next(iter(payload)) == "schema", argv
 
 
+# every way a command line can fail to read: an unknown or missing
+# subcommand, an unknown option (abbreviations included), a stray value, a
+# missing value, a flag given a value, a missing required option, a bad
+# integer or float, and both oka3 variants at once
+_USAGE_ERRORS = [(argv, "UsageError") for argv in (
+    [], ["classfy"], ["--braid", "1"], ["classify", "--braid", "1", "--n", "3"],
+    ["penner", "--braid", "3"], ["classify", "--braid", "1", "2"], ["classify", "--braid"],
+    ["eq", "--a", "--b", "1"], ["lattice-branch", "--tau", "0,1", "--csv=1"], ["classify"],
+    ["eq", "--a", "1"], ["nf", "--braid", "1", "--n", "1_0"],
+    ["thm1", "--n", "3", "--modulus", "3O", "--index", "6"],
+    ["oka3", "--hom", "{b3_classified}", "--mirrored", "--both-variants"],
+)]
+
+
 def test_every_payload_and_error_is_one_line(tmp_path, capsys):
     # one JSON form: every CASES payload on one line, as each error is,
     # whatever its size (the scan at maxlen 11 prints about 5.9 MB)
@@ -608,12 +621,14 @@ def test_every_payload_and_error_is_one_line(tmp_path, capsys):
             if "--csv" not in argv:
                 assert out.count("\n") == 1 and out.endswith("\n"), argv
                 assert json.dumps(strict_json(out)) == out[:-1], argv
-    for argv in (["linking", "--braid", "1"], ["scan-commutators", "--maxlen=-1"],
-                 ["thm1", "--n", "3", "--modulus", "nan", "--index", "3"]):
-        assert main(argv) == 1
+    for argv, error in [*_USAGE_ERRORS, (["linking", "--braid", "1"], "NotPure"),
+                        (["scan-commutators", "--maxlen=-1"], "ValueError"),
+                        (["thm1", "--n", "3", "--modulus", "nan", "--index", "3"], "ValueError")]:
+        assert main([a.format(**files) for a in argv]) == 1, argv
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1, argv
         assert json.dumps(strict_json(captured.err)) == captured.err[:-1], argv
+        assert strict_json(captured.err)["errorType"] == error, argv
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -735,16 +750,20 @@ def test_eq_infers_one_strand_count(capsys):
 def test_usage_error(capsys):
     code = main(["classify"])  # missing --braid
     assert code == 1
+    assert "the following arguments are required: --braid" in capsys.readouterr().err
     code = main(["eq", "--n", "3", "--a", "1", "--b", "1 2 3 4"])  # letter beyond B_3
     assert code == 1
+    capsys.readouterr()
     for argv in (["classify", "--braid", "1 -2"], ["entropy", "--braid", "1 -2"],
                  ["module", "--braid", "1 2"], ["conj", "--a", "1", "--b", "2"]):
         assert main([*argv, "--n", "3"]) == 1  # B_3 only: no --n
-        assert "unrecognized arguments: --n 3" in capsys.readouterr().err
+        error = strict_json(capsys.readouterr().err)
+        assert error == {"schema": "1", "error": "unrecognized arguments: --n 3",
+                         "errorType": "UsageError"}
 
 
-# one row per integer option: argparse's int read "1_0" as 10, " 2" as 2
-# and other scripts' digits (\u0663 is an Arabic-Indic 3, \uff14 a
+# one row per integer option: int would read "1_0" as 10, " 2" as 2 and
+# other scripts' digits (\u0663 is an Arabic-Indic 3, \uff14 a
 # fullwidth 4), which braid words and JSON fields refuse (`_value.read_int`)
 _BAD_INT_OPTIONS = [
     (["nf", "--braid", "1 2", "--n", "1_0"], "--n"),
@@ -772,43 +791,39 @@ def test_integer_options_read_the_package_integer_rule(argv, option, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     text = argv[argv.index(option) + 1]
-    assert f"argument {option}: the value must be an integer, got {text!r}" in captured.err
+    error = strict_json(captured.err)
+    assert error["errorType"] == "UsageError"
+    assert error["error"] == f"argument {option}: the value must be an integer, got {text!r}"
 
 
 def test_every_integer_option_has_a_bad_text_row():
-    sub = _subparsers(build_parser())
-    typed = {(name, opt) for name, parser in sub.choices.items() for action in parser._actions
-             if action.type is not None and action.type is not str for opt in action.option_strings}
+    typed = {(name, row[0]) for name in cli._SUBCOMMANDS for row in _rows(name)
+             if row[1] not in (str, bool)}
     # --modulus is a float; every other typed option is an integer
+    assert {row[1] for name in cli._SUBCOMMANDS for row in _rows(name)} == {
+        str, bool, float, cli._int}
     assert typed - {("thm1", "--modulus")} == {(a[0], o) for a, o in _BAD_INT_OPTIONS}
 
 
-def _subparsers(parser):
-    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-
-
-def test_a_named_subcommand_builds_its_parser_alone():
-    full = build_parser()
-    names = list(_subparsers(full).choices)
-    assert names == list(cli._SUBCOMMANDS)
-    for name in names:
-        one = build_parser(name)
-        assert list(_subparsers(one).choices) == [name]
-        # the usage line argparse prints on an error still lists them all
-        assert one.format_usage() == full.format_usage()
-    for command in (None, "--help", "classfy"):
-        assert list(_subparsers(build_parser(command)).choices) == names
-    # argparse prints the version and exits before it reads a subparser
-    assert not any(isinstance(a, argparse._SubParsersAction)
-                   for a in build_parser("--version")._actions)
+def test_a_named_subcommand_builds_its_parser_alone(tmp_path, monkeypatch):
+    # a call reads the rows of the subcommand it names alone, and
+    # build_parser, whatever it is given, returns that same reader
+    files = _write_files(tmp_path)
+    for command in (None, "classify", "--help", "classfy"):
+        assert build_parser(command).parse_args is cli.parse_args
+    for name, cases in CASES.items():
+        monkeypatch.setattr(cli, "_SUBCOMMANDS", {name: cli._SUBCOMMANDS[name]})
+        for args, _ in cases:
+            parsed = build_parser().parse_args([name, *(a.format(**files) for a in args)])
+            assert parsed.run is cli._SUBCOMMANDS[name][0] and parsed.out is None
+            assert set(vars(parsed)) == {"run", "out", *(r[0][2:].replace("-", "_")
+                                                         for r in _rows(name))}
+        monkeypatch.undo()
 
 
 def test_version_builds_no_subparser(monkeypatch, capsys):
-    def refuse(p):
-        raise AssertionError("--version built a subparser")
-
-    for name, (run, help_, _options) in list(cli._SUBCOMMANDS.items()):
-        monkeypatch.setitem(cli._SUBCOMMANDS, name, (run, help_, refuse))
+    # --version reads no row of the table
+    monkeypatch.setattr(cli, "_SUBCOMMANDS", {})
     assert main(["--version"]) == 0
     assert capsys.readouterr().out == f"{__version__}\n"
 
@@ -819,7 +834,20 @@ def test_version_builds_no_subparser(monkeypatch, capsys):
 ], ids=["missing", "unknown"])
 def test_a_missing_or_unknown_subcommand_is_reported_as_command(argv, error, capsys):
     assert main(argv) == 1
-    assert f"braidoka: error: {error}" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == "" and strict_json(captured.err)["error"].startswith(error)
+
+
+def test_reader_rules(capsys):
+    # the last of a repeated option wins; a value may start with "-"; the
+    # = form takes the rest of the token, "=" and spaces included
+    assert run(capsys, "nf", "--n", "5", "--braid=1 2", "--n", "4")[1]["strands"] == 4
+    assert run(capsys, "eq", "--a", "-2 1", "--b=-2 1")[1]["equal"]
+    assert run(capsys, "classify", "--braid", "1 -2", "--out=" + os.devnull)[0] == 0
+    # help lists every option of the table, from any position
+    assert main(["lattice-branch", "--tau", "0,1", "-h"]) == 0
+    out = capsys.readouterr().out
+    assert all(row[0] in out for row in [*_rows("lattice-branch"), cli._OUT])
 
 
 def test_main_reads_sys_argv(monkeypatch, capsys):
@@ -867,6 +895,28 @@ def test_import_leaves_dataclasses_and_fractions_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_a_call_leaves_argparse_gettext_and_locale_unloaded(tmp_path):
+    # argparse, with gettext, cost a call about 1.8 ms of import, and its
+    # first message lookup imported locale (0.9 ms); the reader needs none
+    src = Path(__file__).resolve().parents[1] / "src"
+    files = _write_files(tmp_path)
+    argvs = [[sub, *(a.format(**files) for a in CASES[sub][0][0])] for sub in CASES]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from braidoka import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(codes, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, json.dumps([["--version"], ["--help"], *argvs])],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    codes = [0, 0, *(CASES[sub][0][1] for sub in CASES)]
+    assert out.stdout.strip() == f"{codes} []"
+
+
 def test_loading_every_module_leaves_dataclasses_and_fractions_unloaded():
     # `import braidoka.cli` loads no module of the package any more, so the
     # check above reads every one of them here
@@ -874,6 +924,7 @@ def test_loading_every_module_leaves_dataclasses_and_fractions_unloaded():
     code = (
         "import sys, types, braidoka\n"
         "from braidoka import *\n"
+        "braidoka._prime._is_prime  # no public name reads _prime\n"
         "mods = [braidoka.__dict__[m] for m in braidoka._MODULES]\n"
         "assert all(type(m) is types.ModuleType for m in mods)\n"
         "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & set(sys.modules)))"
@@ -903,17 +954,22 @@ _LOADS = [
     (["conj", "--a=1 -2", "--b=-2 1"], _B3),
     (["scan-commutators", "--maxlen", "2"], _B3),
     (["disc-index", "--family", "{family}", "--samples", "64"], _CORE | {"families"}),
-    (["thm1", "--n", "3", "--modulus", "30.0", "--index", "3"], _CORE | {"families"}),
+    (["thm1", "--n", "3", "--modulus", "30.0", "--index", "3"], _CORE | {"families", "_prime"}),
     (["penner", "--genus", "1", "--marked", "2", "--braid-n", "4"], _CORE | {"families"}),
     (["oka3", "--hom", "{hom}", "--both-variants"], _CORE | {"oka", "words", "_word", "_theta"}),
     (["go-surface", "--hom", "{fhom}"], _CORE | {"oka", "words", "_theta"}),
     (["eprime", "--genus", "1", "--holes", "1", "--list"], _CORE | {"oka", "words", "_theta"}),
     (["lattice-branch", "--tau=0.1,1.2", "--alpha=1,0", "--radius", "60", "--csv"],
      _CORE | {"lattice"}),
+    # last, so that its id stands apart: the verdict reads the cheap
+    # conditions first, and an index that n does not divide decides no
+    # primality
+    (["thm1", "--n", "3", "--modulus", "30.0", "--index", "2"], _CORE | {"families"}),
 ]
 
 
-@pytest.mark.parametrize("argv, loads", _LOADS, ids=[a[0] for a, _ in _LOADS])
+@pytest.mark.parametrize("argv, loads", _LOADS,
+                         ids=[a[0] for a, _ in _LOADS[:-1]] + ["thm1-undecided"])
 def test_a_subcommand_loads_only_the_modules_it_runs(argv, loads, tmp_path):
     # a registered module that has not loaded yet is still a lazy module
     src = Path(__file__).resolve().parents[1] / "src"

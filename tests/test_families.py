@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from braidoka._prime import _is_prime
 from braidoka.errors import (
     DegreeTooSmall,
     NonConvergence,
@@ -20,7 +21,6 @@ from braidoka.families import (
     REDUCIBLE,
     MAX_SAMPLES,
     LaurentFamily,
-    _is_prime,
     _rotation_order,
     discriminant_from_coeffs,
     discriminant_index,
