@@ -42,7 +42,12 @@ POW_MAXRUNS = 2**20
 
 
 # the runs of up to 8 letters of sigma_1 .. sigma_15 and their inverses,
-# as _SMALL_RUNS[letter][count], shared by the words built from letters
+# as _SMALL_RUNS[letter][count], shared by the words built from letters, so
+# the common short run is no new tuple.  Without the table, `queries` (4
+# alternating pairs, --seconds 20, seeds 101-104; Python 3.11.7, 2-core VM)
+# went solve_s 0.767 -> 0.850 s, op_ms_p50 0.00587 -> 0.00667 ms,
+# op_ms_tail 0.13 -> 0.22 ms and peak_rss_mb 45.4 -> 49.4 MB; `garside`
+# did not move
 _SMALL_RUNS = {s * i: tuple((i, s * c) for c in range(9)) for i in range(1, 16) for s in (1, -1)}
 _END = object()
 

@@ -56,8 +56,14 @@ def _braid_arg(args) -> _word.BraidWord:
 
 
 def _load_json(path: str):
+    """The JSON value in the file at path.  The decoder recurses once per
+    nested array or object, so about 1,000 levels exhaust the interpreter's
+    recursion limit: that is an input error that names the file."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def cmd_classify(args):
@@ -175,14 +181,6 @@ def cmd_eprime(args):
     return payload, True
 
 
-def _parse_complex(option: str, text: str) -> complex:
-    try:
-        re_, im = text.split(",")
-        return complex(float(re_), float(im))
-    except ValueError:
-        raise ValueError(f"{option} must be a complex number as re,im, got {text!r}") from None
-
-
 def _csv(header: str, rows) -> str:
     return "\n".join([header, *(",".join(f"{c:.12g}" for c in row) for row in rows)])
 
@@ -192,11 +190,10 @@ def _e_cells(bl) -> list[float]:
 
 
 def cmd_lattice_branch(args):
-    alpha = _parse_complex("--alpha", args.alpha)
-    tau = _parse_complex("--tau", args.tau)
+    alpha, tau, end = args.alpha, args.tau, args.path_end
     if args.radius is not None and args.radius < 10:
         raise ValueError(f"--radius must be at least 10, got {args.radius}")
-    if args.path_end is None:
+    if end is None:
         if args.path_steps is not None:
             raise ValueError("--path-steps needs --path-end")
         bl = lattice.branch_locus(lattice.LatticeSpec(alpha, tau))
@@ -204,7 +201,6 @@ def cmd_lattice_branch(args):
             return _csv("e1_re,e1_im,e2_re,e2_im,e3_re,e3_im", [_e_cells(bl)]), True
         return {"alpha": [alpha.real, alpha.imag], "tau": [tau.real, tau.imag],
                 **bl.as_dict()}, True
-    end = _parse_complex("--path-end", args.path_end)
     steps = PATH_STEPS if args.path_steps is None else args.path_steps
     if not 1 <= steps <= _PATH_STEPS_MAX:
         raise ValueError(f"--path-steps must be between 1 and {_PATH_STEPS_MAX}, got {steps}")
@@ -226,6 +222,27 @@ def _int(text: str) -> int:
     return _value.read_int(text, "the value")
 
 
+def _float(text: str) -> float:
+    """A float option, read with the integer rule's characters (ASCII, no
+    "_", no surrounding space): ``float`` would also take "3_0", " 30 "
+    and other scripts' digits."""
+    if text.isascii() and "_" not in text and text == text.strip():
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    raise ValueError(f"the value must be a number, got {text!r}")
+
+
+def _complex(text: str) -> complex:
+    """A complex option written re,im, each part read as `_float` reads."""
+    try:
+        re_, im = text.split(",")
+        return complex(_float(re_), _float(im))
+    except ValueError:
+        raise ValueError(f"the value must be a complex number as re,im, got {text!r}") from None
+
+
 _BRAID = ("--braid", str, ..., "braid word, such as '1 -2 1'")
 _N = ("--n", _int, 3, "strand count")
 _A, _B = ("--a", str, ..., "first braid word"), ("--b", str, ..., "second braid word")
@@ -233,9 +250,10 @@ _HOM = ("--hom", str, ..., "SurfaceHom JSON file")
 _OUT = ("--out", str, None, "also write the printed output to this file")
 
 # name: (handler, help line, option rows...), in the order `--help` lists
-# them.  A row is (option, kind, default, help): the kind str, _int or float
-# reads the option's value, bool makes it a flag, and the default ... makes
-# the option required.  Every subcommand also takes _OUT.
+# them.  A row is (option, kind, default, help): the kind str, _int, _float
+# or _complex reads the option's value and a default given as text, bool
+# makes it a flag, and the default ... makes the option required.  Every
+# subcommand also takes _OUT.
 _SUBCOMMANDS = {
     "classify": (cmd_classify, "Nielsen-Thurston class of a 3-braid", _BRAID),
     "entropy": (cmd_entropy, "topological entropy of a 3-braid", _BRAID),
@@ -251,7 +269,7 @@ _SUBCOMMANDS = {
                    ("--family", str, ..., "LaurentFamily JSON file"),
                    ("--samples", _int, 256, "samples of the first pass")),
     "thm1": (cmd_thm1, "prime-degree reducibility verdict", ("--n", _int, ..., "degree"),
-             ("--modulus", float, ..., "conformal module of the annulus"),
+             ("--modulus", _float, ..., "conformal module of the annulus"),
              ("--index", _int, ..., "winding index of the discriminant")),
     "penner": (cmd_penner, "entropy and module bounds",
                ("--genus", _int, None, "genus of the surface"),
@@ -266,13 +284,13 @@ _SUBCOMMANDS = {
                ("--holes", _int, ..., "boundary components"),
                ("--list", bool, False, "list the elements")),
     "lattice-branch": (cmd_lattice_branch, "branch locus of a lattice",
-                       ("--alpha", str, "1,0", "scale, complex as re,im"),
-                       ("--tau", str, ..., "period ratio, complex as re,im"),
+                       ("--alpha", _complex, "1,0", "scale, complex as re,im"),
+                       ("--tau", _complex, ..., "period ratio, complex as re,im"),
                        ("--radius", _int, None,
                         "accepted for compatibility, at least 10; the output does not "
                         "depend on it, since a reduced lattice needs at most 9 rows"),
                        ("--csv", bool, False, "print CSV"),
-                       ("--path-end", str, None, "trace tau linearly to this value, re,im"),
+                       ("--path-end", _complex, None, "trace tau linearly to this value, re,im"),
                        ("--path-steps", _int, None,
                         f"steps along the --path-end path (default {PATH_STEPS})")),
 }
@@ -312,7 +330,7 @@ def parse_args(argv: list[str]):
                                 "(braidoka --help lists the subcommands)")
     run, _help, *rows = _SUBCOMMANDS[name] + (_OUT,)
     kinds = {row[0]: row[1] for row in rows}
-    values = {row[0]: row[2] for row in rows}
+    values = {row[0]: row[1](row[2]) if isinstance(row[2], str) else row[2] for row in rows}
     extra = []
     for token in tokens:
         if token in ("-h", "--help"):

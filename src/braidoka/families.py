@@ -155,8 +155,8 @@ class LaurentFamily(Value):
             coeffs[k] = row = {}
             for e, estr in _powers(poly, where).items():
                 c = poly[estr]
-                if not (isinstance(c, list) and len(c) == 2
-                        and all(isinstance(x, (int, float)) for x in c)):
+                if not (isinstance(c, list) and len(c) == 2 and all(
+                        isinstance(x, (int, float)) and not isinstance(x, bool) for x in c)):
                     raise ValueError(f'{where}["{estr}"] must be a pair [re, im] of numbers, got {c!r}')
                 row[e] = complex(c[0], c[1])
         return LaurentFamily(int_field(data.get("degree"), '"degree"'), coeffs)
@@ -279,9 +279,11 @@ def discriminant_index(fam: LaurentFamily, samples: int = 256) -> IndexReport:
     disc = z^lo P(z) with P a polynomial of degree at most hi - lo
     (`_exponent_span`), so the index is lo plus the winding of P.  P is
     sampled at more than 4 (hi - lo) points from the first pass on, which
-    keeps a fast winding from aliasing to a slow one.  Principal-branch
-    argument increments are accumulated, and the sample count doubles until
-    every step is below pi/2, which pins the winding count.  The exponents
+    keeps a fast winding from aliasing to a slow one; a first pass above
+    MAX_SAMPLES raises ResourceLimit before any sample is taken.
+    Principal-branch argument increments are accumulated, and the sample
+    count doubles until every step is below pi/2, which pins the winding
+    count.  The exponents
     of disc lie in one class mod the rotation order g of the family's
     exponent lattice (`_rotation_order`), so |disc| has period 2 pi/g on
     the circle and a pass of n samples evaluates at most n/gcd(g, n) + 1
@@ -312,6 +314,9 @@ def discriminant_index(fam: LaurentFamily, samples: int = 256) -> IndexReport:
     n = samples
     while n <= 4 * (hi - lo):
         n *= 2
+    if n > MAX_SAMPLES:
+        raise ResourceLimit(f"the discriminant's exponent span {hi - lo} needs a first pass of "
+                            f"{n} samples, above MAX_SAMPLES = {MAX_SAMPLES}")
     while n <= MAX_SAMPLES:
         total, amax, amin, big = _winding_pass(fam, n, lo, g)
         if not math.isfinite(total + amax):
@@ -326,6 +331,7 @@ def discriminant_index(fam: LaurentFamily, samples: int = 256) -> IndexReport:
                 raise InternalInconsistency("winding sum is far from an integer number of turns")
             return IndexReport(lo + winding, n, amin)
         n *= 2
+    # a pass ran, and every pass up to the cap had a step of pi/2 or more
     raise NonConvergence(f"no convergence within {MAX_SAMPLES} samples")
 
 

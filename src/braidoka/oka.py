@@ -97,6 +97,8 @@ class SurfaceHom(Value):
     images: dict
 
     def __init__(self, signature: SurfaceSignature, target: Literal["B3", "F2"], images: dict) -> None:
+        if target not in (TARGET_B3, TARGET_F2):
+            raise ValueError(f"unknown target {target!r}")
         images = dict(images)  # so a later change to the argument changes no record
         x = signature.free_rank
         # x distinct keys, each an integer in 1..x, are exactly 1..x; the
@@ -141,7 +143,7 @@ class SurfaceHom(Value):
                 raise ValueError(f'a homomorphism needs "{field}"')
         sig = SurfaceSignature(int_field(data["genus"], '"genus"'), int_field(data["holes"], '"holes"'))
         target = data["target"]
-        if target not in (TARGET_B3, TARGET_F2):
+        if target not in (TARGET_B3, TARGET_F2):  # before it picks the word parser
             raise ValueError(f"unknown target {target!r}")
         if not isinstance(data["images"], dict):
             raise ValueError('"images" must be an object')
@@ -469,7 +471,11 @@ class GOReducible(Value):
         }
 
 
-class GOSphereHolomorphic(Value):
+class _SphereVerdict(Value):
+    """The record shape of the two sphere verdicts: the triple of hole
+    indices of (t1, t2, t3), with the verdict and its Gromov-Oka property
+    set by each subclass."""
+
     triple: tuple[int, int, int]
 
     def __init__(self, triple: tuple[int, int, int]) -> None:
@@ -477,33 +483,32 @@ class GOSphereHolomorphic(Value):
 
     def as_dict(self) -> dict:
         return {
-            "verdict": "sphereHolomorphic",
-            "goProperty": True,
+            "verdict": self.verdict,
+            "goProperty": self.go_property,
             "triple": list(self.triple),
         }
 
 
-class NotGOSphereAntiholomorphic(Value):
-    triple: tuple[int, int, int]
+class GOSphereHolomorphic(_SphereVerdict):
+    verdict = "sphereHolomorphic"
+    go_property = True
 
-    def __init__(self, triple: tuple[int, int, int]) -> None:
-        object.__setattr__(self, "triple", triple)
 
-    def as_dict(self) -> dict:
-        return {
-            "verdict": "sphereAntiholomorphic",
-            "goProperty": False,
-            "triple": list(self.triple),
-        }
+class NotGOSphereAntiholomorphic(_SphereVerdict):
+    verdict = "sphereAntiholomorphic"
+    go_property = False
 
 
 class NotGO(Value):
-    witness: FreeWord
-    reason: str
+    """The first E' element whose image is not conjugate into a peripheral
+    power."""
 
-    def __init__(self, witness: FreeWord, reason: str) -> None:
+    reason = "test element image is not a peripheral power"
+
+    witness: FreeWord
+
+    def __init__(self, witness: FreeWord) -> None:
         object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "reason", reason)
 
     def as_dict(self) -> dict:
         return {
@@ -662,7 +667,7 @@ def go_surface_decide(hom: SurfaceHom) -> GoSurfaceResult:
         cores = [_core(u) for u in boundary]
         for (e, _tag), (_, core) in zip(elements, cores):
             if _peripheral(core) is None:
-                return NotGO(e, "test element image is not a peripheral power")
+                return NotGO(e)
         live = [j for j, u in enumerate(boundary) if u]
         elements = elements[m:] if len(live) > 3 else ()
 
@@ -675,7 +680,7 @@ def go_surface_decide(hom: SurfaceHom) -> GoSurfaceResult:
                 part = parts[block] = hom._block_image(*block)
             image += part
         if _peripheral(_merge_blocks(image)) is None:
-            return NotGO(e, "test element image is not a peripheral power")
+            return NotGO(e)
 
     if g > 0 or len(live) != 3:  # positive genus: G4-G6; genus 0: G1, G3
         raise TheoremContradiction("a non-cyclic image passed E' outside three live holes")

@@ -55,13 +55,14 @@ def _module(h: float) -> float:
 
 class ThreeBraidClass(Value):
     """Classification verdict for a 3-braid.  The entropy and the module
-    are read off the trace; in JSON, a periodic class of trace +-2 is
-    central, and every class of trace +-2 is reducible."""
+    are read off the trace, and so is the base of a periodic class:
+    (sigma_1 sigma_2)^ell at |trace| 1, Delta^ell otherwise.  In JSON, a
+    periodic class of trace +-2 is central, and every class of trace +-2
+    is reducible."""
 
     kind: Literal["periodic", "reducible", "pseudoAnosov"]
     trace: int
     exponent_sum: int
-    base: Literal["sigma12", "delta"] | None  # periodic: power base
     ell: int | None       # periodic power / reducible Delta^2 power
     k: int | None         # reducible sigma_1 power
 
@@ -70,16 +71,21 @@ class ThreeBraidClass(Value):
         kind: Literal["periodic", "reducible", "pseudoAnosov"],
         trace: int,
         exponent_sum: int,
-        base: Literal["sigma12", "delta"] | None = None,
         ell: int | None = None,
         k: int | None = None,
     ) -> None:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "trace", trace)
         object.__setattr__(self, "exponent_sum", exponent_sum)
-        object.__setattr__(self, "base", base)
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "k", k)
+
+    @property
+    def base(self) -> Literal["sigma12", "delta"] | None:
+        """The power base of a periodic class, None for the others."""
+        if self.kind != PERIODIC:
+            return None
+        return "sigma12" if abs(self.trace) == 1 else "delta"
 
     @property
     def entropy(self) -> float:
@@ -136,17 +142,17 @@ def classify3(b: BraidWord) -> ThreeBraidClass:
         ell = _exact_div(es, 6, "central power")
         if (kind == CENTRAL_MINUS_I) != (ell % 2 == 1):
             raise InternalInconsistency("central sign does not match exponent sum")
-        return ThreeBraidClass(PERIODIC, t, es, base="delta", ell=2 * ell)
+        return ThreeBraidClass(PERIODIC, t, es, ell=2 * ell)
     if kind == ELLIPTIC:
         if t in (1, -1):
             ell = _exact_div(es, 2, "sigma12 power")
             if ell % 3 == 0:
                 raise InternalInconsistency("elliptic +-1 trace with 3 | ell")
-            return ThreeBraidClass(PERIODIC, t, es, base="sigma12", ell=ell)
+            return ThreeBraidClass(PERIODIC, t, es, ell=ell)
         ell = _exact_div(es, 3, "delta power")
         if ell % 2 == 0:
             raise InternalInconsistency("trace-0 image with even Delta power")
-        return ThreeBraidClass(PERIODIC, t, es, base="delta", ell=ell)
+        return ThreeBraidClass(PERIODIC, t, es, ell=ell)
     if kind == PARABOLIC:
         sign, k = _sign_shear(m)
         ell = _exact_div(es - k, 6, "reducible Delta^2 power")
@@ -207,10 +213,12 @@ class CommutatorPair(Value):
 
     b1 and b2 are the least words of the two image groups, and b1_words and
     b2_words count the words of each, so the row stands for b1_words *
-    b2_words word pairs.  Every other field depends on the images alone.
-    markov is the sorted Markov triple (a, b, c) whose triple 3 (a, b, c)
-    is (tr m1, tr m2, tr m1 m2) up to order and signs (fact (F)).  The
-    commutator trace of every pair is -2 (facts (A) and (D)).
+    b2_words word pairs.  m1 = theta(b1) and m2 = theta(b2) are entry
+    tuples (a, b, c, d), and every other value depends on them alone:
+    the entropies of b1, b2, b2 b1^-1 and b2 b1^-2, whether b1 and b2 are
+    pure, and markov, the sorted Markov triple (a, b, c) whose triple
+    3 (a, b, c) is (tr m1, tr m2, tr m1 m2) up to order and signs (fact
+    (F)).  The commutator trace of every pair is -2 (facts (A) and (D)).
     """
 
     commutator_trace = -2
@@ -219,13 +227,8 @@ class CommutatorPair(Value):
     b2: tuple[int, ...]
     b1_words: int
     b2_words: int
-    entropy_b1: float
-    entropy_b2: float
-    b1_pure: bool
-    b2_pure: bool
-    entropy_b2b1inv: float
-    entropy_b2b1inv2: float
-    markov: tuple[int, int, int]
+    m1: tuple[int, int, int, int]
+    m2: tuple[int, int, int, int]
 
     def __init__(
         self,
@@ -233,36 +236,51 @@ class CommutatorPair(Value):
         b2: tuple[int, ...],
         b1_words: int,
         b2_words: int,
-        entropy_b1: float,
-        entropy_b2: float,
-        b1_pure: bool,
-        b2_pure: bool,
-        entropy_b2b1inv: float,
-        entropy_b2b1inv2: float,
-        markov: tuple[int, int, int],
+        m1: tuple[int, int, int, int],
+        m2: tuple[int, int, int, int],
     ) -> None:
         object.__setattr__(self, "b1", b1)
         object.__setattr__(self, "b2", b2)
         object.__setattr__(self, "b1_words", b1_words)
         object.__setattr__(self, "b2_words", b2_words)
-        object.__setattr__(self, "entropy_b1", entropy_b1)
-        object.__setattr__(self, "entropy_b2", entropy_b2)
-        object.__setattr__(self, "b1_pure", b1_pure)
-        object.__setattr__(self, "b2_pure", b2_pure)
-        object.__setattr__(self, "entropy_b2b1inv", entropy_b2b1inv)
-        object.__setattr__(self, "entropy_b2b1inv2", entropy_b2b1inv2)
-        object.__setattr__(self, "markov", markov)
+        object.__setattr__(self, "m1", m1)
+        object.__setattr__(self, "m2", m2)
+
+    def _derived(self) -> tuple:
+        """(entropy_b1, entropy_b2, b1_pure, b2_pure, entropy_b2b1inv,
+        entropy_b2b1inv2, markov), read off one reading of the traces
+        t1 = tr m1, t2 = tr m2 and t12 = tr m1 m2: `_e0_traces` gives those
+        of m2 m1^-1 and m2 m1^-2."""
+        m1, m2 = self.m1, self.m2
+        t1, t2 = m1[0] + m1[3], m2[0] + m2[3]
+        t12 = m1[0] * m2[0] + m1[1] * m2[2] + m1[2] * m2[1] + m1[3] * m2[3]
+        u, v, _, _ = _e0_traces(t1, t2, t12)
+        return (log_spectral_radius(t1), log_spectral_radius(t2), _is_pure(m1), _is_pure(m2),
+                log_spectral_radius(u), log_spectral_radius(v),
+                tuple(sorted((abs(t1) // 3, abs(t2) // 3, abs(t12) // 3))))
+
+    entropy_b1 = property(lambda self: self._derived()[0])
+    entropy_b2 = property(lambda self: self._derived()[1])
+    b1_pure = property(lambda self: self._derived()[2])
+    b2_pure = property(lambda self: self._derived()[3])
+    entropy_b2b1inv = property(lambda self: self._derived()[4])
+    entropy_b2b1inv2 = property(lambda self: self._derived()[5])
+    markov = property(lambda self: self._derived()[6])
 
 
 class CommutatorScanReport(Value):
     maxlen: int
-    words_scanned: int
     pairs: tuple[CommutatorPair, ...]  # one row per ordered image pair
 
-    def __init__(self, maxlen: int, words_scanned: int, pairs: tuple[CommutatorPair, ...]) -> None:
+    def __init__(self, maxlen: int, pairs: tuple[CommutatorPair, ...]) -> None:
         object.__setattr__(self, "maxlen", maxlen)
-        object.__setattr__(self, "words_scanned", words_scanned)
         object.__setattr__(self, "pairs", pairs)
+
+    @property
+    def words_scanned(self) -> int:
+        """The reduced words of length 1 to maxlen: 4 of length 1, and each
+        extends by 3 letters, so 4 (3^maxlen - 1) / 2 in all."""
+        return 2 * (3**self.maxlen - 1)
 
     @property
     def pair_count(self) -> int:
@@ -270,33 +288,34 @@ class CommutatorScanReport(Value):
         return sum(p.b1_words * p.b2_words for p in self.pairs)
 
     def as_dict(self) -> dict:
+        rows = []
+        for p in self.pairs:
+            h1, h2, pure1, pure2, hu, hv, markov = p._derived()
+            rows.append({
+                "b1": list(p.b1),
+                "b2": list(p.b2),
+                "b1Words": p.b1_words,
+                "b2Words": p.b2_words,
+                "commutatorTrace": p.commutator_trace,
+                "entropyB1": h1,
+                "entropyB2": h2,
+                "b1Pure": pure1,
+                "b2Pure": pure2,
+                "entropyB2B1inv": hu,
+                "entropyB2B1inv2": hv,
+                "markov": list(markov),
+            })
         return {
             "maxlen": self.maxlen,
             "wordsScanned": self.words_scanned,
             "pairCount": self.pair_count,
-            "pairs": [
-                {
-                    "b1": list(p.b1),
-                    "b2": list(p.b2),
-                    "b1Words": p.b1_words,
-                    "b2Words": p.b2_words,
-                    "commutatorTrace": p.commutator_trace,
-                    "entropyB1": p.entropy_b1,
-                    "entropyB2": p.entropy_b2,
-                    "b1Pure": p.b1_pure,
-                    "b2Pure": p.b2_pure,
-                    "entropyB2B1inv": p.entropy_b2b1inv,
-                    "entropyB2B1inv2": p.entropy_b2b1inv2,
-                    "markov": list(p.markov),
-                }
-                for p in self.pairs
-            ],
+            "pairs": rows,
         }
 
 
-def _image_groups3(maxlen: int) -> tuple[int, dict[tuple[int, int, int, int], list]]:
-    """The number of reduced B_3 words of length 1 to maxlen, and for each
-    of their theta images [least word, word count].
+def _image_groups3(maxlen: int) -> dict[tuple[int, int, int, int], list]:
+    """[least word, word count] for each theta image of the reduced B_3
+    words of length 1 to maxlen.
 
     A word's image is its prefix's times the image of its last letter, two
     additions as in `_theta.theta_abcd` with k = +-1.  Counting the
@@ -307,7 +326,6 @@ def _image_groups3(maxlen: int) -> tuple[int, dict[tuple[int, int, int, int], li
     0.74 s that way (pure Python 3.11, 2-core Xeon VM).
     """
     groups: dict[tuple[int, int, int, int], list] = {}
-    total = 0
     frontier: list = [((), (1, 0, 0, 1))]
     for _ in range(maxlen):
         nxt = []
@@ -321,7 +339,6 @@ def _image_groups3(maxlen: int) -> tuple[int, dict[tuple[int, int, int, int], li
                 nxt.append((w + (-2,), (a + b, b, c + d, d)))
             if last != -2:
                 nxt.append((w + (2,), (a - b, b, c - d, d)))
-        total += len(nxt)
         for w, m in nxt:
             group = groups.get(m)
             if group is None:
@@ -331,7 +348,7 @@ def _image_groups3(maxlen: int) -> tuple[int, dict[tuple[int, int, int, int], li
                 if w < group[0]:
                     group[0] = w
         frontier = nxt
-    return total, groups
+    return groups
 
 
 def _is_pure(m) -> bool:
@@ -440,14 +457,14 @@ def zero_entropy_commutator_scan(maxlen: int) -> CommutatorScanReport:
         raise ValueError("maxlen must be >= 0")
     if maxlen > SCAN_MAXLEN:
         raise ResourceLimit(f"commutator scan is limited to maxlen <= {SCAN_MAXLEN}")
-    words_scanned, groups = _image_groups3(maxlen)
+    groups = _image_groups3(maxlen)
     classes: dict[int, list[tuple[int, int, int, int]]] = {}
     for m in groups:
         if abs(m[0] + m[3]) > 2:
             classes.setdefault(m[0] + m[3], []).append(m)
     traces = list(classes)
 
-    found = []  # (m1, m2, tr m1 m2) for each unordered pair of images
+    pairs = []  # both orders of each unordered pair of images
     for i, t1 in enumerate(traces):
         for t2 in traces[i:]:
             roots = _fricke_roots(t1, t2)
@@ -457,29 +474,15 @@ def zero_entropy_commutator_scan(maxlen: int) -> CommutatorScanReport:
             for k, m1 in enumerate(block):
                 a, b, c, d = m1
                 for m2 in block[k + 1:] if t1 == t2 else classes[t2]:
-                    t12 = a * m2[0] + b * m2[2] + c * m2[1] + d * m2[3]
-                    if t12 not in roots:
+                    if a * m2[0] + b * m2[2] + c * m2[1] + d * m2[3] not in roots:
                         continue
                     if mat_mul(m1, m2) == mat_mul(m2, m1):
                         raise InternalInconsistency(
                             f"images {m1}, {m2} commute with tr[m1, m2] = -2, "
                             "but in SL(2,Z) tr[m1, m2] = 2 exactly when m1 and m2 commute"
                         )
-                    found.append((m1, m2, t12))
-
-    pairs = []
-    for m1, m2, t12 in found:
-        t1, t2 = m1[0] + m1[3], m2[0] + m2[3]
-        u, v, w, _ = _e0_traces(t1, t2, t12)
-        h1, h2, hu = log_spectral_radius(t1), log_spectral_radius(t2), log_spectral_radius(u)
-        pure1, pure2 = _is_pure(m1), _is_pure(m2)
-        markov = tuple(sorted((abs(t1) // 3, abs(t2) // 3, abs(t12) // 3)))
-        (w1, k1), (w2, k2) = groups[m1], groups[m2]
-        pairs += (
-            CommutatorPair(w1, w2, k1, k2, h1, h2, pure1, pure2, hu,
-                           log_spectral_radius(v), markov),
-            CommutatorPair(w2, w1, k2, k1, h2, h1, pure2, pure1, hu,
-                           log_spectral_radius(w), markov),
-        )
+                    (w1, k1), (w2, k2) = groups[m1], groups[m2]
+                    pairs += (CommutatorPair(w1, w2, k1, k2, m1, m2),
+                              CommutatorPair(w2, w1, k2, k1, m2, m1))
     pairs.sort(key=lambda p: (p.b1, p.b2))
-    return CommutatorScanReport(maxlen, words_scanned, tuple(pairs))
+    return CommutatorScanReport(maxlen, tuple(pairs))

@@ -291,6 +291,20 @@ def test_disc_index_degree_above_the_cap(tmp_path, capsys):
     assert "MAX_DEGREE = 64" in error["error"]
 
 
+def test_disc_index_span_above_the_sample_cap(tmp_path, capsys):
+    # a 60-byte family whose discriminant spans 300,000 powers of z needs a
+    # first pass above MAX_SAMPLES: refused before any sample, where it
+    # raised NonConvergence ("no convergence within 1048576 samples")
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"degree": 2, "coeffs": {"0": {"0": [1, 0], "300000": [1, 0]}}}))
+    assert main(["disc-index", "--family", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and strict_json(captured.err) == {
+        "schema": "1", "errorType": "ResourceLimit",
+        "error": "the discriminant's exponent span 300000 needs a first pass of 2097152 "
+                 "samples, above MAX_SAMPLES = 1048576"}
+
+
 def test_go_surface_huge_exponents(tmp_path, capsys):
     # spelling out the letters took 7.9 s at 10^6 and ran out of memory at 10^9
     hom = {"genus": 1, "holes": 1, "target": "F2",
@@ -356,12 +370,14 @@ def test_lattice_branch_path_steps_rejected(capsys):
     ("--tau", "abc"), ("--tau", "0,x"), ("--alpha", "1,2,3"), ("--path-end", "2"),
 ])
 def test_lattice_branch_names_a_malformed_complex(option, text, capsys):
-    # a repeated --tau overrides the valid one
+    # a repeated --tau overrides the valid one; the option table reads the
+    # value, so a malformed one is a usage error that names its option
     assert main(["lattice-branch", "--tau", "0,1", f"{option}={text}"]) == 1
     captured = capsys.readouterr()
     error = json.loads(captured.err)
-    assert captured.out == "" and error["errorType"] == "ValueError"
-    assert error["error"].startswith(option) and repr(text) in error["error"]
+    assert captured.out == "" and error["errorType"] == "UsageError"
+    assert error["error"] == (
+        f"argument {option}: the value must be a complex number as re,im, got {text!r}")
 
 
 @pytest.mark.parametrize("option", ["--tau", "--alpha", "--path-end"])
@@ -685,12 +701,19 @@ _HOM = {"genus": 1, "holes": 1, "target": "B3", "images": {"e1": "1 2", "e2": "1
     ("thm1", None, ["--n", str(10**400 + 1), "--modulus", "1e20", "--index", "0"]),
     ("disc-index", json.dumps({"degree": 2, "coeffs": {"0": {"0": [1e308, 1e308]}}}), []),
     ("lattice-branch", None, ["--tau=1e-310,1e-310"]),
+    # nested deeper than any supported Python's recursion limit, which
+    # json.load once met with a RecursionError traceback
+    ("disc-index", "[" * 100_000 + "]" * 100_000, []),
+    ("go-surface", "[" * 100_000 + "]" * 100_000, []),
+    # JSON true passed for the number 1 in a coefficient
+    ("disc-index", json.dumps({"degree": 3, "coeffs": {"0": {"2": [True, False]}}}), []),
 ], ids=["no-coeffs", "short-coefficient", "text-coefficient", "long-coefficient",
         "nan-coefficient", "infinite-coefficient", "infinite-degree", "samples-above-cap",
         "no-images", "bare-list", "list-image", "fractional-genus",
         "two-keys-one-power", "a-image-key", "stacked-image-key",
         "underscore-power-key", "bool-genus", "non-ascii-digit", "underscore-letter",
-        "huge-braid-n", "huge-genus", "huge-n", "overflowing-discriminant", "subnormal-tau"])
+        "huge-braid-n", "huge-genus", "huge-n", "overflowing-discriminant", "subnormal-tau",
+        "deep-family", "deep-hom", "bool-coefficient"])
 def test_malformed_input_is_one_json_error_line(sub, text, extra, tmp_path):
     # run as a process: an uncaught exception also exits 1, with a traceback
     path = tmp_path / "input.json"
@@ -796,13 +819,39 @@ def test_integer_options_read_the_package_integer_rule(argv, option, capsys):
     assert error["error"] == f"argument {option}: the value must be an integer, got {text!r}"
 
 
+# a float or complex option reads the integer rule's characters too:
+# Python's float took "3_0" as 30.0, " 30 " as 30.0 and other scripts' digits
+_BAD_NUMBER_OPTIONS = [
+    (["thm1", "--n", "3", "--modulus", "3_0", "--index", "6"], "--modulus", "a number"),
+    (["thm1", "--n", "3", "--modulus", " 30 ", "--index", "6"], "--modulus", "a number"),
+    (["thm1", "--n", "3", "--modulus", "\u0663", "--index", "6"], "--modulus", "a number"),
+    (["lattice-branch", "--tau", "0,1_0"], "--tau", "a complex number as re,im"),
+    (["lattice-branch", "--tau", "0,1", "--alpha", " 1,0"], "--alpha", "a complex number as re,im"),
+    (["lattice-branch", "--tau", "0,1", "--path-end", "0,\uff12"], "--path-end",
+     "a complex number as re,im"),
+]
+
+
+@pytest.mark.parametrize("argv, option, what", _BAD_NUMBER_OPTIONS,
+                         ids=[f"{a[0]}{o}-{a[a.index(o) + 1]!r}" for a, o, _ in _BAD_NUMBER_OPTIONS])
+def test_number_options_read_the_integer_rule_characters(argv, option, what, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = strict_json(captured.err)
+    assert error == {"schema": "1", "errorType": "UsageError",
+                     "error": f"argument {option}: the value must be {what}, got "
+                              f"{argv[argv.index(option) + 1]!r}"}
+
+
 def test_every_integer_option_has_a_bad_text_row():
+    # every typed option, integer, float or complex, has a bad text row
     typed = {(name, row[0]) for name in cli._SUBCOMMANDS for row in _rows(name)
              if row[1] not in (str, bool)}
-    # --modulus is a float; every other typed option is an integer
     assert {row[1] for name in cli._SUBCOMMANDS for row in _rows(name)} == {
-        str, bool, float, cli._int}
-    assert typed - {("thm1", "--modulus")} == {(a[0], o) for a, o in _BAD_INT_OPTIONS}
+        str, bool, cli._float, cli._complex, cli._int}
+    assert typed == {(a[0], o) for a, o in _BAD_INT_OPTIONS} | {
+        (a[0], o) for a, o, _ in _BAD_NUMBER_OPTIONS}
 
 
 def test_a_named_subcommand_builds_its_parser_alone(tmp_path, monkeypatch):

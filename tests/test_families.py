@@ -254,6 +254,24 @@ class TestDiscriminantIndex:
         with pytest.raises(ValueError, match="MAX_SAMPLES"):
             discriminant_index(LaurentFamily.power_family(3, 1), MAX_SAMPLES + 1)
 
+    @pytest.mark.parametrize("span, samples", [(MAX_SAMPLES // 4, 256), (300_000, 256),
+                                               (256_000, 1000)])
+    def test_span_above_the_sample_cap_is_refused_before_sampling(self, span, samples,
+                                                                  monkeypatch):
+        # a first pass of more than 4 x span samples, doubled from samples,
+        # lies above MAX_SAMPLES; it raised NonConvergence ("no convergence
+        # within 1048576 samples") without taking a sample.  The last row
+        # has 4 x span below the cap and a doubling past it
+        def refuse(*args):
+            raise AssertionError("a pass ran")
+
+        monkeypatch.setattr("braidoka.families._winding_pass", refuse)
+        fam = LaurentFamily(2, {0: {0: 1.0, span: 1.0}})
+        with pytest.raises(ResourceLimit, match=(
+                f"exponent span {span} needs a first pass of [0-9]+ samples, "
+                f"above MAX_SAMPLES = {MAX_SAMPLES}")):
+            discriminant_index(fam, samples)
+
     @pytest.mark.parametrize("degree", range(2, 8))
     def test_matches_reference(self, degree):
         # equal indices give equal thm1 verdicts; the reference starts above

@@ -77,6 +77,10 @@ ROWS = [
     (lambda: SurfaceHom.from_json({"genus": 1, "holes": 1, "target": "F2"}),
      ValueError, 'needs "images"'),
     (lambda: SurfaceHom.from_json({**_HOM, "target": "Z"}), ValueError, "unknown target 'Z'"),
+    # the constructor kept any target, and the decisions then named the
+    # homomorphism wrong-valued instead of the target unknown
+    (lambda: SurfaceHom(SurfaceSignature(1, 1), "B4", {1: FreeWord.gen(1), 2: FreeWord.gen(2)}),
+     ValueError, "unknown target 'B4'"),
     (lambda: SurfaceHom.from_json({**_HOM, "images": ["a1"]}),
      ValueError, '"images" must be an object'),
     (lambda: SurfaceHom.from_json({**_HOM, "images": {"e1": 1}}),

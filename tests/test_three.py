@@ -309,8 +309,9 @@ class TestCommutatorScan:
             ref = zero_entropy_commutator_scan_allpairs
         words_scanned, word_pairs = ref(maxlen)
         rows = rows_by_image_pair(word_pairs)
-        assert zero_entropy_commutator_scan(maxlen) == CommutatorScanReport(
-            maxlen, words_scanned, rows)
+        rep = zero_entropy_commutator_scan(maxlen)
+        assert rep == CommutatorScanReport(maxlen, rows)
+        assert rep.words_scanned == words_scanned
 
     def test_resource_guard(self):
         with pytest.raises(ResourceLimit, match="maxlen <= 11"):
@@ -333,9 +334,10 @@ def rows_by_image_pair(word_pairs):
     """The scan's rows read off a reference's word pairs: the pairs grouped
     by (theta(b1), theta(b2)), letter by letter.  Each group must be every
     pair of its b1 words with its b2 words and carry one set of fields; its
-    row holds the least word and the word count of each side, those fields,
-    and the sorted Markov triple of its traces divided by 3.  The commutator
-    trace, which the row reads off its class, must be -2."""
+    row holds the least word and the word count of each side and the two
+    images.  The values the row reads off its images must be those fields
+    and the sorted Markov triple of its traces divided by 3, and the
+    commutator trace, which the row reads off its class, must be -2."""
     groups = {}
     for pair in word_pairs:
         groups.setdefault((theta_letters(pair[0]), theta_letters(pair[1])), []).append(pair)
@@ -347,7 +349,11 @@ def rows_by_image_pair(word_pairs):
         assert trace == CommutatorPair.commutator_trace == -2, group
         w1, w2 = min(words1), min(words2)
         markov = tuple(sorted(abs(m[0] + m[3]) // 3 for m in (m1, m2, theta_letters(w1 + w2))))
-        rows.append(CommutatorPair(w1, w2, len(words1), len(words2), *fields, markov))
+        row = CommutatorPair(w1, w2, len(words1), len(words2), m1, m2)
+        assert [row.entropy_b1, row.entropy_b2, row.b1_pure, row.b2_pure, row.entropy_b2b1inv,
+                row.entropy_b2b1inv2] == fields, group
+        assert row.markov == markov, group
+        rows.append(row)
     return tuple(sorted(rows, key=lambda p: (p.b1, p.b2)))
 
 

@@ -53,12 +53,12 @@ ARGS = {
     GOReducible: lambda: ("a1", _word()),
     GOSphereHolomorphic: lambda: ((1, 2, 3),),
     NotGOSphereAntiholomorphic: lambda: ((1, 2, 3),),
-    NotGO: lambda: (None, "no"),
+    NotGO: lambda: (None,),
     Permutation: lambda: ((2, 3, 1),),
     SL2Matrix: lambda: (2, 1, 1, 1),
-    ThreeBraidClass: lambda: ("pseudoAnosov", 3, 0, None, None, None),
-    CommutatorPair: lambda: ((1,), (2,), 1, 2, 0.0, 0.0, False, True, 1.0, 2.0, (1, 1, 1)),
-    CommutatorScanReport: lambda: (2, 21, ()),
+    ThreeBraidClass: lambda: ("pseudoAnosov", 3, 0, None, None),
+    CommutatorPair: lambda: ((1,), (2,), 1, 2, (2, 1, 1, 1), (1, 0, 2, 1)),
+    CommutatorScanReport: lambda: (2, ()),
     FreeWord: lambda: (((1, 1), (2, -2)),),
     PeripheralPower: lambda: ("a1", 3),
 }
@@ -68,7 +68,8 @@ CLASSES = list(ARGS)
 
 
 def _fields(cls):
-    return list(vars(cls)["__annotations__"])
+    # the sphere verdicts inherit their one field from a shared base
+    return list(cls._fields)
 
 
 def test_every_record_class_is_listed():
@@ -135,23 +136,40 @@ def test_defaults_and_keywords():
 
 
 def test_derived_values_are_read_off_the_fields():
-    # entropy, module, the central and reducible keys and the commutator
-    # trace follow from the other fields, so no constructor takes them
+    # entropy, module, the periodic base, the central and reducible keys,
+    # a scan row's entropies, purity and Markov triple, the commutator
+    # trace, the words a scan examines and the notGO reason follow from
+    # the other fields or are constant, so no constructor takes them
     h = math.log((3 + math.sqrt(5)) / 2)
     c = ThreeBraidClass(*ARGS[ThreeBraidClass]())
-    assert (c.entropy, c.module) == (h, math.pi / (2 * h))
+    assert (c.entropy, c.module, c.base) == (h, math.pi / (2 * h), None)
     assert Oka3Violation(_word(), -3).entropy == h
-    assert CommutatorPair(*ARGS[CommutatorPair]()).commutator_trace == -2
-    for trace, central in ((2, True), (-2, True), (1, False), (0, False)):
-        d = ThreeBraidClass("periodic", trace, 0, "delta", 0).as_dict()
-        assert (d["central"], d["reducible"], d["module"]) == (central, central, None)
+    pair = CommutatorPair(*ARGS[CommutatorPair]())
+    # traces 3, 2 and tr m1 m2 = 5, so m2 m1^-1 and m2 m1^-2 have trace 1
+    assert pair.commutator_trace == -2
+    assert (pair.entropy_b1, pair.entropy_b2, pair.entropy_b2b1inv, pair.entropy_b2b1inv2) == (
+        h, 0.0, 0.0, 0.0)
+    assert (pair.b1_pure, pair.b2_pure, pair.markov) == (False, True, (0, 1, 1))
+    assert [CommutatorScanReport(m, ()).words_scanned for m in range(4)] == [0, 4, 16, 52]
+    assert NotGO(None).reason == NotGO.reason == "test element image is not a peripheral power"
+    assert [(cls((1, 2, 3)).verdict, cls((1, 2, 3)).go_property)
+            for cls in (GOSphereHolomorphic, NotGOSphereAntiholomorphic)] == [
+        ("sphereHolomorphic", True), ("sphereAntiholomorphic", False)]
+    for trace, central, base in ((2, True, "delta"), (-2, True, "delta"), (1, False, "sigma12"),
+                                 (-1, False, "sigma12"), (0, False, "delta")):
+        d = ThreeBraidClass("periodic", trace, 0, 0).as_dict()
+        assert (d["central"], d["reducible"], d["module"], d["base"]) == (central, central, None, base)
     for build in (lambda: ThreeBraidClass("periodic", 2, 0, central=True),
                   lambda: ThreeBraidClass("periodic", 2, 0, reducible_flag=True),
                   lambda: ThreeBraidClass("pseudoAnosov", 3, 0, entropy=h),
                   lambda: ThreeBraidClass("pseudoAnosov", 3, 0, module=1.63),
                   lambda: Oka3Violation(_word(), 3, entropy=h),
                   lambda: PeripheralPower(None, 0, trivial=True),
-                  lambda: CommutatorPair(*ARGS[CommutatorPair](), commutator_trace=-2)):
+                  lambda: CommutatorPair(*ARGS[CommutatorPair](), commutator_trace=-2),
+                  lambda: ThreeBraidClass("periodic", 1, 2, 1, base="sigma12"),
+                  lambda: CommutatorPair(*ARGS[CommutatorPair](), markov=(0, 1, 1)),
+                  lambda: CommutatorScanReport(2, 16, ()),
+                  lambda: NotGO(None, "no")):
         with pytest.raises(TypeError):
             build()
 
