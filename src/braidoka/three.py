@@ -381,7 +381,7 @@ def zero_entropy_commutator_scan(maxlen: int) -> CommutatorScanReport:
     hypotheses of the commuting-criterion corollary (b1, b2 and the
     commutator all of entropy zero), and the scan needs no check of it.
 
-    Every field of a pair but its words depends only on m1 = theta(b1) and
+    Every value of a pair but its words is read off m1 = theta(b1) and
     m2 = theta(b2), so the words are grouped by theta image and each pair
     of images is tested once.  Its row holds the least word and the word
     count of each group; every word of the first group pairs with every
@@ -392,7 +392,7 @@ def zero_entropy_commutator_scan(maxlen: int) -> CommutatorScanReport:
     because theta mod 2 induces S_3 = SL(2,F_2) on the quotient by the pure
     braids.
 
-    Cost (pure Python 3.11, 2-core Xeon VM): maxlen 5 about 0.8 ms, 7
+    Cost (pure Python 3.11, 2-core Xeon VM): maxlen 5 about 0.43 ms, 7
     about 15 ms (1,824 rows for 31,536 word pairs), 10 about 0.3 s, and
     SCAN_MAXLEN = 11 about 0.5 s and 115 MB max RSS (17,504 rows for
     62,103,024 word pairs).  At the cap most of it is the word list,

@@ -19,6 +19,7 @@ from braidoka.three import (
     CommutatorPair,
     CommutatorScanReport,
     _fricke_roots,
+    _image_groups3,
     classify3,
     centralizer_check,
     conformal_module3,
@@ -325,7 +326,10 @@ class TestCommutatorScan:
         # the bound itself runs in about 0.5 s on a 2-core VM (Python
         # 3.11); one more letter triples the word list
         rep = zero_entropy_commutator_scan(SCAN_MAXLEN)
-        assert rep.words_scanned == 2 * (3**SCAN_MAXLEN - 1)
+        # the report reads its word count off maxlen; the enumeration's
+        # groups count the words they hold
+        assert rep.words_scanned == 2 * (3**SCAN_MAXLEN - 1) == sum(
+            count for _, count in _image_groups3(SCAN_MAXLEN).values())
         with pytest.raises(ResourceLimit):
             zero_entropy_commutator_scan(SCAN_MAXLEN + 1)
 
