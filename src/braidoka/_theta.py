@@ -2,7 +2,8 @@
 screen on a pair of images, and the entropy of a trace.
 
 Matrices are entry tuples (a, b, c, d) of [[a, b], [c, d]] with Python
-int entries, so there is no overflow concern on any path.  `braid`
+int entries, so there is no overflow concern on any path.  `_b3` is the
+one test that a B_3 procedure was given 3-strand words.  `braid`
 (equality in B_3), `sl2z`, `three` and `oka` call these, and
 `_purekernels` reads `theta_abcd` and `e0_screen_matrices` back for its
 E0 screen and for the benchmark, so the tracer wraps one function object;
@@ -13,6 +14,16 @@ Weierstrass series.
 from __future__ import annotations
 
 import math
+
+from .errors import WrongStrandCount
+
+
+def _b3(name: str, *words) -> None:
+    """Raise WrongStrandCount naming the procedure `name` unless every word
+    has 3 strands."""
+    for w in words:
+        if w.strands != 3:
+            raise WrongStrandCount(f"{name} needs B_3, got B_{w.strands}")
 
 
 def theta_abcd(runs) -> tuple[int, int, int, int]:

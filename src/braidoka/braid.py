@@ -6,8 +6,10 @@ the Artin generator sigma_i, letter -i its inverse.  It is held as its
 maximal runs sigma_i^k of one letter (`_word.BraidWord`, which this module
 reads back, with the exponent sum, so `braid.BraidWord` is the same class),
 and the B_3 decisions, the exponent sum, the permutation and the linking
-numbers cost O(1) integer operations per run, however long the run.  The normal form reads the runs too, but
-sigma_i^k gives k factors; equality beyond B_3 steps through the letters.
+numbers cost O(1) integer operations per run, however long the run, and
+so do equality and the normal form in B_2, which the exponent sum decides.
+The normal form reads the runs too, but beyond B_2 sigma_i^k gives k
+factors; equality beyond B_3 steps through the letters.
 Strands are labelled by their starting position; the permutation image
 sends a strand's start to its end position, and sigma_i maps to the
 adjacent transposition (i, i+1).
@@ -29,9 +31,10 @@ each run is inserted turned by tau^(Delta^-1 markers before it), and the
 output is turned once by tau^(all markers).  The output is checked for
 left-weightedness on the inverses held beside the factors, and its
 permutations are built without a second validation.  The normal form
-serves `nf`; equality does not build it.  `braid_eq` decides B_3 by theta
-(`_theta.theta_abcd`) and the exponent sum, and every other B_n by the
-faithful integer action of B_n on Dynnikov coordinates in Z^(2n).
+serves `nf`; equality does not build it.  `braid_eq` decides B_2 by the
+exponent sum, B_3 by theta (`_theta.theta_abcd`) and the exponent sum, and
+every other B_n by the faithful integer action of B_n on Dynnikov
+coordinates in Z^(2n).
 """
 
 from __future__ import annotations
@@ -248,7 +251,9 @@ def normal_form(b: BraidWord) -> GarsideNormalForm:
     inverse, so a step costs O(n + |m|) swaps in place, and with k factors
     there are O(k^2) steps.  sigma_i^k still gives k factors, so
     ResourceLimit is raised above MAX_LETTERS letters, on the sum of the
-    run lengths before any run is read.
+    run lengths before any run is read.  B_2 = <Delta>, Delta = sigma_1,
+    is the exception: its form is Delta^e with e the exponent sum and no
+    factor, at a cost that follows the runs, with no limit.
 
     The final check that consecutive factors are left-weighted reads the
     inverses held beside them, before the turn by tau^total, which keeps
@@ -258,6 +263,8 @@ def normal_form(b: BraidWord) -> GarsideNormalForm:
     (`check_factors` in tests/nf_reference.py).
     """
     n = b.strands
+    if n == 2:  # B_2 = <Delta>, Delta = sigma_1
+        return GarsideNormalForm(2, exponent_sum(b), ())
     if sum([k if k > 0 else -k for _, k in b.runs]) > MAX_LETTERS:
         raise ResourceLimit(_TOO_LONG)
     w0 = list(range(n, 0, -1))
@@ -370,7 +377,8 @@ def _dynnikov(runs: tuple[Run, ...], start: list[int]) -> list[int]:
 def braid_eq(b1: BraidWord, b2: BraidWord) -> bool:
     """Equality in B_n.
 
-    B_3 compares the (theta, exponent sum) pair, which is faithful because
+    B_2 = <sigma_1> is infinite cyclic, so the exponent sum decides it.  B_3
+    compares the (theta, exponent sum) pair, which is faithful because
     the kernel of theta is generated by Delta^4 and Delta^4 has exponent sum
     12; both cost O(1) per run.  Every other n compares the two words'
     images of (0, 1, ..., 0, 1) under the Dynnikov action (`_dynnikov`), at
@@ -379,9 +387,8 @@ def braid_eq(b1: BraidWord, b2: BraidWord) -> bool:
     """
     if b1.strands != b2.strands:
         raise StrandMismatch(f"B_{b1.strands} vs B_{b2.strands}")
-    if b1.strands == 3:
-        if exponent_sum(b1) != exponent_sum(b2):
-            return False
-        return _theta.theta_abcd(b1.runs) == _theta.theta_abcd(b2.runs)
+    if b1.strands <= 3:
+        return exponent_sum(b1) == exponent_sum(b2) and (
+            b1.strands == 2 or _theta.theta_abcd(b1.runs) == _theta.theta_abcd(b2.runs))
     start = [0, 1] * b1.strands
     return _dynnikov(b1.runs, start) == _dynnikov(b2.runs, start)

@@ -26,7 +26,7 @@ if TYPE_CHECKING:
 
 Number = "int | float | complex | Fraction"
 
-# A degree-3 family of rotation order g = 1 (`_rotation_order`) that
+# A degree-3 family of rotation order g = 1 (`_exponent_lattice`) that
 # doubles from 256 samples up to this cap (about 2.1M discriminants) takes
 # about 44 s and peaks at 15 MB resident, the interpreter's own footprint:
 # a pass keeps running values only (pure Python 3.11, 2-core VM; 134 MB
@@ -192,52 +192,42 @@ class IndexReport(Value):
         }
 
 
-def _exponent_span(fam: LaurentFamily) -> tuple[int, int]:
-    """[lo, hi] containing every z-exponent of disc(f_z).
+def _exponent_lattice(fam: LaurentFamily) -> tuple[int, int, int]:
+    """(lo, hi, g): [lo, hi] contains every z-exponent of disc(f_z), and g
+    divides the difference of any two, read in one pass over the terms
+    c z^e of the nonzero a_k, each with v = n - k.
 
     disc is isobaric of weight n(n-1) when a_k has weight n-k, so each of
     its monomials prod a_k^m_k has sum m_k (n-k) = n(n-1), and its
-    z-exponents lie between n(n-1) times the least and the largest
-    e/(n-k) over the terms c z^e of the nonzero a_k.
+    z-exponents lie between n(n-1) times the least and the largest e/v
+    over the terms.
+
+    A monomial of disc is prod (c_t z^e_t)^m_t over the terms, with
+    sum m_t v_t = n(n-1).  Two such multiplicity vectors differ by an
+    integer relation of the v_t, and those relations are spanned by the
+    pairwise ones v_t/d e_s - v_s/d e_t, d = gcd(v_s, v_t), so the
+    exponents differ by multiples of the gcd of (e_s v_t - e_t v_s)/d over
+    term pairs.  g = 0 when every pair gives 0, as for zeta^n - z^k, whose
+    disc is one monomial.  That gcd is read off the columns (v_t, e_t) one
+    term at a time: the columns so far span (d, e_d) and (0, g) with d the
+    gcd of their v, and with d' = gcd(d, v') = alpha d + beta v', the
+    unimodular step
+    (d, e_d), (v', e') -> (d', alpha e_d + beta e'), (0, (v'/d') e_d - (d/d') e')
+    brings in the next one.  One gcd per term instead of one per pair.  A
+    family with no nonzero term gives (0, 0, 0).
     """
     n = fam.degree
     w = n * (n - 1)
-    terms = [(e, n - k) for k, poly in fam.coeffs.items() for e, c in poly.items() if c != 0]
-    if not terms:
-        return 0, 0
-    return min(-(-w * e // v) for e, v in terms), max(w * e // v for e, v in terms)
-
-
-def _rotation_order(fam: LaurentFamily) -> int:
-    """The g that divides the difference of any two z-exponents of disc(f_z).
-
-    A monomial of disc is prod (c_t z^e_t)^m_t over the terms of the a_k,
-    with sum m_t v_t = n(n-1) for v_t = n - k_t (`_exponent_span`).  Two
-    such multiplicity vectors differ by an integer relation of the v_t, and
-    those relations are spanned by the pairwise ones v_t/d e_s - v_s/d e_t,
-    d = gcd(v_s, v_t), so the exponents differ by multiples of the gcd of
-    (e_s v_t - e_t v_s)/d over term pairs.  g = 0 when every pair gives 0,
-    as for zeta^n - z^k, whose disc is one monomial.
-
-    That gcd is read off the columns (v_t, e_t) one term at a time: the
-    columns so far span (d, e_d) and (0, g) with d the gcd of their v, and
-    with d' = gcd(d, v') = alpha d + beta v', the unimodular step
-    (d, e_d), (v', e') -> (d', alpha e_d + beta e'), (0, (v'/d') e_d - (d/d') e')
-    brings in the next one.  One gcd per term instead of one per pair.
-    """
-    n = fam.degree
-    g = d = e_d = 0
-    for k, poly in fam.coeffs.items():
-        for e, c in poly.items():
-            if c == 0:
-                continue
-            v = n - k
-            d2 = math.gcd(d, v)
-            alpha = pow(d // d2, -1, v // d2)  # alpha d = d2 mod v
-            beta = (d2 - alpha * d) // v
-            g = math.gcd(g, v // d2 * e_d - d // d2 * e)
-            d, e_d = d2, alpha * e_d + beta * e
-    return g
+    terms = ((e, n - k) for k, poly in fam.coeffs.items() for e, c in poly.items() if c != 0)
+    lo, hi, g, d, e_d = math.inf, -math.inf, 0, 0, 0
+    for e, v in terms:
+        lo, hi = min(lo, -(-w * e // v)), max(hi, w * e // v)
+        d2 = math.gcd(d, v)
+        alpha = pow(d // d2, -1, v // d2)  # alpha d = d2 mod v
+        beta = (d2 - alpha * d) // v
+        g = math.gcd(g, v // d2 * e_d - d // d2 * e)
+        d, e_d = d2, alpha * e_d + beta * e
+    return (lo, hi, g) if d else (0, 0, 0)
 
 
 def _winding_pass(fam: LaurentFamily, n: int, lo: int, g: int) -> tuple[float, float, float, float]:
@@ -245,7 +235,7 @@ def _winding_pass(fam: LaurentFamily, n: int, lo: int, g: int) -> tuple[float, f
     z^-lo disc(f_z), max and min |disc|, and the largest |step|.
 
     Every z-exponent of disc is congruent to one E mod g
-    (`_rotation_order`), so with h = gcd(g, n), turning z by 2 pi/h (n/h
+    (`_exponent_lattice`), so with h = gcd(g, n), turning z by 2 pi/h (n/h
     samples) multiplies disc by the constant e^(2 pi i E/h).  The steps then
     repeat with period n/h and the first arc of n/h + 1 points holds every
     modulus of the circle: the pass evaluates that arc alone, and the sum
@@ -277,7 +267,7 @@ def discriminant_index(fam: LaurentFamily, samples: int = 256) -> IndexReport:
     """Winding number of z -> disc(f_z) around 0 along |z| = 1.
 
     disc = z^lo P(z) with P a polynomial of degree at most hi - lo
-    (`_exponent_span`), so the index is lo plus the winding of P.  P is
+    (`_exponent_lattice`), so the index is lo plus the winding of P.  P is
     sampled at more than 4 (hi - lo) points from the first pass on, which
     keeps a fast winding from aliasing to a slow one; a first pass above
     MAX_SAMPLES raises ResourceLimit before any sample is taken.
@@ -285,7 +275,7 @@ def discriminant_index(fam: LaurentFamily, samples: int = 256) -> IndexReport:
     count doubles until every step is below pi/2, which pins the winding
     count.  The exponents
     of disc lie in one class mod the rotation order g of the family's
-    exponent lattice (`_rotation_order`), so |disc| has period 2 pi/g on
+    exponent lattice (read in the same pass), so |disc| has period 2 pi/g on
     the circle and a pass of n samples evaluates at most n/gcd(g, n) + 1
     of them (`_winding_pass`): two for zeta^n - z^k, where g = 0.
 
@@ -309,8 +299,7 @@ def discriminant_index(fam: LaurentFamily, samples: int = 256) -> IndexReport:
         raise ValueError("need at least 16 samples")
     if samples > MAX_SAMPLES:
         raise ValueError(f"samples must be at most MAX_SAMPLES = {MAX_SAMPLES}")
-    lo, hi = _exponent_span(fam)
-    g = _rotation_order(fam)
+    lo, hi, g = _exponent_lattice(fam)
     n = samples
     while n <= 4 * (hi - lo):
         n *= 2

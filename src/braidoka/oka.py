@@ -35,7 +35,6 @@ from .errors import (
     ResourceLimit,
     TheoremContradiction,
     WrongSignature,
-    WrongStrandCount,
     WrongTarget,
 )
 from .words import (
@@ -90,7 +89,10 @@ TARGET_F2 = "F2"
 
 
 class SurfaceHom(Value):
-    """A homomorphism out of a surface group, given on free generators."""
+    """A homomorphism out of a surface group, given on free generators.
+
+    The images are checked against the target here, once: B3 images are
+    3-strand braid words, F2 images free words in a1 and a2."""
 
     signature: SurfaceSignature
     target: Literal["B3", "F2"]
@@ -117,6 +119,8 @@ class SurfaceHom(Value):
                 extra = {g for g, _ in v.blocks} - {1, 2}
                 if extra:
                     raise ValueError(f"F2 images use generators 1 and 2 only, got a{min(extra)}")
+        if target == TARGET_B3:
+            _theta._b3("SurfaceHom", *images.values())
         object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "images", images)
@@ -227,7 +231,10 @@ def oka3_decide(hom: SurfaceHom, mirrored: bool = False) -> Oka3Result:
     violation.  When all five pass, the generator images commute, and the
     abelian image is classified by its invariants: a 3-cycle permutation
     image marks the sigma1*sigma2 model, a trace-zero theta image the
-    Delta model, anything else the sigma1/Delta^2 model.
+    Delta model, anything else the sigma1/Delta^2 model.  A signature other
+    than (1, 1) raises WrongSignature and an F2-valued map WrongTarget, as
+    `go_surface_decide` does for a B3-valued one; the images of a B3-valued
+    map have 3 strands, which `SurfaceHom` checks where the map is built.
 
     A pair is classified exactly when e1, e2 and [e1, e2] pass, in either
     variant.  Proof: the images commute once e1, e2 and [e1, e2] pass, by
@@ -257,14 +264,9 @@ def oka3_decide(hom: SurfaceHom, mirrored: bool = False) -> Oka3Result:
     if (hom.signature.genus, hom.signature.holes) != (1, 1):
         raise WrongSignature("oka3_decide needs signature (1, 1)")
     if hom.target != TARGET_B3:
-        raise WrongSignature("oka3_decide needs a B3-valued homomorphism")
-    b1, b2 = hom.images[1], hom.images[2]
-    for b in (b1, b2):
-        if b.strands != 3:
-            raise WrongStrandCount(f"oka3_decide needs B_3, got B_{b.strands}")
-
-    m1 = _theta.theta_abcd(b1.runs)
-    m2 = _theta.theta_abcd(b2.runs)
+        raise WrongTarget("oka3_decide needs a B3-valued homomorphism")
+    m1 = _theta.theta_abcd(hom.images[1].runs)
+    m2 = _theta.theta_abcd(hom.images[2].runs)
     index, trace = e0_screen_matrices(m1, m2, mirrored)
     if index:
         witness = (_E0_MIRRORED if mirrored else _E0)[index - 1]

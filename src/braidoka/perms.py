@@ -116,6 +116,9 @@ def commute(p: Permutation, q: Permutation) -> bool:
 
 
 def is_transitive(gens: Sequence[Permutation], n: int) -> bool:
+    """Does the group the generators generate move 1 to every point?  A
+    permutation has finite order, so g^-1 is a power of g and the forward
+    images alone reach the whole orbit."""
     if not gens:
         return n == 1
     reached = {1}
@@ -123,10 +126,10 @@ def is_transitive(gens: Sequence[Permutation], n: int) -> bool:
     while frontier:
         x = frontier.pop()
         for g in gens:
-            for y in (g(x), g.inv()(x)):
-                if y not in reached:
-                    reached.add(y)
-                    frontier.append(y)
+            y = g(x)
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
     return len(reached) == n
 
 
@@ -138,7 +141,9 @@ def abelian_transitive_generator(
     Constructive content of the abelian-transitive lemma for prime n: the
     generated group is cyclic, generated by whichever generator moves a full
     minimal invariant block of size n.  Returns (s0, exponents) with
-    gens[j] = s0 ** exponents[j].
+    gens[j] = s0 ** exponents[j].  Each exponent is read off the cycle of
+    s0 through 1: a generator g commutes with the n-cycle s0, so it lies in
+    its centralizer <s0>, and g = s0^k exactly when g(1) = s0^k(1).
     """
     if not _prime._is_prime(n):
         raise NotPrime(f"{n} is not prime")
@@ -159,10 +164,12 @@ def abelian_transitive_generator(
         raise InternalInconsistency("no generator is an n-cycle, but an abelian transitive "
                                     "group of prime degree is regular and cyclic")
     s0 = candidates[0]
-    powers = [s0 ** k for k in range(n)]
-    exponents = []
-    for g in gens:
-        exponents.append(next(k for k in range(n) if powers[k] == g))
+    # the cycle of s0 through 1 is (1, s0(1), s0^2(1), ...)
+    step = {x: k for k, x in enumerate(s0.cycles()[0])}
+    exponents = [step[g(1)] for g in gens]
+    for g, k in zip(gens, exponents):
+        if s0 ** k != g:
+            raise InternalInconsistency(f"{g} commutes with the n-cycle {s0} but is not a power of it")
     return s0, exponents
 
 

@@ -31,7 +31,7 @@ import math
 
 from . import _theta
 from ._value import Value, _same_cycle
-from .errors import InternalInconsistency, NotParabolic, WrongStrandCount
+from .errors import InternalInconsistency, NotParabolic
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -103,8 +103,7 @@ L = SL2Matrix(1, 0, 1, 1)
 
 def theta(b: BraidWord) -> SL2Matrix:
     """The standard representation of B_3: sigma_1 -> A, sigma_2 -> B."""
-    if b.strands != 3:
-        raise WrongStrandCount(f"theta is defined on B_3, got B_{b.strands}")
+    _theta._b3("theta", b)
     return SL2Matrix(*_theta.theta_abcd(b.runs))
 
 

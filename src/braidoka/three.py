@@ -18,7 +18,7 @@ from . import _theta
 from ._theta import _e0_traces, log_spectral_radius, mat_mul
 from ._value import Value, check_int
 from ._word import BraidWord, exponent_sum
-from .errors import InternalInconsistency, ResourceLimit, WrongStrandCount
+from .errors import InternalInconsistency, ResourceLimit
 from .sl2z import (
     CENTRAL_I,
     CENTRAL_MINUS_I,
@@ -129,9 +129,9 @@ def classify3(b: BraidWord) -> ThreeBraidClass:
       sum 3l;
     * a parabolic image is conjugate to sigma_1^k Delta^(2l), of exponent
       sum k + 6l and sign (-1)^l.
+
+    A word of n != 3 strands raises WrongStrandCount in `theta`.
     """
-    if b.strands != 3:
-        raise WrongStrandCount(f"classify3 needs B_3, got B_{b.strands}")
     m = theta(b).entries()
     es = exponent_sum(b)
     kind = _kind(m)
@@ -163,8 +163,7 @@ def classify3(b: BraidWord) -> ThreeBraidClass:
 
 
 def entropy3(b: BraidWord) -> float:
-    if b.strands != 3:
-        raise WrongStrandCount(f"entropy3 needs B_3, got B_{b.strands}")
+    _theta._b3("entropy3", b)
     a, bb, c, d = _theta.theta_abcd(b.runs)
     return log_spectral_radius(a + d)
 
@@ -182,8 +181,7 @@ def conj3(b1: BraidWord, b2: BraidWord) -> bool:
     exponent sums pin down the central ambiguity.  The images are decided
     on their entries, as the kernel returns them (`sl2z._conjugate`).
     """
-    if b1.strands != 3 or b2.strands != 3:
-        raise WrongStrandCount("conj3 needs B_3 words")
+    _theta._b3("conj3", b1, b2)
     if exponent_sum(b1) != exponent_sum(b2):
         return False
     return _conjugate(_theta.theta_abcd(b1.runs), _theta.theta_abcd(b2.runs))
@@ -199,8 +197,7 @@ def centralizer_check(b: BraidWord, k: int) -> bool:
     sum 12, so they are equal exactly when their images are.  The cost
     follows the runs of b, not the size of k.
     """
-    if b.strands != 3:
-        raise WrongStrandCount("centralizer_check needs B_3 words")
+    _theta._b3("centralizer_check", b)
     check_int(k, "k")
     if k == 0:
         raise ValueError("k must be nonzero")

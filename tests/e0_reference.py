@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from braidoka import _theta as K
 from braidoka.braid import BraidWord, braid_eq, commutator, permutation
-from braidoka.errors import ResourceLimit, TheoremContradiction, WrongSignature
+from braidoka.errors import ResourceLimit, TheoremContradiction, WrongSignature, WrongTarget
 from braidoka.oka import (
     PERIODIC_DELTA,
     PERIODIC_SIGMA12,
@@ -75,7 +75,7 @@ def oka3_decide_reference(hom: SurfaceHom, mirrored: bool = False) -> Oka3Result
     if (hom.signature.genus, hom.signature.holes) != (1, 1):
         raise WrongSignature("oka3_decide needs signature (1, 1)")
     if hom.target != TARGET_B3:
-        raise WrongSignature("oka3_decide needs a B3-valued homomorphism")
+        raise WrongTarget("oka3_decide needs a B3-valued homomorphism")
 
     for e in e0_set(mirrored):
         m = theta(_braid_image(hom, e))

@@ -370,6 +370,23 @@ class TestBraidEq:
             b1, b2 = BraidWord(3, l1), BraidWord(3, l2)
             assert braid_eq(b1, b2) == (normal_form(b1) == normal_form(b2))
 
+    def test_b2_by_exponent_sum(self):
+        # B_2 = <Delta> with Delta = sigma_1, so both calls read the
+        # exponent sum, whatever the size of a run: stepping the letters
+        # raised ResourceLimit above MAX_LETTERS = 2^18
+        k = 10**30
+        b = BraidWord.parse(f"1^{k}", 2)
+        assert braid_eq(b, BraidWord.parse(f"1 -1 1^{k - 1} 1", 2))
+        assert not braid_eq(b, BraidWord.parse(f"1^{k + 1}", 2))
+        assert (normal_form(b).power, normal_form(b).factors) == (k, ())
+        assert normal_form(b.inv()).power == -k
+        # the letter-level oracles agree on every short word
+        words = list(enumerate_words(2, 6, freely_reduced=False, include_identity=True))
+        for b1 in words:
+            assert normal_form(b1) == reference_normal_form(b1), b1
+            for b2 in words:
+                assert braid_eq(b1, b2) == _dyn_eq(b1, b2), (b1, b2)
+
 
 def _dyn_eq(b1, b2):
     start = [0, 1] * b1.strands

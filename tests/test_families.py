@@ -21,7 +21,7 @@ from braidoka.families import (
     REDUCIBLE,
     MAX_SAMPLES,
     LaurentFamily,
-    _rotation_order,
+    _exponent_lattice,
     discriminant_from_coeffs,
     discriminant_index,
     nbraid_entropy_lower,
@@ -388,21 +388,22 @@ class TestRotationOrder:
             coeffs = {}
             for k, e in terms:
                 coeffs.setdefault(k, {})[e] = 1.0
-            assert _rotation_order(LaurentFamily(degree, coeffs)) == _lattice_order(
+            assert _exponent_lattice(LaurentFamily(degree, coeffs))[2] == _lattice_order(
                 [(e, degree - k) for k, e in terms]), terms
 
     def test_zero_terms_do_not_count(self):
         fam = LaurentFamily(3, {0: {2: -1.0, 1: 0.0}, 1: {5: 0j}})
-        assert _rotation_order(fam) == 0
-        assert _rotation_order(LaurentFamily.power_family(4, 7)) == 0
-        assert _rotation_order(LaurentFamily(2, {0: {0: 0.97, 2: -1.0}})) == 2
+        assert _exponent_lattice(fam) == (4, 4, 0)  # disc(zeta^3 - z^2) = -27 z^4
+        assert _exponent_lattice(LaurentFamily(3, {0: {1: 0.0}})) == (0, 0, 0)
+        assert _exponent_lattice(LaurentFamily.power_family(4, 7)) == (21, 21, 0)
+        assert _exponent_lattice(LaurentFamily(2, {0: {0: 0.97, 2: -1.0}})) == (0, 2, 2)
 
     def test_linear_in_the_number_of_terms(self):
         # the gcd over all 4,000 * 3,999 / 2 term pairs took 2.6 s
         half = 2000
         fam = LaurentFamily(3, {0: {e: 1.0 for e in range(half)}, 1: {e: 1.0 for e in range(half)}})
         start = time.perf_counter()
-        assert _rotation_order(fam) == 1
+        assert _exponent_lattice(fam) == (0, 3 * (half - 1), 1)  # e/v = (half - 1)/2 at k = 1
         assert time.perf_counter() - start < 0.05
 
     @pytest.mark.parametrize("degree", range(2, 6))
@@ -410,8 +411,9 @@ class TestRotationOrder:
         rng = random.Random(200 + degree)
         for _ in range(12):
             fam = _lattice_family(rng, degree) if rng.random() < 0.75 else _seeded_family(rng, degree)
-            g = _rotation_order(fam)
+            lo, hi, g = _exponent_lattice(fam)
             exps = _disc_exponents(fam)
+            assert all(lo <= e <= hi for e in exps), (fam, lo, hi, exps)
             if g == 0:
                 assert len(exps) <= 1, (fam, exps)
             else:

@@ -31,7 +31,7 @@ from braidoka.families import (
 from braidoka.lattice import LatticeSpec, e_values, wp, wp_prime
 from braidoka.oka import SurfaceHom, SurfaceSignature
 from braidoka.perms import Permutation, abelian_transitive_generator, lemma5_generators
-from braidoka.sl2z import SL2Matrix, rl_factorization
+from braidoka.sl2z import SL2Matrix, rl_factorization, theta
 from braidoka.three import centralizer_check, conj3, entropy3, zero_entropy_commutator_scan
 from braidoka.words import FreeWord, peripheral_word
 
@@ -149,8 +149,6 @@ ROWS = [
     (lambda: lemma5_generators(Permutation((2, 1, 3)), Permutation((1, 3, 2))),
      NotAbelianTransitive, "images do not commute"),
     (lambda: rl_factorization(SL2Matrix(1, 1, 0, 1)), ValueError, "needs |trace| > 2"),
-    (lambda: entropy3(_B4), WrongStrandCount, "entropy3 needs B_3, got B_4"),
-    (lambda: conj3(BraidWord(3, (1,)), _B4), WrongStrandCount, "conj3 needs B_3"),
     (lambda: peripheral_word("a3"), ValueError, "unknown peripheral 'a3'"),
     # int alone raised its own ValueError here, which names no token
     (_over_the_digit_limit(BraidWord.parse, "1^{} -2"), ValueError,
@@ -169,6 +167,27 @@ def test_input_error(call, error, fragment):
     with pytest.raises(error) as info:
         call()
     assert fragment in str(info.value)
+
+
+# every B_3 procedure is gated by one test, `_theta._b3`, and the error
+# names the procedure that was called; conj3 gates both words before it
+# compares exponent sums, which differ here (2 against 1)
+B3_GATES = [
+    ("theta", lambda: theta(_B4)),
+    ("entropy3", lambda: entropy3(_B4)),
+    ("conj3", lambda: conj3(_B4, BraidWord(3, (1,)))),
+    ("conj3", lambda: conj3(BraidWord(3, (1,)), _B4)),
+    ("centralizer_check", lambda: centralizer_check(_B4, 1)),
+    ("SurfaceHom", lambda: SurfaceHom(SurfaceSignature(1, 1), "B3", {1: BraidWord(3), 2: _B4})),
+]
+
+
+@pytest.mark.parametrize("name, call", B3_GATES, ids=[
+    "theta", "entropy3", "conj3-first", "conj3-second", "centralizer_check", "SurfaceHom"])
+def test_b3_gate_names_its_caller(name, call):
+    with pytest.raises(WrongStrandCount) as info:
+        call()
+    assert str(info.value) == f"{name} needs B_3, got B_4"
 
 
 _FAMILY = LaurentFamily.power_family(3, 1)

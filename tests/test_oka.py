@@ -133,7 +133,7 @@ class TestOka3:
         )
         with pytest.raises(WrongSignature):
             oka3_decide(hom)
-        with pytest.raises(WrongSignature, match="B3-valued"):
+        with pytest.raises(WrongTarget, match="B3-valued"):
             oka3_decide(fhom(SurfaceSignature(1, 1), {1: a1, 2: a2}))
 
     def test_both_variants_report(self):
@@ -279,10 +279,11 @@ class TestOka3Parity:
         assert seen == {1, 2, 3, 4, 5, PERIODIC_SIGMA12, PERIODIC_DELTA, REDUCIBLE_SIGMA1_DELTA2}
 
     def test_wrong_strand_count(self):
+        # the map is refused where it is built, before any decision reads it
         b4 = BraidWord.parse("1 3", 4)
-        for hom in (hom11(b4, delta(3)), hom11(delta(3), b4), hom11(b4, b4)):
-            with pytest.raises(WrongStrandCount, match="oka3_decide needs B_3, got B_4"):
-                oka3_decide(hom)
+        for images in ((b4, delta(3)), (delta(3), b4), (b4, b4)):
+            with pytest.raises(WrongStrandCount, match="SurfaceHom needs B_3, got B_4"):
+                hom11(*images)
 
 
 class TestEPrime:
