@@ -88,9 +88,10 @@ def test_forward_images_reach_the_orbit():
 
 
 def test_prime_degree_cost_follows_n():
-    # at n = 1009 with three generators, a validated inverse per visited
-    # point and generator in is_transitive took 0.44 s, and building and
-    # scanning all n powers of s0 for the exponents 1.04 s
+    # at n = 1009 with three generators, is_transitive took 0.56 s with a
+    # validated inverse per visited point and generator, and
+    # abelian_transitive_generator 1.05 s building and scanning all n
+    # powers of s0 (best of 3, Python 3.11, 2-core VM)
     n = 1009
     points = list(range(1, n + 1))
     random.Random(11).shuffle(points)
