@@ -16,6 +16,7 @@ import cmath
 import math
 
 from ._theta import e0_screen_matrices, theta_abcd
+from ._value import check_int
 from .errors import ResourceLimit
 
 _TWO_PI_I = 2j * math.pi
@@ -115,6 +116,7 @@ def sweep3_stats(maxlen: int) -> dict:
     VM, min of 9-15 runs; the Klein-four count that built every level took
     0.053 s, 6.3 MB and 21.0 MB at 14.
     """
+    check_int(maxlen, "maxlen")
     if maxlen < 0:
         raise ValueError("maxlen must be >= 0")
     if maxlen > SWEEP3_MAXLEN:

@@ -144,7 +144,7 @@ def cmd_thm1(args):
 def cmd_penner(args):
     surface = args.genus is not None
     if surface != (args.marked is not None) or not (surface or args.braid_n is not None):
-        raise errors.BraidokaError("give --genus and --marked, or --braid-n")
+        raise errors.UsageError("give --genus and --marked, or --braid-n")
     payload: dict = {}
     if surface:
         payload["penner"] = _float_bound("--genus/--marked", families.penner_bound,
@@ -195,7 +195,7 @@ def cmd_lattice_branch(args):
         raise ValueError(f"--radius must be at least 10, got {args.radius}")
     if end is None:
         if args.path_steps is not None:
-            raise ValueError("--path-steps needs --path-end")
+            raise errors.UsageError("--path-steps needs --path-end")
         bl = lattice.branch_locus(lattice.LatticeSpec(alpha, tau))
         if args.csv:
             return _csv("e1_re,e1_im,e2_re,e2_im,e3_re,e3_im", [_e_cells(bl)]), True

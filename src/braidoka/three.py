@@ -130,8 +130,9 @@ def classify3(b: BraidWord) -> ThreeBraidClass:
     * a parabolic image is conjugate to sigma_1^k Delta^(2l), of exponent
       sum k + 6l and sign (-1)^l.
 
-    A word of n != 3 strands raises WrongStrandCount in `theta`.
+    A word of n != 3 strands raises WrongStrandCount.
     """
+    _theta._b3("classify3", b)
     m = theta(b).entries()
     es = exponent_sum(b)
     kind = _kind(m)
@@ -164,13 +165,15 @@ def classify3(b: BraidWord) -> ThreeBraidClass:
 
 def entropy3(b: BraidWord) -> float:
     _theta._b3("entropy3", b)
-    a, bb, c, d = _theta.theta_abcd(b.runs)
+    a, _, _, d = _theta.theta_abcd(b.runs)
     return log_spectral_radius(a + d)
 
 
 def conformal_module3(b: BraidWord) -> float:
     """pi/(2h), infinite when the entropy vanishes."""
-    return _module(entropy3(b))
+    _theta._b3("conformal_module3", b)
+    a, _, _, d = _theta.theta_abcd(b.runs)
+    return _module(log_spectral_radius(a + d))
 
 
 def conj3(b1: BraidWord, b2: BraidWord) -> bool:
@@ -211,11 +214,12 @@ class CommutatorPair(Value):
     b1 and b2 are the least words of the two image groups, and b1_words and
     b2_words count the words of each, so the row stands for b1_words *
     b2_words word pairs.  m1 = theta(b1) and m2 = theta(b2) are entry
-    tuples (a, b, c, d), and every other value depends on them alone:
-    the entropies of b1, b2, b2 b1^-1 and b2 b1^-2, whether b1 and b2 are
-    pure, and markov, the sorted Markov triple (a, b, c) whose triple
-    3 (a, b, c) is (tr m1, tr m2, tr m1 m2) up to order and signs (fact
-    (F)).  The commutator trace of every pair is -2 (facts (A) and (D)).
+    tuples (a, b, c, d), and the row `as_dict` reads every other value
+    off them alone: the entropies of b1, b2, b2 b1^-1 and b2 b1^-2, whether
+    b1 and b2 are pure, and markov, the sorted Markov triple (a, b, c)
+    whose triple 3 (a, b, c) is (tr m1, tr m2, tr m1 m2) up to order and
+    signs (fact (F)).  The commutator trace of every pair is -2 (facts (A)
+    and (D)).
     """
 
     commutator_trace = -2
@@ -243,26 +247,28 @@ class CommutatorPair(Value):
         object.__setattr__(self, "m1", m1)
         object.__setattr__(self, "m2", m2)
 
-    def _derived(self) -> tuple:
-        """(entropy_b1, entropy_b2, b1_pure, b2_pure, entropy_b2b1inv,
-        entropy_b2b1inv2, markov), read off one reading of the traces
+    def as_dict(self) -> dict:
+        """The JSON row.  Its values are read off one reading of the traces
         t1 = tr m1, t2 = tr m2 and t12 = tr m1 m2: `_e0_traces` gives those
         of m2 m1^-1 and m2 m1^-2."""
         m1, m2 = self.m1, self.m2
         t1, t2 = m1[0] + m1[3], m2[0] + m2[3]
         t12 = m1[0] * m2[0] + m1[1] * m2[2] + m1[2] * m2[1] + m1[3] * m2[3]
         u, v, _, _ = _e0_traces(t1, t2, t12)
-        return (log_spectral_radius(t1), log_spectral_radius(t2), _is_pure(m1), _is_pure(m2),
-                log_spectral_radius(u), log_spectral_radius(v),
-                tuple(sorted((abs(t1) // 3, abs(t2) // 3, abs(t12) // 3))))
-
-    entropy_b1 = property(lambda self: self._derived()[0])
-    entropy_b2 = property(lambda self: self._derived()[1])
-    b1_pure = property(lambda self: self._derived()[2])
-    b2_pure = property(lambda self: self._derived()[3])
-    entropy_b2b1inv = property(lambda self: self._derived()[4])
-    entropy_b2b1inv2 = property(lambda self: self._derived()[5])
-    markov = property(lambda self: self._derived()[6])
+        return {
+            "b1": list(self.b1),
+            "b2": list(self.b2),
+            "b1Words": self.b1_words,
+            "b2Words": self.b2_words,
+            "commutatorTrace": self.commutator_trace,
+            "entropyB1": log_spectral_radius(t1),
+            "entropyB2": log_spectral_radius(t2),
+            "b1Pure": _is_pure(m1),
+            "b2Pure": _is_pure(m2),
+            "entropyB2B1inv": log_spectral_radius(u),
+            "entropyB2B1inv2": log_spectral_radius(v),
+            "markov": sorted((abs(t1) // 3, abs(t2) // 3, abs(t12) // 3)),
+        }
 
 
 class CommutatorScanReport(Value):
@@ -285,28 +291,11 @@ class CommutatorScanReport(Value):
         return sum(p.b1_words * p.b2_words for p in self.pairs)
 
     def as_dict(self) -> dict:
-        rows = []
-        for p in self.pairs:
-            h1, h2, pure1, pure2, hu, hv, markov = p._derived()
-            rows.append({
-                "b1": list(p.b1),
-                "b2": list(p.b2),
-                "b1Words": p.b1_words,
-                "b2Words": p.b2_words,
-                "commutatorTrace": p.commutator_trace,
-                "entropyB1": h1,
-                "entropyB2": h2,
-                "b1Pure": pure1,
-                "b2Pure": pure2,
-                "entropyB2B1inv": hu,
-                "entropyB2B1inv2": hv,
-                "markov": list(markov),
-            })
         return {
             "maxlen": self.maxlen,
             "wordsScanned": self.words_scanned,
             "pairCount": self.pair_count,
-            "pairs": rows,
+            "pairs": [p.as_dict() for p in self.pairs],
         }
 
 

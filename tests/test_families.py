@@ -233,6 +233,30 @@ class TestDiscriminantIndex:
         assert rep.index == 2
         assert math.isclose(rep.min_abs_discriminant, ref.min_abs_discriminant, rel_tol=1e-9)
 
+    @pytest.mark.parametrize("r, index", [(1 - 1e-6, None), (0.9, 1024)],
+                             ids=["zeros-near-the-circle", "control"])
+    def test_nonconvergence_after_the_cap_pass(self, r, index, monkeypatch):
+        # zeta^2 + z^1024 - r e^(0.37i) has disc -4 (z^1024 - r e^(0.37i)),
+        # whose 1024 zeros lie at |z| = r^(1/1024); its rotation order is
+        # 1024, so a pass of n samples reads n/1024 + 1 points, and the
+        # passes start at 8,192 > 4 x 1024.  At r = 1 - 1e-6 the zeros lie
+        # about 1e-9 inside the circle, so a step next to one stays above
+        # pi/2 through the MAX_SAMPLES pass; at r = 0.9 the steps fall
+        # below pi/2 at 32,768 samples
+        calls = []
+        at = LaurentFamily.discriminant_at
+        monkeypatch.setattr(LaurentFamily, "discriminant_at",
+                            lambda self, z: calls.append(z) or at(self, z))
+        fam = LaurentFamily(2, {0: {1024: 1.0, 0: -r * cmath.exp(0.37j)}})
+        last = MAX_SAMPLES if index is None else 2**15
+        if index is None:
+            with pytest.raises(NonConvergence, match=f"no convergence within {MAX_SAMPLES} samples"):
+                discriminant_index(fam)
+        else:
+            rep = discriminant_index(fam)
+            assert (rep.index, rep.samples_used) == (index, last)
+        assert len(calls) == sum(2**j // 1024 + 1 for j in range(13, last.bit_length()))
+
     def test_pass_memory(self):
         # one pass keeps running values, not the 2^14 discriminants
         fam = LaurentFamily.power_family(2, 3)

@@ -10,6 +10,7 @@ import tracemalloc
 
 import pytest
 
+from braidoka._purekernels import sweep3_stats
 from braidoka.braid import MAX_STRANDS, BraidWord, LinkingNumbers, delta
 from braidoka.errors import (
     NotAbelianTransitive,
@@ -32,7 +33,14 @@ from braidoka.lattice import LatticeSpec, e_values, wp, wp_prime
 from braidoka.oka import SurfaceHom, SurfaceSignature
 from braidoka.perms import Permutation, abelian_transitive_generator, lemma5_generators
 from braidoka.sl2z import SL2Matrix, rl_factorization, theta
-from braidoka.three import centralizer_check, conj3, entropy3, zero_entropy_commutator_scan
+from braidoka.three import (
+    centralizer_check,
+    classify3,
+    conformal_module3,
+    conj3,
+    entropy3,
+    zero_entropy_commutator_scan,
+)
 from braidoka.words import FreeWord, peripheral_word
 
 _HOM = {"genus": 1, "holes": 1, "target": "F2", "images": {"e1": "a1", "e2": "a2"}}
@@ -175,6 +183,8 @@ def test_input_error(call, error, fragment):
 B3_GATES = [
     ("theta", lambda: theta(_B4)),
     ("entropy3", lambda: entropy3(_B4)),
+    ("conformal_module3", lambda: conformal_module3(_B4)),
+    ("classify3", lambda: classify3(_B4)),
     ("conj3", lambda: conj3(_B4, BraidWord(3, (1,)))),
     ("conj3", lambda: conj3(BraidWord(3, (1,)), _B4)),
     ("centralizer_check", lambda: centralizer_check(_B4, 1)),
@@ -183,7 +193,8 @@ B3_GATES = [
 
 
 @pytest.mark.parametrize("name, call", B3_GATES, ids=[
-    "theta", "entropy3", "conj3-first", "conj3-second", "centralizer_check", "SurfaceHom"])
+    "theta", "entropy3", "conformal_module3", "classify3", "conj3-first", "conj3-second",
+    "centralizer_check", "SurfaceHom"])
 def test_b3_gate_names_its_caller(name, call):
     with pytest.raises(WrongStrandCount) as info:
         call()
@@ -196,14 +207,15 @@ _FAMILY = LaurentFamily.power_family(3, 1)
 # that parameter).  At 2.5, 2.0 or True each call once returned an answer
 # (centralizer_check True, thm1_verdict(2.0, 30.0, 6) "reducible",
 # penner_bound a number, the scan a report of maxlen True, the family a
-# record of degree 2.5), or raised a TypeError, in the scan, in
-# discriminant_index of a family with a z exponent of 2.5, in delta and in
-# the transposition
+# record of degree 2.5, sweep3_stats(True) the counts of maxlen 1), or
+# raised a TypeError, in the scan, in discriminant_index of a family with a
+# z exponent of 2.5, in delta, in the transposition and in sweep3_stats
 INT_PARAMETERS = [
     ("centralizer_check", lambda v: centralizer_check(BraidWord(3, (1,)), v), "k"),
     ("thm1_verdict-n", lambda v: thm1_verdict(v, 30.0, 6), "n"),
     ("thm1_verdict-index", lambda v: thm1_verdict(7, 300.0, v), "index"),
     ("zero_entropy_commutator_scan", zero_entropy_commutator_scan, "maxlen"),
+    ("sweep3_stats", sweep3_stats, "maxlen"),
     ("penner_bound-g", lambda v: penner_bound(v, 4), "g"),
     ("penner_bound-m", lambda v: penner_bound(1, v), "m"),
     ("nbraid_entropy_lower", nbraid_entropy_lower, "n"),

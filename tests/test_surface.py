@@ -2,26 +2,28 @@
 
 The public names are the top-level functions, classes and constants of
 `src/braidoka/*.py` whose names do not start with an underscore, and the
-public methods of those classes.  A name is used when code refers to it
-(not a docstring or comment):
+public attributes of those classes: each method, each class-level
+assignment (a property or a constant) and each annotated field.  A name
+is used when code refers to it (not a docstring or comment):
 
 * in a `src/braidoka` module other than `__init__`, outside the name's own
-  definition, so `__init__`'s re-export alone and a method that only
-  calls itself do not count;
+  definition, so `__init__`'s re-export alone and a method or property
+  that only calls itself do not count;
 * in `tests/test_acceptance.py`, the paper's acceptance criteria;
 * in `perfbench/*.py`, as an identifier or as a string that is exactly
   the name (the tracer names the functions it wraps by string).
 
-Top-level names are matched as identifiers.  A method `C.m` is used only
-through an attribute read `.m`: a read through a class (`C.m`,
+Top-level names are matched as identifiers.  An attribute `C.m` is used
+only through an attribute read `.m`: a read through a class (`C.m`,
 `mod.C.m`) counts for C alone, and a read through anything else counts
 for every class that defines `m`, as the census cannot know an
 instance's type.  A bare name, an import alias or a string does not
-count for a method.  Every other name needs an entry in `KEEP` with the
-reason it stays, a method as "Class.method".  An entry whose name is
-gone, or is now used by the package or an acceptance criterion, fails
-too.  A perfbench mention does not make an entry stale, so a name kept
-only for the tracer can say so.
+count for an attribute, so a field that only `Value`'s generic equality
+and repr read is unused.  Every other name needs an entry in `KEEP` with
+the reason it stays, an attribute as "Class.attribute".  An entry whose
+name is gone, or is now used by the package or an acceptance criterion,
+fails too.  A perfbench mention does not make an entry stale, so a name
+kept only for the tracer can say so.
 
 The package surface is the table `_NAMES` of `braidoka/__init__.py`, one
 row of public names per module; the package resolves each name on first
@@ -73,20 +75,20 @@ def _public(name):
     return not name.startswith("_")
 
 
-def _method_reads(attr, classes):
-    """The "Class.method" keys an attribute read may reach: a read through
-    a class (`C.m`, `mod.C.m`) reaches C's method alone, any other read the
-    method m of every class that defines one."""
+def _attribute_reads(attr, classes):
+    """The "Class.attribute" keys an attribute read may reach: a read
+    through a class (`C.m`, `mod.C.m`) reaches C's attribute alone, any
+    other read the attribute m of every class that defines one."""
     owner = attr.value
     name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
     if name in classes:
         return {f"{name}.{attr.attr}"}
-    return {f"{c}.{attr.attr}" for c, methods in classes.items() if attr.attr in methods}
+    return {f"{c}.{attr.attr}" for c, members in classes.items() if attr.attr in members}
 
 
 def _refs(node, classes):
     """What code under node uses: the identifiers it reads or imports, and
-    the methods its attribute reads may reach."""
+    the class attributes its attribute reads may reach."""
     out = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
@@ -94,10 +96,20 @@ def _refs(node, classes):
         elif isinstance(sub, ast.Attribute):
             out.add(sub.attr)
             if isinstance(sub.ctx, ast.Load):
-                out |= _method_reads(sub, classes)
+                out |= _attribute_reads(sub, classes)
         elif isinstance(sub, ast.alias):
             out.add(sub.name)
     return out
+
+
+def _defines(node):
+    """The names a function, class or (annotated) assignment defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {t.id for t in targets if isinstance(t, ast.Name)}
+    return set()
 
 
 def _units(tree):
@@ -107,15 +119,11 @@ def _units(tree):
         if isinstance(node, ast.ClassDef):
             yield {node.name}, node.bases
             for sub in node.body:
-                own = {f"{node.name}.{sub.name}"} if isinstance(sub, ast.FunctionDef) else set()
-                yield {node.name} | own, [sub]
-        elif isinstance(node, ast.FunctionDef):
-            yield {node.name}, [node]
+                yield {node.name} | {f"{node.name}.{n}" for n in _defines(sub)}, [sub]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            yield {t.id for t in targets if isinstance(t, ast.Name)}, [node.value] if node.value else []
+            yield _defines(node), [node.value] if node.value else []
         else:
-            yield set(), [node]
+            yield _defines(node), [node]
 
 
 def _trees(src):
@@ -123,24 +131,22 @@ def _trees(src):
 
 
 def _classes(trees):
-    """{name: its public methods} for every class of the package; a private
-    class has none on the surface."""
-    return {node.name: {s.name for s in node.body if isinstance(s, ast.FunctionDef)
-                        and _public(s.name)} if _public(node.name) else set()
+    """{name: its public attributes} for every class of the package: the
+    methods, the class-level assignments (a property or a constant) and
+    the annotated fields of its body; a private class has none on the
+    surface."""
+    return {node.name: {n for s in node.body for n in _defines(s) if _public(n)}
+            if _public(node.name) else set()
             for tree in trees.values() for node in tree.body if isinstance(node, ast.ClassDef)}
 
 
 def _surface(trees, classes):
     """The public top-level functions, classes and constants, and the
-    public methods of the public classes as "Class.method"."""
-    out = {f"{c}.{m}" for c, methods in classes.items() for m in methods}
+    public attributes of the public classes as "Class.attribute"."""
+    out = {f"{c}.{m}" for c, members in classes.items() for m in members}
     for tree in trees.values():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                out.add(node.name)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                out |= {t.id for t in targets if isinstance(t, ast.Name)}
+            out |= _defines(node)
     return {n for n in out if _public(n)}
 
 
@@ -181,9 +187,10 @@ def test_every_public_name_has_a_user():
 
 
 def test_census_sees_a_name_without_user(tmp_path):
-    # a copy of the tree with one unused function, one stale entry and one
+    # a copy of the tree with one unused function, one stale entry, one
     # unused method whose name another class's method is read by
-    # (`braid.BraidWord.parse` in cli)
+    # (`braid.BraidWord.parse` in cli) and one unused class-level property
+    # that reads only itself
     shutil.copytree(SRC, tmp_path / "src" / "braidoka")
     shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench")
     (tmp_path / "tests").mkdir()
@@ -193,9 +200,11 @@ def test_census_sees_a_name_without_user(tmp_path):
     words.write_text(words.read_text() + "\n\ndef spare_word(w):\n    return spare_word(w)\n")
     lattice = pkg / "lattice.py"
     text = lattice.read_text().replace("from_generators", "from_pair")
-    spare = "    @staticmethod\n    def parse(text):\n        return text\n\n"
+    spare = ("    spare = property(lambda self: self.spare)\n\n"
+             "    @staticmethod\n    def parse(text):\n        return text\n\n")
     lattice.write_text(text.replace("    @staticmethod\n    def from_pair", spare + "    @staticmethod\n    def from_pair"))
-    assert census(tmp_path) == (["LatticeSpec.from_pair", "LatticeSpec.parse", "spare_word"],
+    assert census(tmp_path) == (["LatticeSpec.from_pair", "LatticeSpec.parse", "LatticeSpec.spare",
+                                 "spare_word"],
                                 ["LatticeSpec.from_generators"])
 
 

@@ -266,10 +266,11 @@ class TestCommutatorScan:
         rep = zero_entropy_commutator_scan(2)
         (pair,) = [p for p in rep.pairs if p.b1 == (-2, 1) and p.b2 == (2, -1)]
         # the commutator is central times sigma_2^-6: trace -2, not id
-        assert pair.commutator_trace == -2
-        assert not pair.b1_pure and not pair.b2_pure
-        assert pair.entropy_b2b1inv > 0 or pair.entropy_b2b1inv2 > 0
-        assert (pair.b1_words, pair.b2_words, pair.markov) == (1, 1, (1, 1, 1))
+        row = pair.as_dict()
+        assert pair.commutator_trace == row["commutatorTrace"] == -2
+        assert not row["b1Pure"] and not row["b2Pure"]
+        assert row["entropyB2B1inv"] > 0 or row["entropyB2B1inv2"] > 0
+        assert (row["b1Words"], row["b2Words"], row["markov"]) == (1, 1, [1, 1, 1])
 
     def test_found_pairs_have_pseudo_anosov_inputs(self):
         # fact (E): a braid of entropy zero commutes with every braid whose
@@ -278,7 +279,7 @@ class TestCommutatorScan:
         rep = zero_entropy_commutator_scan(7)
         assert len(rep.pairs) == 1824
         assert rep.pair_count == sum(p.b1_words * p.b2_words for p in rep.pairs) == 31536
-        assert all(p.entropy_b1 > 0 and p.entropy_b2 > 0 for p in rep.pairs)
+        assert all(r["entropyB1"] > 0 and r["entropyB2"] > 0 for r in rep.as_dict()["pairs"])
 
     def test_trace_triples_are_three_times_markov(self):
         # fact (F): a found pair's traces (t1, t2, t12) solve
@@ -292,8 +293,8 @@ class TestCommutatorScan:
         for p in rows:
             t = (trace(p.b1), trace(p.b2), trace(p.b1 + p.b2))
             assert t[0] * t[1] * t[2] > 0 and all(x % 3 == 0 for x in t), p
-            assert p.markov == tuple(sorted(abs(x) // 3 for x in t)), p
-        triples = {p.markov for p in rows}
+            assert p.as_dict()["markov"] == sorted(abs(x) // 3 for x in t), p
+        triples = {tuple(p.as_dict()["markov"]) for p in rows}
         markov = markov_triples(max(c for _, _, c in triples))
         assert (1, 1, 1) in triples and (1, 2, 5) in triples
         assert triples <= markov
@@ -352,11 +353,12 @@ def rows_by_image_pair(word_pairs):
         ((trace, *fields),) = {p[2:] for p in group}
         assert trace == CommutatorPair.commutator_trace == -2, group
         w1, w2 = min(words1), min(words2)
-        markov = tuple(sorted(abs(m[0] + m[3]) // 3 for m in (m1, m2, theta_letters(w1 + w2))))
+        markov = sorted(abs(m[0] + m[3]) // 3 for m in (m1, m2, theta_letters(w1 + w2)))
         row = CommutatorPair(w1, w2, len(words1), len(words2), m1, m2)
-        assert [row.entropy_b1, row.entropy_b2, row.b1_pure, row.b2_pure, row.entropy_b2b1inv,
-                row.entropy_b2b1inv2] == fields, group
-        assert row.markov == markov, group
+        values = row.as_dict()
+        assert [values[k] for k in ("entropyB1", "entropyB2", "b1Pure", "b2Pure", "entropyB2B1inv",
+                                    "entropyB2B1inv2")] == fields, group
+        assert values["markov"] == markov, group
         rows.append(row)
     return tuple(sorted(rows, key=lambda p: (p.b1, p.b2)))
 

@@ -146,10 +146,11 @@ def test_derived_values_are_read_off_the_fields():
     assert Oka3Violation(_word(), -3).entropy == h
     pair = CommutatorPair(*ARGS[CommutatorPair]())
     # traces 3, 2 and tr m1 m2 = 5, so m2 m1^-1 and m2 m1^-2 have trace 1
-    assert pair.commutator_trace == -2
-    assert (pair.entropy_b1, pair.entropy_b2, pair.entropy_b2b1inv, pair.entropy_b2b1inv2) == (
+    row = pair.as_dict()
+    assert pair.commutator_trace == row["commutatorTrace"] == -2
+    assert (row["entropyB1"], row["entropyB2"], row["entropyB2B1inv"], row["entropyB2B1inv2"]) == (
         h, 0.0, 0.0, 0.0)
-    assert (pair.b1_pure, pair.b2_pure, pair.markov) == (False, True, (0, 1, 1))
+    assert (row["b1Pure"], row["b2Pure"], row["markov"]) == (False, True, [0, 1, 1])
     assert [CommutatorScanReport(m, ()).words_scanned for m in range(4)] == [0, 4, 16, 52]
     assert NotGO(None).reason == NotGO.reason == "test element image is not a peripheral power"
     assert [(cls((1, 2, 3)).verdict, cls((1, 2, 3)).go_property)
