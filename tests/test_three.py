@@ -289,12 +289,12 @@ class TestCommutatorScan:
             a, _, _, d = _theta.theta_abcd([(abs(g), 1 if g > 0 else -1) for g in word])
             return a + d
 
-        rows = zero_entropy_commutator_scan(7).pairs
-        for p in rows:
-            t = (trace(p.b1), trace(p.b2), trace(p.b1 + p.b2))
-            assert t[0] * t[1] * t[2] > 0 and all(x % 3 == 0 for x in t), p
-            assert p.as_dict()["markov"] == sorted(abs(x) // 3 for x in t), p
-        triples = {tuple(p.as_dict()["markov"]) for p in rows}
+        rows = zero_entropy_commutator_scan(7).as_dict()["pairs"]
+        for row in rows:
+            t = (trace(row["b1"]), trace(row["b2"]), trace(row["b1"] + row["b2"]))
+            assert t[0] * t[1] * t[2] > 0 and all(x % 3 == 0 for x in t), row
+            assert row["markov"] == sorted(abs(x) // 3 for x in t), row
+        triples = {tuple(row["markov"]) for row in rows}
         markov = markov_triples(max(c for _, _, c in triples))
         assert (1, 1, 1) in triples and (1, 2, 5) in triples
         assert triples <= markov
