@@ -233,9 +233,9 @@ class TestDiscriminantIndex:
         assert rep.index == 2
         assert math.isclose(rep.min_abs_discriminant, ref.min_abs_discriminant, rel_tol=1e-9)
 
-    @pytest.mark.parametrize("r, index", [(1 - 1e-6, None), (0.9, 1024)],
+    @pytest.mark.parametrize("r, index, last", [(1 - 1e-6, None, MAX_SAMPLES), (0.9, 1024, 2**15)],
                              ids=["zeros-near-the-circle", "control"])
-    def test_nonconvergence_after_the_cap_pass(self, r, index, monkeypatch):
+    def test_nonconvergence_after_the_cap_pass(self, r, index, last, monkeypatch):
         # zeta^2 + z^1024 - r e^(0.37i) has disc -4 (z^1024 - r e^(0.37i)),
         # whose 1024 zeros lie at |z| = r^(1/1024); its rotation order is
         # 1024, so a pass of n samples reads n/1024 + 1 points, and the
@@ -248,7 +248,6 @@ class TestDiscriminantIndex:
         monkeypatch.setattr(LaurentFamily, "discriminant_at",
                             lambda self, z: calls.append(z) or at(self, z))
         fam = LaurentFamily(2, {0: {1024: 1.0, 0: -r * cmath.exp(0.37j)}})
-        last = MAX_SAMPLES if index is None else 2**15
         if index is None:
             with pytest.raises(NonConvergence, match=f"no convergence within {MAX_SAMPLES} samples"):
                 discriminant_index(fam)
