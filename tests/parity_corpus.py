@@ -30,6 +30,7 @@ import sys
 import tempfile
 
 from braidoka import cli
+from braidoka._purekernels import SWEEP3_MAXLEN, sweep3_stats
 from braidoka.braid import BraidWord, braid_eq, normal_form
 from braidoka.errors import BraidokaError
 from braidoka.families import thm1_verdict
@@ -535,6 +536,14 @@ def scan_chunk() -> list[str]:
     return lines
 
 
+def sweep_chunk() -> list[str]:
+    """sweep3_stats at every maxlen 0 to SWEEP3_MAXLEN, each computed once:
+    case j holds the dict at maxlen j mod (SWEEP3_MAXLEN + 1), so the 15
+    dicts repeat, 6 or 7 times each, to fill the chunk."""
+    stats = [sweep3_stats(m) for m in range(SWEEP3_MAXLEN + 1)]
+    return [f"{j % len(stats)} -> {stats[j % len(stats)]}" for j in range(CASES_PER_CHUNK)]
+
+
 # the subcommands, in the order `braidoka --help` lists them; case j of
 # `cli_chunk` runs the (j mod 15)-th
 CLI_SUBCOMMANDS = ("classify", "entropy", "module", "nf", "linking", "eq", "conj",
@@ -672,6 +681,7 @@ CHUNKS = {
     "cli/0": lambda: cli_chunk(0),
     "oka3_decide/0": lambda: oka3_decide_chunk(0),
     "zero_entropy_commutator_scan/0": scan_chunk,
+    "sweep3_stats/0": sweep_chunk,
 }
 
 
