@@ -83,38 +83,36 @@ def sweep3_stats(maxlen: int) -> dict:
     with the same permutation step.  So the four children of g(s), for
     any g in G, fall in the same orbits, with multiplicity, as the four
     children of s: the orbits of a state's children depend only on its
-    orbit.  By induction on the length, the number of words of length
-    k + 1 that reach an orbit O' is the sum, over the orbits O of length
-    k, of the number of words that reach O times the number of letters x
-    with s x in O', for any one state s of O.  (The words that reach an
-    orbit need not spread evenly over its states: at length 0, I is
-    reached and -I is not.)  So level k maps one representative s of each
-    orbit to the number N of words of length k that reach the orbit, and
-    level k + 1 adds N to the orbit of s x for each of the four letters
-    x.  Level k >= 2 holds 2^k orbits (counted to k = 17) against 4^k
-    words.
+    orbit.  So level k maps a key, a state s of some orbit, to a number N
+    of words of length k that reach that orbit, and level k + 1 adds N at
+    the key of s x for each of the four letters x.  An orbit may hold
+    several keys, its words split between them; each part steps to the
+    same child orbits, so every word is counted once, by induction on the
+    length.  (The words that reach an orbit need not spread evenly over its
+    states either: at length 0, I is reached and -I is not.)
 
-    The representative takes the sign with a + d >= 0, then the state of
-    least a, then b > 0.  Both are unique when a != d, since b = 0 or c =
-    0 forces a = d = +-1; when a = d it is the least of the four tuples
-    of the sign, and when a + d = 0, which both signs keep, the least of
-    the eight.
+    A child's key is read off in three steps, each a map of G: -I when
+    a + d < 0, J when d < a, and D unless b > 0, or b = 0 < c.  So the key
+    lies in the child's orbit, which is all the count needs; it is not the
+    same state for every member of the orbit.  Levels 1 to 13 hold 2, 5,
+    11, 18, 39, 68, 143, 264, 543, 1,040, 2,111, 4,128 and 8,319 keys,
+    against 2^k orbits for k >= 2 (counted to k = 17), 1.6% more at level
+    13, and 4^k words.
 
     The last level, as large as all the levels before it, is never built:
     at depth maxlen - 1 each state classifies its four children from the
     step's trace, b or c (the test b = c = 0) and permutation, through
     the block that classifies the states.  A child costs that block alone
-    where a built state cost its representative, a dict entry and the
-    block.
+    where a built state cost its key, a dict entry and the block.
 
     Raises ResourceLimit above SWEEP3_MAXLEN = 14: maxlen 14 (358M words,
-    8,192 orbits at the last level built) takes about 0.027 s with a 1.6
-    MB allocation peak (tracemalloc) and a 16.2 MB max RSS, against 13.0
-    MB for the bare interpreter; maxlen 9 takes about 0.9 ms (0.02 MB,
-    14.8 MB).  Each further letter doubles the orbits: 15 measured 0.06 s
-    (3.4 MB, 18.0 MB), 16 0.12 s (7.6 MB, 22.3 MB).  Python 3.11, 2-core
-    VM, min of 9-15 runs; the Klein-four count that built every level took
-    0.053 s, 6.3 MB and 21.0 MB at 14.
+    8,319 keys at the last level built) takes about 0.026 s with a 1.6 MB
+    allocation peak (tracemalloc) and a 15.6 MB max RSS, against 13.1 MB
+    for the bare interpreter; maxlen 9 takes about 0.77 ms (0.02 MB,
+    13.7 MB).  Each further letter about doubles the keys: 15 measured
+    0.054 s (3.4 MB, 18.2 MB), 16 0.11 s (7.6 MB, 23.1 MB).  Python 3.11,
+    2-core VM, min of 15 runs (400 at maxlen 9); the Klein-four count that
+    built every level took 0.053 s, 6.3 MB and 21.0 MB at 14.
     """
     check_int(maxlen, "maxlen")
     if maxlen < 0:
@@ -138,26 +136,16 @@ def sweep3_stats(maxlen: int) -> dict:
                          (t - b, b or c - d, p2), (t + b, b or c + d, p2i))
             else:
                 kinds = ((t, b or c, p),)
-                # the same four products, each replaced by its orbit's
-                # representative
+                # the same four products, each keyed by a state of its orbit
                 for a, b, c, d, q in ((a, a + b, c, c + d, p1), (a, b - a, c, d - c, p1i),
                                       (a - b, b, c - d, d, p2), (a + b, b, c + d, d, p2i)):
-                    t = a + d
-                    if t < 0:
+                    if a + d < 0:
                         a, b, c, d = -a, -b, -c, -d
-                    elif not t:
-                        f = _FLIP[q]
-                        k = min((a, b, c, d, q), (a, -b, -c, d, q), (d, c, b, a, f), (d, -c, -b, a, f),
-                                (-a, -b, -c, -d, q), (-a, b, c, -d, q), (-d, -c, -b, -a, f), (-d, c, b, -a, f))
-                        nxt[k] = get(k, 0) + n
-                        continue
-                    if a < d:
-                        k = (a, b, c, d, q) if b > 0 else (a, -b, -c, d, q)
-                    elif d < a:
-                        k = (d, c, b, a, _FLIP[q]) if c > 0 else (d, -c, -b, a, _FLIP[q])
-                    else:
-                        f = _FLIP[q]
-                        k = min((a, b, c, d, q), (a, -b, -c, d, q), (d, c, b, a, f), (d, -c, -b, a, f))
+                    if d < a:
+                        a, b, c, d, q = d, c, b, a, _FLIP[q]
+                    if (b or c) < 0:  # D unless b > 0, or b = 0 < c
+                        b, c = -b, -c
+                    k = (a, b, c, d, q)
                     nxt[k] = get(k, 0) + n
             for t, nonzero, q in kinds:
                 total += n

@@ -353,6 +353,8 @@ def penner_bound(g: int, m: int) -> float:
     irreducible mapping classes with signature (g, m)."""
     check_int(g, "g")
     check_int(m, "m")
+    if g < 0 or m < 0:
+        raise SignatureOutOfRange(f"need g >= 0 and m >= 0, got ({g}, {m})")
     if 3 * g - 3 + m <= 0:
         raise SignatureOutOfRange(f"need 3g - 3 + m > 0, got ({g}, {m})")
     return math.log(2) / (12 * g - 12 + 4 * m)

@@ -71,6 +71,7 @@ class Permutation(Value):
 
     def __pow__(self, k: int) -> "Permutation":
         """Each cycle rotated by k mod its length: O(n) for any k."""
+        check_int(k, "a permutation power")
         images = [0] * self.n
         for cyc in self.cycles(include_fixed=True):
             for i, x in enumerate(cyc):

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 
 from . import _theta
-from ._value import Value, _same_cycle
+from ._value import Value, _same_cycle, check_int
 from .errors import InternalInconsistency, NotParabolic
 
 TYPE_CHECKING = False
@@ -76,6 +76,7 @@ class SL2Matrix(Value):
 
     def __pow__(self, k: int) -> "SL2Matrix":
         """Square-and-multiply: O(log |k|) products."""
+        check_int(k, "a matrix power")
         result = I
         base = self if k >= 0 else self.inv()
         k = abs(k)

@@ -11,13 +11,13 @@ two share no code, which is what makes it a useful oracle.
 `sweep3_stats_per_state` is the kernel as it was before it counted orbits of
 states: one dict entry per state (theta image, permutation), about 6 * 2^k of
 them at length k.  It shares the permutation tables with the kernel but not
-the orbit representatives, and it reaches maxlen 14 in a fraction of a
+the kernel's orbit keys, and it reaches maxlen 14 in a fraction of a
 second, where the word walk would take hours.
 
 `sweep3_stats_klein` is the kernel as it was before it took the sign -I into
 its orbits: one dict entry per orbit of the Klein four-group alone, about
 1.5 * 2^k of them at length k, every level built.  It shares the permutation
-tables and `_FLIP` with the kernel but not the +-I representative or the
+tables and `_FLIP` with the kernel but not the kernel's +-I keys or the
 classification of the last level from its parents.
 """
 

@@ -228,6 +228,17 @@ def test_penner(capsys):
     assert abs(payload["moduleUpper"] - 6 * math.pi / math.log(2)) < 1e-9
 
 
+# both exited 0 with a bound, as 3g - 3 + m > 0 was the only test
+@pytest.mark.parametrize("genus, marked", [("-1", "10"), ("5", "-1")])
+def test_penner_rejects_a_negative_genus_or_count(genus, marked, capsys):
+    assert main(["penner", "--genus", genus, "--marked", marked]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["errorType"] == "SignatureOutOfRange"
+    assert f"got ({genus}, {marked})" in error["error"]
+
+
 def test_oka3(tmp_path, capsys):
     hom = {"genus": 1, "holes": 1, "target": "B3",
            "images": {"e1": "-2 1", "e2": "2 -1"}}

@@ -528,3 +528,9 @@ class TestBounds:
             penner_bound(1, 0)
         with pytest.raises(SignatureOutOfRange):
             nbraid_entropy_lower(2)
+        # both returned a bound, log 2/16 and log 2/44, as 3g - 3 + m > 0 was
+        # the only test
+        with pytest.raises(SignatureOutOfRange, match=r"got \(-1, 10\)"):
+            penner_bound(-1, 10)
+        with pytest.raises(SignatureOutOfRange, match=r"got \(5, -1\)"):
+            penner_bound(5, -1)

@@ -146,6 +146,12 @@ ROWS = [
     (lambda: FreeWord(((1, 2.0),)), ValueError, "a free-word exponent must be an int, not a bool, got 2.0"),
     (lambda: FreeWord(((True, 1),)), ValueError, "a free-word generator must be an int, not a bool, got True"),
     (lambda: FreeWord.gen(1) ** 2.0, ValueError, "a free-word power must be an int, not a bool, got 2.0"),
+    # ** 2.0 raised TypeError, from `&` in the square-and-multiply and from
+    # tuple indexing in the cycle rotation, and ** True passed as ** 1
+    (lambda: SL2Matrix(1, 1, 0, 1) ** 2.0, ValueError, "a matrix power must be an int, not a bool, got 2.0"),
+    (lambda: SL2Matrix(1, 1, 0, 1) ** True, ValueError, "a matrix power must be an int, not a bool, got True"),
+    (lambda: _CYCLE ** 2.0, ValueError, "a permutation power must be an int, not a bool, got 2.0"),
+    (lambda: _CYCLE ** True, ValueError, "a permutation power must be an int, not a bool, got True"),
     (lambda: SurfaceHom(SurfaceSignature(1, 1), "F2", {True: FreeWord.gen(1), 2: FreeWord.gen(2)}),
      ValueError, "an image key must be an int, not a bool, got True"),
     (lambda: SurfaceSignature(1.0, 1), ValueError, "genus must be an int, not a bool, got 1.0"),
