@@ -28,7 +28,7 @@ from ._theta import (
     log_spectral_radius,
     mat_mul,
 )
-from ._value import Value, check_int, int_field
+from ._value import Value, check_int, int_field, read_int
 from .errors import (
     DegenerateSignature,
     InternalInconsistency,
@@ -157,7 +157,7 @@ class SurfaceHom(Value):
                 raise ValueError(f'images["{key}"] must be a word as text, got {text!r}')
             if not (isinstance(key, str) and re.fullmatch(r"e[0-9]+", key)):
                 raise ValueError(f'images key "{key}" must be e<k> for the generator k')
-            idx = int(key[1:])
+            idx = read_int(key[1:], "an images key")
             if idx in keys:
                 raise ValueError(f'images keys "{keys[idx]}" and "{key}" name one generator')
             keys[idx] = key

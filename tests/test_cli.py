@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import os
@@ -15,6 +16,18 @@ from braidoka.braid import BraidWord
 from braidoka.cli import build_parser, main
 
 from nf_reference import reference_normal_form
+
+
+def _package_dir() -> Path:
+    """The directory of the package this process imported: src/braidoka in
+    a checkout, or the installed copy when the suite runs against one."""
+    return Path(braidoka.__file__).resolve().parent
+
+
+def _child_env() -> dict[str, str]:
+    """The environment of a child interpreter that imports the same copy
+    of the package as this process."""
+    return {**os.environ, "PYTHONPATH": str(_package_dir().parent)}
 
 
 def strict_json(text):
@@ -48,6 +61,13 @@ def test_classify_reducible(capsys):
     code, payload = run(capsys, "classify", "--braid", "1 1 1 1 2 1 1 2 1 1 2")
     assert code == 0
     assert (payload["kind"], payload["k"], payload["ell"]) == ("reducible", -1, 2)
+
+
+def test_classify_writes_the_central_keys(capsys):
+    # Delta^2 is central and reducible; as_dict reads both keys off the
+    # trace, and writes them side by side
+    assert main(["classify", "--braid", "1 2 1 1 2 1"]) == 0
+    assert '"central": true, "reducible": true' in capsys.readouterr().out
 
 
 def test_classify_trace_beyond_float_range(capsys):
@@ -101,15 +121,18 @@ def test_conj(capsys):
     assert code == 2
 
 
-# one pair per theta class, as the CI's installed-script step runs them:
-# central, elliptic, parabolic, sigma_1^13 against sigma_1 Delta^4 (equal
-# trace and exponent sum, shears 13 and 1), and two hyperbolic words of
-# trace 15 and exponent sum 0 whose R/L words do not rotate into each other
+# one pair per theta class: central (Delta^2 against its image under the
+# flip sigma_1 <-> sigma_2), elliptic, parabolic, sigma_1^13 against
+# sigma_1 Delta^4 (equal trace and exponent sum, shears 13 and 1), two
+# hyperbolic words of trace 3 whose R/L words rotate into each other, so
+# the answer reads the rotation test `_value._same_cycle`, and two of
+# trace 15 and exponent sum 0 whose R/L words do not
 @pytest.mark.parametrize("a, b, code", [
     ("1 2 1 1 2 1", "2 1 2 2 1 2", 0),
     ("1 2", "2 1", 0),
     ("1^3", "2^3", 0),
     ("1^13", "1 1 2 1 1 2 1 1 2 1 1 2 1", 2),
+    ("1 -2", "-2 1", 0),
     ("1 1 -2 -2 1 -2", "1 1 -2 1 -2 -2", 2),
 ])
 def test_conj_exit_code_per_class(capsys, a, b, code):
@@ -165,9 +188,31 @@ def test_no_digit_limit_prints_every_integer(digit_limit, capsys):
 
 
 def test_nf_refuses_a_run_beyond_the_letter_cap(capsys):
-    code = main(["nf", "--braid", "1^1000000000", "--n", "4"])
-    err = json.loads(capsys.readouterr().err)
-    assert code == 1 and err["errorType"] == "ResourceLimit" and "MAX_LETTERS" in err["error"]
+    # MAX_LETTERS (2^18) is checked on the sum of the runs before any is
+    # read, so one run of 2^18 + 1 letters is refused as a run of 10^9 is
+    for braid, n in (("1^1000000000", "4"), ("1^262145", "3")):
+        code = main(["nf", "--braid", braid, "--n", n])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 1 and err["errorType"] == "ResourceLimit" and "MAX_LETTERS" in err["error"]
+
+
+def test_nf_of_runs_of_both_signs(capsys):
+    # runs with k > 1 of both signs, whose later letters each close a
+    # factor; the first run gives 40 Delta^-1 markers
+    code, payload = run(capsys, "nf", "--braid", "-1^40 2^3 -2 1^2", "--n", "3")
+    ref = reference_normal_form(BraidWord.parse("-1^40 2^3 -2 1^2", 3))
+    assert code == 0 and payload["power"] == ref.power == -40
+    assert payload["factors"] == [list(f.images) for f in ref.factors]
+    assert payload["canonicalLength"] == 43 and payload["exponentSum"] == -36
+
+
+def test_b2_words_past_the_letter_cap_read_the_exponent_sum(capsys):
+    # B_2 = <sigma_1> is decided by the exponent sum, so a run past
+    # MAX_LETTERS is answered, with Delta_2 = sigma_1 and no factor
+    code, payload = run(capsys, "eq", "--n", "2", "--a", "1^300000", "--b", "1^300000")
+    assert code == 0 and payload["equal"]
+    assert main(["nf", "--n", "2", "--braid", "1^300000"]) == 0
+    assert '"power": 300000, "factors": []' in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [
@@ -252,6 +297,27 @@ def test_oka3(tmp_path, capsys):
     code, payload = run(capsys, "oka3", "--hom", str(path), "--both-variants")
     assert code == 0 and payload["agree"]
 
+    # e1 = sigma_1, e2 = sigma_1 sigma_2 fails the standard E0 screen at
+    # e2 e1^-2 and the mirrored one at the commutator: the variants disagree
+    hom["images"] = {"e1": "1", "e2": "1 2"}
+    path.write_text(json.dumps(hom))
+    code, payload = run(capsys, "oka3", "--hom", str(path), "--both-variants")
+    assert code == 2 and payload["agree"] is False
+    assert (payload["standard"]["witness"], payload["mirrored"]["witness"]) == (
+        "e2 e1^-2", "e1 e2 e1^-1 e2^-1")
+
+
+def test_oka3_refuses_an_f2_map(tmp_path, capsys):
+    # the WrongTarget line that go-surface gives a B3 map
+    path = tmp_path / "hom.json"
+    path.write_text(json.dumps({"genus": 1, "holes": 1, "target": "F2",
+                                "images": {"e1": "a1", "e2": "a2"}}))
+    assert main(["oka3", "--hom", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and strict_json(captured.err) == {
+        "schema": "1", "errorType": "WrongTarget",
+        "error": "oka3_decide needs a B3-valued homomorphism"}
+
 
 def test_go_surface(tmp_path, capsys):
     hom = {"genus": 0, "holes": 3, "target": "F2",
@@ -287,6 +353,20 @@ def test_go_surface_rejects_extra_generators(tmp_path, capsys):
     assert err["errorType"] == "ValueError" and "a3" in err["error"]
 
 
+def test_go_surface_names_an_image_key_beyond_the_digit_limit(tmp_path, digit_limit, capsys):
+    # the key's digits were read by int alone, whose error names no field
+    digit_limit(4300)
+    path = tmp_path / "hom.json"
+    path.write_text(json.dumps({"genus": 1, "holes": 1, "target": "F2",
+                                "images": {"e" + "1" * 5000: "a1"}}))
+    assert main(["go-surface", "--hom", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and strict_json(captured.err) == {
+        "schema": "1", "errorType": "ValueError",
+        "error": "an images key has 5000 digits, more than the limit of 4300 "
+                 "(sys.get_int_max_str_digits())"}
+
+
 def test_disc_index_degree_above_the_cap(tmp_path, capsys):
     # a 60-byte family of degree 5,000: refused before any 5,000 x 5,000
     # determinant; only the float range stopped such a family, and a
@@ -316,6 +396,24 @@ def test_disc_index_span_above_the_sample_cap(tmp_path, capsys):
                  "samples, above MAX_SAMPLES = 1048576"}
 
 
+def test_disc_index_that_never_converges(tmp_path, capsys):
+    # zeta^2 + z^1024 - r e^(0.37i) at r = 1 - 1e-6 has its 1024
+    # discriminant zeros about 1e-9 inside the circle, so every pass up to
+    # MAX_SAMPLES keeps a step above pi/2; a pass of n samples evaluates
+    # n / gcd(1024, n) + 1 points, so the refusal is quick
+    c = -(1 - 1e-6) * cmath.exp(0.37j)
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"degree": 2, "coeffs": {"0": {"0": [c.real, c.imag],
+                                                              "1024": [1, 0]}}}))
+    t0 = time.perf_counter()
+    assert main(["disc-index", "--family", str(path)]) == 1
+    assert time.perf_counter() - t0 < 5
+    captured = capsys.readouterr()
+    assert captured.out == "" and strict_json(captured.err) == {
+        "schema": "1", "errorType": "NonConvergence",
+        "error": "no convergence within 1048576 samples"}
+
+
 def test_go_surface_huge_exponents(tmp_path, capsys):
     # spelling out the letters took 7.9 s at 10^6 and ran out of memory at 10^9
     hom = {"genus": 1, "holes": 1, "target": "F2",
@@ -333,6 +431,8 @@ def test_eprime(capsys):
     assert code == 0 and payload["count"] == 3 and len(payload["elements"]) == 3
     code, payload = run(capsys, "eprime", "--genus", "0", "--holes", "3")
     assert payload["count"] == 7 and "elements" not in payload
+    code, payload = run(capsys, "eprime", "--genus", "1", "--holes", "2")
+    assert code == 0 and (payload["count"], payload["bound"]) == (10, 27)
 
 
 def test_lattice_branch_json_and_csv(capsys):
@@ -406,6 +506,19 @@ def test_negative_complex_reads_in_either_form(option, capsys):
         assert payload[option[2:]] == [-0.3, 1.0]
 
 
+def test_tau_near_the_real_axis_reads_in_either_form(capsys):
+    # tau = -0.3 + 0.0001i runs the integer reduction through several swaps;
+    # "-0.3,0.0001" is the value of --tau in the space form too
+    outs = []
+    for tau in (["--tau=-0.3,0.0001"], ["--tau", "-0.3,0.0001"]):
+        assert main(["lattice-branch", *tau, "--csv"]) == 0
+        outs.append(capsys.readouterr().out)
+    header, row = outs[0].splitlines()
+    assert outs[0] == outs[1] and header.startswith("e1_re")
+    cells = [float(c) for c in row.split(",")]
+    assert all(map(math.isfinite, cells)) and abs(sum(cells[::2])) < 1e-6 * max(map(abs, cells))
+
+
 def test_lattice_branch_path_steps_capped(monkeypatch, capsys):
     # the cap is checked before the first branch locus is computed
     def refuse(*args):
@@ -419,6 +532,23 @@ def test_lattice_branch_path_steps_capped(monkeypatch, capsys):
     assert code == 1 and captured.out == ""
     error = json.loads(captured.err)
     assert error["errorType"] == "ValueError" and "--path-steps" in error["error"]
+
+
+def test_scan_commutators_at_its_cap(capsys):
+    # maxlen 11 is SCAN_MAXLEN: about 0.5 s for the scan and 5.9 MB of
+    # JSON on one line, every row's two entropies positive (fact (E)); one
+    # letter more is refused before the scan
+    t0 = time.perf_counter()
+    assert main(["scan-commutators", "--maxlen", "11"]) == 0
+    out = capsys.readouterr().out
+    assert time.perf_counter() - t0 < 30 and out.count("\n") == 1
+    rows = json.loads(out)["pairs"]
+    assert rows and all(r["entropyB1"] > 0 and r["entropyB2"] > 0 for r in rows)
+    assert main(["scan-commutators", "--maxlen", "12"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and strict_json(captured.err) == {
+        "schema": "1", "errorType": "ResourceLimit",
+        "error": "commutator scan is limited to maxlen <= 11"}
 
 
 def test_scan_commutators_negative_maxlen(capsys):
@@ -498,7 +628,11 @@ CASES = {
                        (["--tau", "0,1", "--radius", "20", "--csv"], 0),
                        (["--tau", "0,1", "--path-end", "0,2", "--path-steps", "2",
                          "--radius", "20", "--csv"], 0),
-                       (["--alpha", "2,0.5", "--tau", "0.2,1.1", "--radius", "20"], 0)],
+                       (["--alpha", "2,0.5", "--tau", "0.2,1.1", "--radius", "20"], 0),
+                       # a path through several reduction branches of the
+                       # half-period classes
+                       (["--tau", "0.3,0.05", "--path-end", "0.3,1.2", "--path-steps", "4",
+                         "--csv"], 0)],
 }
 
 
@@ -730,10 +864,9 @@ def test_malformed_input_is_one_json_error_line(sub, text, extra, tmp_path):
     if text is not None:
         path.write_text(text)
         extra = ["--family" if sub == "disc-index" else "--hom", str(path), *extra]
-    src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "braidoka.cli", sub, *extra],
-        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        env=_child_env(), capture_output=True, text=True,
     )
     assert proc.returncode == 1 and proc.stdout == ""
     assert "Traceback" not in proc.stderr
@@ -746,10 +879,9 @@ def test_closed_stdout_keeps_the_verdict_and_stderr_quiet():
     # the write then fails with EPIPE, which was reported as an input error.
     # The output must outgrow the pipe buffer (64 kB on Linux), so that the
     # write is still open when the reader closes
-    src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.Popen(
         [sys.executable, "-m", "braidoka.cli", "scan-commutators", "--maxlen", "6"],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env=_child_env(),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     assert proc.stdout.read(10) == b'{"schema":'
@@ -918,7 +1050,6 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
 def test_import_leaves_numpy_unloaded(tmp_path):
     # numpy costs about 0.2 s per CLI call, and nothing in the package needs
     # it: importing, a winding index and a disc-index call all leave it out
-    src = Path(__file__).resolve().parents[1] / "src"
     family = tmp_path / "family.json"
     family.write_text(json.dumps({"degree": 3, "coeffs": {"0": {"2": [-1.0, 0.0]}}}))
     code = (
@@ -931,7 +1062,7 @@ def test_import_leaves_numpy_unloaded(tmp_path):
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env=_child_env(),
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
@@ -941,14 +1072,13 @@ def test_import_leaves_dataclasses_and_fractions_unloaded():
     # dataclasses (with inspect, ast, dis and tokenize) cost about 25 ms per
     # CLI call and fractions (with decimal) about 3 ms; the package needs
     # neither at run time
-    src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys, braidoka.cli\n"
         "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env=_child_env(),
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "[]"
@@ -957,7 +1087,6 @@ def test_import_leaves_dataclasses_and_fractions_unloaded():
 def test_a_call_leaves_argparse_gettext_and_locale_unloaded(tmp_path):
     # argparse, with gettext, cost a call about 1.8 ms of import, and its
     # first message lookup imported locale (0.9 ms); the reader needs none
-    src = Path(__file__).resolve().parents[1] / "src"
     files = _write_files(tmp_path)
     argvs = [[sub, *(a.format(**files) for a in CASES[sub][0][0])] for sub in CASES]
     code = (
@@ -969,7 +1098,7 @@ def test_a_call_leaves_argparse_gettext_and_locale_unloaded(tmp_path):
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code, json.dumps([["--version"], ["--help"], *argvs])],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env=_child_env(),
         capture_output=True, text=True, check=True,
     )
     codes = [0, 0, *(CASES[sub][0][1] for sub in CASES)]
@@ -979,7 +1108,6 @@ def test_a_call_leaves_argparse_gettext_and_locale_unloaded(tmp_path):
 def test_loading_every_module_leaves_dataclasses_and_fractions_unloaded():
     # `import braidoka.cli` loads no module of the package any more, so the
     # check above reads every one of them here
-    src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys, types, braidoka\n"
         "from braidoka import *\n"
@@ -990,7 +1118,7 @@ def test_loading_every_module_leaves_dataclasses_and_fractions_unloaded():
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env=_child_env(),
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "[]"
@@ -1031,7 +1159,6 @@ _LOADS = [
                          ids=[a[0] for a, _ in _LOADS[:-1]] + ["thm1-undecided"])
 def test_a_subcommand_loads_only_the_modules_it_runs(argv, loads, tmp_path):
     # a registered module that has not loaded yet is still a lazy module
-    src = Path(__file__).resolve().parents[1] / "src"
     files = {"family": _FAMILY, "hom": _HOM,
              "fhom": {**_HOM, "target": "F2", "images": {"e1": "a1", "e2": "a2"}}}
     for name, doc in files.items():
@@ -1047,7 +1174,7 @@ def test_a_subcommand_loads_only_the_modules_it_runs(argv, loads, tmp_path):
     )
     out = subprocess.run(
         [sys.executable, "-c", code, *argv],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env=_child_env(),
         capture_output=True, text=True, check=True,
     )
     exit_code, names = json.loads(out.stdout)
@@ -1059,7 +1186,6 @@ def test_a_subcommand_loads_only_the_modules_it_runs(argv, loads, tmp_path):
 def test_oka_theta_is_read_from_sl2z_after_an_oka3_call(tmp_path):
     # oka does not import sl2z; its module __getattr__ serves the name that
     # perfbench's namespace test reads, and only that read loads sl2z
-    src = Path(__file__).resolve().parents[1] / "src"
     hom = tmp_path / "hom.json"
     hom.write_text(json.dumps(_HOM))
     code = (
@@ -1074,7 +1200,7 @@ def test_oka_theta_is_read_from_sl2z_after_an_oka3_call(tmp_path):
     )
     out = subprocess.run(
         [sys.executable, "-c", code, str(hom)],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env=_child_env(),
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.split() == ["True", "True", "False"]
@@ -1083,8 +1209,7 @@ def test_oka_theta_is_read_from_sl2z_after_an_oka3_call(tmp_path):
 
 
 def test_every_module_but_cli_is_registered_lazily():
-    src = Path(__file__).resolve().parents[1] / "src" / "braidoka"
-    modules = {p.stem for p in src.glob("*.py")} - {"__init__", "cli"}
+    modules = {p.stem for p in _package_dir().glob("*.py")} - {"__init__", "cli"}
     assert modules == set(braidoka._MODULES)
 
 
@@ -1092,9 +1217,8 @@ def test_every_module_but_cli_is_registered_lazily():
 def test_running_the_cli_module_raises_no_runpy_warning(argv):
     # runpy warns when `braidoka.cli` is in sys.modules before it runs,
     # which a lazy registration of cli in the package would cause
-    src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "braidoka.cli", *argv],
-        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        env=_child_env(), capture_output=True, text=True,
     )
     assert proc.returncode == 0 and proc.stderr == ""

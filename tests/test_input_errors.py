@@ -173,6 +173,8 @@ ROWS = [
      "a free-word exponent has 4400 digits, more than the limit of 4300"),
     (_over_the_digit_limit(FreeWord.parse, "a{}"), ValueError,
      "a free-word generator has 4400 digits, more than the limit of 4300"),
+    (_over_the_digit_limit(lambda key: SurfaceHom.from_json({**_HOM, "images": {key: "a1"}}), "e{}"),
+     ValueError, "an images key has 4400 digits, more than the limit of 4300"),
 ]
 
 

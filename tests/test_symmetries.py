@@ -1,5 +1,5 @@
-"""Symmetry oracles: B_3 and F2 verdicts checked against the problem's own
-symmetries, with no reference code in the loop.
+"""Symmetry oracles: B_3, B_n, F2, lattice and family results checked
+against the problem's own symmetries, with no reference code in the loop.
 
 * `classify3`'s kind, |trace| and entropy are unchanged under the flip
   sigma_1 <-> sigma_2, under the mirror sigma_i -> sigma_i^-1 and under
@@ -28,13 +28,29 @@ symmetries, with no reference code in the loop.
   it keeps which images are conjugate into a peripheral power, and a
   notGO verdict keeps its witness, the first E' element whose image is
   not.
+* In B_n, tau (conjugation by Delta, sigma_i -> sigma_(n-i)) keeps Delta,
+  simple elements and left-weightedness, so `normal_form` of tau b has the
+  power of b's and each factor p turned, i -> n + 1 - p(n + 1 - i); tau and
+  the mirror sigma_i -> sigma_i^-1 are automorphisms, so `braid_eq` gives
+  the same verdict on both images of a pair.
+* `e_values` under the modular group: tau -> tau + 1 keeps the lattice and
+  swaps the half periods tau/2 and (1 + tau)/2, so it swaps e2 and e3,
+  exactly, since the reduction reads the same reduced lattice; tau -> -1/tau
+  scales the lattice by -1/tau and swaps 1/2 and tau/2, so the values are
+  tau^2 (e2, e1, e3).  `branch_locus` of alpha (Z + tau Z) is alpha^-2 times
+  `e_values(tau)` by homogeneity.
+* The winding index of f(z^m, zeta), every z-exponent multiplied by m, is m
+  times that of f: its discriminant is disc(f)(z^m), which winds m times
+  as often around 0 on |z| = 1.
 
 The inputs are the parity corpus's generators at the seeds of their
 chunks 0 and 1 (`classify3`: `class_base` conjugated by `conjugator`;
-`oka3_decide`: `oka3_case`), the scan at maxlen 0 to 7, and the 3,000
-homomorphisms of `go_surface_case` at the seeds of its chunks 0 to 29.
-The file runs in under 3 s (about 2.2 s of test time, Python 3.11, 2-core
-VM).
+`oka3_decide`: `oka3_case`), the scan at maxlen 0 to 7, the 3,000
+homomorphisms of `go_surface_case` at the seeds of its chunks 0 to 29, 400
+seeded words in B_3-B_8 with a relation rewrite of each or of a word one
+letter away, 500 seeded tau with a scale each, and 150 seeded power
+families zeta^n - z^k of degree 2 and 3 with small extra terms.  The file
+runs in about 3 s of test time (Python 3.11, 2-core VM).
 """
 
 import functools
@@ -44,7 +60,10 @@ import pytest
 
 from braidoka import _theta
 from braidoka._word import BraidWord
+from braidoka.braid import braid_eq, normal_form
 from braidoka.errors import ResourceLimit
+from braidoka.families import LaurentFamily, discriminant_index
+from braidoka.lattice import LatticeSpec, branch_locus, e_values
 from braidoka.oka import (
     TARGET_B3,
     TARGET_F2,
@@ -56,6 +75,7 @@ from braidoka.oka import (
 from braidoka.three import classify3, zero_entropy_commutator_scan
 from braidoka.words import POW_MAXBLOCKS, FreeWord
 
+from braid_helpers import one_letter_change, reduced_word, relation_rewrite
 from parity_corpus import (
     CASES_PER_CHUNK,
     THETA_CLASSES,
@@ -72,7 +92,7 @@ def flip(b):
 
 
 def mirror(b):
-    return BraidWord._from_runs(3, tuple((i, -k) for i, k in b.runs))
+    return BraidWord._from_runs(b.strands, tuple((i, -k) for i, k in b.runs))
 
 
 def reverse(b):
@@ -198,3 +218,99 @@ def test_go_surface_verdict_under_automorphisms(name):
             else got["verdict"]
         assert (verdict["verdict"], verdict.get("witness")) == (want, got.get("witness")), hom.images
     assert skipped <= _MAX_SKIPPED[name], f"{skipped} images past POW_MAXBLOCKS, {POW_MAXBLOCKS}"
+
+
+def turn(b):
+    """tau(b): conjugation by Delta, sigma_i -> sigma_(n-i)."""
+    n = b.strands
+    return BraidWord._from_runs(n, tuple((n - i, k) for i, k in b.runs))
+
+
+def test_normal_form_and_braid_eq_under_tau_and_the_mirror():
+    rng = random.Random(34_000)
+    verdicts = set()
+    for j in range(400):
+        n = 3 + j % 6
+        b = reduced_word(rng, n, rng.randint(0, 30))
+        nf, turned = normal_form(b), normal_form(turn(b))
+        assert turned.power == nf.power, b.runs
+        assert [f.images for f in turned.factors] == [
+            tuple(n + 1 - f.images[n - 1 - i] for i in range(n)) for f in nf.factors], b.runs
+        other = relation_rewrite(rng, b if j % 2 == 0 else one_letter_change(rng, b))
+        same = braid_eq(b, other)
+        verdicts.add(same)
+        assert braid_eq(turn(b), turn(other)) == same, (b.runs, other.runs)
+        assert braid_eq(mirror(b), mirror(other)) == same, (b.runs, other.runs)
+    assert verdicts == {True, False}
+
+
+def _taus():
+    rng = random.Random(33_000)
+    for _ in range(500):
+        yield (complex(rng.uniform(-1.5, 1.5), rng.uniform(0.1, 2.5)),
+               complex(rng.uniform(-3, 3), rng.uniform(-3, 3)))
+
+
+def _relative_error(got, want):
+    return max(abs(x - y) for x, y in zip(got, want)) / max(map(abs, want))
+
+
+def test_half_period_values_under_the_modular_group():
+    for tau, _ in _taus():
+        e1, e2, e3 = e_values(tau)
+        assert e_values(tau + 1) == (e1, e3, e2), tau
+        s = tau * tau
+        assert _relative_error(e_values(-1 / tau), (s * e2, s * e1, s * e3)) < 1e-13, tau
+
+
+def test_branch_locus_is_homogeneous_in_the_scale():
+    for tau, alpha in _taus():
+        want = tuple(e / alpha**2 for e in e_values(tau))
+        assert _relative_error(branch_locus(LatticeSpec(alpha, tau)).e, want) < 1e-14, (alpha, tau)
+
+
+def z_power(fam, m):
+    """f(z^m, zeta): every z-exponent of fam multiplied by m."""
+    return LaurentFamily(fam.degree, {k: {m * e: c for e, c in poly.items()}
+                                      for k, poly in fam.coeffs.items()})
+
+
+def _power_family(rng, degree):
+    """zeta^n - z^k, 1 <= k <= 6, with one or two extra terms c z^e, |e| <= 2,
+    |Re c|, |Im c| <= 0.3, small against z^k on |z| = 1, so no zero of the
+    discriminant comes near the circle and none raises SeparabilityFailure."""
+    coeffs = {0: {rng.randint(1, 6): -1 + 0j}}
+    for _ in range(rng.randint(1, 2)):
+        coeffs.setdefault(rng.randrange(degree), {})[rng.randint(-2, 2)] = complex(
+            rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
+    return LaurentFamily(degree, coeffs)
+
+
+def test_index_under_a_z_power():
+    rng = random.Random(32_000)
+    indices = set()
+    for j in range(150):
+        fam, m = _power_family(rng, 2 + j % 2), 2 + j // 2 % 2
+        index = discriminant_index(fam).index
+        indices.add(index)
+        assert discriminant_index(z_power(fam, m)).index == m * index, (fam.coeffs, m)
+    assert len(indices) >= 8, sorted(indices)
+
+
+# Families whose discriminant has double zeros within about 0.003 of the
+# circle: the index of f is right, and that of f(z^2) is not.  Its first
+# pass of 256 samples keeps every step below pi/2, because the principal
+# argument reads a turn of nearly 2 pi across a double zero as a small
+# step; sampled finely, the reference oracle gives 2 index(f).  Such
+# families were 6 of about 1,350 seeded ones of degree 2 and 3 whose extra
+# terms reach modulus 1, the four below among them.
+@pytest.mark.xfail(strict=True, reason="the step test misses a turn across a near double zero")
+@pytest.mark.parametrize("coeffs", [
+    {1: {3: 1.1196590680636103 + 1.174657987649201j, -3: 1.4705563854088712 + 0.7485477472897308j}},
+    {0: {6: -1 + 0j, 2: 0.28066154690631273 - 0.9469458993670474j}},
+    {0: {2: -1 + 0j, -2: 0.2819262945365504 - 0.9786647721494499j}},
+    {0: {1: -1 + 0j, 2: 0.30884166468018126 - 0.9599104203866871j}},
+], ids=["degree-2", "degree-3-k6", "degree-3-k2", "degree-3-k1"])
+def test_index_under_a_z_power_near_a_double_zero(coeffs):
+    fam = LaurentFamily(2 if 1 in coeffs else 3, coeffs)
+    assert discriminant_index(z_power(fam, 2)).index == 2 * discriminant_index(fam).index
