@@ -297,7 +297,7 @@ def test_index_under_a_z_power():
     assert len(indices) >= 8, sorted(indices)
 
 
-# Families whose discriminant has double zeros within about 0.003 of the
+# Families whose discriminant has double zeros within 0.005 of the
 # circle: the index of f is right, and that of f(z^2) is not.  Its first
 # pass of 256 samples keeps every step below pi/2, because the principal
 # argument reads a turn of nearly 2 pi across a double zero as a small
