@@ -44,6 +44,8 @@ __all__ = [*_HOME, *(m for m in _MODULES if not m.startswith("_"))]
 def _register(module: str) -> None:
     name = f"{__name__}.{module}"
     spec = importlib.util.find_spec(name)
+    if spec is None:  # a copy of the package that lacks the module
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
     loader = importlib.util.LazyLoader(spec.loader)
     spec.loader = loader
     lazy = importlib.util.module_from_spec(spec)

@@ -79,7 +79,7 @@ def permutation(b: BraidWord) -> Permutation:
     for i, k in b.runs:
         if k % 2:
             pos[i - 1], pos[i] = pos[i], pos[i - 1]
-    return perms.Permutation(tuple(_t_inv(pos)))
+    return perms.Permutation._from_images(tuple(perms._inverse(pos)))
 
 
 class LinkingNumbers(Value):
@@ -149,13 +149,6 @@ def linking_numbers(b: BraidWord) -> LinkingNumbers:
 
 # the normal-form inner loop works on raw image lists (p[i-1] = image of
 # i) to stay off the validating constructor
-
-
-def _t_inv(p: list[int] | tuple[int, ...]) -> list[int]:
-    out = [0] * len(p)
-    for i, img in enumerate(p, start=1):
-        out[img - 1] = i
-    return out
 
 
 def _t_left_weight(a: list[int], ai: list[int], b: list[int], bi: list[int]) -> bool:
@@ -269,6 +262,7 @@ def normal_form(b: BraidWord) -> GarsideNormalForm:
         raise ResourceLimit(_TOO_LONG)
     w0 = list(range(n, 0, -1))
     ident = list(range(1, n + 1))
+    inverse = perms._inverse
     out: list[list[int]] = []  # the factors inserted, and their inverses beside them
     outi: list[list[int]] = []
     markers = 0  # the Delta^-1 markers read so far
@@ -295,7 +289,7 @@ def normal_form(b: BraidWord) -> GarsideNormalForm:
             # right insertion; only the appended factor can become trivial,
             # because the pairs left of it were left-weighted before the append
             if fi != ident:
-                out.append(_t_inv(fi))
+                out.append(inverse(fi))
                 outi.append(fi)
                 j = len(out) - 1
                 while (j and out[j - 1] != w0

@@ -17,6 +17,14 @@ if TYPE_CHECKING:
     from collections.abc import Sequence
 
 
+def _inverse(images: Sequence[int]) -> list[int]:
+    """The images of the inverse of the permutation with these images."""
+    out = [0] * len(images)
+    for i, img in enumerate(images, start=1):
+        out[img - 1] = i
+    return out
+
+
 class Permutation(Value):
     """A permutation of {1..n}; images[i-1] is the image of i."""
 
@@ -64,10 +72,7 @@ class Permutation(Value):
         return Permutation(tuple(other.images[x - 1] for x in self.images))
 
     def inv(self) -> "Permutation":
-        out = [0] * self.n
-        for i, img in enumerate(self.images, start=1):
-            out[img - 1] = i
-        return Permutation(tuple(out))
+        return Permutation._from_images(tuple(_inverse(self.images)))
 
     def __pow__(self, k: int) -> "Permutation":
         """Each cycle rotated by k mod its length: O(n) for any k."""

@@ -19,16 +19,7 @@ from ._theta import _e0_traces, log_spectral_radius, mat_mul
 from ._value import Value, check_int
 from ._word import BraidWord, exponent_sum
 from .errors import InternalInconsistency, ResourceLimit
-from .sl2z import (
-    CENTRAL_I,
-    CENTRAL_MINUS_I,
-    ELLIPTIC,
-    PARABOLIC,
-    _conjugate,
-    _kind,
-    _sign_shear,
-    theta,
-)
+from .sl2z import PARABOLIC, _conjugate, _kind, _sign_shear, theta
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -51,6 +42,16 @@ SCAN_MAXLEN = 11
 def _module(h: float) -> float:
     """pi/(2h), infinite when the entropy h vanishes."""
     return math.inf if h == 0.0 else math.pi / (2 * h)
+
+
+# the periodic models by base: its exponent sum and the traces of
+# theta(base)^ell for ell mod the order of theta(base), 6 and 4
+_PERIODIC_MODELS = {"sigma12": (2, (2, 1, -1, -2, -1, 1)), "delta": (3, (2, 0, -2, 0))}
+
+
+def _periodic_base(trace: int) -> Literal["sigma12", "delta"]:
+    """The base of a periodic class: sigma_1 sigma_2 at |trace| 1, else Delta."""
+    return "sigma12" if abs(trace) == 1 else "delta"
 
 
 class ThreeBraidClass(Value):
@@ -83,9 +84,7 @@ class ThreeBraidClass(Value):
     @property
     def base(self) -> Literal["sigma12", "delta"] | None:
         """The power base of a periodic class, None for the others."""
-        if self.kind != PERIODIC:
-            return None
-        return "sigma12" if abs(self.trace) == 1 else "delta"
+        return _periodic_base(self.trace) if self.kind == PERIODIC else None
 
     @property
     def entropy(self) -> float:
@@ -119,14 +118,14 @@ def classify3(b: BraidWord) -> ThreeBraidClass:
     """The Nielsen-Thurston class of b, read off theta(b) and the exponent
     sum.
 
-    theta has kernel <Delta^4> and theta(Delta^2) = -I, so the divisions
-    and the four sign and parity checks below cannot fail:
+    theta has kernel <Delta^4> and theta(Delta^2) = -I, so the division
+    and the check of each branch below cannot fail:
 
-    * a central image is Delta^(2l), of exponent sum 6l and image (-I)^l;
-    * a trace +-1 image is conjugate to (sigma_1 sigma_2)^l with 3 not
-      dividing l, of exponent sum 2l;
-    * a trace-0 image is conjugate to Delta^l with l odd, of exponent
-      sum 3l;
+    * a central or elliptic image is conjugate to theta(base)^ell, where
+      the base is sigma_1 sigma_2 (exponent sum 2, image of trace 1 and
+      order 6) at |trace| 1 and Delta (exponent sum 3, image of trace 0
+      and order 4) otherwise, and the trace is the entry at ell of the
+      base's row of `_PERIODIC_MODELS`;
     * a parabolic image is conjugate to sigma_1^k Delta^(2l), of exponent
       sum k + 6l and sign (-1)^l.
 
@@ -135,32 +134,22 @@ def classify3(b: BraidWord) -> ThreeBraidClass:
     _theta._b3("classify3", b)
     m = theta(b).entries()
     es = exponent_sum(b)
-    kind = _kind(m)
     t = m[0] + m[3]
 
-    if kind in (CENTRAL_I, CENTRAL_MINUS_I):
-        # b = Delta^{2l}; also reducible as sigma_1^0 Delta^{2l}
-        ell = _exact_div(es, 6, "central power")
-        if (kind == CENTRAL_MINUS_I) != (ell % 2 == 1):
-            raise InternalInconsistency("central sign does not match exponent sum")
-        return ThreeBraidClass(PERIODIC, t, es, ell=2 * ell)
-    if kind == ELLIPTIC:
-        if t in (1, -1):
-            ell = _exact_div(es, 2, "sigma12 power")
-            if ell % 3 == 0:
-                raise InternalInconsistency("elliptic +-1 trace with 3 | ell")
-            return ThreeBraidClass(PERIODIC, t, es, ell=ell)
-        ell = _exact_div(es, 3, "delta power")
-        if ell % 2 == 0:
-            raise InternalInconsistency("trace-0 image with even Delta power")
-        return ThreeBraidClass(PERIODIC, t, es, ell=ell)
-    if kind == PARABOLIC:
+    if _kind(m) == PARABOLIC:
         sign, k = _sign_shear(m)
         ell = _exact_div(es - k, 6, "reducible Delta^2 power")
         if (sign == -1) != (ell % 2 == 1):
             raise InternalInconsistency("parabolic sign does not match ell parity")
         return ThreeBraidClass(REDUCIBLE, t, es, k=k, ell=ell)
-    return ThreeBraidClass(PSEUDO_ANOSOV, t, es)
+    if abs(t) > 2:
+        return ThreeBraidClass(PSEUDO_ANOSOV, t, es)
+    base = _periodic_base(t)
+    span, traces = _PERIODIC_MODELS[base]
+    ell = _exact_div(es, span, f"{base} power")
+    if traces[ell % len(traces)] != t:
+        raise InternalInconsistency(f"trace {t} is not that of theta({base})^{ell}")
+    return ThreeBraidClass(PERIODIC, t, es, ell=ell)
 
 
 def entropy3(b: BraidWord) -> float:

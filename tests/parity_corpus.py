@@ -11,10 +11,13 @@ line, its input and output written with ints, tuples and the dicts of
 the records' `as_dict` (for the CLI, the printed JSON read back), and the
 digest is the sha256 of the lines.
 Rewriting a digest is a change to a check: CHANGES.md then names the
-chunk, the reason, and one case's old and new line.
+chunk, the reason, and one case's old and new line.  `--write` only adds
+the digests of chunks missing from the JSON: while any committed digest
+differs it prints CHANGED, exits 1 and writes nothing, so a rewrite means
+deleting the old entry by hand first.
 
     PYTHONPATH=src python tests/parity_corpus.py           # compare
-    PYTHONPATH=src python tests/parity_corpus.py --write   # rewrite the JSON
+    PYTHONPATH=src python tests/parity_corpus.py --write   # add new chunks
 """
 
 from __future__ import annotations
@@ -33,12 +36,14 @@ from braidoka import cli
 from braidoka._purekernels import SWEEP3_MAXLEN, sweep3_stats
 from braidoka.braid import BraidWord, braid_eq, normal_form
 from braidoka.errors import BraidokaError
-from braidoka.families import thm1_verdict
+from braidoka.families import LaurentFamily, discriminant_index, thm1_verdict
+from braidoka.lattice import LatticeSpec, branch_locus, e_values, wp, wp_prime
 from braidoka.oka import (
     TARGET_B3,
     TARGET_F2,
     SurfaceHom,
     SurfaceSignature,
+    eprime_generate,
     go_surface_decide,
     oka3_decide,
 )
@@ -61,6 +66,7 @@ from braid_helpers import (
     relation_rewrite,
 )
 from nf_reference import check_factors
+from test_families import _seeded_family
 
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "parity_corpus.json")
 CASES_PER_CHUNK = 100
@@ -410,10 +416,10 @@ def centralizer_check_chunk(index: int) -> list[str]:
     return lines
 
 
-def outcome(f, *args) -> str:
-    """repr of f(*args), or the type and message of the error it raises."""
+def outcome(f, *args, show=repr) -> str:
+    """show(f(*args)), or the type and message of the error it raises."""
     try:
-        return repr(f(*args))
+        return show(f(*args))
     except (BraidokaError, ValueError) as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -450,15 +456,24 @@ def thm1_verdict_chunk(index: int) -> list[str]:
 
 
 def rounded(obj):
-    """obj with every float at the 12 significant digits that the CSV
-    writer prints (`round12`), through dicts and lists."""
+    """obj with every float, and both parts of every complex, at the 12
+    significant digits that the CSV writer prints (`round12`), through
+    dicts, lists and tuples."""
     if isinstance(obj, float):
         return float(f"{obj:.12g}")
+    if isinstance(obj, complex):
+        return complex(rounded(obj.real), rounded(obj.imag))
     if isinstance(obj, dict):
         return {k: rounded(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [rounded(v) for v in obj]
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(rounded(v) for v in obj)
     return obj
+
+
+def shown(obj) -> str:
+    """repr of obj, or of its `as_dict()`, at 12 significant digits
+    (`rounded`)."""
+    return repr(rounded(obj.as_dict() if hasattr(obj, "as_dict") else obj))
 
 
 def oka3_case(rng, j):
@@ -542,6 +557,79 @@ def sweep_chunk() -> list[str]:
     dicts repeat, 6 or 7 times each, to fill the chunk."""
     stats = [sweep3_stats(m) for m in range(SWEEP3_MAXLEN + 1)]
     return [f"{j % len(stats)} -> {stats[j % len(stats)]}" for j in range(CASES_PER_CHUNK)]
+
+
+# every signature (g, m) of free rank 2g + m - 1 at most 8, (0, 1) among
+# them, which has none
+EPRIME_SIGNATURES = tuple((g, m) for g in range(5) for m in range(1, 10) if 2 * g + m <= 9)
+
+
+def eprime_chunk() -> list[str]:
+    """eprime_generate of each signature of EPRIME_SIGNATURES, from its
+    `as_dict()`, each computed once: case j holds the header fields of the
+    set of signature j mod 25 and its elements i with i = j // 25 mod 4,
+    so the four cases of a signature hold every element once.  An error is
+    written as its type and message."""
+    sets = []
+    for g, m in EPRIME_SIGNATURES:
+        try:
+            sets.append(eprime_generate(SurfaceSignature(g, m)).as_dict())
+        except BraidokaError as exc:
+            sets.append(f"{type(exc).__name__}: {exc}")
+    lines = []
+    for j in range(CASES_PER_CHUNK):
+        got = sets[j % len(sets)]
+        if isinstance(got, dict):
+            header = {k: v for k, v in got.items() if k != "elements"}
+            got = f"{header} {got['elements'][j // len(sets)::4]}"
+        lines.append(f"{EPRIME_SIGNATURES[j % len(sets)]} -> {got}")
+    return lines
+
+
+# zeta^3 - z^12 + c z^4: double zeros of the discriminant about 0.0015
+# inside |z| = 1, where the first pass of 256 samples stops at index 16 and
+# the finely sampled reference gives 24 (ROADMAP item 1)
+NEAR_DOUBLE_ZERO = LaurentFamily(3, {0: {12: -1 + 0j, 4: 0.28066154690631273 - 0.9469458993670474j}})
+
+
+def discriminant_index_chunk(index: int) -> list[str]:
+    """discriminant_index of `test_families._seeded_family` in degrees 2 to
+    6 in turn, at 16, 64 or 256 first-pass samples, with every case kept:
+    an error is written as its type and message, and the report as its
+    `as_dict()` at 12 significant digits (`rounded`).  The last case is
+    NEAR_DOUBLE_ZERO at the default 256, whose index is wrong as pinned."""
+    rng = random.Random(35_000 + index)
+    lines = []
+    for j in range(CASES_PER_CHUNK - 1):
+        fam = _seeded_family(rng, 2 + j % 5)
+        samples = rng.choice((16, 64, 256))
+        got = outcome(discriminant_index, fam, samples, show=shown)
+        lines.append(f"{fam.degree} {fam.coeffs} {samples} -> {got}")
+    got = outcome(discriminant_index, NEAR_DOUBLE_ZERO, show=shown)
+    return lines + [f"{NEAR_DOUBLE_ZERO.degree} {NEAR_DOUBLE_ZERO.coeffs} 256 -> {got}"]
+
+
+def lattice_chunk(index: int) -> list[str]:
+    """e_values(tau), wp(zeta, tau), wp_prime(zeta, tau) and the
+    `branch_locus` of alpha (Z + tau Z), each at 12 significant digits
+    (`rounded`) or as the type and message of its error.  Re tau lies in
+    [-2, 2] and Im tau in [10^-3, 10], log-uniform; zeta and alpha have
+    parts in [-3, 3], alpha nonzero, and in every fifth case zeta is the
+    lattice point m + n tau, |m|, |n| <= 2, a pole."""
+    rng = random.Random(36_000 + index)
+    lines = []
+    for j in range(CASES_PER_CHUNK):
+        tau = complex(rng.uniform(-2, 2), 10 ** rng.uniform(-3, 1))
+        if j % 5 == 4:
+            zeta = rng.randint(-2, 2) + rng.randint(-2, 2) * tau
+        else:
+            zeta = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        alpha = complex(rng.uniform(-3, 3), rng.uniform(0.01, 3))
+        got = [outcome(e_values, tau, show=shown), outcome(wp, zeta, tau, show=shown),
+               outcome(wp_prime, zeta, tau, show=shown),
+               outcome(branch_locus, LatticeSpec(alpha, tau), show=shown)]
+        lines.append(f"{tau!r} {zeta!r} {alpha!r} -> {' '.join(got)}")
+    return lines
 
 
 # the subcommands, in the order `braidoka --help` lists them; case j of
@@ -682,6 +770,9 @@ CHUNKS = {
     "oka3_decide/0": lambda: oka3_decide_chunk(0),
     "zero_entropy_commutator_scan/0": scan_chunk,
     "sweep3_stats/0": sweep_chunk,
+    "eprime_generate/0": eprime_chunk,
+    "discriminant_index/0": lambda: discriminant_index_chunk(0),
+    "lattice/0": lambda: lattice_chunk(0),
 }
 
 
@@ -695,16 +786,28 @@ def committed() -> dict[str, str]:
 
 
 def main(argv: list[str]) -> int:
+    """Print each chunk as ok or CHANGED, and exit 1 if any changed.  With
+    --write, a chunk missing from the JSON is added instead of CHANGED,
+    and the JSON is written only if no digest changed."""
+    write = argv == ["--write"]
     got = {name: digest(chunk()) for name, chunk in CHUNKS.items()}
-    if argv == ["--write"]:
+    want = committed()
+    changed = False
+    for name in sorted(got.keys() | want.keys()):
+        if got.get(name) == want.get(name):
+            print(name, "ok")
+        elif write and name not in want:
+            print(name, "added")
+        else:
+            print(name, "CHANGED")
+            changed = True
+    if changed:
+        return 1
+    if write:
         with open(DIGESTS, "w") as fh:
             json.dump(got, fh, indent=1, sort_keys=True)
             fh.write("\n")
-        return 0
-    want = committed()
-    for name in sorted(got.keys() | want.keys()):
-        print(name, "ok" if got.get(name) == want.get(name) else "CHANGED")
-    return 0 if got == want else 1
+    return 0
 
 
 if __name__ == "__main__":

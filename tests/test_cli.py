@@ -1213,6 +1213,25 @@ def test_every_module_but_cli_is_registered_lazily():
     assert modules == set(braidoka._MODULES)
 
 
+def test_a_missing_module_is_named_at_import(tmp_path):
+    # registering a module that a copy of the package lacks read the loader
+    # of a None spec, an AttributeError that named neither the module nor
+    # the package
+    copy = tmp_path / "braidoka"
+    copy.mkdir()
+    for p in _package_dir().glob("*.py"):
+        if p.name != "_prime.py":
+            (copy / p.name).write_bytes(p.read_bytes())
+    proc = subprocess.run(
+        [sys.executable, "-c", "import braidoka"],
+        env={**os.environ, "PYTHONPATH": str(tmp_path)}, cwd=tmp_path,
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == (
+        "ModuleNotFoundError: No module named 'braidoka._prime'"), proc.stderr
+
+
 @pytest.mark.parametrize("argv", [["--version"], ["classify", "--braid", "1 -2"]])
 def test_running_the_cli_module_raises_no_runpy_warning(argv):
     # runpy warns when `braidoka.cli` is in sys.modules before it runs,

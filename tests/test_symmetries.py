@@ -7,6 +7,10 @@ against the problem's own symmetries, with no reference code in the loop.
   conjugation in GL(2, Z), and the reversal by a transpose after one
   (theta(sigma_1)^T = theta(sigma_2^-1)), so each keeps the trace and
   whether the image is central.
+* `conj3(b1, b2)` is unchanged when the flip, the mirror or the reversal
+  is applied to both words: the flip and the mirror are automorphisms of
+  B_3, and the reversal an anti-automorphism, which sends u b u^-1 to
+  rev(u)^-1 rev(b) rev(u).
 * `oka3_decide`'s verdict, and the model type of a classified pair, are
   unchanged under the Nielsen moves (b1, b2) -> (b1, b1 b2) and
   (b1 b2, b2): both pairs generate one group, and its docstring's proof
@@ -45,7 +49,8 @@ against the problem's own symmetries, with no reference code in the loop.
 
 The inputs are the parity corpus's generators at the seeds of their
 chunks 0 and 1 (`classify3`: `class_base` conjugated by `conjugator`;
-`oka3_decide`: `oka3_case`), the scan at maxlen 0 to 7, the 3,000
+`oka3_decide`: `oka3_case`), the 100 pairs of the `conj3` chunk 0
+(`conj3_case`), the scan at maxlen 0 to 7, the 3,000
 homomorphisms of `go_surface_case` at the seeds of its chunks 0 to 29, 400
 seeded words in B_3-B_8 with a relation rewrite of each or of a word one
 letter away, 500 seeded tau with a scale each, and 150 seeded power
@@ -72,7 +77,7 @@ from braidoka.oka import (
     go_surface_decide,
     oka3_decide,
 )
-from braidoka.three import classify3, zero_entropy_commutator_scan
+from braidoka.three import classify3, conj3, zero_entropy_commutator_scan
 from braidoka.words import POW_MAXBLOCKS, FreeWord
 
 from braid_helpers import one_letter_change, reduced_word, relation_rewrite
@@ -80,6 +85,7 @@ from parity_corpus import (
     CASES_PER_CHUNK,
     THETA_CLASSES,
     class_base,
+    conj3_case,
     conjugator,
     free_word,
     go_surface_case,
@@ -114,6 +120,18 @@ def test_classify3_invariants(move, index):
         got, moved = classify3(b), classify3(move(b))
         assert (moved.kind, abs(moved.trace), moved.entropy) == (
             got.kind, abs(got.trace), got.entropy), b.runs
+
+
+@pytest.mark.parametrize("move", [flip, mirror, reverse])
+def test_conj3_under_a_common_map(move):
+    rng = random.Random(25_000)
+    verdicts = set()
+    for j in range(CASES_PER_CHUNK):
+        b1, b2, _ = conj3_case(rng, j)
+        got = conj3(b1, b2)
+        verdicts.add(got)
+        assert conj3(move(b1), move(b2)) == got, (b1.runs, b2.runs)
+    assert verdicts == {True, False}
 
 
 def _oka3(b1, b2, mirrored):
